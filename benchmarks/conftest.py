@@ -11,8 +11,9 @@ Each bench additionally runs under a fresh metrics registry and, when
 it collected anything, dumps the registry to
 ``benchmarks/telemetry/BENCH_<test>.telemetry.json`` (directory
 overridable via ``BENCH_TELEMETRY_DIR``) — the machine-readable
-record of per-phase timers, PST sizes and work counters that lets the
-perf trajectory be compared across PRs, next to the printed tables.
+``repro.telemetry/v2`` record of per-phase timers, PST sizes and work
+counters that lets the perf trajectory be compared across PRs, next to
+the printed tables.
 """
 
 import os
@@ -27,8 +28,7 @@ if str(REPO_ROOT) not in sys.path:
 
 from repro.datasets.languages import make_language_database
 from repro.datasets.protein import make_protein_database
-from repro.evaluation.reporting import write_metrics_json
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry, write_telemetry_json
 from repro.sequences.generators import generate_clustered_database
 from tools.benchtrack.schema import write_bench_document  # noqa: E402
 
@@ -72,10 +72,10 @@ def bench_telemetry(request):
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     safe_name = request.node.name.replace("/", "_").replace("[", "_").rstrip("]")
-    write_metrics_json(
+    write_telemetry_json(
         out_dir / f"BENCH_{safe_name}.telemetry.json",
         registry,
-        extra={"bench": request.node.nodeid},
+        context={"bench": request.node.nodeid},
     )
 
 

@@ -25,8 +25,8 @@ Subcommands
     endpoints over HTTP with micro-batched scoring and hot reload.
     See docs/SERVING.md.
 ``telemetry``
-    Inspect a telemetry JSON snapshot (v1 or v2): summarize it as a
-    table, or convert it to Prometheus text exposition.
+    Inspect a telemetry JSON snapshot: summarize it as a table, or
+    convert it to Prometheus text exposition.
 
 Global observability flags (before the subcommand):
 
@@ -36,8 +36,8 @@ Global observability flags (before the subcommand):
     Switch those logs to JSON lines (implies ``--log-level INFO``
     unless a level was given).
 ``--metrics-out PATH``
-    Collect metrics for the whole invocation and write the telemetry
-    JSON document to PATH on exit.
+    Collect metrics for the whole invocation and write a
+    ``repro.telemetry/v2`` JSON snapshot to PATH on exit.
 
 ``cluster`` and ``stream`` additionally accept Telemetry v2 flags:
 ``--telemetry-dir DIR`` (enable metrics + hot-path profiler, write a
@@ -58,8 +58,8 @@ from . import __version__
 from .core.backends import BACKENDS
 from .core.cluseq import CLUSEQ, CluseqParams
 from .evaluation.metrics import evaluate_clustering
-from .evaluation.reporting import percent, print_table, write_metrics_json
-from .obs import MetricsRegistry, configure_logging, use_registry
+from .evaluation.reporting import percent, print_table
+from .obs import MetricsRegistry, configure_logging, use_registry, write_telemetry_json
 from .sequences.database import SequenceDatabase
 from .sequences.generators import generate_clustered_database
 from .sequences.io import read_fasta, read_labelled_text, write_labelled_text
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help="collect metrics during the run and write telemetry JSON to PATH",
+        help="collect metrics during the run and write a repro.telemetry/v2 "
+        "JSON snapshot to PATH",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -927,10 +928,10 @@ def main(argv: list[str] | None = None) -> int:
         code = _dispatch(args)
     context = {"argv": list(argv) if argv is not None else sys.argv[1:]}
     if args.metrics_out and registry is not None:
-        write_metrics_json(args.metrics_out, registry, extra=context)
+        write_telemetry_json(args.metrics_out, registry, context=context)
         print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
     if telemetry_dir and registry is not None:
-        from .obs import write_prometheus_text, write_telemetry_json
+        from .obs import write_prometheus_text
 
         target = os.path.join(telemetry_dir, "telemetry.json")
         write_telemetry_json(target, registry, context=context)

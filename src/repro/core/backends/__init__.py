@@ -19,12 +19,10 @@ from .vectorized import (
     ScoreMatrixResult,
     StackedFlats,
     kadane_columns,
-    kadane_rows,
     pad_sequences,
     prepare_stack,
     score_matrix_stacked,
     stack_flats,
-    walk_states,
     walk_states_matrix,
 )
 
@@ -43,13 +41,11 @@ __all__ = [
     "attach_flat",
     "flatten_pst",
     "kadane_columns",
-    "kadane_rows",
     "pad_sequences",
     "prepare_stack",
     "publish_flat",
     "resolve_backend",
     "score_matrix_stacked",
     "stack_flats",
-    "walk_states",
     "walk_states_matrix",
 ]

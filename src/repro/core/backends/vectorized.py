@@ -1,30 +1,32 @@
 """Vectorized batch SIM kernel over flattened PSTs.
 
-Scores many (sequence, tree) pairs at once in three stages, each
-bit-identical to the reference implementation in
+Scores a whole (trees × sequences) matrix in one call, in three
+stages, each bit-identical to the reference implementation in
 ``repro.core.similarity``:
 
-1. **Context walk** (:func:`walk_states`) — for every position of every
-   row, the paper's longest-significant-suffix lookup, run as at most
-   ``max_depth`` *depth steps*: step ``d`` advances every still-walking
-   position along its ``d``-th preceding symbol through the dense
-   transition table. Integer gathers only, so exact trivially.
-2. **Ratio gather** — per-position ``log X_i = log P_S(s_i|ctx) −
-   log p(s_i)`` read from the flat tree's precomputed log-ratio table.
-   The table entries are ``math.log``-exact (see
+1. **Context walk** (:func:`walk_states_matrix`) — for every position
+   of every (tree, sequence) pair, the paper's
+   longest-significant-suffix lookup, run as at most ``max_depth``
+   *depth steps* through a freeze-encoded transition table. Integer
+   gathers only, so exact trivially.
+2. **Ratio gather** (:func:`gather_ratios_matrix`) — per-position
+   ``log X_i = log P_S(s_i|ctx) − log p(s_i)`` read from a precomputed
+   ratio table. The log-probabilities are ``math.log``-exact (see
    :mod:`repro.core.backends.flatten`), and the subtraction is the same
    single IEEE op the reference performs.
-3. **X/Y/Z scan** (:func:`kadane_rows`) — the log-domain Kadane DP with
-   the reference's exact update and tie rules. Two interchangeable
-   implementations: a per-row Python loop (cheapest for a handful of
-   rows) and a masked numpy scan over all rows at once (cheapest from a
-   few dozen rows up). Both perform, per row, the identical sequence of
-   float64 additions and comparisons as the reference loop, so the
-   choice never affects results — only wall clock.
+3. **X/Y/Z scan** (:func:`kadane_columns`) — the log-domain Kadane DP
+   with the reference's exact update and tie rules. Two interchangeable
+   implementations: a per-row Python loop, taken below
+   :data:`KADANE_NUMPY_MIN_ROWS` rows (one sequence against a handful of
+   clusters), and a masked numpy scan over all rows at once. Both
+   perform, per row, the identical sequence of float64 additions and
+   comparisons as the reference loop, so the choice never affects
+   results — only wall clock.
 
-Rows are independent (no barrier between stages per row), and rows may
-point at *different* trees: stack the flats' tables with
-:func:`stack_flats` and hand each row its root offset.
+The trees' tables are stacked once (:func:`stack_flats`,
+:func:`prepare_stack`) and the sequence block is padded once
+(:func:`pad_sequences`); :func:`score_matrix_stacked` runs all three
+stages.
 """
 
 from __future__ import annotations
@@ -136,57 +138,6 @@ def stack_flats(flats: Sequence[FlattenedPST]) -> StackedFlats:
     )
 
 
-def walk_states(
-    stacked: StackedFlats,
-    padded: npt.NDArray[np.int32],
-    row_flats: npt.NDArray[np.intp],
-) -> npt.NDArray[np.int32]:
-    """Prediction-node row per (row, position) — the paper's walk, batched.
-
-    ``row_flats[r]`` names which stacked flat row ``r`` scores against.
-    Positions beyond a row's length keep that row's root (their ratios
-    are masked out downstream).
-    """
-    batch, width = padded.shape
-    roots = stacked.roots[row_flats]
-    states = np.broadcast_to(roots[:, None], (batch, width)).astype(np.int32)
-    if width == 0:
-        return states
-    depth_caps = stacked.max_depths[row_flats]
-    max_depth = int(depth_caps.max())
-    transitions = stacked.transitions
-    walking_base = padded >= 0
-    walking = walking_base.copy()
-    for depth in range(1, min(max_depth, width) + 1):
-        # The d-th preceding symbol of every position: the sequence
-        # shifted right by d, −1 where no such symbol exists.
-        context = np.full((batch, width), -1, dtype=np.int32)
-        context[:, depth:] = padded[:, : width - depth]
-        candidates = walking & (context >= 0) & (depth <= depth_caps)[:, None]
-        next_states = transitions[states, np.maximum(context, 0)]
-        step = candidates & (next_states >= 0)
-        states = np.where(step, next_states, states)
-        walking = step
-        if not walking.any():
-            break
-    return states
-
-
-def gather_log_ratios(
-    stacked: StackedFlats,
-    log_bg: npt.NDArray[np.float64],
-    padded: npt.NDArray[np.int32],
-    states: npt.NDArray[np.int32],
-) -> npt.NDArray[np.float64]:
-    """Per-position ``log X_i`` (the §4.3 per-symbol factors) for every
-    row; entries beyond a row's length are garbage and must be masked
-    by the caller."""
-    symbols = np.maximum(padded, 0)
-    log_probs = stacked.log_probs[states, symbols]
-    ratios: npt.NDArray[np.float64] = log_probs - log_bg[symbols]
-    return ratios
-
-
 @dataclass(frozen=True)
 class KadaneBatchResult:
     """Per-row outcome of the batched X/Y/Z scan."""
@@ -228,14 +179,6 @@ def _kadane_rows_python(
         out_end[row] = best_end
         out_whole[row] = whole
     return KadaneBatchResult(out_z, out_start, out_end, out_whole)
-
-
-def _kadane_rows_numpy(
-    ratios: npt.NDArray[np.float64], lengths: npt.NDArray[np.int32]
-) -> KadaneBatchResult:
-    # Column-major working copy: scan step i then reads one contiguous
-    # (batch,)-row instead of a strided column of the row-major input.
-    return _kadane_columns_numpy(np.ascontiguousarray(ratios.T), lengths)
 
 
 def _kadane_columns_numpy(
@@ -310,69 +253,34 @@ def _kadane_columns_numpy(
     return KadaneBatchResult(log_z, best_start, best_end, whole)
 
 
-def kadane_rows(
-    ratios: npt.NDArray[np.float64], lengths: npt.NDArray[np.int32]
-) -> KadaneBatchResult:
-    """The §4.3 X/Y/Z scan over every row of *ratios*.
-
-    Per row, both implementations execute the identical float64
-    operation sequence as ``similarity()`` for the Y recurrence —
-    update rule ``Y ← Y·X if log Y + log X ≥ log X else X`` (ties
-    extend) — and recover the same Z as strict-improvement tracking
-    (the numpy path via a first-occurrence argmax over the recorded Y
-    trajectory), so results are bit-identical to the reference,
-    whichever implementation the row count selects.
-    """
-    if ratios.shape[0] >= KADANE_NUMPY_MIN_ROWS:
-        return _kadane_rows_numpy(ratios, lengths)
-    return _kadane_rows_python(ratios, lengths)
-
-
 def kadane_columns(
     columns: npt.NDArray[np.float64], lengths: npt.NDArray[np.int32]
 ) -> KadaneBatchResult:
-    """Column-major twin of :func:`kadane_rows` — the §4.3 X/Y/Z scan.
+    """The §4.3 X/Y/Z scan over every column of *columns*.
 
     *columns* is ``(width, rows)`` with position leading — the layout
-    the matrix kernel's gather emits natively — so the scan starts
-    immediately with no transpose copy. Same per-row float64 op
-    sequence, same results, as :func:`kadane_rows`.
+    the matrix kernel's gather emits natively. Per row, both
+    implementations execute the identical float64 operation sequence
+    as ``similarity()`` for the Y recurrence — update rule
+    ``Y ← Y·X if log Y + log X ≥ log X else X`` (ties extend) — and
+    recover the same Z as strict-improvement tracking (the numpy path
+    via a first-occurrence argmax over the recorded Y trajectory), so
+    results are bit-identical to the reference whichever implementation
+    the row count selects.
     """
     if columns.shape[1] >= KADANE_NUMPY_MIN_ROWS:
         return _kadane_columns_numpy(columns, lengths)
     return _kadane_rows_python(np.ascontiguousarray(columns.T), lengths)
 
 
-def results_from_batch(batch: KadaneBatchResult) -> list[SimilarityResult]:
-    """Materialize the §4.3 :class:`SimilarityResult` objects from a
-    batch scan."""
-    out: list[SimilarityResult] = []
-    for row in range(batch.log_z.shape[0]):
-        log_z = float(batch.log_z[row])
-        out.append(
-            SimilarityResult(
-                similarity=_safe_exp(log_z),
-                log_similarity=log_z,
-                best_start=int(batch.best_start[row]),
-                best_end=int(batch.best_end[row]),
-                whole_sequence_log=float(batch.whole[row]),
-            )
-        )
-    return out
-
-
 # -- full-matrix kernel -------------------------------------------------------
 #
 # The §4.2 re-examination scores *every* sequence against *every*
-# cluster. The row-list kernel above pads each (tree, sequence) pair as
-# its own row — the sequence data is replicated per tree and the walk
-# runs over trees × sequences × width entries even though the padded
-# sequence block is shared. The matrix kernel below pads the sequence
-# block once, walks a (trees, sequences, width) state cube against a
-# sentinel-extended transition table, gathers from a precomputed
-# log-ratio table, and hands the cube to the same Kadane scan — one
-# invocation for the whole matrix, bit-identical per pair to the
-# row-list path (and therefore to the reference).
+# cluster. The matrix kernel pads the sequence block once, walks a
+# (width, trees, sequences) state cube against a freeze-encoded
+# transition table, gathers from a precomputed log-ratio table, and
+# hands the cube to one Kadane scan — one invocation for the whole
+# matrix, bit-identical per pair to the reference.
 
 #: Fraction of still-walking (tree, sequence, position) entries below
 #: which the matrix walk switches from dense full-cube stepping to
@@ -495,11 +403,10 @@ def walk_states_matrix(
 ) -> npt.NDArray[np.intp]:
     """Prediction-node cube ``(width, trees, sequences)`` for every pair.
 
-    The §2 maximal-context walk as :func:`walk_states` performs it, run
-    over the full cube with the sequence block padded once. Depth caps
-    need no explicit check: a node at its tree's maximum depth exports
-    no children, so its transition row is all −1 and the walk stops
-    there naturally.
+    The §2 maximal-context walk, run over the full cube with the
+    sequence block padded once. Depth caps need no explicit check: a
+    node at its tree's maximum depth exports no children, so its
+    transition row is all −1 and the walk stops there naturally.
 
     The cube is *column-major* — position is the leading axis — so the
     downstream ratio gather emits, with no transpose copy, exactly the
@@ -618,7 +525,7 @@ def gather_ratios_matrix(
     the trailing axes yields the position-leading matrix the batched
     Kadane scan reads column by column, with no transpose copy.
     Entries beyond a sequence's length are garbage and masked by the
-    Kadane scan's length handling, exactly as in the row-list path.
+    Kadane scan's length handling.
     """
     symbols_w = np.ascontiguousarray(
         np.maximum(padded, 0).T, dtype=np.intp
@@ -695,10 +602,10 @@ def score_matrix_stacked(
 ) -> ScoreMatrixResult:
     """Score the full §4.2 (trees × sequences) matrix in one invocation.
 
-    Per pair this is the identical walk → gather → scan op sequence as
-    the row-list kernel (the ratio-table read fuses the same single
-    subtraction), so every entry is bit-identical to the reference
-    scorer.
+    Per pair this is the reference's longest-suffix walk, the same
+    single ratio subtraction (fused into the ratio-table read) and the
+    same X/Y/Z op sequence, so every entry is bit-identical to the
+    reference scorer.
     """
     trees = int(prep.stacked.roots.shape[0])
     batch, width = padded.shape

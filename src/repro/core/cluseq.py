@@ -50,15 +50,10 @@ from ..obs import (
 )
 from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
-from .backends import (
-    BACKENDS,
-    PstBatchScorer,
-    ScoreMatrixResult,
-    ScoringPool,
-    resolve_backend,
-)
-from .cluster import Cluster, Membership
-from .pst import APPROX_BYTES_PER_NODE
+from .backends import BACKENDS, PstBatchScorer, ScoringPool, resolve_backend
+from .cluster import Cluster
+from .examine import ScoreColumn, ScoreSnapshot, best_cluster, join_all, join_best
+from .pst import APPROX_BYTES_PER_NODE, ProbabilisticSuffixTree
 from .consolidation import consolidate
 from .seeding import build_seed_pst, select_seeds
 from .similarity import SimilarityResult, similarity
@@ -298,13 +293,14 @@ class ClusteringResult:
 
         Uses the run's final similarity threshold.
         """
-        scores = self.score_sequence(encoded)
-        if not scores:
-            return None
-        best_id, best = max(scores.items(), key=lambda kv: kv[1].log_similarity)
-        if best.log_similarity >= self.final_log_threshold:
-            return best_id
-        return None
+        position = best_cluster(
+            [
+                similarity(cluster.pst, encoded, self.background).log_similarity
+                for cluster in self.clusters
+            ],
+            self.final_log_threshold,
+        )
+        return None if position is None else self.clusters[position].cluster_id
 
     def next_sequence_index(self) -> int:
         """Smallest index that collides with no recorded sequence.
@@ -352,29 +348,15 @@ class ClusteringResult:
         log_t = (
             self.final_log_threshold if log_threshold is None else log_threshold
         )
-        best: tuple[int, SimilarityResult] | None = None
-        for cluster in self.clusters:
-            result = similarity(cluster.pst, encoded, self.background)
-            if best is None or result.log_similarity > best[1].log_similarity:
-                best = (cluster.cluster_id, result)
-        if best is None or best[1].log_similarity < log_t:
+        scores = ScoreColumn.of(
+            [similarity(c.pst, encoded, self.background) for c in self.clusters]
+        )
+        cluster = join_best(new_index, encoded, self.clusters, scores, log_t)
+        if cluster is None:
             self.assignments[new_index] = set()
             return None
-        best_id, best_result = best
-        cluster = self.cluster_by_id(best_id)
-        cluster.set_member(
-            Membership(
-                sequence_index=new_index,
-                log_similarity=best_result.log_similarity,
-                best_start=best_result.best_start,
-                best_end=best_result.best_end,
-            )
-        )
-        cluster.absorb_segment(
-            list(encoded[best_result.best_start : best_result.best_end])
-        )
-        self.assignments[new_index] = {best_id}
-        return best_id
+        self.assignments[new_index] = {cluster.cluster_id}
+        return cluster.cluster_id
 
     def summary(self) -> str:
         """A short human-readable report of the run.
@@ -608,43 +590,18 @@ class CLUSEQ:
             with span("recluster"):
                 order = self._examination_order(len(db), clusters, assignments, rng)
                 all_log_sims: list[float] = []
-                membership_changes = 0
-                reclustering_work = 0
-                if scorer is not None:
-                    membership_changes, reclustering_work = (
-                        self._recluster_vectorized(
-                            order,
-                            encoded,
-                            clusters,
-                            assignments,
-                            unclustered_streak,
-                            background,
-                            log_t,
-                            all_log_sims,
-                            scorer,
-                            pool,
-                        )
-                    )
-                else:
-                    for index in order:
-                        seq = encoded[index]
-                        results = [
-                            similarity(cluster.pst, seq, background)
-                            for cluster in clusters
-                        ]
-                        reclustering_work += len(seq) * len(clusters)
-                        if self._commit_examination(
-                            index,
-                            seq,
-                            clusters,
-                            [r.log_similarity for r in results],
-                            results.__getitem__,
-                            log_t,
-                            assignments,
-                            unclustered_streak,
-                            all_log_sims,
-                        ):
-                            membership_changes += 1
+                membership_changes, reclustering_work = self._recluster_vectorized(
+                    order,
+                    encoded,
+                    clusters,
+                    assignments,
+                    unclustered_streak,
+                    background,
+                    log_t,
+                    all_log_sims,
+                    scorer,
+                    pool,
+                )
 
             # -- phase 3: consolidation ----------------------------------------------
             with span("consolidate"):
@@ -850,63 +807,6 @@ class CLUSEQ:
             for hook in self.hooks:
                 hook(snapshot)
 
-    @staticmethod
-    def _commit_examination(
-        index: int,
-        seq: list[int],
-        clusters: list[Cluster],
-        log_sims: Sequence[float],
-        result_for: Callable[[int], SimilarityResult],
-        log_t: float,
-        assignments: dict[int, set[int]],
-        unclustered_streak: dict[int, int],
-        all_log_sims: list[float],
-    ) -> bool:
-        """Apply one sequence's §4.2–§4.4 examination outcome.
-
-        *log_sims* holds the sequence's log-SIM against each cluster,
-        in cluster order; *result_for* materializes the full result
-        (with segment bounds) for a cluster position and is called only
-        for clusters the sequence actually joins. Joins are the sparse
-        outcome, so the vectorized path never builds result objects for
-        the dense reject majority. Shared by the reference and
-        vectorized paths — the join rule, the segment absorption and
-        the bookkeeping are the semantics both backends must agree on.
-        Returns whether the sequence's membership set changed.
-        """
-        joined: list[tuple[Cluster, SimilarityResult]] = []
-        for position, cluster in enumerate(clusters):
-            log_sim = log_sims[position]
-            all_log_sims.append(log_sim)
-            if log_sim >= log_t:
-                joined.append((cluster, result_for(position)))
-        new_ids = {cluster.cluster_id for cluster, _ in joined}
-        changed = new_ids != assignments[index]
-        for cluster, result in joined:
-            cluster.set_member(
-                Membership(
-                    sequence_index=index,
-                    log_similarity=result.log_similarity,
-                    best_start=result.best_start,
-                    best_end=result.best_end,
-                )
-            )
-            # §4.2: *each* join — including a re-join on a later
-            # iteration — feeds the current best-scoring segment
-            # into the cluster's PST. Re-absorption is what lets
-            # a young model mature: as it improves, a member's
-            # best segment extends towards the whole sequence.
-            cluster.absorb_segment(seq[result.best_start : result.best_end])
-        for cluster in clusters:
-            if cluster.cluster_id not in new_ids:
-                cluster.drop_member(index)
-        assignments[index] = new_ids
-        if new_ids:
-            unclustered_streak[index] = 0
-        else:
-            unclustered_streak[index] += 1
-        return changed
-
     def _recluster_vectorized(
         self,
         order: list[int],
@@ -917,108 +817,68 @@ class CLUSEQ:
         background: npt.NDArray[np.float64],
         log_t: float,
         all_log_sims: list[float],
-        scorer: PstBatchScorer,
+        scorer: PstBatchScorer | None,
         pool: ScoringPool | None,
     ) -> tuple[int, int]:
-        """Phase 2 on the vectorized backend: prescore, validate, commit.
+        """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
-        Sequences are prescored in chunks of :data:`PRESCORE_CHUNK`
-        against a snapshot of every cluster model (optionally fanned out
-        to *pool* workers), then committed **sequentially** in
-        examination order. A prescored pair is trusted only while its
-        cluster's PST version still matches the snapshot; a cluster that
-        absorbed a segment mid-chunk gets the affected pairs rescored
-        in-process against its current model. The committed scores are
-        therefore exactly the reference path's, join for join and
-        segment for segment.
+        Each sequence joins every cluster whose SIM reaches ``t``
+        (:func:`~repro.core.examine.join_all`); commits are sequential,
+        in examination order. Returns ``(membership changes, symbols
+        scored)``.
 
+        Without a *scorer* (the reference backend) each sequence is
+        scored pair by pair with ``similarity()``. With one, chunks of
+        :data:`PRESCORE_CHUNK` sequences are prescored against every
+        cluster model (optionally on *pool* workers) into a
+        :class:`~repro.core.examine.ScoreSnapshot`; pairs whose cluster
+        absorbed a segment mid-chunk are rescored against the live
+        model, so the committed scores are exactly the reference's.
         When a chunk's stale fraction exceeds
         :data:`STALE_SWITCH_FRACTION`, prescoring is wasting its work
-        (every join invalidates a column) and the remainder of the
-        iteration switches to serial scoring — a deterministic,
-        results-neutral speed decision.
+        and the rest of the iteration scores pair by pair — a
+        deterministic, results-neutral speed decision.
         """
         membership_changes = 0
         reclustering_work = 0
-        batch_mode = True
         registry = get_registry()
-        position = 0
-        while position < len(order):
-            block = order[position : position + PRESCORE_CHUNK]
-            position += len(block)
-            if not clusters or not batch_mode:
+
+        def rescore(pst: ProbabilisticSuffixTree, seq: Sequence[int]) -> SimilarityResult:
+            return similarity(pst, seq, background)
+
+        def commit(index: int, scores: ScoreColumn) -> None:
+            nonlocal membership_changes, reclustering_work
+            seq = encoded[index]
+            reclustering_work += len(seq) * len(clusters)
+            all_log_sims.extend(scores.log_sims)
+            joined = join_all(index, seq, clusters, scores, log_t)
+            if joined != assignments[index]:
+                membership_changes += 1
+            assignments[index] = joined
+            unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
+
+        for start in range(0, len(order), PRESCORE_CHUNK):
+            block = order[start : start + PRESCORE_CHUNK]
+            if scorer is None or not clusters:
                 for index in block:
                     seq = encoded[index]
-                    results = [
-                        similarity(cluster.pst, seq, background)
-                        for cluster in clusters
-                    ]
-                    reclustering_work += len(seq) * len(clusters)
-                    if self._commit_examination(
-                        index,
-                        seq,
-                        clusters,
-                        [r.log_similarity for r in results],
-                        results.__getitem__,
-                        log_t,
-                        assignments,
-                        unclustered_streak,
-                        all_log_sims,
-                    ):
-                        membership_changes += 1
+                    commit(index, ScoreColumn.of([rescore(c.pst, seq) for c in clusters]))
                 continue
             psts = [cluster.pst for cluster in clusters]
-            versions = [pst.version for pst in psts]
-            block_seqs = [encoded[index] for index in block]
-            matrix = scorer.prescore_matrix(psts, block_seqs, pool=pool)
-            # One bulk convert: reading the scalars for the join tests
-            # through numpy indexing would cost a boxed float per pair.
-            log_z_rows = matrix.log_z.tolist()
+            snapshot = ScoreSnapshot(
+                psts,
+                scorer.prescore_matrix(psts, [encoded[i] for i in block], pool=pool),
+                rescore,
+            )
             stale = 0
-            for offset, index in enumerate(block):
-                seq = encoded[index]
-                log_sims: list[float] = []
-                rescored: dict[int, SimilarityResult] = {}
-                for position_c, cluster in enumerate(clusters):
-                    if (
-                        cluster.pst is psts[position_c]
-                        and cluster.pst.version == versions[position_c]
-                    ):
-                        log_sims.append(log_z_rows[position_c][offset])
-                    else:
-                        stale += 1
-                        result = similarity(cluster.pst, seq, background)
-                        rescored[position_c] = result
-                        log_sims.append(result.log_similarity)
-
-                def result_for(
-                    position_c: int,
-                    _matrix: ScoreMatrixResult = matrix,
-                    _offset: int = offset,
-                    _rescored: dict[int, SimilarityResult] = rescored,
-                ) -> SimilarityResult:
-                    fresh = _rescored.get(position_c)
-                    if fresh is not None:
-                        return fresh
-                    return _matrix.result(position_c, _offset)
-
-                reclustering_work += len(seq) * len(clusters)
-                if self._commit_examination(
-                    index,
-                    seq,
-                    clusters,
-                    log_sims,
-                    result_for,
-                    log_t,
-                    assignments,
-                    unclustered_streak,
-                    all_log_sims,
-                ):
-                    membership_changes += 1
+            for column, index in enumerate(block):
+                scores = snapshot.column(clusters, column, encoded[index])
+                stale += scores.stale
+                commit(index, scores)
             if registry.enabled and stale:
                 registry.counter("backend.prescore_stale_pairs").inc(stale)
             if stale > STALE_SWITCH_FRACTION * (len(block) * len(clusters)):
-                batch_mode = False
+                scorer = None  # the rest of the iteration: pair by pair
                 if registry.enabled:
                     registry.counter("backend.prescore_fallbacks").inc()
         return membership_changes, reclustering_work

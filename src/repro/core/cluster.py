@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from .pst import ProbabilisticSuffixTree
+from .similarity import SimilarityResult
 
 
 @dataclass
@@ -102,6 +103,25 @@ class Cluster:
         self._members.clear()
 
     # -- model updates --------------------------------------------------------------
+
+    def join(
+        self, sequence_index: int, encoded: Sequence[int], result: SimilarityResult
+    ) -> None:
+        """Admit a sequence (§4.2) and absorb its best segment (§4.4).
+
+        *result* is the sequence's score against this cluster: the
+        membership records it, and ``encoded[best_start:best_end]``
+        goes into the PST.
+        """
+        self.set_member(
+            Membership(
+                sequence_index=sequence_index,
+                log_similarity=result.log_similarity,
+                best_start=result.best_start,
+                best_end=result.best_end,
+            )
+        )
+        self.absorb_segment(list(encoded[result.best_start : result.best_end]))
 
     def absorb_segment(self, encoded_segment: Sequence[int]) -> None:
         """Insert a joining sequence's best-scoring segment into the PST.

@@ -1,0 +1,160 @@
+"""The §4.2–§4.4 examination step: score, decide, join.
+
+Every path that examines a sequence against the cluster models goes
+through this module: the fit's reclustering phase,
+``ClusteringResult.predict`` / ``assign_and_absorb``, the streaming
+engine (and with it every shard and ``/v1/stream/ingest``) and the
+serving classifier. Two join rules exist:
+
+* **overlap** (:func:`join_all`, the fit): a sequence joins *every*
+  cluster whose similarity reaches ``t`` — §4.2 clusters overlap;
+* **best** (:func:`join_best`, the incremental paths): a sequence joins
+  only its best-scoring cluster (:func:`best_cluster`), and only when
+  that score reaches ``t``.
+
+A join records the membership and absorbs the sequence's best-scoring
+segment into the cluster PST (:meth:`Cluster.join`, §4.4).
+
+Scores arrive as a :class:`ScoreColumn`. :class:`ScoreSnapshot` serves
+columns out of a (cluster × batch) matrix scored up front; since every
+join mutates a PST, it checks each entry against its model's identity
+and version and rescores stale pairs against the live model, so the
+committed scores are exactly those of one-at-a-time scoring.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+
+from .backends.vectorized import ScoreMatrixResult
+from .cluster import Cluster
+from .pst import ProbabilisticSuffixTree
+from .similarity import SimilarityResult
+
+#: Live score of one (model, sequence) pair whose snapshot entry is stale.
+Rescore = Callable[[ProbabilisticSuffixTree, Sequence[int]], SimilarityResult]
+
+
+def best_cluster(log_sims: Sequence[float], log_t: float) -> int | None:
+    """The §4.2 decision: position of the first strictly greatest
+    log-SIM, or ``None`` when there are no clusters or the best score
+    is below ``log t``."""
+    best: int | None = None
+    best_log = 0.0
+    for position, log_sim in enumerate(log_sims):
+        if best is None or log_sim > best_log:
+            best, best_log = position, log_sim
+    if best is None or best_log < log_t:
+        return None
+    return best
+
+
+@dataclass(frozen=True)
+class ScoreColumn:
+    """One sequence's scores against every cluster, in cluster order.
+
+    ``result_for(position)`` gives the full result, segment bounds
+    included; the join rules call it only for clusters the sequence
+    joins. ``stale`` counts the entries a snapshot had to rescore.
+    """
+
+    log_sims: list[float]
+    result_for: Callable[[int], SimilarityResult]
+    stale: int = 0
+
+    @classmethod
+    def of(cls, results: list[SimilarityResult]) -> ScoreColumn:
+        """A column of already-materialized results."""
+        return cls([result.log_similarity for result in results], results.__getitem__)
+
+
+class ScoreSnapshot:
+    """A (cluster × batch) score matrix pinned to the models it scored.
+
+    *psts* are the models the *matrix* rows were scored against, read
+    before any of them mutates again. :meth:`column` trusts an entry
+    only while its cluster still holds that very PST at that version,
+    and rescores the rest through *rescore*.
+    """
+
+    def __init__(
+        self,
+        psts: Sequence[ProbabilisticSuffixTree],
+        matrix: ScoreMatrixResult,
+        rescore: Rescore,
+    ) -> None:
+        self._psts = list(psts)
+        self._versions = [pst.version for pst in self._psts]
+        self._matrix = matrix
+        # One bulk convert: reading the join-test scalars through numpy
+        # indexing would cost a boxed float per pair.
+        self._rows: list[list[float]] = matrix.log_z.tolist()
+        self._rescore = rescore
+
+    def column(
+        self, clusters: Sequence[Cluster], column: int, seq: Sequence[int]
+    ) -> ScoreColumn:
+        """Live scores of batch column *column* (sequence *seq*) against
+        *clusters*, the clusters whose models the snapshot scored."""
+        psts, versions, rows = self._psts, self._versions, self._rows
+        log_sims: list[float] = []
+        rescored: dict[int, SimilarityResult] = {}
+        for position, cluster in enumerate(clusters):
+            pst = cluster.pst
+            if pst is psts[position] and pst.version == versions[position]:
+                log_sims.append(rows[position][column])
+            else:
+                fresh = self._rescore(pst, seq)
+                rescored[position] = fresh
+                log_sims.append(fresh.log_similarity)
+        matrix = self._matrix
+
+        def result_for(position: int) -> SimilarityResult:
+            fresh = rescored.get(position)
+            return fresh if fresh is not None else matrix.result(position, column)
+
+        return ScoreColumn(log_sims, result_for, len(rescored))
+
+
+def join_all(
+    index: int,
+    seq: Sequence[int],
+    clusters: Sequence[Cluster],
+    scores: ScoreColumn,
+    log_t: float,
+) -> set[int]:
+    """The fit's §4.2 overlap rule: join every cluster with SIM ≥ t.
+
+    Every other cluster drops the sequence. *Each* join — a re-join on
+    a later iteration included — absorbs the current best segment:
+    re-absorption is what lets a young model mature, its members' best
+    segments extending towards whole sequences. Returns the joined ids.
+    """
+    joined: set[int] = set()
+    log_sims = scores.log_sims
+    for position, cluster in enumerate(clusters):
+        if log_sims[position] >= log_t:
+            cluster.join(index, seq, scores.result_for(position))
+            joined.add(cluster.cluster_id)
+        else:
+            cluster.drop_member(index)
+    return joined
+
+
+def join_best(
+    index: int,
+    seq: Sequence[int],
+    clusters: Sequence[Cluster],
+    scores: ScoreColumn,
+    log_t: float,
+) -> Cluster | None:
+    """The incremental §4.2–§4.4 rule: join only the best cluster, if
+    SIM ≥ t. Returns the joined cluster, or ``None`` for an outlier.
+    """
+    position = best_cluster(scores.log_sims, log_t)
+    if position is None:
+        return None
+    cluster = clusters[position]
+    cluster.join(index, seq, scores.result_for(position))
+    return cluster

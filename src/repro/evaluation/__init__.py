@@ -20,13 +20,10 @@ from .metrics import (
     purity_score,
 )
 from .reporting import (
-    TELEMETRY_SCHEMA,
     format_cell,
-    metrics_section,
     percent,
     print_table,
     render_table,
-    write_metrics_json,
 )
 from .stability import MetricSummary, StabilityReport, stability_analysis
 
@@ -46,13 +43,10 @@ __all__ = [
     "map_clusters_to_families",
     "normalized_mutual_information",
     "purity_score",
-    "TELEMETRY_SCHEMA",
     "format_cell",
-    "metrics_section",
     "percent",
     "print_table",
     "render_table",
-    "write_metrics_json",
     "MetricSummary",
     "StabilityReport",
     "stability_analysis",

@@ -1,25 +1,17 @@
-"""Plain-text table rendering and telemetry reporting for harnesses.
+"""Plain-text table rendering for harnesses.
 
 Every benchmark prints the rows the paper reports; this module renders
 them as aligned monospace tables so the output can be diffed against
-EXPERIMENTS.md. It also turns a metrics registry into the
-machine-readable ``metrics`` section that the CLI's ``--metrics-out``
-and the benchmark telemetry dumps write next to their results.
+EXPERIMENTS.md. Machine-readable telemetry lives in :mod:`repro.obs`
+(``write_telemetry_json``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections.abc import Iterable, Sequence
-from typing import IO, Union
-
-from ..obs import MetricsRegistry, get_registry
+from typing import Union
 
 Cell = Union[str, int, float, None]
-
-#: Schema tag stamped into every telemetry document.
-TELEMETRY_SCHEMA = "repro.telemetry/v1"
 
 
 def format_cell(value: Cell, float_digits: int = 3) -> str:
@@ -89,50 +81,3 @@ def print_table(
 def percent(value: float) -> str:
     """Format a fraction as a percentage string, e.g. ``0.824 → '82%'``."""
     return f"{round(value * 100)}%"
-
-
-def metrics_section(
-    registry: MetricsRegistry | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """A JSON-serializable telemetry document for a metrics registry.
-
-    The document wraps :meth:`~repro.obs.MetricsRegistry.snapshot`
-    with a schema tag and the package version, so files written today
-    stay identifiable when the metric catalogue evolves. *extra* keys
-    (run parameters, dataset shape, result rows) merge in at the top
-    level under ``"context"``.
-    """
-    from .. import __version__
-    from ..obs.metrics import _sanitize
-
-    if registry is None:
-        registry = get_registry()
-    document = {
-        "schema": TELEMETRY_SCHEMA,
-        "version": __version__,
-        # sanitized so non-finite floats become null (strict JSON)
-        "metrics": _sanitize(registry.snapshot()),
-    }
-    if extra:
-        document["context"] = extra
-    return document
-
-
-def write_metrics_json(
-    target: str | "os.PathLike[str]" | IO[str],
-    registry: MetricsRegistry | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """Write :func:`metrics_section` output to *target* as JSON.
-
-    *target* is a path or an open text handle. Returns the document
-    that was written (handy for tests and for printing a summary).
-    """
-    document = metrics_section(registry, extra)
-    if hasattr(target, "write"):
-        json.dump(document, target, indent=2, default=str)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, default=str)
-    return document

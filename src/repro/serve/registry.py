@@ -29,6 +29,7 @@ operations, far off any hot path (scoring happens *outside* the lock).
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -38,6 +39,7 @@ from typing import Any
 from ..core.backends.dispatch import PstBatchScorer
 from ..core.backends.parallel import ScoringPool
 from ..core.cluseq import ClusteringResult
+from ..core.examine import best_cluster
 from ..core.persistence import FORMAT_VERSION, result_from_dict
 from ..obs import get_registry
 from ..sequences.alphabet import Alphabet
@@ -201,9 +203,9 @@ class ModelVersion:
 
         All encodable sequences go through **one** batch-scorer matrix
         call (amortizing the flat/stack caches across every request in
-        the micro-batch); the decision rule is the paper's: best
-        cluster by log-similarity, outlier below the model's final
-        threshold — bit-identical to ``ClusteringResult.predict``.
+        the micro-batch); the decision is
+        :func:`~repro.core.examine.best_cluster` at the model's final
+        threshold, the same one ``ClusteringResult.predict`` makes.
         """
         from ..sequences.alphabet import AlphabetError
 
@@ -221,34 +223,33 @@ class ModelVersion:
         outcomes: list[ClassifyOutcome | None] = [None] * len(sequences)
         if not encoded:
             return outcomes
-        psts = [cluster.pst for cluster in self.result.clusters]
+        clusters = self.result.clusters
+        psts = [cluster.pst for cluster in clusters]
         if pool is not None:
             matrix = self.scorer.prescore_matrix(psts, encoded, pool=pool)
         else:
             matrix = self.scorer.score_matrix_full(psts, encoded)
         threshold = self.result.final_log_threshold
+        # One bulk convert to per-sequence columns of Python floats.
+        columns: list[list[float]] = matrix.log_z.T.tolist()
         for column, position in enumerate(positions):
-            best_tree = -1
-            best_log = float("-inf")
-            for tree in range(matrix.trees):
-                log_z = float(matrix.log_z[tree, column])
-                if log_z > best_log:
-                    best_log = log_z
-                    best_tree = tree
-            if best_tree >= 0 and best_log >= threshold:
-                outcomes[position] = ClassifyOutcome(
-                    cluster_id=self.result.clusters[best_tree].cluster_id,
-                    log_similarity=best_log,
-                    best_start=int(matrix.best_start[best_tree, column]),
-                    best_end=int(matrix.best_end[best_tree, column]),
-                )
-            else:
+            log_sims = columns[column]
+            best = best_cluster(log_sims, threshold)
+            if best is None:
                 outcomes[position] = ClassifyOutcome(
                     cluster_id=None,
-                    log_similarity=best_log,
+                    log_similarity=max(log_sims, default=-math.inf),
                     best_start=0,
                     best_end=0,
                 )
+                continue
+            result = matrix.result(best, column)
+            outcomes[position] = ClassifyOutcome(
+                cluster_id=clusters[best].cluster_id,
+                log_similarity=result.log_similarity,
+                best_start=result.best_start,
+                best_end=result.best_end,
+            )
         return outcomes
 
     def describe(self) -> dict[str, Any]:

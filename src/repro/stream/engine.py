@@ -2,10 +2,11 @@
 
 :class:`StreamingCluseq` wraps a fitted (or cold-started)
 :class:`~repro.core.cluseq.ClusteringResult` and consumes an unbounded
-stream in micro-batches. Per sequence it runs the paper's §4.2–§4.4
-join rule — score against every cluster PST, join the best cluster
-when the similarity clears the threshold, absorb the best-scoring
-segment — exactly as ``assign_and_absorb`` does for one-off use.
+stream in micro-batches. Per sequence it runs the incremental
+§4.2–§4.4 join rule of :mod:`repro.core.examine` — score against every
+cluster PST, join the best cluster when the similarity clears the
+threshold, absorb the best-scoring segment — the same routine
+``assign_and_absorb`` uses for one-off additions.
 Non-joiners accumulate in a bounded :class:`~repro.stream.pool.OutlierPool`
 that the periodic maintenance pass mines for *new* clusters via the
 paper's §4.1 min-max seeding, so the clustering keeps growing with the
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,14 +49,10 @@ from typing import Any, Union
 
 import numpy as np
 
-from ..core.backends import (
-    BACKENDS,
-    PstBatchScorer,
-    ScoreMatrixResult,
-    resolve_backend,
-)
+from ..core.backends import BACKENDS, PstBatchScorer, resolve_backend
 from ..core.cluseq import CluseqParams, ClusteringResult
 from ..core.cluster import Cluster, Membership
+from ..core.examine import ScoreColumn, ScoreSnapshot, join_best
 from ..core.consolidation import consolidate
 from ..core.persistence import result_from_dict, result_to_dict
 from ..core.pst import ProbabilisticSuffixTree
@@ -222,23 +219,6 @@ class StreamStats:
             "checkpoints_written": self.checkpoints_written,
             "log_threshold": self.log_threshold,
         }
-
-
-@dataclass(frozen=True)
-class _PrescoredBatch:
-    """Snapshot of one batch's full (cluster × sequence) score matrix.
-
-    ``psts``/``versions`` pin the models the matrix was computed
-    against; ``log_z_rows`` is the join-test matrix pre-converted to
-    Python floats (one bulk ``tolist`` instead of a boxed scalar per
-    pair). Full :class:`~repro.core.similarity.SimilarityResult`
-    objects are materialized lazily from ``matrix`` only for joins.
-    """
-
-    psts: list[ProbabilisticSuffixTree]
-    versions: list[int]
-    matrix: ScoreMatrixResult
-    log_z_rows: list[list[float]]
 
 
 class StreamingCluseq:
@@ -542,13 +522,17 @@ class StreamingCluseq:
                 if self._replaying:
                     batch_span.set_attr("replay", True)
             with span("stream.score"):
-                prescored = self._prescore_batch(batch)
+                clusters = self.result.clusters
+                snapshot = self._snapshot(batch)
                 for column, encoded in enumerate(batch):
                     index = self._next_index
                     self._next_index += 1
-                    assigned.append(
-                        self._assign(index, encoded, prescored, column)
+                    scores = (
+                        snapshot.column(clusters, column, encoded)
+                        if snapshot is not None
+                        else ScoreColumn.of(self._score_against(clusters, encoded))
                     )
+                    assigned.append(self._assign(index, encoded, scores))
             self._sequences += len(batch)
             self._batches += 1
             self._maintain()
@@ -586,7 +570,12 @@ class StreamingCluseq:
     def _score_against(
         self, clusters: Sequence[Cluster], encoded: list[int]
     ) -> list[SimilarityResult]:
-        """Scores of *encoded* against each cluster, in cluster order."""
+        """Scores of *encoded* against each cluster, in cluster order.
+
+        One kernel row: models mutate only after all of a sequence's
+        scores are in (its absorb), so the row commits exactly as the
+        reference loop's per-pair scores would.
+        """
         if self._scorer is not None and clusters:
             return self._scorer.score_one_vs_many(
                 [cluster.pst for cluster in clusters], encoded
@@ -596,108 +585,43 @@ class StreamingCluseq:
             for cluster in clusters
         ]
 
-    def _prescore_batch(self, batch: list[list[int]]) -> "_PrescoredBatch | None":
+    def _snapshot(self, batch: list[list[int]]) -> ScoreSnapshot | None:
         """Score the whole (cluster × batch) matrix in one kernel call.
 
         Only worthwhile with the vectorized scorer, a real batch and
-        live clusters. The matrix is a *snapshot*: every absorb inside
-        the batch bumps a cluster PST's version, so :meth:`_assign`
-        validates each (sequence, cluster) pair by model identity and
-        version and rescores stale pairs against the live model —
-        committed scores are exactly the sequential loop's.
+        live clusters. Every absorb inside the batch bumps a cluster
+        PST's version; the snapshot rescores those pairs against the
+        live model, so committed scores are exactly the sequential
+        loop's.
         """
+        scorer = self._scorer
         clusters = self.result.clusters
-        if self._scorer is None or len(batch) < 2 or not clusters:
+        if scorer is None or len(batch) < 2 or not clusters:
             return None
         psts = [cluster.pst for cluster in clusters]
-        versions = [pst.version for pst in psts]
-        matrix = self._scorer.score_matrix_full(psts, batch)
-        return _PrescoredBatch(psts, versions, matrix, matrix.log_z.tolist())
+        score_many_vs_one = scorer.score_many_vs_one
 
-    def _rescore_one(
-        self, cluster: Cluster, encoded: list[int]
-    ) -> SimilarityResult:
-        """Live rescore of one (sequence, cluster) pair gone stale."""
-        if self._scorer is not None:
+        def rescore(pst: ProbabilisticSuffixTree, encoded: Sequence[int]) -> SimilarityResult:
             # The many-vs-one shape keeps the single-tree prepared
             # stack, leaving the batch-wide multi-tree cache intact.
-            return self._scorer.score_many_vs_one(cluster.pst, [encoded])[0]
-        return similarity(cluster.pst, encoded, self.result.background)
+            return score_many_vs_one(pst, [encoded])[0]
 
-    def _assign(
-        self,
-        index: int,
-        encoded: list[int],
-        prescored: "_PrescoredBatch | None" = None,
-        column: int = 0,
-    ) -> int | None:
-        """The §4.2–§4.4 join rule for one stream sequence."""
-        window = self.config.adjust_every > 0
-        clusters = self.result.clusters
-        log_sims: list[float]
-        result_for: Callable[[int], SimilarityResult]
-        if prescored is not None and len(prescored.psts) == len(clusters):
-            # Column *column* of the batch snapshot, validated pair by
-            # pair; only the winning cluster materializes a full result.
-            log_sims = []
-            rescored: dict[int, SimilarityResult] = {}
-            for position, cluster in enumerate(clusters):
-                if (
-                    cluster.pst is prescored.psts[position]
-                    and cluster.pst.version == prescored.versions[position]
-                ):
-                    log_sims.append(prescored.log_z_rows[position][column])
-                else:
-                    fresh = self._rescore_one(cluster, encoded)
-                    rescored[position] = fresh
-                    log_sims.append(fresh.log_similarity)
+        return ScoreSnapshot(psts, scorer.score_matrix_full(psts, batch), rescore)
 
-            def result_for(
-                position: int,
-                _matrix: ScoreMatrixResult = prescored.matrix,
-                _column: int = column,
-                _rescored: dict[int, SimilarityResult] = rescored,
-            ) -> SimilarityResult:
-                fresh = _rescored.get(position)
-                if fresh is not None:
-                    return fresh
-                return _matrix.result(position, _column)
-
-        else:
-            # One sequence against every cluster model: a natural batch
-            # row. Models only mutate *after* this sequence's scores are
-            # all in (the absorb below), matching the reference loop's
-            # ordering, so the batched scores commit identically.
-            results = self._score_against(clusters, encoded)
-            log_sims = [result.log_similarity for result in results]
-            result_for = results.__getitem__
-        best: tuple[Cluster, int] | None = None
-        best_log_sim = 0.0
-        for position, cluster in enumerate(clusters):
-            log_sim = log_sims[position]
-            if window:
-                self._recent_scores.append(log_sim)
-            if best is None or log_sim > best_log_sim:
-                best = (cluster, position)
-                best_log_sim = log_sim
-        if window and len(self._recent_scores) > self.config.score_window:
-            del self._recent_scores[: -self.config.score_window]
-        if best is None or best_log_sim < self.log_threshold:
+    def _assign(self, index: int, encoded: list[int], scores: ScoreColumn) -> int | None:
+        """The incremental §4.2–§4.4 join rule for one stream sequence."""
+        if self.config.adjust_every > 0:
+            self._recent_scores.extend(scores.log_sims)
+            if len(self._recent_scores) > self.config.score_window:
+                del self._recent_scores[: -self.config.score_window]
+        cluster = join_best(
+            index, encoded, self.result.clusters, scores, self.log_threshold
+        )
+        if cluster is None:
             self.result.assignments[index] = set()
             self._outliers += 1
             self._pool.add(index, encoded)
             return None
-        cluster, best_position = best
-        scored = result_for(best_position)
-        cluster.set_member(
-            Membership(
-                sequence_index=index,
-                log_similarity=scored.log_similarity,
-                best_start=scored.best_start,
-                best_end=scored.best_end,
-            )
-        )
-        cluster.absorb_segment(encoded[scored.best_start : scored.best_end])
         self.result.assignments[index] = {cluster.cluster_id}
         self._absorbed += 1
         return cluster.cluster_id
@@ -814,29 +738,11 @@ class StreamingCluseq:
             # a freshly spawned model join it immediately, so one drift
             # event does not need k separate re-seed rounds to drain.
             for index, encoded in self._pool:
-                best: tuple[Cluster, SimilarityResult] | None = None
-                for cluster, scored in zip(
-                    spawned, self._score_against(spawned, encoded)
-                ):
-                    if best is None or (
-                        scored.log_similarity > best[1].log_similarity
-                    ):
-                        best = (cluster, scored)
-                if best is None or best[1].log_similarity < self.log_threshold:
+                scores = ScoreColumn.of(self._score_against(spawned, encoded))
+                joined = join_best(index, encoded, spawned, scores, self.log_threshold)
+                if joined is None:
                     continue
-                cluster, scored = best
-                cluster.set_member(
-                    Membership(
-                        sequence_index=index,
-                        log_similarity=scored.log_similarity,
-                        best_start=scored.best_start,
-                        best_end=scored.best_end,
-                    )
-                )
-                cluster.absorb_segment(
-                    encoded[scored.best_start : scored.best_end]
-                )
-                self.result.assignments[index] = {cluster.cluster_id}
+                self.result.assignments[index] = {joined.cluster_id}
                 self._pool.remove(index)
                 self._outliers -= 1
                 self._absorbed += 1

@@ -25,13 +25,12 @@ from repro.core.backends import (
     PstBatchScorer,
     flatten_pst,
     pad_sequences,
+    prepare_stack,
     stack_flats,
-    walk_states,
+    walk_states_matrix,
 )
 from repro.core.backends.vectorized import (
-    _kadane_rows_numpy,
     _kadane_rows_python,
-    gather_log_ratios,
     log_background,
 )
 from repro.core.pst import ProbabilisticSuffixTree
@@ -158,15 +157,14 @@ class TestSuffixSelection:
         """
         for case, (pst, background, sequences) in enumerate(scenarios):
             flat = flatten_pst(pst)
-            stacked = stack_flats([flat])
+            prep = prepare_stack(stack_flats([flat]), log_background(background))
             padded, lengths = pad_sequences(sequences)
-            states = walk_states(
-                stacked, padded, np.zeros(len(sequences), dtype=np.intp)
-            )
+            # (width, trees, sequences): position leads, one tree here.
+            states = walk_states_matrix(prep, padded)
             for row, seq in enumerate(sequences):
                 for i in range(len(seq)):
                     suffix = pst.longest_significant_suffix(seq[:i])
-                    state = int(states[row, i])
+                    state = int(states[i, 0, row])
                     assert int(flat.depths[state]) == len(suffix), (
                         f"case {case} row {row} pos {i}"
                     )
@@ -268,30 +266,6 @@ class TestEdgeCases:
         )
 
 
-class TestKadaneImplementationsAgree:
-    def test_python_and_numpy_scans_are_bit_identical(self):
-        """Both X/Y/Z scans on the same ratio matrix, every row equal.
-
-        The dispatcher picks by row count (KADANE_NUMPY_MIN_ROWS), so
-        the two implementations must be interchangeable down to tie
-        handling; generated rows include exact ties (repeated values
-        and zeros) to stress the >= / > rules.
-        """
-        rng = np.random.default_rng(77)
-        for _ in range(N_CASES):
-            rows = int(rng.integers(1, 2 * KADANE_NUMPY_MIN_ROWS))
-            width = int(rng.integers(1, 30))
-            pool = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-            ratios = rng.choice(pool, size=(rows, width))
-            lengths = rng.integers(1, width + 1, size=rows).astype(np.int32)
-            a = _kadane_rows_python(ratios, lengths)
-            b = _kadane_rows_numpy(ratios, lengths)
-            assert np.array_equal(a.log_z, b.log_z)
-            assert np.array_equal(a.best_start, b.best_start)
-            assert np.array_equal(a.best_end, b.best_end)
-            assert np.array_equal(a.whole, b.whole)
-
-
 class TestMatrixKernelAgreement:
     """The full-matrix pipeline against the per-pair reference.
 
@@ -299,8 +273,8 @@ class TestMatrixKernelAgreement:
     sequences)`` cube and runs one batched Kadane scan over all
     tree×sequence columns at once; these properties pin that pipeline
     — including the pair-step walk closure and the post-hoc segment
-    reconstruction — to the reference scorer and to the row-list
-    kernels it replaced.
+    reconstruction — to the reference scorer and to the per-row
+    Python scan.
     """
 
     @staticmethod
@@ -362,45 +336,9 @@ class TestMatrixKernelAgreement:
                 assert np.array_equal(serial.best_end, pooled.best_end)
                 assert np.array_equal(serial.whole, pooled.whole)
 
-    def test_walk_states_matrix_matches_row_walk(self, scenarios):
-        """The (width, trees, sequences) cube agrees with the row walk."""
-        from repro.core.backends.vectorized import (
-            prepare_stack,
-            walk_states_matrix,
-        )
-
-        for group in list(self._grouped(scenarios).values())[:5]:
-            psts = [pst for pst, _, _ in group[:4]]
-            background = group[0][1]
-            sequences = group[0][2]
-            flats = [pst.flattened() for pst in psts]
-            stacked = stack_flats(flats)
-            prep = prepare_stack(stacked, log_background(background))
-            padded, lengths = pad_sequences(sequences)
-            cube = walk_states_matrix(prep, padded)
-            assert cube.shape == (padded.shape[1], len(psts), len(sequences))
-            for t in range(len(psts)):
-                rows = walk_states(
-                    stacked, padded, np.full(len(sequences), t, dtype=np.intp)
-                )
-                # cube is position-leading; compare against the
-                # (batch, width) row layout transposed. Real positions
-                # only: the row walk pins padding to the root while the
-                # cube lets it drift (its ratios are masked downstream).
-                transposed = cube[:, t, :].T
-                for r, length in enumerate(lengths):
-                    assert np.array_equal(
-                        transposed[r, :length], rows[r, :length]
-                    ), f"tree {t} row {r}"
-
     def test_pair_table_fallback_is_identical(self, scenarios):
         """walk_table2=None (over-budget closure) changes nothing."""
         import dataclasses
-
-        from repro.core.backends.vectorized import (
-            prepare_stack,
-            walk_states_matrix,
-        )
 
         for pst, background, sequences in scenarios[:40]:
             stacked = stack_flats([pst.flattened()])

@@ -570,19 +570,19 @@ class TestTelemetryV2Flags:
         assert len({s["trace"] for s in batch_spans}) == 1
         capsys.readouterr()
 
-    def test_metrics_out_still_writes_v1(self, toy_text_file, tmp_path, capsys):
+    def test_metrics_out_writes_v2(self, toy_text_file, tmp_path, capsys):
         import json
 
-        v1_path = tmp_path / "v1.json"
+        out_path = tmp_path / "metrics.json"
         tele_dir = tmp_path / "tele"
         tele_dir.mkdir()
         code = main(
-            ["--metrics-out", str(v1_path),
+            ["--metrics-out", str(out_path),
              "cluster", toy_text_file, "-k", "2", "-c", "2",
              "--telemetry-dir", str(tele_dir)]
         )
         assert code == 0
-        assert json.loads(v1_path.read_text())["schema"] == "repro.telemetry/v1"
+        assert json.loads(out_path.read_text())["schema"] == "repro.telemetry/v2"
         assert (tele_dir / "telemetry.json").exists()
         capsys.readouterr()
 

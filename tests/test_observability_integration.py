@@ -198,7 +198,7 @@ class TestExitPathHistory:
 class TestCliTelemetry:
     def test_metrics_out_writes_schema_document(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.evaluation.reporting import TELEMETRY_SCHEMA
+        from repro.obs import TELEMETRY_SCHEMA_V2
         from repro.sequences.generators import generate_two_cluster_toy
         from repro.sequences.io import write_labelled_text
 
@@ -223,7 +223,7 @@ class TestCliTelemetry:
         assert get_registry() is NULL_REGISTRY
 
         document = json.loads(out.read_text())
-        assert document["schema"] == TELEMETRY_SCHEMA
+        assert document["schema"] == TELEMETRY_SCHEMA_V2
         assert document["context"]["argv"][0] == "--metrics-out"
         metrics = document["metrics"]
         # per-phase timers
