@@ -113,12 +113,6 @@ class PstBatchScorer:
         self._stack_psts: tuple[ProbabilisticSuffixTree, ...] = ()
         self._stack_versions: tuple[int, ...] = ()
         self._stack: PreparedStack | None = None
-        # Single-tree cache for the many-vs-one (calibration) shape, so
-        # repeated columns against one reference tree don't thrash the
-        # multi-tree stack cache above.
-        self._single_pst: ProbabilisticSuffixTree | None = None
-        self._single_version = -1
-        self._single: PreparedStack | None = None
 
     @property
     def background(self) -> npt.NDArray[np.float64]:
@@ -176,24 +170,6 @@ class PstBatchScorer:
         assert self._stack is not None
         return self._stack
 
-    def _single_for(self, pst: ProbabilisticSuffixTree) -> PreparedStack:
-        flat = self.flat_for(pst)
-        prof = get_profiler()
-        if (
-            self._single is None
-            or pst is not self._single_pst
-            or flat.version != self._single_version
-        ):
-            if prof.enabled:
-                prof.cache_miss("stack")
-            self._single = prepare_stack(stack_flats([flat]), self._log_bg)
-            self._single_pst = pst
-            self._single_version = flat.version
-        elif prof.enabled:
-            prof.cache_hit("stack")
-        assert self._single is not None
-        return self._single
-
     def _score_matrix_arrays(
         self, prep: PreparedStack, sequences: Sequence[Sequence[int]]
     ) -> ScoreMatrixResult:
@@ -244,29 +220,13 @@ class PstBatchScorer:
             _observe_segment_lengths(matrix)
         return matrix
 
-    def score_one_vs_many(
-        self,
-        psts: Sequence[ProbabilisticSuffixTree],
-        encoded: Sequence[int],
-    ) -> list[SimilarityResult]:
-        """Score one sequence against several trees (re-examination row)."""
-        if len(encoded) == 0:
-            raise ValueError("cannot score an empty sequence")
-        if not psts:
-            return []
-        prep = self._stack_for(psts)
-        return self._score_matrix_arrays(prep, [encoded]).column(0)
-
     def score_many_vs_one(
         self,
         pst: ProbabilisticSuffixTree,
         sequences: Sequence[Sequence[int]],
     ) -> list[SimilarityResult]:
         """Score many sequences against one tree (calibration column)."""
-        if not sequences:
-            return []
-        prep = self._single_for(pst)
-        return self._score_matrix_arrays(prep, sequences).row(0)
+        return self.score_matrix_full([pst], sequences).row(0)
 
     def score_matrix_full(
         self,
@@ -332,10 +292,7 @@ class PstBatchScorer:
         return matrix
 
     def forget(self) -> None:
-        """Drop the stack caches (releases references to cached trees)."""
+        """Drop the stack cache (releases references to cached trees)."""
         self._stack_psts = ()
         self._stack_versions = ()
         self._stack = None
-        self._single_pst = None
-        self._single_version = -1
-        self._single = None

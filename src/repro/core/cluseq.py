@@ -53,7 +53,7 @@ from ..typing import PSTFactory
 from .backends import BACKENDS, PstBatchScorer, ScoringPool, resolve_backend
 from .cluster import Cluster
 from .examine import ScoreColumn, ScoreSnapshot, best_cluster, join_all, join_best
-from .pst import APPROX_BYTES_PER_NODE, ProbabilisticSuffixTree
+from .pst import APPROX_BYTES_PER_NODE
 from .consolidation import consolidate
 from .seeding import build_seed_pst, select_seeds
 from .similarity import SimilarityResult, similarity
@@ -832,8 +832,9 @@ class CLUSEQ:
         :data:`PRESCORE_CHUNK` sequences are prescored against every
         cluster model (optionally on *pool* workers) into a
         :class:`~repro.core.examine.ScoreSnapshot`; pairs whose cluster
-        absorbed a segment mid-chunk are rescored against the live
-        model, so the committed scores are exactly the reference's.
+        absorbed a segment mid-chunk are rescored with ``similarity()``
+        on the live model, so the committed scores are exactly the
+        reference's.
         When a chunk's stale fraction exceeds
         :data:`STALE_SWITCH_FRACTION`, prescoring is wasting its work
         and the rest of the iteration scores pair by pair — a
@@ -842,9 +843,6 @@ class CLUSEQ:
         membership_changes = 0
         reclustering_work = 0
         registry = get_registry()
-
-        def rescore(pst: ProbabilisticSuffixTree, seq: Sequence[int]) -> SimilarityResult:
-            return similarity(pst, seq, background)
 
         def commit(index: int, scores: ScoreColumn) -> None:
             nonlocal membership_changes, reclustering_work
@@ -862,21 +860,20 @@ class CLUSEQ:
             if scorer is None or not clusters:
                 for index in block:
                     seq = encoded[index]
-                    commit(index, ScoreColumn.of([rescore(c.pst, seq) for c in clusters]))
+                    results = [similarity(c.pst, seq, background) for c in clusters]
+                    commit(index, ScoreColumn.of(results))
                 continue
             psts = [cluster.pst for cluster in clusters]
             snapshot = ScoreSnapshot(
                 psts,
                 scorer.prescore_matrix(psts, [encoded[i] for i in block], pool=pool),
-                rescore,
+                background,
             )
             stale = 0
             for column, index in enumerate(block):
                 scores = snapshot.column(clusters, column, encoded[index])
                 stale += scores.stale
                 commit(index, scores)
-            if registry.enabled and stale:
-                registry.counter("backend.prescore_stale_pairs").inc(stale)
             if stale > STALE_SWITCH_FRACTION * (len(block) * len(clusters)):
                 scorer = None  # the rest of the iteration: pair by pair
                 if registry.enabled:

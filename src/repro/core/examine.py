@@ -18,8 +18,10 @@ segment into the cluster PST (:meth:`Cluster.join`, §4.4).
 Scores arrive as a :class:`ScoreColumn`. :class:`ScoreSnapshot` serves
 columns out of a (cluster × batch) matrix scored up front; since every
 join mutates a PST, it checks each entry against its model's identity
-and version and rescores stale pairs against the live model, so the
-committed scores are exactly those of one-at-a-time scoring.
+and version and rescores stale pairs with the reference ``similarity()``
+on the live model, so the committed scores are exactly those of
+one-at-a-time scoring. The batch kernel scores only trees that stay
+fixed for its call: no caller flattens a tree to score one pair.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+import numpy.typing as npt
+
+from ..obs import get_registry
 from .backends.vectorized import ScoreMatrixResult
 from .cluster import Cluster
 from .pst import ProbabilisticSuffixTree
-from .similarity import SimilarityResult
-
-#: Live score of one (model, sequence) pair whose snapshot entry is stale.
-Rescore = Callable[[ProbabilisticSuffixTree, Sequence[int]], SimilarityResult]
+from .similarity import SimilarityResult, similarity
 
 
 def best_cluster(log_sims: Sequence[float], log_t: float) -> int | None:
@@ -75,14 +78,15 @@ class ScoreSnapshot:
     *psts* are the models the *matrix* rows were scored against, read
     before any of them mutates again. :meth:`column` trusts an entry
     only while its cluster still holds that very PST at that version,
-    and rescores the rest through *rescore*.
+    and rescores the rest with ``similarity()`` against *background*:
+    one DP walk of the live tree per stale pair, never a re-flatten.
     """
 
     def __init__(
         self,
         psts: Sequence[ProbabilisticSuffixTree],
         matrix: ScoreMatrixResult,
-        rescore: Rescore,
+        background: npt.NDArray[np.float64],
     ) -> None:
         self._psts = list(psts)
         self._versions = [pst.version for pst in self._psts]
@@ -90,13 +94,16 @@ class ScoreSnapshot:
         # One bulk convert: reading the join-test scalars through numpy
         # indexing would cost a boxed float per pair.
         self._rows: list[list[float]] = matrix.log_z.tolist()
-        self._rescore = rescore
+        self._background = background
 
     def column(
         self, clusters: Sequence[Cluster], column: int, seq: Sequence[int]
     ) -> ScoreColumn:
         """Live scores of batch column *column* (sequence *seq*) against
-        *clusters*, the clusters whose models the snapshot scored."""
+        *clusters*, the clusters whose models the snapshot scored.
+
+        Rescored pairs count towards ``backend.prescore_stale_pairs``.
+        """
         psts, versions, rows = self._psts, self._versions, self._rows
         log_sims: list[float] = []
         rescored: dict[int, SimilarityResult] = {}
@@ -105,9 +112,13 @@ class ScoreSnapshot:
             if pst is psts[position] and pst.version == versions[position]:
                 log_sims.append(rows[position][column])
             else:
-                fresh = self._rescore(pst, seq)
+                fresh = similarity(pst, seq, self._background)
                 rescored[position] = fresh
                 log_sims.append(fresh.log_similarity)
+        if rescored:
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("backend.prescore_stale_pairs").inc(len(rescored))
         matrix = self._matrix
 
         def result_for(position: int) -> SimilarityResult:

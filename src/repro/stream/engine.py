@@ -55,9 +55,8 @@ from ..core.cluster import Cluster, Membership
 from ..core.examine import ScoreColumn, ScoreSnapshot, join_best
 from ..core.consolidation import consolidate
 from ..core.persistence import result_from_dict, result_to_dict
-from ..core.pst import ProbabilisticSuffixTree
 from ..core.seeding import build_seed_pst, select_seeds
-from ..core.similarity import SimilarityResult, similarity
+from ..core.similarity import similarity
 from ..core.smoothing import default_p_min
 from ..core.threshold import VALLEY_METHODS
 from ..obs import (
@@ -530,7 +529,7 @@ class StreamingCluseq:
                     scores = (
                         snapshot.column(clusters, column, encoded)
                         if snapshot is not None
-                        else ScoreColumn.of(self._score_against(clusters, encoded))
+                        else self._score_against(clusters, encoded)
                     )
                     assigned.append(self._assign(index, encoded, scores))
             self._sequences += len(batch)
@@ -569,44 +568,32 @@ class StreamingCluseq:
 
     def _score_against(
         self, clusters: Sequence[Cluster], encoded: list[int]
-    ) -> list[SimilarityResult]:
-        """Scores of *encoded* against each cluster, in cluster order.
-
-        One kernel row: models mutate only after all of a sequence's
-        scores are in (its absorb), so the row commits exactly as the
-        reference loop's per-pair scores would.
-        """
-        if self._scorer is not None and clusters:
-            return self._scorer.score_one_vs_many(
-                [cluster.pst for cluster in clusters], encoded
-            )
-        return [
-            similarity(cluster.pst, encoded, self.result.background)
-            for cluster in clusters
-        ]
+    ) -> ScoreColumn:
+        """Scores of *encoded* against each live cluster model, in
+        cluster order, with the reference DP — flattening a tree that
+        the next absorb invalidates would cost more than the walk."""
+        background = self.result.background
+        return ScoreColumn.of(
+            [similarity(cluster.pst, encoded, background) for cluster in clusters]
+        )
 
     def _snapshot(self, batch: list[list[int]]) -> ScoreSnapshot | None:
         """Score the whole (cluster × batch) matrix in one kernel call.
 
         Only worthwhile with the vectorized scorer, a real batch and
         live clusters. Every absorb inside the batch bumps a cluster
-        PST's version; the snapshot rescores those pairs against the
-        live model, so committed scores are exactly the sequential
-        loop's.
+        PST's version; the snapshot rescores those pairs with the
+        reference DP on the live model, so committed scores are exactly
+        the sequential loop's.
         """
         scorer = self._scorer
         clusters = self.result.clusters
         if scorer is None or len(batch) < 2 or not clusters:
             return None
         psts = [cluster.pst for cluster in clusters]
-        score_many_vs_one = scorer.score_many_vs_one
-
-        def rescore(pst: ProbabilisticSuffixTree, encoded: Sequence[int]) -> SimilarityResult:
-            # The many-vs-one shape keeps the single-tree prepared
-            # stack, leaving the batch-wide multi-tree cache intact.
-            return score_many_vs_one(pst, [encoded])[0]
-
-        return ScoreSnapshot(psts, scorer.score_matrix_full(psts, batch), rescore)
+        return ScoreSnapshot(
+            psts, scorer.score_matrix_full(psts, batch), self.result.background
+        )
 
     def _assign(self, index: int, encoded: list[int], scores: ScoreColumn) -> int | None:
         """The incremental §4.2–§4.4 join rule for one stream sequence."""
@@ -738,7 +725,7 @@ class StreamingCluseq:
             # a freshly spawned model join it immediately, so one drift
             # event does not need k separate re-seed rounds to drain.
             for index, encoded in self._pool:
-                scores = ScoreColumn.of(self._score_against(spawned, encoded))
+                scores = self._score_against(spawned, encoded)
                 joined = join_best(index, encoded, spawned, scores, self.log_threshold)
                 if joined is None:
                     continue

@@ -123,7 +123,7 @@ class TestSimilarityAgreesWithReference:
             background = group[0][1]
             scorer = PstBatchScorer(background)
             seq = group[0][2][0]
-            results = scorer.score_one_vs_many(psts, seq)
+            results = scorer.score_matrix_full(psts, [seq]).column(0)
             for pst, got in zip(psts, results):
                 want = similarity(pst, seq, background)
                 _assert_results_equal(got, want, f"alphabet {pst.alphabet_size}")
@@ -201,7 +201,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="empty sequence"):
             scorer.score_many_vs_one(pst, [[0, 1], []])
         with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_one_vs_many([pst], [])
+            scorer.score_matrix_full([pst], [[]]).column(0)
 
     def test_single_symbol_sequences(self):
         for seed in range(N_CASES):

@@ -10,11 +10,16 @@ threshold adjustment, consolidation) running on its schedule.
 
 With maintenance off the engine must also equal a plain
 ``ClusteringResult.assign_and_absorb`` replay of the same sequences.
+
+A stale pair costs one reference DP on the live tree, never a
+re-flatten: the vectorized engine flattens each cluster at most once
+per micro-batch, however many segments the batch absorbs.
 """
 
 import pytest
 
 from repro.core.persistence import result_from_dict, result_to_dict
+from repro.obs import MetricsRegistry, use_registry
 from repro.stream import (
     DecayPolicy,
     StreamConfig,
@@ -113,6 +118,26 @@ def test_backends_agree_with_maintenance_on(stream, batch_size):
     assert any(cid is not None for cid in assigned)
     assert any(cid is None for cid in assigned)
     assert len(states["reference"]["clusters"]) >= 2
+
+
+def test_vectorized_flattens_each_cluster_at_most_once_per_batch(stream):
+    batch_size = 32
+    engine = StreamingCluseq.cold_start(
+        alphabet_size=ALPHABET_SIZE,
+        similarity_threshold=10.0,
+        significance_threshold=3,
+        max_depth=4,
+        config=maintained_config("vectorized", batch_size),
+    )
+    registry = MetricsRegistry()
+    budget = 0
+    with use_registry(registry):
+        for start in range(0, len(stream), batch_size):
+            budget += len(engine.result.clusters)
+            engine.ingest_batch(stream[start : start + batch_size])
+    flattened = registry.counter("backend.flatten_builds").value
+    assert engine.stats().absorbed > budget  # absorbs alone would overrun it
+    assert 0 < flattened <= budget
 
 
 @pytest.fixture(scope="module")
