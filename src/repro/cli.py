@@ -138,21 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--min-unique", type=int, default=None)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help="scoring backend; both give bit-identical results "
-        "(see docs/PERFORMANCE.md)",
-    )
-    cluster.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="prescore the re-examination matrix on N worker processes "
-        "(vectorized backend only; 0 = in-process)",
-    )
-    cluster.add_argument(
         "--show-members", action="store_true", help="list member ids per cluster"
     )
     cluster.add_argument(
@@ -476,8 +461,6 @@ def _command_cluster(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         min_unique_members=args.min_unique,
         seed=args.seed,
-        backend=args.backend,
-        workers=args.workers,
     )
     result = CLUSEQ(params).fit(db)
     print(result.summary())

@@ -4,8 +4,8 @@ See docs/PERFORMANCE.md for the architecture. The ``reference``
 backend (``repro.core.similarity``) is the normative transcription of
 the paper; the ``vectorized`` backend here reproduces it bit-for-bit
 from flattened PST arrays, batched over many (sequence, tree) pairs,
-with an optional multiprocessing fan-out for the re-examination
-scoring matrix.
+with an optional multiprocessing fan-out for the serving scoring
+matrix.
 """
 
 from .dispatch import BACKENDS, PstBatchScorer, resolve_backend

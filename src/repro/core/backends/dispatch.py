@@ -49,7 +49,7 @@ from .vectorized import (
     walk_states_matrix,
 )
 
-#: Recognized backend names (CLI / params / stream config).
+#: Recognized backend names (CLI / stream config).
 BACKENDS = ("auto", "reference", "vectorized")
 
 
@@ -219,14 +219,6 @@ class PstBatchScorer:
             )
             _observe_segment_lengths(matrix)
         return matrix
-
-    def score_many_vs_one(
-        self,
-        pst: ProbabilisticSuffixTree,
-        sequences: Sequence[Sequence[int]],
-    ) -> list[SimilarityResult]:
-        """Score many sequences against one tree (calibration column)."""
-        return self.score_matrix_full([pst], sequences).row(0)
 
     def score_matrix_full(
         self,

@@ -1,13 +1,12 @@
 """Multiprocessing fan-out for the (sequence × cluster) scoring matrix.
 
-The re-examination phase (§4.2) scores every sequence against every
-cluster. With ``--workers N`` the vectorized backend splits the padded
-sequence block into per-worker column ranges and prescores them on a
-``ProcessPoolExecutor``; the driving loop then *commits* the prescored
-pairs sequentially, rescoring any pair whose cluster model absorbed a
-segment after the prescore snapshot (see
-``CLUSEQ._recluster_vectorized``). Results are therefore identical to
-single-process runs — workers only change where the arithmetic happens.
+Serving (``cluseq serve --workers N``) scores every request batch
+against every cluster. With a pool the vectorized backend splits the
+padded sequence block into per-worker column ranges and prescores them
+on a ``ProcessPoolExecutor``; the parent stitches the columns back into
+the matrix a single-process call would produce. Results are therefore
+identical to single-process runs — workers only change where the
+arithmetic happens.
 
 Wire format: workers receive a tuple of
 :class:`~repro.core.backends.shm.SharedFlatSpec` (segment name + array

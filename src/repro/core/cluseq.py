@@ -50,9 +50,9 @@ from ..obs import (
 )
 from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
-from .backends import BACKENDS, PstBatchScorer, ScoringPool, resolve_backend
+from .backends import PstBatchScorer
 from .cluster import Cluster
-from .examine import ScoreColumn, ScoreSnapshot, best_cluster, join_all, join_best
+from .examine import ScoreColumn, best_cluster, join_all, join_best
 from .pst import APPROX_BYTES_PER_NODE
 from .consolidation import consolidate
 from .seeding import build_seed_pst, select_seeds
@@ -62,16 +62,6 @@ from .threshold import VALLEY_METHODS
 
 #: Valid sequence-examination orders for the reclustering phase (§6.3).
 ORDERINGS = ("fixed", "random", "cluster")
-
-#: Sequences prescored per chunk by the vectorized reclustering path.
-PRESCORE_CHUNK = 32
-
-#: When more than this fraction of a prescored chunk had to be rescored
-#: (its cluster absorbed a segment after the snapshot), the iteration is
-#: absorb-heavy and batch prescoring wastes work — the rest of the
-#: iteration falls back to serial scoring. Deterministic: the decision
-#: depends only on join counts, never on wall clock.
-STALE_SWITCH_FRACTION = 0.35
 
 _logger = get_logger("core.cluseq")
 
@@ -105,14 +95,6 @@ class CluseqParams:
     valley_method: str = "regression"
     calibration_method: str = "max"
     seed: int = 0
-    #: Scoring backend: ``reference`` (normative per-pair loops),
-    #: ``vectorized`` (flattened-array batch kernel, bit-identical
-    #: results) or ``auto`` (currently the vectorized backend).
-    backend: str = "auto"
-    #: Worker processes for prescoring the re-examination scoring
-    #: matrix (vectorized backend only); 0 keeps everything in-process.
-    #: Results are identical for any worker count.
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -141,10 +123,6 @@ class CluseqParams:
                 "calibration_method must be 'max' or one of "
                 f"{tuple(VALLEY_METHODS)}"
             )
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
 
     def resolved_min_unique(self) -> int:
         """The consolidation threshold (defaults to ``c``, per the paper)."""
@@ -455,36 +433,9 @@ class CLUSEQ:
         )
         background = db.background_probabilities()
         encoded = [db.encoded(i) for i in range(len(db))]
-
-        # Backend selection. The vectorized scorer is bit-identical to
-        # the reference loops, so this choice can never change the
-        # clustering — only how fast scores are produced.
-        backend = resolve_backend(params.backend)
-        scorer = PstBatchScorer(background) if backend == "vectorized" else None
-        if scorer is not None and params.workers > 0:
-            # The context manager guarantees executor shutdown and
-            # shared-memory segment unlink on every exit path.
-            with ScoringPool(params.workers) as pool:
-                return self._fit_loop(
-                    db, encoded, background, p_min, rng, scorer, pool
-                )
-        return self._fit_loop(db, encoded, background, p_min, rng, scorer, None)
-
-    def _fit_loop(
-        self,
-        db: SequenceDatabase,
-        encoded: list[list[int]],
-        background: npt.NDArray[np.float64],
-        p_min: float,
-        rng: np.random.Generator,
-        scorer: PstBatchScorer | None,
-        pool: ScoringPool | None,
-    ) -> ClusteringResult:
-        """The §4 iteration loop proper, scoring backend already resolved."""
-        params = self.params
         pst_factory = partial(
             build_seed_pst,
-            alphabet_size=db.alphabet.size,
+            alphabet_size=alphabet_size,
             max_depth=params.max_depth,
             significance_threshold=params.significance_threshold,
             p_min=p_min,
@@ -572,8 +523,7 @@ class CLUSEQ:
             ):
                 with span("calibrate"):
                     calibrated = self._calibrate_initial_threshold(
-                        db, clusters, encoded, background, pst_factory, rng,
-                        scorer,
+                        db, clusters, encoded, background, pst_factory, rng
                     )
                 if calibrated is not None:
                     log_t = calibrated
@@ -599,8 +549,6 @@ class CLUSEQ:
                     background,
                     log_t,
                     all_log_sims,
-                    scorer,
-                    pool,
                 )
 
             # -- phase 3: consolidation ----------------------------------------------
@@ -817,36 +765,24 @@ class CLUSEQ:
         background: npt.NDArray[np.float64],
         log_t: float,
         all_log_sims: list[float],
-        scorer: PstBatchScorer | None,
-        pool: ScoringPool | None,
     ) -> tuple[int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
-        Each sequence joins every cluster whose SIM reaches ``t``
-        (:func:`~repro.core.examine.join_all`); commits are sequential,
-        in examination order. Returns ``(membership changes, symbols
-        scored)``.
-
-        Without a *scorer* (the reference backend) each sequence is
-        scored pair by pair with ``similarity()``. With one, chunks of
-        :data:`PRESCORE_CHUNK` sequences are prescored against every
-        cluster model (optionally on *pool* workers) into a
-        :class:`~repro.core.examine.ScoreSnapshot`; pairs whose cluster
-        absorbed a segment mid-chunk are rescored with ``similarity()``
-        on the live model, so the committed scores are exactly the
-        reference's.
-        When a chunk's stale fraction exceeds
-        :data:`STALE_SWITCH_FRACTION`, prescoring is wasting its work
-        and the rest of the iteration scores pair by pair — a
-        deterministic, results-neutral speed decision.
+        Each sequence is scored pair by pair with ``similarity()``
+        against every cluster's live PST, then joins every cluster
+        whose SIM reaches ``t`` (:func:`~repro.core.examine.join_all`).
+        A join absorbs the sequence's best segment before the next
+        sequence is scored, so scores are never computed ahead of time:
+        a precomputed score would go stale at the first join. Returns
+        ``(membership changes, symbols scored)``.
         """
         membership_changes = 0
         reclustering_work = 0
-        registry = get_registry()
-
-        def commit(index: int, scores: ScoreColumn) -> None:
-            nonlocal membership_changes, reclustering_work
+        for index in order:
             seq = encoded[index]
+            scores = ScoreColumn.of(
+                [similarity(c.pst, seq, background) for c in clusters]
+            )
             reclustering_work += len(seq) * len(clusters)
             all_log_sims.extend(scores.log_sims)
             joined = join_all(index, seq, clusters, scores, log_t)
@@ -854,30 +790,6 @@ class CLUSEQ:
                 membership_changes += 1
             assignments[index] = joined
             unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
-
-        for start in range(0, len(order), PRESCORE_CHUNK):
-            block = order[start : start + PRESCORE_CHUNK]
-            if scorer is None or not clusters:
-                for index in block:
-                    seq = encoded[index]
-                    results = [similarity(c.pst, seq, background) for c in clusters]
-                    commit(index, ScoreColumn.of(results))
-                continue
-            psts = [cluster.pst for cluster in clusters]
-            snapshot = ScoreSnapshot(
-                psts,
-                scorer.prescore_matrix(psts, [encoded[i] for i in block], pool=pool),
-                background,
-            )
-            stale = 0
-            for column, index in enumerate(block):
-                scores = snapshot.column(clusters, column, encoded[index])
-                stale += scores.stale
-                commit(index, scores)
-            if stale > STALE_SWITCH_FRACTION * (len(block) * len(clusters)):
-                scorer = None  # the rest of the iteration: pair by pair
-                if registry.enabled:
-                    registry.counter("backend.prescore_fallbacks").inc()
         return membership_changes, reclustering_work
 
     def _calibrate_initial_threshold(
@@ -888,7 +800,6 @@ class CLUSEQ:
         background: npt.NDArray[np.float64],
         pst_factory: PSTFactory,
         rng: np.random.Generator,
-        scorer: PstBatchScorer | None = None,
     ) -> float | None:
         """Iteration-0 dry scoring pass picking the starting ``log t``.
 
@@ -934,20 +845,14 @@ class CLUSEQ:
             finders = list(VALLEY_METHODS.values())
         else:
             finders = [VALLEY_METHODS[params.calibration_method]]
+        # The dry pass is read-only (no absorbs can invalidate a score),
+        # so it is the batch kernel's natural shape. One kernel call per
+        # reference, not one over all of them: a multi-tree call would
+        # multiply the kernel's transient arrays by the reference count.
+        scorer = PstBatchScorer(background)
         found: list[float] = []
         for pst in reference_psts:
-            if scorer is not None:
-                # Read-only column of the scoring matrix: the batch
-                # kernel's natural shape (no absorbs can invalidate it).
-                reference_sims = [
-                    result.log_similarity
-                    for result in scorer.score_many_vs_one(pst, encoded)
-                ]
-            else:
-                reference_sims = [
-                    similarity(pst, seq, background).log_similarity
-                    for seq in encoded
-                ]
+            reference_sims = scorer.score_matrix_full([pst], encoded).log_z[0].tolist()
             for finder in finders:
                 estimate = finder(reference_sims, buckets=params.histogram_buckets)
                 if estimate is not None:

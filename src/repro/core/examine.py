@@ -15,12 +15,13 @@ serving classifier. Two join rules exist:
 A join records the membership and absorbs the sequence's best-scoring
 segment into the cluster PST (:meth:`Cluster.join`, §4.4).
 
-Scores arrive as a :class:`ScoreColumn`. :class:`ScoreSnapshot` serves
-columns out of a (cluster × batch) matrix scored up front; since every
-join mutates a PST, it checks each entry against its model's identity
-and version and rescores stale pairs with the reference ``similarity()``
-on the live model, so the committed scores are exactly those of
-one-at-a-time scoring. The batch kernel scores only trees that stay
+Scores arrive as a :class:`ScoreColumn`. The fit builds each column
+pair by pair on the live models. :class:`ScoreSnapshot` (the streaming
+engine) serves columns out of a (cluster × batch) matrix scored up
+front; since every join mutates a PST, it checks each entry against
+its model's identity and version and rescores stale pairs with the
+reference ``similarity()`` on the live model, so the committed scores
+are exactly those of one-at-a-time scoring. The batch kernel scores only trees that stay
 fixed for its call: no caller flattens a tree to score one pair.
 """
 
@@ -59,12 +60,11 @@ class ScoreColumn:
 
     ``result_for(position)`` gives the full result, segment bounds
     included; the join rules call it only for clusters the sequence
-    joins. ``stale`` counts the entries a snapshot had to rescore.
+    joins.
     """
 
     log_sims: list[float]
     result_for: Callable[[int], SimilarityResult]
-    stale: int = 0
 
     @classmethod
     def of(cls, results: list[SimilarityResult]) -> ScoreColumn:
@@ -125,7 +125,7 @@ class ScoreSnapshot:
             fresh = rescored.get(position)
             return fresh if fresh is not None else matrix.result(position, column)
 
-        return ScoreColumn(log_sims, result_for, len(rescored))
+        return ScoreColumn(log_sims, result_for)
 
 
 def join_all(

@@ -33,6 +33,11 @@ PathOrFile = Union[str, "os.PathLike[str]", TextIO]
 #: Schema version embedded in every file, for forward compatibility.
 FORMAT_VERSION = 1
 
+#: ``params`` keys of retired :class:`CluseqParams` fields. Older files
+#: still carry them; they are dropped on load. Any other unknown key
+#: still fails.
+RETIRED_PARAMS = frozenset({"backend", "workers"})
+
 
 def result_to_dict(
     result: ClusteringResult, alphabet: "Alphabet | None" = None
@@ -127,7 +132,13 @@ def result_from_dict(data: dict[str, Any]) -> ClusteringResult:
         assignments={
             int(index): set(ids) for index, ids in data["assignments"].items()
         },
-        params=CluseqParams(**data["params"]),
+        params=CluseqParams(
+            **{
+                key: value
+                for key, value in data["params"].items()
+                if key not in RETIRED_PARAMS
+            }
+        ),
         background=np.asarray(data["background"], dtype=np.float64),
         final_log_threshold=data["final_log_threshold"],
         history=history,

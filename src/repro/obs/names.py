@@ -106,7 +106,6 @@ METRICS: frozenset[str] = frozenset(
         "consolidation.dismissed",
         # vectorized scoring backend
         "backend.prescore_stale_pairs",
-        "backend.prescore_fallbacks",
         "backend.flatten_seconds",
         "backend.stack_rebuilds",
         "backend.batch_calls",

@@ -1,18 +1,16 @@
-"""Golden end-to-end regression: backend choice never changes clustering.
+"""Golden end-to-end regression: the seeded clustering never drifts.
 
 A seeded CLUSEQ run over synthetic two-family Markov data, checked
-against the committed fixture ``tests/golden/backend_clustering.json``
-— and parametrized over every backend/worker combination, all of which
-must reproduce the fixture *exactly* (assignments, threshold, history
-and recall). This pins two things at once:
-
-* the clustering output itself (an algorithm regression trips it), and
-* backend neutrality — the vectorized kernel and the multiprocessing
-  prescore path commit bit-identical decisions to the reference loop.
+against the committed fixture ``tests/golden/backend_clustering.json``;
+the run must reproduce the fixture *exactly* (assignments, threshold,
+history and recall). The fixture was recorded on the reference
+per-pair loop, so this pins both the clustering output itself (an
+algorithm regression trips it) and the vectorized calibration kernel's
+bit-identity with that loop.
 
 Regenerate after an *intentional* algorithm change with::
 
-    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_backend_golden.py -k reference-0
+    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_backend_golden.py -k matches_golden
 
 and commit the diff alongside the change that explains it.
 """
@@ -25,7 +23,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core.cluseq import CLUSEQ, CluseqParams
 from repro.evaluation.metrics import evaluate_clustering
@@ -65,7 +62,7 @@ def _two_family_database() -> tuple[SequenceDatabase, list[str]]:
     return SequenceDatabase.from_strings(strings), labels
 
 
-def _run(backend: str, workers: int) -> dict[str, object]:
+def _run() -> dict[str, object]:
     db, truth = _two_family_database()
     params = CluseqParams(
         k=4,
@@ -74,8 +71,6 @@ def _run(backend: str, workers: int) -> dict[str, object]:
         max_depth=4,
         max_iterations=6,
         seed=7,
-        backend=backend,
-        workers=workers,
     )
     result = CLUSEQ(params).fit(db)
     report = evaluate_clustering(truth, result.labels())
@@ -98,14 +93,9 @@ def _run(backend: str, workers: int) -> dict[str, object]:
     }
 
 
-@pytest.mark.parametrize(
-    ("backend", "workers"),
-    [("reference", 0), ("vectorized", 0), ("vectorized", 2)],
-    ids=["reference-0", "vectorized-0", "vectorized-2"],
-)
-def test_clustering_matches_golden_fixture(backend: str, workers: int) -> None:
-    observed = _run(backend, workers)
-    if os.environ.get("REGEN_GOLDEN") and backend == "reference":
+def test_clustering_matches_golden_fixture() -> None:
+    observed = _run()
+    if os.environ.get("REGEN_GOLDEN"):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(observed, indent=2) + "\n")
     expected = json.loads(GOLDEN_PATH.read_text())
@@ -117,7 +107,7 @@ def test_clustering_matches_golden_fixture(backend: str, workers: int) -> None:
         expected["final_log_threshold"],
         rel_tol=0.0,
         abs_tol=0.0,
-    ), "threshold must be bit-identical across backends"
+    ), "threshold must be bit-identical to the fixture"
     assert observed["macro_recall"] == expected["macro_recall"]
     assert observed["accuracy"] == expected["accuracy"]
 

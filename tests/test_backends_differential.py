@@ -104,7 +104,7 @@ class TestSimilarityAgreesWithReference:
     def test_scores_bounds_and_whole_log_match(self, scenarios):
         for case, (pst, background, sequences) in enumerate(scenarios):
             scorer = PstBatchScorer(background)
-            batch = scorer.score_many_vs_one(pst, sequences)
+            batch = scorer.score_matrix_full([pst], sequences).row(0)
             for seq, got in zip(sequences, batch):
                 want = similarity(pst, seq, background)
                 _assert_results_equal(got, want, f"case {case} seq {seq!r}")
@@ -136,7 +136,7 @@ class TestBruteforceAgreement:
         for case, (pst, background, sequences) in enumerate(scenarios):
             scorer = PstBatchScorer(background)
             seq = min(sequences, key=len)  # O(l²) oracle: keep it short
-            (got,) = scorer.score_many_vs_one(pst, [seq])
+            (got,) = scorer.score_matrix_full([pst], [seq]).row(0)
             brute_log, (brute_start, brute_end) = similarity_bruteforce(
                 pst, seq, background
             )
@@ -199,7 +199,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="empty sequence"):
             similarity(pst, [], background)
         with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_many_vs_one(pst, [[0, 1], []])
+            scorer.score_matrix_full([pst], [[0, 1], []]).row(0)
         with pytest.raises(ValueError, match="empty sequence"):
             scorer.score_matrix_full([pst], [[]]).column(0)
 
@@ -208,7 +208,7 @@ class TestEdgeCases:
             pst, background, _ = _random_scenario(5000 + seed)
             scorer = PstBatchScorer(background)
             seq = [seed % pst.alphabet_size]
-            (got,) = scorer.score_many_vs_one(pst, [seq])
+            (got,) = scorer.score_matrix_full([pst], [seq]).row(0)
             want = similarity(pst, seq, background)
             _assert_results_equal(got, want, f"seed {seed}")
             assert (got.best_start, got.best_end) == (0, 1)
@@ -240,7 +240,7 @@ class TestEdgeCases:
             background = np.full(alphabet_size, 1.0 / alphabet_size)
             scorer = PstBatchScorer(background)
             seq = [unseen] * int(rng.integers(1, 12))
-            (got,) = scorer.score_many_vs_one(pst, [seq])
+            (got,) = scorer.score_matrix_full([pst], [seq]).row(0)
             want = similarity(pst, seq, background)
             _assert_results_equal(got, want, f"seed {seed}")
 
@@ -250,17 +250,17 @@ class TestEdgeCases:
         background = np.full(3, 1.0 / 3.0)
         scorer = PstBatchScorer(background)
         seq = [0, 1, 2, 0]
-        (before,) = scorer.score_many_vs_one(pst, [seq])
+        (before,) = scorer.score_matrix_full([pst], [seq]).row(0)
         _assert_results_equal(
             before, similarity(pst, seq, background), "pre-mutation"
         )
         pst.add_sequence([2, 1, 0, 2, 1, 0])
-        (after_add,) = scorer.score_many_vs_one(pst, [seq])
+        (after_add,) = scorer.score_matrix_full([pst], [seq]).row(0)
         _assert_results_equal(
             after_add, similarity(pst, seq, background), "post add_sequence"
         )
         pst.decay_counts(0.5)
-        (after_decay,) = scorer.score_many_vs_one(pst, [seq])
+        (after_decay,) = scorer.score_matrix_full([pst], [seq]).row(0)
         _assert_results_equal(
             after_decay, similarity(pst, seq, background), "post decay_counts"
         )

@@ -44,14 +44,12 @@ def test_column_rescores_only_the_mutated_tree_with_the_reference_dp():
     snapshot = ScoreSnapshot(psts, matrix, background)
 
     first = snapshot.column(clusters, 0, batch[0])
-    assert first.stale == 0
     clusters[1].join(0, batch[0], first.result_for(1))
     assert clusters[1].pst._flat_cache is None
 
     registry = MetricsRegistry()
     with use_registry(registry):
         scores = snapshot.column(clusters, 1, batch[1])
-    assert scores.stale == 1
     live = similarity(clusters[1].pst, batch[1], background)
     assert scores.log_sims[1] == live.log_similarity
     assert scores.result_for(1) == live

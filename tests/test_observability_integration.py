@@ -89,6 +89,18 @@ class TestRunTelemetry:
         assert registry.get("seeding.selections").value >= 1
         assert registry.get("consolidation.passes").value == iterations
 
+    def test_reexamination_never_prescores(self, toy_db):
+        """The fit scores its §4.2 re-examination pair by pair on the
+        live models: the only kernel calls are calibration's, one per
+        reference model, and no prescored pair is ever rescored."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            CLUSEQ(CluseqParams(**PARAMS)).fit(toy_db)
+        references = registry.get("cluseq.calibration_references").value
+        assert references > 0
+        assert registry.get("backend.batch_calls").value == references
+        assert registry.counter("backend.prescore_stale_pairs").value == 0
+
     def test_registry_argument_without_global_activation(self, toy_db):
         """Passing ``registry=`` to CLUSEQ collects into it without the
         caller ever touching the global registry."""

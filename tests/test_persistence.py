@@ -169,3 +169,22 @@ class TestFormat:
         payload["format_version"] = 999
         with pytest.raises(ValueError, match="version"):
             result_from_dict(payload)
+
+    def test_retired_params_are_dropped(self, fitted):
+        # Files written while the fit still had scoring knobs carry
+        # "backend" and "workers" in params; they must keep loading.
+        db, result = fitted
+        payload = result_to_dict(result)
+        payload["params"].update(backend="vectorized", workers=2)
+        clone = result_from_dict(payload)
+        assert clone.params == result.params
+        for index in range(len(db)):
+            encoded = db.encoded(index)
+            assert clone.predict(encoded) == result.predict(encoded)
+
+    def test_other_unknown_params_still_fail(self, fitted):
+        _, result = fitted
+        payload = result_to_dict(result)
+        payload["params"]["bogus"] = 1
+        with pytest.raises(TypeError, match="bogus"):
+            result_from_dict(payload)
