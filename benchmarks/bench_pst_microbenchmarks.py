@@ -56,6 +56,34 @@ def test_similarity_throughput(benchmark, fitted_pst, training_data):
     assert result.log_similarity == result.log_similarity  # finite
 
 
+def test_similarity_after_absorb_throughput(benchmark, fitted_pst, training_data):
+    """Ten absorb-then-score steps, as the fit's joins interleave them.
+
+    ``test_similarity_throughput`` rescores an unchanged tree, so after
+    its first round every ``PSTNode.log_probs`` entry it reads is cached.
+    Here each 40-symbol absorb drops the rows along its contexts and the
+    following score refills them: this is the cache-miss path. Every
+    round starts from a cold copy of the fitted tree (built outside the
+    timed region).
+    """
+    background = np.full(ALPHABET, 1.0 / ALPHABET)
+    snapshot = fitted_pst.to_dict()
+    query = training_data[0]
+    segments = [training_data[2][k : k + 40] for k in range(0, 400, 40)]
+
+    def cold_tree():
+        return (ProbabilisticSuffixTree.from_dict(snapshot),), {}
+
+    def absorb_and_score(pst):
+        for segment in segments:
+            pst.add_sequence(segment)
+            result = similarity(pst, query, background)
+        return result
+
+    result = benchmark.pedantic(absorb_and_score, setup=cold_tree, rounds=5)
+    assert result.log_similarity == result.log_similarity  # finite
+
+
 def test_prediction_lookup_throughput(benchmark, fitted_pst, training_data):
     """Raw conditional-probability lookups (the innermost operation)."""
     query = training_data[1]

@@ -138,11 +138,14 @@ def _probability_rows(
 ) -> npt.NDArray[np.float64]:
     """The (smoothed) next-symbol distribution per node, reference-exact.
 
-    Mirrors the inner estimate of ``similarity.log_symbol_ratios``: an
-    observation-free node gets the uniform fallback *without* smoothing;
-    otherwise raw count ratios pass through the §5.2 affine adjustment
-    when ``p_min > 0``. Every operation is a single IEEE op on the same
-    operands as the scalar reference, so the rows are bit-identical.
+    Mirrors the per-entry estimate that ``similarity.log_symbol_ratios``
+    caches in ``PSTNode.log_probs``: an observation-free node gets the
+    uniform fallback *without* smoothing; otherwise raw count ratios pass
+    through the §5.2 affine adjustment when ``p_min > 0``. Every
+    operation is a single IEEE op on the same operands as the scalar
+    reference, so the rows are bit-identical. The rows are rebuilt from
+    ``next_counts`` rather than read from the node cache, which holds
+    only the entries some scoring call has touched.
     """
     counts = np.zeros((len(nodes), alphabet_size), dtype=np.float64)
     row_index: list[int] = []

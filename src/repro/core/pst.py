@@ -62,19 +62,25 @@ class PSTNode:
     next_counts:
         Maps a symbol id ``s`` to the number of times ``s`` was
         observed immediately after the node label.
+    next_total:
+        ``sum(next_counts.values())``, maintained by every writer of
+        ``next_counts`` so the scoring walk never re-sums the dict.
+    log_probs:
+        The scorer's lazily filled row of ``log P̂(s | label)`` (see
+        :func:`repro.core.similarity.log_symbol_ratios`): ``None`` until
+        the node is first scored, then a list of ``alphabet_size``
+        entries, each ``None`` until that symbol is first scored. Every
+        writer of ``next_counts`` resets it to ``None``.
     """
 
-    __slots__ = ("children", "count", "next_counts")
+    __slots__ = ("children", "count", "next_counts", "next_total", "log_probs")
 
     def __init__(self) -> None:
         self.children: dict[int, "PSTNode"] = {}
         self.count: int = 0
         self.next_counts: dict[int, int] = {}
-
-    @property
-    def next_total(self) -> int:
-        """Total next-symbol observations at this node."""
-        return sum(self.next_counts.values())
+        self.next_total: int = 0
+        self.log_probs: list[float | None] | None = None
 
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted here (inclusive)."""
@@ -215,6 +221,8 @@ class ProbabilisticSuffixTree:
         max_depth = self.max_depth
         root = self.root
         root.count += length
+        root.next_total += length
+        root.log_probs = None
         root_next = root.next_counts
 
         for i in range(length):
@@ -232,6 +240,8 @@ class ProbabilisticSuffixTree:
                     self._node_count += 1
                 child.count += 1
                 child.next_counts[symbol] = child.next_counts.get(symbol, 0) + 1
+                child.next_total += 1
+                child.log_probs = None
                 node = child
                 j -= 1
 
@@ -293,6 +303,8 @@ class ProbabilisticSuffixTree:
                 mine.next_counts[symbol] = (
                     mine.next_counts.get(symbol, 0) + theirs.next_counts[symbol]
                 )
+            mine.next_total += theirs.next_total
+            mine.log_probs = None
             if depth >= self.max_depth:
                 continue
             # Reverse-sorted push: LIFO pop then visits symbols in
@@ -577,12 +589,16 @@ class ProbabilisticSuffixTree:
         stack = [root]
         while stack:
             node = stack.pop()
+            total = 0
             for symbol, counts in list(node.next_counts.items()):
                 scaled = scale(counts)
                 if scaled <= 0:
                     del node.next_counts[symbol]
                 else:
                     node.next_counts[symbol] = scaled
+                    total += scaled
+            node.next_total = total
+            node.log_probs = None
             for symbol in list(node.children):
                 child = node.children[symbol]
                 new_count = scale(child.count)
@@ -692,6 +708,7 @@ class ProbabilisticSuffixTree:
             node = PSTNode()
             node.count = payload["count"]
             node.next_counts = {int(s): c for s, c in payload["next"].items()}
+            node.next_total = sum(node.next_counts.values())
             node.children = {
                 int(s): decode(child) for s, child in payload["children"].items()
             }

@@ -35,7 +35,6 @@ import numpy.typing as npt
 
 from ..obs import get_registry
 from .pst import ProbabilisticSuffixTree
-from .smoothing import adjust_probability
 
 #: log-probability assigned when an unsmoothed estimate is exactly 0;
 #: finite so the DP can still rank segments, small enough to reject any
@@ -99,13 +98,21 @@ def log_symbol_ratios(
     ``pst.probability`` per position) because this is the hottest loop
     of the whole system: it runs once per (sequence, cluster) pair per
     iteration.
+
+    ``log P̂(s | node)`` depends only on the node reached, so it is
+    cached on the node (``PSTNode.log_probs``) one entry at a time, on
+    first use; every writer of ``next_counts`` drops the row. Entries
+    are filled singly because each join's absorb drops the rows along
+    its segment, and a whole-row fill would re-pay ``n`` logs per
+    touched node.
     """
     n = pst.alphabet_size
     p_min = pst.p_min
+    scale = 1.0 - n * p_min
     threshold = pst.significance_threshold
     root = pst.root
     max_depth = pst.max_depth
-    log_bg = [math.log(p) if p > 0 else _LOG_ZERO for p in background]
+    log_bg = [math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()]
 
     ratios: list[float] = []
     for i, symbol in enumerate(encoded):
@@ -118,14 +125,19 @@ def log_symbol_ratios(
                 break
             node = child
             j -= 1
-        total = node.next_total
-        if total == 0:
-            prob = 1.0 / n
-        else:
-            prob = node.next_counts.get(symbol, 0) / total
-            if p_min > 0.0:
-                prob = adjust_probability(prob, n, p_min)
-        log_p = math.log(prob) if prob > 0.0 else _LOG_ZERO
+        row = node.log_probs
+        if row is None:
+            row = node.log_probs = [None] * n
+        log_p = row[symbol]
+        if log_p is None:
+            total = node.next_total
+            if total == 0:
+                prob = 1.0 / n
+            else:
+                prob = node.next_counts.get(symbol, 0) / total
+                if p_min > 0.0:
+                    prob = scale * prob + p_min
+            log_p = row[symbol] = math.log(prob) if prob > 0.0 else _LOG_ZERO
         ratios.append(log_p - log_bg[symbol])
     return ratios
 

@@ -1,9 +1,13 @@
 """Tests for repro.core.pst — the probabilistic suffix tree."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.pst import ProbabilisticSuffixTree
+from repro.core.similarity import similarity
 
 
 def count_occurrences(haystack, needle):
@@ -316,3 +320,107 @@ class TestStats:
         assert f"nodes={simple_pst.node_count}" in text
         assert "sequences=1" in text
         assert f"c={simple_pst.significance_threshold}" in text
+
+
+class TestLogProbCache:
+    """``PSTNode.log_probs`` rows never outlive the counts they came from.
+
+    Each test scores a tree to fill its rows, mutates it through one
+    writer of ``next_counts``, scores again, and compares with a cold
+    ``from_dict(to_dict())`` copy whose rows are all empty.
+    """
+
+    BG = np.array([0.5, 0.5])
+
+    @staticmethod
+    def _cold(pst):
+        return ProbabilisticSuffixTree.from_dict(pst.to_dict())
+
+    def _assert_matches_cold(self, pst, probes):
+        cold = self._cold(pst)
+        for probe in probes:
+            assert similarity(pst, probe, self.BG) == similarity(cold, probe, self.BG)
+
+    def _warm(self, pst, probes):
+        for probe in probes:
+            similarity(pst, probe, self.BG)
+
+    def test_add_sequence_drops_root_row(self):
+        # Nothing is significant, so every position predicts from the root.
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=1, significance_threshold=1000
+        )
+        pst.add_sequence([0, 0, 0, 1])
+        probes = [[0, 1, 0, 1]]
+        self._warm(pst, probes)
+        assert pst.root.log_probs is not None
+        pst.add_sequence([1, 1, 1, 1])
+        self._assert_matches_cold(pst, probes)
+
+    def test_add_sequence_drops_child_rows(self):
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=1, significance_threshold=1
+        )
+        pst.add_sequence([0, 1, 0, 1, 0, 1])
+        probes = [[0, 1, 0, 1]]
+        self._warm(pst, probes)
+        assert pst.node_for([0]).log_probs is not None
+        # Only the depth-1 rows change their distribution: the root's
+        # next-symbol mix stays 50/50.
+        pst.add_sequence([0, 0, 1, 1])
+        self._assert_matches_cold(pst, probes)
+
+    def test_merge_counts_drops_rows(self):
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=2, significance_threshold=1, p_min=0.01
+        )
+        pst.add_sequence([0, 1, 0, 1, 0, 1])
+        probes = [[0, 1, 0, 1], [1, 0, 0, 1]]
+        self._warm(pst, probes)
+        other = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=2, significance_threshold=1
+        )
+        other.add_sequence([0, 0, 0, 1, 1, 1])
+        pst.merge_counts(other)
+        self._assert_matches_cold(pst, probes)
+
+    def test_decay_counts_drops_rows(self):
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=1, significance_threshold=1000
+        )
+        pst.add_sequence([0, 0, 0, 1])
+        probes = [[0, 1, 0, 1]]
+        self._warm(pst, probes)
+        # Flooring turns the root's {0: 3, 1: 1} into {0: 1}.
+        pst.decay_counts(0.5)
+        assert pst.root.next_total == 1
+        self._assert_matches_cold(pst, probes)
+
+    def test_from_dict_starts_cold(self, simple_pst):
+        clone = self._cold(simple_pst)
+        assert all(node.log_probs is None for _, node in clone.iter_nodes())
+        assert all(
+            node.next_total == sum(node.next_counts.values())
+            for _, node in clone.iter_nodes()
+        )
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda pst: pickle.loads(pickle.dumps(pst))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_of_a_warm_tree_score_identically(self, clone):
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=2, significance_threshold=1, p_min=0.01
+        )
+        pst.add_sequence([0, 1, 1, 0, 1, 0, 0, 1])
+        probes = [[0, 1, 0, 1], [1, 1, 0, 0, 1]]
+        self._warm(pst, probes)
+        before = [similarity(pst, probe, self.BG) for probe in probes]
+        copied = clone(pst)
+        assert [similarity(copied, probe, self.BG) for probe in probes] == before
+        # The copy's rows are its own: mutating it leaves the original's
+        # scores alone.
+        copied.add_sequence([1, 1, 1, 1])
+        self._assert_matches_cold(copied, probes)
+        assert [similarity(pst, probe, self.BG) for probe in probes] == before

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pst import ProbabilisticSuffixTree
+from repro.core.similarity import similarity
 
 sequences = st.lists(
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
@@ -118,3 +119,60 @@ def test_node_count_cache_accurate(seqs):
         pst.add_sequence(seq)
     cached = pst.node_count
     assert pst.recount_nodes() == cached
+
+
+# -- per-node cache coherence ----------------------------------------------------
+
+symbols4 = st.lists(st.integers(0, 3), min_size=1, max_size=25)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), symbols4),
+        st.tuples(st.just("merge"), st.lists(symbols4, min_size=1, max_size=3)),
+        st.tuples(
+            st.just("decay"), st.sampled_from([0.25, 0.5, 0.75, 0.9]), st.integers(1, 2)
+        ),
+        st.tuples(st.just("roundtrip")),
+        st.tuples(st.just("score"), symbols4),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    operations,
+    st.lists(symbols4, min_size=1, max_size=3),
+    st.sampled_from([None, 8, 20]),
+    st.sampled_from([0.0, 0.01]),
+    st.integers(1, 3),
+)
+def test_node_caches_stay_coherent(ops, probes, max_nodes, p_min, threshold):
+    """``next_total`` and the lazily filled ``log_probs`` rows track every
+    writer of ``next_counts`` — insertion, merging, decay, budget pruning
+    and (de)serialization: a warm tree scores exactly like a cold copy."""
+    params = dict(
+        alphabet_size=4, max_depth=3, significance_threshold=threshold,
+        p_min=p_min, max_nodes=max_nodes,
+    )
+    background = np.array([0.4, 0.3, 0.2, 0.1])
+    pst = ProbabilisticSuffixTree(**params)
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            pst.add_sequence(op[1])
+        elif kind == "merge":
+            pst.merge_counts(ProbabilisticSuffixTree.from_sequences(op[1], **params))
+        elif kind == "decay":
+            pst.decay_counts(op[1], min_count=op[2])
+        elif kind == "roundtrip":
+            pst = ProbabilisticSuffixTree.from_dict(pst.to_dict())
+        else:
+            similarity(pst, op[1], background)
+        for _, node in pst.iter_nodes():
+            assert node.next_total == sum(node.next_counts.values())
+        cold = ProbabilisticSuffixTree.from_dict(pst.to_dict())
+        for probe in probes:
+            assert similarity(pst, probe, background) == similarity(
+                cold, probe, background
+            )
