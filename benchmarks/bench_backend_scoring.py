@@ -1,27 +1,25 @@
-"""Backend scoring benchmark — reference vs vectorized vs workers (PR 8).
+"""Backend scoring benchmark — reference vs vectorized.
 
 Measures the frozen-model (cluster × sequence) scoring matrix of the
 fig6 scalability workload — the §4.2 re-examination shape — under each
-backend and worker count, and writes ``BENCH_PR8.json`` (schema
+backend, and writes ``BENCH_PR8.json`` (schema
 ``repro.bench/v1``) with sequences/second, pairs/second and the
 speedup over the reference per configuration.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_scoring.py \
-        [--shape fig6|full|smoke] [--workers-sweep] [--out PATH]
+        [--shape fig6|full|smoke] [--out PATH]
 
 ``--shape smoke`` (or the legacy ``--smoke`` flag) shrinks the
 workload for CI and exits non-zero if the vectorized backend is slower
 than the reference — the regression gate for the perf-smoke job.
-``--workers-sweep`` adds workers=1/2/4 rows over the shared-memory
-pool; the parallel-vs-serial assertion itself lives in
-``python -m tools.benchtrack check-parallel`` so it can be skipped on
-single-core machines. ``--shape fig6`` is the large workload the PR's
-≥20× single-process speedup claim is measured on.
+``--shape fig6`` is the large workload the single-process speedup
+claim is measured on.
 
-The document records ``environment.cpu_count``: worker numbers are
-meaningless without knowing how many cores the run actually had.
+Every row keeps a ``workers: 0`` field: scoring is in-process, and the
+field is part of each row's configuration key, so new documents still
+pair with the ledger's earlier baselines.
 
 Also usable under pytest-benchmark (``pytest benchmarks/ -k backend``),
 where the shape assertion is the same not-slower gate.
@@ -42,7 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.core.backends import PstBatchScorer, ScoringPool
+from repro.core.backends import PstBatchScorer
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import similarity
 from tools.benchtrack.schema import write_bench_document
@@ -69,9 +67,6 @@ SHAPES = {
     "smoke": {"alphabet": 12, "depth": 6, "significance": 4, "clusters": 4,
               "sequences": 40, "length": 60, "repeats": 2, "vec_repeats": 6},
 }
-
-#: Worker counts exercised by ``--workers-sweep`` (0 = in-process).
-WORKERS_SWEEP = (0, 1, 2, 4)
 
 
 def build_workload(spec: dict) -> tuple[list, list, np.ndarray]:
@@ -111,51 +106,34 @@ def time_reference(psts, sequences, background, repeats: int) -> float:
     return best
 
 
-def _time_prescore(scorer, psts, sequences, repeats: int, pool) -> float:
-    # Warm outside the timed region, as the fit loop does: the
-    # flattened exports and the prepared stack are cached across calls
-    # (and, with a pool, the workers spawn and attach the shared
-    # segments once) — steady-state scoring is what the driving loops
-    # actually pay per iteration.
-    scorer.prescore_matrix(psts, sequences[:1], pool=pool)
+def time_vectorized(psts, sequences, background, repeats: int) -> float:
+    scorer = PstBatchScorer(background)
+    # Warm outside the timed region: the flattened exports and the
+    # prepared stack are cached across calls, so steady-state scoring
+    # is what a repeated caller actually pays.
+    scorer.score_matrix_full(psts, sequences[:1])
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        scorer.prescore_matrix(psts, sequences, pool=pool)
+        scorer.score_matrix_full(psts, sequences)
         best = min(best, time.perf_counter() - started)
     return best
 
 
-def time_vectorized(psts, sequences, background, repeats: int,
-                    workers: int) -> float:
-    scorer = PstBatchScorer(background)
-    if workers > 0:
-        with ScoringPool(workers) as pool:
-            return _time_prescore(scorer, psts, sequences, repeats, pool)
-    return _time_prescore(scorer, psts, sequences, repeats, None)
-
-
-def run_bench(spec: dict, workers_sweep: bool = False) -> dict:
+def run_bench(spec: dict) -> dict:
     psts, sequences, background = build_workload(spec)
     pairs = len(psts) * len(sequences)
-    worker_counts = WORKERS_SWEEP if workers_sweep else (0, 2)
-    configs = [("reference", 0)]
-    configs += [("vectorized", workers) for workers in worker_counts]
+    reference_seconds = time_reference(psts, sequences, background,
+                                       spec["repeats"])
+    vectorized_seconds = time_vectorized(
+        psts, sequences, background, spec.get("vec_repeats", spec["repeats"])
+    )
     results = []
-    reference_seconds = None
-    for backend, workers in configs:
-        if backend == "reference":
-            seconds = time_reference(psts, sequences, background,
-                                     spec["repeats"])
-            reference_seconds = seconds
-        else:
-            seconds = time_vectorized(psts, sequences, background,
-                                      spec.get("vec_repeats",
-                                               spec["repeats"]), workers)
-        assert reference_seconds is not None
+    for backend, seconds in (("reference", reference_seconds),
+                             ("vectorized", vectorized_seconds)):
         results.append({
             "backend": backend,
-            "workers": workers,
+            "workers": 0,
             "seconds": seconds,
             "pairs_per_second": pairs / seconds,
             "seqs_per_second": len(sequences) / seconds,
@@ -185,8 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="legacy alias for --shape smoke; also fails if "
                         "vectorized is slower than the reference")
-    parser.add_argument("--workers-sweep", action="store_true",
-                        help="measure workers=0/1/2/4 instead of 0/2")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output JSON path (default: BENCH_PR8.json at "
                         "the repo root)")
@@ -195,14 +171,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--smoke conflicts with --shape " + args.shape)
     shape = args.shape or ("smoke" if args.smoke else "full")
     spec = SHAPES[shape]
-    document = run_bench(spec, workers_sweep=args.workers_sweep)
+    document = run_bench(spec)
     out = Path(args.out) if args.out else (REPO_ROOT / "BENCH_PR8.json")
     # Validates the repro.bench/v1 shape and stamps git SHA + timestamp
     # so the file is directly ingestable by `python -m tools.benchtrack`.
     write_bench_document(out, document)
     for row in document["results"]:
         print(
-            f"{row['backend']:>10s} workers={row['workers']}: "
+            f"{row['backend']:>10s}: "
             f"{row['seconds']:.3f}s  "
             f"{row['pairs_per_second']:9.0f} pairs/s  "
             f"{row['seqs_per_second']:7.0f} seq/s  "
@@ -211,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"written to {out} (shape={shape}, "
           f"cpus={document['environment']['cpu_count']})")
     vectorized = next(r for r in document["results"]
-                      if r["backend"] == "vectorized" and r["workers"] == 0)
+                      if r["backend"] == "vectorized")
     if shape == "smoke" and vectorized["speedup"] < 1.0:
         print("FAIL: vectorized slower than reference on the smoke workload",
               file=sys.stderr)
@@ -225,7 +201,7 @@ def test_vectorized_not_slower(benchmark):
         run_bench, args=(SHAPES["smoke"],), rounds=1, iterations=1
     )
     vectorized = next(r for r in document["results"]
-                      if r["backend"] == "vectorized" and r["workers"] == 0)
+                      if r["backend"] == "vectorized")
     assert vectorized["speedup"] >= 1.0, document["results"]
 
 

@@ -11,7 +11,7 @@ Run standalone (self-hosting: builds a fixture model and an in-process
 server)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py \
-        [--shape full|smoke] [--workers N] [--out PATH]
+        [--shape full|smoke] [--out PATH]
 
 or against an already-running ``cluseq serve`` instance (the CI
 serve-smoke job starts one with ``--ready-file``)::
@@ -172,7 +172,7 @@ def percentile(values: list[float], fraction: float) -> float:
 
 
 async def bench_against(
-    host: str, port: int, spec: dict, queries: list[str], workers: int
+    host: str, port: int, spec: dict, queries: list[str]
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """One measured load run -> (result row, hot-swap summary)."""
     # Warm-up outside the timed window: first-flush cache builds are
@@ -184,7 +184,9 @@ async def bench_against(
     completed = len(load["latencies"])
     row = {
         "mode": "classify",
-        "workers": workers,
+        # Serving is in-process; the field stays in the row because it
+        # is part of the ledger's configuration key for this bench.
+        "workers": 0,
         "seconds": load["seconds"],
         "requests": completed,
         "rejected": load["rejected"],
@@ -202,7 +204,7 @@ async def bench_against(
 
 
 async def self_hosted(
-    spec: dict, model_path: str, workers: int
+    spec: dict, model_path: str
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     from repro.serve import ModelRegistry, ServeApp
 
@@ -214,13 +216,10 @@ async def self_hosted(
         max_batch=64,
         max_delay=0.002,
         max_queue=512,
-        workers=workers,
     )
     host, port = await app.start()
     try:
-        return await bench_against(
-            host, port, spec, query_pool(model_path), workers
-        )
+        return await bench_against(host, port, spec, query_pool(model_path))
     finally:
         await app.close()
 
@@ -229,7 +228,6 @@ def run_bench(
     spec: dict,
     connect: str | None,
     model_path: str | None,
-    workers: int,
 ) -> dict[str, Any]:
     if connect is not None:
         host, _, port_text = connect.rpartition(":")
@@ -247,13 +245,11 @@ def run_bench(
             # The CI server serves the same fixture this script builds,
             # so the fixture's alphabet matches the live model's.
             queries = query_pool(model_path or _fixture(), count=32)
-            return await bench_against(host, port, spec, queries, workers)
+            return await bench_against(host, port, spec, queries)
 
         row, swap = asyncio.run(scenario())
     else:
-        row, swap = asyncio.run(
-            self_hosted(spec, model_path or _fixture(), workers)
-        )
+        row, swap = asyncio.run(self_hosted(spec, model_path or _fixture()))
     return {
         "schema": SCHEMA,
         "bench": "serving",
@@ -294,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--model", default=None, metavar="PATH",
                         help="model to serve/query (default: a generated "
                         "fixture)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="worker processes for the self-hosted server "
-                        "(recorded in the result row either way)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output JSON path (default: BENCH_SERVING.json "
                         "at the repo root)")
@@ -305,13 +298,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--smoke conflicts with --shape " + args.shape)
     shape = args.shape or ("smoke" if args.smoke else "full")
     spec = SHAPES[shape]
-    document = run_bench(spec, args.connect, args.model, args.workers)
+    document = run_bench(spec, args.connect, args.model)
     out = Path(args.out) if args.out else (REPO_ROOT / "BENCH_SERVING.json")
     write_bench_document(out, document)
     row = document["results"][0]
     swap = document["hot_swap"]
     print(
-        f"serving workers={row['workers']}: {row['seconds']:.3f}s  "
+        f"serving: {row['seconds']:.3f}s  "
         f"{row['req_per_second']:7.1f} req/s  "
         f"p50 {row['p50_ms']:.2f}ms  p99 {row['p99_ms']:.2f}ms  "
         f"occupancy {row['batch_occupancy']:.2f}  "

@@ -16,9 +16,9 @@ Subcommands
     recovers from after a crash.
 ``shard``
     Sharded online clustering: partition the stream across N
-    independent streaming shards (in-process or one OS process each)
-    with periodic cross-shard consolidation, per-shard durability and
-    whole-topology ``--resume``. See docs/SHARDING.md.
+    independent in-process streaming shards with periodic cross-shard
+    consolidation, per-shard durability and whole-topology
+    ``--resume``. See docs/SHARDING.md.
 ``serve``
     Clustering-as-a-service: load a saved model (or stream checkpoint)
     into the versioned registry and serve classify/ingest/clusters
@@ -268,13 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "model likelihood over the last consolidation snapshot",
     )
     shard.add_argument(
-        "--runner",
-        choices=("inprocess", "process"),
-        default=None,
-        help="shard execution mode (default: inprocess, or the "
-        "manifest's runner on --resume)",
-    )
-    shard.add_argument(
         "--alphabet",
         metavar="SYMBOLS",
         default=None,
@@ -375,13 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         metavar="N",
         help="request queue bound; beyond it classify answers 503",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="score batches on N worker processes (0 = in-process)",
     )
     serve.add_argument(
         "--ready-file",
@@ -653,10 +639,7 @@ def _command_shard(args: argparse.Namespace) -> int:
             print("--resume requires --state-dir", file=sys.stderr)
             return 2
         engine, code = _recover_or_report(
-            lambda state_dir: ShardedStreamingCluseq.recover(
-                state_dir, runner=args.runner
-            ),
-            args.state_dir,
+            ShardedStreamingCluseq.recover, args.state_dir
         )
         if engine is None:
             return code
@@ -664,7 +647,6 @@ def _command_shard(args: argparse.Namespace) -> int:
         config = ShardConfig(
             shards=args.shards,
             router=args.router,
-            runner=args.runner or "inprocess",
             consolidate_every=args.consolidate_every,
             merge_threshold=args.merge_threshold,
             stream=stream_config,
@@ -703,7 +685,6 @@ def _command_shard(args: argparse.Namespace) -> int:
         engine.flush()
         if args.state_dir:
             engine.checkpoint()
-        # Collect before close(): process-runner workers die with it.
         stats = engine.stats()
         rows = []
         for shard, handle in enumerate(engine.handles):
@@ -753,7 +734,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 max_batch=args.max_batch,
                 max_delay=args.batch_delay_ms / 1000.0,
                 max_queue=args.queue_size,
-                workers=args.workers,
             )
             stop = asyncio.Event()
             loop = asyncio.get_running_loop()

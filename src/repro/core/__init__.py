@@ -5,7 +5,6 @@ from .backends import (
     BACKENDS,
     FlattenedPST,
     PstBatchScorer,
-    ScoringPool,
     flatten_pst,
     resolve_backend,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "BACKENDS",
     "FlattenedPST",
     "PstBatchScorer",
-    "ScoringPool",
     "flatten_pst",
     "resolve_backend",
     "Cluster",

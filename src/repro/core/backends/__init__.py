@@ -4,14 +4,11 @@ See docs/PERFORMANCE.md for the architecture. The ``reference``
 backend (``repro.core.similarity``) is the normative transcription of
 the paper; the ``vectorized`` backend here reproduces it bit-for-bit
 from flattened PST arrays, batched over many (sequence, tree) pairs,
-with an optional multiprocessing fan-out for the serving scoring
-matrix.
+in one process.
 """
 
 from .dispatch import BACKENDS, PstBatchScorer, resolve_backend
 from .flatten import FlattenedPST, flatten_pst
-from .parallel import ScoringPool
-from .shm import SharedFlatSpec, ShmFlatStore, attach_flat, publish_flat
 from .vectorized import (
     KADANE_NUMPY_MIN_ROWS,
     KadaneBatchResult,
@@ -21,7 +18,6 @@ from .vectorized import (
     kadane_columns,
     pad_sequences,
     prepare_stack,
-    score_matrix_stacked,
     stack_flats,
     walk_states_matrix,
 )
@@ -34,18 +30,12 @@ __all__ = [
     "PreparedStack",
     "PstBatchScorer",
     "ScoreMatrixResult",
-    "ScoringPool",
-    "SharedFlatSpec",
-    "ShmFlatStore",
     "StackedFlats",
-    "attach_flat",
     "flatten_pst",
     "kadane_columns",
     "pad_sequences",
     "prepare_stack",
-    "publish_flat",
     "resolve_backend",
-    "score_matrix_stacked",
     "stack_flats",
     "walk_states_matrix",
 ]

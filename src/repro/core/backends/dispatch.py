@@ -31,11 +31,10 @@ from collections.abc import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ...obs import current_trace_context, get_profiler, get_registry
+from ...obs import get_profiler, get_registry
 from ..pst import ProbabilisticSuffixTree
 from ..similarity import SimilarityResult
 from .flatten import FlattenedPST
-from .parallel import ScoringPool
 from .vectorized import (
     PreparedStack,
     ScoreMatrixResult,
@@ -248,40 +247,6 @@ class PstBatchScorer:
     ) -> list[list[SimilarityResult]]:
         """Full (tree × sequence) score matrix as nested result lists."""
         return self.score_matrix_full(psts, sequences).to_lists()
-
-    def prescore_matrix(
-        self,
-        psts: Sequence[ProbabilisticSuffixTree],
-        sequences: Sequence[Sequence[int]],
-        pool: "ScoringPool | None" = None,
-    ) -> ScoreMatrixResult:
-        """Score a (tree × sequence) chunk, optionally on a worker pool.
-
-        With *pool* the padded sequence block is fanned out to worker
-        processes that attach the flats' shared-memory segments (see
-        :mod:`repro.core.backends.shm`); without, this is
-        :meth:`score_matrix_full`. Either way the caller must treat the
-        result as a *snapshot*: pairs against a tree that mutates
-        afterwards must be rescored before being committed.
-        """
-        if pool is None or not psts or not sequences:
-            return self.score_matrix_full(psts, sequences)
-        flats = [self.flat_for(pst) for pst in psts]
-        padded, lengths = pad_sequences(sequences)
-        matrix = pool.prescore_matrix(
-            flats, padded, lengths, self._log_bg,
-            trace=current_trace_context(),
-        )
-        registry = get_registry()
-        if registry.enabled:
-            pairs = len(psts) * len(sequences)
-            cells = int(lengths.sum()) * len(psts)
-            registry.counter("backend.parallel_chunks").inc()
-            registry.counter("backend.batch_rows").inc(pairs)
-            registry.counter("similarity.calls").inc(pairs)
-            registry.counter("similarity.dp_cells").inc(cells)
-            _observe_segment_lengths(matrix)
-        return matrix
 
     def forget(self) -> None:
         """Drop the stack cache (releases references to cached trees)."""

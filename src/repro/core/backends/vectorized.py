@@ -25,8 +25,9 @@ stages, each bit-identical to the reference implementation in
 
 The trees' tables are stacked once (:func:`stack_flats`,
 :func:`prepare_stack`) and the sequence block is padded once
-(:func:`pad_sequences`); :func:`score_matrix_stacked` runs all three
-stages.
+(:func:`pad_sequences`);
+:meth:`~repro.core.backends.dispatch.PstBatchScorer.score_matrix_full`
+runs all three stages.
 """
 
 from __future__ import annotations
@@ -593,25 +594,3 @@ def matrix_from_batch(
         best_end=batch.best_end.reshape(trees, columns),
         whole=batch.whole.reshape(trees, columns),
     )
-
-
-def score_matrix_stacked(
-    prep: PreparedStack,
-    padded: npt.NDArray[np.int32],
-    lengths: npt.NDArray[np.int32],
-) -> ScoreMatrixResult:
-    """Score the full §4.2 (trees × sequences) matrix in one invocation.
-
-    Per pair this is the reference's longest-suffix walk, the same
-    single ratio subtraction (fused into the ratio-table read) and the
-    same X/Y/Z op sequence, so every entry is bit-identical to the
-    reference scorer.
-    """
-    trees = int(prep.stacked.roots.shape[0])
-    batch, width = padded.shape
-    states = walk_states_matrix(prep, padded)
-    ratios = gather_ratios_matrix(prep, padded, states)
-    flat = kadane_columns(
-        ratios.reshape(width, trees * batch), np.tile(lengths, trees)
-    )
-    return matrix_from_batch(flat, trees, batch)

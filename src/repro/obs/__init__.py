@@ -69,11 +69,9 @@ from .profile import (
 from .tracing import (
     Span,
     current_span,
-    current_trace_context,
     get_span_exporter,
     iter_tree,
     new_trace_id,
-    record_foreign_span,
     set_span_exporter,
     span,
 )
@@ -98,9 +96,7 @@ __all__ = [
     "Span",
     "span",
     "current_span",
-    "current_trace_context",
     "new_trace_id",
-    "record_foreign_span",
     "set_span_exporter",
     "get_span_exporter",
     "iter_tree",

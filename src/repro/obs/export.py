@@ -13,8 +13,8 @@ stream:
   consumers don't have to re-group ``profile.*`` names themselves.
 * **JSONL trace spans** — :class:`JsonlSpanExporter` writes finished
   spans as ``repro.trace/v1`` JSON lines (one header record, then one
-  record per span with trace/span/parent ids), the wire format the
-  ``ScoringPool`` fan-out and streaming micro-batches stitch into.
+  record per span with trace/span/parent ids), the wire format
+  streaming micro-batches stitch into.
 
 Stdlib-only, like the rest of ``repro.obs``.
 """

@@ -111,18 +111,8 @@ METRICS: frozenset[str] = frozenset(
         "backend.batch_calls",
         "backend.batch_rows",
         "backend.score_seconds",
-        "backend.parallel_chunks",
         "backend.flatten_builds",
         "backend.flatten_nodes",
-        # shared-memory flat publishing (repro.core.backends.shm)
-        "backend.shm.publishes",
-        "backend.shm.publish_seconds",
-        "backend.shm.reuses",
-        "backend.shm.attaches",
-        "backend.shm.attach_seconds",
-        "backend.shm.segments",
-        "backend.shm.bytes",
-        "backend.shm.unlinks",
         # reference similarity measure
         "similarity.calls",
         "similarity.dp_cells",
@@ -141,7 +131,6 @@ METRICS: frozenset[str] = frozenset(
         "serve.batch.requests",
         "serve.batch.sequences",
         "serve.batch.score_seconds",
-        "serve.pool_resets",
         "serve.reloads",
         "serve.reload_seconds",
         "serve.model_epoch",
@@ -183,9 +172,6 @@ SPANS: frozenset[str] = frozenset(
         "shard.batch",
         "shard.consolidate",
         "shard.recover",
-        # Stitched onto the caller's trace from pool workers
-        # (record_foreign_span in repro.core.backends.parallel).
-        "backend.worker_chunk",
     }
 )
 
@@ -201,7 +187,6 @@ KERNELS: frozenset[str] = frozenset(
         "gather",
         "kadane",
         "recover_replay",
-        "shm_publish",
     }
 )
 

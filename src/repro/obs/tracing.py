@@ -29,8 +29,6 @@ upgrades spans into trace records: each span gets a process-unique
 parent's id, and is handed to the exporter on exit. Root spans start a
 new trace unless given an explicit ``trace_id`` — that is how the
 streaming engine keeps every micro-batch of one run on a single trace.
-Work measured in another process (``ScoringPool`` worker chunks) is
-stitched onto the live trace with :func:`record_foreign_span`.
 Without an exporter none of this machinery runs.
 
 The span stack is thread-local, so concurrent pipelines trace
@@ -53,9 +51,7 @@ __all__ = [
     "Span",
     "span",
     "current_span",
-    "current_trace_context",
     "new_trace_id",
-    "record_foreign_span",
     "set_span_exporter",
     "get_span_exporter",
     "SpanExporter",
@@ -271,57 +267,6 @@ def current_span() -> Span | None:
     """The innermost open span on this thread, or ``None``."""
     stack = _stack()
     return stack[-1] if stack else None
-
-
-def current_trace_context() -> tuple[str, str] | None:
-    """``(trace_id, span_id)`` of the innermost open span, or ``None``.
-
-    ``None`` also when no exporter is installed (spans then carry no
-    ids), so callers can use this as the "is tracing worth it" gate
-    before shipping context to workers.
-    """
-    stack = _stack()
-    if not stack:
-        return None
-    top = stack[-1]
-    if top.trace_id is None or top.span_id is None:
-        return None
-    return (top.trace_id, top.span_id)
-
-
-def record_foreign_span(
-    path: str,
-    wall_seconds: float,
-    cpu_seconds: float | None = None,
-    *,
-    trace_id: str | None = None,
-    parent_id: str | None = None,
-    attrs: dict[str, object] | None = None,
-    registry: MetricsRegistry | None = None,
-) -> Span:
-    """Record a span measured elsewhere (e.g. in a worker process).
-
-    ``ScoringPool`` workers cannot open spans on the parent's stack, so
-    they measure their chunk locally and ship the timing home; the
-    parent calls this on commit to stitch a finished child span onto
-    the live trace. The span records a ``span.<path>`` timer when a
-    registry is active and is exported when an exporter is installed.
-    """
-    target = registry if registry is not None else get_registry()
-    finished = Span(path.rpartition(".")[2] or path, path, 0, target)
-    finished.wall_seconds = wall_seconds
-    finished.cpu_seconds = cpu_seconds
-    finished.trace_id = trace_id
-    finished.parent_id = parent_id
-    if attrs:
-        finished.attrs = dict(attrs)
-    if target.enabled:
-        target.timer(f"span.{path}").record(wall_seconds, cpu_seconds)
-    exporter = _exporter
-    if exporter is not None:
-        finished.span_id = _new_span_id()
-        exporter.export(finished)
-    return finished
 
 
 def iter_tree(root: Span) -> Iterator[Span]:

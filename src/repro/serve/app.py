@@ -10,7 +10,7 @@ surface:
 ``POST /v1/stream/ingest``            absorb sequences into the live model
 ``GET  /v1/clusters``                 cluster summary of the active epoch
 ``GET  /v1/stats``                    dispatcher / registry counters
-``GET  /healthz``                     liveness (+ ``?probe=1`` pool probe)
+``GET  /healthz``                     liveness and the active model epoch
 ``GET  /metrics``                     Prometheus text exposition
 ``POST /admin/models/{name}/reload``  hot-swap a model from its source
 ====================================  =========================================
@@ -29,7 +29,6 @@ import re
 import time
 from typing import Any
 
-from ..core.backends.parallel import ScoringPool
 from ..obs import get_logger, get_registry, to_prometheus_text
 from .batching import MicroBatcher, QueueFullError
 from .http import (
@@ -91,18 +90,15 @@ class ServeApp:
         max_batch: int = 64,
         max_delay: float = 0.002,
         max_queue: int = 256,
-        workers: int = 0,
     ) -> None:
         self.registry = registry
         self.model_name = model_name
-        self._pool = ScoringPool(workers) if workers > 0 else None
         self.batcher = MicroBatcher(
             registry=registry,
             model_name=model_name,
             max_batch=max_batch,
             max_delay=max_delay,
             max_queue=max_queue,
-            pool=self._pool,
         )
         self.server = HttpServer(self.handle)
         self.started_unix = time.time()
@@ -120,11 +116,9 @@ class ServeApp:
         return bound
 
     async def close(self) -> None:
-        """Stop accepting, stop dispatching, release the worker pool."""
+        """Stop accepting, then stop dispatching."""
         await self.server.close()
         await self.batcher.close()
-        if self._pool is not None:
-            self._pool.close()
 
     async def __aenter__(self) -> "ServeApp":
         return self
@@ -151,7 +145,7 @@ class ServeApp:
     async def _route(self, request: HttpRequest) -> tuple[str, HttpResponse]:
         path = request.path.rstrip("/") or "/"
         if path == "/healthz":
-            return "healthz", await self._healthz(request)
+            return "healthz", self._healthz()
         if path == "/metrics":
             return "metrics", self._metrics(request)
         if path == "/v1/classify":
@@ -296,7 +290,7 @@ class ServeApp:
             }
         )
 
-    async def _healthz(self, request: HttpRequest) -> HttpResponse:
+    def _healthz(self) -> HttpResponse:
         body: dict[str, Any] = {"status": "ok"}
         try:
             version = self.registry.get(self.model_name)
@@ -305,21 +299,6 @@ class ServeApp:
         except KeyError:
             body["status"] = "degraded"
             body["model"] = None
-        if self._pool is None:
-            body["pool"] = "absent"
-        elif request.query.get("probe"):
-            # The probe round-trips a task through a worker process; it
-            # blocks, so it runs off-loop and only on explicit request.
-            import asyncio
-
-            healthy = await asyncio.get_running_loop().run_in_executor(
-                None, self._pool.probe
-            )
-            body["pool"] = "ok" if healthy else "broken"
-            if not healthy:
-                body["status"] = "degraded"
-        else:
-            body["pool"] = "ok" if not self._pool.closed else "closed"
         status = 200 if body["status"] == "ok" else 503
         return json_response(body, status=status)
 

@@ -14,28 +14,18 @@ and the walk/Kadane kernels are amortized across clients.
 Backpressure is the queue bound: when it is full, :meth:`submit`
 raises :class:`QueueFullError` and the HTTP layer answers 503 with a
 ``Retry-After`` hint instead of letting latency grow without bound.
-
-When the dispatcher runs with a :class:`ScoringPool` (``--workers``)
-and that pool's executor dies (a worker OOM-killed or segfaulted),
-the flush falls back to in-process scoring for the affected batch,
-resets the pool, and keeps serving — a crashed worker pool must never
-poison a long-running server.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from ..core.backends.parallel import ScoringPool
-from ..obs import get_logger, get_registry
+from ..obs import get_registry
 from .registry import ClassifyOutcome, ModelRegistry, ModelVersion
 
 __all__ = ["BatchStats", "MicroBatcher", "QueueFullError"]
-
-_logger = get_logger("serve.batching")
 
 
 class QueueFullError(RuntimeError):
@@ -57,7 +47,6 @@ class BatchStats:
     requests: int = 0
     sequences: int = 0
     rejected: int = 0
-    pool_resets: int = 0
     occupancy_sum: float = 0.0
 
     @property
@@ -71,7 +60,6 @@ class BatchStats:
             "requests": self.requests,
             "sequences": self.sequences,
             "rejected": self.rejected,
-            "pool_resets": self.pool_resets,
             "mean_occupancy": self.mean_occupancy,
         }
 
@@ -88,8 +76,6 @@ class MicroBatcher:
     max_delay: float = 0.002
     #: Queue bound in *requests*; beyond it, submit() sheds load.
     max_queue: int = 256
-    #: Optional worker pool for the scoring fan-out (``--workers``).
-    pool: ScoringPool | None = None
     stats: BatchStats = field(default_factory=BatchStats)
 
     def __post_init__(self) -> None:
@@ -211,7 +197,7 @@ class MicroBatcher:
         version = self.registry.acquire(self.model_name)
         try:
             try:
-                outcomes = self._score(version, sequences)
+                outcomes = version.classify_batch(sequences)
             except Exception as exc:
                 for item in batch:
                     if not item.future.done():
@@ -236,25 +222,3 @@ class MicroBatcher:
             registry.timer("serve.batch.score_seconds").record(
                 time.perf_counter() - started
             )
-
-    def _score(
-        self, version: ModelVersion, sequences: list[list[str]]
-    ) -> list[ClassifyOutcome | None]:
-        if self.pool is None:
-            return version.classify_batch(sequences)
-        try:
-            return version.classify_batch(sequences, pool=self.pool)
-        except BrokenProcessPool:
-            # A worker died (OOM, segfault, kill). Recover the pool for
-            # the next flush and answer this one in-process — shedding
-            # correct work because a worker crashed is not acceptable.
-            self.stats.pool_resets += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("serve.pool_resets").inc()
-            _logger.warning(
-                "scoring pool broken; resetting and scoring in-process",
-                extra={"model": version.name, "epoch": version.epoch},
-            )
-            self.pool.reset()
-            return version.classify_batch(sequences)

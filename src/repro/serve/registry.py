@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.backends.dispatch import PstBatchScorer
-from ..core.backends.parallel import ScoringPool
 from ..core.cluseq import ClusteringResult
 from ..core.examine import best_cluster
 from ..core.persistence import FORMAT_VERSION, result_from_dict
@@ -195,9 +194,7 @@ class ModelVersion:
         return self._drained.wait(timeout)
 
     def classify_batch(
-        self,
-        sequences: list[list[str]],
-        pool: ScoringPool | None = None,
+        self, sequences: list[list[str]]
     ) -> list[ClassifyOutcome | None]:
         """Classify raw symbol sequences; ``None`` marks an unencodable one.
 
@@ -225,10 +222,7 @@ class ModelVersion:
             return outcomes
         clusters = self.result.clusters
         psts = [cluster.pst for cluster in clusters]
-        if pool is not None:
-            matrix = self.scorer.prescore_matrix(psts, encoded, pool=pool)
-        else:
-            matrix = self.scorer.score_matrix_full(psts, encoded)
+        matrix = self.scorer.score_matrix_full(psts, encoded)
         threshold = self.result.final_log_threshold
         # One bulk convert to per-sequence columns of Python floats.
         columns: list[list[float]] = matrix.log_z.T.tolist()

@@ -1,12 +1,12 @@
 """Sharded streaming: horizontal scale-out of the streaming engine.
 
 :class:`ShardedStreamingCluseq` spreads an unbounded stream across N
-independent :class:`~repro.stream.engine.StreamingCluseq` shards —
-in-process or one OS process each — with deterministic routing, a
-shared-nothing per-shard durability story, and a periodic cross-shard
-consolidation pass that merges heavily-overlapping clusters via a
-context-tree distance over flat PST exports. See ``docs/SHARDING.md``
-for the architecture, the on-disk layout and the determinism contract.
+independent :class:`~repro.stream.engine.StreamingCluseq` shards in
+one process, with deterministic routing, a shared-nothing per-shard
+durability story, and a periodic cross-shard consolidation pass that
+merges heavily-overlapping clusters via a context-tree distance over
+flat PST exports. See ``docs/SHARDING.md`` for the architecture, the
+on-disk layout and the determinism contract.
 
 Layering: ``repro.shard`` may import :mod:`repro.stream`,
 :mod:`repro.core`, :mod:`repro.sequences`, :mod:`repro.obs` and
@@ -30,14 +30,12 @@ from .engine import (
     ShardConfig,
     ShardedStreamingCluseq,
     ShardEngine,
-    ShardHandle,
     ShardStats,
     build_shard_engine,
     dispatch_path,
     manifest_path,
     read_manifest,
     router_state_path,
-    shard_cluster_summaries,
     shard_dir,
     shard_state_digest,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "Router",
     "ShardConfig",
     "ShardEngine",
-    "ShardHandle",
     "ShardStats",
     "ShardedStreamingCluseq",
     "build_router",
@@ -81,7 +78,6 @@ __all__ = [
     "predict_row",
     "read_manifest",
     "router_state_path",
-    "shard_cluster_summaries",
     "shard_dir",
     "shard_state_digest",
 ]

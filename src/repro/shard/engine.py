@@ -47,11 +47,8 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Sequence
-# ``replace`` is aliased so CLQ008's conservative os.replace matcher
-# doesn't mistake a dataclass copy for a filesystem rename.
 from dataclasses import asdict, dataclass, field
-from dataclasses import replace as dc_replace
-from typing import Any, Protocol, Union
+from typing import Any, Union
 
 from ..core.persistence import result_to_dict
 from ..core.pst import ProbabilisticSuffixTree
@@ -83,7 +80,11 @@ DISPATCH_FILENAME = "dispatch.jsonl"
 ROUTER_STATE_FILENAME = "router.json"
 
 #: Recognized runner names (the ``ShardConfig.runner`` values).
-RUNNERS = ("inprocess", "process")
+RUNNERS = ("inprocess",)
+
+#: Runners that older manifests may name. The on-disk state never
+#: depended on the runner, so such a state dir resumes in-process.
+RETIRED_RUNNERS = frozenset({"process"})
 
 __all__ = [
     "DISPATCH_FILENAME",
@@ -94,7 +95,6 @@ __all__ = [
     "LocalShard",
     "ShardConfig",
     "ShardEngine",
-    "ShardHandle",
     "ShardStats",
     "ShardedStreamingCluseq",
     "build_shard_engine",
@@ -102,7 +102,6 @@ __all__ = [
     "manifest_path",
     "read_manifest",
     "router_state_path",
-    "shard_cluster_summaries",
     "shard_dir",
     "shard_state_digest",
 ]
@@ -178,7 +177,10 @@ class ShardConfig:
         return cls(
             shards=int(data["shards"]),
             router=str(data["router"]),
-            runner=str(data["runner"]),
+            runner=(
+                "inprocess" if data["runner"] in RETIRED_RUNNERS
+                else str(data["runner"])
+            ),
             consolidate_every=int(data["consolidate_every"]),
             merge_threshold=float(data["merge_threshold"]),
             stream=StreamConfig.from_dict(data["stream"]),
@@ -346,10 +348,10 @@ def build_shard_engine(
 def shard_state_digest(engine: ShardEngine) -> dict[str, Any]:
     """A JSON-able digest of everything recovery must reproduce.
 
-    Used by the chaos/differential suites (and the multi-process
-    runner's ``state`` op) to compare recovered shards bit-for-bit
-    against the uncrashed run; excludes ``checkpoints_written``, which
-    legitimately differs across crash schedules.
+    Used by the chaos/differential suites to compare recovered shards
+    bit-for-bit against the uncrashed run; excludes
+    ``checkpoints_written``, which legitimately differs across crash
+    schedules.
     """
     stats = asdict(engine.stats())
     stats.pop("checkpoints_written")
@@ -361,57 +363,8 @@ def shard_state_digest(engine: ShardEngine) -> dict[str, Any]:
     }
 
 
-def shard_cluster_summaries(
-    engine: ShardEngine,
-) -> list[tuple[int, int, int, int]]:
-    """Per-cluster ``(cluster_id, size, created_at, nodes)`` rows."""
-    return [
-        (
-            cluster.cluster_id,
-            cluster.size,
-            cluster.created_at_iteration,
-            cluster.pst.node_count,
-        )
-        for cluster in engine.result.clusters
-    ]
-
-
-class ShardHandle(Protocol):
-    """Uniform coordinator-side view of one shard, local or remote."""
-
-    @property
-    def batches(self) -> int: ...
-
-    @property
-    def last_round(self) -> int: ...
-
-    def ingest_batch(
-        self, batch: Sequence[Sequence[int]]
-    ) -> "list[int | None]": ...
-
-    def apply_plan(
-        self, round_: int, plan: dict[str, Any]
-    ) -> tuple[int, int]: ...
-
-    def export_clusters(self, shard: int) -> list[ClusterExport]: ...
-
-    def export_pst(self, cluster_id: int) -> dict[str, Any]: ...
-
-    def release_exports(self) -> None: ...
-
-    def checkpoint(self) -> None: ...
-
-    def stats(self) -> StreamStats: ...
-
-    def state_digest(self) -> dict[str, Any]: ...
-
-    def cluster_summaries(self) -> list[tuple[int, int, int, int]]: ...
-
-    def close(self) -> None: ...
-
-
 class LocalShard:
-    """In-process shard handle — the reference runner."""
+    """Coordinator-side view of one in-process shard engine."""
 
     def __init__(self, engine: ShardEngine) -> None:
         self.engine = engine
@@ -451,9 +404,6 @@ class LocalShard:
                 return cluster.pst.to_dict()
         raise ValueError(f"no cluster {cluster_id} on this shard")
 
-    def release_exports(self) -> None:
-        """Nothing shipped, nothing to release."""
-
     def checkpoint(self) -> None:
         if self.engine.state_dir is not None:
             self.engine.checkpoint()
@@ -465,7 +415,16 @@ class LocalShard:
         return shard_state_digest(self.engine)
 
     def cluster_summaries(self) -> list[tuple[int, int, int, int]]:
-        return shard_cluster_summaries(self.engine)
+        """Per-cluster ``(cluster_id, size, created_at, nodes)`` rows."""
+        return [
+            (
+                cluster.cluster_id,
+                cluster.size,
+                cluster.created_at_iteration,
+                cluster.pst.node_count,
+            )
+            for cluster in self.engine.result.clusters
+        ]
 
     def close(self) -> None:
         self.engine.close()
@@ -496,26 +455,16 @@ def _make_handles(
     spec: dict[str, Any],
     state_dir: "str | None",
     resume: bool,
-) -> list[ShardHandle]:
-    dirs: list[str | None] = [
-        shard_dir(state_dir, i) if state_dir is not None else None
-        for i in range(config.shards)
-    ]
-    if config.runner == "process":
-        from .proc import ProcessShard
-
-        return [
-            ProcessShard.spawn(
-                shard=i,
-                spec=spec,
-                stream=config.stream,
-                state_dir=dirs[i],
-                resume=resume,
-            )
-            for i in range(config.shards)
-        ]
+) -> list[LocalShard]:
     return [
-        LocalShard(build_shard_engine(spec, config.stream, dirs[i], resume))
+        LocalShard(
+            build_shard_engine(
+                spec,
+                config.stream,
+                shard_dir(state_dir, i) if state_dir is not None else None,
+                resume,
+            )
+        )
         for i in range(config.shards)
     ]
 
@@ -531,7 +480,7 @@ class ShardedStreamingCluseq:
 
     def __init__(
         self,
-        handles: Sequence[ShardHandle],
+        handles: Sequence[LocalShard],
         config: ShardConfig,
         *,
         spec: dict[str, Any],
@@ -629,21 +578,15 @@ class ShardedStreamingCluseq:
         return cls(handles, config, spec=spec, state_dir=root)
 
     @classmethod
-    def recover(
-        cls, state_dir: PathLike, runner: "str | None" = None
-    ) -> "ShardedStreamingCluseq":
+    def recover(cls, state_dir: PathLike) -> "ShardedStreamingCluseq":
         """Rebuild the whole sharded engine after a crash.
 
         Each shard recovers itself first; the coordinator then scans
         its dispatch WAL from the top and rolls forward any batch or
-        plan a shard had not made durable. *runner* overrides the
-        manifest's runner (a state dir written in-process can resume
-        multi-process and vice versa — the on-disk format is shared).
+        plan a shard had not made durable.
         """
         manifest = read_manifest(state_dir)
         config = ShardConfig.from_dict(manifest["config"])
-        if runner is not None and runner != config.runner:
-            config = dc_replace(config, runner=runner)
         spec = dict(manifest["spec"])
         root = os.fspath(state_dir)
         handles = _make_handles(config, spec, root, resume=True)
@@ -794,8 +737,6 @@ class ShardedStreamingCluseq:
                 local = plans.get(str(index))
                 if local:
                     handle.apply_plan(round_, local)
-            for handle in self._handles:
-                handle.release_exports()
         self._rounds += 1
         self._cross_merges += len(ops)
         if registry.enabled:
@@ -946,7 +887,7 @@ class ShardedStreamingCluseq:
     # -- introspection ------------------------------------------------------------
 
     @property
-    def handles(self) -> list[ShardHandle]:
+    def handles(self) -> list[LocalShard]:
         return list(self._handles)
 
     @property

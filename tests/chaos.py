@@ -10,10 +10,7 @@ damage. The stream/shard engines resolve both functions through the
 every journal append and checkpoint rename in the process, across
 every shard of an in-process sharded engine.
 
-Deliberately pytest-free: the chaos CI job imports this module from a
-plain script, and the multi-process analogue (workers killed via
-``REPRO_SHARD_CHAOS_FSYNC_AT`` — see ``repro.shard.proc``) shares its
-crash-point numbering convention.
+Deliberately pytest-free, so a plain script can import it too.
 
 Usage::
 
@@ -68,15 +65,9 @@ class FaultInjector:
         self.kind = kind
         self.crash_at = crash_at
         self.calls = 0
-        self._pid = os.getpid()
 
     def _wrap(self, real: Callable[..., Any]) -> Callable[..., Any]:
         def faulted(*args: Any, **kwargs: Any) -> Any:
-            if os.getpid() != self._pid:
-                # A forked worker inherited the patched function; the
-                # injector only simulates crashes of the process that
-                # armed it (workers get killed via REPRO_SHARD_CHAOS_*).
-                return real(*args, **kwargs)
             self.calls += 1
             if self.crash_at is not None and self.calls == self.crash_at:
                 raise CrashPoint(

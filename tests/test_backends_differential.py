@@ -269,7 +269,7 @@ class TestEdgeCases:
 class TestMatrixKernelAgreement:
     """The full-matrix pipeline against the per-pair reference.
 
-    ``score_matrix_stacked`` walks a column-major ``(width, trees,
+    ``PstBatchScorer.score_matrix_full`` walks a column-major ``(width, trees,
     sequences)`` cube and runs one batched Kadane scan over all
     tree×sequence columns at once; these properties pin that pipeline
     — including the pair-step walk closure and the post-hoc segment
@@ -307,34 +307,6 @@ class TestMatrixKernelAgreement:
                     )
                     checked += 1
         assert checked >= N_CASES
-
-    def test_prescore_pool_none_equals_full(self, scenarios):
-        pst, background, sequences = scenarios[0]
-        scorer = PstBatchScorer(background)
-        full = scorer.score_matrix_full([pst], sequences)
-        pre = scorer.prescore_matrix([pst], sequences, pool=None)
-        assert np.array_equal(full.log_z, pre.log_z)
-        assert np.array_equal(full.best_start, pre.best_start)
-        assert np.array_equal(full.best_end, pre.best_end)
-        assert np.array_equal(full.whole, pre.whole)
-
-    def test_prescore_pool_equals_in_process(self, scenarios):
-        """Worker count is invisible: pooled matrix bit-equals serial."""
-        from repro.core.backends import ScoringPool
-
-        groups = list(self._grouped(scenarios).values())[:3]
-        with ScoringPool(2) as pool:
-            for group in groups:
-                psts = [pst for pst, _, _ in group[:4]]
-                background = group[0][1]
-                sequences = group[0][2]
-                scorer = PstBatchScorer(background)
-                serial = scorer.prescore_matrix(psts, sequences, pool=None)
-                pooled = scorer.prescore_matrix(psts, sequences, pool=pool)
-                assert np.array_equal(serial.log_z, pooled.log_z)
-                assert np.array_equal(serial.best_start, pooled.best_start)
-                assert np.array_equal(serial.best_end, pooled.best_end)
-                assert np.array_equal(serial.whole, pooled.whole)
 
     def test_pair_table_fallback_is_identical(self, scenarios):
         """walk_table2=None (over-budget closure) changes nothing."""

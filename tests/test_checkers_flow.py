@@ -765,24 +765,45 @@ def test_leak(path):
             tmp_path,
             "src/repro/core/r.py",
             """
-def score(flats, sequences):
-    pool = ScoringPool(2)
-    results = pool.prescore_lists(flats, sequences)
+def score(tasks, parallel):
+    pool = ProcessPoolExecutor(2) if parallel else None
+    results = list(pool.map(len, tasks))
     return results
 """,
             "CLQ009",
         )
         assert [v.rule_id for v in violations] == ["CLQ009"]
-        assert "ScoringPool" in violations[0].message
+        assert "ProcessPoolExecutor" in violations[0].message
+        # The conditional binding is a named local, not an inline leak.
+        assert "inline" not in violations[0].message
+
+    def test_conditional_pool_on_closing_owner_passes(self, tmp_path):
+        # The IfExp arm of an attribute binding: the owner's close()
+        # takes on the pool's lifetime exactly as for the plain call.
+        violations = check_source(
+            tmp_path,
+            "src/repro/core/r.py",
+            """
+class Service:
+    def __init__(self, workers):
+        self._pool = ProcessPoolExecutor(workers) if workers > 0 else None
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+""",
+            "CLQ009",
+        )
+        assert violations == []
 
     def test_pool_with_block_passes(self, tmp_path):
         violations = check_source(
             tmp_path,
             "src/repro/core/r.py",
             """
-def score(flats, sequences):
-    with ScoringPool(2) as pool:
-        return pool.prescore_lists(flats, sequences)
+def score(tasks):
+    with ProcessPoolExecutor(2) as pool:
+        return list(pool.map(len, tasks))
 """,
             "CLQ009",
         )
@@ -839,8 +860,8 @@ def attach(name):
         assert "SharedMemory" in violations[0].message
 
     def test_executor_as_self_attr_with_close_passes(self, tmp_path):
-        # The parallel module's shape: the executor and the segment
-        # store live on a resources object whose close() releases both.
+        # The executor lives on a resources object whose close()
+        # releases it.
         violations = check_source(
             tmp_path,
             "src/repro/core/r.py",

@@ -371,7 +371,7 @@ class TestShardCommand:
         args = build_parser().parse_args(["shard", "-"])
         assert args.shards == 2
         assert args.router == "hash"
-        assert args.runner is None
+        assert not hasattr(args, "runner")
         assert args.consolidate_every == 16
         assert not args.resume
 
@@ -416,7 +416,7 @@ class TestShardCommand:
     def test_resume_missing_state_dir_fails_cleanly(
         self, stream_file, tmp_path, capsys
     ):
-        """The shard runner shares the stream command's validation."""
+        """The shard command shares the stream command's validation."""
         code = main(
             [
                 "shard", stream_file,
@@ -428,16 +428,6 @@ class TestShardCommand:
         err = capsys.readouterr().err
         assert "cannot resume" in err
         assert "Traceback" not in err
-
-    def test_process_runner_matches_inprocess_output(
-        self, stream_file, capsys
-    ):
-        assert main(self.shard_args(stream_file)) == 0
-        inproc = capsys.readouterr().out
-        assert (
-            main(self.shard_args(stream_file, ["--runner", "process"])) == 0
-        )
-        assert capsys.readouterr().out == inproc
 
 
 class TestGenerateCommand:

@@ -2,36 +2,29 @@
 
 Covers the Prometheus text renderer, the versioned JSON snapshot with
 its derived profile view, and the JSONL trace exporter with
-trace-context propagation — including stitching of spans measured in
-``ScoringPool`` worker processes.
+trace-context propagation.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.core.backends import PstBatchScorer, ScoringPool
-from repro.core.pst import ProbabilisticSuffixTree
 from repro.obs import (
     TELEMETRY_SCHEMA_V2,
     TRACE_SCHEMA,
     JsonlSpanExporter,
     MetricsRegistry,
     Profiler,
-    current_trace_context,
     get_span_exporter,
     new_trace_id,
     prometheus_from_snapshot,
     read_trace,
-    record_foreign_span,
     set_span_exporter,
     span,
     telemetry_document,
     to_prometheus_text,
-    use_registry,
     use_span_exporter,
     write_prometheus_text,
     write_telemetry_json,
@@ -163,14 +156,7 @@ class TestJsonlSpanExporter:
         assert get_span_exporter() is None
         with span("quiet") as live:
             assert live.span_id is None
-            assert current_trace_context() is None
-
-    def test_current_trace_context_inside_span(self, tmp_path):
-        with JsonlSpanExporter(tmp_path / "t.jsonl") as exporter:
-            with use_span_exporter(exporter):
-                with span("outer") as outer:
-                    context = current_trace_context()
-                    assert context == (outer.trace_id, outer.span_id)
+            assert live.trace_id is None
 
     def test_explicit_trace_id_adopted_by_root_span(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -183,28 +169,6 @@ class TestJsonlSpanExporter:
         _, spans = read_trace(path)
         assert [s["trace"] for s in spans] == [trace_id, trace_id]
         assert spans[0]["span"] != spans[1]["span"]
-
-    def test_record_foreign_span_stitches(self, tmp_path, registry):
-        path = tmp_path / "t.jsonl"
-        with JsonlSpanExporter(path) as exporter, use_span_exporter(exporter):
-            with use_registry(registry):
-                with span("parent") as parent:
-                    record_foreign_span(
-                        "backend.worker_chunk",
-                        wall_seconds=0.25,
-                        cpu_seconds=0.2,
-                        trace_id=parent.trace_id,
-                        parent_id=parent.span_id,
-                        attrs={"chunk": 0},
-                    )
-        _, spans = read_trace(path)
-        foreign = next(s for s in spans if s["path"] == "backend.worker_chunk")
-        parent_record = next(s for s in spans if s["name"] == "parent")
-        assert foreign["parent"] == parent_record["span"]
-        assert foreign["trace"] == parent_record["trace"]
-        assert foreign["wall_seconds"] == 0.25
-        assert foreign["attrs"] == {"chunk": 0}
-        assert registry.get("span.backend.worker_chunk").count == 1
 
     def test_set_span_exporter_returns_previous(self, tmp_path):
         with JsonlSpanExporter(tmp_path / "t.jsonl") as exporter:
@@ -229,35 +193,3 @@ class TestJsonlSpanExporter:
             with span("late"):
                 pass  # export hits the closed file and is dropped
 
-
-class TestPoolFanOutStitching:
-    def test_worker_chunk_spans_carry_parent_trace(self, tmp_path):
-        pst = ProbabilisticSuffixTree(
-            alphabet_size=4, max_depth=3, significance_threshold=1
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(6):
-            pst.add_sequence([int(s) for s in rng.integers(0, 4, 30)])
-        sequences = [
-            [int(s) for s in rng.integers(0, 4, 30)] for _ in range(8)
-        ]
-        background = np.full(4, 0.25)
-        scorer = PstBatchScorer(background)
-        path = tmp_path / "pool_trace.jsonl"
-        pool = ScoringPool(2)
-        try:
-            with JsonlSpanExporter(path) as exporter:
-                with use_span_exporter(exporter):
-                    with span("prescore") as parent:
-                        scorer.prescore_matrix([pst], sequences, pool=pool)
-                        parent_ids = (parent.trace_id, parent.span_id)
-        finally:
-            pool.close()
-        _, spans = read_trace(path)
-        chunks = [s for s in spans if s["path"] == "backend.worker_chunk"]
-        assert chunks, "no worker-chunk spans exported"
-        for chunk in chunks:
-            assert chunk["trace"] == parent_ids[0]
-            assert chunk["parent"] == parent_ids[1]
-            assert chunk["attrs"]["rows"] >= 1
-            assert chunk["cpu_seconds"] is not None

@@ -38,10 +38,10 @@ def parse_bytes(raw, **kwargs):
 
 class TestRequestParser:
     def test_simple_get(self):
-        request = parse_bytes(b"GET /healthz?probe=1 HTTP/1.1\r\nHost: x\r\n\r\n")
+        request = parse_bytes(b"GET /healthz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n")
         assert request.method == "GET"
         assert request.path == "/healthz"
-        assert request.query == {"probe": "1"}
+        assert request.query == {"verbose": "1"}
         assert request.headers["host"] == "x"
         assert request.body == b""
         assert request.keep_alive

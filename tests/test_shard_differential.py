@@ -7,11 +7,10 @@ sources with varying seeds and drift points):
    hash router dispatches every global batch whole to shard 0, so its
    shard must be bit-identical to a plain :class:`StreamingCluseq`
    fed the same stream — clusters, pool, assignments, counters.
-2. **Runner invariance.** The multi-process runner is a transport,
-   not a semantics change: inprocess and process runs of the same
-   stream produce identical shard states. Commands are dispatched in
-   shard-index order with one outstanding request per shard, so OS
-   process scheduling cannot reorder what any shard observes.
+2. **Runner invariance.** The on-disk state never depended on the
+   runner: a state dir whose manifest names the retired ``process``
+   runner recovers in-process to exactly the state of an in-process
+   run of the same stream.
 3. **Repeat-run determinism.** Any configuration (including the
    adaptive PST router) run twice over the same stream lands on the
    same state, and recovery from a durable run is stable under
@@ -19,7 +18,9 @@ sources with varying seeds and drift points):
 """
 
 import json
+import shutil
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,11 @@ from repro.stream import (
 )
 
 ALPHABET_SIZE = 8
+
+#: A durable state dir written by the retired one-process-per-shard
+#: runner: ``run_sharded(2, make_stream(*FUZZ_SEEDS[0]), state_dir,
+#: runner="process")`` before that runner was removed.
+PROCESS_RUNNER_STATE = Path(__file__).parent / "golden" / "shard_process_runner"
 
 FUZZ_SEEDS = [(11, 40), (23, 30), (47, 55)]
 
@@ -62,11 +68,10 @@ def make_stream_config(**kwargs):
     return StreamConfig(**kwargs)
 
 
-def make_sharded(shards, state_dir=None, runner="inprocess", router="hash"):
+def make_sharded(shards, state_dir=None, router="hash"):
     config = ShardConfig(
         shards=shards,
         router=router,
-        runner=runner,
         consolidate_every=4,
         merge_threshold=0.8,
         stream=make_stream_config(),
@@ -85,9 +90,8 @@ def sharded_digest(engine):
     return json.dumps(engine.shard_states(), sort_keys=True)
 
 
-def run_sharded(shards, stream, state_dir=None, runner="inprocess",
-                router="hash"):
-    engine = make_sharded(shards, state_dir, runner, router)
+def run_sharded(shards, stream, state_dir=None, router="hash"):
+    engine = make_sharded(shards, state_dir, router)
     for seq in stream.sequences:
         engine.ingest(seq)
     engine.flush()
@@ -141,26 +145,22 @@ class TestSingleShardDegeneration:
 
 
 class TestRunnerInvariance:
-    @pytest.mark.parametrize(("seed", "drift_at"), FUZZ_SEEDS)
-    def test_process_runner_matches_inprocess(self, seed, drift_at):
-        stream = make_stream(seed, drift_at)
-        assert run_sharded(2, stream, runner="process") == run_sharded(
-            2, stream, runner="inprocess"
-        )
-
     def test_cross_runner_resume(self, tmp_path):
-        """A state dir written in-process resumes multi-process, and
-        the recovered state matches the in-process recovery exactly."""
-        stream = make_stream(*FUZZ_SEEDS[0])
+        """A state dir whose manifest names the ``process`` runner
+        resumes in-process, onto exactly the in-process run's state."""
+        manifest = json.loads(
+            (PROCESS_RUNNER_STATE / "manifest.json").read_text()
+        )
+        assert manifest["config"]["runner"] == "process"
         state_dir = tmp_path / "state"
-        run_sharded(2, stream, state_dir=state_dir)
-        inproc = ShardedStreamingCluseq.recover(state_dir)
-        inproc_digest = sharded_digest(inproc)
-        inproc.close()
-        proc = ShardedStreamingCluseq.recover(state_dir, runner="process")
-        proc_digest = sharded_digest(proc)
-        proc.close()
-        assert proc_digest == inproc_digest
+        shutil.copytree(PROCESS_RUNNER_STATE, state_dir)
+        recovered = ShardedStreamingCluseq.recover(state_dir)
+        assert recovered.config.runner == "inprocess"
+        recovered_digest = sharded_digest(recovered)
+        recovered.close()
+        stream = make_stream(*FUZZ_SEEDS[0])
+        expected = run_sharded(2, stream, state_dir=tmp_path / "inprocess")
+        assert recovered_digest == expected
 
 
 class TestRepeatRunDeterminism:

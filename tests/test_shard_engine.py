@@ -330,7 +330,6 @@ class TestShardConfig:
         config = ShardConfig(
             shards=3,
             router="pst",
-            runner="process",
             consolidate_every=7,
             merge_threshold=0.5,
             stream=StreamConfig(batch_size=5, seed=9),
@@ -338,6 +337,16 @@ class TestShardConfig:
         assert ShardConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         ) == config
+
+    def test_retired_process_runner_loads_inprocess(self):
+        # Manifests written while the one-process-per-shard runner
+        # existed still load; the state they describe is runner-free.
+        data = ShardConfig().to_dict()
+        data["runner"] = "process"
+        assert ShardConfig.from_dict(data).runner == "inprocess"
+        data["runner"] = "thread"
+        with pytest.raises(ValueError, match="runner"):
+            ShardConfig.from_dict(data)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -347,6 +356,7 @@ class TestShardConfig:
             {"runner": "thread"},
             {"consolidate_every": -1},
             {"merge_threshold": 2.5},
+            {"runner": "process"},
         ],
     )
     def test_validation(self, kwargs):

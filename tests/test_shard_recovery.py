@@ -9,10 +9,8 @@ a run that was never interrupted.
 
 The sweep is exhaustive where it is cheapest and sharpest (every fsync
 point at shards=2, every replace point at shards ∈ {1, 2, 4}) and
-strided elsewhere; the multi-process runner gets coordinator-side
-faults via the same injector plus real worker kills through the
-``REPRO_SHARD_CHAOS_*`` hooks in ``repro.shard.proc``. Fault
-injection lives in the pytest-free ``tests/chaos.py``.
+strided elsewhere. Fault injection lives in the pytest-free
+``tests/chaos.py``.
 
 ``CHAOS_SMOKE=1`` (the CI shard-smoke job) strides every sweep harder
 so the file finishes in seconds while still crossing each boundary
@@ -26,7 +24,6 @@ import pytest
 
 from chaos import CrashPoint, FaultInjector, count_fault_points
 from repro.shard import ShardConfig, ShardedStreamingCluseq
-from repro.shard.proc import ShardWorkerError
 from repro.stream import (
     CheckpointError,
     DecayPolicy,
@@ -52,14 +49,13 @@ def stream():
     )
 
 
-def make_config(shards, runner="inprocess", router="hash"):
+def make_config(shards, router="hash"):
     # Tight cadences on purpose: 8 global batches hit 2 consolidation
     # rounds, periodic checkpoints and decay, so the fault sweep
     # crosses every kind of durability boundary the engine has.
     return ShardConfig(
         shards=shards,
         router=router,
-        runner=runner,
         consolidate_every=4,
         merge_threshold=0.8,
         stream=StreamConfig(
@@ -229,62 +225,6 @@ class TestChaosInProcess:
         # Second attempt must still converge.
         digest = recover_and_finish(config, state_dir, stream)
         assert digest == expected
-
-
-class TestChaosMultiProcess:
-    def test_coordinator_fsync_boundaries(self, stream, tmp_path):
-        """Coordinator-side faults with real worker processes attached."""
-        config = make_config(2, runner="process")
-        expected = reference_digest(2, stream)
-        total = crash_points(config, tmp_path, stream, "fsync")
-        points = list(range(1, total + 1))[:: 5 if SMOKE else 2]
-        for crash_at in points:
-            state_dir = tmp_path / f"crash-{crash_at}"
-            injector = FaultInjector(crash_at=crash_at, kind="fsync")
-            engine = None
-            with injector.armed():
-                try:
-                    engine = make_engine(config, state_dir)
-                    feed(engine, stream.sequences)
-                    engine.checkpoint()
-                    crashed = False
-                except CrashPoint:
-                    crashed = True
-            assert crashed, f"injector never fired at fsync #{crash_at}"
-            abandon(engine)
-            digest = recover_and_finish(config, state_dir, stream)
-            assert digest == expected, (
-                f"process runner: coordinator crash at fsync "
-                f"#{crash_at}/{total} diverged from the uncrashed run"
-            )
-
-    @pytest.mark.parametrize(
-        ("fsync_at", "shard"),
-        [(1, 0), (2, 0), (5, 1), (9, 1)] if not SMOKE else [(1, 0), (5, 1)],
-    )
-    def test_worker_killed_mid_fsync(
-        self, stream, tmp_path, monkeypatch, fsync_at, shard
-    ):
-        """A worker hard-killed (os._exit) at its N-th fsync."""
-        config = make_config(2, runner="process")
-        expected = reference_digest(2, stream)
-        state_dir = tmp_path / "state"
-        monkeypatch.setenv("REPRO_SHARD_CHAOS_FSYNC_AT", str(fsync_at))
-        monkeypatch.setenv("REPRO_SHARD_CHAOS_SHARD", str(shard))
-        engine = None
-        with pytest.raises(ShardWorkerError):
-            engine = make_engine(config, state_dir)
-            feed(engine, stream.sequences)
-            engine.checkpoint()
-        abandon(engine)
-        # Recovery must not inherit the kill switch.
-        monkeypatch.delenv("REPRO_SHARD_CHAOS_FSYNC_AT")
-        monkeypatch.delenv("REPRO_SHARD_CHAOS_SHARD")
-        digest = recover_and_finish(config, state_dir, stream)
-        assert digest == expected, (
-            f"process runner: shard {shard} killed at its fsync "
-            f"#{fsync_at} diverged from the uncrashed run"
-        )
 
 
 class TestChaosPstRouter:

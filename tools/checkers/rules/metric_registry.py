@@ -35,8 +35,6 @@ from ..symbols import NameRegistry
 #: Emitter method name → the registry namespace it draws from.
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "timer", "series"})
 _SPAN_METHODS = frozenset({"span"})
-#: Module-level span emitters, matched as plain-name calls.
-_SPAN_FUNCTIONS = frozenset({"record_foreign_span"})
 _KERNEL_METHODS = frozenset({"kernel", "record_kernel"})
 _CACHE_METHODS = frozenset({"cache_hit", "cache_miss"})
 _LATENCY_METHODS = frozenset({"latency"})
@@ -84,12 +82,9 @@ class MetricRegistryRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _ALL_METHODS:
-                method = func.attr
-            elif isinstance(func, ast.Name) and func.id in _SPAN_FUNCTIONS:
-                method = "span"
-            else:
+            if not (isinstance(func, ast.Attribute) and func.attr in _ALL_METHODS):
                 continue
+            method = func.attr
             arg = _first_name_arg(node)
             if arg is None:
                 continue

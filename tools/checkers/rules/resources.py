@@ -2,12 +2,11 @@
 
 Leaked file handles corrupt the streaming subsystem's durability story
 (an unclosed journal handle keeps buffered bytes out of recovery),
-leaked lock acquisitions deadlock the parallel scorer, and leaked
+leaked lock acquisitions deadlock their next taker, and leaked
 executors or shared-memory segments outlive the run (orphan worker
 processes, stale ``/dev/shm`` files). Acquisitions are method calls
 (``open``/``acquire``/``kernel``) and the constructors of known
-resource-owning classes (executors, ``SharedMemory``,
-``ScoringPool``). The rule checks every acquisition site against the
+resource-owning classes (executors, ``SharedMemory``). The rule checks every acquisition site against the
 small set of ownership patterns the codebase sanctions:
 
 * **``with`` item** — ``with open(p) as f:`` / ``with lock:``. The
@@ -53,8 +52,8 @@ _CLOSERS = frozenset({"close", "release", "__exit__"})
 _ACQUIRERS = frozenset({"open", "acquire", "kernel"})
 
 #: Constructors whose *instances* are the resource: executors own
-#: worker processes, shared-memory segments own kernel-backed mappings,
-#: scoring pools own both. Matched by class name whether called bare
+#: worker threads or processes, shared-memory segments own
+#: kernel-backed mappings. Matched by class name whether called bare
 #: (``ProcessPoolExecutor(...)``) or qualified
 #: (``futures.ProcessPoolExecutor(...)``).
 _CONSTRUCTOR_ACQUIRERS = frozenset(
@@ -62,7 +61,6 @@ _CONSTRUCTOR_ACQUIRERS = frozenset(
         "ProcessPoolExecutor",
         "ThreadPoolExecutor",
         "SharedMemory",
-        "ScoringPool",
     }
 )
 
@@ -86,7 +84,7 @@ def _is_acquisition(node: ast.AST) -> ast.Call | None:
 def _binds_call(value: ast.expr | None, call: ast.Call) -> bool:
     """Whether *value* binds *call*'s result, unwrapping one ``IfExp``.
 
-    ``pool = ScoringPool(w) if cond else None`` binds the pool to a
+    ``pool = ProcessPoolExecutor(w) if cond else None`` binds the pool to a
     name exactly like the unconditional spelling does; the conditional
     arm must not demote it to an (unbindable) inline leak.
     """
