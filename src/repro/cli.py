@@ -40,8 +40,9 @@ Global observability flags (before the subcommand):
     ``repro.telemetry/v2`` JSON snapshot to PATH on exit.
 
 ``cluster`` and ``stream`` additionally accept Telemetry v2 flags:
-``--telemetry-dir DIR`` (enable metrics + hot-path profiler, write a
-``repro.telemetry/v2`` snapshot and a ``.prom`` exposition into DIR)
+``--telemetry-dir DIR`` (enable metrics, including the hot-path kernel
+timers, and write a ``repro.telemetry/v2`` snapshot and a ``.prom``
+exposition into DIR)
 and ``--trace-out PATH`` (export spans as ``repro.trace/v1`` JSONL).
 See docs/OBSERVABILITY.md.
 """
@@ -415,7 +416,7 @@ def _add_telemetry_flags(subparser: argparse.ArgumentParser) -> None:
         "--telemetry-dir",
         metavar="DIR",
         default=None,
-        help="enable metrics + hot-path profiling and write telemetry.json "
+        help="enable metrics (including kernel timers) and write telemetry.json "
         "(repro.telemetry/v2) and metrics.prom into DIR on exit",
     )
     subparser.add_argument(
@@ -871,7 +872,7 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.metrics_out or telemetry_dir or trace_out):
         return _dispatch(args)
 
-    from .obs import JsonlSpanExporter, Profiler, use_profiler, use_span_exporter
+    from .obs import JsonlSpanExporter, use_span_exporter
 
     if args.metrics_out:
         _check_out_dir(parser, "--metrics-out", args.metrics_out)
@@ -883,8 +884,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.metrics_out or telemetry_dir:
             registry = MetricsRegistry()
             stack.enter_context(use_registry(registry))
-        if telemetry_dir:
-            stack.enter_context(use_profiler(Profiler()))
         if trace_out:
             exporter = stack.enter_context(JsonlSpanExporter(trace_out))
             stack.enter_context(use_span_exporter(exporter))

@@ -31,7 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ...obs import get_profiler, get_registry
+from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
 from ..similarity import SimilarityResult
 from .flatten import FlattenedPST
@@ -132,15 +132,6 @@ class PstBatchScorer:
     def flat_for(self, pst: ProbabilisticSuffixTree) -> FlattenedPST:
         """Current flat export of *pst* (cached on the tree per version)."""
         self._check_alphabet(pst)
-        if pst._flat_cache is None:
-            started = time.perf_counter()
-            flat = pst.flattened()
-            registry = get_registry()
-            if registry.enabled:
-                registry.timer("backend.flatten_seconds").record(
-                    time.perf_counter() - started
-                )
-            return flat
         return pst.flattened()
 
     def _stack_for(
@@ -154,53 +145,38 @@ class PstBatchScorer:
             or versions != self._stack_versions
             or any(a is not b for a, b in zip(psts, self._stack_psts))
         )
-        prof = get_profiler()
         if fresh:
-            if prof.enabled:
-                prof.cache_miss("stack")
             self._stack = prepare_stack(stack_flats(flats), self._log_bg)
             self._stack_psts = tuple(psts)
             self._stack_versions = versions
             registry = get_registry()
             if registry.enabled:
                 registry.counter("backend.stack_rebuilds").inc()
-        elif prof.enabled:
-            prof.cache_hit("stack")
         assert self._stack is not None
         return self._stack
 
     def _score_matrix_arrays(
         self, prep: PreparedStack, sequences: Sequence[Sequence[int]]
     ) -> ScoreMatrixResult:
-        """One full-matrix kernel call: all of *prep*'s trees × *sequences*."""
+        """One full-matrix kernel call: all of *prep*'s trees × *sequences*.
+
+        The per-kernel clock reads are unconditional (one code path);
+        they are only recorded when a registry is active.
+        """
         started = time.perf_counter()
-        prof = get_profiler()
         trees = int(prep.stacked.roots.shape[0])
-        if prof.enabled:
-            # Per-kernel timings for the profiler; the untimed branch
-            # below is the hot default and stays call-for-call
-            # identical to the pre-profiler code.
-            with prof.kernel("pad"):
-                padded, lengths = pad_sequences(sequences)
-            with prof.kernel("walk"):
-                states = walk_states_matrix(prep, padded)
-            with prof.kernel("gather"):
-                ratios = gather_ratios_matrix(prep, padded, states)
-            with prof.kernel("kadane"):
-                flat = kadane_columns(
-                    ratios.reshape(padded.shape[1], trees * padded.shape[0]),
-                    np.tile(lengths, trees),
-                )
-            matrix = matrix_from_batch(flat, trees, padded.shape[0])
-        else:
-            padded, lengths = pad_sequences(sequences)
-            states = walk_states_matrix(prep, padded)
-            ratios = gather_ratios_matrix(prep, padded, states)
-            flat = kadane_columns(
-                ratios.reshape(padded.shape[1], trees * padded.shape[0]),
-                np.tile(lengths, trees),
-            )
-            matrix = matrix_from_batch(flat, trees, padded.shape[0])
+        padded, lengths = pad_sequences(sequences)
+        padded_at = time.perf_counter()
+        states = walk_states_matrix(prep, padded)
+        walked_at = time.perf_counter()
+        ratios = gather_ratios_matrix(prep, padded, states)
+        gathered_at = time.perf_counter()
+        flat = kadane_columns(
+            ratios.reshape(padded.shape[1], trees * padded.shape[0]),
+            np.tile(lengths, trees),
+        )
+        scanned_at = time.perf_counter()
+        matrix = matrix_from_batch(flat, trees, padded.shape[0])
         registry = get_registry()
         if registry.enabled:
             pairs = trees * len(sequences)
@@ -209,6 +185,10 @@ class PstBatchScorer:
             registry.timer("backend.score_seconds").record(
                 time.perf_counter() - started
             )
+            registry.timer("backend.pad_seconds").record(padded_at - started)
+            registry.timer("backend.walk_seconds").record(walked_at - padded_at)
+            registry.timer("backend.gather_seconds").record(gathered_at - walked_at)
+            registry.timer("backend.kadane_seconds").record(scanned_at - gathered_at)
             # Parity with the reference scorer's per-call counters so
             # observability consumers see one coherent trace whichever
             # backend ran (see docs/OBSERVABILITY.md).

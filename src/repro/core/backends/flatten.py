@@ -51,6 +51,7 @@ you explicitly want an uncached build.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +195,7 @@ def flatten_pst(pst: ProbabilisticSuffixTree) -> FlattenedPST:
     observe: the root, every chain-significant node, and their (smoothed)
     next-symbol log distributions.
     """
+    started = time.perf_counter()
     threshold = pst.significance_threshold
     alphabet_size = pst.alphabet_size
 
@@ -234,12 +236,7 @@ def flatten_pst(pst: ProbabilisticSuffixTree) -> FlattenedPST:
     probs = _probability_rows(nodes, alphabet_size, pst.p_min)
     log_probs = _exact_log_table(probs)
 
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("backend.flatten_builds").inc()
-        registry.counter("backend.flatten_nodes").inc(count)
-
-    return FlattenedPST(
+    flat = FlattenedPST(
         alphabet_size=alphabet_size,
         max_depth=pst.max_depth,
         significance_threshold=threshold,
@@ -253,3 +250,11 @@ def flatten_pst(pst: ProbabilisticSuffixTree) -> FlattenedPST:
         transitions=transitions,
         log_probs=log_probs,
     )
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("backend.flatten_builds").inc()
+        registry.counter("backend.flatten_nodes").inc(count)
+        registry.timer("backend.flatten_seconds").record(
+            time.perf_counter() - started
+        )
+    return flat

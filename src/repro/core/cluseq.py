@@ -43,8 +43,8 @@ import numpy.typing as npt
 from ..obs import (
     MetricsRegistry,
     get_logger,
-    get_profiler,
     get_registry,
+    peak_rss_bytes,
     span,
     use_registry,
 )
@@ -53,7 +53,6 @@ from ..typing import PSTFactory
 from .backends import PstBatchScorer
 from .cluster import Cluster
 from .examine import ScoreColumn, best_cluster, join_all, join_best
-from .pst import APPROX_BYTES_PER_NODE
 from .consolidation import consolidate
 from .seeding import build_seed_pst, select_seeds
 from .similarity import SimilarityResult, similarity
@@ -694,23 +693,11 @@ class CLUSEQ:
         the trajectory the threshold/cluster-count plots need.
         """
         registry = get_registry()
-        prof = get_profiler()
         want_snapshot = bool(self.hooks)
-        if registry.enabled or prof.enabled or want_snapshot:
+        if registry.enabled or want_snapshot:
             pst_nodes = {
                 cluster.cluster_id: cluster.pst.node_count for cluster in clusters
             }
-        if prof.enabled:
-            # Per-iteration model-size and process-memory trajectory
-            # (§6's scalability story needs both axes: time *and* space).
-            total_nodes = sum(pst_nodes.values())
-            prof.gauge("model.clusters", stats.clusters_after)
-            prof.gauge("model.pst_nodes", total_nodes)
-            prof.gauge("model.approx_bytes", total_nodes * APPROX_BYTES_PER_NODE)
-            prof.series("iteration.pst_nodes", total_nodes)
-            peak_rss = prof.sample_memory()
-            if peak_rss is not None:
-                prof.series("iteration.peak_rss_bytes", peak_rss)
         if registry.enabled:
             registry.series("cluseq.iteration.clusters").append(stats.clusters_after)
             registry.series("cluseq.iteration.unclustered").append(stats.unclustered)
@@ -723,6 +710,10 @@ class CLUSEQ:
             registry.series("cluseq.iteration.pst_nodes").append(
                 sum(pst_nodes.values())
             )
+            # §6's scalability story needs both axes: time *and* space.
+            peak_rss = peak_rss_bytes()
+            if peak_rss is not None:
+                registry.series("cluseq.iteration.peak_rss_bytes").append(peak_rss)
             registry.counter("cluseq.clusters_seeded").inc(stats.new_clusters)
             registry.counter("cluseq.clusters_dismissed").inc(stats.clusters_removed)
             registry.counter("cluseq.reclustering_work").inc(

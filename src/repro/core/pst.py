@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import numpy.typing as npt
 
-from ..obs import get_profiler, get_registry
+from ..obs import get_registry
 from .smoothing import adjust_probability, validate_p_min
 
 if TYPE_CHECKING:
@@ -443,18 +443,10 @@ class ProbabilisticSuffixTree:
         ``decay_counts`` and pruning. The vectorized scoring backend
         consumes this instead of walking ``PSTNode`` objects.
         """
-        prof = get_profiler()
         if self._flat_cache is None or self._flat_cache.version != self._version:
             from .backends.flatten import flatten_pst
 
-            if prof.enabled:
-                prof.cache_miss("flat")
-                with prof.kernel("flatten"):
-                    self._flat_cache = flatten_pst(self)
-            else:
-                self._flat_cache = flatten_pst(self)
-        elif prof.enabled:
-            prof.cache_hit("flat")
+            self._flat_cache = flatten_pst(self)
         return self._flat_cache
 
     # -- traversal / stats -----------------------------------------------------------

@@ -1,24 +1,23 @@
-"""Observability: metrics, structured logging, tracing and profiling.
+"""Observability: metrics, structured logging, tracing and export.
 
 The instrumentation layer for the CLUSEQ pipeline, dependency-free by
 design and **zero-overhead by default** — until an application opts
 in, the active metrics registry is a no-op and every log call is
 level-gated away under a ``NullHandler``.
 
-Five pieces:
+Four pieces:
 
 * :mod:`repro.obs.metrics` — counters, gauges, histograms, timers and
   series in a :class:`MetricsRegistry`; activate one with
-  :func:`use_registry`/:func:`set_registry`.
+  :func:`use_registry`/:func:`set_registry`. The active registry is the
+  one telemetry switch: hot-path kernel timers, I/O latency histograms
+  and peak-RSS readings record through it like every other metric.
 * :mod:`repro.obs.logging` — the ``repro.*`` logger hierarchy,
   :func:`configure_logging` and a JSON-lines formatter. The root
   logger is never touched.
 * :mod:`repro.obs.tracing` — nested :func:`span` context managers
   measuring wall/CPU time per pipeline phase, with optional trace
   export (span/trace ids) via :func:`set_span_exporter`.
-* :mod:`repro.obs.profile` — the opt-in hot-path profiler: per-kernel
-  timers, cache hit/miss counters, I/O latency histograms and memory
-  gauges under the ``profile.*`` namespace.
 * :mod:`repro.obs.export` — Prometheus text exposition,
   ``repro.telemetry/v2`` JSON snapshots and the ``repro.trace/v1``
   JSONL span exporter.
@@ -46,6 +45,7 @@ from .logging import (
     reset_logging,
 )
 from .metrics import (
+    LATENCY_BUCKETS,
     NULL_REGISTRY,
     Counter,
     Gauge,
@@ -55,16 +55,9 @@ from .metrics import (
     Series,
     Timer,
     get_registry,
+    peak_rss_bytes,
     set_registry,
     use_registry,
-)
-from .profile import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    get_profiler,
-    set_profiler,
-    use_profiler,
 )
 from .tracing import (
     Span,
@@ -93,6 +86,8 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
+    "LATENCY_BUCKETS",
+    "peak_rss_bytes",
     "Span",
     "span",
     "current_span",
@@ -100,12 +95,6 @@ __all__ = [
     "set_span_exporter",
     "get_span_exporter",
     "iter_tree",
-    "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "get_profiler",
-    "set_profiler",
-    "use_profiler",
     "TELEMETRY_SCHEMA_V2",
     "TRACE_SCHEMA",
     "JsonlSpanExporter",

@@ -8,9 +8,8 @@ stream:
   every instrument into the ``text/plain; version=0.0.4`` format so a
   scrape endpoint (or a pushed ``.prom`` file) needs no extra code.
 * **Versioned JSON snapshots** — :func:`telemetry_document` builds a
-  ``repro.telemetry/v2`` document: the raw metric snapshot plus a
-  derived ``profile`` view (kernels / caches / latency / gauges) so
-  consumers don't have to re-group ``profile.*`` names themselves.
+  ``repro.telemetry/v2`` document: the raw metric snapshot plus the
+  creation timestamp and run context.
 * **JSONL trace spans** — :class:`JsonlSpanExporter` writes finished
   spans as ``repro.trace/v1`` JSON lines (one header record, then one
   record per span with trace/span/parent ids), the wire format
@@ -47,8 +46,8 @@ __all__ = [
 ]
 
 #: Version tag stamped on every exported telemetry snapshot. v2 adds
-#: the creation timestamp, run context, and the derived profile view
-#: on top of v1's bare ``{"schema", "metrics"}`` shape.
+#: the creation timestamp and run context on top of v1's bare
+#: ``{"schema", "metrics"}`` shape.
 TELEMETRY_SCHEMA_V2 = "repro.telemetry/v2"
 
 #: Version tag on the JSONL trace stream's header record.
@@ -64,75 +63,6 @@ _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 # -- telemetry/v2 JSON snapshots ------------------------------------------------
 
 
-def _base_name(rendered: str) -> str:
-    """Instrument family name with any inlined labels stripped."""
-    return rendered.split("{", 1)[0]
-
-
-def _profile_view(snapshot: Snapshot) -> dict[str, object]:
-    """Group ``profile.*`` instruments into a consumer-friendly view.
-
-    Labeled instrument variants are left to the raw ``metrics`` section;
-    this view indexes by base name only.
-    """
-    kernels: dict[str, object] = {}
-    caches: dict[str, dict[str, float]] = {}
-    latency: dict[str, object] = {}
-    gauges: dict[str, object] = {}
-    series: dict[str, object] = {}
-    for rendered, entry in snapshot.items():
-        name = _base_name(rendered)
-        if not name.startswith("profile.") or name != rendered:
-            continue
-        kind = entry.get("type")
-        if name.startswith("profile.kernel.") and kind == "timer":
-            count = entry.get("count")
-            total = entry.get("total_seconds")
-            mean: float | None = None
-            if isinstance(total, (int, float)) and isinstance(count, int) and count:
-                mean = total / count
-            kernels[name[len("profile.kernel."):]] = {
-                "calls": count,
-                "total_seconds": total,
-                "mean_seconds": mean,
-                "max_seconds": entry.get("max_seconds"),
-            }
-        elif name.startswith("profile.cache.") and kind == "counter":
-            rest = name[len("profile.cache."):]
-            cache, _, outcome = rest.rpartition(".")
-            if cache and outcome in ("hits", "misses"):
-                value = entry.get("value")
-                if isinstance(value, (int, float)):
-                    caches.setdefault(cache, {})[outcome] = float(value)
-        elif name.startswith("profile.latency.") and kind == "histogram":
-            count = entry.get("count")
-            total = entry.get("sum")
-            mean = None
-            if isinstance(total, (int, float)) and isinstance(count, int) and count:
-                mean = total / count
-            latency[name[len("profile.latency."):]] = {
-                "count": count,
-                "sum_seconds": total,
-                "mean_seconds": mean,
-                "max_seconds": entry.get("max"),
-            }
-        elif kind == "gauge":
-            gauges[name[len("profile."):]] = entry.get("value")
-        elif kind == "series":
-            series[name[len("profile."):]] = entry.get("values")
-    for stats in caches.values():
-        hits = stats.get("hits", 0.0)
-        misses = stats.get("misses", 0.0)
-        stats["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-    return {
-        "kernels": kernels,
-        "caches": caches,
-        "latency": latency,
-        "gauges": gauges,
-        "series": series,
-    }
-
-
 def telemetry_document(
     registry: MetricsRegistry,
     context: Mapping[str, object] | None = None,
@@ -143,7 +73,6 @@ def telemetry_document(
         "schema": TELEMETRY_SCHEMA_V2,
         "created_unix": time.time(),
         "context": dict(context) if context else {},
-        "profile": _sanitize(_profile_view(snapshot)),
         "metrics": _sanitize(snapshot),
     }
 
@@ -164,6 +93,11 @@ def write_telemetry_json(
 
 
 # -- Prometheus text exposition -------------------------------------------------
+
+
+def _base_name(rendered: str) -> str:
+    """Instrument family name with any inlined labels stripped."""
+    return rendered.split("{", 1)[0]
 
 
 def _prom_name(name: str, namespace: str) -> str:

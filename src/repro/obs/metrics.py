@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
@@ -59,10 +60,32 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
+    "LATENCY_BUCKETS",
+    "peak_rss_bytes",
 ]
 
 #: Default histogram bucket upper bounds: powers of two up to 64k.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(17))
+
+#: I/O latency histogram bucket upper bounds: powers of two from 1 µs
+#: up to ~16.8 s. Wide enough for an fsync on spinning rust, fine
+#: enough to separate a page-cache flush from a durable one.
+LATENCY_BUCKETS: tuple[float, ...] = tuple(1e-6 * 2**i for i in range(25))
+
+
+def peak_rss_bytes() -> float | None:
+    """Peak resident set size of this process in bytes.
+
+    Returns ``None`` on platforms without the :mod:`resource` module.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    peak = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    return peak if sys.platform == "darwin" else peak * 1024.0
+
 
 LabelItems = tuple[tuple[str, str], ...]
 

@@ -1,8 +1,8 @@
 """The declared telemetry-name registry.
 
-Every metric, span, kernel, cache and latency name the codebase is
-allowed to emit is declared here, once, as a reviewable constant. The
-static analyzer's CLQ010 rule parses this module (by AST, in pass 1 of
+Every metric and span name the codebase is allowed to emit is
+declared here, once, as a reviewable constant. The static analyzer's
+CLQ010 rule parses this module (by AST, in pass 1 of
 ``tools.checkers``) and resolves every literal name at every emission
 site against it: a typo'd metric name forks a time series that no
 dashboard charts, and this registry is what makes that a CI failure
@@ -11,7 +11,7 @@ instead of a silent data loss.
 Renaming or adding telemetry is therefore a two-line diff — the
 emission site and the declaration — and the declaration diff is the
 reviewable event. Dynamic name families (``span.*`` mirror metrics,
-``profile.*`` internals) are declared as prefixes rather than
+``baseline.*`` spans) are declared as prefixes rather than
 enumerations.
 
 The module is import-light on purpose (stdlib only, no runtime logic):
@@ -21,9 +21,6 @@ it is also imported by tests to assert registry/emitter agreement.
 from __future__ import annotations
 
 __all__ = [
-    "CACHES",
-    "KERNELS",
-    "LATENCIES",
     "METRICS",
     "METRIC_PREFIXES",
     "SPANS",
@@ -58,6 +55,11 @@ METRICS: frozenset[str] = frozenset(
         "stream.clusters_dismissed",
         "stream.checkpoints",
         "stream.checkpoint_bytes",
+        "stream.peak_rss_bytes",
+        "stream.wal_append_seconds",
+        "stream.wal_fsync_seconds",
+        "stream.checkpoint_write_seconds",
+        "stream.checkpoint_fsync_seconds",
         # sharded streaming coordinator (repro.shard)
         "shard.batches",
         "shard.sequences",
@@ -79,6 +81,7 @@ METRICS: frozenset[str] = frozenset(
         "cluseq.iteration.log_threshold",
         "cluseq.iteration.membership_changes",
         "cluseq.iteration.pst_nodes",
+        "cluseq.iteration.peak_rss_bytes",
         "cluseq.clusters_seeded",
         "cluseq.clusters_dismissed",
         "cluseq.reclustering_work",
@@ -111,6 +114,10 @@ METRICS: frozenset[str] = frozenset(
         "backend.batch_calls",
         "backend.batch_rows",
         "backend.score_seconds",
+        "backend.pad_seconds",
+        "backend.walk_seconds",
+        "backend.gather_seconds",
+        "backend.kadane_seconds",
         "backend.flatten_builds",
         "backend.flatten_nodes",
         # reference similarity measure
@@ -134,20 +141,11 @@ METRICS: frozenset[str] = frozenset(
         "serve.reloads",
         "serve.reload_seconds",
         "serve.model_epoch",
-        # profiler value gauges/series (emitted via HotPathProfiler)
-        "model.clusters",
-        "model.pst_nodes",
-        "model.approx_bytes",
-        "iteration.pst_nodes",
-        "iteration.peak_rss_bytes",
-        "profile.memory.peak_rss_bytes",
-        "profile.memory.traced_bytes",
     }
 )
 
-#: Dynamic metric families: ``span.<span-name>`` duration mirrors and
-#: the profiler's ``profile.kernel.* / profile.cache.* / ...`` internals.
-METRIC_PREFIXES: tuple[str, ...] = ("span.", "profile.")
+#: Dynamic metric families: ``span.<span-name>`` duration mirrors.
+METRIC_PREFIXES: tuple[str, ...] = ("span.",)
 
 #: Exact tracer span names.
 SPANS: frozenset[str] = frozenset(
@@ -177,23 +175,3 @@ SPANS: frozenset[str] = frozenset(
 
 #: Dynamic span families: one span per baseline algorithm.
 SPAN_PREFIXES: tuple[str, ...] = ("baseline.",)
-
-#: Hot-path kernel timer names (``prof.kernel(...)``).
-KERNELS: frozenset[str] = frozenset(
-    {
-        "flatten",
-        "pad",
-        "walk",
-        "gather",
-        "kadane",
-        "recover_replay",
-    }
-)
-
-#: Cache hit/miss channel names (``prof.cache_hit/cache_miss``).
-CACHES: frozenset[str] = frozenset({"flat", "stack"})
-
-#: Latency channel names (``prof.latency(...)``).
-LATENCIES: frozenset[str] = frozenset(
-    {"checkpoint_fsync", "checkpoint_write", "wal_fsync", "wal_append"}
-)

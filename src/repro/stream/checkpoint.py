@@ -21,7 +21,7 @@ import os
 import time
 from typing import Any, Union
 
-from ..obs import get_profiler
+from ..obs import LATENCY_BUCKETS, get_registry
 from .journal import STREAM_FORMAT
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -43,22 +43,24 @@ def write_json_atomic(path: PathLike, payload: dict[str, Any]) -> int:
     Returns the document size in bytes.
     """
     target = os.fspath(path)
-    prof = get_profiler()
-    started = time.perf_counter() if prof.enabled else 0.0
+    started = time.perf_counter()
     text = json.dumps(payload, separators=(",", ":"))
     tmp_path = target + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         handle.write(text)
         handle.flush()
-        if prof.enabled:
-            fsync_started = time.perf_counter()
-            os.fsync(handle.fileno())
-            prof.latency("checkpoint_fsync", time.perf_counter() - fsync_started)
-        else:
-            os.fsync(handle.fileno())
+        fsync_started = time.perf_counter()
+        os.fsync(handle.fileno())
+        fsynced = time.perf_counter()
     os.replace(tmp_path, target)
-    if prof.enabled:
-        prof.latency("checkpoint_write", time.perf_counter() - started)
+    registry = get_registry()
+    if registry.enabled:
+        registry.histogram(
+            "stream.checkpoint_fsync_seconds", buckets=LATENCY_BUCKETS
+        ).observe(fsynced - fsync_started)
+        registry.histogram(
+            "stream.checkpoint_write_seconds", buckets=LATENCY_BUCKETS
+        ).observe(time.perf_counter() - started)
     return len(text.encode("utf-8"))
 
 

@@ -61,10 +61,10 @@ from ..core.smoothing import default_p_min
 from ..core.threshold import VALLEY_METHODS
 from ..obs import (
     get_logger,
-    get_profiler,
     get_registry,
     get_span_exporter,
     new_trace_id,
+    peak_rss_bytes,
     span,
 )
 from ..sequences.alphabet import Alphabet
@@ -410,13 +410,10 @@ class StreamingCluseq:
         records = journal_batches_after(
             journal_path(state_dir), after=engine._batches
         )
-        prof = get_profiler()
-        # The replay runs under its own span and kernel timer so
-        # crash-recovery cost shows up in traces and profiles
+        # The replay runs under its own span so crash-recovery cost
+        # shows up in traces and the ``span.stream.recover`` timer
         # (replayed batches also carry a ``replay`` span attr).
-        with engine.replaying(), span("stream.recover"), prof.kernel(
-            "recover_replay"
-        ):
+        with engine.replaying(), span("stream.recover"):
             for record in records:
                 engine.replay_batch(record)
                 replayed += 1
@@ -535,10 +532,6 @@ class StreamingCluseq:
             self._sequences += len(batch)
             self._batches += 1
             self._maintain()
-        prof = get_profiler()
-        if prof.enabled:
-            prof.gauge("model.clusters", len(self.result.clusters))
-            prof.sample_memory()
         joined = sum(1 for cid in assigned if cid is not None)
         if registry.enabled:
             registry.counter("stream.batches").inc()
@@ -548,6 +541,9 @@ class StreamingCluseq:
             registry.gauge("stream.pool_size").set(len(self._pool))
             registry.gauge("stream.clusters").set(len(self.result.clusters))
             registry.gauge("stream.log_threshold").set(self.log_threshold)
+            peak_rss = peak_rss_bytes()
+            if peak_rss is not None:
+                registry.gauge("stream.peak_rss_bytes").set(peak_rss)
             registry.series("stream.batch.absorbed").append(joined)
             registry.series("stream.batch.size").append(len(batch))
         if _logger.isEnabledFor(10):  # logging.DEBUG

@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any, Union
 
-from ..obs import get_profiler
+from ..obs import LATENCY_BUCKETS, get_registry
 
 #: On-disk schema identifier, shared with the checkpoint format.
 STREAM_FORMAT = "repro.stream/v1"
@@ -118,21 +118,22 @@ class StreamJournal:
 
     def _write_line(self, payload: dict[str, Any]) -> None:
         assert self._handle is not None
-        prof = get_profiler()
-        if prof.enabled:
-            started = time.perf_counter()
-            self._handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            self._handle.flush()
-            if self.fsync:
-                fsync_started = time.perf_counter()
-                os.fsync(self._handle.fileno())
-                prof.latency("wal_fsync", time.perf_counter() - fsync_started)
-            prof.latency("wal_append", time.perf_counter() - started)
-            return
+        started = time.perf_counter()
         self._handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
         self._handle.flush()
+        fsync_started = time.perf_counter()
         if self.fsync:
             os.fsync(self._handle.fileno())
+        finished = time.perf_counter()
+        registry = get_registry()
+        if registry.enabled:
+            if self.fsync:
+                registry.histogram(
+                    "stream.wal_fsync_seconds", buckets=LATENCY_BUCKETS
+                ).observe(finished - fsync_started)
+            registry.histogram(
+                "stream.wal_append_seconds", buckets=LATENCY_BUCKETS
+            ).observe(finished - started)
 
     def append_batch(
         self,

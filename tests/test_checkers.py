@@ -671,7 +671,7 @@ class TestObservabilityNaming:
             tmp_path,
             "src/repro/obs/good.py",
             "def f(registry, name):\n"
-            '    registry.timer(f"profile.kernel.{name}").record(0.1)\n',
+            '    registry.timer(f"span.{name}").record(0.1)\n',
             "CLQ006",
         )
         assert violations == []

@@ -883,12 +883,9 @@ class PoolResources:
 
 _REGISTRY_SRC = """
 METRICS = frozenset({"pst.final_nodes", "cluseq.iterations"})
-METRIC_PREFIXES = ("profile.",)
+METRIC_PREFIXES = ("span.",)
 SPANS = frozenset({"cluseq"})
 SPAN_PREFIXES = ("baseline.",)
-KERNELS = frozenset({"flatten"})
-CACHES = frozenset({"flat"})
-LATENCIES = frozenset({"wal_fsync"})
 """
 
 
@@ -908,16 +905,11 @@ class TestMetricRegistry:
         violations = _clq010(
             tmp_path,
             """
-def run(metrics, tracer, prof, n):
+def run(metrics, tracer, n):
     metrics.counter("cluseq.iterations", n)
     metrics.gauge("pst.final_nodes", n)
     with tracer.span("cluseq"):
         pass
-    with prof.kernel("flatten"):
-        pass
-    prof.cache_hit("flat")
-    prof.cache_miss("flat")
-    prof.latency("wal_fsync", 0.1)
 """,
         )
         assert violations == []
@@ -933,27 +925,24 @@ def run(metrics, n):
         assert [v.rule_id for v in violations] == ["CLQ010"]
         assert "cluseq.iterattions" in violations[0].message
 
-    def test_undeclared_span_kernel_cache_latency_fire(self, tmp_path):
+    def test_undeclared_span_fires(self, tmp_path):
         violations = _clq010(
             tmp_path,
             """
-def run(tracer, prof):
+def run(tracer):
     with tracer.span("mystery"):
         pass
-    with prof.kernel("mystery"):
-        pass
-    prof.cache_hit("mystery")
-    prof.latency("mystery", 0.1)
 """,
         )
-        assert [v.rule_id for v in violations] == ["CLQ010"] * 4
+        assert [v.rule_id for v in violations] == ["CLQ010"]
+        assert "span name 'mystery'" in violations[0].message
 
     def test_fstring_head_resolution(self, tmp_path):
         violations = _clq010(
             tmp_path,
             """
 def run(metrics, tracer, name):
-    metrics.counter(f"profile.kernel.{name}", 1)  # declared prefix
+    metrics.counter(f"span.{name}", 1)  # declared prefix
     metrics.counter(f"cluseq.iter{name}", 1)  # completable head
     with tracer.span(f"baseline.{name}"):
         pass

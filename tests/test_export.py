@@ -1,8 +1,7 @@
 """Tests for the Telemetry v2 exporters (``repro.obs.export``).
 
-Covers the Prometheus text renderer, the versioned JSON snapshot with
-its derived profile view, and the JSONL trace exporter with
-trace-context propagation.
+Covers the Prometheus text renderer, the versioned JSON snapshot, and
+the JSONL trace exporter with trace-context propagation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.obs import (
     TRACE_SCHEMA,
     JsonlSpanExporter,
     MetricsRegistry,
-    Profiler,
     get_span_exporter,
     new_trace_id,
     prometheus_from_snapshot,
@@ -49,22 +47,22 @@ class TestPrometheusExposition:
         assert 'repro_baseline_clusters{model="hmm"} 4' in text
 
     def test_timer_becomes_summary(self, registry):
-        registry.timer("profile.kernel.kadane").record(0.5)
+        registry.timer("span.cluseq").record(0.5)
         text = to_prometheus_text(registry)
-        assert "# TYPE repro_profile_kernel_kadane_seconds summary" in text
-        assert "repro_profile_kernel_kadane_seconds_sum 0.5" in text
-        assert "repro_profile_kernel_kadane_seconds_count 1" in text
+        assert "# TYPE repro_span_cluseq_seconds summary" in text
+        assert "repro_span_cluseq_seconds_sum 0.5" in text
+        assert "repro_span_cluseq_seconds_count 1" in text
 
     def test_histogram_buckets_are_cumulative(self, registry):
-        hist = registry.histogram("profile.latency.demo", buckets=(0.1, 1.0))
+        hist = registry.histogram("stream.demo_seconds", buckets=(0.1, 1.0))
         hist.observe(0.05)
         hist.observe(0.5)
         hist.observe(5.0)  # overflow bucket
         text = to_prometheus_text(registry)
-        assert 'repro_profile_latency_demo_bucket{le="0.1"} 1' in text
-        assert 'repro_profile_latency_demo_bucket{le="1"} 2' in text
-        assert 'repro_profile_latency_demo_bucket{le="+Inf"} 3' in text
-        assert "repro_profile_latency_demo_count 3" in text
+        assert 'repro_stream_demo_seconds_bucket{le="0.1"} 1' in text
+        assert 'repro_stream_demo_seconds_bucket{le="1"} 2' in text
+        assert 'repro_stream_demo_seconds_bucket{le="+Inf"} 3' in text
+        assert "repro_stream_demo_seconds_count 3" in text
 
     def test_series_exposes_last_value_and_point_count(self, registry):
         series = registry.series("stream.batch.size")
@@ -97,33 +95,7 @@ class TestTelemetryDocument:
         assert isinstance(doc["created_unix"], float)
         assert doc["context"] == {"argv": ["x"]}
         assert "stream.batches" in doc["metrics"]
-        assert set(doc["profile"]) == {
-            "kernels", "caches", "latency", "gauges", "series",
-        }
-
-    def test_profile_view_groups_instruments(self, registry):
-        prof = Profiler(registry)
-        with prof.kernel("kadane"):
-            pass
-        prof.cache_hit("flat")
-        prof.cache_miss("flat")
-        prof.cache_hit("flat")
-        prof.latency("wal_fsync", 2e-6)
-        prof.gauge("model.clusters", 7)
-        prof.series("iteration.pst_nodes", 42)
-        view = telemetry_document(registry)["profile"]
-        assert view["kernels"]["kadane"]["calls"] == 1
-        assert view["caches"]["flat"]["hits"] == 2.0
-        assert view["caches"]["flat"]["misses"] == 1.0
-        assert view["caches"]["flat"]["hit_rate"] == pytest.approx(2 / 3)
-        assert view["latency"]["wal_fsync"]["count"] == 1
-        assert view["gauges"]["model.clusters"] == 7.0
-        assert view["series"]["iteration.pst_nodes"] == [42.0]
-
-    def test_labeled_variants_stay_out_of_profile_view(self, registry):
-        registry.counter("profile.cache.flat.hits", shard="a").inc()
-        view = telemetry_document(registry)["profile"]
-        assert view["caches"] == {}
+        assert set(doc) == {"schema", "created_unix", "context", "metrics"}
 
     def test_write_and_reload(self, registry, tmp_path):
         registry.gauge("stream.clusters").set(2)

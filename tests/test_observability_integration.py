@@ -1,9 +1,11 @@
 """End-to-end tests for the instrumentation layer.
 
-These drive real ``CLUSEQ`` runs (and the CLI) with a live metrics
-registry and assert that the pipeline emits the documented telemetry:
-per-phase timers, per-iteration series, PST size metrics, iteration
-hooks, and the zero-overhead default.
+These drive real ``CLUSEQ`` and streaming runs (and the CLI) with a
+live metrics registry and assert that the pipeline emits the
+documented telemetry: per-phase timers, per-iteration series, PST size
+metrics, kernel timers, I/O latency histograms, iteration hooks, and
+the zero-overhead default — and that turning all of it on never
+changes what the clustering computes.
 """
 
 import json
@@ -11,7 +13,21 @@ import json
 import pytest
 
 from repro.core.cluseq import CLUSEQ, CluseqParams, IterationSnapshot
-from repro.obs import NULL_REGISTRY, MetricsRegistry, get_registry, use_registry
+from repro.obs import (
+    LATENCY_BUCKETS,
+    NULL_REGISTRY,
+    JsonlSpanExporter,
+    MetricsRegistry,
+    get_registry,
+    use_registry,
+    use_span_exporter,
+)
+from repro.sequences.generators import generate_clustered_database
+from repro.stream import (
+    StreamConfig,
+    StreamingCluseq,
+    drifting_markov_stream,
+)
 
 
 PARAMS = dict(
@@ -58,6 +74,7 @@ class TestRunTelemetry:
             "cluseq.iteration.log_threshold",
             "cluseq.iteration.membership_changes",
             "cluseq.iteration.pst_nodes",
+            "cluseq.iteration.peak_rss_bytes",
         ):
             series = registry.get(series_name)
             assert series is not None, f"missing {series_name}"
@@ -119,6 +136,99 @@ class TestRunTelemetry:
         assert get_registry() is NULL_REGISTRY
         assert len(NULL_REGISTRY) == 0
         assert NULL_REGISTRY.snapshot() == {}
+
+
+class TestTelemetryDoesNotChangeResults:
+    """Enabling every telemetry layer must be observationally invisible."""
+
+    @pytest.fixture(scope="class")
+    def toy_db(self):
+        return generate_clustered_database(
+            num_sequences=40,
+            num_clusters=3,
+            avg_length=40,
+            alphabet_size=8,
+            outlier_fraction=0.05,
+            seed=11,
+        ).database
+
+    @staticmethod
+    def _fingerprint(result):
+        """Everything numeric the clustering decided, bit-for-bit."""
+        memberships = []
+        for cluster in sorted(result.clusters, key=lambda c: c.cluster_id):
+            for index in sorted(cluster.members):
+                member = cluster.membership_of(index)
+                memberships.append(
+                    (
+                        cluster.cluster_id,
+                        member.sequence_index,
+                        member.log_similarity,
+                        member.best_start,
+                        member.best_end,
+                    )
+                )
+        return {
+            "labels": result.labels(),
+            "final_log_threshold": result.final_log_threshold,
+            "assignments": {
+                k: sorted(v) for k, v in result.assignments.items()
+            },
+            "memberships": memberships,
+            "converged": result.converged,
+        }
+
+    def test_golden_run_identical_with_telemetry_on(self, toy_db, tmp_path):
+        params = CluseqParams(
+            k=3, significance_threshold=2, max_iterations=4
+        )
+        plain = CLUSEQ(params).fit(toy_db)
+
+        registry = MetricsRegistry()
+        with JsonlSpanExporter(tmp_path / "trace.jsonl") as exporter:
+            with use_registry(registry), use_span_exporter(exporter):
+                telemetered = CLUSEQ(params).fit(toy_db)
+
+        assert self._fingerprint(plain) == self._fingerprint(telemetered)
+        # and the telemetry run actually timed the scoring kernels
+        assert registry.get("backend.walk_seconds").count > 0
+
+
+class TestStreamTelemetry:
+    def test_durable_stream_records_io_latency(self, tmp_path):
+        stream = drifting_markov_stream(
+            80, 40, alphabet_size=6, concentration=0.05, seed=5
+        )
+        config = StreamConfig(batch_size=20, checkpoint_every=2, seed=3)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = StreamingCluseq.cold_start(
+                alphabet_size=6,
+                similarity_threshold=10.0,
+                significance_threshold=3,
+                max_depth=4,
+                config=config,
+                state_dir=tmp_path / "state",
+            )
+            with engine:
+                engine.run(stream.sequences)
+
+        batches = registry.get("stream.batches").value
+        assert batches == 4
+        for name in (
+            "stream.wal_append_seconds",
+            "stream.wal_fsync_seconds",
+            "stream.checkpoint_write_seconds",
+            "stream.checkpoint_fsync_seconds",
+        ):
+            histogram = registry.get(name)
+            assert histogram is not None, f"missing {name}"
+            assert histogram.count > 0
+            assert histogram.bounds == LATENCY_BUCKETS
+        # one journal record per batch, on top of the header line
+        assert registry.get("stream.wal_append_seconds").count >= batches
+        assert registry.get("stream.peak_rss_bytes").value > 0
+        assert not any(name.startswith("profile.") for name in registry.snapshot())
 
 
 class TestIterationHooks:

@@ -24,8 +24,9 @@ and router snapshot through the same protocol):
 2. **Protocol ordering.** In every function that calls
    ``os.replace(...)``, an ``os.fsync(...)`` must have executed on
    *every* path from function entry to the replace (forward
-   must-analysis over the CFG). An fsync that only happens on the
-   profiled branch — or before an early return — does not count.
+   must-analysis over the CFG). An fsync that only happens on one
+   branch of a conditional — or before an early return — does not
+   count.
 """
 
 from __future__ import annotations

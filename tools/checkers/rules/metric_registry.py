@@ -5,16 +5,13 @@ and the bench trajectory ledger, which join on *names*. A typo'd
 metric name (``pst.decay_purged_nodes``) silently creates a second
 series nobody charts; a renamed span breaks every saved query. v2
 makes the name set a declared, reviewable artifact:
-``src/repro/obs/names.py`` holds the registry constants (``METRICS``,
-``SPANS``, ``KERNELS``, ``CACHES``, ``LATENCIES`` plus ``*_PREFIXES``
-for dynamic families), parsed in pass 1 by
-:class:`~tools.checkers.symbols.ProgramIndex`.
+``src/repro/obs/names.py`` holds the registry constants (``METRICS``
+and ``SPANS`` plus ``*_PREFIXES`` for dynamic families), parsed in
+pass 1 by :class:`~tools.checkers.symbols.ProgramIndex`.
 
 This rule then resolves every literal name at every emission site —
-``metrics.counter(...)``/``gauge``/``histogram``/``timer``/``series``,
-``obs.span(...)``, ``prof.kernel(...)``/``record_kernel``,
-``prof.cache_hit``/``cache_miss``, ``prof.latency(...)`` — against the
-registry. F-strings are checked by their literal head: the head must
+``metrics.counter(...)``/``gauge``/``histogram``/``timer``/``series``
+and ``obs.span(...)`` — against the registry. F-strings are checked by their literal head: the head must
 extend a declared prefix, or some declared name must still be able to
 complete it. Sites whose first argument is not a string literal at all
 (plumbing that forwards a caller-supplied name) are out of scope.
@@ -35,13 +32,8 @@ from ..symbols import NameRegistry
 #: Emitter method name → the registry namespace it draws from.
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "timer", "series"})
 _SPAN_METHODS = frozenset({"span"})
-_KERNEL_METHODS = frozenset({"kernel", "record_kernel"})
-_CACHE_METHODS = frozenset({"cache_hit", "cache_miss"})
-_LATENCY_METHODS = frozenset({"latency"})
 
-_ALL_METHODS = (
-    _METRIC_METHODS | _SPAN_METHODS | _KERNEL_METHODS | _CACHE_METHODS | _LATENCY_METHODS
-)
+_ALL_METHODS = _METRIC_METHODS | _SPAN_METHODS
 
 
 def _fstring_head(node: ast.JoinedStr) -> str | None:
@@ -99,31 +91,17 @@ class MetricRegistryRule(Rule):
         arg: ast.expr,
     ) -> Iterator[Violation]:
         if method in _METRIC_METHODS:
-            kind, names, exact, prefix_ok = (
+            kind, exact, prefix_ok = (
                 "metric",
-                registry.metrics,
                 registry.resolves_metric,
                 registry.resolves_metric_prefix,
             )
-        elif method in _SPAN_METHODS:
-            kind, names, exact, prefix_ok = (
+        else:
+            kind, exact, prefix_ok = (
                 "span",
-                registry.spans,
                 registry.resolves_span,
                 registry.resolves_span_prefix,
             )
-        elif method in _KERNEL_METHODS:
-            kind, names = "kernel", registry.kernels
-            exact = names.__contains__
-            prefix_ok = lambda head: any(n.startswith(head) for n in names)  # noqa: E731
-        elif method in _CACHE_METHODS:
-            kind, names = "cache", registry.caches
-            exact = names.__contains__
-            prefix_ok = lambda head: any(n.startswith(head) for n in names)  # noqa: E731
-        else:
-            kind, names = "latency", registry.latencies
-            exact = names.__contains__
-            prefix_ok = lambda head: any(n.startswith(head) for n in names)  # noqa: E731
 
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             if not exact(arg.value):

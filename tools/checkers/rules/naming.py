@@ -7,10 +7,10 @@ Two related conventions keep the telemetry surface machine-consumable
    ``gauge``, ``histogram``, ``timer``, ``series``) must be dotted
    lowercase paths — ``layer.metric`` or deeper, matching
    ``^[a-z][a-z0-9_]*(\\.[a-z0-9_]+)+$`` — so the Prometheus exporter
-   and the telemetry-v2 profile view can group them by namespace. A
-   bare ``counter("hits")`` collides across layers and breaks the
-   grouping. Span names may be single-segment (the dotted path comes
-   from nesting) but obey the same character set.
+   can group them by namespace. A bare ``counter("hits")`` collides
+   across layers and breaks the grouping. Span names may be
+   single-segment (the dotted path comes from nesting) but obey the
+   same character set.
 
 2. ``span(...)`` must be used as a context manager: the span records
    its timing in ``__exit__``, so a bare ``span("x")`` call silently
@@ -18,8 +18,8 @@ Two related conventions keep the telemetry surface machine-consumable
 
 The analysis is syntactic. Literal first arguments are checked in
 full; for f-strings only the leading literal chunk is checked (e.g.
-``f"profile.kernel.{name}"`` validates ``"profile.kernel."``); fully
-dynamic names are trusted. Test code is exempt.
+``f"span.{path}"`` validates ``"span."``); fully dynamic names are
+trusted. Test code is exempt.
 """
 
 from __future__ import annotations

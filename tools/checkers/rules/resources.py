@@ -5,7 +5,7 @@ Leaked file handles corrupt the streaming subsystem's durability story
 leaked lock acquisitions deadlock their next taker, and leaked
 executors or shared-memory segments outlive the run (orphan worker
 processes, stale ``/dev/shm`` files). Acquisitions are method calls
-(``open``/``acquire``/``kernel``) and the constructors of known
+(``open``/``acquire``) and the constructors of known
 resource-owning classes (executors, ``SharedMemory``). The rule checks every acquisition site against the
 small set of ownership patterns the codebase sanctions:
 
@@ -46,10 +46,8 @@ from ..engine import FileContext, Rule, Violation, register
 #: Method names that release an acquired resource.
 _CLOSERS = frozenset({"close", "release", "__exit__"})
 
-#: Attribute-call names that acquire a resource needing release
-#: (``kernel`` is the profiler's timer context — unclosed, the timer
-#: never stops and the telemetry ledger records garbage).
-_ACQUIRERS = frozenset({"open", "acquire", "kernel"})
+#: Attribute-call names that acquire a resource needing release.
+_ACQUIRERS = frozenset({"open", "acquire"})
 
 #: Constructors whose *instances* are the resource: executors own
 #: worker threads or processes, shared-memory segments own

@@ -13,9 +13,9 @@ cross-file facts the flow-sensitive rules need:
   what they write; a file write in ``repro.stream`` outside one of
   these (or outside an fsync-disciplined class) is a CLQ008 finding.
 * **The declared telemetry-name registry** — parsed from the module
-  named ``*.obs.names`` (``repro/obs/names.py``): the exact metric,
-  span, kernel, cache and latency names the codebase is allowed to
-  emit, plus prefixes for dynamic families. CLQ010 resolves every
+  named ``*.obs.names`` (``repro/obs/names.py``): the exact metric
+  and span names the codebase is allowed to emit, plus prefixes for
+  dynamic families. CLQ010 resolves every
   literal name at every emission site against this registry.
 
 The index is attached to each :class:`~tools.checkers.engine.FileContext`
@@ -44,9 +44,6 @@ _REGISTRY_FIELDS = {
     "METRIC_PREFIXES": "metric_prefixes",
     "SPANS": "spans",
     "SPAN_PREFIXES": "span_prefixes",
-    "KERNELS": "kernels",
-    "CACHES": "caches",
-    "LATENCIES": "latencies",
 }
 
 
@@ -133,9 +130,6 @@ class NameRegistry:
     metric_prefixes: tuple[str, ...] = ()
     spans: frozenset[str] = frozenset()
     span_prefixes: tuple[str, ...] = ()
-    kernels: frozenset[str] = frozenset()
-    caches: frozenset[str] = frozenset()
-    latencies: frozenset[str] = frozenset()
 
     def resolves_metric(self, name: str) -> bool:
         return name in self.metrics or name.startswith(self.metric_prefixes or ("\0",))
