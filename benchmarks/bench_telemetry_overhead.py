@@ -80,11 +80,11 @@ def build_workload():
 def make_bare_runner(scorer, psts, sequences, log_bg):
     """The same kernel sequence with zero instrumentation.
 
-    A transcription of ``score_matrix`` / ``_score_matrix_arrays`` with
-    every clock read and telemetry guard deleted — the
+    A transcription of ``score_matrix_full`` / ``_score_matrix_arrays``
+    with every clock read and telemetry guard deleted — the
     pre-instrumentation hot path:
     pad once, walk the full-matrix state cube, gather ratios, one
-    batched Kadane scan over the column layout, reshape, materialize.
+    batched Kadane scan over the column layout, reshape.
     The prepared stack is hoisted like the scorer's cache is.
     """
     prep = prepare_stack(
@@ -100,8 +100,7 @@ def make_bare_runner(scorer, psts, sequences, log_bg):
         flat = kadane_columns(
             ratios.reshape(width, trees * batch), np.tile(lengths, trees)
         )
-        matrix = matrix_from_batch(flat, trees, batch)
-        _ = matrix.to_lists()
+        matrix_from_batch(flat, trees, batch)
 
     return bare
 
@@ -119,7 +118,7 @@ def measure_overhead() -> tuple[float, float, float]:
     )
     psts, sequences, background = build_workload()
     scorer = PstBatchScorer(background)
-    scorer.score_matrix(psts, sequences)  # warm flats, stack and caches
+    scorer.score_matrix_full(psts, sequences)  # warm flats, stack and caches
     bare_runner = make_bare_runner(scorer, psts, sequences, scorer.log_bg)
     bare_runner()
     bare = instrumented = float("inf")
@@ -128,7 +127,7 @@ def measure_overhead() -> tuple[float, float, float]:
         bare_runner()
         bare = min(bare, time.perf_counter() - started)
         started = time.perf_counter()
-        scorer.score_matrix(psts, sequences)
+        scorer.score_matrix_full(psts, sequences)
         instrumented = min(instrumented, time.perf_counter() - started)
     return bare, instrumented, instrumented / bare - 1.0
 

@@ -56,7 +56,6 @@ from collections.abc import Callable
 from typing import Any
 
 from . import __version__
-from .core.backends import BACKENDS
 from .core.cluseq import CLUSEQ, CluseqParams
 from .evaluation.metrics import evaluate_clustering
 from .evaluation.reporting import percent, print_table
@@ -231,12 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--max-depth", type=int, default=6)
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help="scoring backend for the join/absorb path (bit-identical)",
-    )
-    stream.add_argument(
         "--no-fsync",
         action="store_true",
         help="skip per-batch journal fsync (faster, weaker durability)",
@@ -321,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument("--max-depth", type=int, default=6)
     shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help="scoring backend for the join/absorb path (bit-identical)",
-    )
     shard.add_argument(
         "--no-fsync",
         action="store_true",
@@ -554,7 +541,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         journal_fsync=not args.no_fsync,
         seed=args.seed,
-        backend=args.backend,
     )
     if args.resume:
         if not args.state_dir:
@@ -588,15 +574,17 @@ def _command_stream(args: argparse.Namespace) -> int:
     if engine.alphabet is None:
         print("no alphabet available; cannot encode the stream", file=sys.stderr)
         return 1
+    # A resumed run keeps the checkpointed batch size, not the flag's.
+    batch_size = engine.config.batch_size
     with engine:
         if args.input == "-":
             encoded = read_encoded_lines(sys.stdin, engine.alphabet)
-            for batch in batched(encoded, config.batch_size):
+            for batch in batched(encoded, batch_size):
                 engine.ingest_batch(batch)
         else:
             with open(args.input, encoding="utf-8") as handle:
                 encoded = read_encoded_lines(handle, engine.alphabet)
-                for batch in batched(encoded, config.batch_size):
+                for batch in batched(encoded, batch_size):
                     engine.ingest_batch(batch)
         if args.state_dir:
             engine.checkpoint()
@@ -633,7 +621,6 @@ def _command_shard(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         journal_fsync=not args.no_fsync,
         seed=args.seed,
-        backend=args.backend,
     )
     if args.resume:
         if not args.state_dir:

@@ -1,13 +1,7 @@
 """CLUSEQ core: the probabilistic suffix tree, the similarity measure
 and the clustering algorithm itself."""
 
-from .backends import (
-    BACKENDS,
-    FlattenedPST,
-    PstBatchScorer,
-    flatten_pst,
-    resolve_backend,
-)
+from .backends import FlattenedPST, PstBatchScorer, flatten_pst
 from .cluster import Cluster, Membership
 from .cluseq import (
     CLUSEQ,
@@ -56,11 +50,9 @@ from .threshold import (
 )
 
 __all__ = [
-    "BACKENDS",
     "FlattenedPST",
     "PstBatchScorer",
     "flatten_pst",
-    "resolve_backend",
     "Cluster",
     "Membership",
     "CLUSEQ",

@@ -1,13 +1,12 @@
 """Scoring backends: flattened-array batch kernels for the SIM measure.
 
-See docs/PERFORMANCE.md for the architecture. The ``reference``
-backend (``repro.core.similarity``) is the normative transcription of
-the paper; the ``vectorized`` backend here reproduces it bit-for-bit
-from flattened PST arrays, batched over many (sequence, tree) pairs,
-in one process.
+See docs/PERFORMANCE.md for the architecture. ``repro.core.similarity``
+is the normative transcription of the paper; the kernel here
+reproduces it bit-for-bit from flattened PST arrays, batched over many
+(sequence, tree) pairs, in one process.
 """
 
-from .dispatch import BACKENDS, PstBatchScorer, resolve_backend
+from .dispatch import PstBatchScorer
 from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
     KADANE_NUMPY_MIN_ROWS,
@@ -23,7 +22,6 @@ from .vectorized import (
 )
 
 __all__ = [
-    "BACKENDS",
     "KADANE_NUMPY_MIN_ROWS",
     "FlattenedPST",
     "KadaneBatchResult",
@@ -35,7 +33,6 @@ __all__ = [
     "kadane_columns",
     "pad_sequences",
     "prepare_stack",
-    "resolve_backend",
     "stack_flats",
     "walk_states_matrix",
 ]

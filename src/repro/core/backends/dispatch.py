@@ -1,26 +1,22 @@
-"""Backend selection and the caching batch scorer.
+"""The caching batch scorer over flattened PSTs.
 
-Two scoring backends exist:
+The paper's SIM measure (§4.3) has one normative implementation,
+:func:`repro.core.similarity.similarity`, a direct transcription of
+the paper. The flattened-array kernel of
+:mod:`repro.core.backends.vectorized` reproduces it bit-for-bit (same
+floats, same segment bounds), restructured to score a whole
+(tree × sequence) matrix in one call. No setting chooses between the
+two: a caller that scores a batch against trees which stay fixed for
+the call uses the kernel, and one that scores a single pair uses the
+DP (see README "Scoring paths").
 
-* ``reference`` — the normative per-pair implementation in
-  :mod:`repro.core.similarity`, a direct transcription of the paper.
-* ``vectorized`` — the flattened-array batch kernel of
-  :mod:`repro.core.backends.vectorized`, bit-identical to the reference
-  (same floats, same segment bounds), just restructured for throughput.
-
-``auto`` resolves to ``vectorized``: because the backends agree
-bit-for-bit, the faster one is always safe to prefer. ``reference``
-remains selectable both as the ground truth for differential tests and
-as the fallback if a deployment ever needs to rule the array path out.
-
-:class:`PstBatchScorer` is the working interface: it owns the
-background log vector, caches each tree's flattened export keyed by the
-tree's mutation version, caches the *prepared* stacked table set
+:class:`PstBatchScorer` is the kernel's working interface: it owns the
+background log vector, caches the *prepared* stacked table set
 (sentinel walk table + log-ratio table, see
 :class:`~repro.core.backends.vectorized.PreparedStack`) for repeated
-calls against the same tree group, and emits per-backend
-counters/timers through the active metrics registry. Every scoring
-entry point routes through one full-matrix kernel invocation.
+calls against the same tree group — each tree caches its own
+flattened export per mutation version — and emits counters/timers
+through the active metrics registry.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ import numpy.typing as npt
 
 from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
-from ..similarity import SimilarityResult
-from .flatten import FlattenedPST
 from .vectorized import (
     PreparedStack,
     ScoreMatrixResult,
@@ -47,9 +41,6 @@ from .vectorized import (
     stack_flats,
     walk_states_matrix,
 )
-
-#: Recognized backend names (CLI / stream config).
-BACKENDS = ("auto", "reference", "vectorized")
 
 
 def _observe_segment_lengths(matrix: ScoreMatrixResult) -> None:
@@ -78,21 +69,6 @@ def _observe_segment_lengths(matrix: ScoreMatrixResult) -> None:
     )
 
 
-def resolve_backend(name: str) -> str:
-    """Map a requested backend name to a concrete one.
-
-    Both backends implement the paper's SIM measure (§2/§4.3) exactly.
-
-    ``auto`` picks ``vectorized``; the two backends are bit-identical,
-    so auto-selection can never change results, only speed.
-    """
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    if name == "auto":
-        return "vectorized"
-    return name
-
-
 class PstBatchScorer:
     """Batch scorer over flattened PSTs, result-identical to reference.
 
@@ -114,30 +90,20 @@ class PstBatchScorer:
         self._stack: PreparedStack | None = None
 
     @property
-    def background(self) -> npt.NDArray[np.float64]:
-        return self._background
-
-    @property
     def log_bg(self) -> npt.NDArray[np.float64]:
         """Background log vector (reference ``math.log`` convention)."""
         return self._log_bg
 
-    def _check_alphabet(self, pst: ProbabilisticSuffixTree) -> None:
-        if self._background.shape != (pst.alphabet_size,):
-            raise ValueError(
-                f"background must have length {pst.alphabet_size}, "
-                f"got shape {self._background.shape}"
-            )
-
-    def flat_for(self, pst: ProbabilisticSuffixTree) -> FlattenedPST:
-        """Current flat export of *pst* (cached on the tree per version)."""
-        self._check_alphabet(pst)
-        return pst.flattened()
-
     def _stack_for(
         self, psts: Sequence[ProbabilisticSuffixTree]
     ) -> PreparedStack:
-        flats = [self.flat_for(pst) for pst in psts]
+        for pst in psts:
+            if self._background.shape != (pst.alphabet_size,):
+                raise ValueError(
+                    f"background must have length {pst.alphabet_size}, "
+                    f"got shape {self._background.shape}"
+                )
+        flats = [pst.flattened() for pst in psts]
         versions = tuple(flat.version for flat in flats)
         fresh = (
             self._stack is None
@@ -191,7 +157,7 @@ class PstBatchScorer:
             registry.timer("backend.kadane_seconds").record(scanned_at - gathered_at)
             # Parity with the reference scorer's per-call counters so
             # observability consumers see one coherent trace whichever
-            # backend ran (see docs/OBSERVABILITY.md).
+            # path scored a pair (see docs/OBSERVABILITY.md).
             registry.counter("similarity.calls").inc(pairs)
             registry.counter("similarity.dp_cells").inc(
                 int(lengths.sum()) * trees
@@ -219,14 +185,6 @@ class PstBatchScorer:
             )
         prep = self._stack_for(psts)
         return self._score_matrix_arrays(prep, sequences)
-
-    def score_matrix(
-        self,
-        psts: Sequence[ProbabilisticSuffixTree],
-        sequences: Sequence[Sequence[int]],
-    ) -> list[list[SimilarityResult]]:
-        """Full (tree × sequence) score matrix as nested result lists."""
-        return self.score_matrix_full(psts, sequences).to_lists()
 
     def forget(self) -> None:
         """Drop the stack cache (releases references to cached trees)."""

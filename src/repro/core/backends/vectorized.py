@@ -552,14 +552,6 @@ class ScoreMatrixResult:
     best_end: npt.NDArray[np.int64]
     whole: npt.NDArray[np.float64]
 
-    @property
-    def trees(self) -> int:
-        return int(self.log_z.shape[0])
-
-    @property
-    def columns(self) -> int:
-        return int(self.log_z.shape[1])
-
     def result(self, tree: int, column: int) -> SimilarityResult:
         """Materialize one pair's :class:`SimilarityResult`."""
         log_z = float(self.log_z[tree, column])
@@ -570,18 +562,6 @@ class ScoreMatrixResult:
             best_end=int(self.best_end[tree, column]),
             whole_sequence_log=float(self.whole[tree, column]),
         )
-
-    def column(self, column: int) -> list[SimilarityResult]:
-        """One sequence's results against every tree, in tree order."""
-        return [self.result(tree, column) for tree in range(self.trees)]
-
-    def row(self, tree: int) -> list[SimilarityResult]:
-        """One tree's results against every sequence, in column order."""
-        return [self.result(tree, column) for column in range(self.columns)]
-
-    def to_lists(self) -> list[list[SimilarityResult]]:
-        """Tree-major nested lists (the legacy ``score_matrix`` shape)."""
-        return [self.row(tree) for tree in range(self.trees)]
 
 
 def matrix_from_batch(

@@ -271,10 +271,7 @@ class ClusteringResult:
         Uses the run's final similarity threshold.
         """
         position = best_cluster(
-            [
-                similarity(cluster.pst, encoded, self.background).log_similarity
-                for cluster in self.clusters
-            ],
+            ScoreColumn.live(self.clusters, encoded, self.background).log_sims,
             self.final_log_threshold,
         )
         return None if position is None else self.clusters[position].cluster_id
@@ -325,9 +322,7 @@ class ClusteringResult:
         log_t = (
             self.final_log_threshold if log_threshold is None else log_threshold
         )
-        scores = ScoreColumn.of(
-            [similarity(c.pst, encoded, self.background) for c in self.clusters]
-        )
+        scores = ScoreColumn.live(self.clusters, encoded, self.background)
         cluster = join_best(new_index, encoded, self.clusters, scores, log_t)
         if cluster is None:
             self.assignments[new_index] = set()
@@ -771,9 +766,7 @@ class CLUSEQ:
         reclustering_work = 0
         for index in order:
             seq = encoded[index]
-            scores = ScoreColumn.of(
-                [similarity(c.pst, seq, background) for c in clusters]
-            )
+            scores = ScoreColumn.live(clusters, seq, background)
             reclustering_work += len(seq) * len(clusters)
             all_log_sims.extend(scores.log_sims)
             joined = join_all(index, seq, clusters, scores, log_t)

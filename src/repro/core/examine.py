@@ -67,8 +67,15 @@ class ScoreColumn:
     result_for: Callable[[int], SimilarityResult]
 
     @classmethod
-    def of(cls, results: list[SimilarityResult]) -> ScoreColumn:
-        """A column of already-materialized results."""
+    def live(
+        cls,
+        clusters: Sequence[Cluster],
+        seq: Sequence[int],
+        background: npt.NDArray[np.float64],
+    ) -> ScoreColumn:
+        """*seq* scored against each cluster's live model, in cluster
+        order, with the reference ``similarity()`` DP."""
+        results = [similarity(cluster.pst, seq, background) for cluster in clusters]
         return cls([result.log_similarity for result in results], results.__getitem__)
 
 

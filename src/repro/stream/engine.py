@@ -49,7 +49,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from ..core.backends import BACKENDS, PstBatchScorer, resolve_backend
+from ..core.backends import PstBatchScorer
 from ..core.cluseq import CluseqParams, ClusteringResult
 from ..core.cluster import Cluster, Membership
 from ..core.examine import ScoreColumn, ScoreSnapshot, join_best
@@ -86,6 +86,10 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: Histogram resolution for the rolling-window valley estimate.
 _ADJUST_BUCKETS = 100
 
+#: Config keys older checkpoints and shard manifests still carry; they
+#: are dropped on load. Any other unknown key still fails.
+RETIRED_KEYS = frozenset({"backend"})
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -112,11 +116,6 @@ class StreamConfig:
     checkpoint_every: int = 0
     journal_fsync: bool = True
     seed: int = 0
-    #: Scoring backend for the join/absorb path (``auto`` | ``reference``
-    #: | ``vectorized``). Both backends are bit-identical, so replay and
-    #: recovery stay deterministic whichever one a run (or a resumed
-    #: run) selects.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -141,8 +140,6 @@ class StreamConfig:
             raise ValueError(
                 f"valley_method must be one of {tuple(VALLEY_METHODS)}"
             )
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -161,12 +158,13 @@ class StreamConfig:
             "checkpoint_every": self.checkpoint_every,
             "journal_fsync": self.journal_fsync,
             "seed": self.seed,
-            "backend": self.backend,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "StreamConfig":
-        payload = dict(data)
+        payload = {
+            key: value for key, value in data.items() if key not in RETIRED_KEYS
+        }
         decay = payload.pop("decay", None)
         policy = (
             DecayPolicy.from_dict(decay)  # type: ignore[arg-type]
@@ -289,14 +287,7 @@ class StreamingCluseq:
             max_nodes=params.max_nodes,
             prune_strategy=params.prune_strategy,
         )
-        # Both backends produce bit-identical scores, so the choice can
-        # never perturb join decisions — recovery replay stays exact
-        # even if a resumed run picks a different backend.
-        self._scorer: PstBatchScorer | None = (
-            PstBatchScorer(result.background)
-            if resolve_backend(self.config.backend) == "vectorized"
-            else None
-        )
+        self._scorer = PstBatchScorer(result.background)
         self._journal: StreamJournal | None = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
@@ -526,7 +517,9 @@ class StreamingCluseq:
                     scores = (
                         snapshot.column(clusters, column, encoded)
                         if snapshot is not None
-                        else self._score_against(clusters, encoded)
+                        else ScoreColumn.live(
+                            clusters, encoded, self.result.background
+                        )
                     )
                     assigned.append(self._assign(index, encoded, scores))
             self._sequences += len(batch)
@@ -562,33 +555,23 @@ class StreamingCluseq:
             )
         return assigned
 
-    def _score_against(
-        self, clusters: Sequence[Cluster], encoded: list[int]
-    ) -> ScoreColumn:
-        """Scores of *encoded* against each live cluster model, in
-        cluster order, with the reference DP — flattening a tree that
-        the next absorb invalidates would cost more than the walk."""
-        background = self.result.background
-        return ScoreColumn.of(
-            [similarity(cluster.pst, encoded, background) for cluster in clusters]
-        )
-
     def _snapshot(self, batch: list[list[int]]) -> ScoreSnapshot | None:
         """Score the whole (cluster × batch) matrix in one kernel call.
 
-        Only worthwhile with the vectorized scorer, a real batch and
-        live clusters. Every absorb inside the batch bumps a cluster
-        PST's version; the snapshot rescores those pairs with the
-        reference DP on the live model, so committed scores are exactly
-        the sequential loop's.
+        Only worthwhile for a real batch against live clusters; a lone
+        sequence (or an empty model) goes pair by pair through the
+        reference DP instead — flattening a tree that the next absorb
+        invalidates would cost more than the walk. Every absorb inside
+        the batch bumps a cluster PST's version; the snapshot rescores
+        those pairs with the reference DP on the live model, so
+        committed scores are exactly the sequential loop's.
         """
-        scorer = self._scorer
         clusters = self.result.clusters
-        if scorer is None or len(batch) < 2 or not clusters:
+        if len(batch) < 2 or not clusters:
             return None
         psts = [cluster.pst for cluster in clusters]
         return ScoreSnapshot(
-            psts, scorer.score_matrix_full(psts, batch), self.result.background
+            psts, self._scorer.score_matrix_full(psts, batch), self.result.background
         )
 
     def _assign(self, index: int, encoded: list[int], scores: ScoreColumn) -> int | None:
@@ -721,7 +704,9 @@ class StreamingCluseq:
             # a freshly spawned model join it immediately, so one drift
             # event does not need k separate re-seed rounds to drain.
             for index, encoded in self._pool:
-                scores = self._score_against(spawned, encoded)
+                scores = ScoreColumn.live(
+                    spawned, encoded, self.result.background
+                )
                 joined = join_best(index, encoded, spawned, scores, self.log_threshold)
                 if joined is None:
                     continue

@@ -104,8 +104,9 @@ class TestSimilarityAgreesWithReference:
     def test_scores_bounds_and_whole_log_match(self, scenarios):
         for case, (pst, background, sequences) in enumerate(scenarios):
             scorer = PstBatchScorer(background)
-            batch = scorer.score_matrix_full([pst], sequences).row(0)
-            for seq, got in zip(sequences, batch):
+            matrix = scorer.score_matrix_full([pst], sequences)
+            for column, seq in enumerate(sequences):
+                got = matrix.result(0, column)
                 want = similarity(pst, seq, background)
                 _assert_results_equal(got, want, f"case {case} seq {seq!r}")
 
@@ -123,8 +124,9 @@ class TestSimilarityAgreesWithReference:
             background = group[0][1]
             scorer = PstBatchScorer(background)
             seq = group[0][2][0]
-            results = scorer.score_matrix_full(psts, [seq]).column(0)
-            for pst, got in zip(psts, results):
+            matrix = scorer.score_matrix_full(psts, [seq])
+            for tree, pst in enumerate(psts):
+                got = matrix.result(tree, 0)
                 want = similarity(pst, seq, background)
                 _assert_results_equal(got, want, f"alphabet {pst.alphabet_size}")
                 checked += 1
@@ -136,7 +138,7 @@ class TestBruteforceAgreement:
         for case, (pst, background, sequences) in enumerate(scenarios):
             scorer = PstBatchScorer(background)
             seq = min(sequences, key=len)  # O(l²) oracle: keep it short
-            (got,) = scorer.score_matrix_full([pst], [seq]).row(0)
+            got = scorer.score_matrix_full([pst], [seq]).result(0, 0)
             brute_log, (brute_start, brute_end) = similarity_bruteforce(
                 pst, seq, background
             )
@@ -191,6 +193,13 @@ class TestSuffixSelection:
 
 
 class TestEdgeCases:
+    def test_background_of_another_alphabet_raises(self):
+        pst = ProbabilisticSuffixTree(alphabet_size=4, max_depth=2)
+        pst.add_sequence([0, 1, 2, 3])
+        scorer = PstBatchScorer(np.full(3, 1.0 / 3.0))
+        with pytest.raises(ValueError, match="background must have length 4"):
+            scorer.score_matrix_full([pst], [[0, 1]])
+
     def test_empty_sequence_raises_like_reference(self):
         pst = ProbabilisticSuffixTree(alphabet_size=4, max_depth=3)
         pst.add_sequence([0, 1, 2, 3])
@@ -199,16 +208,16 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="empty sequence"):
             similarity(pst, [], background)
         with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_matrix_full([pst], [[0, 1], []]).row(0)
+            scorer.score_matrix_full([pst], [[0, 1], []])
         with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_matrix_full([pst], [[]]).column(0)
+            scorer.score_matrix_full([pst], [[]])
 
     def test_single_symbol_sequences(self):
         for seed in range(N_CASES):
             pst, background, _ = _random_scenario(5000 + seed)
             scorer = PstBatchScorer(background)
             seq = [seed % pst.alphabet_size]
-            (got,) = scorer.score_matrix_full([pst], [seq]).row(0)
+            got = scorer.score_matrix_full([pst], [seq]).result(0, 0)
             want = similarity(pst, seq, background)
             _assert_results_equal(got, want, f"seed {seed}")
             assert (got.best_start, got.best_end) == (0, 1)
@@ -240,7 +249,7 @@ class TestEdgeCases:
             background = np.full(alphabet_size, 1.0 / alphabet_size)
             scorer = PstBatchScorer(background)
             seq = [unseen] * int(rng.integers(1, 12))
-            (got,) = scorer.score_matrix_full([pst], [seq]).row(0)
+            got = scorer.score_matrix_full([pst], [seq]).result(0, 0)
             want = similarity(pst, seq, background)
             _assert_results_equal(got, want, f"seed {seed}")
 
@@ -250,17 +259,17 @@ class TestEdgeCases:
         background = np.full(3, 1.0 / 3.0)
         scorer = PstBatchScorer(background)
         seq = [0, 1, 2, 0]
-        (before,) = scorer.score_matrix_full([pst], [seq]).row(0)
+        before = scorer.score_matrix_full([pst], [seq]).result(0, 0)
         _assert_results_equal(
             before, similarity(pst, seq, background), "pre-mutation"
         )
         pst.add_sequence([2, 1, 0, 2, 1, 0])
-        (after_add,) = scorer.score_matrix_full([pst], [seq]).row(0)
+        after_add = scorer.score_matrix_full([pst], [seq]).result(0, 0)
         _assert_results_equal(
             after_add, similarity(pst, seq, background), "post add_sequence"
         )
         pst.decay_counts(0.5)
-        (after_decay,) = scorer.score_matrix_full([pst], [seq]).row(0)
+        after_decay = scorer.score_matrix_full([pst], [seq]).result(0, 0)
         _assert_results_equal(
             after_decay, similarity(pst, seq, background), "post decay_counts"
         )

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,9 @@ class TestStreamCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "240" in out  # both passes counted
+        # The resumed pass keeps the checkpointed batch size of 16:
+        # 120 sequences per pass is 8 batches each.
+        assert re.search(r"^batches\s+16\s*$", out, re.MULTILINE)
 
     def test_resume_missing_state_dir_fails_cleanly(
         self, stream_file, tmp_path, capsys

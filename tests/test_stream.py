@@ -274,6 +274,12 @@ class TestStreamConfig:
             decay=DecayPolicy(factor=0.9, every_batches=4), adjust_every=6
         )
         assert StreamConfig.from_dict(config.to_dict()) == config
+        # Older checkpoints and shard manifests carry a retired
+        # ``backend`` key; it is dropped on load.
+        legacy = {**config.to_dict(), "backend": "reference"}
+        assert StreamConfig.from_dict(legacy) == config
+        with pytest.raises(TypeError, match="nonsense"):
+            StreamConfig.from_dict({**config.to_dict(), "nonsense": 1})
 
 
 class TestStreamingEngine:

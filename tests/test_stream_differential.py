@@ -1,18 +1,20 @@
-"""Differential test: the streaming engine's scoring backends agree.
+"""Differential test: the stream's batch snapshot agrees with sequential scoring.
 
-``StreamingCluseq`` scores each micro-batch against every cluster. The
-vectorized backend scores the whole (cluster × batch) matrix up front
+``StreamingCluseq`` scores each micro-batch against every cluster. It
+scores the whole (cluster × batch) matrix up front in one kernel call
 and rescores the pairs whose cluster absorbed a segment earlier in the
-batch; the reference backend scores one pair at a time. Both must make
-the same join decisions, absorb the same segments and leave the same
-models, pool and threshold behind — with maintenance (re-seed, decay,
-threshold adjustment, consolidation) running on its schedule.
+batch. The oracle here is :class:`SequentialStreamingCluseq`, an engine
+that never takes a snapshot, so every pair goes through the reference
+``similarity()`` DP one at a time. Both must make the same join
+decisions, absorb the same segments and leave the same models, pool
+and threshold behind — with maintenance (re-seed, decay, threshold
+adjustment, consolidation) running on its schedule.
 
 With maintenance off the engine must also equal a plain
 ``ClusteringResult.assign_and_absorb`` replay of the same sequences.
 
 A stale pair costs one reference DP on the live tree, never a
-re-flatten: the vectorized engine flattens each cluster at most once
+re-flatten: the snapshot engine flattens each cluster at most once
 per micro-batch, however many segments the batch absorbs.
 """
 
@@ -28,7 +30,18 @@ from repro.stream import (
 )
 
 ALPHABET_SIZE = 8
-BACKENDS = ("reference", "vectorized")
+
+
+class SequentialStreamingCluseq(StreamingCluseq):
+    """The reference oracle: no batch snapshot, so every (sequence,
+    cluster) pair is scored by the per-pair ``similarity()`` DP."""
+
+    def _snapshot(self, batch):
+        return None
+
+
+#: Parameter id -> engine class; the ids name the two scoring paths.
+ENGINES = {"reference": SequentialStreamingCluseq, "vectorized": StreamingCluseq}
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +51,7 @@ def stream():
     ).sequences
 
 
-def maintained_config(backend, batch_size):
+def maintained_config(batch_size):
     return StreamConfig(
         batch_size=batch_size,
         pool_size=64,
@@ -49,18 +62,16 @@ def maintained_config(backend, batch_size):
         adjust_every=5,
         decay=DecayPolicy(factor=0.9, every_batches=6),
         seed=3,
-        backend=backend,
     )
 
 
-def quiet_config(backend, batch_size):
+def quiet_config(batch_size):
     """Maintenance off: every batch is pure join-or-pool."""
     return StreamConfig(
         batch_size=batch_size,
         pool_size=512,
         reseed_every=0,
         consolidate_every=0,
-        backend=backend,
     )
 
 
@@ -102,13 +113,13 @@ def engine_state(engine, assigned):
 @pytest.mark.parametrize("batch_size", [1, 32])
 def test_backends_agree_with_maintenance_on(stream, batch_size):
     states = {}
-    for backend in BACKENDS:
-        engine = StreamingCluseq.cold_start(
+    for backend, engine_class in ENGINES.items():
+        engine = engine_class.cold_start(
             alphabet_size=ALPHABET_SIZE,
             similarity_threshold=10.0,
             significance_threshold=3,
             max_depth=4,
-            config=maintained_config(backend, batch_size),
+            config=maintained_config(batch_size),
         )
         assigned = run_engine(engine, stream, batch_size)
         states[backend] = engine_state(engine, assigned)
@@ -127,7 +138,7 @@ def test_vectorized_flattens_each_cluster_at_most_once_per_batch(stream):
         similarity_threshold=10.0,
         significance_threshold=3,
         max_depth=4,
-        config=maintained_config("vectorized", batch_size),
+        config=maintained_config(batch_size),
     )
     registry = MetricsRegistry()
     budget = 0
@@ -143,12 +154,12 @@ def test_vectorized_flattens_each_cluster_at_most_once_per_batch(stream):
 @pytest.fixture(scope="module")
 def warm_model(stream):
     """A model grown from the first regime's opening sequences."""
-    engine = StreamingCluseq.cold_start(
+    engine = SequentialStreamingCluseq.cold_start(
         alphabet_size=ALPHABET_SIZE,
         similarity_threshold=10.0,
         significance_threshold=3,
         max_depth=4,
-        config=maintained_config("reference", 10),
+        config=maintained_config(10),
     )
     run_engine(engine, stream[:80], 10)
     assert engine.result.clusters
@@ -156,13 +167,13 @@ def warm_model(stream):
 
 
 @pytest.mark.parametrize("batch_size", [1, 32])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(ENGINES))
 def test_quiet_stream_equals_assign_and_absorb_replay(
     stream, warm_model, backend, batch_size
 ):
     tail = stream[80:]
-    engine = StreamingCluseq(
-        result_from_dict(warm_model), config=quiet_config(backend, batch_size)
+    engine = ENGINES[backend](
+        result_from_dict(warm_model), config=quiet_config(batch_size)
     )
     first_index = engine.result.next_sequence_index()
     assigned = run_engine(engine, tail, batch_size)
