@@ -145,9 +145,8 @@ class PstBatchScorer:
         matrix = matrix_from_batch(flat, trees, padded.shape[0])
         registry = get_registry()
         if registry.enabled:
-            pairs = trees * len(sequences)
             registry.counter("backend.batch_calls").inc()
-            registry.counter("backend.batch_rows").inc(pairs)
+            registry.counter("backend.batch_rows").inc(trees * len(sequences))
             registry.timer("backend.score_seconds").record(
                 time.perf_counter() - started
             )
@@ -155,13 +154,6 @@ class PstBatchScorer:
             registry.timer("backend.walk_seconds").record(walked_at - padded_at)
             registry.timer("backend.gather_seconds").record(gathered_at - walked_at)
             registry.timer("backend.kadane_seconds").record(scanned_at - gathered_at)
-            # Parity with the reference scorer's per-call counters so
-            # observability consumers see one coherent trace whichever
-            # path scored a pair (see docs/OBSERVABILITY.md).
-            registry.counter("similarity.calls").inc(pairs)
-            registry.counter("similarity.dp_cells").inc(
-                int(lengths.sum()) * trees
-            )
             _observe_segment_lengths(matrix)
         return matrix
 

@@ -2,9 +2,9 @@
 
 Every path that examines a sequence against the cluster models goes
 through this module: the fit's reclustering phase,
-``ClusteringResult.predict`` / ``assign_and_absorb``, the streaming
-engine (and with it every shard and ``/v1/stream/ingest``) and the
-serving classifier. Two join rules exist:
+``ClusteringResult.predict`` / ``assign_and_absorb`` (and with it
+``/v1/stream/ingest``), the streaming engine (and with it every shard)
+and the serving classifier. Two join rules exist:
 
 * **overlap** (:func:`join_all`, the fit): a sequence joins *every*
   cluster whose similarity reaches ``t`` — §4.2 clusters overlap;
@@ -15,14 +15,12 @@ serving classifier. Two join rules exist:
 A join records the membership and absorbs the sequence's best-scoring
 segment into the cluster PST (:meth:`Cluster.join`, §4.4).
 
-Scores arrive as a :class:`ScoreColumn`. The fit builds each column
-pair by pair on the live models. :class:`ScoreSnapshot` (the streaming
-engine) serves columns out of a (cluster × batch) matrix scored up
-front; since every join mutates a PST, it checks each entry against
-its model's identity and version and rescores stale pairs with the
-reference ``similarity()`` on the live model, so the committed scores
-are exactly those of one-at-a-time scoring. The batch kernel scores only trees that stay
-fixed for its call: no caller flattens a tree to score one pair.
+Scores arrive as a :class:`ScoreColumn`. Every examiner that joins
+scores pair by pair on the live models (:meth:`ScoreColumn.live`):
+each join mutates a PST that the next sequence is scored against, so
+scores taken up front would go stale within the batch. The batch
+kernel scores only trees that stay fixed for its whole call — serve
+classify and the fit's threshold calibration.
 """
 
 from __future__ import annotations
@@ -33,10 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from ..obs import get_registry
-from .backends.vectorized import ScoreMatrixResult
 from .cluster import Cluster
-from .pst import ProbabilisticSuffixTree
 from .similarity import SimilarityResult, similarity
 
 
@@ -77,62 +72,6 @@ class ScoreColumn:
         order, with the reference ``similarity()`` DP."""
         results = [similarity(cluster.pst, seq, background) for cluster in clusters]
         return cls([result.log_similarity for result in results], results.__getitem__)
-
-
-class ScoreSnapshot:
-    """A (cluster × batch) score matrix pinned to the models it scored.
-
-    *psts* are the models the *matrix* rows were scored against, read
-    before any of them mutates again. :meth:`column` trusts an entry
-    only while its cluster still holds that very PST at that version,
-    and rescores the rest with ``similarity()`` against *background*:
-    one DP walk of the live tree per stale pair, never a re-flatten.
-    """
-
-    def __init__(
-        self,
-        psts: Sequence[ProbabilisticSuffixTree],
-        matrix: ScoreMatrixResult,
-        background: npt.NDArray[np.float64],
-    ) -> None:
-        self._psts = list(psts)
-        self._versions = [pst.version for pst in self._psts]
-        self._matrix = matrix
-        # One bulk convert: reading the join-test scalars through numpy
-        # indexing would cost a boxed float per pair.
-        self._rows: list[list[float]] = matrix.log_z.tolist()
-        self._background = background
-
-    def column(
-        self, clusters: Sequence[Cluster], column: int, seq: Sequence[int]
-    ) -> ScoreColumn:
-        """Live scores of batch column *column* (sequence *seq*) against
-        *clusters*, the clusters whose models the snapshot scored.
-
-        Rescored pairs count towards ``backend.prescore_stale_pairs``.
-        """
-        psts, versions, rows = self._psts, self._versions, self._rows
-        log_sims: list[float] = []
-        rescored: dict[int, SimilarityResult] = {}
-        for position, cluster in enumerate(clusters):
-            pst = cluster.pst
-            if pst is psts[position] and pst.version == versions[position]:
-                log_sims.append(rows[position][column])
-            else:
-                fresh = similarity(pst, seq, self._background)
-                rescored[position] = fresh
-                log_sims.append(fresh.log_similarity)
-        if rescored:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("backend.prescore_stale_pairs").inc(len(rescored))
-        matrix = self._matrix
-
-        def result_for(position: int) -> SimilarityResult:
-            fresh = rescored.get(position)
-            return fresh if fresh is not None else matrix.result(position, column)
-
-        return ScoreColumn(log_sims, result_for)
 
 
 def join_all(

@@ -108,7 +108,6 @@ METRICS: frozenset[str] = frozenset(
         "consolidation.passes",
         "consolidation.dismissed",
         # vectorized scoring backend
-        "backend.prescore_stale_pairs",
         "backend.flatten_seconds",
         "backend.stack_rebuilds",
         "backend.batch_calls",

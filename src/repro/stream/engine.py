@@ -49,10 +49,9 @@ from typing import Any, Union
 
 import numpy as np
 
-from ..core.backends import PstBatchScorer
 from ..core.cluseq import CluseqParams, ClusteringResult
 from ..core.cluster import Cluster, Membership
-from ..core.examine import ScoreColumn, ScoreSnapshot, join_best
+from ..core.examine import ScoreColumn, join_best
 from ..core.consolidation import consolidate
 from ..core.persistence import result_from_dict, result_to_dict
 from ..core.seeding import build_seed_pst, select_seeds
@@ -287,7 +286,6 @@ class StreamingCluseq:
             max_nodes=params.max_nodes,
             prune_strategy=params.prune_strategy,
         )
-        self._scorer = PstBatchScorer(result.background)
         self._journal: StreamJournal | None = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
@@ -510,17 +508,10 @@ class StreamingCluseq:
                     batch_span.set_attr("replay", True)
             with span("stream.score"):
                 clusters = self.result.clusters
-                snapshot = self._snapshot(batch)
-                for column, encoded in enumerate(batch):
+                for encoded in batch:
                     index = self._next_index
                     self._next_index += 1
-                    scores = (
-                        snapshot.column(clusters, column, encoded)
-                        if snapshot is not None
-                        else ScoreColumn.live(
-                            clusters, encoded, self.result.background
-                        )
-                    )
+                    scores = ScoreColumn.live(clusters, encoded, self.result.background)
                     assigned.append(self._assign(index, encoded, scores))
             self._sequences += len(batch)
             self._batches += 1
@@ -554,25 +545,6 @@ class StreamingCluseq:
                 },
             )
         return assigned
-
-    def _snapshot(self, batch: list[list[int]]) -> ScoreSnapshot | None:
-        """Score the whole (cluster × batch) matrix in one kernel call.
-
-        Only worthwhile for a real batch against live clusters; a lone
-        sequence (or an empty model) goes pair by pair through the
-        reference DP instead — flattening a tree that the next absorb
-        invalidates would cost more than the walk. Every absorb inside
-        the batch bumps a cluster PST's version; the snapshot rescores
-        those pairs with the reference DP on the live model, so
-        committed scores are exactly the sequential loop's.
-        """
-        clusters = self.result.clusters
-        if len(batch) < 2 or not clusters:
-            return None
-        psts = [cluster.pst for cluster in clusters]
-        return ScoreSnapshot(
-            psts, self._scorer.score_matrix_full(psts, batch), self.result.background
-        )
 
     def _assign(self, index: int, encoded: list[int], scores: ScoreColumn) -> int | None:
         """The incremental §4.2–§4.4 join rule for one stream sequence."""

@@ -10,9 +10,12 @@ changes what the clustering computes.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.backends import PstBatchScorer
 from repro.core.cluseq import CLUSEQ, CluseqParams, IterationSnapshot
+from repro.core.pst import ProbabilisticSuffixTree
 from repro.obs import (
     LATENCY_BUCKETS,
     NULL_REGISTRY,
@@ -109,14 +112,34 @@ class TestRunTelemetry:
     def test_reexamination_never_prescores(self, toy_db):
         """The fit scores its §4.2 re-examination pair by pair on the
         live models: the only kernel calls are calibration's, one per
-        reference model, and no prescored pair is ever rescored."""
+        reference model."""
         registry = MetricsRegistry()
         with use_registry(registry):
             CLUSEQ(CluseqParams(**PARAMS)).fit(toy_db)
         references = registry.get("cluseq.calibration_references").value
         assert references > 0
         assert registry.get("backend.batch_calls").value == references
-        assert registry.counter("backend.prescore_stale_pairs").value == 0
+
+    def test_kernel_pairs_are_not_counted_as_dp_calls(self):
+        """``similarity.calls`` counts reference DP calls only; a kernel
+        call's pairs land in ``backend.batch_rows``."""
+        rng = np.random.default_rng(5)
+        psts = []
+        for _ in range(3):
+            pst = ProbabilisticSuffixTree(
+                alphabet_size=4, max_depth=3, significance_threshold=2
+            )
+            for _ in range(4):
+                pst.add_sequence([int(s) for s in rng.integers(0, 4, size=20)])
+            psts.append(pst)
+        sequences = [[int(s) for s in rng.integers(0, 4, size=n)] for n in (25, 18)]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            PstBatchScorer(np.full(4, 0.25)).score_matrix_full(psts, sequences)
+        assert registry.counter("backend.batch_calls").value == 1
+        assert registry.counter("backend.batch_rows").value == 3 * 2
+        assert registry.counter("similarity.calls").value == 0
+        assert registry.counter("similarity.dp_cells").value == 0
 
     def test_registry_argument_without_global_activation(self, toy_db):
         """Passing ``registry=`` to CLUSEQ collects into it without the
