@@ -8,7 +8,10 @@ floats, same segment bounds), restructured to score a whole
 (tree × sequence) matrix in one call. No setting chooses between the
 two: a caller that scores a batch against trees which stay fixed for
 the call uses the kernel, and one that scores a single pair uses the
-DP (see README "Scoring paths").
+DP (see README "Scoring paths"). Serve classify keeps a tree on the
+kernel only while it is unchanged since the model was loaded; once an
+ingest writes it, re-flattening it for every read costs more than the
+DP, so it is scored pair by pair from then on.
 
 :class:`PstBatchScorer` is the kernel's working interface: it owns the
 background log vector, caches the *prepared* stacked table set

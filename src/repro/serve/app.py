@@ -207,10 +207,11 @@ class ServeApp:
     def _ingest(self, request: HttpRequest) -> HttpResponse:
         """Absorb sequences into the live model (§4.4 streaming join).
 
-        Mutation bumps each touched PST's version counter, so the next
-        classify flush transparently re-flattens exactly the mutated
-        trees — the same invalidation contract the streaming engine
-        uses.
+        Mutation bumps each touched PST's version counter. From the
+        next classify flush on, the version scores those trees with the
+        reference ``similarity()`` DP instead of re-flattening them
+        (:meth:`~.registry.ModelVersion.classify_batch`); untouched
+        trees stay on the batch kernel.
         """
         from ..sequences.alphabet import AlphabetError
 

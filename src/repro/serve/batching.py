@@ -4,12 +4,13 @@ Concurrent ``/v1/classify`` requests each carry a handful of
 sequences; scoring them one request at a time would pay the batch
 scorer's fixed costs (stack-cache validation, kernel launch overhead,
 padding) per request. The dispatcher instead drains a bounded queue
-under a (max batch size, max delay) window and pushes **all** waiting
-sequences through a single
-:meth:`~repro.core.backends.dispatch.PstBatchScorer` full-matrix
-invocation — the PR 8 kernel pipeline — against one acquired
-:class:`~repro.serve.registry.ModelVersion`, so the flat/stack caches
-and the walk/Kadane kernels are amortized across clients.
+under a (max batch size, max delay) window and scores **all** waiting
+sequences in one :meth:`~repro.serve.registry.ModelVersion.classify_batch`
+call against one acquired version: at most one
+:class:`~repro.core.backends.dispatch.PstBatchScorer` full-matrix
+invocation over the trees no ingest has written, so the flat/stack
+caches and the walk/Kadane kernels are amortized across clients. Trees
+an ingest has written are scored pair by pair with the reference DP.
 
 Backpressure is the queue bound: when it is full, :meth:`submit`
 raises :class:`QueueFullError` and the HTTP layer answers 503 with a
@@ -182,10 +183,12 @@ class MicroBatcher:
     def _flush(self, batch: list[_Item]) -> None:
         """Score one coalesced batch against one acquired model version.
 
-        Synchronous on purpose: the scoring kernel is numpy-bound and
-        releases no useful concurrency to the loop; running it inline
-        keeps request/score/respond on one thread with no cross-thread
-        mutation hazards against ``/v1/stream/ingest``.
+        Synchronous on purpose: scoring is CPU-bound (numpy kernel for
+        unchanged trees, the pure-Python reference DP for trees an
+        ingest has written) and releases no useful concurrency to the
+        loop; running it inline keeps request/score/respond on one
+        thread with no cross-thread mutation hazards against
+        ``/v1/stream/ingest``.
         """
         registry = get_registry()
         if registry.enabled and self._queue is not None:

@@ -121,8 +121,12 @@ class HttpResponse:
 
 
 def json_response(payload: Any, status: int = 200, **headers: str) -> HttpResponse:
-    """A JSON-encoded :class:`HttpResponse` for *payload*."""
-    body = json.dumps(payload).encode("utf-8")
+    """A JSON-encoded :class:`HttpResponse` for *payload*.
+
+    Strict RFC 8259: a non-finite float raises ``ValueError`` here
+    instead of reaching the wire as ``NaN`` / ``Infinity``.
+    """
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     return HttpResponse(status=status, body=body, headers=dict(headers))
 
 

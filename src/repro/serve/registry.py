@@ -29,7 +29,6 @@ operations, far off any hot path (scoring happens *outside* the lock).
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -38,7 +37,7 @@ from typing import Any
 
 from ..core.backends.dispatch import PstBatchScorer
 from ..core.cluseq import ClusteringResult
-from ..core.examine import best_cluster
+from ..core.examine import ScoreColumn, best_cluster
 from ..core.persistence import FORMAT_VERSION, result_from_dict
 from ..obs import get_registry
 from ..sequences.alphabet import Alphabet
@@ -109,7 +108,8 @@ class ClassifyOutcome:
     """One sequence's classification against one model version."""
 
     cluster_id: int | None
-    log_similarity: float
+    #: ``None`` only when the model has no clusters to score against.
+    log_similarity: float | None
     best_start: int
     best_end: int
 
@@ -122,13 +122,16 @@ class ClassifyOutcome:
 
 
 class ModelVersion:
-    """One immutable-by-convention loaded model generation.
+    """One loaded model generation.
 
     Classification never mutates the model; ``/v1/stream/ingest``
-    does (absorbing §4.4 segments), which is safe because every PST
-    carries a mutation version counter and the scorer re-flattens any
-    tree whose version moved — the same contract the streaming engine
-    relies on.
+    does (absorbing §4.4 segments). Every PST carries a mutation
+    version counter, recorded per tree when the version is built:
+    classify scores a tree with the batch kernel only while it is the
+    same object at the same version, and scores a tree an ingest has
+    written with the reference ``similarity()`` DP from then on,
+    without re-flattening it. Both paths are bit-identical. A reload
+    builds a fresh version whose trees start unchanged.
     """
 
     def __init__(
@@ -148,6 +151,11 @@ class ModelVersion:
         self.kind = kind
         self.loaded_unix = time.time()
         self.scorer = PstBatchScorer(result.background)
+        # Each tree with its mutation version at build time; only trees
+        # still matching both are scored with the batch kernel.
+        self._built = [
+            (cluster.pst, cluster.pst.version) for cluster in result.clusters
+        ]
         self._lock = threading.Lock()
         self._refs = 0
         self._retired = False
@@ -198,9 +206,13 @@ class ModelVersion:
     ) -> list[ClassifyOutcome | None]:
         """Classify raw symbol sequences; ``None`` marks an unencodable one.
 
-        All encodable sequences go through **one** batch-scorer matrix
-        call (amortizing the flat/stack caches across every request in
-        the micro-batch); the decision is
+        Trees unchanged since this version was built are scored for all
+        encodable sequences in **one** batch-kernel matrix call
+        (amortizing the flat/stack caches across every request in the
+        micro-batch). A tree an ingest has absorbed into is scored pair
+        by pair with the reference ``similarity()`` DP, as ``predict``
+        does, and is never flattened again. Both paths are
+        bit-identical; the decision is
         :func:`~repro.core.examine.best_cluster` at the model's final
         threshold, the same one ``ClusteringResult.predict`` makes.
         """
@@ -221,23 +233,50 @@ class ModelVersion:
         if not encoded:
             return outcomes
         clusters = self.result.clusters
-        psts = [cluster.pst for cluster in clusters]
-        matrix = self.scorer.score_matrix_full(psts, encoded)
-        threshold = self.result.final_log_threshold
+        fixed = [
+            position
+            for position, (cluster, (built, version)) in enumerate(
+                zip(clusters, self._built)
+            )
+            if cluster.pst is built and built.version == version
+        ]
+        written = [p for p in range(len(clusters)) if p not in fixed]
+        written_clusters = [clusters[p] for p in written]
+        # slot[p]: cluster p's row in a merged column, kernel rows first.
+        slot = [0] * len(clusters)
+        for row, p in enumerate(fixed + written):
+            slot[p] = row
+        # No kernel call (and no flatten) when every tree was written.
+        matrix = self.scorer.score_matrix_full(
+            [clusters[p].pst for p in fixed], encoded
+        )
         # One bulk convert to per-sequence columns of Python floats.
-        columns: list[list[float]] = matrix.log_z.T.tolist()
+        kernel_columns: list[list[float]] = matrix.log_z.T.tolist()
+        threshold = self.result.final_log_threshold
         for column, position in enumerate(positions):
-            log_sims = columns[column]
+            log_sims = kernel_columns[column]
+            live: ScoreColumn | None = None
+            if written:  # else the kernel column is already in cluster order
+                live = ScoreColumn.live(
+                    written_clusters, encoded[column], self.result.background
+                )
+                merged = log_sims + live.log_sims
+                log_sims = [merged[row] for row in slot]
             best = best_cluster(log_sims, threshold)
             if best is None:
                 outcomes[position] = ClassifyOutcome(
                     cluster_id=None,
-                    log_similarity=max(log_sims, default=-math.inf),
+                    log_similarity=max(log_sims) if log_sims else None,
                     best_start=0,
                     best_end=0,
                 )
                 continue
-            result = matrix.result(best, column)
+            row = slot[best]
+            result = (
+                live.result_for(row - len(fixed))
+                if live is not None and row >= len(fixed)
+                else matrix.result(row, column)
+            )
             outcomes[position] = ClassifyOutcome(
                 cluster_id=clusters[best].cluster_id,
                 log_similarity=result.log_similarity,

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.persistence import save_result
+from repro.core.persistence import load_result_with_alphabet, save_result
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve import ModelRegistry, ServeApp, http_call
 from repro.sequences.generators import generate_two_cluster_toy
@@ -245,8 +245,6 @@ class TestOtherEndpoints:
                     "/v1/stream/ingest",
                     {"sequences": [query_strings[0], "§§§"]},
                 )
-                # The mutated model must still classify (scorer
-                # re-flattens trees whose version moved).
                 after = await http_call(
                     host, port, "POST", "/v1/classify",
                     {"sequence": query_strings[0]},
@@ -262,6 +260,50 @@ class TestOtherEndpoints:
         assert len(payload["assignments"]) == 2
         assert payload["assignments"][1] is None
         assert after.status == 200
+        # The post-ingest classify equals predict on a replayed model.
+        reference, alphabet = load_result_with_alphabet(serve_model_path)
+        encoded = list(alphabet.encode(list(query_strings[0])))
+        assert reference.assign_and_absorb(encoded) == payload["assignments"][0]
+        (served,) = after.json()["results"]
+        assert served["cluster"] == reference.predict(encoded)
+        scores = reference.score_sequence(encoded)
+        best = max(scores.values(), key=lambda s: s.log_similarity)
+        assert served["log_similarity"] == best.log_similarity
+        if served["cluster"] is not None:
+            winner = scores[served["cluster"]]
+            assert served["segment"] == [winner.best_start, winner.best_end]
+
+    def test_zero_cluster_model_replies_strict_json(self, tmp_path):
+        """A cold-start checkpoint (no clusters) classifies to
+        ``"log_similarity": null``, never the non-JSON ``-Infinity``."""
+        from repro.sequences.alphabet import Alphabet
+        from repro.stream import StreamingCluseq
+
+        state_dir = tmp_path / "state"
+        with StreamingCluseq.cold_start(
+            alphabet=Alphabet("abcd"), state_dir=str(state_dir)
+        ) as engine:
+            engine.checkpoint()
+
+        async def scenario():
+            app = make_app(str(state_dir))
+            host, port = await app.start()
+            try:
+                return await http_call(
+                    host, port, "POST", "/v1/classify", {"sequence": "abca"}
+                )
+            finally:
+                await app.close()
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        response = run(scenario())
+        assert response.status == 200
+        payload = json.loads(response.body, parse_constant=reject)
+        assert payload["results"] == [
+            {"cluster": None, "log_similarity": None, "segment": [0, 0]}
+        ]
 
     def test_reload_errors(self, serve_model_path, tmp_path):
         async def scenario():

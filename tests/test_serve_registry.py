@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.persistence import load_result_with_alphabet, save_result
+from repro.obs import MetricsRegistry, use_registry
 from repro.serve.registry import (
     ModelLoadError,
     ModelRegistry,
@@ -103,15 +104,43 @@ class TestLoadModelPayload:
             load_model_payload(str(path))
 
 
+def absorb_into(result, alphabet, sequences, cluster_ids, per_cluster=2):
+    """``assign_and_absorb`` up to *per_cluster* of *sequences* into each
+    cluster of *cluster_ids* (chosen by ``predict``); deterministic, so
+    two copies of one model replay identically."""
+    taken = dict.fromkeys(cluster_ids, 0)
+    for symbols in sequences:
+        encoded = list(alphabet.encode(symbols))
+        target = result.predict(encoded)
+        if target in taken and taken[target] < per_cluster:
+            assert result.assign_and_absorb(encoded) == target
+            taken[target] += 1
+    assert all(count > 0 for count in taken.values())
+
+
+#: Which clusters an ingest has absorbed into before classifying.
+INGEST_STATES = {
+    "no-ingest": lambda ids: [],
+    "some-touched": lambda ids: ids[:1],
+    "all-touched": lambda ids: ids,
+}
+
+
 class TestClassifyFidelity:
+    @pytest.mark.parametrize("state", sorted(INGEST_STATES))
     def test_matches_predict_bit_identically(
-        self, serve_model_path, query_sequences
+        self, serve_model_path, query_sequences, state
     ):
         result, alphabet, kind = load_model_payload(serve_model_path)
         version = ModelVersion(
             "m", 1, result, alphabet, serve_model_path, kind
         )
         reference, _ = load_result_with_alphabet(serve_model_path)
+        version.classify_batch(query_sequences)  # build the kernel caches
+        ids = [cluster.cluster_id for cluster in result.clusters]
+        touched = INGEST_STATES[state](ids)
+        for model in (result, reference):
+            absorb_into(model, alphabet, query_sequences, touched)
         outcomes = version.classify_batch(query_sequences)
         for symbols, outcome in zip(query_sequences, outcomes):
             encoded = alphabet.encode(symbols)
@@ -120,6 +149,35 @@ class TestClassifyFidelity:
             scores = reference.score_sequence(encoded)
             best = max(scores.values(), key=lambda s: s.log_similarity)
             assert outcome.log_similarity == best.log_similarity
+            if outcome.cluster_id is not None:
+                winner = scores[outcome.cluster_id]
+                assert (outcome.best_start, outcome.best_end) == (
+                    winner.best_start,
+                    winner.best_end,
+                )
+
+    def test_written_trees_are_scored_by_the_dp(
+        self, serve_model_path, query_sequences
+    ):
+        """Trees an ingest wrote go to ``similarity()``, never back
+        through flatten; the untouched ones stay on the kernel."""
+        result, alphabet, kind = load_model_payload(serve_model_path)
+        version = ModelVersion(
+            "m", 1, result, alphabet, serve_model_path, kind
+        )
+        version.classify_batch(query_sequences)  # build the kernel caches
+        ids = [cluster.cluster_id for cluster in result.clusters]
+        absorb_into(result, alphabet, query_sequences, ids[:1])
+        touched = 1
+        untouched = len(ids) - touched
+        assert untouched > 0
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            version.classify_batch(query_sequences)
+        n = len(query_sequences)
+        assert registry.counter("backend.flatten_builds").value == 0
+        assert registry.counter("backend.batch_rows").value == untouched * n
+        assert registry.counter("similarity.calls").value == touched * n
 
     def test_unencodable_and_empty_marked_none(self, serve_model_path):
         result, alphabet, kind = load_model_payload(serve_model_path)
