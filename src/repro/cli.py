@@ -255,13 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=2, help="number of streaming shards"
     )
     shard.add_argument(
-        "--router",
-        choices=("hash", "pst"),
-        default="hash",
-        help="sequence-to-shard assignment: content hash, or best "
-        "model likelihood over the last consolidation snapshot",
-    )
-    shard.add_argument(
         "--alphabet",
         metavar="SYMBOLS",
         default=None,
@@ -634,7 +627,6 @@ def _command_shard(args: argparse.Namespace) -> int:
     elif args.alphabet:
         config = ShardConfig(
             shards=args.shards,
-            router=args.router,
             consolidate_every=args.consolidate_every,
             merge_threshold=args.merge_threshold,
             stream=stream_config,

@@ -38,7 +38,6 @@ from ..core.backends.flatten import FlattenedPST
 __all__ = [
     "context_tree_distance",
     "flat_labels",
-    "flat_log_likelihood",
     "predict_row",
 ]
 
@@ -101,28 +100,3 @@ def context_tree_distance(a: FlattenedPST, b: FlattenedPST) -> float:
     # The union always contains at least the root label ().
     return total / len(labels)
 
-
-def flat_log_likelihood(flat: FlattenedPST, encoded: Sequence[int]) -> float:
-    """Mean per-symbol log-probability of *encoded* under *flat*.
-
-    Each position is predicted from the deepest exported suffix of its
-    left context. Used by the PST router to send a sequence to the
-    shard whose clusters model it best; returns 0.0 for an empty
-    sequence so the router falls through to its hash tie-break.
-    """
-    if len(encoded) == 0:
-        return 0.0
-    log_probs = flat.log_probs
-    transitions = flat.transitions
-    max_depth = flat.max_depth
-    total = 0.0
-    for i, symbol in enumerate(encoded):
-        row = 0
-        start = max(0, i - max_depth)
-        for j in range(i - 1, start - 1, -1):
-            nxt = int(transitions[row, encoded[j]])
-            if nxt < 0:
-                break
-            row = nxt
-        total += float(log_probs[row, symbol])
-    return total / len(encoded)

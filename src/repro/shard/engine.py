@@ -1,9 +1,9 @@
-"""Sharded streaming CLUSEQ: horizontal scale-out with consolidation.
+"""Sharded streaming CLUSEQ: N in-process shards with consolidation.
 
 :class:`ShardedStreamingCluseq` partitions an incoming stream across
 ``N`` independent :class:`~repro.stream.engine.StreamingCluseq` shards
-(one :class:`ShardEngine` each), routed by content hash or by model
-likelihood (:mod:`repro.shard.router`). Each shard keeps its own WAL +
+(one :class:`ShardEngine` each) in one process, routed by content hash
+(:func:`repro.shard.router.route`). Each shard keeps its own WAL +
 checkpoint state directory and stays bit-deterministic exactly as the
 single-shard engine does; a periodic **cross-shard consolidation**
 pass compares cluster PSTs across shards with the context-tree
@@ -16,7 +16,6 @@ Durability protocol (``repro.shard/v1`` state layout)::
     state_dir/
       manifest.json     # config + cold-start spec (atomic write)
       dispatch.jsonl    # coordinator WAL: batches w/ routes + plans
-      router.json       # PST-router snapshot (atomic, pst router only)
       shard-00/         # ordinary StreamingCluseq state dir
       shard-01/
       ...
@@ -24,22 +23,22 @@ Durability protocol (``repro.shard/v1`` state layout)::
 Write ordering per global batch: the batch (with its per-sequence
 routes) is appended to ``dispatch.jsonl`` and fsynced *before* any
 shard sees a sub-batch, so the coordinator log is always a superset of
-every shard's journal. A consolidation round writes ``router.json``
-(if stateful), then the plan record, then applies shard-local plans —
-each shard write-aheads the plan into its own journal before mutating
-state. Recovery therefore never invents work: shards first recover
-themselves (checkpoint + journal replay, batches *and* plans
-interleaved in order), then the coordinator scans ``dispatch.jsonl``
-from the top and rolls forward anything a shard had not made durable,
-re-partitioning from the *recorded* routes. A consolidation round is
-re-derived from scratch only when its record is missing entirely —
-i.e. the crash hit before the plan became durable, at which point
-every shard provably holds the exact pre-consolidation state, and the
-plan is a deterministic function of that state.
+every shard's journal. A consolidation round writes the plan record,
+then applies shard-local plans — each shard write-aheads the plan into
+its own journal before mutating state. Recovery therefore never
+invents work: shards first recover themselves (checkpoint + journal
+replay, batches *and* plans interleaved in order), then the
+coordinator scans ``dispatch.jsonl`` from the top and rolls forward
+anything a shard had not made durable, re-partitioning from the
+*recorded* routes. A consolidation round is re-derived from scratch
+only when its record is missing entirely — i.e. the crash hit before
+the plan became durable, at which point every shard provably holds the
+exact pre-consolidation state, and the plan is a deterministic
+function of that state.
 
-With ``shards=1`` and the hash router, every global batch is
-dispatched whole to shard 0, so the composite is bit-identical to a
-plain ``StreamingCluseq`` run (asserted by the differential suite).
+With ``shards=1``, every global batch is dispatched whole to shard 0,
+so the composite is bit-identical to a plain ``StreamingCluseq`` run
+(asserted by the differential suite).
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from typing import Any, Union
 
+from ..core.cluster import Cluster
 from ..core.persistence import result_to_dict
 from ..core.pst import ProbabilisticSuffixTree
 from ..obs import get_logger, get_registry, span
@@ -67,7 +67,7 @@ from ..stream.journal import (
     read_journal,
 )
 from .plan import ClusterExport, plan_merges
-from .router import ROUTERS, Router, build_router
+from .router import route
 
 _logger = get_logger("shard.engine")
 
@@ -77,7 +77,6 @@ PathLike = Union[str, "os.PathLike[str]"]
 SHARD_FORMAT = "repro.shard/v1"
 MANIFEST_FILENAME = "manifest.json"
 DISPATCH_FILENAME = "dispatch.jsonl"
-ROUTER_STATE_FILENAME = "router.json"
 
 #: Recognized runner names (the ``ShardConfig.runner`` values).
 RUNNERS = ("inprocess",)
@@ -89,7 +88,6 @@ RETIRED_RUNNERS = frozenset({"process"})
 __all__ = [
     "DISPATCH_FILENAME",
     "MANIFEST_FILENAME",
-    "ROUTER_STATE_FILENAME",
     "RUNNERS",
     "SHARD_FORMAT",
     "LocalShard",
@@ -101,7 +99,6 @@ __all__ = [
     "dispatch_path",
     "manifest_path",
     "read_manifest",
-    "router_state_path",
     "shard_dir",
     "shard_state_digest",
 ]
@@ -115,11 +112,6 @@ def manifest_path(state_dir: PathLike) -> str:
 def dispatch_path(state_dir: PathLike) -> str:
     """Canonical coordinator-WAL location."""
     return os.path.join(os.fspath(state_dir), DISPATCH_FILENAME)
-
-
-def router_state_path(state_dir: PathLike) -> str:
-    """Canonical router-snapshot location (PST router only)."""
-    return os.path.join(os.fspath(state_dir), ROUTER_STATE_FILENAME)
 
 
 def shard_dir(state_dir: PathLike, shard: int) -> str:
@@ -136,7 +128,8 @@ class ShardConfig:
     per-shard §4.5 dismissal schedule in ``stream.consolidate_every``.
     ``merge_threshold`` is the context-tree distance at or below which
     two cross-shard clusters merge (range [0, 2]; see
-    :mod:`repro.shard.dissimilarity`).
+    :mod:`repro.shard.dissimilarity`). ``router`` names the routing
+    policy; content hashing (``"hash"``) is the only one.
     """
 
     shards: int = 2
@@ -149,9 +142,10 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.router not in ROUTERS:
+        if self.router != "hash":
             raise ValueError(
-                f"unknown router {self.router!r} (expected one of {ROUTERS})"
+                f"unknown router {self.router!r} (only 'hash' routing "
+                "exists; the 'pst' router was removed)"
             )
         if self.runner not in RUNNERS:
             raise ValueError(
@@ -254,25 +248,33 @@ class ShardEngine(StreamingCluseq):
 
         *plan* holds ``merge`` ops (fold a serialized foreign PST into
         a local cluster) and ``dismiss`` ops (local cluster ids whose
-        model moved to another shard). Journaled before mutation
-        unless replaying.
+        model moved to another shard). Every merge target and foreign
+        PST is checked before the plan is journaled (unless replaying)
+        or any cluster changes, so a bad plan raises ``ValueError`` and
+        leaves both the shard and its journal untouched.
         """
-        if self._journal is not None and not self._replaying:
-            self._journal.append_plan(self._batches, round_, plan)
-        merged = 0
         by_id = {
             cluster.cluster_id: cluster for cluster in self.result.clusters
         }
+        merges: list[tuple[Cluster, ProbabilisticSuffixTree]] = []
         for op in plan.get("merge", ()):
             cluster = by_id.get(int(op["into"]))
             if cluster is None:
                 raise ValueError(
                     f"merge target cluster {op['into']} not on this shard"
                 )
-            cluster.pst.merge_counts(
-                ProbabilisticSuffixTree.from_dict(op["pst"])
-            )
-            merged += 1
+            foreign = ProbabilisticSuffixTree.from_dict(op["pst"])
+            if foreign.alphabet_size != cluster.pst.alphabet_size:
+                raise ValueError(
+                    f"merge source for cluster {op['into']} has alphabet "
+                    f"size {foreign.alphabet_size}, expected "
+                    f"{cluster.pst.alphabet_size}"
+                )
+            merges.append((cluster, foreign))
+        if self._journal is not None and not self._replaying:
+            self._journal.append_plan(self._batches, round_, plan)
+        for cluster, foreign in merges:
+            cluster.pst.merge_counts(foreign)
         drop_ids = {int(cid) for cid in plan.get("dismiss", ())}
         if drop_ids:
             self.result.clusters = [
@@ -285,7 +287,7 @@ class ShardEngine(StreamingCluseq):
                     self.result.assignments[index] = ids - drop_ids
             self._clusters_dismissed += len(drop_ids)
         self.last_round = round_
-        return merged, len(drop_ids)
+        return len(merges), len(drop_ids)
 
     @classmethod
     def recover(cls, state_dir: PathLike) -> "ShardEngine":
@@ -485,7 +487,6 @@ class ShardedStreamingCluseq:
         *,
         spec: dict[str, Any],
         state_dir: PathLike | None = None,
-        router: Router | None = None,
     ) -> None:
         if len(handles) != config.shards:
             raise ValueError(
@@ -499,11 +500,6 @@ class ShardedStreamingCluseq:
         )
         symbols = self.spec.get("alphabet")
         self.alphabet = Alphabet(symbols) if symbols else None
-        self.router = (
-            router
-            if router is not None
-            else build_router(config.router, config.shards)
-        )
         self._pending: list[list[int]] = []
         self._batches = 0
         self._sequences = 0
@@ -583,15 +579,25 @@ class ShardedStreamingCluseq:
 
         Each shard recovers itself first; the coordinator then scans
         its dispatch WAL from the top and rolls forward any batch or
-        plan a shard had not made durable.
+        plan a shard had not made durable. A manifest whose config
+        does not parse (a missing key, a removed router) raises
+        :class:`CheckpointError` before any shard is touched.
         """
         manifest = read_manifest(state_dir)
-        config = ShardConfig.from_dict(manifest["config"])
-        spec = dict(manifest["spec"])
+        try:
+            config = ShardConfig.from_dict(manifest["config"])
+            spec = dict(manifest["spec"])
+        except KeyError as exc:
+            raise CheckpointError(
+                f"{manifest_path(state_dir)}: config is missing key {exc}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{manifest_path(state_dir)}: unusable config: {exc}"
+            ) from exc
         root = os.fspath(state_dir)
         handles = _make_handles(config, spec, root, resume=True)
         engine = cls(handles, config, spec=spec, state_dir=root)
-        engine._load_router_state()
         engine._roll_forward()
         registry = get_registry()
         if registry.enabled:
@@ -621,14 +627,14 @@ class ShardedStreamingCluseq:
         """Route, write-ahead and dispatch one global micro-batch.
 
         Returns per-sequence cluster assignments (cluster ids are only
-        unique *per shard*; pair with :meth:`routes_for` when global
-        identity matters). Empty sequences are dropped before
+        unique *per shard*). Empty sequences are dropped before
         journaling, mirroring the single-shard engine.
         """
         cleaned = [list(seq) for seq in batch if len(seq) > 0]
         if not cleaned:
             return []
-        routes = [self.router.route(seq) for seq in cleaned]
+        shards = self.config.shards
+        routes = [route(seq, shards) for seq in cleaned]
         if self._dispatch is not None:
             self._dispatch.append_batch(self._batches, cleaned, routes=routes)
         assigned = self._dispatch_batch(cleaned, routes)
@@ -652,10 +658,6 @@ class ShardedStreamingCluseq:
             self.ingest(encoded)
         self.flush()
         return self.stats()
-
-    def routes_for(self, batch: Sequence[Sequence[int]]) -> list[int]:
-        """The shard each sequence of *batch* would route to right now."""
-        return [self.router.route(list(seq)) for seq in batch]
 
     def _partition(
         self, sequences: list[list[int]], routes: list[int]
@@ -717,18 +719,6 @@ class ShardedStreamingCluseq:
                     str(op.drop_shard), {"merge": [], "dismiss": []}
                 )
                 dropper["dismiss"].append(op.drop_cluster)
-            self.router.refresh(exports, round_)
-            if self.state_dir is not None:
-                state = self.router.state_dict()
-                if state is not None:
-                    write_json_atomic(
-                        router_state_path(self.state_dir),
-                        {
-                            "format": SHARD_FORMAT,
-                            "round": round_,
-                            "router": state,
-                        },
-                    )
             if self._dispatch is not None:
                 # Always durable, even when empty: a present record is
                 # recovery's proof the round completed its planning.
@@ -754,21 +744,6 @@ class ShardedStreamingCluseq:
             )
 
     # -- recovery -----------------------------------------------------------------
-
-    def _load_router_state(self) -> None:
-        if self.state_dir is None:
-            return
-        target = router_state_path(self.state_dir)
-        if not os.path.exists(target):
-            return
-        with open(target, encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CheckpointError(
-                    f"{target}: corrupt router snapshot"
-                ) from exc
-        self.router.load_state(payload["router"])
 
     def _roll_forward(self) -> None:
         """Re-drive the dispatch WAL over the recovered shards.

@@ -1,48 +1,20 @@
-"""Deterministic sequence-to-shard routing.
+"""Deterministic sequence-to-shard routing by content hash.
 
-Two routers share one tiny interface (:class:`Router`):
-
-* :class:`HashRouter` — FNV-1a over the symbol ids, mod shard count.
-  Stateless, uniform, and stable across runs and platforms: the same
-  sequence always lands on the same shard, which is what makes the
-  recorded dispatch log replayable.
-* :class:`PstRouter` — content-based assignment: a sequence goes to
-  the shard whose cluster models give it the highest mean
-  log-likelihood (via :func:`~repro.shard.dissimilarity.flat_log_likelihood`
-  over the shards' :class:`FlattenedPST` exports). The snapshot it
-  scores against refreshes only at consolidation rounds and is
-  persisted atomically alongside the dispatch log, so routing is a
-  deterministic function of (snapshot round, sequence) — never of
-  in-flight shard state. Before the first snapshot (or for shards with
-  no exportable clusters) it falls back to the hash route.
+:func:`route` sends a sequence to ``fnv1a(symbols) % shards``. It is
+stateless, uniform, and stable across runs and platforms: the same
+sequence always lands on the same shard.
 
 Routing decisions are additionally *recorded* per batch in the
 dispatch write-ahead log; crash recovery re-partitions from the
-recorded routes and never re-runs a router, so even a router bug
-could not break replay determinism.
+recorded routes and never re-routes, so replay cannot depend on the
+routing function.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
-import numpy as np
-
-from ..core.backends.flatten import FlattenedPST
-from .dissimilarity import flat_log_likelihood
-
-__all__ = [
-    "ROUTERS",
-    "HashRouter",
-    "PstRouter",
-    "Router",
-    "build_router",
-    "fnv1a",
-]
-
-#: Recognized router names (the ``ShardConfig.router`` values).
-ROUTERS = ("hash", "pst")
+__all__ = ["fnv1a", "route"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -65,155 +37,8 @@ def fnv1a(symbols: Sequence[int]) -> int:
     return digest
 
 
-class Router:
-    """Assigns each encoded sequence to a shard index in ``[0, shards)``."""
-
-    name = "base"
-
-    def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = shards
-
-    def route(self, encoded: Sequence[int]) -> int:
-        raise NotImplementedError
-
-    def refresh(
-        self, exports: Sequence[Sequence["Any"]], round_: int
-    ) -> None:
-        """Observe per-shard cluster exports after a consolidation round.
-
-        *exports* is one list of :class:`~repro.shard.plan.ClusterExport`
-        per shard. Stateless routers ignore it.
-        """
-
-    def state_dict(self) -> dict[str, Any] | None:
-        """Serializable snapshot, or ``None`` for stateless routers."""
-        return None
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
-
-
-class HashRouter(Router):
-    """Uniform, stateless routing by sequence content hash."""
-
-    name = "hash"
-
-    def route(self, encoded: Sequence[int]) -> int:
-        if self.shards == 1:
-            return 0
-        return fnv1a(encoded) % self.shards
-
-
-def _flat_to_jsonable(flat: FlattenedPST) -> dict[str, Any]:
-    return {
-        "alphabet_size": flat.alphabet_size,
-        "max_depth": flat.max_depth,
-        "significance_threshold": flat.significance_threshold,
-        "p_min": flat.p_min,
-        "version": flat.version,
-        "depths": flat.depths.tolist(),
-        "suffix_links": flat.suffix_links.tolist(),
-        "child_offsets": flat.child_offsets.tolist(),
-        "child_symbols": flat.child_symbols.tolist(),
-        "child_rows": flat.child_rows.tolist(),
-        "transitions": flat.transitions.tolist(),
-        "log_probs": flat.log_probs.tolist(),
-    }
-
-
-def _flat_from_jsonable(data: dict[str, Any]) -> FlattenedPST:
-    alphabet_size = int(data["alphabet_size"])
-    return FlattenedPST(
-        alphabet_size=alphabet_size,
-        max_depth=int(data["max_depth"]),
-        significance_threshold=int(data["significance_threshold"]),
-        p_min=float(data["p_min"]),
-        version=int(data["version"]),
-        depths=np.asarray(data["depths"], dtype=np.int32),
-        suffix_links=np.asarray(data["suffix_links"], dtype=np.int32),
-        child_offsets=np.asarray(data["child_offsets"], dtype=np.int32),
-        child_symbols=np.asarray(data["child_symbols"], dtype=np.int32),
-        child_rows=np.asarray(data["child_rows"], dtype=np.int32),
-        transitions=np.asarray(data["transitions"], dtype=np.int32).reshape(
-            len(data["depths"]), alphabet_size
-        ),
-        log_probs=np.asarray(data["log_probs"], dtype=np.float64).reshape(
-            len(data["depths"]), alphabet_size
-        ),
-    )
-
-
-class PstRouter(HashRouter):
-    """Route to the shard whose cluster PSTs best explain the sequence.
-
-    Falls back to the hash route while no snapshot exists and breaks
-    exact score ties toward the lower shard index (strict ``>``
-    comparison), so the decision is deterministic bit-for-bit.
-    """
-
-    name = "pst"
-
-    def __init__(self, shards: int) -> None:
-        super().__init__(shards)
-        #: One list of flat exports per shard, refreshed at
-        #: consolidation rounds only.
-        self._snapshot: list[list[FlattenedPST]] = [[] for _ in range(shards)]
-        self._round = 0
-
-    def route(self, encoded: Sequence[int]) -> int:
-        best_shard = -1
-        best_score = 0.0
-        for shard, flats in enumerate(self._snapshot):
-            for flat in flats:
-                score = flat_log_likelihood(flat, encoded)
-                if best_shard < 0 or score > best_score:
-                    best_shard = shard
-                    best_score = score
-        if best_shard < 0:
-            return super().route(encoded)
-        return best_shard
-
-    def refresh(
-        self, exports: Sequence[Sequence["Any"]], round_: int
-    ) -> None:
-        self._snapshot = [
-            [export.flat for export in shard_exports]
-            for shard_exports in exports
-        ]
-        self._round = round_
-
-    def state_dict(self) -> dict[str, Any] | None:
-        return {
-            "name": self.name,
-            "shards": self.shards,
-            "round": self._round,
-            "snapshot": [
-                [_flat_to_jsonable(flat) for flat in flats]
-                for flats in self._snapshot
-            ],
-        }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        if int(state.get("shards", self.shards)) != self.shards:
-            raise ValueError(
-                f"router snapshot is for {state.get('shards')} shards, "
-                f"engine has {self.shards}"
-            )
-        self._round = int(state.get("round", 0))
-        self._snapshot = [
-            [_flat_from_jsonable(entry) for entry in flats]
-            for flats in state.get("snapshot", [])
-        ]
-        while len(self._snapshot) < self.shards:
-            self._snapshot.append([])
-
-
-def build_router(name: str, shards: int) -> Router:
-    """Router factory for :class:`ShardConfig.router` names."""
-    if name == "hash":
-        return HashRouter(shards)
-    if name == "pst":
-        return PstRouter(shards)
-    raise ValueError(f"unknown router {name!r} (expected one of {ROUTERS})")
+def route(encoded: Sequence[int], shards: int) -> int:
+    """The shard index in ``[0, shards)`` that *encoded* belongs to."""
+    if shards == 1:
+        return 0
+    return fnv1a(encoded) % shards

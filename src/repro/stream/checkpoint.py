@@ -38,8 +38,8 @@ class CheckpointError(ValueError):
 def write_json_atomic(path: PathLike, payload: dict[str, Any]) -> int:
     """Atomically persist *payload* as compact JSON at *path*.
 
-    Same temp-file/fsync/``os.replace`` discipline as checkpoints —
-    shared by the sharded engine's manifest and router snapshots.
+    The temp-file/fsync/``os.replace`` writer behind stream
+    checkpoints and the sharded engine's manifest.
     Returns the document size in bytes.
     """
     target = os.fspath(path)

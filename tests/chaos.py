@@ -52,7 +52,7 @@ class FaultInjector:
     *crash_at* is 1-based; ``crash_at=None`` never crashes (count-only
     mode). *kind* selects the patched call: ``"fsync"`` covers every
     WAL append and the checkpoint flush, ``"replace"`` the atomic
-    checkpoint/manifest/router publish.
+    checkpoint/manifest publish.
     """
 
     def __init__(

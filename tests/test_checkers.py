@@ -369,7 +369,7 @@ class TestImportLayering:
             "from ..sequences.alphabet import Alphabet\n"
             "from ..obs import get_registry\n"
             "from ..typing import PSTFactory\n"
-            "from .router import HashRouter\n"
+            "from .router import route\n"
             "import multiprocessing\nimport json\n",
             "CLQ001",
         )

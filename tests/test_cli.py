@@ -374,7 +374,7 @@ class TestShardCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["shard", "-"])
         assert args.shards == 2
-        assert args.router == "hash"
+        assert not hasattr(args, "router")
         assert not hasattr(args, "runner")
         assert args.consolidate_every == 16
         assert not args.resume
@@ -431,6 +431,42 @@ class TestShardCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot resume" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("edit", "reason"),
+        [
+            (lambda config: config.pop("merge_threshold"), "merge_threshold"),
+            (lambda config: config.update(router="pst"), "'pst' router"),
+        ],
+        ids=["missing-key", "removed-router"],
+    )
+    def test_resume_bad_manifest_config_fails_cleanly(
+        self, stream_file, tmp_path, capsys, edit, reason
+    ):
+        import json
+
+        state_dir = tmp_path / "state"
+        assert main(
+            self.shard_args(stream_file, ["--state-dir", str(state_dir)])
+        ) == 0
+        manifest = state_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        edit(payload["config"])
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(
+            [
+                "shard", stream_file,
+                "--state-dir", str(state_dir),
+                "--resume",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err
+        assert "manifest.json" in err
+        assert reason in err
         assert "Traceback" not in err
 
 

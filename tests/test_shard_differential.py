@@ -3,18 +3,17 @@
 Three contracts, each checked over seeded fuzz (drifting Markov
 sources with varying seeds and drift points):
 
-1. **shards=1 degenerates exactly.** A single-shard engine with the
-   hash router dispatches every global batch whole to shard 0, so its
-   shard must be bit-identical to a plain :class:`StreamingCluseq`
-   fed the same stream — clusters, pool, assignments, counters.
+1. **shards=1 degenerates exactly.** A single-shard engine dispatches
+   every global batch whole to shard 0, so its shard must be
+   bit-identical to a plain :class:`StreamingCluseq` fed the same
+   stream — clusters, pool, assignments, counters.
 2. **Runner invariance.** The on-disk state never depended on the
    runner: a state dir whose manifest names the retired ``process``
    runner recovers in-process to exactly the state of an in-process
    run of the same stream.
-3. **Repeat-run determinism.** Any configuration (including the
-   adaptive PST router) run twice over the same stream lands on the
-   same state, and recovery from a durable run is stable under
-   repeated recover calls.
+3. **Repeat-run determinism.** Any configuration run twice over the
+   same stream lands on the same state, and recovery from a durable
+   run is stable under repeated recover calls.
 """
 
 import json
@@ -68,10 +67,9 @@ def make_stream_config(**kwargs):
     return StreamConfig(**kwargs)
 
 
-def make_sharded(shards, state_dir=None, router="hash"):
+def make_sharded(shards, state_dir=None):
     config = ShardConfig(
         shards=shards,
-        router=router,
         consolidate_every=4,
         merge_threshold=0.8,
         stream=make_stream_config(),
@@ -90,8 +88,8 @@ def sharded_digest(engine):
     return json.dumps(engine.shard_states(), sort_keys=True)
 
 
-def run_sharded(shards, stream, state_dir=None, router="hash"):
-    engine = make_sharded(shards, state_dir, router)
+def run_sharded(shards, stream, state_dir=None):
+    engine = make_sharded(shards, state_dir)
     for seq in stream.sequences:
         engine.ingest(seq)
     engine.flush()
@@ -168,14 +166,6 @@ class TestRepeatRunDeterminism:
     def test_identical_runs_land_on_identical_state(self, shards):
         stream = make_stream(*FUZZ_SEEDS[1])
         assert run_sharded(shards, stream) == run_sharded(shards, stream)
-
-    def test_pst_router_is_deterministic(self):
-        stream = make_stream(*FUZZ_SEEDS[2])
-        first = run_sharded(2, stream, router="pst")
-        assert first == run_sharded(2, stream, router="pst")
-        # The adaptive router must actually be exercised, not silently
-        # fall back to hashing forever: with consolidation rounds the
-        # snapshot becomes non-empty, which is what its state asserts.
 
     def test_double_recovery_is_stable(self, tmp_path):
         stream = make_stream(*FUZZ_SEEDS[0])

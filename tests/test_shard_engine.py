@@ -1,9 +1,9 @@
 """Unit tests for the sharding building blocks.
 
-Routing (FNV-1a goldens, PST-router snapshots), the context-tree
-dissimilarity, deterministic merge planning, PST count-merging, the
-coordinator's config/manifest/journal formats and the per-shard plan
-journaling that backs crash recovery. The whole-system properties
+Hash routing (FNV-1a goldens), the context-tree dissimilarity,
+deterministic merge planning, PST count-merging, the coordinator's
+config/manifest/journal formats and the per-shard plan journaling
+that backs crash recovery. The whole-system properties
 (chaos sweep, differential equivalence) live in
 ``test_shard_recovery.py`` / ``test_shard_differential.py``.
 """
@@ -16,18 +16,15 @@ import pytest
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.shard import (
     ClusterExport,
-    HashRouter,
-    PstRouter,
     ShardConfig,
-    build_router,
     context_tree_distance,
     dispatch_path,
     flat_labels,
-    flat_log_likelihood,
     fnv1a,
     manifest_path,
     plan_merges,
     read_manifest,
+    route,
 )
 from repro.shard.engine import ShardEngine, build_shard_engine
 from repro.stream import (
@@ -80,77 +77,17 @@ class TestFnv1a:
 
 class TestHashRouter:
     def test_single_shard_short_circuits(self):
-        assert HashRouter(1).route([5, 6, 7]) == 0
+        assert route([5, 6, 7], 1) == 0
 
     def test_routes_are_stable_and_in_range(self):
-        router = HashRouter(4)
         for seq in REGIME_A + REGIME_B:
-            route = router.route(seq)
-            assert 0 <= route < 4
-            assert router.route(seq) == route
+            shard = route(seq, 4)
+            assert 0 <= shard < 4
+            assert route(seq, 4) == shard
 
     def test_spreads_across_shards(self):
-        router = HashRouter(2)
-        routes = {
-            router.route([i, i + 1, i * 3 % 7]) for i in range(32)
-        }
+        routes = {route([i, i + 1, i * 3 % 7], 2) for i in range(32)}
         assert routes == {0, 1}
-
-    def test_build_router_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown router"):
-            build_router("round-robin", 2)
-        with pytest.raises(ValueError, match="shards"):
-            build_router("hash", 0)
-
-
-class TestPstRouter:
-    def make_exports(self):
-        flat_a = build_pst(REGIME_A).flattened()
-        flat_b = build_pst(REGIME_B).flattened()
-        return [
-            [ClusterExport(shard=0, cluster_id=0, weight=10, flat=flat_a)],
-            [ClusterExport(shard=1, cluster_id=0, weight=10, flat=flat_b)],
-        ]
-
-    def test_falls_back_to_hash_before_first_snapshot(self):
-        pst = PstRouter(2)
-        hashed = HashRouter(2)
-        for seq in REGIME_A:
-            assert pst.route(seq) == hashed.route(seq)
-
-    def test_routes_to_best_fitting_shard(self):
-        router = PstRouter(2)
-        router.refresh(self.make_exports(), round_=1)
-        assert all(router.route(seq) == 0 for seq in REGIME_A)
-        assert all(router.route(seq) == 1 for seq in REGIME_B)
-
-    def test_exact_tie_prefers_lower_shard(self):
-        flat = build_pst(REGIME_A).flattened()
-        router = PstRouter(2)
-        router.refresh(
-            [
-                [ClusterExport(shard=0, cluster_id=0, weight=1, flat=flat)],
-                [ClusterExport(shard=1, cluster_id=0, weight=1, flat=flat)],
-            ],
-            round_=1,
-        )
-        assert all(router.route(seq) == 0 for seq in REGIME_A + REGIME_B)
-
-    def test_state_dict_round_trip_preserves_routing(self):
-        router = PstRouter(2)
-        router.refresh(self.make_exports(), round_=3)
-        state = router.state_dict()
-        restored = PstRouter(2)
-        restored.load_state(json.loads(json.dumps(state)))
-        for seq in REGIME_A + REGIME_B:
-            assert restored.route(seq) == router.route(seq)
-
-    def test_load_state_rejects_shard_count_mismatch(self):
-        router = PstRouter(2)
-        router.refresh(self.make_exports(), round_=1)
-        state = router.state_dict()
-        with pytest.raises(ValueError, match="shards"):
-            PstRouter(3).load_state(state)
 
 
 class TestContextTreeDistance:
@@ -190,20 +127,6 @@ class TestContextTreeDistance:
         assert len(labels) == flat.node_count
         assert labels[0] == ()  # root
         assert len(set(labels)) == flat.node_count
-
-
-class TestFlatLogLikelihood:
-    def test_own_regime_scores_higher(self):
-        flat_a = build_pst(REGIME_A).flattened()
-        flat_b = build_pst(REGIME_B).flattened()
-        for seq in REGIME_A:
-            assert flat_log_likelihood(flat_a, seq) > flat_log_likelihood(
-                flat_b, seq
-            )
-
-    def test_empty_sequence_scores_zero(self):
-        flat = build_pst(REGIME_A).flattened()
-        assert flat_log_likelihood(flat, []) == 0.0
 
 
 class TestPlanMerges:
@@ -329,7 +252,7 @@ class TestShardConfig:
     def test_round_trips_through_dict(self):
         config = ShardConfig(
             shards=3,
-            router="pst",
+            router="hash",
             consolidate_every=7,
             merge_threshold=0.5,
             stream=StreamConfig(batch_size=5, seed=9),
@@ -353,6 +276,7 @@ class TestShardConfig:
         [
             {"shards": 0},
             {"router": "nope"},
+            {"router": "pst"},
             {"runner": "thread"},
             {"consolidate_every": -1},
             {"merge_threshold": 2.5},
@@ -517,6 +441,45 @@ class TestShardEngine:
                 1,
                 {"merge": [{"into": 999, "pst": build_pst([]).to_dict()}]},
             )
+
+    @pytest.mark.parametrize(
+        ("second", "error"),
+        [
+            ("missing-target", "merge target"),
+            ("alphabet-mismatch", "alphabet"),
+        ],
+    )
+    def test_bad_plan_leaves_shard_and_journal_untouched(
+        self, tmp_path, second, error
+    ):
+        from repro.shard.engine import shard_state_digest
+
+        state_dir = tmp_path / "shard"
+        engine = self.make_engine(state_dir)
+        engine.ingest_batch(REGIME_A[:6])
+        keep = engine.result.clusters[0].cluster_id
+        expected = shard_state_digest(engine)
+        foreign = build_pst(REGIME_A[6:]).to_dict()
+        bad = (
+            {"into": 999, "pst": foreign}
+            if second == "missing-target"
+            else {
+                "into": keep,
+                "pst": build_pst(REGIME_A, alphabet_size=6).to_dict(),
+            }
+        )
+        with pytest.raises(ValueError, match=error):
+            engine.apply_plan(
+                1, {"merge": [{"into": keep, "pst": foreign}, bad]}
+            )
+        assert shard_state_digest(engine) == expected
+        engine.close()
+        records = list(read_journal(os.path.join(state_dir, "journal.jsonl")))
+        assert not any(isinstance(r, PlanRecord) for r in records)
+
+        recovered = ShardEngine.recover(state_dir)
+        assert shard_state_digest(recovered) == expected
+        recovered.close()
 
     def test_recovery_replays_plans_interleaved(self, tmp_path):
         from repro.shard.engine import shard_state_digest

@@ -2,8 +2,8 @@
 
 The contract under test: a sharded engine killed at *any* durability
 boundary — any ``os.fsync`` or ``os.replace`` of any shard's WAL or
-checkpoint, the coordinator's dispatch WAL, the manifest, the router
-snapshot — can be rebuilt by ``ShardedStreamingCluseq.recover`` and,
+checkpoint, the coordinator's dispatch WAL, the manifest — can be
+rebuilt by ``ShardedStreamingCluseq.recover`` and,
 after ingesting the rest of the stream, reaches state bit-identical to
 a run that was never interrupted.
 
@@ -49,13 +49,12 @@ def stream():
     )
 
 
-def make_config(shards, router="hash"):
+def make_config(shards):
     # Tight cadences on purpose: 8 global batches hit 2 consolidation
     # rounds, periodic checkpoints and decay, so the fault sweep
     # crosses every kind of durability boundary the engine has.
     return ShardConfig(
         shards=shards,
-        router=router,
         consolidate_every=4,
         merge_threshold=0.8,
         stream=StreamConfig(
@@ -107,9 +106,9 @@ def feed(engine, sequences):
     engine.flush()
 
 
-def reference_digest(shards, stream, router="hash"):
+def reference_digest(shards, stream):
     """The uncrashed run (memory-only; durability must not change it)."""
-    engine = make_engine(make_config(shards, router=router), None)
+    engine = make_engine(make_config(shards), None)
     feed(engine, stream.sequences)
     digest = full_digest(engine)
     engine.close()
@@ -225,31 +224,3 @@ class TestChaosInProcess:
         # Second attempt must still converge.
         digest = recover_and_finish(config, state_dir, stream)
         assert digest == expected
-
-
-class TestChaosPstRouter:
-    def test_fsync_boundaries_with_router_snapshot(self, stream, tmp_path):
-        """The router.json publish is a crash point like any other."""
-        config = make_config(2, router="pst")
-        expected = reference_digest(2, stream, router="pst")
-        total = crash_points(config, tmp_path, stream, "fsync")
-        points = list(range(1, total + 1))[:: 13 if SMOKE else 4]
-        for crash_at in points:
-            state_dir = tmp_path / f"crash-{crash_at}"
-            injector = FaultInjector(crash_at=crash_at, kind="fsync")
-            engine = None
-            crashed = False
-            with injector.armed():
-                try:
-                    engine = make_engine(config, state_dir)
-                    feed(engine, stream.sequences)
-                    engine.checkpoint()
-                except CrashPoint:
-                    crashed = True
-            assert crashed
-            abandon(engine)
-            digest = recover_and_finish(config, state_dir, stream)
-            assert digest == expected, (
-                f"pst router: crash at fsync #{crash_at}/{total} "
-                "diverged from the uncrashed run"
-            )
