@@ -9,10 +9,8 @@ by the benchtrack ledger. CI gates the smoke sweep with
 shard count must keep its seq/s within tolerance of the same shard
 count in the ledger baseline.
 
-State is kept in memory (no WAL/checkpoints) so the sweep measures
-routing + clustering + consolidation, not disk bandwidth — the
-durability path has its own chaos/recovery suite
-(``tests/test_shard_recovery.py``).
+Shards run in memory, so the sweep measures routing + clustering +
+consolidation, never disk bandwidth.
 
 Run standalone::
 

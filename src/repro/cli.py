@@ -16,9 +16,9 @@ Subcommands
     recovers from after a crash.
 ``shard``
     Sharded online clustering: partition the stream across N
-    independent in-process streaming shards with periodic cross-shard
-    consolidation, per-shard durability and whole-topology
-    ``--resume``. See docs/SHARDING.md.
+    independent in-memory streaming shards with periodic cross-shard
+    consolidation. Durable runs use ``stream --state-dir``. See
+    docs/SHARDING.md.
 ``serve``
     Clustering-as-a-service: load a saved model (or stream checkpoint)
     into the versioned registry and serve classify/ingest/clusters
@@ -52,8 +52,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .core.cluseq import CLUSEQ, CluseqParams
@@ -63,6 +62,9 @@ from .obs import MetricsRegistry, configure_logging, use_registry, write_telemet
 from .sequences.database import SequenceDatabase
 from .sequences.generators import generate_clustered_database
 from .sequences.io import read_fasta, read_labelled_text, write_labelled_text
+
+if TYPE_CHECKING:
+    from .stream import StreamingCluseq
 
 #: experiment name → (runner, printer) import paths, resolved lazily.
 EXPERIMENTS = {
@@ -257,21 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "--alphabet",
         metavar="SYMBOLS",
-        default=None,
-        help="cold-start with this symbol alphabet (e.g. 'acgt')",
-    )
-    shard.add_argument(
-        "--state-dir",
-        metavar="DIR",
-        default=None,
-        help="durable state root (manifest + dispatch WAL + one state "
-        "dir per shard)",
-    )
-    shard.add_argument(
-        "--resume",
-        action="store_true",
-        help="recover every shard from --state-dir and roll the "
-        "dispatch WAL forward before ingesting",
+        required=True,
+        help="symbol alphabet of the stream (e.g. 'acgt')",
     )
     shard.add_argument(
         "--consolidate-every",
@@ -291,13 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument("--batch-size", type=int, default=32)
     shard.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=16,
-        metavar="BATCHES",
-        help="per-shard checkpoint interval in shard batches",
-    )
-    shard.add_argument(
         "-t", "--threshold", type=float, default=1.2,
         help="initial similarity threshold (cold start only)",
     )
@@ -307,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument("--max-depth", type=int, default=6)
     shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip WAL fsyncs (faster, weaker durability)",
-    )
     _add_telemetry_flags(shard)
 
     serve = subparsers.add_parser(
@@ -488,26 +465,23 @@ def _command_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recover_or_report(
-    recover: "Callable[[str], Any]", state_dir: str
-) -> "tuple[Any, int]":
-    """Run a recover callable, mapping bad state dirs to clean errors.
+def _recover_or_report(state_dir: str) -> StreamingCluseq | None:
+    """Recover a stream engine, mapping bad state dirs to clean errors.
 
-    Shared by ``stream --resume`` and ``shard --resume``: a missing,
-    empty or corrupt state directory prints one operator-readable line
-    on stderr and exits 2 instead of surfacing a raw traceback.
-    Returns ``(engine, 0)`` or ``(None, exit_code)``.
+    Backs ``stream --resume``: a missing, empty or corrupt state
+    directory prints one operator-readable line on stderr and returns
+    ``None`` (the caller exits 2) instead of surfacing a raw traceback.
     """
-    from .stream import CheckpointError, JournalError, ensure_resumable
+    from .stream import CheckpointError, JournalError, StreamingCluseq, ensure_resumable
 
     try:
         ensure_resumable(state_dir)
-        return recover(state_dir), 0
+        return StreamingCluseq.recover(state_dir)
     except (CheckpointError, JournalError) as exc:
         print(
             f"error: cannot resume from {state_dir}: {exc}", file=sys.stderr
         )
-        return None, 2
+        return None
 
 
 def _command_stream(args: argparse.Namespace) -> int:
@@ -539,11 +513,9 @@ def _command_stream(args: argparse.Namespace) -> int:
         if not args.state_dir:
             print("--resume requires --state-dir", file=sys.stderr)
             return 2
-        engine, code = _recover_or_report(
-            StreamingCluseq.recover, args.state_dir
-        )
+        engine = _recover_or_report(args.state_dir)
         if engine is None:
-            return code
+            return 2
     elif args.model:
         result, alphabet = load_result_with_alphabet(args.model)
         engine = StreamingCluseq(
@@ -609,62 +581,30 @@ def _command_shard(args: argparse.Namespace) -> int:
     from .shard import ShardConfig, ShardedStreamingCluseq
     from .stream import StreamConfig, batched, read_encoded_lines
 
-    stream_config = StreamConfig(
-        batch_size=args.batch_size,
-        checkpoint_every=args.checkpoint_every,
-        journal_fsync=not args.no_fsync,
-        seed=args.seed,
+    config = ShardConfig(
+        shards=args.shards,
+        consolidate_every=args.consolidate_every,
+        merge_threshold=args.merge_threshold,
+        stream=StreamConfig(batch_size=args.batch_size, seed=args.seed),
     )
-    if args.resume:
-        if not args.state_dir:
-            print("--resume requires --state-dir", file=sys.stderr)
-            return 2
-        engine, code = _recover_or_report(
-            ShardedStreamingCluseq.recover, args.state_dir
-        )
-        if engine is None:
-            return code
-    elif args.alphabet:
-        config = ShardConfig(
-            shards=args.shards,
-            consolidate_every=args.consolidate_every,
-            merge_threshold=args.merge_threshold,
-            stream=stream_config,
-        )
-        engine = ShardedStreamingCluseq.cold_start(
-            alphabet=Alphabet(args.alphabet),
-            similarity_threshold=args.threshold,
-            significance_threshold=args.significance,
-            max_depth=args.max_depth,
-            config=config,
-            state_dir=args.state_dir,
-        )
-    else:
-        print(
-            "pass --alphabet, or --resume with --state-dir",
-            file=sys.stderr,
-        )
-        return 2
-    if engine.alphabet is None:
-        print(
-            "state dir does not embed an alphabet; cannot encode the stream",
-            file=sys.stderr,
-        )
-        return 1
-    batch_size = engine.config.stream.batch_size
+    alphabet = Alphabet(args.alphabet)
+    engine = ShardedStreamingCluseq.cold_start(
+        alphabet=alphabet,
+        similarity_threshold=args.threshold,
+        significance_threshold=args.significance,
+        max_depth=args.max_depth,
+        config=config,
+    )
     with engine:
         if args.input == "-":
-            encoded = read_encoded_lines(sys.stdin, engine.alphabet)
-            for batch in batched(encoded, batch_size):
+            encoded = read_encoded_lines(sys.stdin, alphabet)
+            for batch in batched(encoded, args.batch_size):
                 engine.ingest_batch(batch)
         else:
             with open(args.input, encoding="utf-8") as handle:
-                encoded = read_encoded_lines(handle, engine.alphabet)
-                for batch in batched(encoded, batch_size):
+                encoded = read_encoded_lines(handle, alphabet)
+                for batch in batched(encoded, args.batch_size):
                     engine.ingest_batch(batch)
-        engine.flush()
-        if args.state_dir:
-            engine.checkpoint()
         stats = engine.stats()
         rows = []
         for shard, handle in enumerate(engine.handles):

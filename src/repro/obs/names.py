@@ -67,9 +67,6 @@ METRICS: frozenset[str] = frozenset(
         "shard.consolidations",
         "shard.pairs_scored",
         "shard.cross_merges",
-        "shard.recover_passes",
-        "shard.rollforward_batches",
-        "shard.rollforward_plans",
         # batch clustering driver
         "cluseq.iterations",
         "cluseq.final_clusters",
@@ -168,7 +165,6 @@ SPANS: frozenset[str] = frozenset(
         # Sharded streaming coordinator (repro.shard).
         "shard.batch",
         "shard.consolidate",
-        "shard.recover",
     }
 )
 

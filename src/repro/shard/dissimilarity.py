@@ -24,7 +24,7 @@ distributions can differ by at most total variation 1 = L1 2).
 
 Everything here is a pure deterministic function of the two flat
 exports — no RNG, no engine state — so the cross-shard consolidation
-pass that uses it replays bit-identically during crash recovery.
+pass that uses it is bit-identical across repeated runs.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ merges pairs below the configured threshold — closest pair first, each
 cluster consumed at most once as a merge *source*. The keeper of a
 pair is the model with more observed mass (``total_symbols``), ties
 broken toward the lower ``(shard, cluster_id)``, so the plan is a pure
-deterministic function of the exports and can be re-derived
-bit-identically during crash recovery.
+deterministic function of the exports.
 
 Clusters whose flat export contains only the root row carry no
 significant context structure yet; they are excluded from pairing

@@ -3,11 +3,6 @@
 :func:`route` sends a sequence to ``fnv1a(symbols) % shards``. It is
 stateless, uniform, and stable across runs and platforms: the same
 sequence always lands on the same shard.
-
-Routing decisions are additionally *recorded* per batch in the
-dispatch write-ahead log; crash recovery re-partitions from the
-recorded routes and never re-routes, so replay cannot depend on the
-routing function.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .journal import (
     STREAM_FORMAT,
     BatchRecord,
     JournalError,
-    PlanRecord,
     StreamJournal,
     journal_batches_after,
     read_journal,
@@ -49,7 +48,6 @@ __all__ = [
     "DriftingStream",
     "JournalError",
     "OutlierPool",
-    "PlanRecord",
     "StreamConfig",
     "StreamJournal",
     "StreamStats",

@@ -39,8 +39,7 @@ def write_json_atomic(path: PathLike, payload: dict[str, Any]) -> int:
     """Atomically persist *payload* as compact JSON at *path*.
 
     The temp-file/fsync/``os.replace`` writer behind stream
-    checkpoints and the sharded engine's manifest.
-    Returns the document size in bytes.
+    checkpoints. Returns the document size in bytes.
     """
     target = os.fspath(path)
     started = time.perf_counter()
@@ -100,7 +99,7 @@ def ensure_resumable(state_dir: PathLike) -> str:
 
     Raises :class:`CheckpointError` with an operator-readable message
     when the directory is missing, is not a directory, or holds no
-    durable state at all (no checkpoint/journal/manifest) — the cases
+    durable state at all (no checkpoint or journal) — the cases
     that previously surfaced as raw tracebacks from ``--resume``.
     Returns the normalized path.
     """

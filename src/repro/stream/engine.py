@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Union
@@ -69,13 +68,14 @@ from ..obs import (
 from ..sequences.alphabet import Alphabet
 from ..typing import PSTFactory
 from .checkpoint import (
+    CheckpointError,
     checkpoint_path,
     journal_path,
     read_checkpoint,
     write_checkpoint,
 )
 from .decay import DecayPolicy
-from .journal import BatchRecord, StreamJournal, journal_batches_after
+from .journal import JournalError, StreamJournal, journal_batches_after
 from .pool import OutlierPool
 
 _logger = get_logger("stream.engine")
@@ -85,8 +85,8 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: Histogram resolution for the rolling-window valley estimate.
 _ADJUST_BUCKETS = 100
 
-#: Config keys older checkpoints and shard manifests still carry; they
-#: are dropped on load. Any other unknown key still fails.
+#: Config keys older checkpoints still carry; they are dropped on
+#: load. Any other unknown key still fails.
 RETIRED_KEYS = frozenset({"backend"})
 
 
@@ -345,44 +345,6 @@ class StreamingCluseq:
         return cls(result, config=config, alphabet=alphabet, state_dir=state_dir)
 
     @classmethod
-    def restore(cls, state_dir: PathLike) -> "StreamingCluseq":
-        """Rebuild the checkpointed state only — no journal replay.
-
-        The building block of :meth:`recover`; subclasses with richer
-        replay protocols (the sharded engine's per-shard
-        ``ShardEngine``) restore first and then interleave their own
-        journal records.
-        """
-        state = read_checkpoint(checkpoint_path(state_dir))
-        config = StreamConfig.from_dict(state["config"])
-        result = result_from_dict(state["result"])
-        symbols = state["result"].get("alphabet")
-        alphabet = Alphabet(symbols) if symbols else None
-        engine = cls(result, config=config, alphabet=alphabet, state_dir=state_dir)
-        counters = state["counters"]
-        engine._pool = OutlierPool.from_list(
-            [(int(i), [int(s) for s in seq]) for i, seq in state["pool"]],
-            config.pool_size,
-            evicted=int(counters["pool_evicted"]),
-        )
-        engine._batches = int(counters["batches"])
-        engine._sequences = int(counters["sequences"])
-        engine._absorbed = int(counters["absorbed"])
-        engine._outliers = int(counters["outliers"])
-        engine._clusters_spawned = int(counters["clusters_spawned"])
-        engine._clusters_dismissed = int(counters["clusters_dismissed"])
-        engine._decay_events = int(counters["decay_events"])
-        engine._decay_pruned = int(counters["decay_pruned_nodes"])
-        engine._checkpoints = int(counters["checkpoints_written"])
-        engine._next_index = int(counters["next_index"])
-        engine._next_cluster_id = int(counters["next_cluster_id"])
-        engine.log_threshold = float(state["log_threshold"])
-        engine.result.final_log_threshold = engine.log_threshold
-        engine._recent_scores = [float(x) for x in state["recent_scores"]]
-        engine._restore_extra(state.get("extra") or {})
-        return engine
-
-    @classmethod
     def recover(cls, state_dir: PathLike) -> "StreamingCluseq":
         """Rebuild an engine from its state directory after a crash.
 
@@ -392,60 +354,78 @@ class StreamingCluseq:
         to the engine that wrote the journal — same clusters, PST
         counts, pool, counters and threshold — provided the state
         directory was produced by the same build.
+
+        A checkpoint that parses as JSON but does not hold a usable
+        state (a missing key, an unknown config key, a bad value)
+        raises :class:`CheckpointError`; a journal with a missing
+        record raises :class:`JournalError`.
         """
-        engine = cls.restore(state_dir)
+        target = checkpoint_path(state_dir)
+        state = read_checkpoint(target)
+        try:
+            config = StreamConfig.from_dict(state["config"])
+            symbols = state["result"].get("alphabet")
+            engine = cls(
+                result_from_dict(state["result"]),
+                config=config,
+                alphabet=Alphabet(symbols) if symbols else None,
+                state_dir=state_dir,
+            )
+            counters = state["counters"]
+            engine._pool = OutlierPool.from_list(
+                [(int(i), [int(s) for s in seq]) for i, seq in state["pool"]],
+                config.pool_size,
+                evicted=int(counters["pool_evicted"]),
+            )
+            engine._batches = int(counters["batches"])
+            engine._sequences = int(counters["sequences"])
+            engine._absorbed = int(counters["absorbed"])
+            engine._outliers = int(counters["outliers"])
+            engine._clusters_spawned = int(counters["clusters_spawned"])
+            engine._clusters_dismissed = int(counters["clusters_dismissed"])
+            engine._decay_events = int(counters["decay_events"])
+            engine._decay_pruned = int(counters["decay_pruned_nodes"])
+            engine._checkpoints = int(counters["checkpoints_written"])
+            engine._next_index = int(counters["next_index"])
+            engine._next_cluster_id = int(counters["next_cluster_id"])
+            engine.log_threshold = float(state["log_threshold"])
+            engine.result.final_log_threshold = engine.log_threshold
+            engine._recent_scores = [float(x) for x in state["recent_scores"]]
+        except KeyError as exc:
+            raise CheckpointError(f"{target}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{target}: unusable state: {exc}") from exc
         checkpoint_batches = engine._batches
-        replayed = 0
-        records = journal_batches_after(
-            journal_path(state_dir), after=engine._batches
-        )
+        journal = journal_path(state_dir)
+        records = journal_batches_after(journal, after=checkpoint_batches)
         # The replay runs under its own span so crash-recovery cost
         # shows up in traces and the ``span.stream.recover`` timer
         # (replayed batches also carry a ``replay`` span attr).
-        with engine.replaying(), span("stream.recover"):
-            for record in records:
-                engine.replay_batch(record)
-                replayed += 1
+        engine._replaying = True
+        try:
+            with span("stream.recover"):
+                for record in records:
+                    if record.ordinal != engine._batches:
+                        raise JournalError(
+                            f"{journal}: journal gap: expected batch "
+                            f"{engine._batches}, found {record.ordinal}"
+                        )
+                    engine._apply_batch(record.sequences)
+        finally:
+            engine._replaying = False
         registry = get_registry()
         if registry.enabled:
             registry.counter("stream.recover_passes").inc()
-            registry.counter("stream.recover_replayed_batches").inc(replayed)
+            registry.counter("stream.recover_replayed_batches").inc(len(records))
         _logger.info(
             "recovered stream engine",
             extra={
                 "state_dir": os.fspath(state_dir),
                 "checkpoint_batches": checkpoint_batches,
-                "replayed_batches": replayed,
+                "replayed_batches": len(records),
             },
         )
         return engine
-
-    @contextmanager
-    def replaying(self) -> Iterator[None]:
-        """Mark journal replay: suppress re-journaling and checkpoints."""
-        self._replaying = True
-        try:
-            yield
-        finally:
-            self._replaying = False
-
-    def replay_batch(self, record: BatchRecord) -> list[int | None]:
-        """Re-apply one journaled batch; enforces ordinal contiguity."""
-        if record.ordinal != self._batches:
-            raise ValueError(
-                f"journal gap: expected batch {self._batches}, "
-                f"found {record.ordinal}"
-            )
-        return self._apply_batch(record.sequences)
-
-    # -- subclass extension points -------------------------------------------------
-
-    def _checkpoint_extra(self) -> dict[str, Any]:
-        """Extra state a subclass wants checkpointed (empty = omitted)."""
-        return {}
-
-    def _restore_extra(self, extra: dict[str, Any]) -> None:
-        """Restore state produced by :meth:`_checkpoint_extra`."""
 
     # -- ingestion ----------------------------------------------------------------
 
@@ -770,9 +750,6 @@ class StreamingCluseq:
                 "next_cluster_id": self._next_cluster_id,
             },
         }
-        extra = self._checkpoint_extra()
-        if extra:
-            state["extra"] = extra
         nbytes = write_checkpoint(checkpoint_path(self.state_dir), state)
         registry = get_registry()
         if registry.enabled:

@@ -14,16 +14,11 @@ line is one batch record::
 
     {"type": "header", "format": "repro.stream/v1", ...}
     {"type": "batch", "n": 0, "sequences": [[0, 1, 2], ...]}
-    {"type": "batch", "n": 1, "sequences": [...], "route": [0, 1]}
-    {"type": "consolidate", "n": 2, "round": 1, "plan": {...}}
+    {"type": "batch", "n": 1, "sequences": [...]}
 
 ``n`` is the 0-based batch ordinal — replay after a checkpoint taken
 at ``journal_batches = K`` applies exactly the records with
-``n >= K``. Two optional extensions are used by the sharded engine
-(:mod:`repro.shard`): a batch record may carry a ``route`` list
-(one shard index per sequence, recorded so replay never re-routes),
-and ``consolidate`` records write-ahead a cross-shard merge plan at
-the batch boundary it fired on.
+``n >= K``.
 """
 
 from __future__ import annotations
@@ -49,31 +44,10 @@ class JournalError(ValueError):
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One replayable journal entry: a micro-batch of encoded sequences.
-
-    ``routes`` is ``None`` for plain single-engine journals; the
-    sharded dispatch log records one shard index per sequence so that
-    roll-forward re-partitions exactly as the original run did.
-    """
+    """One replayable journal entry: a micro-batch of encoded sequences."""
 
     ordinal: int
     sequences: list[list[int]]
-    routes: "list[int] | None" = None
-
-
-@dataclass(frozen=True)
-class PlanRecord:
-    """A write-ahead consolidation plan (sharded engine only).
-
-    ``ordinal`` is the batch counter at the moment the plan fired —
-    the plan applies to the state *after* that many batches.
-    ``round`` numbers consolidation passes monotonically from 1 so
-    replay can skip plans already reflected in a checkpoint.
-    """
-
-    ordinal: int
-    round: int
-    plan: dict[str, Any]
 
 
 class StreamJournal:
@@ -135,31 +109,10 @@ class StreamJournal:
                 "stream.wal_append_seconds", buckets=LATENCY_BUCKETS
             ).observe(finished - started)
 
-    def append_batch(
-        self,
-        ordinal: int,
-        sequences: list[list[int]],
-        routes: "list[int] | None" = None,
-    ) -> None:
+    def append_batch(self, ordinal: int, sequences: list[list[int]]) -> None:
         """Write-ahead one micro-batch under 0-based *ordinal*."""
         self._ensure_open()
-        payload: dict[str, Any] = {
-            "type": "batch",
-            "n": ordinal,
-            "sequences": sequences,
-        }
-        if routes is not None:
-            payload["route"] = routes
-        self._write_line(payload)
-
-    def append_plan(
-        self, ordinal: int, round_: int, plan: dict[str, Any]
-    ) -> None:
-        """Write-ahead one consolidation plan (sharded engine)."""
-        self._ensure_open()
-        self._write_line(
-            {"type": "consolidate", "n": ordinal, "round": round_, "plan": plan}
-        )
+        self._write_line({"type": "batch", "n": ordinal, "sequences": sequences})
 
     def close(self) -> None:
         if self._handle is not None:
@@ -173,18 +126,16 @@ class StreamJournal:
         self.close()
 
 
-def read_journal(path: PathLike) -> "Iterator[BatchRecord | PlanRecord]":
-    """Yield every intact record of the journal at *path*, in order.
+def read_journal(path: PathLike) -> Iterator[BatchRecord]:
+    """Yield every intact batch record of the journal at *path*, in order.
 
-    Yields :class:`BatchRecord` for ``batch`` records and
-    :class:`PlanRecord` for ``consolidate`` records. A torn final line
-    (crash mid-append) is silently ignored; a torn line anywhere
-    *before* the end means real corruption and raises
+    A torn final line (crash mid-append) is silently ignored; a torn
+    line anywhere *before* the end means real corruption and raises
     :class:`JournalError`, as does a header announcing an unknown
-    format. A *missing* file yields nothing: the journal is created
-    lazily on first append, so a state dir checkpointed before any
-    batch arrived (or killed right after the cold-start checkpoint)
-    legitimately has no journal yet.
+    format or a record of any other type. A *missing* file yields
+    nothing: the journal is created lazily on first append, so a state
+    dir checkpointed before any batch arrived (or killed right after
+    the cold-start checkpoint) legitimately has no journal yet.
     """
     if not os.path.exists(path):
         return
@@ -213,33 +164,14 @@ def read_journal(path: PathLike) -> "Iterator[BatchRecord | PlanRecord]":
                     f"(header: {payload!r})"
                 )
             continue
-        if kind == "batch":
-            raw_routes = payload.get("route")
-            yield BatchRecord(
-                ordinal=int(payload["n"]),
-                sequences=[
-                    [int(s) for s in seq] for seq in payload["sequences"]
-                ],
-                routes=(
-                    None
-                    if raw_routes is None
-                    else [int(r) for r in raw_routes]
-                ),
-            )
-        elif kind == "consolidate":
-            yield PlanRecord(
-                ordinal=int(payload["n"]),
-                round=int(payload["round"]),
-                plan=dict(payload["plan"]),
-            )
-        else:
+        if kind != "batch":
             raise JournalError(f"{path}:{lineno + 1}: unknown record {kind!r}")
+        yield BatchRecord(
+            ordinal=int(payload["n"]),
+            sequences=[[int(s) for s in seq] for seq in payload["sequences"]],
+        )
 
 
 def journal_batches_after(path: PathLike, after: int) -> list[BatchRecord]:
     """The replay suffix: intact batch records with ``ordinal >= after``."""
-    return [
-        record
-        for record in read_journal(path)
-        if isinstance(record, BatchRecord) and record.ordinal >= after
-    ]
+    return [record for record in read_journal(path) if record.ordinal >= after]

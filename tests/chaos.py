@@ -1,14 +1,14 @@
-"""Reusable fault injector for the durability stack.
+"""Reusable fault injector for the stream engine's durability protocol.
 
 Simulates hard crashes (power loss, SIGKILL) at durability boundaries
 by counting the process's ``os.fsync`` / ``os.replace`` calls and
 raising :class:`CrashPoint` *in place of* the N-th one — the write
 behind that fsync never becomes durable, the rename never happens, and
 no ``finally`` cleanup that itself needs the faulted call can hide the
-damage. The stream/shard engines resolve both functions through the
-``os`` module at call time, so patching the module attributes reaches
-every journal append and checkpoint rename in the process, across
-every shard of an in-process sharded engine.
+damage. The stream engine resolves both functions through the ``os``
+module at call time, so patching the module attributes reaches every
+journal append and checkpoint rename in the process.
+``tests/test_stream_recovery.py`` sweeps every such call of a run.
 
 Deliberately pytest-free, so a plain script can import it too.
 
@@ -51,8 +51,8 @@ class FaultInjector:
 
     *crash_at* is 1-based; ``crash_at=None`` never crashes (count-only
     mode). *kind* selects the patched call: ``"fsync"`` covers every
-    WAL append and the checkpoint flush, ``"replace"`` the atomic
-    checkpoint/manifest publish.
+    journal append and the checkpoint flush, ``"replace"`` the atomic
+    checkpoint publish.
     """
 
     def __init__(

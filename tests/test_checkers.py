@@ -355,7 +355,7 @@ class TestImportLayering:
         violations = check_source(
             tmp_path,
             "src/repro/stream/bad.py",
-            "from ..shard.engine import ShardEngine\n",
+            "from ..shard.engine import ShardedStreamingCluseq\n",
             "CLQ001",
         )
         assert rule_ids(violations) == ["CLQ001"]

@@ -323,6 +323,57 @@ class TestStreamCommand:
         assert "cannot resume" in err
         assert "nothing to resume" in err
 
+    @pytest.mark.parametrize(
+        ("damage", "reasons"),
+        [
+            ("unknown-config-key", ("checkpoint.json", "bogus")),
+            ("missing-counters", ("checkpoint.json", "counters")),
+            ("journal-gap", ("journal.jsonl", "expected batch 1, found 2")),
+        ],
+        ids=["unknown-config-key", "missing-counters", "journal-gap"],
+    )
+    def test_resume_damaged_state_fails_cleanly(
+        self, stream_file, tmp_path, capsys, damage, reasons
+    ):
+        """A state dir whose checkpoint or journal does not hold a usable
+        state exits 2 with one line instead of a traceback."""
+        import json
+
+        from repro.sequences.alphabet import Alphabet
+        from repro.stream import StreamConfig, StreamingCluseq
+
+        state_dir = tmp_path / "state"
+        engine = StreamingCluseq.cold_start(
+            alphabet=Alphabet("abcdef"),
+            config=StreamConfig(batch_size=4),
+            state_dir=state_dir,
+        )
+        for batch in range(3):
+            engine.ingest_batch([[batch % 6, 1, 2, 3]] * 4)
+        engine.close()
+        checkpoint = state_dir / "checkpoint.json"
+        journal = state_dir / "journal.jsonl"
+        if damage == "journal-gap":
+            lines = journal.read_text().splitlines(keepends=True)
+            # Header, then batches 0, 1, 2: drop batch 1.
+            journal.write_text("".join(lines[:2] + lines[3:]))
+        else:
+            payload = json.loads(checkpoint.read_text())
+            if damage == "unknown-config-key":
+                payload["config"]["bogus"] = 1
+            else:
+                del payload["counters"]
+            checkpoint.write_text(json.dumps(payload))
+        code = main(
+            ["stream", stream_file, "--state-dir", str(state_dir), "--resume"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err
+        for reason in reasons:
+            assert reason in err
+        assert "Traceback" not in err
+
     def test_stream_from_stdin(self, stream_file, capsys, monkeypatch):
         import io
         import sys as _sys
@@ -359,7 +410,7 @@ class TestShardCommand:
         )
         return str(path)
 
-    def shard_args(self, stream_file, extra=()):
+    def shard_args(self, stream_file):
         return [
             "shard", stream_file,
             "--alphabet", "abcdef",
@@ -368,26 +419,21 @@ class TestShardCommand:
             "--consolidate-every", "4",
             "--merge-threshold", "0.8",
             "-t", "10", "-c", "3", "--max-depth", "4",
-            *extra,
         ]
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["shard", "-"])
+        args = build_parser().parse_args(["shard", "-", "--alphabet", "ab"])
         assert args.shards == 2
-        assert not hasattr(args, "router")
-        assert not hasattr(args, "runner")
         assert args.consolidate_every == 16
-        assert not args.resume
+        for removed in ("router", "runner", "state_dir", "resume",
+                        "checkpoint_every", "no_fsync"):
+            assert not hasattr(args, removed)
 
     def test_cold_start_requires_alphabet(self, stream_file, capsys):
-        code = main(["shard", stream_file])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", stream_file])
+        assert exc.value.code == 2
         assert "--alphabet" in capsys.readouterr().err
-
-    def test_resume_requires_state_dir(self, stream_file, capsys):
-        code = main(["shard", stream_file, "--resume"])
-        assert code == 2
-        assert "--state-dir" in capsys.readouterr().err
 
     def test_cold_start_shard_run(self, stream_file, capsys):
         code = main(self.shard_args(stream_file))
@@ -396,78 +442,6 @@ class TestShardCommand:
         assert "sequences" in out
         assert "80" in out
         assert "shard" in out
-
-    def test_durable_run_then_resume(self, stream_file, tmp_path, capsys):
-        state_dir = tmp_path / "state"
-        args = self.shard_args(
-            stream_file, ["--state-dir", str(state_dir)]
-        )
-        assert main(args) == 0
-        assert (state_dir / "manifest.json").exists()
-        assert (state_dir / "dispatch.jsonl").exists()
-        assert (state_dir / "shard-00" / "checkpoint.json").exists()
-        capsys.readouterr()
-        code = main(
-            [
-                "shard", stream_file,
-                "--state-dir", str(state_dir),
-                "--resume",
-            ]
-        )
-        assert code == 0
-        assert "160" in capsys.readouterr().out  # both passes counted
-
-    def test_resume_missing_state_dir_fails_cleanly(
-        self, stream_file, tmp_path, capsys
-    ):
-        """The shard command shares the stream command's validation."""
-        code = main(
-            [
-                "shard", stream_file,
-                "--state-dir", str(tmp_path / "never-created"),
-                "--resume",
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "cannot resume" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        ("edit", "reason"),
-        [
-            (lambda config: config.pop("merge_threshold"), "merge_threshold"),
-            (lambda config: config.update(router="pst"), "'pst' router"),
-        ],
-        ids=["missing-key", "removed-router"],
-    )
-    def test_resume_bad_manifest_config_fails_cleanly(
-        self, stream_file, tmp_path, capsys, edit, reason
-    ):
-        import json
-
-        state_dir = tmp_path / "state"
-        assert main(
-            self.shard_args(stream_file, ["--state-dir", str(state_dir)])
-        ) == 0
-        manifest = state_dir / "manifest.json"
-        payload = json.loads(manifest.read_text())
-        edit(payload["config"])
-        manifest.write_text(json.dumps(payload))
-        capsys.readouterr()
-        code = main(
-            [
-                "shard", stream_file,
-                "--state-dir", str(state_dir),
-                "--resume",
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "cannot resume" in err
-        assert "manifest.json" in err
-        assert reason in err
-        assert "Traceback" not in err
 
 
 class TestGenerateCommand:

@@ -2,40 +2,28 @@
 
 Hash routing (FNV-1a goldens), the context-tree dissimilarity,
 deterministic merge planning, PST count-merging, the coordinator's
-config/manifest/journal formats and the per-shard plan journaling
-that backs crash recovery. The whole-system properties
-(chaos sweep, differential equivalence) live in
-``test_shard_recovery.py`` / ``test_shard_differential.py``.
+config and plan application on a shard's engine. The whole-system
+properties (differential equivalence) live in
+``test_shard_differential.py``.
 """
 
 import json
-import os
 
 import pytest
 
+from repro.core.persistence import result_to_dict
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.shard import (
     ClusterExport,
     ShardConfig,
+    apply_plan,
     context_tree_distance,
-    dispatch_path,
     flat_labels,
     fnv1a,
-    manifest_path,
     plan_merges,
-    read_manifest,
     route,
 )
-from repro.shard.engine import ShardEngine, build_shard_engine
-from repro.stream import (
-    BatchRecord,
-    CheckpointError,
-    PlanRecord,
-    StreamConfig,
-    StreamJournal,
-    ensure_resumable,
-    read_journal,
-)
+from repro.stream import StreamConfig, StreamingCluseq
 
 ALPHABET = 4
 
@@ -63,8 +51,8 @@ REGIME_B = regime_sequences([2, 3])
 
 class TestFnv1a:
     def test_golden_values(self):
-        # Locked-down digests: the dispatch WAL records routes derived
-        # from these, so the hash must never drift across versions.
+        # Locked-down digests: routes derive from these, so the hash
+        # must never drift across versions.
         assert fnv1a([]) == 14695981039346656037
         assert fnv1a([0]) == 12638153115695167455
         assert fnv1a([1, 2, 3]) == 15035938162879559083
@@ -249,28 +237,6 @@ class TestMergeCounts:
 
 
 class TestShardConfig:
-    def test_round_trips_through_dict(self):
-        config = ShardConfig(
-            shards=3,
-            router="hash",
-            consolidate_every=7,
-            merge_threshold=0.5,
-            stream=StreamConfig(batch_size=5, seed=9),
-        )
-        assert ShardConfig.from_dict(
-            json.loads(json.dumps(config.to_dict()))
-        ) == config
-
-    def test_retired_process_runner_loads_inprocess(self):
-        # Manifests written while the one-process-per-shard runner
-        # existed still load; the state they describe is runner-free.
-        data = ShardConfig().to_dict()
-        data["runner"] = "process"
-        assert ShardConfig.from_dict(data).runner == "inprocess"
-        data["runner"] = "thread"
-        with pytest.raises(ValueError, match="runner"):
-            ShardConfig.from_dict(data)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -288,118 +254,34 @@ class TestShardConfig:
             ShardConfig(**kwargs)
 
 
-class TestEnsureResumable:
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(CheckpointError, match="does not exist"):
-            ensure_resumable(tmp_path / "nope")
-
-    def test_not_a_directory(self, tmp_path):
-        target = tmp_path / "file"
-        target.write_text("x")
-        with pytest.raises(CheckpointError, match="not a directory"):
-            ensure_resumable(target)
-
-    def test_empty_directory(self, tmp_path):
-        target = tmp_path / "state"
-        target.mkdir()
-        with pytest.raises(CheckpointError, match="nothing to resume"):
-            ensure_resumable(target)
-
-    def test_tmp_litter_does_not_count(self, tmp_path):
-        target = tmp_path / "state"
-        target.mkdir()
-        (target / "checkpoint.json.tmp").write_text("{}")
-        with pytest.raises(CheckpointError, match="nothing to resume"):
-            ensure_resumable(target)
-
-    def test_populated_directory_passes(self, tmp_path):
-        target = tmp_path / "state"
-        target.mkdir()
-        (target / "checkpoint.json").write_text("{}")
-        ensure_resumable(target)
-
-
-class TestManifest:
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no shard manifest"):
-            read_manifest(tmp_path)
-
-    def test_corrupt_manifest(self, tmp_path):
-        with open(manifest_path(tmp_path), "w", encoding="utf-8") as handle:
-            handle.write("{truncated")
-        with pytest.raises(CheckpointError, match="corrupt"):
-            read_manifest(tmp_path)
-
-    def test_foreign_format(self, tmp_path):
-        with open(manifest_path(tmp_path), "w", encoding="utf-8") as handle:
-            json.dump({"format": "something/else"}, handle)
-        with pytest.raises(CheckpointError, match="manifest"):
-            read_manifest(tmp_path)
-
-
-class TestJournalRecords:
-    def test_batch_routes_round_trip(self, tmp_path):
-        path = dispatch_path(tmp_path)
-        with StreamJournal(path, fsync=False) as journal:
-            journal.append_batch(0, [[1, 2], [3]], routes=[1, 0])
-            journal.append_batch(1, [[2, 2]])
-        records = list(read_journal(path))
-        assert records == [
-            BatchRecord(ordinal=0, sequences=[[1, 2], [3]], routes=[1, 0]),
-            BatchRecord(ordinal=1, sequences=[[2, 2]], routes=None),
-        ]
-
-    def test_plan_records_round_trip(self, tmp_path):
-        path = dispatch_path(tmp_path)
-        plan = {"0": {"merge": [], "dismiss": [4]}}
-        with StreamJournal(path, fsync=False) as journal:
-            journal.append_batch(0, [[1]], routes=[0])
-            journal.append_plan(1, 1, plan)
-        records = list(read_journal(path))
-        assert isinstance(records[1], PlanRecord)
-        assert records[1] == PlanRecord(ordinal=1, round=1, plan=plan)
-
-    def test_missing_journal_reads_as_empty(self, tmp_path):
-        assert list(read_journal(tmp_path / "never-written.jsonl")) == []
-
-    def test_append_after_torn_tail_does_not_weld(self, tmp_path):
-        path = dispatch_path(tmp_path)
-        with StreamJournal(path, fsync=False) as journal:
-            journal.append_batch(0, [[1, 2]])
-        # Crash mid-append: a half-written record with no newline.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "batch", "n": 1, "seq')
-        with StreamJournal(path, fsync=False) as journal:
-            journal.append_batch(1, [[3, 4]])
-        records = list(read_journal(path))
-        assert [record.ordinal for record in records] == [0, 1]
-        assert records[1].sequences == [[3, 4]]
-
-
 class TestShardEngine:
-    def make_engine(self, state_dir=None):
-        spec = {
-            "alphabet": None,
-            "alphabet_size": ALPHABET,
-            "significance_threshold": 1,
-            "similarity_threshold": 10.0,
-            "max_depth": 3,
-            "p_min": None,
-            "max_nodes": None,
-            "prune_strategy": "paper",
-        }
-        return build_shard_engine(
-            spec,
-            StreamConfig(
+    """A shard's engine is a plain ``StreamingCluseq``; ``apply_plan``
+    folds a consolidation plan into it."""
+
+    def make_engine(self):
+        return StreamingCluseq.cold_start(
+            alphabet_size=ALPHABET,
+            significance_threshold=1,
+            similarity_threshold=10.0,
+            max_depth=3,
+            config=StreamConfig(
                 batch_size=6,
                 reseed_every=1,
                 reseed_k=2,
                 reseed_min_pool=4,
-                checkpoint_every=100,
                 seed=3,
             ),
-            state_dir,
-            resume=False,
+        )
+
+    @staticmethod
+    def digest(engine):
+        return json.dumps(
+            {
+                "result": result_to_dict(engine.result),
+                "pool": engine.pool.to_list(),
+                "stats": engine.stats().to_dict(),
+            },
+            sort_keys=True,
         )
 
     def test_apply_plan_merges_and_dismisses(self):
@@ -414,15 +296,16 @@ class TestShardEngine:
             cluster.cluster_id: cluster.pst.node_count
             for cluster in engine.result.clusters
         }
-        merged, dropped = engine.apply_plan(
-            1,
+        dismissed = engine.stats().clusters_dismissed
+        merged, dropped = apply_plan(
+            engine,
             {
                 "merge": [{"into": keep, "pst": foreign.to_dict()}],
                 "dismiss": [drop],
             },
         )
         assert (merged, dropped) == (1, 1)
-        assert engine.last_round == 1
+        assert engine.stats().clusters_dismissed == dismissed + 1
         remaining = {c.cluster_id for c in engine.result.clusters}
         assert drop not in remaining
         kept = next(
@@ -437,8 +320,8 @@ class TestShardEngine:
         engine = self.make_engine()
         engine.ingest_batch(REGIME_A[:6])
         with pytest.raises(ValueError, match="merge target"):
-            engine.apply_plan(
-                1,
+            apply_plan(
+                engine,
                 {"merge": [{"into": 999, "pst": build_pst([]).to_dict()}]},
             )
 
@@ -448,17 +331,13 @@ class TestShardEngine:
             ("missing-target", "merge target"),
             ("alphabet-mismatch", "alphabet"),
         ],
+        ids=["missing-target", "alphabet-mismatch"],
     )
-    def test_bad_plan_leaves_shard_and_journal_untouched(
-        self, tmp_path, second, error
-    ):
-        from repro.shard.engine import shard_state_digest
-
-        state_dir = tmp_path / "shard"
-        engine = self.make_engine(state_dir)
+    def test_bad_plan_leaves_shard_untouched(self, second, error):
+        engine = self.make_engine()
         engine.ingest_batch(REGIME_A[:6])
         keep = engine.result.clusters[0].cluster_id
-        expected = shard_state_digest(engine)
+        expected = self.digest(engine)
         foreign = build_pst(REGIME_A[6:]).to_dict()
         bad = (
             {"into": 999, "pst": foreign}
@@ -469,51 +348,8 @@ class TestShardEngine:
             }
         )
         with pytest.raises(ValueError, match=error):
-            engine.apply_plan(
-                1, {"merge": [{"into": keep, "pst": foreign}, bad]}
+            apply_plan(
+                engine,
+                {"merge": [{"into": keep, "pst": foreign}, bad], "dismiss": [keep]},
             )
-        assert shard_state_digest(engine) == expected
-        engine.close()
-        records = list(read_journal(os.path.join(state_dir, "journal.jsonl")))
-        assert not any(isinstance(r, PlanRecord) for r in records)
-
-        recovered = ShardEngine.recover(state_dir)
-        assert shard_state_digest(recovered) == expected
-        recovered.close()
-
-    def test_recovery_replays_plans_interleaved(self, tmp_path):
-        from repro.shard.engine import shard_state_digest
-
-        state_dir = tmp_path / "shard"
-        engine = self.make_engine(state_dir)
-        engine.ingest_batch(REGIME_A[:6])
-        keep = engine.result.clusters[0].cluster_id
-        engine.apply_plan(
-            1, {"merge": [{"into": keep, "pst": build_pst(REGIME_A[6:]).to_dict()}]}
-        )
-        engine.ingest_batch(REGIME_B[:6])
-        expected = shard_state_digest(engine)
-        engine.close()
-
-        recovered = ShardEngine.recover(state_dir)
-        assert shard_state_digest(recovered) == expected
-        assert recovered.last_round == 1
-        recovered.close()
-
-    def test_checkpoint_carries_last_round(self, tmp_path):
-        from repro.shard.engine import shard_state_digest
-
-        state_dir = tmp_path / "shard"
-        engine = self.make_engine(state_dir)
-        engine.ingest_batch(REGIME_A[:6])
-        engine.apply_plan(2, {"dismiss": []})
-        engine.checkpoint()
-        expected = shard_state_digest(engine)
-        engine.close()
-        # Wipe the journal suffix: the checkpoint alone must restore
-        # last_round via the `extra` hook.
-        os.remove(os.path.join(state_dir, "journal.jsonl"))
-        recovered = ShardEngine.recover(state_dir)
-        assert recovered.last_round == 2
-        assert shard_state_digest(recovered) == expected
-        recovered.close()
+        assert self.digest(engine) == expected

@@ -20,6 +20,7 @@ from repro.stream import (
     batched,
     checkpoint_path,
     drifting_markov_stream,
+    ensure_resumable,
     journal_batches_after,
     journal_path,
     read_checkpoint,
@@ -159,6 +160,31 @@ class TestJournal:
         suffix = journal_batches_after(path, after=3)
         assert [r.ordinal for r in suffix] == [3, 4]
 
+    def test_missing_journal_reads_as_empty(self, tmp_path):
+        assert list(read_journal(tmp_path / "never-written.jsonl")) == []
+
+    def test_append_after_torn_tail_does_not_weld(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with StreamJournal(path, fsync=False) as journal:
+            journal.append_batch(0, [[1, 2]])
+        # Crash mid-append: a half-written record with no newline.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "batch", "n": 1, "seq')
+        with StreamJournal(path, fsync=False) as journal:
+            journal.append_batch(1, [[3, 4]])
+        records = list(read_journal(path))
+        assert [record.ordinal for record in records] == [0, 1]
+        assert records[1].sequences == [[3, 4]]
+
+    def test_unknown_record_kind_raises(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with StreamJournal(path, fsync=False) as journal:
+            journal.append_batch(0, [[1]])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "consolidate", "n": 1}\n')
+        with pytest.raises(JournalError, match="unknown record"):
+            list(read_journal(path))
+
 
 # -- checkpoint ---------------------------------------------------------------
 
@@ -202,6 +228,37 @@ class TestCheckpoint:
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert leftovers == ["checkpoint.json"]
         assert read_checkpoint(path)["journal_batches"] == 1
+
+
+class TestEnsureResumable:
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(CheckpointError, match="does not exist"):
+            ensure_resumable(tmp_path / "nope")
+
+    def test_not_a_directory(self, tmp_path):
+        target = tmp_path / "file"
+        target.write_text("x")
+        with pytest.raises(CheckpointError, match="not a directory"):
+            ensure_resumable(target)
+
+    def test_empty_directory(self, tmp_path):
+        target = tmp_path / "state"
+        target.mkdir()
+        with pytest.raises(CheckpointError, match="nothing to resume"):
+            ensure_resumable(target)
+
+    def test_tmp_litter_does_not_count(self, tmp_path):
+        target = tmp_path / "state"
+        target.mkdir()
+        (target / "checkpoint.json.tmp").write_text("{}")
+        with pytest.raises(CheckpointError, match="nothing to resume"):
+            ensure_resumable(target)
+
+    def test_populated_directory_passes(self, tmp_path):
+        target = tmp_path / "state"
+        target.mkdir()
+        (target / "checkpoint.json").write_text("{}")
+        ensure_resumable(target)
 
 
 # -- sources ------------------------------------------------------------------
@@ -276,8 +333,8 @@ class TestStreamConfig:
             decay=DecayPolicy(factor=0.9, every_batches=4), adjust_every=6
         )
         assert StreamConfig.from_dict(config.to_dict()) == config
-        # Older checkpoints and shard manifests carry a retired
-        # ``backend`` key; it is dropped on load.
+        # Older checkpoints carry a retired ``backend`` key; it is
+        # dropped on load.
         legacy = {**config.to_dict(), "backend": "reference"}
         assert StreamConfig.from_dict(legacy) == config
         with pytest.raises(TypeError, match="nonsense"):

@@ -7,14 +7,21 @@ rest of the stream — reach state bit-identical to an engine that ran
 uninterrupted. Everything the engine does is a deterministic function
 of (state, batch sequence), so replaying the journal suffix from the
 last checkpoint reproduces the exact pre-crash state.
+
+``TestCrashAtEveryBoundary`` kills the engine in place of every
+``os.fsync`` and every ``os.replace`` of a run (the fault injector is
+the pytest-free ``tests/chaos.py``), so every journal append and every
+step of the atomic checkpoint write is a crash point.
 """
 
 import json
 
 import pytest
 
+from chaos import CrashPoint, FaultInjector, count_fault_points
 from repro.core.persistence import result_to_dict
 from repro.stream import (
+    CheckpointError,
     DecayPolicy,
     StreamConfig,
     StreamingCluseq,
@@ -146,3 +153,73 @@ class TestCrashRecovery:
 
         with pytest.raises(CheckpointError, match="no checkpoint"):
             StreamingCluseq.recover(tmp_path)
+
+
+class TestCrashAtEveryBoundary:
+    """A crash at any durability boundary recovers bit-identically."""
+
+    @pytest.fixture(scope="class")
+    def short_stream(self):
+        return drifting_markov_stream(
+            80,
+            40,
+            alphabet_size=ALPHABET_SIZE,
+            mean_length=30,
+            concentration=0.05,
+            seed=11,
+        )
+
+    #: Eight batches of 10 cross every cadence: checkpoints at batches
+    #: 3 and 6, reseeds every 2, threshold adjustment at 5, decay at 6
+    #: and §4.5 consolidation at 8.
+    CONFIG = make_config(batch_size=10, pool_size=64, checkpoint_every=3)
+
+    def feed(self, engine, sequences):
+        for seq in sequences:
+            engine.ingest(seq)
+        engine.flush()
+
+    def recover_and_finish(self, state_dir, sequences):
+        """Recover, or cold-start in place when no checkpoint is durable."""
+        try:
+            engine = StreamingCluseq.recover(state_dir)
+            cold = False
+        except CheckpointError:
+            engine = make_engine(self.CONFIG, state_dir=state_dir)
+            cold = True
+        with engine:
+            self.feed(engine, sequences[engine.sequences_ingested :])
+        return full_state(engine), cold
+
+    @pytest.mark.parametrize("kind", ["fsync", "replace"])
+    def test_every_boundary(self, short_stream, tmp_path, kind):
+        sequences = short_stream.sequences
+        reference = make_engine(self.CONFIG)
+        self.feed(reference, sequences)
+        expected = full_state(reference)
+
+        def workload():
+            with make_engine(self.CONFIG, state_dir=tmp_path / "dry") as engine:
+                self.feed(engine, sequences)
+
+        total = count_fault_points(workload, kind=kind)
+        assert total > 0, f"the run performed no {kind} calls"
+        cold_starts = 0
+        for crash_at in range(1, total + 1):
+            state_dir = tmp_path / f"crash-{kind}-{crash_at}"
+            engine = None
+            with FaultInjector(crash_at=crash_at, kind=kind).armed():
+                with pytest.raises(CrashPoint):
+                    engine = make_engine(self.CONFIG, state_dir=state_dir)
+                    self.feed(engine, sequences)
+            if engine is not None:
+                engine.close()  # the crash left no buffered batch behind
+            state, cold = self.recover_and_finish(state_dir, sequences)
+            cold_starts += cold
+            assert state == expected, (
+                f"recovery after a crash at {kind} #{crash_at}/{total} "
+                "diverged from the uninterrupted run"
+            )
+        # Crash #1 of either kind hits the initial checkpoint, before
+        # anything is durable: that state dir must cold-start.
+        assert cold_starts >= 1

@@ -9,8 +9,8 @@ bug waiting for a crash, and a checkpoint-style helper that replaces
 before it fsyncs can publish a file whose blocks never hit the disk.
 
 Two checks, scoped to non-test ``repro.stream`` *and* ``repro.shard``
-modules (the sharded coordinator persists its manifest and dispatch
-WAL through the same protocol):
+modules (shards run in memory and write nothing, so a file write
+appearing there must follow the same protocol):
 
 1. **Approved-writer containment.** Any write-mode ``open(...)`` /
    ``Path.open("w")`` — and any ``.write_text`` / ``.write_bytes``
