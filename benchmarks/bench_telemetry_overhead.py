@@ -30,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.core.backends import PstBatchScorer
+from repro.core.backends import PstBatchScorer, flatten_pst
 from repro.core.backends.vectorized import (
     gather_ratios_matrix,
     kadane_columns,
@@ -88,7 +88,7 @@ def make_bare_runner(scorer, psts, sequences, log_bg):
     The prepared stack is hoisted like the scorer's cache is.
     """
     prep = prepare_stack(
-        stack_flats([pst.flattened() for pst in psts]), log_bg
+        stack_flats([flatten_pst(pst) for pst in psts]), log_bg
     )
     trees = len(psts)
 

@@ -40,7 +40,7 @@ Global observability flags (before the subcommand):
     ``repro.telemetry/v2`` JSON snapshot to PATH on exit.
 
 ``cluster`` and ``stream`` additionally accept Telemetry v2 flags:
-``--telemetry-dir DIR`` (enable metrics, including the hot-path kernel
+``--telemetry-dir DIR`` (enable metrics, including the per-phase
 timers, and write a ``repro.telemetry/v2`` snapshot and a ``.prom``
 exposition into DIR)
 and ``--trace-out PATH`` (export spans as ``repro.trace/v1`` JSONL).
@@ -373,7 +373,7 @@ def _add_telemetry_flags(subparser: argparse.ArgumentParser) -> None:
         "--telemetry-dir",
         metavar="DIR",
         default=None,
-        help="enable metrics (including kernel timers) and write telemetry.json "
+        help="enable metrics (including phase timers) and write telemetry.json "
         "(repro.telemetry/v2) and metrics.prom into DIR on exit",
     )
     subparser.add_argument(

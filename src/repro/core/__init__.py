@@ -1,7 +1,6 @@
 """CLUSEQ core: the probabilistic suffix tree, the similarity measure
 and the clustering algorithm itself."""
 
-from .backends import FlattenedPST, PstBatchScorer, flatten_pst
 from .cluster import Cluster, Membership
 from .cluseq import (
     CLUSEQ,
@@ -13,13 +12,6 @@ from .cluseq import (
     cluster_sequences,
 )
 from .consolidation import consolidate, overlap_fraction
-from .divergence import (
-    j_divergence,
-    kl_divergence,
-    pairwise_pst_divergence,
-    pst_divergence,
-    variational_distance,
-)
 from .estimator import CluseqClusterer, NotFittedError
 from .persistence import load_result, result_from_dict, result_to_dict, save_result
 from .segmentation import BACKGROUND, Domain, domain_summary, segment_sequence
@@ -50,9 +42,6 @@ from .threshold import (
 )
 
 __all__ = [
-    "FlattenedPST",
-    "PstBatchScorer",
-    "flatten_pst",
     "Cluster",
     "Membership",
     "CLUSEQ",
@@ -62,11 +51,6 @@ __all__ = [
     "IterationSnapshot",
     "IterationStats",
     "cluster_sequences",
-    "j_divergence",
-    "kl_divergence",
-    "pairwise_pst_divergence",
-    "pst_divergence",
-    "variational_distance",
     "CluseqClusterer",
     "NotFittedError",
     "load_result",

@@ -3,7 +3,9 @@
 See docs/PERFORMANCE.md for the architecture. ``repro.core.similarity``
 is the normative transcription of the paper; the kernel here
 reproduces it bit-for-bit from flattened PST arrays, batched over many
-(sequence, tree) pairs, in one process.
+(sequence, tree) pairs, in one process. It is an accelerator with two
+callers, serve classify and the shard plan export; nothing else in
+``repro.core`` imports it (CLQ001).
 """
 
 from .dispatch import PstBatchScorer

@@ -6,20 +6,22 @@ the paper. The flattened-array kernel of
 :mod:`repro.core.backends.vectorized` reproduces it bit-for-bit (same
 floats, same segment bounds), restructured to score a whole
 (tree × sequence) matrix in one call. No setting chooses between the
-two: a caller that scores a batch against trees which stay fixed for
-the call uses the kernel, and one that scores a single pair uses the
-DP (see README "Scoring paths"). Serve classify keeps a tree on the
-kernel only while it is unchanged since the model was loaded; once an
-ingest writes it, re-flattening it for every read costs more than the
-DP, so it is scored pair by pair from then on.
+two. The kernel has exactly two callers, both outside ``repro.core``
+(see README "Scoring paths"): serve classify, which keeps a tree on
+the kernel only while it is unchanged since the model was loaded (once
+an ingest writes it, re-flattening it for every read costs more than
+the DP, so it is scored pair by pair from then on), and the shard
+consolidation's plan export, which calls
+:func:`~repro.core.backends.flatten.flatten_pst` directly. The fit,
+the stream and ``predict`` score with the DP.
 
 :class:`PstBatchScorer` is the kernel's working interface: it owns the
-background log vector, caches the *prepared* stacked table set
+background log vector, caches the flattened export of each tree in its
+current stack together with the *prepared* stacked table set
 (sentinel walk table + log-ratio table, see
 :class:`~repro.core.backends.vectorized.PreparedStack`) for repeated
-calls against the same tree group — each tree caches its own
-flattened export per mutation version — and emits counters/timers
-through the active metrics registry.
+calls against the same tree group, and emits counters/timers through
+the active metrics registry.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy.typing as npt
 
 from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
+from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
     PreparedStack,
     ScoreMatrixResult,
@@ -79,7 +82,8 @@ class PstBatchScorer:
     cached flat against its tree's current mutation version on each
     call, so interleaving scoring with ``add_sequence`` /
     ``decay_counts`` / pruning is safe — a mutated tree is transparently
-    re-flattened, never scored stale.
+    re-flattened, never scored stale. A restack re-flattens only the
+    trees whose object or version changed; the others keep their flats.
     """
 
     def __init__(self, background: npt.NDArray[np.float64]) -> None:
@@ -89,7 +93,7 @@ class PstBatchScorer:
         # revalidated by identity + version, never by id() alone — an
         # id can be reused by a new tree once the old one is collected.
         self._stack_psts: tuple[ProbabilisticSuffixTree, ...] = ()
-        self._stack_versions: tuple[int, ...] = ()
+        self._stack_flats: tuple[FlattenedPST, ...] = ()
         self._stack: PreparedStack | None = None
 
     @property
@@ -106,18 +110,26 @@ class PstBatchScorer:
                     f"background must have length {pst.alphabet_size}, "
                     f"got shape {self._background.shape}"
                 )
-        flats = [pst.flattened() for pst in psts]
-        versions = tuple(flat.version for flat in flats)
+        # The cached trees are alive (held in _stack_psts), so no tree in
+        # *psts* can share an id with a different cached one.
+        cached = {
+            id(pst): flat for pst, flat in zip(self._stack_psts, self._stack_flats)
+        }
+        flats = []
+        for pst in psts:
+            flat = cached.get(id(pst))
+            if flat is None or flat.version != pst.version:
+                flat = flatten_pst(pst)
+            flats.append(flat)
         fresh = (
             self._stack is None
             or len(psts) != len(self._stack_psts)
-            or versions != self._stack_versions
-            or any(a is not b for a, b in zip(psts, self._stack_psts))
+            or any(a is not b for a, b in zip(flats, self._stack_flats))
         )
         if fresh:
             self._stack = prepare_stack(stack_flats(flats), self._log_bg)
             self._stack_psts = tuple(psts)
-            self._stack_versions = versions
+            self._stack_flats = tuple(flats)
             registry = get_registry()
             if registry.enabled:
                 registry.counter("backend.stack_rebuilds").inc()
@@ -182,7 +194,7 @@ class PstBatchScorer:
         return self._score_matrix_arrays(prep, sequences)
 
     def forget(self) -> None:
-        """Drop the stack cache (releases references to cached trees)."""
+        """Drop the stack cache (releases cached trees and their flats)."""
         self._stack_psts = ()
-        self._stack_versions = ()
+        self._stack_flats = ()
         self._stack = None

@@ -42,10 +42,10 @@ can never enter any other node, so insignificant subtrees — kept in
 the tree because they may *become* significant — are dead weight for
 scoring and would bloat the dense tables.
 
-Exports are cached on the tree keyed by its mutation
-:attr:`~repro.core.pst.ProbabilisticSuffixTree.version`; call
-``pst.flattened()`` rather than :func:`flatten_pst` directly unless
-you explicitly want an uncached build.
+:func:`flatten_pst` always builds. The only cache of exports is the
+one :class:`~repro.core.backends.dispatch.PstBatchScorer` keeps for
+the trees of its current stack, keyed by tree identity and mutation
+:attr:`~repro.core.pst.ProbabilisticSuffixTree.version`.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from ..obs import (
 )
 from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
-from .backends import PstBatchScorer
 from .cluster import Cluster
 from .examine import ScoreColumn, best_cluster, join_all, join_best
 from .consolidation import consolidate
@@ -829,14 +828,11 @@ class CLUSEQ:
             finders = list(VALLEY_METHODS.values())
         else:
             finders = [VALLEY_METHODS[params.calibration_method]]
-        # The dry pass is read-only (no absorbs can invalidate a score),
-        # so it is the batch kernel's natural shape. One kernel call per
-        # reference, not one over all of them: a multi-tree call would
-        # multiply the kernel's transient arrays by the reference count.
-        scorer = PstBatchScorer(background)
         found: list[float] = []
         for pst in reference_psts:
-            reference_sims = scorer.score_matrix_full([pst], encoded).log_z[0].tolist()
+            reference_sims = [
+                similarity(pst, seq, background).log_similarity for seq in encoded
+            ]
             for finder in finders:
                 estimate = finder(reference_sims, buckets=params.histogram_buckets)
                 if estimate is not None:

@@ -18,11 +18,10 @@ segment into the cluster PST (:meth:`Cluster.join`, §4.4).
 Scores arrive as a :class:`ScoreColumn`. Every examiner that joins
 scores pair by pair on the live models (:meth:`ScoreColumn.live`):
 each join mutates a PST that the next sequence is scored against, so
-scores taken up front would go stale within the batch. The batch
-kernel scores only trees that stay fixed for its whole call: the fit's
-threshold calibration, and serve classify over the trees no
-``/v1/stream/ingest`` has written since the model was loaded (a
-written tree is scored with the reference DP instead of re-flattened).
+scores taken up front would go stale within the batch. Everything in
+``repro.core`` scores with the reference DP. The batch kernel runs only
+outside it: in serve classify, over the trees no ``/v1/stream/ingest``
+has written since the model was loaded, and in the shard plan export.
 """
 
 from __future__ import annotations

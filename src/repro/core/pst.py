@@ -31,16 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
 from ..obs import get_registry
 from .smoothing import adjust_probability, validate_p_min
-
-if TYPE_CHECKING:
-    from .backends.flatten import FlattenedPST
 
 #: Rough per-node memory footprint used to translate the paper's
 #: megabyte budgets into node budgets (children dict + counters).
@@ -180,10 +177,9 @@ class ProbabilisticSuffixTree:
         self.root = PSTNode()
         self._node_count = 1
         self._sequences_added = 0
-        # Monotone mutation counter; the flattened array export (and any
-        # cache keyed on it) is valid only while the version is unchanged.
+        # Monotone mutation counter; any cache derived from the tree is
+        # valid only while the version is unchanged.
         self._version = 0
-        self._flat_cache: "FlattenedPST | None" = None
 
     # -- construction ------------------------------------------------------------
 
@@ -418,36 +414,22 @@ class ProbabilisticSuffixTree:
             vec = (1.0 - self.alphabet_size * self.p_min) * vec + self.p_min
         return vec
 
-    # -- flattened export --------------------------------------------------------------
+    # -- mutation version --------------------------------------------------------------
 
     def _invalidate(self) -> None:
-        """Record a mutation: bump the version, drop the flat export."""
+        """Record a mutation: bump the version."""
         self._version += 1
-        self._flat_cache = None
 
     @property
     def version(self) -> int:
         """Mutation counter; increments on every change to the tree.
 
-        Anything derived from tree state (most importantly the
-        :meth:`flattened` array export) is valid exactly as long as the
-        version it was built from still matches.
+        Anything derived from tree state (the batch scorer's flat
+        arrays, a serving model's record of which trees are unchanged)
+        is valid exactly as long as the version it was built from still
+        matches.
         """
         return self._version
-
-    def flattened(self) -> "FlattenedPST":
-        """The array-form export of this tree (cached per version).
-
-        Built lazily by :func:`repro.core.backends.flatten.flatten_pst`
-        and invalidated automatically by ``add_sequence``,
-        ``decay_counts`` and pruning. The vectorized scoring backend
-        consumes this instead of walking ``PSTNode`` objects.
-        """
-        if self._flat_cache is None or self._flat_cache.version != self._version:
-            from .backends.flatten import flatten_pst
-
-            self._flat_cache = flatten_pst(self)
-        return self._flat_cache
 
     # -- traversal / stats -----------------------------------------------------------
 
@@ -623,8 +605,8 @@ class ProbabilisticSuffixTree:
     def recount_nodes(self) -> int:
         """Recompute the cached node count from the tree (debug aid).
 
-        Deliberately does not bump ``_version``: the flat export never
-        reads ``_node_count``, and recounting changes no count the
+        Deliberately does not bump ``_version``: no version-keyed cache
+        reads ``_node_count``, and recounting changes no count those
         caches are built from — it only repairs the bookkeeping gauge.
         """
         self._node_count = self.root.subtree_size()  # cluseq: ignore[CLQ007]

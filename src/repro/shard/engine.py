@@ -26,6 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.backends.flatten import flatten_pst
 from ..core.cluster import Cluster
 from ..core.pst import ProbabilisticSuffixTree
 from ..obs import get_logger, get_registry, span
@@ -181,7 +182,7 @@ class LocalShard:
                 shard=shard,
                 cluster_id=cluster.cluster_id,
                 weight=cluster.pst.total_symbols,
-                flat=cluster.pst.flattened(),
+                flat=flatten_pst(cluster.pst),
             )
             for cluster in self.engine.result.clusters
         ]

@@ -4,9 +4,10 @@ A seeded CLUSEQ run over synthetic two-family Markov data, checked
 against the committed fixture ``tests/golden/backend_clustering.json``;
 the run must reproduce the fixture *exactly* (assignments, threshold,
 history and recall). The fixture was recorded on the reference
-per-pair loop, so this pins both the clustering output itself (an
-algorithm regression trips it) and the vectorized calibration kernel's
-bit-identity with that loop.
+per-pair loop, and the fit scores only with that loop, so this
+pins the clustering output itself: an algorithm regression trips it.
+It does not exercise the batch kernel; the kernel's bit-identity
+with the reference DP is pinned by ``tests/test_backends_differential.py``.
 
 Regenerate after an *intentional* algorithm change with::
 

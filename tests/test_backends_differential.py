@@ -39,6 +39,7 @@ from repro.core.similarity import (
     similarity_bruteforce,
 )
 from repro.core.smoothing import default_p_min
+from repro.obs import MetricsRegistry, use_registry
 
 #: Seeded fuzz cases per property (the PR's acceptance floor is 200).
 N_CASES = 220
@@ -274,6 +275,37 @@ class TestEdgeCases:
             after_decay, similarity(pst, seq, background), "post decay_counts"
         )
 
+    def test_restack_reflattens_only_the_mutated_tree(self):
+        """The scorer's flat cache keys on tree identity and version."""
+        psts = [
+            ProbabilisticSuffixTree.from_sequences(
+                [[s, (s + 1) % 3, (s + 2) % 3] * 3],
+                alphabet_size=3,
+                max_depth=3,
+                significance_threshold=1,
+            )
+            for s in range(3)
+        ]
+        background = np.full(3, 1.0 / 3.0)
+        scorer = PstBatchScorer(background)
+        seq = [0, 1, 2, 0]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            scorer.score_matrix_full(psts, [seq])
+            builds = registry.counter("backend.flatten_builds").value
+            assert builds == 3
+            psts[1].add_sequence([2, 2, 1, 0])
+            matrix = scorer.score_matrix_full(psts, [seq])
+            assert registry.counter("backend.flatten_builds").value == builds + 1
+            assert registry.counter("backend.stack_rebuilds").value == 2
+            # A shrunken stack reuses the survivors' flats, too.
+            scorer.score_matrix_full(psts[::2], [seq])
+            assert registry.counter("backend.flatten_builds").value == builds + 1
+        for row, pst in enumerate(psts):
+            _assert_results_equal(
+                matrix.result(row, 0), similarity(pst, seq, background), f"tree {row}"
+            )
+
 
 class TestMatrixKernelAgreement:
     """The full-matrix pipeline against the per-pair reference.
@@ -322,7 +354,7 @@ class TestMatrixKernelAgreement:
         import dataclasses
 
         for pst, background, sequences in scenarios[:40]:
-            stacked = stack_flats([pst.flattened()])
+            stacked = stack_flats([flatten_pst(pst)])
             prep = prepare_stack(stacked, log_background(background))
             if prep.walk_table2 is None:
                 continue

@@ -245,6 +245,33 @@ class TestImportLayering:
         )
         assert violations == []
 
+    def test_core_importing_backends_fires(self, tmp_path):
+        violations = check_source(
+            tmp_path,
+            "src/repro/core/bad.py",
+            "from .backends import PstBatchScorer\n",
+            "CLQ001",
+        )
+        assert rule_ids(violations) == ["CLQ001"]
+
+    def test_core_importing_backends_as_submodule_fires(self, tmp_path):
+        violations = check_source(
+            tmp_path,
+            "src/repro/core/bad.py",
+            "from . import backends\n",
+            "CLQ001",
+        )
+        assert rule_ids(violations) == ["CLQ001"]
+
+    def test_stream_importing_backends_fires(self, tmp_path):
+        violations = check_source(
+            tmp_path,
+            "src/repro/stream/bad.py",
+            "from ..core.backends.flatten import flatten_pst\n",
+            "CLQ001",
+        )
+        assert rule_ids(violations) == ["CLQ001"]
+
     def test_core_importing_serve_fires(self, tmp_path):
         violations = check_source(
             tmp_path,

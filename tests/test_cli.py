@@ -527,12 +527,14 @@ class TestTelemetryV2Flags:
         doc = json.loads((tele_dir / "telemetry.json").read_text())
         assert doc["schema"] == "repro.telemetry/v2"
         assert "profile" not in doc
-        # the registry was active: kernel timings were collected
-        assert doc["metrics"]["backend.walk_seconds"]["count"] > 0
+        # the registry was active: phase timings were collected (the
+        # fit scores with the reference DP, so no kernel timer exists)
+        assert doc["metrics"]["span.cluseq.calibrate"]["count"] > 0
+        assert not any(name.startswith("backend.") for name in doc["metrics"])
         assert not any(name.startswith("profile.") for name in doc["metrics"])
         prom = (tele_dir / "metrics.prom").read_text()
         assert "# TYPE" in prom
-        assert "# TYPE repro_backend_kadane_seconds" in prom
+        assert "# TYPE repro_span_cluseq_calibrate_seconds" in prom
         assert "telemetry v2 written to" in capsys.readouterr().err
 
     def test_trace_out_writes_trace(self, toy_text_file, tmp_path, capsys):

@@ -110,15 +110,17 @@ class TestRunTelemetry:
         assert registry.get("consolidation.passes").value == iterations
 
     def test_reexamination_never_prescores(self, toy_db):
-        """The fit scores its §4.2 re-examination pair by pair on the
-        live models: the only kernel calls are calibration's, one per
-        reference model."""
+        """The fit scores everything with the reference DP: its §4.2
+        re-examination pair by pair on the live models, and its
+        threshold calibration per reference model. It never calls the
+        batch kernel."""
         registry = MetricsRegistry()
         with use_registry(registry):
             CLUSEQ(CluseqParams(**PARAMS)).fit(toy_db)
         references = registry.get("cluseq.calibration_references").value
         assert references > 0
-        assert registry.get("backend.batch_calls").value == references
+        assert registry.counter("backend.batch_calls").value == 0
+        assert registry.counter("backend.flatten_builds").value == 0
 
     def test_kernel_pairs_are_not_counted_as_dp_calls(self):
         """``similarity.calls`` counts reference DP calls only; a kernel
@@ -213,8 +215,9 @@ class TestTelemetryDoesNotChangeResults:
                 telemetered = CLUSEQ(params).fit(toy_db)
 
         assert self._fingerprint(plain) == self._fingerprint(telemetered)
-        # and the telemetry run actually timed the scoring kernels
-        assert registry.get("backend.walk_seconds").count > 0
+        # and the telemetry run actually timed and counted the scoring
+        assert registry.get("span.cluseq.recluster").count > 0
+        assert registry.get("similarity.dp_cells").value > 0
 
 
 class TestStreamTelemetry:

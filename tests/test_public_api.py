@@ -1,6 +1,9 @@
 """Public API surface tests: everything README documents must import."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,24 @@ def test_core_exports():
 
     for name in core.__all__:
         assert hasattr(core, name), f"repro.core.{name} missing"
+
+
+def test_import_repro_does_not_load_the_batch_kernel():
+    """The kernel is a serve/shard accelerator: the library loads without it."""
+    probe = (
+        "import sys, repro, repro.core, repro.stream\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.core.backends')))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sequences_exports():

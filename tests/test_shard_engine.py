@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.backends.flatten import flatten_pst
 from repro.core.persistence import result_to_dict
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.shard import (
@@ -80,12 +81,12 @@ class TestHashRouter:
 
 class TestContextTreeDistance:
     def test_identity_is_zero(self):
-        flat = build_pst(REGIME_A).flattened()
+        flat = flatten_pst(build_pst(REGIME_A))
         assert context_tree_distance(flat, flat) == 0.0
 
     def test_symmetric_and_bounded(self):
-        flat_a = build_pst(REGIME_A).flattened()
-        flat_b = build_pst(REGIME_B).flattened()
+        flat_a = flatten_pst(build_pst(REGIME_A))
+        flat_b = flatten_pst(build_pst(REGIME_B))
         d_ab = context_tree_distance(flat_a, flat_b)
         d_ba = context_tree_distance(flat_b, flat_a)
         assert d_ab == pytest.approx(d_ba)
@@ -94,23 +95,23 @@ class TestContextTreeDistance:
     def test_separates_regimes(self):
         # Two models of the same regime (disjoint halves) must sit far
         # closer than models of different regimes.
-        half_a1 = build_pst(REGIME_A[:6]).flattened()
-        half_a2 = build_pst(REGIME_A[6:]).flattened()
-        flat_b = build_pst(REGIME_B).flattened()
+        half_a1 = flatten_pst(build_pst(REGIME_A[:6]))
+        half_a2 = flatten_pst(build_pst(REGIME_A[6:]))
+        flat_b = flatten_pst(build_pst(REGIME_B))
         within = context_tree_distance(half_a1, half_a2)
         across = context_tree_distance(half_a1, flat_b)
         assert within < across
 
     def test_rejects_alphabet_mismatch(self):
-        flat_a = build_pst(REGIME_A).flattened()
-        flat_other = build_pst(
-            regime_sequences([0, 1]), alphabet_size=2
-        ).flattened()
+        flat_a = flatten_pst(build_pst(REGIME_A))
+        flat_other = flatten_pst(
+            build_pst(regime_sequences([0, 1]), alphabet_size=2)
+        )
         with pytest.raises(ValueError, match="alphabet"):
             context_tree_distance(flat_a, flat_other)
 
     def test_flat_labels_enumerate_every_node(self):
-        flat = build_pst(REGIME_A).flattened()
+        flat = flatten_pst(build_pst(REGIME_A))
         labels = flat_labels(flat)
         assert len(labels) == flat.node_count
         assert labels[0] == ()  # root
@@ -130,7 +131,7 @@ class TestPlanMerges:
         return [by_shard.get(i, []) for i in range(shards)]
 
     def test_identical_models_merge_into_the_heavier(self):
-        flat = build_pst(REGIME_A).flattened()
+        flat = flatten_pst(build_pst(REGIME_A))
         ops, pairs = plan_merges(
             self.exports_for([(0, 0, 50, flat), (1, 3, 90, flat)]),
             threshold=0.25,
@@ -143,7 +144,7 @@ class TestPlanMerges:
         assert op.distance == 0.0
 
     def test_weight_tie_keeps_lower_shard(self):
-        flat = build_pst(REGIME_A).flattened()
+        flat = flatten_pst(build_pst(REGIME_A))
         ops, _ = plan_merges(
             self.exports_for([(0, 2, 50, flat), (1, 1, 50, flat)]),
             threshold=0.25,
@@ -152,8 +153,8 @@ class TestPlanMerges:
         assert (ops[0].keep_shard, ops[0].keep_cluster) == (0, 2)
 
     def test_distant_models_stay_apart_but_are_scored(self):
-        flat_a = build_pst(REGIME_A).flattened()
-        flat_b = build_pst(REGIME_B).flattened()
+        flat_a = flatten_pst(build_pst(REGIME_A))
+        flat_b = flatten_pst(build_pst(REGIME_B))
         ops, pairs = plan_merges(
             self.exports_for([(0, 0, 10, flat_a), (1, 0, 10, flat_b)]),
             threshold=0.05,
@@ -162,7 +163,7 @@ class TestPlanMerges:
         assert pairs == 1
 
     def test_same_shard_pairs_are_never_scored(self):
-        flat = build_pst(REGIME_A).flattened()
+        flat = flatten_pst(build_pst(REGIME_A))
         ops, pairs = plan_merges(
             self.exports_for([(0, 0, 10, flat), (0, 1, 10, flat)]),
             threshold=2.0,
@@ -171,9 +172,9 @@ class TestPlanMerges:
         assert pairs == 0
 
     def test_near_empty_models_are_excluded(self):
-        empty_flat = build_pst([]).flattened()
+        empty_flat = flatten_pst(build_pst([]))
         assert empty_flat.node_count == 1
-        real = build_pst(REGIME_A).flattened()
+        real = flatten_pst(build_pst(REGIME_A))
         ops, pairs = plan_merges(
             self.exports_for([(0, 0, 0, empty_flat), (1, 0, 10, real)]),
             threshold=2.0,
@@ -182,7 +183,7 @@ class TestPlanMerges:
         assert pairs == 0
 
     def test_each_cluster_dropped_at_most_once(self):
-        flat = build_pst(REGIME_A).flattened()
+        flat = flatten_pst(build_pst(REGIME_A))
         # B0 keeps A0 (heavier); the (A0, B1) pair must then be skipped
         # because A0 was already consumed as a merge source.
         ops, pairs = plan_merges(
@@ -196,8 +197,8 @@ class TestPlanMerges:
         assert (ops[0].keep_shard, ops[0].keep_cluster) == (1, 0)
 
     def test_plan_is_deterministic_under_export_order(self):
-        flat_1 = build_pst(REGIME_A[:6]).flattened()
-        flat_2 = build_pst(REGIME_A[6:]).flattened()
+        flat_1 = flatten_pst(build_pst(REGIME_A[:6]))
+        flat_2 = flatten_pst(build_pst(REGIME_A[6:]))
         spec = [(0, 0, 30, flat_1), (1, 0, 20, flat_2)]
         first, _ = plan_merges(self.exports_for(spec), threshold=2.0)
         second, _ = plan_merges(self.exports_for(spec), threshold=2.0)
@@ -214,10 +215,10 @@ class TestMergeCounts:
 
     def test_merge_reports_created_nodes_and_invalidates(self):
         merged = build_pst(REGIME_A)
-        stale_flat = merged.flattened()
+        stale_flat = flatten_pst(merged)
         created = merged.merge_counts(build_pst(REGIME_B))
         assert created > 0
-        fresh_flat = merged.flattened()
+        fresh_flat = flatten_pst(merged)
         assert fresh_flat.node_count == stale_flat.node_count + created
         assert fresh_flat.version > stale_flat.version
 
@@ -226,7 +227,7 @@ class TestMergeCounts:
         deep = build_pst(REGIME_B, max_depth=3)
         shallow.merge_counts(deep)
         assert max(
-            len(label) for label in flat_labels(shallow.flattened())
+            len(label) for label in flat_labels(flatten_pst(shallow))
         ) <= 2
 
     def test_merge_rejects_alphabet_mismatch(self):

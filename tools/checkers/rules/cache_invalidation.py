@@ -1,11 +1,13 @@
 """CLQ007 — cache-invalidation soundness (flow-sensitive).
 
-The ``FlattenedPST`` array export and every ``PstBatchScorer`` cache
-are keyed on ``ProbabilisticSuffixTree._version`` (see
-docs/PERFORMANCE.md): a mutation of tree state that does not bump the
-version makes those caches serve stale — but bit-exact-looking —
-probability tables. That failure is silent by construction, so it must
-be impossible by construction.
+The tree caches nothing derived from itself; it counts its mutations
+in ``ProbabilisticSuffixTree._version``, and the caches outside it key
+on that counter (see docs/PERFORMANCE.md): the batch scorer's flat
+exports and stacked tables, and a serving model's record of which trees
+are unchanged since it was loaded. A mutation of tree state that does
+not bump the version makes those caches serve stale — but
+bit-exact-looking — probability tables. That failure is silent by
+construction, so it must be impossible by construction.
 
 The rule finds every class that participates in the contract (any
 class with a method that writes ``self._version`` — the *invalidator*
@@ -18,7 +20,7 @@ up front) or definitely after it on all paths to every exit,
 exception and keep using the tree, so a mutate-then-raise path is a
 stale-cache path too).
 
-Tracked state is the node/count surface the flat export is built from:
+Tracked state is the node/count surface those caches are built from:
 ``count``, ``next_counts``, ``children``, ``root``, ``_node_count``,
 ``_sequences_added`` — written directly, through a subscript, through
 a mutating dict/list method, or through a one-hop local alias
@@ -179,6 +181,5 @@ class CacheInvalidationRule(Rule):
                     mutation,
                     f"{info.name}.{name} writes tracked tree state on a path "
                     f"that never bumps _version — call {suggested}() on "
-                    "every path (stale FlattenedPST/batch-scorer caches "
-                    "otherwise)",
+                    "every path (stale version-keyed caches otherwise)",
                 )

@@ -5,7 +5,10 @@ production deployment can ship the clustering engine without the
 experiment harnesses, the CLI, or the evaluation stack; and the
 observability layer (``repro.obs``) must import *only* the standard
 library so instrumentation can never drag numpy/scipy into a context
-that just wants a logger.
+that just wants a logger. The batch kernel (``repro.core.backends``) is
+a serving accelerator: the rest of ``repro.core`` and ``repro.stream``
+score with the reference DP and must not import it, so ``import repro``
+never loads it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ CORE_FORBIDDEN = (
 
 #: Top-level modules the obs layer may import besides the stdlib.
 OBS_ALLOWED_PREFIX = "repro.obs"
+
+#: The batch-kernel package. Nothing else in ``repro.core``, and nothing
+#: in ``repro.stream``, may import it; ``repro.serve`` and
+#: ``repro.shard`` do.
+KERNEL_PACKAGE = "repro.core.backends"
 
 #: ``repro.*`` prefixes the scoring-backend subpackage may depend on —
 #: the core layer it accelerates, the shared typing aliases, and obs
@@ -114,14 +122,14 @@ def _absolute_targets(
             base = ".".join(parts)
             if node.module:
                 base = f"{base}.{node.module}" if base else node.module
-        if base:
-            targets.append((base, node))
-        else:
+        if node.module is None:
             # ``from . import similarity`` — each name is a submodule.
             for alias in node.names:
                 targets.append(
-                    (f"{package}.{alias.name}" if package else alias.name, node)
+                    (f"{base}.{alias.name}" if base else alias.name, node)
                 )
+        elif base:
+            targets.append((base, node))
     return targets
 
 
@@ -131,6 +139,7 @@ class ImportLayeringRule(Rule):
     summary = (
         "core must not import experiments/cli/evaluation/stream/serve/shard; "
         "core.backends only core/typing/obs; "
+        "nothing else in core, nor stream, imports core.backends; "
         "stream only core/sequences/obs; "
         "serve only core/stream/sequences/obs; "
         "shard only stream/core/sequences/obs; obs stdlib only"
@@ -158,6 +167,17 @@ class ImportLayeringRule(Rule):
                                 f"repro.core must not import {target} "
                                 "(layering: core -> obs/sequences only)",
                             )
+                if (in_core and not in_backends) or in_stream:
+                    if target == KERNEL_PACKAGE or target.startswith(
+                        KERNEL_PACKAGE + "."
+                    ):
+                        yield self.violation(
+                            context,
+                            stmt,
+                            f"{context.module} must not import {target} "
+                            "(the batch kernel is serve/shard only; core and "
+                            "stream score with the reference DP)",
+                        )
                 if in_backends:
                     top = target.split(".", 1)[0]
                     if top == "repro" and not any(
