@@ -7,6 +7,7 @@ check: invariants invariants-all lint typecheck test
 
 test:
 	$(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e/test_helpers.py
 
 lint:
 	ruff check .

@@ -35,10 +35,9 @@ from .smoothing import (
 )
 from .threshold import (
     ValleyResult,
-    blend_threshold,
+    blend_log_threshold,
     build_histogram,
     find_valley,
-    thresholds_converged,
 )
 
 __all__ = [
@@ -83,8 +82,7 @@ __all__ = [
     "default_p_min",
     "validate_p_min",
     "ValleyResult",
-    "blend_threshold",
+    "blend_log_threshold",
     "build_histogram",
     "find_valley",
-    "thresholds_converged",
 ]

@@ -122,17 +122,6 @@ class FlattenedPST:
     def node_count(self) -> int:
         return int(self.depths.shape[0])
 
-    def log_ratio_table(
-        self, log_background: npt.NDArray[np.float64]
-    ) -> npt.NDArray[np.float64]:
-        """Per-node ``log P_S − log P^r`` ratio vectors.
-
-        *log_background* must already use the reference convention
-        (``math.log`` per entry, ``_LOG_ZERO`` for zero mass).
-        """
-        result: npt.NDArray[np.float64] = self.log_probs - log_background[None, :]
-        return result
-
 
 def _probability_rows(
     nodes: list[PSTNode], alphabet_size: int, p_min: float

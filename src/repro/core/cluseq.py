@@ -51,12 +51,12 @@ from ..obs import (
 from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
 from .cluster import Cluster
-from .examine import ScoreColumn, best_cluster, join_all, join_best
-from .consolidation import consolidate
+from .examine import best_cluster, join_all, join_best, live_scores
+from .consolidation import consolidate, drop_dismissed
 from .seeding import build_seed_pst, select_seeds
 from .similarity import SimilarityResult, similarity
 from .smoothing import default_p_min
-from .threshold import VALLEY_METHODS
+from .threshold import VALLEY_METHODS, blend_log_threshold, find_valley
 
 #: Valid sequence-examination orders for the reclustering phase (§6.3).
 ORDERINGS = ("fixed", "random", "cluster")
@@ -89,9 +89,6 @@ class CluseqParams:
     min_unique_members: int | None = None
     dissolve_covered: bool = True
     rebuild_each_iteration: bool = True
-    histogram_buckets: int = 100
-    valley_method: str = "regression"
-    calibration_method: str = "max"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -109,24 +106,30 @@ class CluseqParams:
             raise ValueError("max_iterations must be at least 1")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
-        if self.valley_method not in VALLEY_METHODS:
-            raise ValueError(
-                f"valley_method must be one of {tuple(VALLEY_METHODS)}"
-            )
-        if (
-            self.calibration_method != "max"
-            and self.calibration_method not in VALLEY_METHODS
-        ):
-            raise ValueError(
-                "calibration_method must be 'max' or one of "
-                f"{tuple(VALLEY_METHODS)}"
-            )
 
     def resolved_min_unique(self) -> int:
         """The consolidation threshold (defaults to ``c``, per the paper)."""
         if self.min_unique_members is not None:
             return self.min_unique_members
         return self.significance_threshold
+
+    def pst_factory(self, alphabet_size: int) -> PSTFactory:
+        """The §4.1 seed-model factory: one sequence in, a fresh PST
+        with this run's tree parameters out. ``p_min`` falls back to
+        :func:`~repro.core.smoothing.default_p_min`."""
+        return partial(
+            build_seed_pst,
+            alphabet_size=alphabet_size,
+            max_depth=self.max_depth,
+            significance_threshold=self.significance_threshold,
+            p_min=(
+                self.p_min
+                if self.p_min is not None
+                else default_p_min(alphabet_size)
+            ),
+            max_nodes=self.max_nodes,
+            prune_strategy=self.prune_strategy,
+        )
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,9 @@ class ClusteringResult:
 
         Uses the run's final similarity threshold.
         """
+        scores = live_scores(self.clusters, encoded, self.background)
         position = best_cluster(
-            ScoreColumn.live(self.clusters, encoded, self.background).log_sims,
-            self.final_log_threshold,
+            [result.log_similarity for result in scores], self.final_log_threshold
         )
         return None if position is None else self.clusters[position].cluster_id
 
@@ -294,7 +297,6 @@ class ClusteringResult:
         encoded: Sequence[int],
         *,
         index: int | None = None,
-        log_threshold: float | None = None,
     ) -> int | None:
         """Incrementally add one new sequence to the fitted clustering.
 
@@ -308,8 +310,7 @@ class ClusteringResult:
         *index* pins the sequence index explicitly (the streaming
         engine allocates its own); when omitted a safe non-colliding
         index is chosen via :meth:`next_sequence_index`, which stays
-        correct after a persistence round-trip. *log_threshold*
-        overrides the run's final threshold for this one decision.
+        correct after a persistence round-trip.
 
         This performs no re-iteration — existing memberships are left
         untouched — so it suits append-only deployment; rerun ``fit``
@@ -318,11 +319,10 @@ class ClusteringResult:
         if len(encoded) == 0:
             raise ValueError("cannot assign an empty sequence")
         new_index = self.next_sequence_index() if index is None else index
-        log_t = (
-            self.final_log_threshold if log_threshold is None else log_threshold
+        scores = live_scores(self.clusters, encoded, self.background)
+        cluster = join_best(
+            new_index, encoded, self.clusters, scores, self.final_log_threshold
         )
-        scores = ScoreColumn.live(self.clusters, encoded, self.background)
-        cluster = join_best(new_index, encoded, self.clusters, scores, log_t)
         if cluster is None:
             self.assignments[new_index] = set()
             return None
@@ -418,23 +418,9 @@ class CLUSEQ:
             raise ValueError("cannot cluster an empty database")
         params = self.params
         rng = np.random.default_rng(params.seed)
-        alphabet_size = db.alphabet.size
-        p_min = (
-            params.p_min
-            if params.p_min is not None
-            else default_p_min(alphabet_size)
-        )
         background = db.background_probabilities()
         encoded = [db.encoded(i) for i in range(len(db))]
-        pst_factory = partial(
-            build_seed_pst,
-            alphabet_size=alphabet_size,
-            max_depth=params.max_depth,
-            significance_threshold=params.significance_threshold,
-            p_min=p_min,
-            max_nodes=params.max_nodes,
-            prune_strategy=params.prune_strategy,
-        )
+        pst_factory = params.pst_factory(db.alphabet.size)
 
         clusters: list[Cluster] = []
         assignments: dict[int, set[int]] = {i: set() for i in range(len(db))}
@@ -446,7 +432,6 @@ class CLUSEQ:
         history: list[IterationStats] = []
         log_t = math.log(params.similarity_threshold)
         log_t_floor = 0.0
-        valley_finder = VALLEY_METHODS[params.valley_method]
         threshold_converged = not params.adjust_threshold
         next_cluster_id = 0
         k_n = params.k
@@ -552,11 +537,7 @@ class CLUSEQ:
                     params.resolved_min_unique(),
                     dissolve_covered=params.dissolve_covered,
                 )
-                if removed:
-                    removed_ids = {cluster.cluster_id for cluster in removed}
-                    for index, ids in assignments.items():
-                        if ids & removed_ids:
-                            assignments[index] = ids - removed_ids
+                drop_dismissed(assignments, {cluster.cluster_id for cluster in removed})
                 n_removed = len(removed)
 
             if params.rebuild_each_iteration:
@@ -568,21 +549,18 @@ class CLUSEQ:
             threshold_moved = False
             if params.adjust_threshold and not threshold_converged:
                 with span("adjust_threshold"):
-                    valley = valley_finder(
-                        all_log_sims, buckets=params.histogram_buckets
-                    )
+                    valley = find_valley(all_log_sims)
                 if valley is not None:
                     valley_linear = valley.threshold
                     if abs(log_t - valley.log_threshold) < 0.01:
                         threshold_converged = True
                     else:
-                        # Blend in log scale (geometric mean). Clamp at
-                        # max(1, calibration floor): t ≥ 1 is the
-                        # paper's lower bound, and the calibration floor
-                        # guards against artefact valleys from immature
-                        # models (see the calibration comment above).
-                        blended = (log_t + valley.log_threshold) / 2.0
-                        new_log_t = max(blended, log_t_floor, 0.0)
+                        # The calibration floor guards against artefact
+                        # valleys from immature models (see the
+                        # calibration comment above).
+                        new_log_t = blend_log_threshold(
+                            log_t, valley.log_threshold, log_t_floor
+                        )
                         threshold_moved = abs(new_log_t - log_t) > 1e-12
                         log_t = new_log_t
 
@@ -765,9 +743,9 @@ class CLUSEQ:
         reclustering_work = 0
         for index in order:
             seq = encoded[index]
-            scores = ScoreColumn.live(clusters, seq, background)
+            scores = live_scores(clusters, seq, background)
             reclustering_work += len(seq) * len(clusters)
-            all_log_sims.extend(scores.log_sims)
+            all_log_sims.extend(result.log_similarity for result in scores)
             joined = join_all(index, seq, clusters, scores, log_t)
             if joined != assignments[index]:
                 membership_changes += 1
@@ -792,11 +770,12 @@ class CLUSEQ:
         valley. The extra reference models are temporary — they never
         become clusters.
 
-        Valleys are estimated per reference model, not on the pooled
-        distribution: each reference's own similarity column is a clean
-        bimodal "its class vs everything else", whereas pooling across
-        references (some of which may be outlier seeds with no class at
-        all) smears the modes together and drags the estimate into the
+        Valleys are estimated per reference model, by every
+        ``VALLEY_METHODS`` estimator, not on the pooled distribution:
+        each reference's own similarity column is a clean bimodal "its
+        class vs everything else", whereas pooling across references
+        (some of which may be outlier seeds with no class at all)
+        smears the modes together and drags the estimate into the
         merge zone. The final calibration is the 75th percentile of the
         per-reference estimates: estimates from outlier seeds sit at
         the bottom of the spread (no class mode to find) and single
@@ -809,7 +788,6 @@ class CLUSEQ:
         Returns the calibrated ``log t`` or ``None`` when no reference
         produced a valley estimate.
         """
-        params = self.params
         reference_psts = [cluster.pst for cluster in clusters]
         min_references = 8
         if len(reference_psts) < min_references and len(db) > len(reference_psts):
@@ -824,17 +802,13 @@ class CLUSEQ:
                 replace=False,
             )
             reference_psts.extend(pst_factory(encoded[int(i)]) for i in extra)
-        if params.calibration_method == "max":
-            finders = list(VALLEY_METHODS.values())
-        else:
-            finders = [VALLEY_METHODS[params.calibration_method]]
         found: list[float] = []
         for pst in reference_psts:
             reference_sims = [
                 similarity(pst, seq, background).log_similarity for seq in encoded
             ]
-            for finder in finders:
-                estimate = finder(reference_sims, buckets=params.histogram_buckets)
+            for finder in VALLEY_METHODS.values():
+                estimate = finder(reference_sims)
                 if estimate is not None:
                     found.append(estimate.log_threshold)
         if not found:

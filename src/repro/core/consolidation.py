@@ -118,6 +118,15 @@ def consolidate(
     return retained, removed
 
 
+def drop_dismissed(assignments: dict[int, set[int]], dismissed_ids: set[int]) -> None:
+    """Strip §4.5-dismissed cluster ids from every sequence's
+    assignment, in place; a sequence left with no cluster becomes
+    unclustered."""
+    for index, ids in assignments.items():
+        if ids & dismissed_ids:
+            assignments[index] = ids - dismissed_ids
+
+
 def overlap_fraction(a: Cluster, b: Cluster) -> float:
     """Jaccard overlap between two clusters' member sets.
 

@@ -15,19 +15,20 @@ and the serving classifier. Two join rules exist:
 A join records the membership and absorbs the sequence's best-scoring
 segment into the cluster PST (:meth:`Cluster.join`, §4.4).
 
-Scores arrive as a :class:`ScoreColumn`. Every examiner that joins
-scores pair by pair on the live models (:meth:`ScoreColumn.live`):
-each join mutates a PST that the next sequence is scored against, so
-scores taken up front would go stale within the batch. Everything in
-``repro.core`` scores with the reference DP. The batch kernel runs only
-outside it: in serve classify, over the trees no ``/v1/stream/ingest``
-has written since the model was loaded, and in the shard plan export.
+Scores arrive as a list of
+:class:`~repro.core.similarity.SimilarityResult`, one per cluster in
+cluster order. Every examiner that joins scores pair by pair on the
+live models (:func:`live_scores`): each join mutates a PST that the
+next sequence is scored against, so scores taken up front would go
+stale within the batch. Everything in ``repro.core`` scores with the
+reference DP. The batch kernel runs only outside it: in serve
+classify, over the trees no ``/v1/stream/ingest`` has written since
+the model was loaded, and in the shard plan export.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -50,36 +51,21 @@ def best_cluster(log_sims: Sequence[float], log_t: float) -> int | None:
     return best
 
 
-@dataclass(frozen=True)
-class ScoreColumn:
-    """One sequence's scores against every cluster, in cluster order.
-
-    ``result_for(position)`` gives the full result, segment bounds
-    included; the join rules call it only for clusters the sequence
-    joins.
-    """
-
-    log_sims: list[float]
-    result_for: Callable[[int], SimilarityResult]
-
-    @classmethod
-    def live(
-        cls,
-        clusters: Sequence[Cluster],
-        seq: Sequence[int],
-        background: npt.NDArray[np.float64],
-    ) -> ScoreColumn:
-        """*seq* scored against each cluster's live model, in cluster
-        order, with the reference ``similarity()`` DP."""
-        results = [similarity(cluster.pst, seq, background) for cluster in clusters]
-        return cls([result.log_similarity for result in results], results.__getitem__)
+def live_scores(
+    clusters: Sequence[Cluster],
+    seq: Sequence[int],
+    background: npt.NDArray[np.float64],
+) -> list[SimilarityResult]:
+    """*seq* scored against each cluster's live model, in cluster
+    order, with the reference §4.3 ``similarity()`` DP."""
+    return [similarity(cluster.pst, seq, background) for cluster in clusters]
 
 
 def join_all(
     index: int,
     seq: Sequence[int],
     clusters: Sequence[Cluster],
-    scores: ScoreColumn,
+    scores: Sequence[SimilarityResult],
     log_t: float,
 ) -> set[int]:
     """The fit's §4.2 overlap rule: join every cluster with SIM ≥ t.
@@ -90,10 +76,9 @@ def join_all(
     segments extending towards whole sequences. Returns the joined ids.
     """
     joined: set[int] = set()
-    log_sims = scores.log_sims
-    for position, cluster in enumerate(clusters):
-        if log_sims[position] >= log_t:
-            cluster.join(index, seq, scores.result_for(position))
+    for cluster, result in zip(clusters, scores):
+        if result.log_similarity >= log_t:
+            cluster.join(index, seq, result)
             joined.add(cluster.cluster_id)
         else:
             cluster.drop_member(index)
@@ -104,15 +89,15 @@ def join_best(
     index: int,
     seq: Sequence[int],
     clusters: Sequence[Cluster],
-    scores: ScoreColumn,
+    scores: Sequence[SimilarityResult],
     log_t: float,
 ) -> Cluster | None:
     """The incremental §4.2–§4.4 rule: join only the best cluster, if
     SIM ≥ t. Returns the joined cluster, or ``None`` for an outlier.
     """
-    position = best_cluster(scores.log_sims, log_t)
+    position = best_cluster([result.log_similarity for result in scores], log_t)
     if position is None:
         return None
     cluster = clusters[position]
-    cluster.join(index, seq, scores.result_for(position))
+    cluster.join(index, seq, scores[position])
     return cluster

@@ -36,7 +36,9 @@ FORMAT_VERSION = 1
 #: ``params`` keys of retired :class:`CluseqParams` fields. Older files
 #: still carry them; they are dropped on load. Any other unknown key
 #: still fails.
-RETIRED_PARAMS = frozenset({"backend", "workers"})
+RETIRED_PARAMS = frozenset(
+    {"backend", "workers", "valley_method", "calibration_method", "histogram_buckets"}
+)
 
 
 def result_to_dict(

@@ -16,7 +16,8 @@ from prefix/suffix sums, keeping the whole search ``O(n)``.
 Similarities span many orders of magnitude, so the histogram is built
 over **log similarity** (with an upper quantile clip so a single member
 with astronomical similarity cannot stretch the domain); the returned
-threshold is converted back to linear scale.
+threshold is converted back to linear scale. The paper's blend
+``t ← (t + t̂)/2`` is applied to ``log t`` (:func:`blend_log_threshold`).
 """
 
 from __future__ import annotations
@@ -266,22 +267,23 @@ def _find_valley_otsu(
     )
 
 
-#: Valley-estimator registry used by the engine's ``valley_method``.
+#: Valley estimators by name: the fit's iteration-0 calibration takes
+#: every one of them, and ``evaluation.histogram.valley_comparison``
+#: reports each one's estimate.
 VALLEY_METHODS: dict[str, Callable[..., ValleyResult | None]] = {
     "regression": find_valley,
     "otsu": find_valley_otsu,
 }
 
 
-def blend_threshold(current_t: float, valley_t: float) -> float:
-    """The paper's conservative update ``t ← (t + t̂) / 2``."""
-    if current_t <= 0 or valley_t <= 0:
-        raise ValueError("thresholds must be positive")
-    return (current_t + valley_t) / 2.0
+def blend_log_threshold(
+    log_t: float, valley_log_t: float, floor: float = 0.0
+) -> float:
+    """The paper's §4.6 update ``t ← (t + t̂) / 2``, in log scale.
 
-
-def thresholds_converged(current_t: float, valley_t: float, tolerance: float = 0.01) -> bool:
-    """The paper's stop rule: ``t`` and ``t̂`` within *tolerance* (1 %)."""
-    if current_t <= 0 or valley_t <= 0:
-        raise ValueError("thresholds must be positive")
-    return abs(current_t - valley_t) / max(current_t, valley_t) < tolerance
+    The blend averages the *log* thresholds, a geometric mean in linear
+    scale. The result never drops below ``max(floor, 0)``: ``t ≥ 1`` is
+    the paper's lower bound, and the fit passes its calibration floor
+    as *floor*.
+    """
+    return max((log_t + valley_log_t) / 2.0, floor, 0.0)

@@ -37,8 +37,9 @@ from typing import Any
 
 from ..core.backends.dispatch import PstBatchScorer
 from ..core.cluseq import ClusteringResult
-from ..core.examine import ScoreColumn, best_cluster
+from ..core.examine import best_cluster, live_scores
 from ..core.persistence import FORMAT_VERSION, result_from_dict
+from ..core.similarity import SimilarityResult
 from ..obs import get_registry
 from ..sequences.alphabet import Alphabet
 from ..stream.checkpoint import CHECKPOINT_FILENAME, read_checkpoint
@@ -255,12 +256,12 @@ class ModelVersion:
         threshold = self.result.final_log_threshold
         for column, position in enumerate(positions):
             log_sims = kernel_columns[column]
-            live: ScoreColumn | None = None
+            live: list[SimilarityResult] = []
             if written:  # else the kernel column is already in cluster order
-                live = ScoreColumn.live(
+                live = live_scores(
                     written_clusters, encoded[column], self.result.background
                 )
-                merged = log_sims + live.log_sims
+                merged = log_sims + [scored.log_similarity for scored in live]
                 log_sims = [merged[row] for row in slot]
             best = best_cluster(log_sims, threshold)
             if best is None:
@@ -273,8 +274,8 @@ class ModelVersion:
                 continue
             row = slot[best]
             result = (
-                live.result_for(row - len(fixed))
-                if live is not None and row >= len(fixed)
+                live[row - len(fixed)]
+                if row >= len(fixed)
                 else matrix.result(row, column)
             )
             outcomes[position] = ClassifyOutcome(

@@ -28,6 +28,7 @@ from typing import Any
 
 from ..core.backends.flatten import flatten_pst
 from ..core.cluster import Cluster
+from ..core.consolidation import drop_dismissed
 from ..core.pst import ProbabilisticSuffixTree
 from ..obs import get_logger, get_registry, span
 from ..sequences.alphabet import Alphabet
@@ -151,9 +152,7 @@ def apply_plan(engine: StreamingCluseq, plan: dict[str, Any]) -> tuple[int, int]
         result.clusters = [
             cluster for cluster in result.clusters if cluster.cluster_id not in drop_ids
         ]
-        for index, ids in result.assignments.items():
-            if ids & drop_ids:
-                result.assignments[index] = ids - drop_ids
+        drop_dismissed(result.assignments, drop_ids)
         engine._clusters_dismissed += len(drop_ids)
     return len(merges), len(drop_ids)
 

@@ -43,20 +43,18 @@ import math
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Union
 
 import numpy as np
 
 from ..core.cluseq import CluseqParams, ClusteringResult
 from ..core.cluster import Cluster, Membership
-from ..core.examine import ScoreColumn, join_best
-from ..core.consolidation import consolidate
+from ..core.examine import join_best, live_scores
+from ..core.consolidation import consolidate, drop_dismissed
 from ..core.persistence import result_from_dict, result_to_dict
-from ..core.seeding import build_seed_pst, select_seeds
-from ..core.similarity import similarity
-from ..core.smoothing import default_p_min
-from ..core.threshold import VALLEY_METHODS
+from ..core.seeding import select_seeds
+from ..core.similarity import SimilarityResult, similarity
+from ..core.threshold import blend_log_threshold, find_valley
 from ..obs import (
     get_logger,
     get_registry,
@@ -66,7 +64,6 @@ from ..obs import (
     span,
 )
 from ..sequences.alphabet import Alphabet
-from ..typing import PSTFactory
 from .checkpoint import (
     CheckpointError,
     checkpoint_path,
@@ -87,7 +84,7 @@ _ADJUST_BUCKETS = 100
 
 #: Config keys older checkpoints still carry; they are dropped on
 #: load. Any other unknown key still fails.
-RETIRED_KEYS = frozenset({"backend"})
+RETIRED_KEYS = frozenset({"backend", "valley_method"})
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,6 @@ class StreamConfig:
     min_unique_members: int = 1
     adjust_every: int = 0
     score_window: int = 2048
-    valley_method: str = "regression"
     decay: DecayPolicy = field(default_factory=DecayPolicy)
     checkpoint_every: int = 0
     journal_fsync: bool = True
@@ -135,10 +131,6 @@ class StreamConfig:
                      "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.valley_method not in VALLEY_METHODS:
-            raise ValueError(
-                f"valley_method must be one of {tuple(VALLEY_METHODS)}"
-            )
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -152,7 +144,6 @@ class StreamConfig:
             "min_unique_members": self.min_unique_members,
             "adjust_every": self.adjust_every,
             "score_window": self.score_window,
-            "valley_method": self.valley_method,
             "decay": self.decay.to_dict(),
             "checkpoint_every": self.checkpoint_every,
             "journal_fsync": self.journal_fsync,
@@ -248,7 +239,6 @@ class StreamingCluseq:
         self.config = config if config is not None else StreamConfig()
         self.alphabet = alphabet
         self.state_dir = os.fspath(state_dir) if state_dir is not None else None
-        self.log_threshold = result.final_log_threshold
         self._pool = OutlierPool(self.config.pool_size)
         self._pending: list[list[int]] = []
         self._recent_scores: list[float] = []
@@ -270,22 +260,7 @@ class StreamingCluseq:
         self._next_cluster_id = (
             max((c.cluster_id for c in result.clusters), default=-1) + 1
         )
-        params = result.params
-        alphabet_size = int(len(result.background))
-        p_min = (
-            params.p_min
-            if params.p_min is not None
-            else default_p_min(alphabet_size)
-        )
-        self._pst_factory: PSTFactory = partial(
-            build_seed_pst,
-            alphabet_size=alphabet_size,
-            max_depth=params.max_depth,
-            significance_threshold=params.significance_threshold,
-            p_min=p_min,
-            max_nodes=params.max_nodes,
-            prune_strategy=params.prune_strategy,
-        )
+        self._pst_factory = result.params.pst_factory(len(result.background))
         self._journal: StreamJournal | None = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
@@ -388,8 +363,7 @@ class StreamingCluseq:
             engine._checkpoints = int(counters["checkpoints_written"])
             engine._next_index = int(counters["next_index"])
             engine._next_cluster_id = int(counters["next_cluster_id"])
-            engine.log_threshold = float(state["log_threshold"])
-            engine.result.final_log_threshold = engine.log_threshold
+            engine.result.final_log_threshold = float(state["log_threshold"])
             engine._recent_scores = [float(x) for x in state["recent_scores"]]
         except KeyError as exc:
             raise CheckpointError(f"{target}: missing key {exc}") from exc
@@ -491,7 +465,7 @@ class StreamingCluseq:
                 for encoded in batch:
                     index = self._next_index
                     self._next_index += 1
-                    scores = ScoreColumn.live(clusters, encoded, self.result.background)
+                    scores = live_scores(clusters, encoded, self.result.background)
                     assigned.append(self._assign(index, encoded, scores))
             self._sequences += len(batch)
             self._batches += 1
@@ -526,10 +500,12 @@ class StreamingCluseq:
             )
         return assigned
 
-    def _assign(self, index: int, encoded: list[int], scores: ScoreColumn) -> int | None:
+    def _assign(
+        self, index: int, encoded: list[int], scores: list[SimilarityResult]
+    ) -> int | None:
         """The incremental §4.2–§4.4 join rule for one stream sequence."""
         if self.config.adjust_every > 0:
-            self._recent_scores.extend(scores.log_sims)
+            self._recent_scores.extend(result.log_similarity for result in scores)
             if len(self._recent_scores) > self.config.score_window:
                 del self._recent_scores[: -self.config.score_window]
         cluster = join_best(
@@ -656,9 +632,7 @@ class StreamingCluseq:
             # a freshly spawned model join it immediately, so one drift
             # event does not need k separate re-seed rounds to drain.
             for index, encoded in self._pool:
-                scores = ScoreColumn.live(
-                    spawned, encoded, self.result.background
-                )
+                scores = live_scores(spawned, encoded, self.result.background)
                 joined = join_best(index, encoded, spawned, scores, self.log_threshold)
                 if joined is None:
                     continue
@@ -689,15 +663,12 @@ class StreamingCluseq:
         """§4.6 valley blend over the rolling score window."""
         if len(self._recent_scores) < _ADJUST_BUCKETS:
             return
-        finder = VALLEY_METHODS[self.config.valley_method]
-        valley = finder(self._recent_scores, buckets=_ADJUST_BUCKETS)
+        valley = find_valley(self._recent_scores, buckets=_ADJUST_BUCKETS)
         if valley is None:
             return
-        blended = (self.log_threshold + valley.log_threshold) / 2.0
-        new_log_t = max(blended, 0.0)
+        new_log_t = blend_log_threshold(self.log_threshold, valley.log_threshold)
         if abs(new_log_t - self.log_threshold) < 1e-12:
             return
-        self.log_threshold = new_log_t
         self.result.final_log_threshold = new_log_t
         registry = get_registry()
         if registry.enabled:
@@ -709,11 +680,10 @@ class StreamingCluseq:
         )
         if not removed:
             return
-        removed_ids = {cluster.cluster_id for cluster in removed}
         self.result.clusters = retained
-        for index, ids in self.result.assignments.items():
-            if ids & removed_ids:
-                self.result.assignments[index] = ids - removed_ids
+        drop_dismissed(
+            self.result.assignments, {cluster.cluster_id for cluster in removed}
+        )
         self._clusters_dismissed += len(removed)
         registry = get_registry()
         if registry.enabled:
@@ -776,6 +746,11 @@ class StreamingCluseq:
         self.close()
 
     # -- introspection -------------------------------------------------------------
+
+    @property
+    def log_threshold(self) -> float:
+        """The live ``log t``: the wrapped result's final threshold."""
+        return self.result.final_log_threshold
 
     @property
     def pool(self) -> OutlierPool:

@@ -23,8 +23,6 @@ class TestParams:
             ("sample_multiplier", 0),
             ("max_iterations", 0),
             ("ordering", "bogus"),
-            ("valley_method", "bogus"),
-            ("calibration_method", "bogus"),
         ],
     )
     def test_invalid_params(self, field, value):

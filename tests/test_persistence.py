@@ -171,11 +171,17 @@ class TestFormat:
             result_from_dict(payload)
 
     def test_retired_params_are_dropped(self, fitted):
-        # Files written while the fit still had scoring knobs carry
-        # "backend" and "workers" in params; they must keep loading.
+        # Files written while the fit still had scoring and valley
+        # knobs carry them in params; they must keep loading.
         db, result = fitted
         payload = result_to_dict(result)
-        payload["params"].update(backend="vectorized", workers=2)
+        payload["params"].update(
+            backend="vectorized",
+            workers=2,
+            valley_method="otsu",
+            calibration_method="regression",
+            histogram_buckets=50,
+        )
         clone = result_from_dict(payload)
         assert clone.params == result.params
         for index in range(len(db)):

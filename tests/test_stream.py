@@ -325,17 +325,15 @@ class TestStreamConfig:
             StreamConfig(batch_size=0)
         with pytest.raises(ValueError):
             StreamConfig(reseed_every=-1)
-        with pytest.raises(ValueError):
-            StreamConfig(valley_method="nonsense")
 
     def test_dict_roundtrip(self):
         config = quick_config(
             decay=DecayPolicy(factor=0.9, every_batches=4), adjust_every=6
         )
         assert StreamConfig.from_dict(config.to_dict()) == config
-        # Older checkpoints carry a retired ``backend`` key; it is
-        # dropped on load.
-        legacy = {**config.to_dict(), "backend": "reference"}
+        # Older checkpoints carry retired ``backend`` and
+        # ``valley_method`` keys; they are dropped on load.
+        legacy = {**config.to_dict(), "backend": "reference", "valley_method": "otsu"}
         assert StreamConfig.from_dict(legacy) == config
         with pytest.raises(TypeError, match="nonsense"):
             StreamConfig.from_dict({**config.to_dict(), "nonsense": 1})

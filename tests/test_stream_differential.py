@@ -9,7 +9,7 @@ with one of two backends:
 * ``reference`` — ``ClusteringResult.assign_and_absorb``, the per-pair
   ``similarity()`` DP;
 * ``vectorized`` — a fresh batch-kernel call per sequence
-  (:class:`~repro.core.backends.PstBatchScorer`), whose column feeds
+  (:class:`~repro.core.backends.PstBatchScorer`), whose results feed
   the same ``join_best`` rule. The kernel re-flattens every tree that
   the previous join mutated, so its scores are never stale.
 """
@@ -17,7 +17,7 @@ with one of two backends:
 import pytest
 
 from repro.core.backends import PstBatchScorer
-from repro.core.examine import ScoreColumn, join_best
+from repro.core.examine import join_best
 from repro.core.persistence import result_from_dict, result_to_dict
 from repro.stream import (
     DecayPolicy,
@@ -43,9 +43,7 @@ def vectorized_replay(result, sequences, first_index):
         index = first_index + offset
         clusters = result.clusters
         matrix = scorer.score_matrix_full([c.pst for c in clusters], [seq])
-        scores = ScoreColumn(
-            matrix.log_z[:, 0].tolist(), lambda tree: matrix.result(tree, 0)
-        )
+        scores = [matrix.result(tree, 0) for tree in range(len(clusters))]
         cluster = join_best(index, seq, clusters, scores, result.final_log_threshold)
         cid = None if cluster is None else cluster.cluster_id
         result.assignments[index] = set() if cid is None else {cid}

@@ -8,11 +8,10 @@ import pytest
 from repro.core.threshold import (
     VALLEY_METHODS,
     ValleyResult,
-    blend_threshold,
+    blend_log_threshold,
     build_histogram,
     find_valley,
     find_valley_otsu,
-    thresholds_converged,
 )
 
 
@@ -100,30 +99,15 @@ class TestOtsuValley:
 
 class TestBlend:
     def test_paper_rule(self):
-        assert blend_threshold(1.0, 2.0) == pytest.approx(1.5)
-
-    def test_symmetric(self):
-        assert blend_threshold(3.0, 1.0) == blend_threshold(1.0, 3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            blend_threshold(0.0, 1.0)
-        with pytest.raises(ValueError):
-            blend_threshold(1.0, -1.0)
-
-
-class TestConvergence:
-    def test_within_one_percent(self):
-        assert thresholds_converged(2.0, 2.01)
-        assert thresholds_converged(2.0, 1.995)
-
-    def test_outside_one_percent(self):
-        assert not thresholds_converged(2.0, 2.5)
-        assert not thresholds_converged(1.0, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            thresholds_converged(0.0, 1.0)
+        # t ← (t + t̂)/2 on log t: the geometric mean in linear scale.
+        assert blend_log_threshold(2.0, 4.0) == 3.0
+        assert math.exp(blend_log_threshold(math.log(2.0), math.log(8.0))) == (
+            pytest.approx(4.0)
+        )
+        # Clamped at the floor, and never below log t = 0 (t ≥ 1).
+        assert blend_log_threshold(2.0, 4.0, floor=5.0) == 5.0
+        assert blend_log_threshold(-3.0, 1.0) == 0.0
+        assert blend_log_threshold(-3.0, 1.0, floor=-2.0) == 0.0
 
 
 class TestStability:
