@@ -128,7 +128,7 @@ def _probability_rows(
 ) -> npt.NDArray[np.float64]:
     """The (smoothed) next-symbol distribution per node, reference-exact.
 
-    Mirrors the per-entry estimate that ``similarity.log_symbol_ratios``
+    Mirrors the per-entry estimate that the reference scoring loop
     caches in ``PSTNode.log_probs``: an observation-free node gets the
     uniform fallback *without* smoothing; otherwise raw count ratios pass
     through the §5.2 affine adjustment when ``p_min > 0``. Every

@@ -151,6 +151,10 @@ def prune_to(
                 key=lambda c: (_vector_divergence(pst, c), c[2].count),
                 target_nodes=target,
             )
+    if removed:
+        # A pruned context w can leave its extensions w·a behind, so
+        # the tree is no longer closed (see ``transitions()``).
+        pst._clear_transitions(still_closed=False)
     registry = get_registry()
     if registry.enabled and removed:
         registry.counter("pst.prune_events").inc()

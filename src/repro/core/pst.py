@@ -16,6 +16,8 @@ bounded-depth trie: inserting a sequence of length ``l`` walks at most
 Locating the *longest significant suffix* of a context — the heart of
 the paper's prediction procedure — is a single root-to-leaf walk along
 the reversed context that stops before the first insignificant node.
+The scorer runs that walk only to fill its transition table (see
+:meth:`ProbabilisticSuffixTree.transitions`).
 
 Example
 -------
@@ -64,7 +66,7 @@ class PSTNode:
         ``next_counts`` so the scoring walk never re-sums the dict.
     log_probs:
         The scorer's lazily filled row of ``log P̂(s | label)`` (see
-        :func:`repro.core.similarity.log_symbol_ratios`): ``None`` until
+        :func:`repro.core.similarity.similarity`): ``None`` until
         the node is first scored, then a list of ``alphabet_size``
         entries, each ``None`` until that symbol is first scored. Every
         writer of ``next_counts`` resets it to ``None``.
@@ -180,6 +182,11 @@ class ProbabilisticSuffixTree:
         # Monotone mutation counter; any cache derived from the tree is
         # valid only while the version is unchanged.
         self._version = 0
+        # The scorer's transition table (see transitions()); kept here,
+        # not on the nodes, so no node refers to another outside the
+        # trie and discarded trees need no cycle collection.
+        self._transitions: dict[PSTNode, list[PSTNode | None]] = {}
+        self._closed = True
 
     # -- construction ------------------------------------------------------------
 
@@ -215,6 +222,10 @@ class ProbabilisticSuffixTree:
                     f"(alphabet size {self.alphabet_size})"
                 )
         max_depth = self.max_depth
+        threshold = self.significance_threshold
+        # (start, end) of each label encoded[start:end] whose count
+        # reaches the threshold.
+        crossed: list[tuple[int, int]] = []
         root = self.root
         root.count += length
         root.next_total += length
@@ -235,6 +246,8 @@ class ProbabilisticSuffixTree:
                     node.children[context_symbol] = child
                     self._node_count += 1
                 child.count += 1
+                if child.count == threshold:
+                    crossed.append((j, i))
                 child.next_counts[symbol] = child.next_counts.get(symbol, 0) + 1
                 child.next_total += 1
                 child.log_probs = None
@@ -254,9 +267,13 @@ class ProbabilisticSuffixTree:
                 node.children[context_symbol] = child
                 self._node_count += 1
             child.count += 1
+            if child.count == threshold:
+                crossed.append((j, length))
             node = child
             j -= 1
 
+        if crossed and self._transitions:
+            self._forget_transitions(encoded, crossed)
         self._sequences_added += 1
         self._invalidate()
         if self.max_nodes is not None and self._node_count > self.max_nodes:
@@ -314,6 +331,7 @@ class ProbabilisticSuffixTree:
                     created += 1
                 stack.append((child, theirs.children[symbol], depth + 1))
         self._sequences_added += other._sequences_added
+        self._clear_transitions(still_closed=other._closed)
         self._invalidate()
         if self.max_nodes is not None and self._node_count > self.max_nodes:
             from .pruning import prune_to
@@ -430,6 +448,89 @@ class ProbabilisticSuffixTree:
         matches.
         """
         return self._version
+
+    # -- scoring transitions ---------------------------------------------------------
+
+    def transitions(self) -> tuple[dict[PSTNode, list[PSTNode | None]], bool]:
+        """The scorer's transition table and whether the tree is *closed*.
+
+        A tree is closed when ``count(w) ≥ count(w·a)`` for every label
+        ``w`` and symbol ``a`` (an absent node counts 0). Exact
+        occurrence counts are closed, and so is every tree built by
+        :meth:`add_sequence`, :meth:`decay_counts` and merges of closed
+        trees. A prediction node is *walkable*: every suffix of its
+        label is significant. In a closed tree, if ``w·a`` is walkable
+        then so is ``w``, so the prediction node after ``context·a`` is
+        the longest walkable suffix of ``label(u)·a``, where ``u`` is
+        the prediction node of ``context``: a function of ``u`` and
+        ``a``.
+
+        The table maps a node ``u`` to a row of ``alphabet_size``
+        entries, each ``None`` or the prediction node after ``a``;
+        :func:`repro.core.similarity.similarity` fills entries from its
+        root walks. Only :meth:`add_sequence`'s threshold crossings can
+        deepen a transition, and they drop the affected entries;
+        :meth:`decay_counts` and :meth:`merge_counts` drop the whole
+        table. Pruning, a merge of a tree that is not closed, and
+        :meth:`from_dict` of counts that fail the check leave the tree
+        not closed for good; the scorer then walks every position and
+        stores nothing.
+        """
+        return self._transitions, self._closed
+
+    def _clear_transitions(self, still_closed: bool = True) -> None:
+        """Drop the whole transition table; ``still_closed=False`` also
+        marks the tree as not closed, so nothing is cached again."""
+        self._transitions.clear()
+        self._closed = self._closed and still_closed
+
+    def _forget_transitions(
+        self, encoded: Sequence[int], crossed: list[tuple[int, int]]
+    ) -> None:
+        """Drop the entries a newly significant label can deepen.
+
+        For each label ``w = encoded[start:end] = v·a`` that reached the
+        threshold, only the transitions on ``a`` out of nodes whose
+        label ends with ``v`` — the subtree of ``v`` — can now reach
+        ``w`` or a label extending it. Rows belong to prediction nodes,
+        whose every ancestor was significant when the row was made, and
+        counts only grow while the table lives, so the walk skips
+        insignificant subtrees.
+        """
+        table = self._transitions
+        threshold = self.significance_threshold
+        for start, end in crossed:
+            symbol = encoded[end - 1]
+            # v occurs in encoded, so this insert counted it: its node exists.
+            node = self.root
+            for k in range(end - 2, start - 1, -1):
+                node = node.children[encoded[k]]
+            stack = [node]
+            while stack:
+                node = stack.pop()
+                row = table.get(node)
+                if row is not None:
+                    row[symbol] = None
+                stack.extend(
+                    [c for c in node.children.values() if c.count >= threshold]
+                )
+
+    def _counts_closed(self) -> bool:
+        """Whether ``count(w) ≥ count(w·a)`` holds for every node ``w·a``.
+
+        Walks each node beside the node of its label minus the last
+        symbol: that of child ``x·u`` is child ``x`` of ``u``'s, so the
+        check is ``O(nodes)``. A missing one counts 0.
+        """
+        absent = PSTNode()
+        stack = [(child, self.root) for child in self.root.children.values()]
+        while stack:
+            node, prefix = stack.pop()
+            if prefix.count < node.count:
+                return False
+            for symbol, child in node.children.items():
+                stack.append((child, prefix.children.get(symbol, absent)))
+        return True
 
     # -- traversal / stats -----------------------------------------------------------
 
@@ -553,6 +654,7 @@ class ProbabilisticSuffixTree:
         if factor >= 1.0:
             return 0
         self._invalidate()
+        self._clear_transitions()
 
         def scale(value: int) -> int:
             return int(value * factor)
@@ -691,5 +793,6 @@ class ProbabilisticSuffixTree:
         pst.root = decode(data["root"])
         pst._sequences_added = data.get("sequences_added", 0)
         pst.recount_nodes()
+        pst._closed = pst._counts_closed()
         pst._invalidate()
         return pst

@@ -86,45 +86,73 @@ def _safe_exp(log_value: float) -> float:
     return math.exp(log_value)
 
 
-def log_symbol_ratios(
+def _log_background(
     pst: ProbabilisticSuffixTree,
     encoded: Sequence[int],
     background: npt.NDArray[np.float64],
 ) -> list[float]:
-    """Per-position log ratios ``log X_i = log P_S(s_i|ctx) − log p(s_i)``.
+    """The one input check of both scoring entry points.
 
-    These are the §4.3 per-symbol factors whose running sums the
-    X/Y/Z scan maximises. The context walk is inlined (rather than calling
-    ``pst.probability`` per position) because this is the hottest loop
-    of the whole system: it runs once per (sequence, cluster) pair per
-    iteration.
+    Runs before the scoring loop touches any cache: a negative id would
+    index ``PSTNode.log_probs`` and the transition table from the end
+    and fill another symbol's entry. Returns ``log p(s)`` per symbol id.
+    """
+    if len(encoded) == 0:
+        raise ValueError("cannot score an empty sequence")
+    background = np.asarray(background, dtype=np.float64)
+    n = pst.alphabet_size
+    if background.shape != (n,):
+        raise ValueError(
+            f"background must have length {n}, got shape {background.shape}"
+        )
+    low, high = min(encoded), max(encoded)
+    if low < 0 or high >= n:
+        raise ValueError(
+            f"symbol id {low if low < 0 else high} out of range "
+            f"(alphabet size {n})"
+        )
+    return [math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()]
 
-    ``log P̂(s | node)`` depends only on the node reached, so it is
-    cached on the node (``PSTNode.log_probs``) one entry at a time, on
-    first use; every writer of ``next_counts`` drops the row. Entries
-    are filled singly because each join's absorb drops the rows along
-    its segment, and a whole-row fill would re-pay ``n`` logs per
-    touched node.
+
+def _scan(
+    pst: ProbabilisticSuffixTree,
+    encoded: Sequence[int],
+    log_bg: list[float],
+    ratios: list[float] | None,
+) -> tuple[SimilarityResult, int]:
+    """The §4.3 scoring loop: one pass of log ratios and the X/Y/Z scan.
+
+    The loop carries the prediction node of the current position. On a
+    closed tree (see :meth:`ProbabilisticSuffixTree.transitions`) the
+    prediction node of position ``i + 1`` is a function of the node at
+    ``i`` and ``s_i``, so it comes from the tree's transition table;
+    a missing entry is filled by the root walk along
+    ``s_i, s_{i-1}, …``. On a tree that is not closed every position is
+    walked and nothing is stored.
+
+    ``log P̂(s | node)`` depends only on the node, so it is cached on
+    the node (``PSTNode.log_probs``) one entry at a time, on first use;
+    every writer of ``next_counts`` drops the row. Entries are filled
+    singly because each join's absorb drops the rows along its segment,
+    and a whole-row fill would re-pay ``n`` logs per touched node.
+
+    Appends each position's log ratio to *ratios* when it is a list.
+    Returns the result and the number of root walks.
     """
     n = pst.alphabet_size
     p_min = pst.p_min
     scale = 1.0 - n * p_min
     threshold = pst.significance_threshold
-    root = pst.root
     max_depth = pst.max_depth
-    log_bg = [math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()]
+    root = pst.root
+    table, closed = pst.transitions()
 
-    ratios: list[float] = []
+    walks = 0
+    node = root
+    whole = 0.0
+    log_y = log_z = -math.inf
+    y_start = best_start = best_end = 0
     for i, symbol in enumerate(encoded):
-        node = root
-        j = i - 1
-        lowest = i - max_depth
-        while j >= 0 and j >= lowest:
-            child = node.children.get(encoded[j])
-            if child is None or child.count < threshold:
-                break
-            node = child
-            j -= 1
         row = node.log_probs
         if row is None:
             row = node.log_probs = [None] * n
@@ -138,7 +166,67 @@ def log_symbol_ratios(
                 if p_min > 0.0:
                     prob = scale * prob + p_min
             log_p = row[symbol] = math.log(prob) if prob > 0.0 else _LOG_ZERO
-        ratios.append(log_p - log_bg[symbol])
+        x = log_p - log_bg[symbol]
+        if ratios is not None:
+            ratios.append(x)
+
+        # Log-domain Kadane-style scan with segment tracking.
+        whole += x
+        if log_y + x >= x:
+            log_y += x
+        else:
+            log_y = x
+            y_start = i
+        if log_y > log_z:
+            log_z = log_y
+            best_start, best_end = y_start, i + 1
+
+        # The prediction node of position i + 1.
+        successors = table.get(node)
+        if successors is None or (successor := successors[symbol]) is None:
+            successor = root
+            j = i
+            lowest = i + 1 - max_depth
+            while j >= 0 and j >= lowest:
+                child = successor.children.get(encoded[j])
+                if child is None or child.count < threshold:
+                    break
+                successor = child
+                j -= 1
+            walks += 1
+            if closed:
+                if successors is None:
+                    successors = table[node] = [None] * n
+                successors[symbol] = successor
+        node = successor
+
+    result = SimilarityResult(
+        similarity=_safe_exp(log_z),
+        log_similarity=log_z,
+        best_start=best_start,
+        best_end=best_end,
+        whole_sequence_log=whole,
+    )
+    return result, walks
+
+
+def log_symbol_ratios(
+    pst: ProbabilisticSuffixTree,
+    encoded: Sequence[int],
+    background: npt.NDArray[np.float64],
+) -> list[float]:
+    """Per-position log ratios ``log X_i = log P_S(s_i|ctx) − log p(s_i)``.
+
+    These are the §4.3 per-symbol factors whose running sums the
+    X/Y/Z scan maximises, from the same loop :func:`similarity` runs.
+
+    Raises
+    ------
+    ValueError
+        As :func:`similarity` does.
+    """
+    ratios: list[float] = []
+    _scan(pst, encoded, _log_background(pst, encoded, background), ratios)
     return ratios
 
 
@@ -162,52 +250,22 @@ def similarity(
     Raises
     ------
     ValueError
-        If *encoded* is empty or *background* has the wrong length.
+        If *encoded* is empty or holds an id outside
+        ``[0, alphabet_size)``, or *background* has the wrong length.
     """
-    if len(encoded) == 0:
-        raise ValueError("cannot score an empty sequence")
-    background = np.asarray(background, dtype=np.float64)
-    if background.shape != (pst.alphabet_size,):
-        raise ValueError(
-            f"background must have length {pst.alphabet_size}, "
-            f"got shape {background.shape}"
-        )
-
-    ratios = log_symbol_ratios(pst, encoded, background)
-
-    # Log-domain Kadane-style scan with segment tracking.
-    log_y = ratios[0]
-    y_start = 0
-    log_z = log_y
-    best_start, best_end = 0, 1
-    whole = ratios[0]
-    for i in range(1, len(ratios)):
-        x = ratios[i]
-        whole += x
-        if log_y + x >= x:
-            log_y += x
-        else:
-            log_y = x
-            y_start = i
-        if log_y > log_z:
-            log_z = log_y
-            best_start, best_end = y_start, i + 1
+    log_bg = _log_background(pst, encoded, background)
+    result, walks = _scan(pst, encoded, log_bg, None)
     # One registry check per (sequence, cluster) scoring call — never
     # per symbol — so disabled-mode overhead is a single attribute read.
     registry = get_registry()
     if registry.enabled:
         registry.counter("similarity.calls").inc()
-        registry.counter("similarity.dp_cells").inc(len(ratios))
+        registry.counter("similarity.dp_cells").inc(len(encoded))
+        registry.counter("similarity.context_walks").inc(walks)
         registry.histogram("similarity.segment_length").observe(
-            best_end - best_start
+            result.best_end - result.best_start
         )
-    return SimilarityResult(
-        similarity=_safe_exp(log_z),
-        log_similarity=log_z,
-        best_start=best_start,
-        best_end=best_end,
-        whole_sequence_log=whole,
-    )
+    return result
 
 
 def whole_sequence_similarity(

@@ -119,6 +119,7 @@ METRICS: frozenset[str] = frozenset(
         # reference similarity measure
         "similarity.calls",
         "similarity.dp_cells",
+        "similarity.context_walks",
         "similarity.segment_length",
         # serving subsystem (repro.serve)
         "serve.requests",

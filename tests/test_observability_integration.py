@@ -103,6 +103,11 @@ class TestRunTelemetry:
         # work counters from the similarity hot path
         assert registry.get("similarity.calls").value > 0
         assert registry.get("similarity.dp_cells").value > 0
+        assert (
+            0
+            < registry.get("similarity.context_walks").value
+            < registry.get("similarity.dp_cells").value
+        )
         assert registry.get("similarity.segment_length").count > 0
 
         # seeding/consolidation counters

@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.pruning import prune_to
 from repro.core.pst import ProbabilisticSuffixTree
-from repro.core.similarity import similarity
+from repro.core.similarity import similarity, similarity_bruteforce
 
 
 def count_occurrences(haystack, needle):
@@ -424,3 +425,141 @@ class TestLogProbCache:
         copied.add_sequence([1, 1, 1, 1])
         self._assert_matches_cold(copied, probes)
         assert [similarity(pst, probe, self.BG) for probe in probes] == before
+
+
+class TestTransitionTable:
+    """The scorer's cached transitions never outlive the counts they
+    came from.
+
+    Each test warms the table so that one entry points at a prediction
+    node, changes the tree through one invalidation site so that the
+    entry must move, and compares scores with the root-walk oracle
+    ``similarity_bruteforce``. Deleting the site's invalidation makes
+    the stale entry visible.
+    """
+
+    BG = np.array([0.5, 0.5])
+
+    def _assert_matches_bruteforce(self, pst, probes):
+        for probe in probes:
+            result = similarity(pst, probe, self.BG)
+            brute, segment = similarity_bruteforce(pst, probe, self.BG)
+            assert result.log_similarity == pytest.approx(brute)
+            assert (result.best_start, result.best_end) == segment
+
+    def _warm(self, pst, probes):
+        for probe in probes:
+            similarity(pst, probe, self.BG)
+
+    @staticmethod
+    def _tree(threshold, max_depth, *sequences):
+        return ProbabilisticSuffixTree.from_sequences(
+            list(sequences), alphabet_size=2, max_depth=max_depth,
+            significance_threshold=threshold,
+        )
+
+    def test_scoring_fills_the_table_of_a_closed_tree(self):
+        pst = self._tree(2, 1, [1, 0, 1, 1])
+        table, closed = pst.transitions()
+        assert closed and not table
+        self._warm(pst, [[0, 0, 1]])
+        # "0" occurs once (< c), so the 0-transition out of the root
+        # stays at the root.
+        assert table[pst.root][0] is pst.root
+
+    def test_crossing_in_the_main_loop(self):
+        pst = self._tree(2, 1, [1, 0, 1, 1])
+        probes = [[0, 0, 1]]
+        self._warm(pst, probes)
+        # The "0" before the final 1 reaches c in the main loop; the
+        # terminal loop only bumps the already significant "1".
+        pst.add_sequence([0, 1])
+        assert pst.count_of([0]) == 2
+        self._assert_matches_bruteforce(pst, probes)
+
+    def test_crossing_in_the_terminal_context_loop(self):
+        pst = self._tree(2, 1, [1, 0, 1, 1])
+        probes = [[0, 0, 1]]
+        self._warm(pst, probes)
+        # The trailing "0" precedes no symbol: only the terminal loop
+        # counts it.
+        pst.add_sequence([1, 0])
+        assert pst.count_of([0]) == 2
+        self._assert_matches_bruteforce(pst, probes)
+
+    def test_node_creation_at_threshold_one(self):
+        pst = self._tree(1, 2, [0, 0, 0])
+        probes = [[1, 1, 0]]
+        self._warm(pst, probes)
+        assert pst.transitions()[0][pst.root][1] is pst.root
+        # Creating "1" at count 1 = c is a crossing.
+        pst.add_sequence([1, 0])
+        self._assert_matches_bruteforce(pst, probes)
+
+    def test_crossing_deep_in_the_tree(self):
+        # w = "010" = v·a with v = "01": only 0-entries of rows under
+        # "01" may move.
+        pst = self._tree(2, 3, [0, 1, 0, 1, 1, 0, 0])
+        probes = [[0, 1, 0, 1, 0], [1, 0, 1, 0, 0]]
+        self._warm(pst, probes)
+        pst.add_sequence([1, 0, 1, 0])
+        self._assert_matches_bruteforce(pst, probes)
+
+    def test_decay_clears_the_table(self):
+        pst = self._tree(2, 1, [0, 0, 1])
+        probes = [[0, 0, 0]]
+        self._warm(pst, probes)
+        # "0" falls from 2 to 1 (< c) but survives min_count=1.
+        pst.decay_counts(0.5)
+        assert pst.count_of([0]) == 1
+        self._assert_matches_bruteforce(pst, probes)
+        assert pst.transitions()[1]
+
+    def test_merge_clears_the_table(self):
+        pst = self._tree(2, 1, [1, 0, 1, 1])
+        probes = [[0, 0, 1]]
+        self._warm(pst, probes)
+        pst.merge_counts(self._tree(2, 1, [0, 1]))
+        assert pst.count_of([0]) == 2
+        self._assert_matches_bruteforce(pst, probes)
+        assert pst.transitions()[1]
+
+    def test_merging_a_pruned_tree_stops_caching(self):
+        pst = self._tree(1, 1, [0, 0, 1])
+        pruned = self._tree(1, 1, [1, 1, 0])
+        prune_to(pruned, 2, strategy="smallest_count", slack=1.0)
+        assert not pruned.transitions()[1]
+        pst.merge_counts(pruned)
+        self._warm(pst, [[0, 1, 1]])
+        table, closed = pst.transitions()
+        assert not closed and not table
+
+    def test_prune_clears_the_table_and_stops_caching(self):
+        pst = self._tree(1, 1, [0, 0, 1])
+        probes = [[0, 1, 1]]
+        self._warm(pst, probes)
+        # Drops "1" (count 1), which the warm 1-entry of "0" points at.
+        assert prune_to(pst, 2, strategy="smallest_count", slack=1.0) == 1
+        assert pst.count_of([1]) == 0
+        self._assert_matches_bruteforce(pst, probes)
+        table, closed = pst.transitions()
+        assert not closed and not table
+
+    def test_from_dict_of_a_tree_that_is_not_closed(self):
+        # "10" is significant, its prefix "1" absent: the prediction
+        # node after "…0" depends on the symbol before the 0.
+        leaf = {"count": 3, "next": {"1": 3}, "children": {}}
+        zero = {"count": 5, "next": {"0": 4, "1": 1}, "children": {"1": leaf}}
+        pst = ProbabilisticSuffixTree.from_dict({
+            "alphabet_size": 2, "max_depth": 2, "significance_threshold": 1,
+            "root": {"count": 10, "next": {"0": 5, "1": 5}, "children": {"0": zero}},
+        })
+        assert not pst.transitions()[1]
+        probes = [[1, 0, 1], [0, 1]]
+        self._warm(pst, probes)
+        assert not pst.transitions()[0]
+        self._assert_matches_bruteforce(pst, probes)
+
+    def test_from_dict_of_a_closed_tree_caches(self, simple_pst):
+        clone = ProbabilisticSuffixTree.from_dict(simple_pst.to_dict())
+        assert clone.transitions()[1]

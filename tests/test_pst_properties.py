@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) for the probabilistic suffix tree."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pst import ProbabilisticSuffixTree
-from repro.core.similarity import similarity
+from repro.core.similarity import similarity, similarity_bruteforce
 
 sequences = st.lists(
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
@@ -123,6 +126,13 @@ def test_node_count_cache_accurate(seqs):
 
 # -- per-node cache coherence ----------------------------------------------------
 
+
+def assert_matches_bruteforce(result, pst, probe, background):
+    brute, segment = similarity_bruteforce(pst, probe, background)
+    assert math.isclose(result.log_similarity, brute, rel_tol=1e-9, abs_tol=1e-9)
+    assert (result.best_start, result.best_end) == segment
+
+
 symbols4 = st.lists(st.integers(0, 3), min_size=1, max_size=25)
 operations = st.lists(
     st.one_of(
@@ -148,9 +158,11 @@ operations = st.lists(
     st.integers(1, 3),
 )
 def test_node_caches_stay_coherent(ops, probes, max_nodes, p_min, threshold):
-    """``next_total`` and the lazily filled ``log_probs`` rows track every
-    writer of ``next_counts`` — insertion, merging, decay, budget pruning
-    and (de)serialization: a warm tree scores exactly like a cold copy."""
+    """``next_total``, the lazily filled ``log_probs`` rows and the
+    transition table track every mutation — insertion, merging, decay,
+    budget pruning and (de)serialization: a warm tree scores exactly
+    like a cold copy, and both agree with the root-walk oracle
+    ``similarity_bruteforce`` (a cold copy runs the table too)."""
     params = dict(
         alphabet_size=4, max_depth=3, significance_threshold=threshold,
         p_min=p_min, max_nodes=max_nodes,
@@ -173,6 +185,64 @@ def test_node_caches_stay_coherent(ops, probes, max_nodes, p_min, threshold):
             assert node.next_total == sum(node.next_counts.values())
         cold = ProbabilisticSuffixTree.from_dict(pst.to_dict())
         for probe in probes:
-            assert similarity(pst, probe, background) == similarity(
-                cold, probe, background
+            warm = similarity(pst, probe, background)
+            assert warm == similarity(cold, probe, background)
+            assert_matches_bruteforce(warm, pst, probe, background)
+
+
+@pytest.mark.parametrize("max_nodes", [None, 60])
+@pytest.mark.parametrize("p_min", [0.0, 0.02])
+@pytest.mark.parametrize("max_depth", [1, 6])
+@pytest.mark.parametrize("threshold", [1, 4])
+def test_interleaved_absorb_and_score_match_bruteforce(
+    threshold, max_depth, p_min, max_nodes
+):
+    """Seeded fit-like interleaving: absorbs (segments shorter and
+    longer than ``max_depth``) between scorings, with decays, merges of
+    closed and of pruned trees, and a reload of a tree that is not
+    closed. Every score agrees with ``similarity_bruteforce``."""
+    params = dict(
+        alphabet_size=4, max_depth=max_depth, significance_threshold=threshold,
+        p_min=p_min, max_nodes=max_nodes,
+    )
+    rng = np.random.default_rng(threshold * 1000 + max_depth * 100 + (max_nodes or 0))
+    background = np.array([0.4, 0.3, 0.2, 0.1])
+
+    def draw(low, high):
+        return [int(s) for s in rng.integers(0, 4, size=int(rng.integers(low, high)))]
+
+    pst = ProbabilisticSuffixTree.from_sequences([draw(10, 30)], **params)
+    for step in range(60):
+        probe = draw(1, 25)
+        assert_matches_bruteforce(similarity(pst, probe, background), pst, probe, background)
+        if step == 40:
+            # Budget pruning may have opened the tree already; without a
+            # budget it is still closed and caching.
+            assert pst.transitions()[1] or max_nodes is not None
+            pruned = ProbabilisticSuffixTree.from_sequences(
+                [draw(20, 40)], **{**params, "max_nodes": 3}
             )
+            pst.merge_counts(pruned)
+            assert not pst.transitions()[1]
+        elif step % 10 == 3:
+            pst.decay_counts(0.8)
+        elif step % 10 == 7:
+            pst.merge_counts(ProbabilisticSuffixTree.from_sequences([draw(5, 20)], **params))
+        else:
+            pst.add_sequence(draw(1, 2 * max_depth + 2))
+
+    # A hand-built tree that is not closed: "10" significant, "1" absent.
+    leaf = {"count": 3, "next": {"1": 3}, "children": {}}
+    zero = {"count": 5, "next": {"0": 4, "1": 1}, "children": {"1": leaf}}
+    loaded = ProbabilisticSuffixTree.from_dict({
+        "alphabet_size": 2, "max_depth": 2, "significance_threshold": 1,
+        "p_min": p_min,
+        "root": {"count": 10, "next": {"0": 5, "1": 5}, "children": {"0": zero}},
+    })
+    assert not loaded.transitions()[1]
+    uniform = np.array([0.5, 0.5])
+    for step in range(20):
+        probe = [int(s) for s in rng.integers(0, 2, size=int(rng.integers(1, 12)))]
+        assert_matches_bruteforce(similarity(loaded, probe, uniform), loaded, probe, uniform)
+        if step % 5 == 4:
+            loaded.add_sequence(probe)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.pruning import prune_to
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
     SimilarityResult,
@@ -14,6 +15,7 @@ from repro.core.similarity import (
     similarity_bruteforce,
     whole_sequence_similarity,
 )
+from repro.obs import MetricsRegistry, use_registry
 
 
 @pytest.fixture
@@ -42,6 +44,45 @@ class TestValidation:
     def test_bruteforce_empty_rejected(self, alternating_pst, uniform_bg):
         with pytest.raises(ValueError):
             similarity_bruteforce(alternating_pst, [], uniform_bg)
+
+    @staticmethod
+    def _three_symbol_tree():
+        return ProbabilisticSuffixTree.from_sequences(
+            [[0, 1, 2, 0, 1, 2]], alphabet_size=3, max_depth=2,
+            significance_threshold=1,
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_symbol_rejected_before_any_cache_fill(self, bad):
+        """A negative id used to index the node's ``log_probs`` row from
+        the end: scoring ``[1, -1]`` filled the entry of symbol 2 with
+        the estimate for symbol 2 at the wrong node, and a later
+        ``[1, 2, 2]`` scored log 0.0 instead of log 3."""
+        bg = np.full(3, 1 / 3)
+        pst = self._three_symbol_tree()
+        with pytest.raises(ValueError, match="out of range"):
+            similarity(pst, [1, bad], bg)
+        assert all(node.log_probs is None for _, node in pst.iter_nodes())
+        assert not pst.transitions()[0]
+        expected = similarity(self._three_symbol_tree(), [1, 2, 2], bg)
+        assert expected.log_similarity == pytest.approx(math.log(3))
+        assert similarity(pst, [1, 2, 2], bg) == expected
+
+    @pytest.mark.parametrize(
+        "encoded, background, match",
+        [
+            ([0, 1, 2], np.full(5, 0.2), "background"),
+            ([0, 1, 2], np.full(2, 0.5), "background"),
+            ([0, -1, 2], np.full(3, 1 / 3), "out of range"),
+            ([], np.full(3, 1 / 3), "empty"),
+        ],
+        ids=["long-background", "short-background", "negative-id", "empty"],
+    )
+    def test_log_symbol_ratios_shares_the_input_check(
+        self, encoded, background, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            log_symbol_ratios(self._three_symbol_tree(), encoded, background)
 
 
 class TestPaperTable1:
@@ -198,3 +239,26 @@ class TestSegmentDefinition:
     def test_empty_rejected(self, alternating_pst, uniform_bg):
         with pytest.raises(ValueError):
             segment_definition_similarity(alternating_pst, [], uniform_bg)
+
+
+class TestContextWalks:
+    """``similarity.context_walks`` counts the root walks: one per
+    position on a cold or not-closed tree, none on a warm closed one."""
+
+    @staticmethod
+    def _walks(pst, seq, bg):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            similarity(pst, seq, bg)
+        return registry.counter("similarity.context_walks").value
+
+    def test_warm_closed_tree_does_not_walk(self, alternating_pst, uniform_bg):
+        seq = [0, 1] * 10
+        assert 0 < self._walks(alternating_pst, seq, uniform_bg) < len(seq)
+        assert self._walks(alternating_pst, seq, uniform_bg) == 0
+
+    def test_pruned_tree_walks_every_position(self, alternating_pst, uniform_bg):
+        assert prune_to(alternating_pst, 3, strategy="longest_label", slack=1.0)
+        seq = [0, 1] * 10
+        for _ in range(2):
+            assert self._walks(alternating_pst, seq, uniform_bg) == len(seq)
