@@ -37,7 +37,6 @@ from repro.core.backends.vectorized import (
     matrix_from_batch,
     pad_sequences,
     prepare_stack,
-    stack_flats,
     walk_states_matrix,
 )
 from repro.core.pst import ProbabilisticSuffixTree
@@ -83,20 +82,20 @@ def make_bare_runner(scorer, psts, sequences, log_bg):
     A transcription of ``score_matrix_full`` / ``_score_matrix_arrays``
     with every clock read and telemetry guard deleted — the
     pre-instrumentation hot path:
-    pad once, walk the full-matrix state cube, gather ratios, one
-    batched Kadane scan over the column layout, reshape.
-    The prepared stack is hoisted like the scorer's cache is.
+    pad once (checking the ids), step the prediction-node automaton
+    over the full-matrix state cube, gather ratios, one batched Kadane
+    scan over the column layout, reshape. The prepared stack is hoisted
+    like the scorer's cache is.
     """
-    prep = prepare_stack(
-        stack_flats([flatten_pst(pst) for pst in psts]), log_bg
-    )
+    prep = prepare_stack([flatten_pst(pst) for pst in psts], log_bg)
     trees = len(psts)
+    alphabet = psts[0].alphabet_size
 
     def bare() -> None:
-        padded, lengths = pad_sequences(sequences)
-        batch, width = padded.shape
-        states = walk_states_matrix(prep, padded)
-        ratios = gather_ratios_matrix(prep, padded, states)
+        symbols, lengths = pad_sequences(sequences, alphabet)
+        width, batch = symbols.shape
+        states = walk_states_matrix(prep, symbols)
+        ratios = gather_ratios_matrix(prep, symbols, states)
         flat = kadane_columns(
             ratios.reshape(width, trees * batch), np.tile(lengths, trees)
         )

@@ -11,30 +11,24 @@ callers, serve classify and the shard plan export; nothing else in
 from .dispatch import PstBatchScorer
 from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
-    KADANE_NUMPY_MIN_ROWS,
     KadaneBatchResult,
     PreparedStack,
     ScoreMatrixResult,
-    StackedFlats,
     kadane_columns,
     pad_sequences,
     prepare_stack,
-    stack_flats,
     walk_states_matrix,
 )
 
 __all__ = [
-    "KADANE_NUMPY_MIN_ROWS",
     "FlattenedPST",
     "KadaneBatchResult",
     "PreparedStack",
     "PstBatchScorer",
     "ScoreMatrixResult",
-    "StackedFlats",
     "flatten_pst",
     "kadane_columns",
     "pad_sequences",
     "prepare_stack",
-    "stack_flats",
     "walk_states_matrix",
 ]

@@ -6,11 +6,15 @@ the paper. The flattened-array kernel of
 :mod:`repro.core.backends.vectorized` reproduces it bit-for-bit (same
 floats, same segment bounds), restructured to score a whole
 (tree × sequence) matrix in one call. No setting chooses between the
-two. The kernel has exactly two callers, both outside ``repro.core``
-(see README "Scoring paths"): serve classify, which keeps a tree on
-the kernel only while it is unchanged since the model was loaded (once
-an ingest writes it, re-flattening it for every read costs more than
-the DP, so it is scored pair by pair from then on), and the shard
+two. The kernel steps the prediction-node automaton that the DP
+steps, so it scores *closed* trees only (``count(w) ≥ count(w·a)``,
+see :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`) and
+raises ``ValueError`` on any other, such as a pruned tree. The kernel
+has exactly two callers, both outside ``repro.core`` (see README
+"Scoring paths"): serve classify, which keeps a tree on the kernel
+only while it is closed and unchanged since the model was loaded
+(once an ingest writes it, re-flattening it for every read costs more
+than the DP, so it is scored pair by pair from then on), and the shard
 consolidation's plan export, which calls
 :func:`~repro.core.backends.flatten.flatten_pst` directly. The fit,
 the stream and ``predict`` score with the DP.
@@ -18,7 +22,7 @@ the stream and ``predict`` score with the DP.
 :class:`PstBatchScorer` is the kernel's working interface: it owns the
 background log vector, caches the flattened export of each tree in its
 current stack together with the *prepared* stacked table set
-(sentinel walk table + log-ratio table, see
+(automaton + log-ratio table, see
 :class:`~repro.core.backends.vectorized.PreparedStack`) for repeated
 calls against the same tree group, and emits counters/timers through
 the active metrics registry.
@@ -44,7 +48,6 @@ from .vectorized import (
     pad_sequences,
     prepare_stack,
     gather_ratios_matrix,
-    stack_flats,
     walk_states_matrix,
 )
 
@@ -81,9 +84,10 @@ class PstBatchScorer:
     One instance per (background, run): the scorer validates every
     cached flat against its tree's current mutation version on each
     call, so interleaving scoring with ``add_sequence`` /
-    ``decay_counts`` / pruning is safe — a mutated tree is transparently
+    ``decay_counts`` is safe — a mutated tree is transparently
     re-flattened, never scored stale. A restack re-flattens only the
     trees whose object or version changed; the others keep their flats.
+    A tree that is not closed (after pruning, say) raises ``ValueError``.
     """
 
     def __init__(self, background: npt.NDArray[np.float64]) -> None:
@@ -101,15 +105,24 @@ class PstBatchScorer:
         """Background log vector (reference ``math.log`` convention)."""
         return self._log_bg
 
-    def _stack_for(
-        self, psts: Sequence[ProbabilisticSuffixTree]
-    ) -> PreparedStack:
+    def _check_trees(self, psts: Sequence[ProbabilisticSuffixTree]) -> None:
+        """Reject a call the kernel cannot answer exactly; touches no cache."""
         for pst in psts:
             if self._background.shape != (pst.alphabet_size,):
                 raise ValueError(
                     f"background must have length {pst.alphabet_size}, "
                     f"got shape {self._background.shape}"
                 )
+            if not pst.transitions()[1]:
+                raise ValueError(
+                    "the batch kernel scores closed trees only (see "
+                    "ProbabilisticSuffixTree.transitions); score this "
+                    "tree with similarity()"
+                )
+
+    def _stack_for(
+        self, psts: Sequence[ProbabilisticSuffixTree]
+    ) -> PreparedStack:
         # The cached trees are alive (held in _stack_psts), so no tree in
         # *psts* can share an id with a different cached one.
         cached = {
@@ -127,7 +140,7 @@ class PstBatchScorer:
             or any(a is not b for a, b in zip(flats, self._stack_flats))
         )
         if fresh:
-            self._stack = prepare_stack(stack_flats(flats), self._log_bg)
+            self._stack = prepare_stack(flats, self._log_bg)
             self._stack_psts = tuple(psts)
             self._stack_flats = tuple(flats)
             registry = get_registry()
@@ -137,36 +150,37 @@ class PstBatchScorer:
         return self._stack
 
     def _score_matrix_arrays(
-        self, prep: PreparedStack, sequences: Sequence[Sequence[int]]
+        self,
+        prep: PreparedStack,
+        symbols: npt.NDArray[np.intp],
+        lengths: npt.NDArray[np.int32],
     ) -> ScoreMatrixResult:
-        """One full-matrix kernel call: all of *prep*'s trees × *sequences*.
+        """One full-matrix kernel call: all of *prep*'s trees × the
+        padded block (see :func:`pad_sequences`).
 
         The per-kernel clock reads are unconditional (one code path);
         they are only recorded when a registry is active.
         """
         started = time.perf_counter()
-        trees = int(prep.stacked.roots.shape[0])
-        padded, lengths = pad_sequences(sequences)
-        padded_at = time.perf_counter()
-        states = walk_states_matrix(prep, padded)
+        trees = int(prep.roots.shape[0])
+        width, batch = symbols.shape
+        states = walk_states_matrix(prep, symbols)
         walked_at = time.perf_counter()
-        ratios = gather_ratios_matrix(prep, padded, states)
+        ratios = gather_ratios_matrix(prep, symbols, states)
         gathered_at = time.perf_counter()
         flat = kadane_columns(
-            ratios.reshape(padded.shape[1], trees * padded.shape[0]),
-            np.tile(lengths, trees),
+            ratios.reshape(width, trees * batch), np.tile(lengths, trees)
         )
         scanned_at = time.perf_counter()
-        matrix = matrix_from_batch(flat, trees, padded.shape[0])
+        matrix = matrix_from_batch(flat, trees, batch)
         registry = get_registry()
         if registry.enabled:
             registry.counter("backend.batch_calls").inc()
-            registry.counter("backend.batch_rows").inc(trees * len(sequences))
+            registry.counter("backend.batch_rows").inc(trees * batch)
             registry.timer("backend.score_seconds").record(
                 time.perf_counter() - started
             )
-            registry.timer("backend.pad_seconds").record(padded_at - started)
-            registry.timer("backend.walk_seconds").record(walked_at - padded_at)
+            registry.timer("backend.walk_seconds").record(walked_at - started)
             registry.timer("backend.gather_seconds").record(gathered_at - walked_at)
             registry.timer("backend.kadane_seconds").record(scanned_at - gathered_at)
             _observe_segment_lengths(matrix)
@@ -181,6 +195,10 @@ class PstBatchScorer:
 
         The preferred shape for the §4.2 driving loops: read ``log_z``
         for the join test, materialize result objects only for joins.
+
+        Raises ``ValueError`` as ``similarity()`` does (wrong background
+        length, an empty sequence, an id outside the alphabet), and for
+        a tree that is not closed, before any tree is flattened.
         """
         if not psts or not sequences:
             shape = (len(psts), len(sequences))
@@ -190,8 +208,15 @@ class PstBatchScorer:
                 best_end=np.zeros(shape, dtype=np.int64),
                 whole=np.zeros(shape, dtype=np.float64),
             )
+        self._check_trees(psts)
+        started = time.perf_counter()
+        symbols, lengths = pad_sequences(sequences, psts[0].alphabet_size)
+        padded_s = time.perf_counter() - started
         prep = self._stack_for(psts)
-        return self._score_matrix_arrays(prep, sequences)
+        registry = get_registry()
+        if registry.enabled:
+            registry.timer("backend.pad_seconds").record(padded_s)
+        return self._score_matrix_arrays(prep, symbols, lengths)
 
     def forget(self) -> None:
         """Drop the stack cache (releases cached trees and their flats)."""

@@ -8,9 +8,12 @@ under a (max batch size, max delay) window and scores **all** waiting
 sequences in one :meth:`~repro.serve.registry.ModelVersion.classify_batch`
 call against one acquired version: at most one
 :class:`~repro.core.backends.dispatch.PstBatchScorer` full-matrix
-invocation over the trees no ingest has written, so the flat/stack
-caches and the walk/Kadane kernels are amortized across clients. Trees
-an ingest has written are scored pair by pair with the reference DP.
+invocation over the closed trees no ingest has written, so the
+flat/stack caches and the walk/Kadane kernels are amortized across
+clients. Trees an ingest has written, and trees that are not closed
+(the kernel's automaton walk holds only on closed trees, see
+:meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`), are
+scored pair by pair with the reference DP.
 
 Backpressure is the queue bound: when it is full, :meth:`submit`
 raises :class:`QueueFullError` and the HTTP layer answers 503 with a

@@ -131,7 +131,11 @@ class ModelVersion:
     classify scores a tree with the batch kernel only while it is the
     same object at the same version, and scores a tree an ingest has
     written with the reference ``similarity()`` DP from then on,
-    without re-flattening it. Both paths are bit-identical. A reload
+    without re-flattening it. The kernel steps the prediction-node
+    automaton, which holds only on a *closed* tree (see
+    :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`), so a
+    tree that is not closed — one pruned by ``max_nodes``, say — is
+    scored by the DP too. Both paths are bit-identical. A reload
     builds a fresh version whose trees start unchanged.
     """
 
@@ -207,12 +211,13 @@ class ModelVersion:
     ) -> list[ClassifyOutcome | None]:
         """Classify raw symbol sequences; ``None`` marks an unencodable one.
 
-        Trees unchanged since this version was built are scored for all
-        encodable sequences in **one** batch-kernel matrix call
+        Closed trees unchanged since this version was built are scored
+        for all encodable sequences in **one** batch-kernel matrix call
         (amortizing the flat/stack caches across every request in the
-        micro-batch). A tree an ingest has absorbed into is scored pair
-        by pair with the reference ``similarity()`` DP, as ``predict``
-        does, and is never flattened again. Both paths are
+        micro-batch). A tree an ingest has absorbed into, or one that is
+        not closed, is scored pair by pair with the reference
+        ``similarity()`` DP, as ``predict`` does, and is never flattened
+        again. Both paths are
         bit-identical; the decision is
         :func:`~repro.core.examine.best_cluster` at the model's final
         threshold, the same one ``ClusteringResult.predict`` makes.
@@ -234,12 +239,16 @@ class ModelVersion:
         if not encoded:
             return outcomes
         clusters = self.result.clusters
+        # Kernel rows: closed trees unchanged since the build. The rest
+        # (written by an ingest, or not closed) are scored by the DP.
         fixed = [
             position
             for position, (cluster, (built, version)) in enumerate(
                 zip(clusters, self._built)
             )
-            if cluster.pst is built and built.version == version
+            if cluster.pst is built
+            and built.version == version
+            and built.transitions()[1]
         ]
         written = [p for p in range(len(clusters)) if p not in fixed]
         written_clusters = [clusters[p] for p in written]
@@ -247,7 +256,7 @@ class ModelVersion:
         slot = [0] * len(clusters)
         for row, p in enumerate(fixed + written):
             slot[p] = row
-        # No kernel call (and no flatten) when every tree was written.
+        # No kernel call (and no flatten) when no tree is on the kernel.
         matrix = self.scorer.score_matrix_full(
             [clusters[p].pst for p in fixed], encoded
         )

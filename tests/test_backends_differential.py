@@ -3,9 +3,11 @@
 Every property runs over the same pool of ``N_CASES`` seeded random
 (tree, background, sequences) scenarios — random alphabet sizes, tree
 depths, significance thresholds, smoothing settings, and (for a third
-of the cases) trees that have been decayed mid-life — plus a handful of
-handcrafted edge scenarios (single-symbol sequences, sequences made
-entirely of symbols the tree has never observed).
+of the cases) trees that have been decayed mid-life — extended by
+``N_EXTRA`` merged trees and ``N_EXTRA`` depth-6 trees (the serve
+model's depth), plus a handful of handcrafted edge scenarios
+(single-symbol sequences, sequences made entirely of symbols the tree
+has never observed).
 
 The contract under test is stronger than the usual "within 1e-9": the
 vectorized backend is designed to be *bit-identical* to the reference
@@ -21,18 +23,14 @@ import numpy as np
 import pytest
 
 from repro.core.backends import (
-    KADANE_NUMPY_MIN_ROWS,
     PstBatchScorer,
     flatten_pst,
+    kadane_columns,
     pad_sequences,
     prepare_stack,
-    stack_flats,
     walk_states_matrix,
 )
-from repro.core.backends.vectorized import (
-    _kadane_rows_python,
-    log_background,
-)
+from repro.core.backends.vectorized import log_background
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
     similarity,
@@ -41,15 +39,22 @@ from repro.core.similarity import (
 from repro.core.smoothing import default_p_min
 from repro.obs import MetricsRegistry, use_registry
 
-#: Seeded fuzz cases per property (the PR's acceptance floor is 200).
+#: Seeded fuzz cases per property.
 N_CASES = 220
+#: Extra scenarios of each widened kind: merged trees, depth-6 trees.
+N_EXTRA = 40
 
 
-def _random_scenario(seed: int):
-    """One random (pst, background, sequences) scenario."""
+def _random_scenario(seed: int, max_depth: int | None = None):
+    """One random (pst, background, sequences) scenario.
+
+    *max_depth* overrides the drawn depth; the draw is made either way,
+    so a seed's other parameters do not depend on the override.
+    """
     rng = np.random.default_rng(seed)
     alphabet_size = int(rng.integers(2, 11))
-    max_depth = int(rng.integers(1, 6))
+    drawn_depth = int(rng.integers(1, 6))
+    max_depth = drawn_depth if max_depth is None else max_depth
     significance = int(rng.integers(1, 5))
     smoothing_mode = int(rng.integers(0, 3))
     if smoothing_mode == 0:
@@ -86,9 +91,41 @@ def _random_scenario(seed: int):
     return pst, background, sequences
 
 
+def _merged_scenario(seed: int):
+    """A scenario whose tree is ``merge_counts`` of two closed trees.
+
+    The second tree shares the first's parameters and trains on its
+    own biased source, as a cross-shard consolidation merges them.
+    """
+    pst, background, sequences = _random_scenario(seed)
+    rng = np.random.default_rng(seed + 1)
+    other = ProbabilisticSuffixTree(
+        alphabet_size=pst.alphabet_size,
+        max_depth=pst.max_depth,
+        significance_threshold=pst.significance_threshold,
+        p_min=pst.p_min,
+    )
+    weights = rng.random(pst.alphabet_size) ** 2 + 1e-3
+    weights /= weights.sum()
+    for _ in range(int(rng.integers(3, 11))):
+        length = int(rng.integers(5, 31))
+        other.add_sequence(
+            [int(s) for s in rng.choice(pst.alphabet_size, size=length, p=weights)]
+        )
+    pst.merge_counts(other)
+    assert pst.transitions()[1]
+    return pst, background, sequences
+
+
 @pytest.fixture(scope="module")
 def scenarios():
-    return [_random_scenario(1000 + i) for i in range(N_CASES)]
+    # The first N_CASES are the original draws; the widened kinds are
+    # appended after them, from seeds of their own.
+    return (
+        [_random_scenario(1000 + i) for i in range(N_CASES)]
+        + [_merged_scenario(3000 + 2 * i) for i in range(N_EXTRA)]
+        + [_random_scenario(4000 + i, max_depth=6) for i in range(N_EXTRA)]
+    )
 
 
 def _assert_results_equal(got, want, context: str) -> None:
@@ -160,10 +197,10 @@ class TestSuffixSelection:
         """
         for case, (pst, background, sequences) in enumerate(scenarios):
             flat = flatten_pst(pst)
-            prep = prepare_stack(stack_flats([flat]), log_background(background))
-            padded, lengths = pad_sequences(sequences)
+            prep = prepare_stack([flat], log_background(background))
+            symbols, _ = pad_sequences(sequences, pst.alphabet_size)
             # (width, trees, sequences): position leads, one tree here.
-            states = walk_states_matrix(prep, padded)
+            states = walk_states_matrix(prep, symbols)
             for row, seq in enumerate(sequences):
                 for i in range(len(seq)):
                     suffix = pst.longest_significant_suffix(seq[:i])
@@ -212,6 +249,72 @@ class TestEdgeCases:
             scorer.score_matrix_full([pst], [[0, 1], []])
         with pytest.raises(ValueError, match="empty sequence"):
             scorer.score_matrix_full([pst], [[]])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_raises_like_reference(self, bad):
+        pst = ProbabilisticSuffixTree(alphabet_size=3, max_depth=3)
+        pst.add_sequence([0, 1, 2, 0, 1, 2])
+        background = np.full(3, 1.0 / 3.0)
+        sequence = [0, 1, bad, 2]
+        message = rf"symbol id {bad} out of range \(alphabet size 3\)"
+        with pytest.raises(ValueError, match=message):
+            similarity(pst, sequence, background)
+        scorer = PstBatchScorer(background)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.raises(ValueError, match=message):
+                scorer.score_matrix_full([pst], [[0, 1], sequence])
+        # Checked before the stack: nothing was flattened or stacked.
+        assert registry.counter("backend.flatten_builds").value == 0
+        assert registry.counter("backend.stack_rebuilds").value == 0
+
+    def test_tree_that_is_not_closed_raises_and_flattens_nothing(self):
+        from repro.core.pruning import prune_to
+
+        rng = np.random.default_rng(17)
+        pruned = ProbabilisticSuffixTree(
+            alphabet_size=4, max_depth=4, significance_threshold=2
+        )
+        for _ in range(6):
+            pruned.add_sequence([int(s) for s in rng.integers(0, 4, size=30)])
+        closed = ProbabilisticSuffixTree.from_dict(pruned.to_dict())
+        assert prune_to(pruned, pruned.node_count // 2) > 0
+        # count(w) < count(w·a) for w = [0] and a = 1: not closed.
+        unclosed = ProbabilisticSuffixTree.from_dict(
+            {
+                "alphabet_size": 2,
+                "max_depth": 2,
+                "significance_threshold": 1,
+                "root": {
+                    "count": 4,
+                    "next": {"0": 2, "1": 2},
+                    "children": {
+                        "0": {"count": 1, "next": {"1": 1}, "children": {}},
+                        "1": {
+                            "count": 2,
+                            "next": {"0": 1},
+                            "children": {
+                                "0": {"count": 2, "next": {}, "children": {}}
+                            },
+                        },
+                    },
+                },
+            }
+        )
+        for tree, background in (
+            (pruned, np.full(4, 0.25)),
+            (unclosed, np.full(2, 0.5)),
+        ):
+            assert not tree.transitions()[1]
+            scorer = PstBatchScorer(background)
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                with pytest.raises(ValueError, match="closed trees only"):
+                    scorer.score_matrix_full([tree], [[0, 1, 0]])
+                if tree is pruned:
+                    with pytest.raises(ValueError, match="closed trees only"):
+                        scorer.score_matrix_full([closed, tree], [[0, 1, 0]])
+            assert registry.counter("backend.flatten_builds").value == 0
 
     def test_single_symbol_sequences(self):
         for seed in range(N_CASES):
@@ -307,15 +410,35 @@ class TestEdgeCases:
             )
 
 
+def _scalar_scan(values: list[float]) -> tuple[float, int, int, float]:
+    """The reference's X/Y/Z loop over one row of log ratios: the oracle
+    of the column scan. Returns ``(log_z, best_start, best_end, whole)``."""
+    log_y = log_z = whole = values[0]
+    y_start = best_start = 0
+    best_end = 1
+    for i in range(1, len(values)):
+        x = values[i]
+        whole += x
+        if log_y + x >= x:
+            log_y += x
+        else:
+            log_y = x
+            y_start = i
+        if log_y > log_z:
+            log_z = log_y
+            best_start, best_end = y_start, i + 1
+    return log_z, best_start, best_end, whole
+
+
 class TestMatrixKernelAgreement:
     """The full-matrix pipeline against the per-pair reference.
 
     ``PstBatchScorer.score_matrix_full`` walks a column-major ``(width, trees,
     sequences)`` cube and runs one batched Kadane scan over all
     tree×sequence columns at once; these properties pin that pipeline
-    — including the pair-step walk closure and the post-hoc segment
-    reconstruction — to the reference scorer and to the per-row
-    Python scan.
+    — including the automaton walk and the post-hoc segment
+    reconstruction — to the reference scorer and to the reference's
+    scalar X/Y/Z loop.
     """
 
     @staticmethod
@@ -349,48 +472,27 @@ class TestMatrixKernelAgreement:
                     checked += 1
         assert checked >= N_CASES
 
-    def test_pair_table_fallback_is_identical(self, scenarios):
-        """walk_table2=None (over-budget closure) changes nothing."""
-        import dataclasses
-
-        for pst, background, sequences in scenarios[:40]:
-            stacked = stack_flats([flatten_pst(pst)])
-            prep = prepare_stack(stacked, log_background(background))
-            if prep.walk_table2 is None:
-                continue
-            single = dataclasses.replace(prep, walk_table2=None)
-            padded, lengths = pad_sequences(sequences)
-            paired_cube = walk_states_matrix(prep, padded)
-            single_cube = walk_states_matrix(single, padded)
-            # Real positions only: beyond a sequence's length the two
-            # arms may drift apart (padding ratios are masked out).
-            for r, length in enumerate(lengths):
-                assert np.array_equal(
-                    paired_cube[:length, :, r], single_cube[:length, :, r]
-                ), f"row {r}"
-
     def test_kadane_columns_matches_row_scans(self):
-        """Column layout ≡ row layout, numpy and python dispatch arms."""
-        from repro.core.backends.vectorized import kadane_columns
-
+        """The column scan ≡ the reference's scalar X/Y/Z loop, per row."""
         rng = np.random.default_rng(99)
         for _ in range(N_CASES):
-            rows = int(rng.integers(1, 2 * KADANE_NUMPY_MIN_ROWS))
+            rows = int(rng.integers(1, 48))
             width = int(rng.integers(1, 30))
             pool = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
             ratios = rng.choice(pool, size=(rows, width))
             lengths = rng.integers(1, width + 1, size=rows).astype(np.int32)
-            want = _kadane_rows_python(ratios, lengths)
             got = kadane_columns(np.ascontiguousarray(ratios.T), lengths)
-            assert np.array_equal(want.log_z, got.log_z)
-            assert np.array_equal(want.best_start, got.best_start)
-            assert np.array_equal(want.best_end, got.best_end)
-            assert np.array_equal(want.whole, got.whole)
+            for row in range(rows):
+                want = _scalar_scan(ratios[row, : int(lengths[row])].tolist())
+                assert (
+                    float(got.log_z[row]),
+                    int(got.best_start[row]),
+                    int(got.best_end[row]),
+                    float(got.whole[row]),
+                ) == want, f"row {row}"
 
     def test_width_one_columns(self):
         """width=1 takes the no-restart branch: segment is [0, 1)."""
-        from repro.core.backends.vectorized import kadane_columns
-
         columns = np.array([[-1.5, 0.0, 2.25]])
         lengths = np.ones(3, dtype=np.int32)
         batch = kadane_columns(columns, lengths)

@@ -179,6 +179,48 @@ class TestClassifyFidelity:
         assert registry.counter("backend.batch_rows").value == untouched * n
         assert registry.counter("similarity.calls").value == touched * n
 
+    def test_trees_that_are_not_closed_are_scored_by_the_dp(
+        self, tmp_path, query_sequences
+    ):
+        """A model fit with a small ``max_nodes`` has pruned trees; the
+        kernel's automaton walk holds only on closed trees, so classify
+        sends the others to ``similarity()`` and still equals predict."""
+        from repro.core.cluseq import CLUSEQ, CluseqParams
+
+        db = generate_two_cluster_toy(size_per_cluster=20, length=30, seed=5)
+        params = CluseqParams(
+            k=2,
+            significance_threshold=3,
+            similarity_threshold=1.2,
+            seed=0,
+            max_nodes=40,
+        )
+        path = tmp_path / "pruned_model.json"
+        save_result(CLUSEQ(params).fit(db), str(path), alphabet=db.alphabet)
+        result, alphabet, kind = load_model_payload(str(path))
+        closed = [c.pst.transitions()[1] for c in result.clusters]
+        assert True in closed and False in closed
+        version = ModelVersion("m", 1, result, alphabet, str(path), kind)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            outcomes = version.classify_batch(query_sequences)
+        n = len(query_sequences)
+        assert registry.counter("backend.batch_rows").value == closed.count(True) * n
+        assert registry.counter("similarity.calls").value == closed.count(False) * n
+        for symbols, outcome in zip(query_sequences, outcomes):
+            encoded = alphabet.encode(symbols)
+            assert outcome is not None
+            assert outcome.cluster_id == result.predict(encoded)
+            scores = result.score_sequence(encoded)
+            best = max(scores.values(), key=lambda s: s.log_similarity)
+            assert outcome.log_similarity == best.log_similarity
+            if outcome.cluster_id is not None:
+                winner = scores[outcome.cluster_id]
+                assert (outcome.best_start, outcome.best_end) == (
+                    winner.best_start,
+                    winner.best_end,
+                )
+
     def test_unencodable_and_empty_marked_none(self, serve_model_path):
         result, alphabet, kind = load_model_payload(serve_model_path)
         version = ModelVersion(
