@@ -12,7 +12,9 @@ stable:
    every cluster with the similarity DP; a sequence joins each cluster
    whose similarity reaches the threshold ``t`` (clusters may overlap),
    and each newly-joined cluster absorbs the sequence's best-scoring
-   segment into its PST.
+   segment into its PST. A cluster whose rebuilt model, ``t`` and
+   examination order all repeat its previous pass replays that pass's
+   scores instead of rescoring.
 3. **Cluster consolidation** (§4.5) — dismiss clusters covered by
    larger ones.
 4. **Threshold adjustment** (§4.6, optional) — move ``t`` halfway
@@ -53,6 +55,8 @@ from ..typing import PSTFactory
 from .cluster import Cluster
 from .examine import best_cluster, join_all, join_best, live_scores
 from .consolidation import consolidate, drop_dismissed
+from .pruning import STRATEGIES
+from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
 from .similarity import SimilarityResult, similarity
 from .smoothing import default_p_min
@@ -104,6 +108,10 @@ class CluseqParams:
             raise ValueError("sample_multiplier must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError("max_nodes must be at least 1 when set")
+        if self.prune_strategy not in STRATEGIES:
+            raise ValueError(f"prune_strategy must be one of {STRATEGIES}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
 
@@ -147,9 +155,11 @@ class IterationStats:
     log_threshold: float
     valley: float | None
     elapsed_seconds: float
-    #: Symbols scored during this iteration's reclustering phase —
+    #: Symbols examined during this iteration's reclustering phase —
     #: the deterministic counterpart of wall time, ∝ N · k' · l̄ (the
-    #: paper's §4.7 per-iteration cost model).
+    #: paper's §4.7 per-iteration cost model). A replayed cluster pass
+    #: counts in full although it runs no DP; the cells actually scored
+    #: are the ``similarity.dp_cells`` counter.
     reclustering_work: int = 0
     #: Whether this iteration triggered the paper's stability exit
     #: (same clustering as the previous iteration, threshold settled).
@@ -218,12 +228,14 @@ class ClusteringResult:
 
     @property
     def total_reclustering_work(self) -> int:
-        """Total symbols scored across all reclustering phases.
+        """Total symbols examined across all reclustering phases.
 
         A deterministic, machine-independent cost measurement
         (∝ M · N · k' · l̄, the paper's §4.7 total); the scalability
         benchmarks assert on this rather than contention-prone wall
-        time.
+        time. Replayed cluster passes count as if rescored, so the
+        model does not depend on replay; ``similarity.dp_cells`` is the
+        work actually done.
         """
         return sum(stats.reclustering_work for stats in self.history)
 
@@ -354,6 +366,56 @@ class ClusteringResult:
         )
 
 
+#: What a rebuilt cluster tree is a function of: the seed index and each
+#: member's ``(sequence_index, best_start, best_end)``, in member order
+#: (order matters once ``max_nodes`` pruning fires mid-build).
+BuildInput = tuple[int, tuple[tuple[int, int, int], ...]]
+
+
+@dataclass(frozen=True)
+class _Built:
+    """A tree the rebuild made: its build input, and the tree and its
+    version right after the build."""
+
+    build_input: BuildInput
+    pst: ProbabilisticSuffixTree
+    version: int
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One cluster's reclustering pass: everything it depended on, and
+    its score for each sequence in examination order."""
+
+    build_input: BuildInput
+    log_t: float
+    order: list[int]
+    scores: list[SimilarityResult]
+
+
+def _built_from(
+    built: _Built | None, pst: ProbabilisticSuffixTree
+) -> BuildInput | None:
+    """The build input of *pst*, when it is the tree *built* records and
+    no absorb has changed it since; ``None`` when unknown."""
+    if built is None or built.pst is not pst or pst.version != built.version:
+        return None
+    return built.build_input
+
+
+def _replays(
+    previous: _Pass, build_input: BuildInput | None, log_t: float, order: list[int]
+) -> bool:
+    """Whether a cluster's pass would repeat *previous* exactly: same
+    starting model, same ``log t``, same examination order."""
+    return (
+        build_input is not None
+        and previous.build_input == build_input
+        and previous.log_t == log_t
+        and previous.order == order
+    )
+
+
 class CLUSEQ:
     """The CLUSEQ clustering engine.
 
@@ -438,6 +500,10 @@ class CLUSEQ:
         prev_snapshot: (
             tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None
         ) = None
+        # Replay state (``rebuild_each_iteration`` only), by cluster id:
+        # what each tree was rebuilt from, and each cluster's last pass.
+        built: dict[int, _Built] = {}
+        passes: dict[int, _Pass] = {}
         run_start = time.perf_counter()
 
         for iteration in range(params.max_iterations):
@@ -518,15 +584,19 @@ class CLUSEQ:
             with span("recluster"):
                 order = self._examination_order(len(db), clusters, assignments, rng)
                 all_log_sims: list[float] = []
-                membership_changes, reclustering_work = self._recluster_vectorized(
-                    order,
-                    encoded,
-                    clusters,
-                    assignments,
-                    unclustered_streak,
-                    background,
-                    log_t,
-                    all_log_sims,
+                membership_changes, reclustering_work, replayed = (
+                    self._recluster_vectorized(
+                        order,
+                        encoded,
+                        clusters,
+                        assignments,
+                        unclustered_streak,
+                        background,
+                        log_t,
+                        all_log_sims,
+                        built,
+                        passes,
+                    )
                 )
 
             # -- phase 3: consolidation ----------------------------------------------
@@ -540,9 +610,12 @@ class CLUSEQ:
                 drop_dismissed(assignments, {cluster.cluster_id for cluster in removed})
                 n_removed = len(removed)
 
+            kept = 0
             if params.rebuild_each_iteration:
                 with span("rebuild"):
-                    self._rebuild_cluster_models(clusters, encoded, pst_factory)
+                    kept = self._rebuild_cluster_models(
+                        clusters, encoded, pst_factory, built
+                    )
 
             # -- phase 4: threshold adjustment ------------------------------------------
             valley_linear: float | None = None
@@ -611,7 +684,7 @@ class CLUSEQ:
                 stable=stable,
             )
             history.append(stats)
-            self._observe_iteration(stats, clusters, log_t)
+            self._observe_iteration(stats, clusters, log_t, replayed, kept)
             if stable:
                 break
 
@@ -656,13 +729,20 @@ class CLUSEQ:
     # -- internals ------------------------------------------------------------------
 
     def _observe_iteration(
-        self, stats: IterationStats, clusters: list[Cluster], log_t: float
+        self,
+        stats: IterationStats,
+        clusters: list[Cluster],
+        log_t: float,
+        replayed_passes: int,
+        models_kept: int,
     ) -> None:
         """Per-iteration telemetry: metrics series, one log line, hooks.
 
         The ``cluseq.iteration.*`` series grow by exactly one entry per
         iteration, so their lengths always equal ``len(history)`` —
         the trajectory the threshold/cluster-count plots need.
+        *replayed_passes* and *models_kept* are the iteration's
+        replayed cluster passes and rebuilds that kept their tree.
         """
         registry = get_registry()
         want_snapshot = bool(self.hooks)
@@ -691,6 +771,8 @@ class CLUSEQ:
             registry.counter("cluseq.reclustering_work").inc(
                 stats.reclustering_work
             )
+            registry.counter("cluseq.replayed_passes").inc(replayed_passes)
+            registry.counter("cluseq.models_kept").inc(models_kept)
         if _logger.isEnabledFor(20):  # logging.INFO
             _logger.info(
                 "iteration %d: %d clusters, %d unclustered",
@@ -728,7 +810,9 @@ class CLUSEQ:
         background: npt.NDArray[np.float64],
         log_t: float,
         all_log_sims: list[float],
-    ) -> tuple[int, int]:
+        built: dict[int, _Built],
+        passes: dict[int, _Pass],
+    ) -> tuple[int, int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
         Each sequence is scored pair by pair with ``similarity()``
@@ -736,22 +820,57 @@ class CLUSEQ:
         whose SIM reaches ``t`` (:func:`~repro.core.examine.join_all`).
         A join absorbs the sequence's best segment before the next
         sequence is scored, so scores are never computed ahead of time:
-        a precomputed score would go stale at the first join. Returns
-        ``(membership changes, symbols scored)``.
+        a precomputed score would go stale at the first join.
+
+        Under the overlap rule a cluster's join depends only on its own
+        score, and a join absorbs only into that cluster, so a cluster's
+        whole pass is a function of its starting tree, ``log t`` and
+        *order*. A rebuilt tree is a function of its build input
+        (*built*). When all three equal those of the cluster's previous
+        pass (*passes*), the pass is replayed: its recorded scores go
+        through the same ``join_all``, with no ``similarity()`` call and
+        no absorb. *passes* is replaced by this iteration's passes.
+        Returns ``(membership changes, symbols scored, passes
+        replayed)``; replayed symbols count as scored (§4.7 model).
         """
         membership_changes = 0
         reclustering_work = 0
-        for index in order:
+        starts = [
+            _built_from(built.get(cluster.cluster_id), cluster.pst)
+            for cluster in clusters
+        ]
+        recorded: list[list[SimilarityResult] | None] = []
+        replayed: set[int] = set()
+        for cluster, start in zip(clusters, starts):
+            previous = passes.get(cluster.cluster_id)
+            if previous is not None and _replays(previous, start, log_t, order):
+                recorded.append(previous.scores)
+                replayed.add(cluster.cluster_id)
+            else:
+                recorded.append(None)
+        columns: list[list[SimilarityResult]] = [[] for _ in clusters]
+        for position, index in enumerate(order):
             seq = encoded[index]
-            scores = live_scores(clusters, seq, background)
+            scores = [
+                similarity(cluster.pst, seq, background)
+                if column is None
+                else column[position]
+                for cluster, column in zip(clusters, recorded)
+            ]
+            for column, result in zip(columns, scores):
+                column.append(result)
             reclustering_work += len(seq) * len(clusters)
             all_log_sims.extend(result.log_similarity for result in scores)
-            joined = join_all(index, seq, clusters, scores, log_t)
+            joined = join_all(index, seq, clusters, scores, log_t, replayed)
             if joined != assignments[index]:
                 membership_changes += 1
             assignments[index] = joined
             unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
-        return membership_changes, reclustering_work
+        passes.clear()
+        for cluster, start, column in zip(clusters, starts, columns):
+            if start is not None:
+                passes[cluster.cluster_id] = _Pass(start, log_t, order, column)
+        return membership_changes, reclustering_work, len(replayed)
 
     def _calibrate_initial_threshold(
         self,
@@ -863,23 +982,50 @@ class CLUSEQ:
 
     @staticmethod
     def _rebuild_cluster_models(
-        clusters: list[Cluster], encoded: list[list[int]], pst_factory: PSTFactory
-    ) -> None:
+        clusters: list[Cluster],
+        encoded: list[list[int]],
+        pst_factory: PSTFactory,
+        built: dict[int, _Built] | None = None,
+    ) -> int:
         """Rebuild every cluster's PST from current members' best segments.
 
-        The optional non-paper variant (``rebuild_each_iteration``):
-        discards the additive history so departed sequences stop
-        influencing the model.
+        The non-paper default (``rebuild_each_iteration``, DESIGN.md
+        §6.1 #5): discards the additive history so departed sequences
+        stop influencing the model. The rebuilt tree is a function of the
+        cluster's build input, so a cluster whose build input equals
+        the one its current tree was built from, and whose tree no
+        absorb has touched since (same object, same ``version``), keeps
+        that tree. *built* is updated to record each cluster's tree;
+        without it every tree is rebuilt. Returns how many clusters
+        kept their tree.
         """
+        if built is None:
+            built = {}
+        kept = 0
+        current: dict[int, _Built] = {}
         for cluster in clusters:
+            build_input: BuildInput = (
+                cluster.seed_index,
+                tuple(
+                    (m.sequence_index, m.best_start, m.best_end)
+                    for m in cluster._members.values()
+                ),
+            )
+            record = built.get(cluster.cluster_id)
+            if record is not None and _built_from(record, cluster.pst) == build_input:
+                current[cluster.cluster_id] = record
+                kept += 1
+                continue
             fresh = pst_factory(encoded[cluster.seed_index])
-            for membership in list(cluster._members.values()):
-                segment = encoded[membership.sequence_index][
-                    membership.best_start : membership.best_end
-                ]
+            for index, start, end in build_input[1]:
+                segment = encoded[index][start:end]
                 if segment:
                     fresh.add_sequence(segment)
             cluster.pst = fresh
+            current[cluster.cluster_id] = _Built(build_input, fresh, fresh.version)
+        built.clear()
+        built.update(current)
+        return kept
 
 
 def cluster_sequences(

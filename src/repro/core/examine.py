@@ -20,15 +20,20 @@ Scores arrive as a list of
 cluster order. Every examiner that joins scores pair by pair on the
 live models (:func:`live_scores`): each join mutates a PST that the
 next sequence is scored against, so scores taken up front would go
-stale within the batch. Everything in ``repro.core`` scores with the
-reference DP. The batch kernel runs only outside it: in serve
+stale within the batch. The one exception is the fit replaying a
+cluster's unchanged pass: when the cluster's model, ``log t`` and the
+examination order all equal those of its previous pass, the pass is a
+function of them alone, so its recorded scores *are* the live ones and
+:func:`join_all` records the memberships without absorbing (see
+``CLUSEQ._recluster_vectorized``). Everything in ``repro.core`` scores
+with the reference DP. The batch kernel runs only outside it: in serve
 classify, over the trees no ``/v1/stream/ingest`` has written since
 the model was loaded, and in the shard plan export.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -67,18 +72,25 @@ def join_all(
     clusters: Sequence[Cluster],
     scores: Sequence[SimilarityResult],
     log_t: float,
+    replayed: Container[int] = (),
 ) -> set[int]:
     """The fit's §4.2 overlap rule: join every cluster with SIM ≥ t.
 
     Every other cluster drops the sequence. *Each* join — a re-join on
     a later iteration included — absorbs the current best segment:
     re-absorption is what lets a young model mature, its members' best
-    segments extending towards whole sequences. Returns the joined ids.
+    segments extending towards whole sequences. A cluster whose id is
+    in *replayed* is replaying a recorded pass: its joins record the
+    membership but absorb nothing, because the absorbs would only
+    reproduce a model the rebuild then discards. Returns the joined
+    ids.
     """
     joined: set[int] = set()
     for cluster, result in zip(clusters, scores):
         if result.log_similarity >= log_t:
-            cluster.join(index, seq, result)
+            cluster.join(
+                index, seq, result, absorb=cluster.cluster_id not in replayed
+            )
             joined.add(cluster.cluster_id)
         else:
             cluster.drop_member(index)

@@ -39,6 +39,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..obs import get_registry
+from .pruning import STRATEGIES, prune_to
 from .smoothing import adjust_probability, validate_p_min
 
 #: Rough per-node memory footprint used to translate the paper's
@@ -149,7 +150,8 @@ class ProbabilisticSuffixTree:
         ``None`` means unbounded.
     prune_strategy:
         Strategy name forwarded to :func:`repro.core.pruning.prune_to`
-        when the budget is hit.
+        when the budget is hit; one of ``pruning.STRATEGIES``, checked
+        here so a bad name fails before any insert.
     """
 
     def __init__(
@@ -169,6 +171,10 @@ class ProbabilisticSuffixTree:
             raise ValueError("significance_threshold must be at least 1")
         if max_nodes is not None and max_nodes < 1:
             raise ValueError("max_nodes must be positive when set")
+        if prune_strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown prune strategy {prune_strategy!r}; expected {STRATEGIES}"
+            )
         validate_p_min(alphabet_size, p_min)
         self.alphabet_size = alphabet_size
         self.max_depth = max_depth
@@ -277,8 +283,6 @@ class ProbabilisticSuffixTree:
         self._sequences_added += 1
         self._invalidate()
         if self.max_nodes is not None and self._node_count > self.max_nodes:
-            from .pruning import prune_to
-
             prune_to(self, self.max_nodes, strategy=self.prune_strategy)
 
     def merge_counts(self, other: "ProbabilisticSuffixTree") -> int:
@@ -334,8 +338,6 @@ class ProbabilisticSuffixTree:
         self._clear_transitions(still_closed=other._closed)
         self._invalidate()
         if self.max_nodes is not None and self._node_count > self.max_nodes:
-            from .pruning import prune_to
-
             prune_to(self, self.max_nodes, strategy=self.prune_strategy)
         return created
 

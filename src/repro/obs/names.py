@@ -82,6 +82,8 @@ METRICS: frozenset[str] = frozenset(
         "cluseq.clusters_seeded",
         "cluseq.clusters_dismissed",
         "cluseq.reclustering_work",
+        "cluseq.replayed_passes",
+        "cluseq.models_kept",
         "cluseq.calibrated_log_threshold",
         "cluseq.calibration_references",
         # suffix tree

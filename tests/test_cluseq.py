@@ -23,6 +23,8 @@ class TestParams:
             ("sample_multiplier", 0),
             ("max_iterations", 0),
             ("ordering", "bogus"),
+            ("prune_strategy", "bogus"),
+            ("max_nodes", 0),
         ],
     )
     def test_invalid_params(self, field, value):

@@ -114,6 +114,25 @@ class TestRunTelemetry:
         assert registry.get("seeding.selections").value >= 1
         assert registry.get("consolidation.passes").value == iterations
 
+    def test_stable_clusters_replay_their_pass(self, toy_db):
+        """Once a cluster is rebuilt from the same members as the
+        iteration before, its pass is replayed and its tree kept; the
+        §4.7 work counter still counts the replayed symbols."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = CLUSEQ(CluseqParams(**PARAMS)).fit(toy_db)
+        assert result.converged
+        replayed = registry.get("cluseq.replayed_passes").value
+        assert replayed > 0
+        assert registry.get("cluseq.models_kept").value > 0
+        assert registry.get("cluseq.reclustering_work").value == (
+            result.total_reclustering_work
+        )
+        scored_passes = sum(
+            stats.clusters_before_consolidation for stats in result.history
+        )
+        assert replayed < scored_passes
+
     def test_reexamination_never_prescores(self, toy_db):
         """The fit scores everything with the reference DP: its §4.2
         re-examination pair by pair on the live models, and its

@@ -25,6 +25,7 @@ class TestConstruction:
             {"alphabet_size": 2, "max_depth": 0},
             {"alphabet_size": 2, "significance_threshold": 0},
             {"alphabet_size": 2, "max_nodes": 0},
+            {"alphabet_size": 2, "prune_strategy": "bogus"},
             {"alphabet_size": 2, "p_min": 0.9},  # 2 * 0.9 >= 1
             {"alphabet_size": 2, "p_min": -0.1},
         ],
@@ -32,6 +33,18 @@ class TestConstruction:
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
             ProbabilisticSuffixTree(**kwargs)
+
+    def test_unknown_prune_strategy_rejected_before_any_insert(self):
+        # Checked at construction, not when the budget first triggers a
+        # prune (by then the insert has already changed the tree).
+        with pytest.raises(ValueError, match="prune strategy"):
+            ProbabilisticSuffixTree(3, 3, 1, max_nodes=5, prune_strategy="bogus")
+
+    def test_from_dict_rejects_unknown_prune_strategy(self):
+        data = ProbabilisticSuffixTree(alphabet_size=2).to_dict()
+        data["prune_strategy"] = "bogus"
+        with pytest.raises(ValueError, match="prune strategy"):
+            ProbabilisticSuffixTree.from_dict(data)
 
     def test_empty_tree(self):
         pst = ProbabilisticSuffixTree(alphabet_size=3)
