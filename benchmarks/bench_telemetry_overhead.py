@@ -34,7 +34,6 @@ from repro.core.backends import PstBatchScorer, flatten_pst
 from repro.core.backends.vectorized import (
     gather_ratios_matrix,
     kadane_columns,
-    matrix_from_batch,
     pad_sequences,
     prepare_stack,
     walk_states_matrix,
@@ -84,22 +83,17 @@ def make_bare_runner(scorer, psts, sequences, log_bg):
     pre-instrumentation hot path:
     pad once (checking the ids), step the prediction-node automaton
     over the full-matrix state cube, gather ratios, one batched Kadane
-    scan over the column layout, reshape. The prepared stack is hoisted
-    like the scorer's cache is.
+    scan over the cube. The prepared stack is hoisted like the scorer's
+    cache is.
     """
     prep = prepare_stack([flatten_pst(pst) for pst in psts], log_bg)
-    trees = len(psts)
     alphabet = psts[0].alphabet_size
 
     def bare() -> None:
         symbols, lengths = pad_sequences(sequences, alphabet)
-        width, batch = symbols.shape
         states = walk_states_matrix(prep, symbols)
         ratios = gather_ratios_matrix(prep, symbols, states)
-        flat = kadane_columns(
-            ratios.reshape(width, trees * batch), np.tile(lengths, trees)
-        )
-        matrix_from_batch(flat, trees, batch)
+        kadane_columns(ratios, lengths)
 
     return bare
 

@@ -2,16 +2,15 @@
 
 See docs/PERFORMANCE.md for the architecture. ``repro.core.similarity``
 is the normative transcription of the paper; the kernel here
-reproduces it bit-for-bit from flattened PST arrays, batched over many
-(sequence, tree) pairs, in one process. It is an accelerator with two
-callers, serve classify and the shard plan export; nothing else in
-``repro.core`` imports it (CLQ001).
+reproduces it bit-for-bit from each tree's prediction-node automaton
+and log-probability table, batched over many (sequence, tree) pairs,
+in one process. It is a serving accelerator: only ``repro.serve``
+imports it (CLQ001).
 """
 
 from .dispatch import PstBatchScorer
 from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
-    KadaneBatchResult,
     PreparedStack,
     ScoreMatrixResult,
     kadane_columns,
@@ -22,7 +21,6 @@ from .vectorized import (
 
 __all__ = [
     "FlattenedPST",
-    "KadaneBatchResult",
     "PreparedStack",
     "PstBatchScorer",
     "ScoreMatrixResult",

@@ -10,19 +10,19 @@ two. The kernel steps the prediction-node automaton that the DP
 steps, so it scores *closed* trees only (``count(w) ≥ count(w·a)``,
 see :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`) and
 raises ``ValueError`` on any other, such as a pruned tree. The kernel
-has exactly two callers, both outside ``repro.core`` (see README
-"Scoring paths"): serve classify, which keeps a tree on the kernel
-only while it is closed and unchanged since the model was loaded
-(once an ingest writes it, re-flattening it for every read costs more
-than the DP, so it is scored pair by pair from then on), and the shard
-consolidation's plan export, which calls
-:func:`~repro.core.backends.flatten.flatten_pst` directly. The fit,
-the stream and ``predict`` score with the DP.
+has one caller, serve classify (see README "Scoring paths"), which
+keeps a tree on the kernel only while it is closed and unchanged since
+the model was loaded (once an ingest writes it, re-flattening it for
+every read costs more than the DP, so it is scored pair by pair from
+then on); CLQ001 keeps every other package off it. The fit, the
+stream, the shard consolidation and ``predict`` score with the DP or
+read the trees directly.
 
 :class:`PstBatchScorer` is the kernel's working interface: it owns the
-background log vector, caches the flattened export of each tree in its
-current stack together with the *prepared* stacked table set
-(automaton + log-ratio table, see
+background log vector, caches the flattened export (automaton +
+log-probability table, see
+:class:`~repro.core.backends.flatten.FlattenedPST`) of each tree in its
+current stack together with the *prepared* stacked table set (see
 :class:`~repro.core.backends.vectorized.PreparedStack`) for repeated
 calls against the same tree group, and emits counters/timers through
 the active metrics registry.
@@ -38,13 +38,12 @@ import numpy.typing as npt
 
 from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
-from .flatten import FlattenedPST, flatten_pst
+from ..similarity import log_background
+from .flatten import FlattenedPST, flatten_pst, require_closed
 from .vectorized import (
     PreparedStack,
     ScoreMatrixResult,
     kadane_columns,
-    log_background,
-    matrix_from_batch,
     pad_sequences,
     prepare_stack,
     gather_ratios_matrix,
@@ -92,7 +91,9 @@ class PstBatchScorer:
 
     def __init__(self, background: npt.NDArray[np.float64]) -> None:
         self._background = np.asarray(background, dtype=np.float64)
-        self._log_bg = log_background(self._background)
+        self._log_bg = np.asarray(
+            log_background(self._background), dtype=np.float64
+        )
         # Stack cache: the trees are held by strong reference and
         # revalidated by identity + version, never by id() alone — an
         # id can be reused by a new tree once the old one is collected.
@@ -106,19 +107,15 @@ class PstBatchScorer:
         return self._log_bg
 
     def _check_trees(self, psts: Sequence[ProbabilisticSuffixTree]) -> None:
-        """Reject a call the kernel cannot answer exactly; touches no cache."""
+        """Reject a call the kernel cannot answer exactly, before any
+        tree is flattened; touches no cache."""
         for pst in psts:
             if self._background.shape != (pst.alphabet_size,):
                 raise ValueError(
                     f"background must have length {pst.alphabet_size}, "
                     f"got shape {self._background.shape}"
                 )
-            if not pst.transitions()[1]:
-                raise ValueError(
-                    "the batch kernel scores closed trees only (see "
-                    "ProbabilisticSuffixTree.transitions); score this "
-                    "tree with similarity()"
-                )
+            require_closed(pst)
 
     def _stack_for(
         self, psts: Sequence[ProbabilisticSuffixTree]
@@ -162,21 +159,16 @@ class PstBatchScorer:
         they are only recorded when a registry is active.
         """
         started = time.perf_counter()
-        trees = int(prep.roots.shape[0])
-        width, batch = symbols.shape
         states = walk_states_matrix(prep, symbols)
         walked_at = time.perf_counter()
         ratios = gather_ratios_matrix(prep, symbols, states)
         gathered_at = time.perf_counter()
-        flat = kadane_columns(
-            ratios.reshape(width, trees * batch), np.tile(lengths, trees)
-        )
+        matrix = kadane_columns(ratios, lengths)
         scanned_at = time.perf_counter()
-        matrix = matrix_from_batch(flat, trees, batch)
         registry = get_registry()
         if registry.enabled:
             registry.counter("backend.batch_calls").inc()
-            registry.counter("backend.batch_rows").inc(trees * batch)
+            registry.counter("backend.batch_rows").inc(matrix.log_z.size)
             registry.timer("backend.score_seconds").record(
                 time.perf_counter() - started
             )

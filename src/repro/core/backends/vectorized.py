@@ -9,9 +9,9 @@ stages, each bit-identical to the reference implementation in
    tree (see :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`)
    the node of position ``i + 1`` is a function of the node at ``i``
    and ``s_i``: the reference DP steps that automaton through a lazily
-   filled table, the kernel through a dense one built with the stack
-   (:func:`prepare_stack`). One integer gather per position, so exact
-   trivially.
+   filled table, the kernel through the dense one each flat carries,
+   rebased into one stack (:func:`prepare_stack`). One integer gather
+   per position, so exact trivially.
 2. **Ratio gather** (:func:`gather_ratios_matrix`) — per-position
    ``log X_i = log P_S(s_i|ctx) − log p(s_i)`` read from a precomputed
    ratio table. The log-probabilities are ``math.log``-exact (see
@@ -29,29 +29,14 @@ runs all three stages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from ..similarity import _LOG_ZERO, SimilarityResult, _safe_exp
+from ..similarity import SimilarityResult, _safe_exp
 from .flatten import FlattenedPST
-
-
-def log_background(
-    background: npt.NDArray[np.float64],
-) -> npt.NDArray[np.float64]:
-    """Background log vector ``log P^r`` (§2's ratio denominator).
-
-    ``math.log`` per entry (not ``np.log`` — one-ulp differences would
-    break bit-parity with the reference), ``_LOG_ZERO`` for zero mass.
-    """
-    values = [
-        math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()
-    ]
-    return np.asarray(values, dtype=np.float64)
 
 
 def pad_sequences(
@@ -91,34 +76,6 @@ def pad_sequences(
     return symbols, lengths
 
 
-def _automaton(flat: FlattenedPST) -> npt.NDArray[np.intp]:
-    """The prediction-node automaton ``δ[row, a]`` of one closed flat.
-
-    ``δ[r, a]`` is the row of the longest walkable suffix of
-    ``label(r)·a``. Every suffix of ``x·w·a`` but itself is a suffix
-    of ``w·a``, and on a closed tree ``x·w·a`` is walkable exactly when
-    ``w·a`` is and ``w·a`` has a significant child ``x``. So for a row
-    ``r = x·w`` (suffix link ``w``, edge symbol ``x``), with
-    ``d = δ[w, a]``: ``δ[r, a]`` is child ``x`` of ``d`` when
-    ``depth(d) = depth(w) + 1`` and that child exists, else ``d``.
-    Rows are in breadth-first order, so each depth is one contiguous
-    block computed from the one above it.
-    """
-    transitions = flat.transitions.astype(np.intp)
-    depths = flat.depths
-    delta = np.empty_like(transitions)
-    delta[0] = np.where(transitions[0] >= 0, transitions[0], 0)
-    edge = np.empty(flat.node_count, dtype=np.intp)
-    edge[flat.child_rows] = flat.child_symbols
-    starts = np.flatnonzero(np.diff(depths)) + 1
-    for lo, hi in zip(starts, [*starts[1:], flat.node_count]):
-        prefix = delta[flat.suffix_links[lo:hi]]
-        child = transitions[prefix, edge[lo:hi, None]]
-        deeper = (depths[prefix] == depths[lo]) & (child >= 0)
-        delta[lo:hi] = np.where(deeper, child, prefix)
-    return delta
-
-
 @dataclass(frozen=True)
 class PreparedStack:
     """Several flats' tables stacked row-wise for one batch call.
@@ -130,7 +87,7 @@ class PreparedStack:
 
     roots: npt.NDArray[np.intp]
     #: ``automaton[r, a]``: the prediction node after row ``r``'s
-    #: context followed by symbol ``a`` (see :func:`_automaton`).
+    #: context followed by symbol ``a`` (each flat's, rebased).
     automaton: npt.NDArray[np.intp]
     #: ``log_probs − log_bg`` per (node, symbol) — the same single IEEE
     #: subtraction the per-position gather performs, hoisted out of the
@@ -142,19 +99,17 @@ def prepare_stack(
     flats: Sequence[FlattenedPST], log_bg: npt.NDArray[np.float64]
 ) -> PreparedStack:
     """Stack *flats* into one automaton and ratio table for the §4.2
-    (trees × sequences) matrix; every flat must come from a closed tree.
+    (trees × sequences) matrix: each flat's rows are rebased, then
+    concatenated.
 
     The ratio table pre-subtracts the §4.3 background log so the
     per-position gather is one table read.
     """
     if not flats:
         raise ValueError("need at least one flattened tree to stack")
-    for flat in flats:
-        if flat.alphabet_size != flats[0].alphabet_size:
-            raise ValueError("all stacked trees must share one alphabet")
     roots = np.cumsum([0] + [flat.node_count for flat in flats[:-1]], dtype=np.intp)
     automaton = np.concatenate(
-        [_automaton(flat) + root for flat, root in zip(flats, roots.tolist())]
+        [flat.automaton + root for flat, root in zip(flats, roots.tolist())]
     )
     log_probs = np.concatenate([flat.log_probs for flat in flats])
     ratio_table: npt.NDArray[np.float64] = log_probs - log_bg[None, :]
@@ -207,22 +162,43 @@ def gather_ratios_matrix(
 
 
 @dataclass(frozen=True)
-class KadaneBatchResult:
-    """Per-row outcome of the batched X/Y/Z scan."""
+class ScoreMatrixResult:
+    """The §4.2 re-examination matrix in array form.
+
+    Axis 0 is the tree (cluster), axis 1 the sequence column
+    (:func:`kadane_columns` of a bare ``(width, rows)`` block gives one
+    axis, the row). Callers read ``log_z`` directly for the join test
+    and materialize a :class:`SimilarityResult` only for the pairs they
+    report — the matrix is the wire format, objects are built on
+    demand.
+    """
 
     log_z: npt.NDArray[np.float64]
     best_start: npt.NDArray[np.int64]
     best_end: npt.NDArray[np.int64]
     whole: npt.NDArray[np.float64]
 
+    def result(self, tree: int, column: int) -> SimilarityResult:
+        """Materialize one pair's :class:`SimilarityResult`."""
+        log_z = float(self.log_z[tree, column])
+        return SimilarityResult(
+            similarity=_safe_exp(log_z),
+            log_similarity=log_z,
+            best_start=int(self.best_start[tree, column]),
+            best_end=int(self.best_end[tree, column]),
+            whole_sequence_log=float(self.whole[tree, column]),
+        )
+
 
 def kadane_columns(
     columns: npt.NDArray[np.float64], lengths: npt.NDArray[np.int32]
-) -> KadaneBatchResult:
+) -> ScoreMatrixResult:
     """The §4.3 X/Y/Z scan over every column of *columns*.
 
-    *columns* is ``(width, rows)`` with position leading — the layout
-    the matrix kernel's gather emits natively. Per row, the scan
+    *columns* is ``(width, *shape)`` with position leading — the
+    ``(width, trees, sequences)`` cube the matrix kernel's gather emits
+    natively, or a ``(width, rows)`` block — and *lengths* broadcasts
+    to ``shape``; every field of the result has ``shape``. Per row, the scan
     executes the identical float64 operation sequence as
     ``similarity()`` for the Y recurrence — update rule
     ``Y ← Y·X if log Y + log X ≥ log X else X`` (ties extend) — and
@@ -230,7 +206,10 @@ def kadane_columns(
     first-occurrence argmax over the recorded Y trajectory, so results
     are bit-identical to the reference.
     """
-    width, batch = columns.shape
+    width, shape = columns.shape[0], columns.shape[1:]
+    columns = columns.reshape(width, -1)
+    lengths = np.broadcast_to(lengths, shape).reshape(-1)
+    batch = columns.shape[1]
     if int(lengths.min()) == width:
         # Equal-lengths fast path: no padded entries exist, so the pad
         # mask is all-False — the whole-sequence view is the columns
@@ -296,43 +275,9 @@ def kadane_columns(
     else:
         best_start = np.zeros(batch, dtype=np.int64)
     best_end = best_i + 1
-    return KadaneBatchResult(log_z, best_start, best_end, whole)
-
-
-@dataclass(frozen=True)
-class ScoreMatrixResult:
-    """The §4.2 re-examination matrix in array form.
-
-    Axis 0 is the tree (cluster), axis 1 the sequence column. The
-    driving loops read ``log_z`` directly for the join test and
-    materialize a :class:`SimilarityResult` only for pairs that join —
-    the matrix is the wire format, objects are built on demand.
-    """
-
-    log_z: npt.NDArray[np.float64]
-    best_start: npt.NDArray[np.int64]
-    best_end: npt.NDArray[np.int64]
-    whole: npt.NDArray[np.float64]
-
-    def result(self, tree: int, column: int) -> SimilarityResult:
-        """Materialize one pair's :class:`SimilarityResult`."""
-        log_z = float(self.log_z[tree, column])
-        return SimilarityResult(
-            similarity=_safe_exp(log_z),
-            log_similarity=log_z,
-            best_start=int(self.best_start[tree, column]),
-            best_end=int(self.best_end[tree, column]),
-            whole_sequence_log=float(self.whole[tree, column]),
-        )
-
-
-def matrix_from_batch(
-    batch: KadaneBatchResult, trees: int, columns: int
-) -> ScoreMatrixResult:
-    """Reshape a flat tree-major Kadane batch into §4.2 matrix form."""
     return ScoreMatrixResult(
-        log_z=batch.log_z.reshape(trees, columns),
-        best_start=batch.best_start.reshape(trees, columns),
-        best_end=batch.best_end.reshape(trees, columns),
-        whole=batch.whole.reshape(trees, columns),
+        log_z=log_z.reshape(shape),
+        best_start=best_start.reshape(shape),
+        best_end=best_end.reshape(shape),
+        whole=whole.reshape(shape),
     )

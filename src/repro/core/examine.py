@@ -26,9 +26,10 @@ examination order all equal those of its previous pass, the pass is a
 function of them alone, so its recorded scores *are* the live ones and
 :func:`join_all` records the memberships without absorbing (see
 ``CLUSEQ._recluster_vectorized``). Everything in ``repro.core`` scores
-with the reference DP. The batch kernel runs only outside it: in serve
+with the reference DP. The batch kernel runs only outside it, in serve
 classify, over the trees no ``/v1/stream/ingest`` has written since
-the model was loaded, and in the shard plan export.
+the model was loaded; the shard consolidation compares the PSTs
+themselves.
 """
 
 from __future__ import annotations

@@ -549,6 +549,25 @@ class ProbabilisticSuffixTree:
             for symbol, child in node.children.items():
                 stack.append(((symbol,) + label, child))
 
+    def walkable_nodes(self) -> Iterator[tuple[tuple[int, ...], PSTNode]]:
+        """Breadth-first ``(label, node)`` pairs over significant children.
+
+        These are the nodes :meth:`prediction_node` can return: the root
+        and every node reached from it through children with count ≥
+        the significance threshold. Parents come before their children,
+        and siblings in ``children`` order.
+        """
+        threshold = self.significance_threshold
+        level: list[tuple[tuple[int, ...], PSTNode]] = [((), self.root)]
+        while level:
+            yield from level
+            level = [
+                ((symbol,) + label, child)
+                for label, node in level
+                for symbol, child in node.children.items()
+                if child.count >= threshold
+            ]
+
     @property
     def node_count(self) -> int:
         """Total number of nodes, root included."""

@@ -86,6 +86,15 @@ def _safe_exp(log_value: float) -> float:
     return math.exp(log_value)
 
 
+def log_background(background: npt.NDArray[np.float64]) -> list[float]:
+    """``log p(s)`` per symbol id: the §4.3 ratio's denominator.
+
+    ``math.log`` per entry, not ``np.log``, whose one-ulp differences
+    would flip near-tie segment bounds; ``_LOG_ZERO`` for zero mass.
+    """
+    return [math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()]
+
+
 def _log_background(
     pst: ProbabilisticSuffixTree,
     encoded: Sequence[int],
@@ -111,7 +120,7 @@ def _log_background(
             f"symbol id {low if low < 0 else high} out of range "
             f"(alphabet size {n})"
         )
-    return [math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()]
+    return log_background(background)
 
 
 def _scan(

@@ -65,6 +65,8 @@ def load_model_payload(path: str) -> tuple[ClusteringResult, Alphabet, str]:
     a ``repro.stream/v1`` checkpoint file (``kind="checkpoint"``), or a
     stream state directory containing ``checkpoint.json``. The alphabet
     must be embedded — a server cannot encode requests without one.
+    Every failure, a tagged payload that does not decode included, is a
+    :class:`ModelLoadError` naming the file.
     """
     target = path
     if os.path.isdir(target):
@@ -74,7 +76,7 @@ def load_model_payload(path: str) -> tuple[ClusteringResult, Alphabet, str]:
     with open(target, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ModelLoadError(f"{target}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelLoadError(f"{target}: model source must be a JSON object")
@@ -94,14 +96,18 @@ def load_model_payload(path: str) -> tuple[ClusteringResult, Alphabet, str]:
             f"{target}: neither a persistence snapshot nor a "
             f"{STREAM_FORMAT} checkpoint"
         )
-    result = result_from_dict(result_payload)
     symbols = result_payload.get("alphabet")
     if not symbols:
         raise ModelLoadError(
             f"{target}: model does not embed an alphabet; a server "
             "cannot encode request sequences without one"
         )
-    return result, Alphabet(symbols), kind
+    try:
+        return result_from_dict(result_payload), Alphabet(symbols), kind
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelLoadError(
+            f"{target}: cannot decode the model: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @dataclass

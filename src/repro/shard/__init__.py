@@ -4,7 +4,7 @@
 in-memory :class:`~repro.stream.engine.StreamingCluseq` shards in one
 process, with content-hash routing and a periodic cross-shard
 consolidation pass that merges heavily-overlapping clusters via a
-context-tree distance over flat PST exports. Durable runs use a single
+context-tree distance between their PSTs. Durable runs use a single
 ``StreamingCluseq(state_dir=...)``. See ``docs/SHARDING.md`` for the
 architecture and the determinism contract.
 
@@ -14,7 +14,7 @@ Layering: ``repro.shard`` may import :mod:`repro.stream`,
 (enforced by checker rule CLQ001).
 """
 
-from .dissimilarity import context_tree_distance, flat_labels, predict_row
+from .dissimilarity import context_tree_distance
 from .engine import (
     RUNNERS,
     LocalShard,
@@ -36,9 +36,7 @@ __all__ = [
     "ShardedStreamingCluseq",
     "apply_plan",
     "context_tree_distance",
-    "flat_labels",
     "fnv1a",
     "plan_merges",
-    "predict_row",
     "route",
 ]

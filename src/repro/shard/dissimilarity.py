@@ -1,4 +1,4 @@
-"""Inter-PST context-tree dissimilarity over flat exports.
+"""Inter-PST context-tree dissimilarity.
 
 The cross-shard merge criterion generalizes the paper's §4.5 overlap
 test — which needs the member sequences of both clusters — to a pair
@@ -14,89 +14,86 @@ The distance computed here is::
     D(S, T) = (1 / |U|) * sum over u in U of
               || P_S(. | u) - P_T(. | u) ||_1
 
-where ``U`` is the union of the significant context labels exported by
-the two trees' :class:`~repro.core.backends.flatten.FlattenedPST`
-tables, and ``P_X(. | u)`` is tree X's smoothed next-symbol
-distribution at the deepest exported suffix of ``u`` (the same
-longest-suffix prediction walk the scoring kernels use). ``D`` is
+where ``U`` is the union of the two trees' walkable context labels
+(:meth:`~repro.core.pst.ProbabilisticSuffixTree.walkable_nodes`), and
+``P_X(. | u)`` is tree X's smoothed next-symbol distribution at its
+prediction node for ``u`` (the deepest walkable suffix of ``u``, the
+same longest-suffix walk the scorers use). Each row is read as
+``exp(log p)`` with the scorers' ``math.log`` convention, so the
+distance rounds exactly as it did on the kernel's log tables. ``D`` is
 symmetric, ``D(S, S) = 0``, and ``D`` is bounded by 2 (two
 distributions can differ by at most total variation 1 = L1 2).
 
-Everything here is a pure deterministic function of the two flat
-exports — no RNG, no engine state — so the cross-shard consolidation
-pass that uses it is bit-identical across repeated runs.
+Everything here is a pure deterministic function of the two trees —
+no RNG, no engine state — so the cross-shard consolidation pass that
+uses it is bit-identical across repeated runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
-from ..core.backends.flatten import FlattenedPST
+from ..core.pst import ProbabilisticSuffixTree, PSTNode
+from ..core.similarity import _LOG_ZERO
 
-__all__ = [
-    "context_tree_distance",
-    "flat_labels",
-    "predict_row",
-]
+__all__ = ["ContextProfile", "context_tree_distance"]
 
 
-def flat_labels(flat: FlattenedPST) -> list[tuple[int, ...]]:
-    """The context label of every exported row, index-aligned.
+@dataclass(frozen=True)
+class ContextProfile:
+    """One tree's side of :func:`context_tree_distance`, built once.
 
-    Rows are BFS-ordered parents-before-children, so one forward pass
-    over the CSR child tables reconstructs every label: a child's
-    label is its edge symbol prepended to its parent's label.
+    A consolidation round builds one profile per cluster and scores
+    every cross-shard pair from them; the tree must not change while
+    its profile is in use.
     """
-    labels: list[tuple[int, ...]] = [()] * flat.node_count
-    offsets = flat.child_offsets
-    symbols = flat.child_symbols
-    rows = flat.child_rows
-    for row in range(flat.node_count):
-        label = labels[row]
-        for k in range(int(offsets[row]), int(offsets[row + 1])):
-            labels[int(rows[k])] = (int(symbols[k]),) + label
-    return labels
+
+    pst: ProbabilisticSuffixTree
+    #: The walkable context labels, root ``()`` included.
+    labels: frozenset[tuple[int, ...]]
+    #: ``exp(log p)`` per walkable node: its next-symbol distribution.
+    rows: dict[PSTNode, npt.NDArray[np.float64]]
+
+    @classmethod
+    def of(cls, pst: ProbabilisticSuffixTree) -> "ContextProfile":
+        labels: list[tuple[int, ...]] = []
+        rows: dict[PSTNode, npt.NDArray[np.float64]] = {}
+        for label, node in pst.walkable_nodes():
+            labels.append(label)
+            logs = [
+                math.log(p) if p > 0.0 else _LOG_ZERO
+                for p in pst.node_probability_vector(node).tolist()
+            ]
+            rows[node] = np.exp(np.asarray(logs, dtype=np.float64))
+        return cls(pst, frozenset(labels), rows)
+
+    def distance(self, other: "ContextProfile") -> float:
+        """:func:`context_tree_distance` of the two profiled trees."""
+        if self.pst.alphabet_size != other.pst.alphabet_size:
+            raise ValueError(
+                f"alphabet size mismatch: {self.pst.alphabet_size} != "
+                f"{other.pst.alphabet_size}"
+            )
+        labels = sorted(self.labels | other.labels)
+        total = 0.0
+        for label in labels:
+            row = self.rows[self.pst.prediction_node(label)]
+            other_row = other.rows[other.pst.prediction_node(label)]
+            total += float(np.abs(row - other_row).sum())
+        # The union always contains at least the root label ().
+        return total / len(labels)
 
 
-def predict_row(flat: FlattenedPST, context: Sequence[int]) -> int:
-    """Row of the deepest exported suffix of *context* (root = 0).
-
-    Walks the dense transition table from the root, consuming
-    *context* right-to-left (the trie is built over reversed
-    sequences), and stops at the first missing child — the same
-    longest-significant-suffix rule the scoring kernels apply.
-    """
-    row = 0
-    transitions = flat.transitions
-    start = max(0, len(context) - flat.max_depth)
-    for i in range(len(context) - 1, start - 1, -1):
-        nxt = int(transitions[row, context[i]])
-        if nxt < 0:
-            break
-        row = nxt
-    return row
-
-
-def context_tree_distance(a: FlattenedPST, b: FlattenedPST) -> float:
+def context_tree_distance(
+    a: ProbabilisticSuffixTree, b: ProbabilisticSuffixTree
+) -> float:
     """Mean L1 distance between the trees' next-symbol distributions.
 
-    Averaged over the union of both trees' exported context labels;
+    Averaged over the union of both trees' walkable context labels;
     see the module docstring for the formula and its paper anchor.
     """
-    if a.alphabet_size != b.alphabet_size:
-        raise ValueError(
-            f"alphabet size mismatch: {a.alphabet_size} != {b.alphabet_size}"
-        )
-    labels = sorted(set(flat_labels(a)) | set(flat_labels(b)))
-    probs_a = np.exp(a.log_probs)
-    probs_b = np.exp(b.log_probs)
-    total = 0.0
-    for label in labels:
-        row_a = predict_row(a, label)
-        row_b = predict_row(b, label)
-        total += float(np.abs(probs_a[row_a] - probs_b[row_b]).sum())
-    # The union always contains at least the root label ().
-    return total / len(labels)
-
+    return ContextProfile.of(a).distance(ContextProfile.of(b))

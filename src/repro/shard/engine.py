@@ -26,7 +26,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.backends.flatten import flatten_pst
 from ..core.cluster import Cluster
 from ..core.consolidation import drop_dismissed
 from ..core.pst import ProbabilisticSuffixTree
@@ -181,7 +180,7 @@ class LocalShard:
                 shard=shard,
                 cluster_id=cluster.cluster_id,
                 weight=cluster.pst.total_symbols,
-                flat=flatten_pst(cluster.pst),
+                pst=cluster.pst,
             )
             for cluster in self.engine.result.clusters
         ]

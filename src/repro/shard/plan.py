@@ -2,14 +2,16 @@
 
 A consolidation round looks at every *cross-shard* pair of cluster
 exports, scores it with
-:func:`~repro.shard.dissimilarity.context_tree_distance`, and greedily
+:func:`~repro.shard.dissimilarity.context_tree_distance` (from one
+:class:`~repro.shard.dissimilarity.ContextProfile` per export, built
+once per round), and greedily
 merges pairs below the configured threshold — closest pair first, each
 cluster consumed at most once as a merge *source*. The keeper of a
 pair is the model with more observed mass (``total_symbols``), ties
 broken toward the lower ``(shard, cluster_id)``, so the plan is a pure
 deterministic function of the exports.
 
-Clusters whose flat export contains only the root row carry no
+Clusters whose tree has no walkable node but the root carry no
 significant context structure yet; they are excluded from pairing
 (two near-empty models look identical under any model distance, and
 merging them would be noise, not signal).
@@ -20,21 +22,25 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..core.backends.flatten import FlattenedPST
-from .dissimilarity import context_tree_distance
+from ..core.pst import ProbabilisticSuffixTree
+from .dissimilarity import ContextProfile
 
 __all__ = ["ClusterExport", "MergeOp", "plan_merges"]
 
 
 @dataclass(frozen=True)
 class ClusterExport:
-    """One shard-local cluster as seen by the consolidation pass."""
+    """One shard-local cluster as seen by the consolidation pass.
+
+    The tree is the live cluster model: the pass reads it and changes
+    nothing until the whole plan has been scored.
+    """
 
     shard: int
     cluster_id: int
     #: The PST's total observed symbol mass — the keeper rule's weight.
     weight: int
-    flat: FlattenedPST
+    pst: ProbabilisticSuffixTree
 
 
 @dataclass(frozen=True)
@@ -58,20 +64,22 @@ def plan_merges(
     the number of cross-shard pairs that were distance-scored (the
     ``shard.pairs_scored`` metric).
     """
-    candidates: list[ClusterExport] = [
-        export
+    profiled = [
+        (export, ContextProfile.of(export.pst))
         for shard_exports in exports
         for export in shard_exports
-        if export.flat.node_count > 1
+    ]
+    candidates = [
+        (export, profile) for export, profile in profiled if len(profile.labels) > 1
     ]
     scored: list[tuple[float, ClusterExport, ClusterExport]] = []
     pairs = 0
-    for i, a in enumerate(candidates):
-        for b in candidates[i + 1 :]:
+    for i, (a, profile_a) in enumerate(candidates):
+        for b, profile_b in candidates[i + 1 :]:
             if a.shard == b.shard:
                 continue
             pairs += 1
-            distance = context_tree_distance(a.flat, b.flat)
+            distance = profile_a.distance(profile_b)
             if distance <= threshold:
                 scored.append((distance, a, b))
     scored.sort(

@@ -79,3 +79,20 @@ def serve_model_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("serve") / "model.json"
     save_result(result, str(path), alphabet=db.alphabet)
     return str(path)
+
+
+#: Decoding faults in a correctly tagged model payload, by test id:
+#: each mutates a ``result_to_dict`` payload in place.
+MODEL_FAULTS = {
+    "missing-clusters": lambda payload: payload.pop("clusters"),
+    "bad-prune-strategy": lambda payload: payload["clusters"][0]["pst"].update(
+        prune_strategy="bogus"
+    ),
+    "bad-root": lambda payload: payload["clusters"][0]["pst"].update(root=5),
+}
+
+
+@pytest.fixture(params=sorted(MODEL_FAULTS))
+def model_fault(request):
+    """One of :data:`MODEL_FAULTS`, parametrized by its id."""
+    return MODEL_FAULTS[request.param]

@@ -11,7 +11,7 @@ has never observed).
 
 The contract under test is stronger than the usual "within 1e-9": the
 vectorized backend is designed to be *bit-identical* to the reference
-(see src/repro/core/backends/flatten.py), so the assertions demand
+(see the ``repro.core.backends.flatten`` module docstring), so the assertions demand
 exact float equality for scores and exact integer equality for segment
 bounds, and separately document the 1e-9 bound the public contract
 promises.
@@ -30,9 +30,9 @@ from repro.core.backends import (
     prepare_stack,
     walk_states_matrix,
 )
-from repro.core.backends.vectorized import log_background
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
+    log_background,
     similarity,
     similarity_bruteforce,
 )
@@ -190,42 +190,27 @@ class TestSuffixSelection:
     def test_walk_states_selects_longest_significant_suffix(self, scenarios):
         """The batched walk lands on the reference's prediction node.
 
-        Checked structurally: at every position the flat row's depth
-        must equal the length of ``longest_significant_suffix`` of the
-        position's context, and the row's label (recovered through the
-        suffix links) must be that suffix.
+        Checked structurally: at every position the flat row's label
+        (rows are ``walkable_nodes()`` in order) must have the length
+        of ``longest_significant_suffix`` of the position's context,
+        and must be that suffix.
         """
         for case, (pst, background, sequences) in enumerate(scenarios):
             flat = flatten_pst(pst)
-            prep = prepare_stack([flat], log_background(background))
+            labels = [label for label, _ in pst.walkable_nodes()]
+            assert len(labels) == flat.node_count
+            prep = prepare_stack([flat], np.asarray(log_background(background)))
             symbols, _ = pad_sequences(sequences, pst.alphabet_size)
             # (width, trees, sequences): position leads, one tree here.
             states = walk_states_matrix(prep, symbols)
             for row, seq in enumerate(sequences):
                 for i in range(len(seq)):
                     suffix = pst.longest_significant_suffix(seq[:i])
-                    state = int(states[i, 0, row])
-                    assert int(flat.depths[state]) == len(suffix), (
+                    label = labels[int(states[i, 0, row])]
+                    assert len(label) == len(suffix), (
                         f"case {case} row {row} pos {i}"
                     )
-                    # Recover the row's label by walking suffix links up
-                    # to the root; each step strips the oldest symbol,
-                    # so the label accumulates newest-first.
-                    label = []
-                    node = state
-                    while node != 0:
-                        parent = int(flat.suffix_links[node])
-                        start = int(flat.child_offsets[parent])
-                        stop = int(flat.child_offsets[parent + 1])
-                        edge = [
-                            int(flat.child_symbols[k])
-                            for k in range(start, stop)
-                            if int(flat.child_rows[k]) == node
-                        ]
-                        assert len(edge) == 1
-                        label.append(edge[0])
-                        node = parent
-                    assert tuple(label) == tuple(suffix), (
+                    assert label == tuple(suffix), (
                         f"case {case} row {row} pos {i}"
                     )
 
@@ -306,6 +291,10 @@ class TestEdgeCases:
             (unclosed, np.full(2, 0.5)),
         ):
             assert not tree.transitions()[1]
+            # No export of a tree that is not closed: its automaton
+            # would be wrong.
+            with pytest.raises(ValueError, match="closed trees only"):
+                flatten_pst(tree)
             scorer = PstBatchScorer(background)
             registry = MetricsRegistry()
             with use_registry(registry):

@@ -272,6 +272,24 @@ class TestImportLayering:
         )
         assert rule_ids(violations) == ["CLQ001"]
 
+    def test_shard_importing_backends_fires(self, tmp_path):
+        violations = check_source(
+            tmp_path,
+            "src/repro/shard/bad.py",
+            "from ..core.backends.flatten import flatten_pst\n",
+            "CLQ001",
+        )
+        assert rule_ids(violations) == ["CLQ001"]
+
+    def test_cli_importing_backends_fires(self, tmp_path):
+        violations = check_source(
+            tmp_path,
+            "src/repro/cli.py",
+            "from .core.backends import PstBatchScorer\n",
+            "CLQ001",
+        )
+        assert rule_ids(violations) == ["CLQ001"]
+
     def test_core_importing_serve_fires(self, tmp_path):
         violations = check_source(
             tmp_path,
@@ -392,7 +410,7 @@ class TestImportLayering:
             tmp_path,
             "src/repro/shard/good.py",
             "from ..stream.engine import StreamingCluseq\n"
-            "from ..core.backends.flatten import FlattenedPST\n"
+            "from ..core.pst import ProbabilisticSuffixTree\n"
             "from ..sequences.alphabet import Alphabet\n"
             "from ..obs import get_registry\n"
             "from ..typing import PSTFactory\n"

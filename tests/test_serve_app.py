@@ -8,6 +8,7 @@ response.
 
 import asyncio
 import json
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +337,32 @@ class TestOtherEndpoints:
         assert bad_source.status == 422
         assert bad_body.status == 400
 
+    def test_reload_of_undecodable_model_is_422(
+        self, serve_model_path, tmp_path, model_fault
+    ):
+        payload = json.loads(Path(serve_model_path).read_text(encoding="utf-8"))
+        model_fault(payload)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+
+        async def scenario():
+            app = make_app(serve_model_path)
+            host, port = await app.start()
+            try:
+                return await http_call(
+                    host,
+                    port,
+                    "POST",
+                    "/admin/models/default/reload",
+                    {"path": str(broken)},
+                )
+            finally:
+                await app.close()
+
+        response = run(scenario())
+        assert response.status == 422
+        assert str(broken) in response.json()["error"]
+
     def test_reload_swaps_to_new_source(
         self, serve_model_path, query_strings, tmp_path
     ):
@@ -436,6 +463,22 @@ class TestCliParser:
         code = main(["serve", str(tmp_path / "missing.json"), "--port", "0"])
         assert code == 1
         assert "no model source" in capsys.readouterr().err
+
+    def test_cli_serve_rejects_undecodable_model(
+        self, serve_model_path, tmp_path, capsys, model_fault
+    ):
+        from repro.cli import main
+
+        payload = json.loads(Path(serve_model_path).read_text(encoding="utf-8"))
+        model_fault(payload)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        code = main(["serve", str(broken), "--port", "0"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert str(broken) in err[0]
 
 
 class TestShutdown:

@@ -89,11 +89,35 @@ class TestLoadModelPayload:
         with pytest.raises(ModelLoadError, match="not valid JSON"):
             load_model_payload(str(path))
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(ModelLoadError, match="not valid JSON"):
+            load_model_payload(str(path))
+
     def test_foreign_document(self, tmp_path):
         path = tmp_path / "foreign.json"
         path.write_text(json.dumps({"hello": "world"}))
         with pytest.raises(ModelLoadError, match="neither"):
             load_model_payload(str(path))
+
+    @pytest.mark.parametrize("kind", ["snapshot", "checkpoint"])
+    def test_undecodable_model_names_the_file(
+        self, serve_model_path, tmp_path, model_fault, kind
+    ):
+        if kind == "checkpoint":
+            path = make_checkpoint(serve_model_path, tmp_path / "state")
+            path = path / "checkpoint.json"
+            document = json.loads(path.read_text())
+            model_fault(document["result"])
+        else:
+            path = tmp_path / "broken.json"
+            document = json.loads(Path(serve_model_path).read_text())
+            model_fault(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelLoadError, match="cannot decode") as caught:
+            load_model_payload(str(path))
+        assert str(path) in str(caught.value)
 
     def test_snapshot_without_alphabet(self, serve_model_path, tmp_path):
         payload = json.loads(Path(serve_model_path).read_text())

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.core.backends.flatten import flatten_pst
 from repro.core.persistence import result_to_dict
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.shard import (
@@ -19,7 +18,6 @@ from repro.shard import (
     ShardConfig,
     apply_plan,
     context_tree_distance,
-    flat_labels,
     fnv1a,
     plan_merges,
     route,
@@ -79,61 +77,89 @@ class TestHashRouter:
         assert routes == {0, 1}
 
 
+def walkable_labels(pst):
+    return [label for label, _ in pst.walkable_nodes()]
+
+
 class TestContextTreeDistance:
     def test_identity_is_zero(self):
-        flat = flatten_pst(build_pst(REGIME_A))
-        assert context_tree_distance(flat, flat) == 0.0
+        pst = build_pst(REGIME_A)
+        assert context_tree_distance(pst, pst) == 0.0
 
     def test_symmetric_and_bounded(self):
-        flat_a = flatten_pst(build_pst(REGIME_A))
-        flat_b = flatten_pst(build_pst(REGIME_B))
-        d_ab = context_tree_distance(flat_a, flat_b)
-        d_ba = context_tree_distance(flat_b, flat_a)
+        pst_a = build_pst(REGIME_A)
+        pst_b = build_pst(REGIME_B)
+        d_ab = context_tree_distance(pst_a, pst_b)
+        d_ba = context_tree_distance(pst_b, pst_a)
         assert d_ab == pytest.approx(d_ba)
         assert 0.0 <= d_ab <= 2.0
 
     def test_separates_regimes(self):
         # Two models of the same regime (disjoint halves) must sit far
         # closer than models of different regimes.
-        half_a1 = flatten_pst(build_pst(REGIME_A[:6]))
-        half_a2 = flatten_pst(build_pst(REGIME_A[6:]))
-        flat_b = flatten_pst(build_pst(REGIME_B))
+        half_a1 = build_pst(REGIME_A[:6])
+        half_a2 = build_pst(REGIME_A[6:])
+        pst_b = build_pst(REGIME_B)
         within = context_tree_distance(half_a1, half_a2)
-        across = context_tree_distance(half_a1, flat_b)
+        across = context_tree_distance(half_a1, pst_b)
         assert within < across
 
-    def test_rejects_alphabet_mismatch(self):
-        flat_a = flatten_pst(build_pst(REGIME_A))
-        flat_other = flatten_pst(
-            build_pst(regime_sequences([0, 1]), alphabet_size=2)
-        )
-        with pytest.raises(ValueError, match="alphabet"):
-            context_tree_distance(flat_a, flat_other)
+    def test_pinned_values(self):
+        # Exact values, as computed when the distance read the batch
+        # kernel's flat exports: every row is exp(math.log p).
+        pst_a = build_pst(REGIME_A)
+        pst_b = build_pst(REGIME_B)
+        mixed = build_pst(REGIME_A[:6] + REGIME_B[:3])
+        deep = build_pst(REGIME_A + REGIME_B[:2], c=2)
+        assert context_tree_distance(pst_a, pst_b) == 2.0
+        assert context_tree_distance(pst_b, pst_a) == 2.0
+        assert context_tree_distance(
+            build_pst(REGIME_A[:6]), build_pst(REGIME_A[6:])
+        ) == 0.0
+        assert context_tree_distance(mixed, pst_a) == 0.980392156862745
+        assert context_tree_distance(pst_a, mixed) == 0.980392156862745
+        assert context_tree_distance(mixed, pst_b) == 1.038969819902883
+        assert context_tree_distance(deep, pst_a) == 0.9579831932773109
+        assert context_tree_distance(deep, mixed) == 0.04177094035106205
 
-    def test_flat_labels_enumerate_every_node(self):
-        flat = flatten_pst(build_pst(REGIME_A))
-        labels = flat_labels(flat)
-        assert len(labels) == flat.node_count
+    def test_rejects_alphabet_mismatch(self):
+        pst_a = build_pst(REGIME_A)
+        pst_other = build_pst(regime_sequences([0, 1]), alphabet_size=2)
+        with pytest.raises(ValueError, match="alphabet"):
+            context_tree_distance(pst_a, pst_other)
+
+    def test_walkable_labels_enumerate_every_node(self):
+        pst = build_pst(REGIME_A, c=2)
+        labels = walkable_labels(pst)
+        # Walkable: every suffix of the label is significant.
+        expected = {
+            label
+            for label, _ in pst.iter_nodes()
+            if all(pst.is_significant(label[k:]) for k in range(len(label)))
+        }
+        assert len(labels) == len(expected)
         assert labels[0] == ()  # root
-        assert len(set(labels)) == flat.node_count
+        assert len(set(labels)) == len(labels)
+        assert set(labels) == expected
+        assert [len(label) for label in labels] == sorted(map(len, labels))
 
 
 class TestPlanMerges:
     def exports_for(self, spec):
-        """spec: list of (shard, cluster_id, weight, flat) tuples."""
+        """spec: list of (shard, cluster_id, weight, pst) tuples."""
         by_shard = {}
-        for shard, cid, weight, flat in spec:
+        for shard, cid, weight, pst in spec:
             by_shard.setdefault(shard, []).append(
                 ClusterExport(shard=shard, cluster_id=cid, weight=weight,
-                              flat=flat)
+                              pst=pst)
             )
         shards = max(by_shard) + 1
         return [by_shard.get(i, []) for i in range(shards)]
 
     def test_identical_models_merge_into_the_heavier(self):
-        flat = flatten_pst(build_pst(REGIME_A))
+        pst = build_pst(REGIME_A)
         ops, pairs = plan_merges(
-            self.exports_for([(0, 0, 50, flat), (1, 3, 90, flat)]),
+            self.exports_for([(0, 0, 50, pst), (1, 3, 90, pst)]),
             threshold=0.25,
         )
         assert pairs == 1
@@ -144,51 +170,51 @@ class TestPlanMerges:
         assert op.distance == 0.0
 
     def test_weight_tie_keeps_lower_shard(self):
-        flat = flatten_pst(build_pst(REGIME_A))
+        pst = build_pst(REGIME_A)
         ops, _ = plan_merges(
-            self.exports_for([(0, 2, 50, flat), (1, 1, 50, flat)]),
+            self.exports_for([(0, 2, 50, pst), (1, 1, 50, pst)]),
             threshold=0.25,
         )
         assert len(ops) == 1
         assert (ops[0].keep_shard, ops[0].keep_cluster) == (0, 2)
 
     def test_distant_models_stay_apart_but_are_scored(self):
-        flat_a = flatten_pst(build_pst(REGIME_A))
-        flat_b = flatten_pst(build_pst(REGIME_B))
+        pst_a = build_pst(REGIME_A)
+        pst_b = build_pst(REGIME_B)
         ops, pairs = plan_merges(
-            self.exports_for([(0, 0, 10, flat_a), (1, 0, 10, flat_b)]),
+            self.exports_for([(0, 0, 10, pst_a), (1, 0, 10, pst_b)]),
             threshold=0.05,
         )
         assert ops == []
         assert pairs == 1
 
     def test_same_shard_pairs_are_never_scored(self):
-        flat = flatten_pst(build_pst(REGIME_A))
+        pst = build_pst(REGIME_A)
         ops, pairs = plan_merges(
-            self.exports_for([(0, 0, 10, flat), (0, 1, 10, flat)]),
+            self.exports_for([(0, 0, 10, pst), (0, 1, 10, pst)]),
             threshold=2.0,
         )
         assert ops == []
         assert pairs == 0
 
     def test_near_empty_models_are_excluded(self):
-        empty_flat = flatten_pst(build_pst([]))
-        assert empty_flat.node_count == 1
-        real = flatten_pst(build_pst(REGIME_A))
+        empty = build_pst([])
+        assert walkable_labels(empty) == [()]
+        real = build_pst(REGIME_A)
         ops, pairs = plan_merges(
-            self.exports_for([(0, 0, 0, empty_flat), (1, 0, 10, real)]),
+            self.exports_for([(0, 0, 0, empty), (1, 0, 10, real)]),
             threshold=2.0,
         )
         assert ops == []
         assert pairs == 0
 
     def test_each_cluster_dropped_at_most_once(self):
-        flat = flatten_pst(build_pst(REGIME_A))
+        pst = build_pst(REGIME_A)
         # B0 keeps A0 (heavier); the (A0, B1) pair must then be skipped
         # because A0 was already consumed as a merge source.
         ops, pairs = plan_merges(
             self.exports_for(
-                [(0, 0, 10, flat), (1, 0, 50, flat), (1, 1, 40, flat)]
+                [(0, 0, 10, pst), (1, 0, 50, pst), (1, 1, 40, pst)]
             ),
             threshold=0.25,
         )
@@ -197,9 +223,9 @@ class TestPlanMerges:
         assert (ops[0].keep_shard, ops[0].keep_cluster) == (1, 0)
 
     def test_plan_is_deterministic_under_export_order(self):
-        flat_1 = flatten_pst(build_pst(REGIME_A[:6]))
-        flat_2 = flatten_pst(build_pst(REGIME_A[6:]))
-        spec = [(0, 0, 30, flat_1), (1, 0, 20, flat_2)]
+        pst_1 = build_pst(REGIME_A[:6])
+        pst_2 = build_pst(REGIME_A[6:])
+        spec = [(0, 0, 30, pst_1), (1, 0, 20, pst_2)]
         first, _ = plan_merges(self.exports_for(spec), threshold=2.0)
         second, _ = plan_merges(self.exports_for(spec), threshold=2.0)
         assert first == second
@@ -215,19 +241,19 @@ class TestMergeCounts:
 
     def test_merge_reports_created_nodes_and_invalidates(self):
         merged = build_pst(REGIME_A)
-        stale_flat = flatten_pst(merged)
+        stale_labels = walkable_labels(merged)
+        stale_version = merged.version
         created = merged.merge_counts(build_pst(REGIME_B))
         assert created > 0
-        fresh_flat = flatten_pst(merged)
-        assert fresh_flat.node_count == stale_flat.node_count + created
-        assert fresh_flat.version > stale_flat.version
+        assert len(walkable_labels(merged)) == len(stale_labels) + created
+        assert merged.version > stale_version
 
     def test_merge_respects_own_depth_cap(self):
         shallow = build_pst(REGIME_A, max_depth=2)
         deep = build_pst(REGIME_B, max_depth=3)
         shallow.merge_counts(deep)
         assert max(
-            len(label) for label in flat_labels(flatten_pst(shallow))
+            len(label) for label in walkable_labels(shallow)
         ) <= 2
 
     def test_merge_rejects_alphabet_mismatch(self):

@@ -6,9 +6,9 @@ experiment harnesses, the CLI, or the evaluation stack; and the
 observability layer (``repro.obs``) must import *only* the standard
 library so instrumentation can never drag numpy/scipy into a context
 that just wants a logger. The batch kernel (``repro.core.backends``) is
-a serving accelerator: the rest of ``repro.core`` and ``repro.stream``
-score with the reference DP and must not import it, so ``import repro``
-never loads it.
+a serving accelerator: only ``repro.serve`` imports it, and every other
+package scores with the reference DP or reads the trees directly, so
+``import repro`` never loads it.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ CORE_FORBIDDEN = (
 #: Top-level modules the obs layer may import besides the stdlib.
 OBS_ALLOWED_PREFIX = "repro.obs"
 
-#: The batch-kernel package. Nothing else in ``repro.core``, and nothing
-#: in ``repro.stream``, may import it; ``repro.serve`` and
-#: ``repro.shard`` do.
+#: The batch-kernel package. Only ``repro.serve`` (and the package
+#: itself) may import it.
 KERNEL_PACKAGE = "repro.core.backends"
 
 #: ``repro.*`` prefixes the scoring-backend subpackage may depend on —
@@ -139,7 +138,7 @@ class ImportLayeringRule(Rule):
     summary = (
         "core must not import experiments/cli/evaluation/stream/serve/shard; "
         "core.backends only core/typing/obs; "
-        "nothing else in core, nor stream, imports core.backends; "
+        "only serve imports core.backends; "
         "stream only core/sequences/obs; "
         "serve only core/stream/sequences/obs; "
         "shard only stream/core/sequences/obs; obs stdlib only"
@@ -151,8 +150,8 @@ class ImportLayeringRule(Rule):
         in_stream = context.in_package("repro.stream")
         in_serve = context.in_package("repro.serve")
         in_shard = context.in_package("repro.shard")
-        in_backends = context.in_package("repro.core.backends")
-        if not (in_core or in_obs or in_stream or in_serve or in_shard):
+        in_backends = context.in_package(KERNEL_PACKAGE)
+        if not context.in_package("repro"):
             return
         for node in ast.walk(context.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -167,7 +166,7 @@ class ImportLayeringRule(Rule):
                                 f"repro.core must not import {target} "
                                 "(layering: core -> obs/sequences only)",
                             )
-                if (in_core and not in_backends) or in_stream:
+                if not (in_serve or in_backends):
                     if target == KERNEL_PACKAGE or target.startswith(
                         KERNEL_PACKAGE + "."
                     ):
@@ -175,8 +174,8 @@ class ImportLayeringRule(Rule):
                             context,
                             stmt,
                             f"{context.module} must not import {target} "
-                            "(the batch kernel is serve/shard only; core and "
-                            "stream score with the reference DP)",
+                            "(the batch kernel is serve only; everything "
+                            "else scores with the reference DP)",
                         )
                 if in_backends:
                     top = target.split(".", 1)[0]
