@@ -13,13 +13,14 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py
 
 Exits non-zero when the bound is violated after ``ATTEMPTS`` retries
-(timing on shared CI machines is noisy; a bound this tight needs
-best-of-N on both sides and a couple of attempts). Also runs under
-pytest as the perf-smoke assertion.
+(timing on shared CI machines is noisy; a bound this tight needs many
+paired samples and a couple of attempts). Also runs under pytest as
+the perf-smoke assertion.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -45,8 +46,10 @@ from repro.obs import NULL_REGISTRY, get_registry
 OVERHEAD_BOUND = 0.02
 #: Timing attempts before declaring the bound violated.
 ATTEMPTS = 3
-#: Repeats per attempt; both sides take the best (min) timing.
-REPEATS = 30
+#: Paired samples per attempt; the overhead is their median ratio.
+REPEATS = 100
+#: Calls timed back to back in one sample.
+BLOCK = 5
 
 WORKLOAD = {"alphabet": 12, "depth": 5, "significance": 3, "clusters": 6,
             "sequences": 60, "length": 80}
@@ -101,10 +104,16 @@ def make_bare_runner(scorer, psts, sequences, log_bg):
 def measure_overhead() -> tuple[float, float, float]:
     """(bare_seconds, instrumented_seconds, overhead_fraction).
 
-    The two variants are timed *interleaved* (bare, instrumented, bare,
-    instrumented, …) taking the min of each: back-to-back blocks pick
-    up systematic drift (frequency scaling, cache state) that dwarfs
-    the per-call guard cost this bench is trying to measure.
+    The two variants are timed *interleaved*: each of ``REPEATS`` pairs
+    times a block of ``BLOCK`` bare calls and a block of ``BLOCK``
+    instrumented calls back to back, alternating which goes first.
+    Back-to-back blocks far apart pick up systematic drift (frequency
+    scaling, cache state, a neighbour's load) that dwarfs the per-call
+    guard cost this bench is trying to measure; the two blocks of one
+    pair share the host's state, so their ratio cancels it. The
+    overhead is the median of the pairs' ratios, and the seconds are
+    the median per-call times. A block of calls per sample, not one,
+    keeps a single preempted call from deciding a sample.
     """
     assert not get_registry().enabled, (
         "this bench must run with telemetry disabled"
@@ -114,15 +123,32 @@ def measure_overhead() -> tuple[float, float, float]:
     scorer.score_matrix_full(psts, sequences)  # warm flats, stack and caches
     bare_runner = make_bare_runner(scorer, psts, sequences, scorer.log_bg)
     bare_runner()
-    bare = instrumented = float("inf")
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        bare_runner()
-        bare = min(bare, time.perf_counter() - started)
-        started = time.perf_counter()
+
+    def instrumented_runner() -> None:
         scorer.score_matrix_full(psts, sequences)
-        instrumented = min(instrumented, time.perf_counter() - started)
-    return bare, instrumented, instrumented / bare - 1.0
+
+    def block(runner) -> float:
+        started = time.perf_counter()
+        for _ in range(BLOCK):
+            runner()
+        return time.perf_counter() - started
+
+    bare, instrumented, ratios = [], [], []
+    for repeat in range(REPEATS):
+        if repeat % 2 == 0:
+            bare_s = block(bare_runner)
+            instrumented_s = block(instrumented_runner)
+        else:
+            instrumented_s = block(instrumented_runner)
+            bare_s = block(bare_runner)
+        bare.append(bare_s / BLOCK)
+        instrumented.append(instrumented_s / BLOCK)
+        ratios.append(instrumented_s / bare_s)
+    return (
+        statistics.median(bare),
+        statistics.median(instrumented),
+        statistics.median(ratios) - 1.0,
+    )
 
 
 def run(report=print) -> bool:

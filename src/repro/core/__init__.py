@@ -23,6 +23,7 @@ from .similarity import (
     SimilarityResult,
     log_symbol_ratios,
     segment_definition_similarity,
+    similarities,
     similarity,
     similarity_bruteforce,
     whole_sequence_similarity,
@@ -74,6 +75,7 @@ __all__ = [
     "SimilarityResult",
     "log_symbol_ratios",
     "segment_definition_similarity",
+    "similarities",
     "similarity",
     "similarity_bruteforce",
     "whole_sequence_similarity",

@@ -117,9 +117,32 @@ class PstBatchScorer:
                 )
             require_closed(pst)
 
+    def _current_stack(
+        self, psts: Sequence[ProbabilisticSuffixTree]
+    ) -> PreparedStack | None:
+        """The cached stack when *psts* are its trees, in order, and
+        none has been written since; else ``None``.
+
+        The trees passed :meth:`_check_trees` when they were stacked,
+        and only a write (a version bump) can change what it checks, so
+        a hit needs no second check.
+        """
+        if (
+            self._stack is not None
+            and len(psts) == len(self._stack_psts)
+            and all(
+                pst is held and pst.version == flat.version
+                for pst, held, flat in zip(psts, self._stack_psts, self._stack_flats)
+            )
+        ):
+            return self._stack
+        return None
+
     def _stack_for(
         self, psts: Sequence[ProbabilisticSuffixTree]
     ) -> PreparedStack:
+        """Restack *psts* after a miss of :meth:`_current_stack`,
+        re-flattening only the trees whose object or version changed."""
         # The cached trees are alive (held in _stack_psts), so no tree in
         # *psts* can share an id with a different cached one.
         cached = {
@@ -131,19 +154,12 @@ class PstBatchScorer:
             if flat is None or flat.version != pst.version:
                 flat = flatten_pst(pst)
             flats.append(flat)
-        fresh = (
-            self._stack is None
-            or len(psts) != len(self._stack_psts)
-            or any(a is not b for a, b in zip(flats, self._stack_flats))
-        )
-        if fresh:
-            self._stack = prepare_stack(flats, self._log_bg)
-            self._stack_psts = tuple(psts)
-            self._stack_flats = tuple(flats)
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("backend.stack_rebuilds").inc()
-        assert self._stack is not None
+        self._stack = prepare_stack(flats, self._log_bg)
+        self._stack_psts = tuple(psts)
+        self._stack_flats = tuple(flats)
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("backend.stack_rebuilds").inc()
         return self._stack
 
     def _score_matrix_arrays(
@@ -200,11 +216,14 @@ class PstBatchScorer:
                 best_end=np.zeros(shape, dtype=np.int64),
                 whole=np.zeros(shape, dtype=np.float64),
             )
-        self._check_trees(psts)
+        prep = self._current_stack(psts)
+        if prep is None:
+            self._check_trees(psts)
         started = time.perf_counter()
         symbols, lengths = pad_sequences(sequences, psts[0].alphabet_size)
         padded_s = time.perf_counter() - started
-        prep = self._stack_for(psts)
+        if prep is None:
+            prep = self._stack_for(psts)
         registry = get_registry()
         if registry.enabled:
             registry.timer("backend.pad_seconds").record(padded_s)

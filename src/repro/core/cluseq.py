@@ -32,6 +32,7 @@ i.e. the thresholds agree within 1 % as a ratio.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
 from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
-from .similarity import SimilarityResult, similarity
+from .similarity import SimilarityResult, similarities
 from .smoothing import default_p_min
 from .threshold import VALLEY_METHODS, blend_log_threshold, find_valley
 
@@ -274,9 +275,10 @@ class ClusteringResult:
 
     def score_sequence(self, encoded: Sequence[int]) -> dict[int, SimilarityResult]:
         """Score a (possibly unseen) encoded sequence against every cluster."""
+        scores = live_scores(self.clusters, encoded, self.background)
         return {
-            cluster.cluster_id: similarity(cluster.pst, encoded, self.background)
-            for cluster in self.clusters
+            cluster.cluster_id: result
+            for cluster, result in zip(self.clusters, scores)
         }
 
     def predict(self, encoded: Sequence[int]) -> int | None:
@@ -467,13 +469,30 @@ class CLUSEQ:
     # -- public API -------------------------------------------------------------
 
     def fit(self, db: SequenceDatabase) -> ClusteringResult:
-        """Cluster every sequence of *db* and return the result."""
-        if self.registry is not None:
-            with use_registry(self.registry):
-                with span("cluseq"):
-                    return self._fit(db)
-        with span("cluseq"):
-            return self._fit(db)
+        """Cluster every sequence of *db* and return the result.
+
+        The fit runs with Python's cyclic garbage collector paused and
+        restores the caller's setting when it returns or raises. Every
+        §4 rebuild discards whole trees, and a PST is acyclic by design:
+        no node refers to anything outside its trie, and the transition
+        table lives on the tree (see :class:`ProbabilisticSuffixTree`),
+        so reference counting frees a discarded tree at once, and the
+        collector's passes over the growing heap would find nothing to
+        reclaim. A reference cycle that hook code creates is collected
+        only after the fit returns.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if self.registry is not None:
+                with use_registry(self.registry):
+                    with span("cluseq"):
+                        return self._fit(db)
+            with span("cluseq"):
+                return self._fit(db)
+        finally:
+            if enabled:
+                gc.enable()
 
     def _fit(self, db: SequenceDatabase) -> ClusteringResult:
         if len(db) == 0:
@@ -815,8 +834,8 @@ class CLUSEQ:
     ) -> tuple[int, int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
-        Each sequence is scored pair by pair with ``similarity()``
-        against every cluster's live PST, then joins every cluster
+        Each sequence is scored with one ``similarities()`` call against
+        every cluster's live PST, then joins every cluster
         whose SIM reaches ``t`` (:func:`~repro.core.examine.join_all`).
         A join absorbs the sequence's best segment before the next
         sequence is scored, so scores are never computed ahead of time:
@@ -828,7 +847,7 @@ class CLUSEQ:
         *order*. A rebuilt tree is a function of its build input
         (*built*). When all three equal those of the cluster's previous
         pass (*passes*), the pass is replayed: its recorded scores go
-        through the same ``join_all``, with no ``similarity()`` call and
+        through the same ``join_all``, with no DP scan and
         no absorb. *passes* is replaced by this iteration's passes.
         Returns ``(membership changes, symbols scored, passes
         replayed)``; replayed symbols count as scored (§4.7 model).
@@ -848,14 +867,18 @@ class CLUSEQ:
                 replayed.add(cluster.cluster_id)
             else:
                 recorded.append(None)
+        live = [
+            cluster.pst
+            for cluster, column in zip(clusters, recorded)
+            if column is None
+        ]
         columns: list[list[SimilarityResult]] = [[] for _ in clusters]
         for position, index in enumerate(order):
             seq = encoded[index]
+            fresh = iter(similarities(live, seq, background))
             scores = [
-                similarity(cluster.pst, seq, background)
-                if column is None
-                else column[position]
-                for cluster, column in zip(clusters, recorded)
+                next(fresh) if column is None else column[position]
+                for column in recorded
             ]
             for column, result in zip(columns, scores):
                 column.append(result)
@@ -921,11 +944,16 @@ class CLUSEQ:
                 replace=False,
             )
             reference_psts.extend(pst_factory(encoded[int(i)]) for i in extra)
-        found: list[float] = []
-        for pst in reference_psts:
-            reference_sims = [
-                similarity(pst, seq, background).log_similarity for seq in encoded
+        # Each sequence against every reference, then read the columns.
+        rows = [
+            [
+                result.log_similarity
+                for result in similarities(reference_psts, seq, background)
             ]
+            for seq in encoded
+        ]
+        found: list[float] = []
+        for reference_sims in zip(*rows):
             for finder in VALLEY_METHODS.values():
                 estimate = finder(reference_sims)
                 if estimate is not None:

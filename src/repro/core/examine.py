@@ -17,15 +17,17 @@ segment into the cluster PST (:meth:`Cluster.join`, §4.4).
 
 Scores arrive as a list of
 :class:`~repro.core.similarity.SimilarityResult`, one per cluster in
-cluster order. Every examiner that joins scores pair by pair on the
-live models (:func:`live_scores`): each join mutates a PST that the
-next sequence is scored against, so scores taken up front would go
-stale within the batch. The one exception is the fit replaying a
-cluster's unchanged pass: when the cluster's model, ``log t`` and the
-examination order all equal those of its previous pass, the pass is a
-function of them alone, so its recorded scores *are* the live ones and
-:func:`join_all` records the memberships without absorbing (see
-``CLUSEQ._recluster_vectorized``). Everything in ``repro.core`` scores
+cluster order. Every examiner that joins scores one sequence at a time
+against the live models (:func:`live_scores`, one
+:func:`~repro.core.similarity.similarities` call per sequence, which
+checks the sequence once and then runs the §4.3 DP per cluster): each
+join mutates a PST that the next sequence is scored against, so scores
+taken up front would go stale within the batch. The one exception is
+the fit replaying a cluster's unchanged pass: when the cluster's model,
+``log t`` and the examination order all equal those of its previous
+pass, the pass is a function of them alone, so its recorded scores
+*are* the live ones and :func:`join_all` records the memberships
+without absorbing (see ``CLUSEQ._recluster_vectorized``). Everything in ``repro.core`` scores
 with the reference DP. The batch kernel runs only outside it, in serve
 classify, over the trees no ``/v1/stream/ingest`` has written since
 the model was loaded; the shard consolidation compares the PSTs
@@ -40,7 +42,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .cluster import Cluster
-from .similarity import SimilarityResult, similarity
+from .similarity import SimilarityResult, similarities
 
 
 def best_cluster(log_sims: Sequence[float], log_t: float) -> int | None:
@@ -63,8 +65,13 @@ def live_scores(
     background: npt.NDArray[np.float64],
 ) -> list[SimilarityResult]:
     """*seq* scored against each cluster's live model, in cluster
-    order, with the reference §4.3 ``similarity()`` DP."""
-    return [similarity(cluster.pst, seq, background) for cluster in clusters]
+    order, with the reference §4.3 DP
+    (:func:`~repro.core.similarity.similarities`).
+
+    The input check runs also when there are no clusters, so a
+    zero-cluster model rejects what a fitted one rejects.
+    """
+    return similarities([cluster.pst for cluster in clusters], seq, background)
 
 
 def join_all(

@@ -6,11 +6,12 @@ as little as possible, so the paper uses a sampled greedy min-max
 procedure:
 
 1. Sample ``m`` unclustered sequences uniformly (``m = 5 · k_n`` by
-   default) and build a single-sequence PST for each.
+   default).
 2. Repeat ``k_n`` times: score every remaining sample against all
    existing clusters *and already-chosen seeds*, take each sample's
    highest similarity, and pick the sample whose highest similarity is
-   lowest.
+   lowest. Only a picked sample gets a single-sequence PST, since
+   only a chosen seed is ever scored against.
 
 The sampling keeps the cost at ``O(m · (m + k') · l²)`` instead of the
 quadratic-in-N pairwise alternative.
@@ -29,7 +30,7 @@ from ..obs import get_logger, get_registry
 from ..typing import EncodedLookup, PSTFactory
 from .cluster import Cluster
 from .pst import ProbabilisticSuffixTree
-from .similarity import similarity
+from .similarity import similarities, similarity
 
 _logger = get_logger("core.seeding")
 
@@ -109,20 +110,19 @@ def select_seeds(
     )
     sampled = [int(i) for i in sampled]
 
-    sample_psts = {i: pst_factory(encoded_lookup(i)) for i in sampled}
     reference_psts: list[ProbabilisticSuffixTree] = [
         cluster.pst for cluster in existing_clusters
     ]
 
     # Each sample's best log-similarity against the current references;
     # incremental: adding a seed only requires scoring remaining samples
-    # against that one new reference.
+    # against that one new reference, so a sample's PST is built only
+    # once it is picked.
     best_log: dict[int, float] = {}
     for i in sampled:
-        encoded = encoded_lookup(i)
         best = -math.inf
-        for pst in reference_psts:
-            best = max(best, similarity(pst, encoded, background).log_similarity)
+        for result in similarities(reference_psts, encoded_lookup(i), background):
+            best = max(best, result.log_similarity)
         best_log[i] = best
 
     chosen: list[SeedChoice] = []
@@ -131,7 +131,7 @@ def select_seeds(
         pick = min(remaining, key=lambda i: (best_log[i], i))
         chosen.append(SeedChoice(sequence_index=pick, max_similarity_log=best_log[pick]))
         remaining.remove(pick)
-        new_pst = sample_psts[pick]
+        new_pst = pst_factory(encoded_lookup(pick))
         for i in remaining:
             score = similarity(new_pst, encoded_lookup(i), background).log_similarity
             if score > best_log[i]:

@@ -95,31 +95,47 @@ def log_background(background: npt.NDArray[np.float64]) -> list[float]:
     return [math.log(p) if p > 0 else _LOG_ZERO for p in background.tolist()]
 
 
-def _log_background(
-    pst: ProbabilisticSuffixTree,
-    encoded: Sequence[int],
-    background: npt.NDArray[np.float64],
-) -> list[float]:
-    """The one input check of both scoring entry points.
+def check_sequence(encoded: Sequence[int], alphabet_size: int) -> None:
+    """The §4.3 scan's precondition on σ: non-empty, every id a symbol.
 
-    Runs before the scoring loop touches any cache: a negative id would
-    index ``PSTNode.log_probs`` and the transition table from the end
-    and fill another symbol's entry. Returns ``log p(s)`` per symbol id.
+    Raises ``ValueError`` otherwise. A negative id would index
+    ``PSTNode.log_probs`` and the transition table from the end and
+    fill another symbol's entry, so every caller runs this before the
+    scan touches any cache.
     """
     if len(encoded) == 0:
         raise ValueError("cannot score an empty sequence")
-    background = np.asarray(background, dtype=np.float64)
-    n = pst.alphabet_size
-    if background.shape != (n,):
-        raise ValueError(
-            f"background must have length {n}, got shape {background.shape}"
-        )
     low, high = min(encoded), max(encoded)
-    if low < 0 or high >= n:
+    if low < 0 or high >= alphabet_size:
         raise ValueError(
             f"symbol id {low if low < 0 else high} out of range "
-            f"(alphabet size {n})"
+            f"(alphabet size {alphabet_size})"
         )
+
+
+def _log_background(
+    psts: Sequence[ProbabilisticSuffixTree],
+    encoded: Sequence[int],
+    background: npt.NDArray[np.float64],
+) -> list[float]:
+    """The one input check of every scoring entry point.
+
+    Checks *encoded* once and the background against every tree, all
+    before any tree is scanned, and also when there are no trees.
+    Returns ``log p(s)`` per symbol id.
+    """
+    background = np.asarray(background, dtype=np.float64)
+    if background.ndim != 1:
+        raise ValueError(
+            f"background must be one-dimensional, got shape {background.shape}"
+        )
+    for pst in psts:
+        if background.shape != (pst.alphabet_size,):
+            raise ValueError(
+                f"background must have length {pst.alphabet_size}, "
+                f"got shape {background.shape}"
+            )
+    check_sequence(encoded, len(background))
     return log_background(background)
 
 
@@ -235,8 +251,55 @@ def log_symbol_ratios(
         As :func:`similarity` does.
     """
     ratios: list[float] = []
-    _scan(pst, encoded, _log_background(pst, encoded, background), ratios)
+    _scan(pst, encoded, _log_background([pst], encoded, background), ratios)
     return ratios
+
+
+def similarities(
+    psts: Sequence[ProbabilisticSuffixTree],
+    encoded: Sequence[int],
+    background: npt.NDArray[np.float64],
+) -> list[SimilarityResult]:
+    """``SIM_S(σ)`` of one sequence against each tree, in tree order.
+
+    The §4.7 re-examination scores every sequence against every
+    cluster; this is one sequence's row of that matrix. The input is
+    checked once for the row, and all of it before any tree is
+    scanned: σ must be non-empty with every id in range, and the
+    background must match every tree's alphabet. The check runs also
+    when *psts* is empty. ``log p(s)`` is built once; each tree then
+    gets the X/Y/Z scan of :func:`similarity`, so each result equals
+    that tree's ``similarity()``.
+
+    The registry is read once per call. It records per-pair totals:
+    ``similarity.calls`` and ``similarity.dp_cells`` grow by one pair
+    and ``len(σ)`` cells per tree, ``similarity.context_walks`` by the
+    summed root walks, and ``similarity.segment_length`` gets one
+    observation per pair.
+
+    Raises
+    ------
+    ValueError
+        As :func:`similarity` does.
+    """
+    log_bg = _log_background(psts, encoded, background)
+    results: list[SimilarityResult] = []
+    walks = 0
+    for pst in psts:
+        result, pst_walks = _scan(pst, encoded, log_bg, None)
+        results.append(result)
+        walks += pst_walks
+    # One registry check per scoring call — never per symbol or per
+    # tree — so disabled-mode overhead is a single attribute read.
+    registry = get_registry()
+    if registry.enabled and results:
+        registry.counter("similarity.calls").inc(len(results))
+        registry.counter("similarity.dp_cells").inc(len(encoded) * len(results))
+        registry.counter("similarity.context_walks").inc(walks)
+        segments = registry.histogram("similarity.segment_length")
+        for result in results:
+            segments.observe(result.best_end - result.best_start)
+    return results
 
 
 def similarity(
@@ -245,6 +308,8 @@ def similarity(
     background: npt.NDArray[np.float64],
 ) -> SimilarityResult:
     """Compute ``SIM_S(σ)`` with the paper's X/Y/Z dynamic program.
+
+    The one-tree case of :func:`similarities`.
 
     Parameters
     ----------
@@ -262,19 +327,7 @@ def similarity(
         If *encoded* is empty or holds an id outside
         ``[0, alphabet_size)``, or *background* has the wrong length.
     """
-    log_bg = _log_background(pst, encoded, background)
-    result, walks = _scan(pst, encoded, log_bg, None)
-    # One registry check per (sequence, cluster) scoring call — never
-    # per symbol — so disabled-mode overhead is a single attribute read.
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("similarity.calls").inc()
-        registry.counter("similarity.dp_cells").inc(len(encoded))
-        registry.counter("similarity.context_walks").inc(walks)
-        registry.histogram("similarity.segment_length").observe(
-            result.best_end - result.best_start
-        )
-    return result
+    return similarities([pst], encoded, background)[0]
 
 
 def whole_sequence_similarity(

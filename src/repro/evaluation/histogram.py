@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.cluseq import ClusteringResult
-from ..core.similarity import similarity
+from ..core.similarity import similarities
 from ..core.threshold import VALLEY_METHODS, build_histogram
 from ..sequences.database import SequenceDatabase
 
@@ -50,12 +50,11 @@ def similarity_distribution(
     """Recompute every sequence×cluster similarity for a fitted result."""
     values: list[float] = []
     member: list[bool] = []
+    psts = [cluster.pst for cluster in result.clusters]
     for index in range(len(db)):
-        encoded = db.encoded(index)
-        for cluster in result.clusters:
-            values.append(
-                similarity(cluster.pst, encoded, result.background).log_similarity
-            )
+        scores = similarities(psts, db.encoded(index), result.background)
+        for cluster, scored in zip(result.clusters, scores):
+            values.append(scored.log_similarity)
             member.append(cluster.contains(index))
     return SimilarityDistribution(
         log_similarities=np.asarray(values, dtype=np.float64),

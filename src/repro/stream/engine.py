@@ -53,7 +53,7 @@ from ..core.examine import join_best, live_scores
 from ..core.consolidation import consolidate, drop_dismissed
 from ..core.persistence import result_from_dict, result_to_dict
 from ..core.seeding import select_seeds
-from ..core.similarity import SimilarityResult, similarity
+from ..core.similarity import SimilarityResult, check_sequence, similarity
 from ..core.threshold import blend_log_threshold, find_valley
 from ..obs import (
     get_logger,
@@ -404,9 +404,15 @@ class StreamingCluseq:
     # -- ingestion ----------------------------------------------------------------
 
     def ingest(self, encoded: Sequence[int]) -> None:
-        """Buffer one encoded sequence; processes a full micro-batch."""
+        """Buffer one encoded sequence; processes a full micro-batch.
+
+        A symbol id outside the alphabet raises ``ValueError`` here,
+        before the sequence is buffered, so it cannot sink the
+        sequences buffered beside it.
+        """
         if len(encoded) == 0:
             return
+        check_sequence(encoded, len(self.result.background))
         self._pending.append(list(encoded))
         if len(self._pending) >= self.config.batch_size:
             batch, self._pending = self._pending, []
@@ -425,9 +431,22 @@ class StreamingCluseq:
 
         Returns the per-sequence cluster assignment (``None`` =
         outlier, pooled). Empty sequences are dropped before
-        journaling so replay sees exactly what was applied.
+        journaling so replay sees exactly what was applied. Every other
+        sequence is checked before the batch is journaled: a symbol id
+        outside the alphabet raises ``ValueError`` naming its position
+        in *batch*, and nothing is journaled or applied, so no batch
+        that replay would fail on ever reaches the journal.
         """
-        cleaned = [list(seq) for seq in batch if len(seq) > 0]
+        alphabet_size = len(self.result.background)
+        cleaned: list[list[int]] = []
+        for position, seq in enumerate(batch):
+            if len(seq) == 0:
+                continue
+            try:
+                check_sequence(seq, alphabet_size)
+            except ValueError as exc:
+                raise ValueError(f"batch position {position}: {exc}") from None
+            cleaned.append(list(seq))
         if not cleaned:
             return []
         if self._journal is not None and not self._replaying:

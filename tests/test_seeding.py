@@ -136,3 +136,30 @@ class TestSelectSeeds:
         assert seeds[0].max_similarity_log == float("-inf")
         # Second seed was scored against the first.
         assert seeds[1].max_similarity_log > float("-inf")
+
+    @pytest.mark.parametrize("existing", [0, 1])
+    def test_only_picked_samples_get_a_tree(self, toy_setup, rng, existing):
+        """Only a chosen seed is ever scored against, so a sampled
+        candidate's PST is built only once it is picked."""
+        db, bg, factory = toy_setup
+        built = []
+
+        def counting_factory(encoded):
+            built.append(list(encoded))
+            return factory(encoded)
+
+        clusters = [
+            Cluster(cluster_id=0, pst=factory(db.encoded(0)), seed_index=0)
+        ][:existing]
+        seeds = select_seeds(
+            candidates=list(range(1, len(db))),
+            encoded_lookup=db.encoded,
+            existing_clusters=clusters,
+            background=bg,
+            count=3,
+            sample_multiplier=5,
+            rng=rng,
+            pst_factory=counting_factory,
+        )
+        assert len(seeds) == 3
+        assert built == [db.encoded(s.sequence_index) for s in seeds]

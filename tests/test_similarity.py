@@ -11,6 +11,7 @@ from repro.core.similarity import (
     SimilarityResult,
     log_symbol_ratios,
     segment_definition_similarity,
+    similarities,
     similarity,
     similarity_bruteforce,
     whole_sequence_similarity,
@@ -83,6 +84,97 @@ class TestValidation:
     ):
         with pytest.raises(ValueError, match=match):
             log_symbol_ratios(self._three_symbol_tree(), encoded, background)
+
+
+class TestSimilarities:
+    """One sequence against several trees: one input check for the row,
+    made before any tree is scanned."""
+
+    @staticmethod
+    def _trees(alphabet_sizes=(3, 3, 3)):
+        rng = np.random.default_rng(4)
+        trees = []
+        for size in alphabet_sizes:
+            pst = ProbabilisticSuffixTree(
+                alphabet_size=size, max_depth=3, significance_threshold=2
+            )
+            for _ in range(3):
+                pst.add_sequence([int(s) for s in rng.integers(0, 3, size=30)])
+            trees.append(pst)
+        return trees
+
+    @staticmethod
+    def _caches(trees):
+        return [
+            (
+                {node: list(row) for node, row in pst.transitions()[0].items()},
+                [
+                    None if node.log_probs is None else list(node.log_probs)
+                    for _, node in pst.iter_nodes()
+                ],
+            )
+            for pst in trees
+        ]
+
+    def test_each_result_equals_similarity(self):
+        trees = self._trees()
+        bg = np.array([0.2, 0.3, 0.5])
+        seq = [0, 1, 2, 2, 1, 0, 0, 1]
+        expected = [similarity(pst, seq, bg) for pst in self._trees()]
+        assert similarities(trees, seq, bg) == expected
+
+    @pytest.mark.parametrize(
+        "encoded, alphabet_sizes, match",
+        [
+            ([0, 1, -1, 2], (3, 3, 3), "out of range"),
+            ([0, 1, 3, 2], (3, 3, 3), "out of range"),
+            ([0, 1, 2, 2], (3, 3, 4), "background"),
+        ],
+        ids=["negative-id", "too-large-id", "third-alphabet"],
+    )
+    def test_bad_input_scans_no_tree(self, encoded, alphabet_sizes, match):
+        trees = self._trees(alphabet_sizes)
+        bg = np.full(3, 1 / 3)
+        # Warm every cache the scan fills, so "unchanged" is not vacuous.
+        for pst in trees:
+            similarity(pst, [0, 1, 2, 0, 2, 1], np.full(pst.alphabet_size, 1 / pst.alphabet_size))
+        before = self._caches(trees)
+        assert all(table for table, _ in before)
+        with pytest.raises(ValueError, match=match):
+            similarities(trees, encoded, bg)
+        assert self._caches(trees) == before
+
+    @pytest.mark.parametrize(
+        "encoded, match", [([], "empty"), ([0, 3], "out of range")]
+    )
+    def test_input_is_checked_without_trees(self, encoded, match):
+        with pytest.raises(ValueError, match=match):
+            similarities([], encoded, np.full(3, 1 / 3))
+
+    def test_no_trees_no_scores(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert similarities([], [0, 1, 2], np.full(3, 1 / 3)) == []
+        assert registry.get("similarity.calls") is None
+
+    def test_counters_are_per_pair_totals(self):
+        trees = self._trees()
+        bg = np.full(3, 1 / 3)
+        seq = [0, 1, 2, 2, 1, 0, 0, 1, 2]
+        per_pair, per_row = MetricsRegistry(), MetricsRegistry()
+        with use_registry(per_pair):
+            singles = [similarity(pst, seq, bg) for pst in trees]
+        with use_registry(per_row):
+            row = similarities(self._trees(), seq, bg)
+        assert row == singles
+        assert per_row.counter("similarity.calls").value == 3
+        assert per_row.counter("similarity.dp_cells").value == 3 * len(seq)
+        for name in ("similarity.calls", "similarity.dp_cells", "similarity.context_walks"):
+            assert per_row.counter(name).value == per_pair.counter(name).value
+        assert (
+            per_row.histogram("similarity.segment_length").to_dict()
+            == per_pair.histogram("similarity.segment_length").to_dict()
+        )
 
 
 class TestPaperTable1:

@@ -223,3 +223,52 @@ class TestCrashAtEveryBoundary:
         # Crash #1 of either kind hits the initial checkpoint, before
         # anything is durable: that state dir must cold-start.
         assert cold_starts >= 1
+
+
+class TestRejectedBatch:
+    """A batch with an id outside the alphabet is refused before it is
+    journaled: nothing of it is applied, and the state dir resumes."""
+
+    BAD = [0, 1, ALPHABET_SIZE]
+
+    def warm_engine(self, stream, state_dir):
+        engine = make_engine(make_config(), state_dir=state_dir)
+        for seq in stream.sequences[:100]:
+            engine.ingest(seq)
+        assert engine.result.clusters
+        return engine
+
+    def test_live_clusters_reject_the_whole_batch(self, stream, tmp_path):
+        engine = self.warm_engine(stream, tmp_path / "state")
+        before = full_state(engine)
+        with open(journal_path(tmp_path / "state"), "rb") as handle:
+            journal = handle.read()
+        with pytest.raises(ValueError, match="batch position 1: symbol id 8"):
+            engine.ingest_batch([stream.sequences[100], self.BAD])
+        assert full_state(engine) == before
+        with open(journal_path(tmp_path / "state"), "rb") as handle:
+            assert handle.read() == journal
+
+    def test_zero_clusters_reject_instead_of_pooling(self, tmp_path):
+        engine = make_engine(make_config(), state_dir=tmp_path / "state")
+        with pytest.raises(ValueError, match="batch position 2: symbol id -1"):
+            engine.ingest_batch([[0, 1], [], [2, -1]])
+        with pytest.raises(ValueError, match="symbol id 8"):
+            engine.ingest(self.BAD)
+        assert len(engine.pool) == 0
+        assert engine.batches_ingested == 0
+        engine.flush()
+        assert engine.sequences_ingested == 0
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["clusters", "no-clusters"])
+    def test_recover_after_rejected_batch(self, stream, tmp_path, warm):
+        state_dir = tmp_path / "state"
+        if warm:
+            engine = self.warm_engine(stream, state_dir)
+        else:
+            engine = make_engine(make_config(), state_dir=state_dir)
+        with pytest.raises(ValueError, match="out of range"):
+            engine.ingest_batch([stream.sequences[100], self.BAD])
+        engine.ingest_batch(stream.sequences[101:121])
+        recovered = StreamingCluseq.recover(state_dir)
+        assert full_state(recovered) == full_state(engine)
