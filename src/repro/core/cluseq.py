@@ -12,9 +12,9 @@ stable:
    every cluster with the similarity DP; a sequence joins each cluster
    whose similarity reaches the threshold ``t`` (clusters may overlap),
    and each newly-joined cluster absorbs the sequence's best-scoring
-   segment into its PST. A cluster whose rebuilt model, ``t`` and
-   examination order all repeat its previous pass replays that pass's
-   scores instead of rescoring.
+   segment into its PST. A cluster whose starting model, ``t`` and
+   examination order repeat a recent pass replays that pass's scores
+   instead of rescoring.
 3. **Cluster consolidation** (§4.5) — dismiss clusters covered by
    larger ones.
 4. **Threshold adjustment** (§4.6, optional) — move ``t`` halfway
@@ -35,6 +35,7 @@ from __future__ import annotations
 import gc
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from collections.abc import Callable, Sequence
@@ -59,7 +60,7 @@ from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
 from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
-from .similarity import SimilarityResult, similarities
+from .similarity import SimilarityResult, _safe_exp, similarities
 from .smoothing import default_p_min
 from .threshold import VALLEY_METHODS, blend_log_threshold, find_valley
 
@@ -324,7 +325,10 @@ class ClusteringResult:
         *index* pins the sequence index explicitly (the streaming
         engine allocates its own); when omitted a safe non-colliding
         index is chosen via :meth:`next_sequence_index`, which stays
-        correct after a persistence round-trip.
+        correct after a persistence round-trip. A pinned index that is
+        already recorded (in the assignment map, or as any cluster's
+        member or seed) raises ``ValueError`` before anything is
+        scored.
 
         This performs no re-iteration — existing memberships are left
         untouched — so it suits append-only deployment; rerun ``fit``
@@ -332,7 +336,15 @@ class ClusteringResult:
         """
         if len(encoded) == 0:
             raise ValueError("cannot assign an empty sequence")
-        new_index = self.next_sequence_index() if index is None else index
+        if index is None:
+            new_index = self.next_sequence_index()
+        elif index in self.assignments or any(
+            index == cluster.seed_index or cluster.contains(index)
+            for cluster in self.clusters
+        ):
+            raise ValueError(f"sequence index {index} is already recorded")
+        else:
+            new_index = index
         scores = live_scores(self.clusters, encoded, self.background)
         cluster = join_best(
             new_index, encoded, self.clusters, scores, self.final_log_threshold
@@ -384,15 +396,55 @@ class _Built:
     version: int
 
 
-@dataclass(frozen=True)
-class _Pass:
-    """One cluster's reclustering pass: everything it depended on, and
-    its score for each sequence in examination order."""
+#: Iterations a recorded pass survives without being recorded again or
+#: replayed. A pass record holds one ``log SIM`` + whole-sequence log
+#: pair and one ``best_start``/``best_end`` pair per examined sequence
+#: (24 bytes), and each iteration records at most one pass per cluster,
+#: so the fit holds at most ``REPLAY_WINDOW · k' · N`` entries. On
+#: ``fit-outliers`` 131 of the 135 repeats an unbounded memo finds lie
+#: within 6 iterations (lag histogram in docs/PERFORMANCE.md).
+REPLAY_WINDOW = 6
 
-    build_input: BuildInput
+
+@dataclass
+class _Pass:
+    """One reclustering pass from a known build input: the ``log t`` and
+    examination order it ran under, its scores in that order as compact
+    columns, and the last iteration that recorded or replayed it."""
+
     log_t: float
     order: list[int]
-    scores: list[SimilarityResult]
+    logs: array[float]  # log SIM, whole-sequence log; two per position
+    bounds: array[int]  # best_start, best_end; two per position
+    used: int
+
+    @classmethod
+    def record(
+        cls,
+        log_t: float,
+        order: list[int],
+        scores: list[SimilarityResult],
+        iteration: int,
+    ) -> "_Pass":
+        logs = array("d")
+        bounds = array("i")
+        for result in scores:
+            logs.append(result.log_similarity)
+            logs.append(result.whole_sequence_log)
+            bounds.append(result.best_start)
+            bounds.append(result.best_end)
+        return cls(log_t, order, logs, bounds, iteration)
+
+    def results(self) -> list[SimilarityResult]:
+        """The recorded scores in examination order, equal field for
+        field to the live ones."""
+        logs, bounds = self.logs, self.bounds
+        return [
+            SimilarityResult(_safe_exp(log_sim), log_sim, start, end, whole)
+            for log_sim, whole, start, end in zip(
+                logs[::2], logs[1::2], bounds[::2], bounds[1::2]
+            )
+        ]
 
 
 def _built_from(
@@ -405,17 +457,22 @@ def _built_from(
     return built.build_input
 
 
-def _replays(
-    previous: _Pass, build_input: BuildInput | None, log_t: float, order: list[int]
-) -> bool:
-    """Whether a cluster's pass would repeat *previous* exactly: same
-    starting model, same ``log t``, same examination order."""
-    return (
-        build_input is not None
-        and previous.build_input == build_input
-        and previous.log_t == log_t
-        and previous.order == order
-    )
+def _replayable(
+    passes: dict[BuildInput, _Pass],
+    build_input: BuildInput | None,
+    log_t: float,
+    order: list[int],
+) -> _Pass | None:
+    """The recorded pass a cluster starting from *build_input* would
+    repeat exactly: the one recorded under the same starting model, with
+    the same ``log t`` and the same examination order; ``None`` when
+    there is none."""
+    if build_input is None:
+        return None
+    previous = passes.get(build_input)
+    if previous is None or previous.log_t != log_t or previous.order != order:
+        return None
+    return previous
 
 
 class CLUSEQ:
@@ -519,10 +576,11 @@ class CLUSEQ:
         prev_snapshot: (
             tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None
         ) = None
-        # Replay state (``rebuild_each_iteration`` only), by cluster id:
-        # what each tree was rebuilt from, and each cluster's last pass.
+        # Replay state (``rebuild_each_iteration`` only): what each
+        # cluster's tree was built from, by cluster id, and the recent
+        # passes, by the build input they started from.
         built: dict[int, _Built] = {}
-        passes: dict[int, _Pass] = {}
+        passes: dict[BuildInput, _Pass] = {}
         run_start = time.perf_counter()
 
         for iteration in range(params.max_iterations):
@@ -560,14 +618,22 @@ class CLUSEQ:
                     pst_factory=pst_factory,
                 )
                 for choice in seeds:
+                    seed_pst = pst_factory(encoded[choice.sequence_index])
                     clusters.append(
                         Cluster(
                             cluster_id=next_cluster_id,
-                            pst=pst_factory(encoded[choice.sequence_index]),
+                            pst=seed_pst,
                             seed_index=choice.sequence_index,
                             created_at_iteration=iteration,
                         )
                     )
+                    # A seed's tree is the rebuild of a memberless
+                    # cluster. Additive models keep their absorbs, so a
+                    # replayed seed pass would lose them for good.
+                    if params.rebuild_each_iteration:
+                        built[next_cluster_id] = _Built(
+                            (choice.sequence_index, ()), seed_pst, seed_pst.version
+                        )
                     next_cluster_id += 1
                 n_new = len(seeds)
 
@@ -615,6 +681,7 @@ class CLUSEQ:
                         all_log_sims,
                         built,
                         passes,
+                        iteration,
                     )
                 )
 
@@ -830,7 +897,8 @@ class CLUSEQ:
         log_t: float,
         all_log_sims: list[float],
         built: dict[int, _Built],
-        passes: dict[int, _Pass],
+        passes: dict[BuildInput, _Pass],
+        iteration: int,
     ) -> tuple[int, int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
@@ -844,13 +912,17 @@ class CLUSEQ:
         Under the overlap rule a cluster's join depends only on its own
         score, and a join absorbs only into that cluster, so a cluster's
         whole pass is a function of its starting tree, ``log t`` and
-        *order*. A rebuilt tree is a function of its build input
-        (*built*). When all three equal those of the cluster's previous
-        pass (*passes*), the pass is replayed: its recorded scores go
-        through the same ``join_all``, with no DP scan and
-        no absorb. *passes* is replaced by this iteration's passes.
-        Returns ``(membership changes, symbols scored, passes
-        replayed)``; replayed symbols count as scored (§4.7 model).
+        *order*. A rebuilt or freshly seeded tree is a function of its
+        build input (*built*), so *passes* memoizes each pass under the
+        build input it started from. A cluster whose build input has a
+        record with the same ``log t`` and *order* — its own previous
+        pass, an earlier one it returns to, or the pass of an earlier
+        cluster seeded from the same sequence — replays it: the recorded
+        scores go through the same ``join_all``, with no DP scan and no
+        absorb. A record neither recorded nor replayed in the last
+        :data:`REPLAY_WINDOW` iterations is dropped. Returns
+        ``(membership changes, symbols scored, passes replayed)``;
+        replayed symbols count as scored (§4.7 model).
         """
         membership_changes = 0
         reclustering_work = 0
@@ -858,15 +930,15 @@ class CLUSEQ:
             _built_from(built.get(cluster.cluster_id), cluster.pst)
             for cluster in clusters
         ]
-        recorded: list[list[SimilarityResult] | None] = []
-        replayed: set[int] = set()
-        for cluster, start in zip(clusters, starts):
-            previous = passes.get(cluster.cluster_id)
-            if previous is not None and _replays(previous, start, log_t, order):
-                recorded.append(previous.scores)
-                replayed.add(cluster.cluster_id)
-            else:
-                recorded.append(None)
+        records = [_replayable(passes, start, log_t, order) for start in starts]
+        recorded = [
+            None if record is None else record.results() for record in records
+        ]
+        replayed = {
+            cluster.cluster_id
+            for cluster, column in zip(clusters, recorded)
+            if column is not None
+        }
         live = [
             cluster.pst
             for cluster, column in zip(clusters, recorded)
@@ -889,10 +961,17 @@ class CLUSEQ:
                 membership_changes += 1
             assignments[index] = joined
             unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
-        passes.clear()
-        for cluster, start, column in zip(clusters, starts, columns):
-            if start is not None:
-                passes[cluster.cluster_id] = _Pass(start, log_t, order, column)
+        for start, record, column in zip(starts, records, columns):
+            if record is not None:
+                record.used = iteration
+            elif start is not None:
+                passes[start] = _Pass.record(log_t, order, column, iteration)
+        for stale in [
+            key
+            for key, record in passes.items()
+            if record.used <= iteration - REPLAY_WINDOW
+        ]:
+            del passes[stale]
         return membership_changes, reclustering_work, len(replayed)
 
     def _calibrate_initial_threshold(

@@ -23,12 +23,15 @@ against the live models (:func:`live_scores`, one
 checks the sequence once and then runs the §4.3 DP per cluster): each
 join mutates a PST that the next sequence is scored against, so scores
 taken up front would go stale within the batch. The one exception is
-the fit replaying a cluster's unchanged pass: when the cluster's model,
-``log t`` and the examination order all equal those of its previous
-pass, the pass is a function of them alone, so its recorded scores
-*are* the live ones and :func:`join_all` records the memberships
-without absorbing (see ``CLUSEQ._recluster_vectorized``). Everything in ``repro.core`` scores
-with the reference DP. The batch kernel runs only outside it, in serve
+the fit replaying a recorded pass: under the overlap rule a cluster's
+pass is a function of its starting model (its build input), ``log t``
+and the examination order alone, so when a recent pass from the same
+build input ran under the same ``log t`` and order — the cluster's
+previous pass, an earlier one it returns to, or the pass of an earlier
+cluster seeded from the same sequence — its recorded scores *are* the
+live ones and :func:`join_all` records the memberships without
+absorbing (see ``CLUSEQ._recluster_vectorized``). Everything in
+``repro.core`` scores with the reference DP. The batch kernel runs only outside it, in serve
 classify, over the trees no ``/v1/stream/ingest`` has written since
 the model was loaded; the shard consolidation compares the PSTs
 themselves.

@@ -29,9 +29,10 @@ from typing import Any
 from ..core.cluster import Cluster
 from ..core.consolidation import drop_dismissed
 from ..core.pst import ProbabilisticSuffixTree
+from ..core.similarity import check_sequence
 from ..obs import get_logger, get_registry, span
 from ..sequences.alphabet import Alphabet
-from ..stream.engine import StreamConfig, StreamingCluseq, StreamStats
+from ..stream.engine import StreamConfig, StreamingCluseq, StreamStats, check_batch
 from .plan import ClusterExport, plan_merges
 from .router import route
 
@@ -277,9 +278,15 @@ class ShardedStreamingCluseq:
     # -- ingestion ----------------------------------------------------------------
 
     def ingest(self, encoded: Sequence[int]) -> None:
-        """Buffer one encoded sequence; dispatches a full micro-batch."""
+        """Buffer one encoded sequence; dispatches a full micro-batch.
+
+        A symbol id outside the alphabet raises ``ValueError`` here,
+        before the sequence is buffered, as in
+        :meth:`StreamingCluseq.ingest`.
+        """
         if len(encoded) == 0:
             return
+        check_sequence(encoded, self._alphabet_size)
         self._pending.append(list(encoded))
         if len(self._pending) >= self.config.stream.batch_size:
             batch, self._pending = self._pending, []
@@ -298,9 +305,12 @@ class ShardedStreamingCluseq:
 
         Returns per-sequence cluster assignments (cluster ids are only
         unique *per shard*). Empty sequences are dropped, mirroring the
-        single-shard engine.
+        single-shard engine. Every other sequence is checked before any
+        is routed: a symbol id outside the alphabet raises
+        ``ValueError`` naming its position in *batch*, and no shard
+        applies anything.
         """
-        cleaned = [list(seq) for seq in batch if len(seq) > 0]
+        cleaned = check_batch(batch, self._alphabet_size)
         if not cleaned:
             return []
         routes = [route(seq, self.config.shards) for seq in cleaned]
@@ -325,6 +335,11 @@ class ShardedStreamingCluseq:
             self.ingest(encoded)
         self.flush()
         return self.stats()
+
+    @property
+    def _alphabet_size(self) -> int:
+        """The symbol count every shard's model is over."""
+        return len(self._handles[0].engine.result.background)
 
     def _dispatch_batch(
         self, cleaned: list[list[int]], routes: list[int]

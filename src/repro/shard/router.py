@@ -17,12 +17,17 @@ _MASK = (1 << 64) - 1
 
 
 def fnv1a(symbols: Sequence[int]) -> int:
-    """64-bit FNV-1a over a symbol-id sequence (platform-independent)."""
+    """64-bit FNV-1a over a symbol-id sequence (platform-independent).
+
+    Raises ``ValueError`` on a negative id, which has no octet stream.
+    """
     digest = _FNV_OFFSET
     for symbol in symbols:
         # Mix each id as its own octet stream so ids >= 256 still
         # hash consistently (symbol ids are small non-negative ints).
         value = int(symbol)
+        if value < 0:
+            raise ValueError(f"symbol id {value} is negative")
         while True:
             digest ^= value & 0xFF
             digest = (digest * _FNV_PRIME) & _MASK

@@ -208,6 +208,24 @@ class StreamStats:
         }
 
 
+def check_batch(
+    batch: Sequence[Sequence[int]], alphabet_size: int
+) -> list[list[int]]:
+    """The non-empty sequences of *batch*, as lists, once every one is
+    checked: a symbol id outside the alphabet raises ``ValueError``
+    naming its position in *batch*."""
+    cleaned: list[list[int]] = []
+    for position, seq in enumerate(batch):
+        if len(seq) == 0:
+            continue
+        try:
+            check_sequence(seq, alphabet_size)
+        except ValueError as exc:
+            raise ValueError(f"batch position {position}: {exc}") from None
+        cleaned.append(list(seq))
+    return cleaned
+
+
 class StreamingCluseq:
     """Online clustering engine over a wrapped ``ClusteringResult``.
 
@@ -437,16 +455,7 @@ class StreamingCluseq:
         in *batch*, and nothing is journaled or applied, so no batch
         that replay would fail on ever reaches the journal.
         """
-        alphabet_size = len(self.result.background)
-        cleaned: list[list[int]] = []
-        for position, seq in enumerate(batch):
-            if len(seq) == 0:
-                continue
-            try:
-                check_sequence(seq, alphabet_size)
-            except ValueError as exc:
-                raise ValueError(f"batch position {position}: {exc}") from None
-            cleaned.append(list(seq))
+        cleaned = check_batch(batch, len(self.result.background))
         if not cleaned:
             return []
         if self._journal is not None and not self._replaying:

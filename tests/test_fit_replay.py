@@ -2,11 +2,14 @@
 
 With ``rebuild_each_iteration`` a cluster's tree at the start of
 reclustering is a function of its build input (seed index plus the
-ordered member segments), and under the overlap rule its whole pass is
-a function of that tree, ``log t`` and the examination order. The fit
-replays a pass whose three inputs all repeat the cluster's previous
-pass, and a rebuild keeps a tree whose build input repeats and that no
-absorb has touched.
+ordered member segments; a fresh seed's is the seed alone), and under
+the overlap rule its whole pass is a function of that tree, ``log t``
+and the examination order. The fit memoizes each pass under its build
+input for ``REPLAY_WINDOW`` iterations and replays a record whose
+``log t`` and order repeat too — a cluster's previous pass, an earlier
+one it returns to, or the pass of an earlier cluster seeded from the
+same sequence. A rebuild keeps a tree whose build input repeats and
+that no absorb has touched.
 
 The oracle is the live path: the same fit with replay and tree keeping
 disabled, by making ``repro.core.cluseq._built_from`` report every
@@ -41,13 +44,25 @@ def small_draw(seed, num_sequences=90, avg_length=50):
     ).database
 
 
-def fit(db, params, *, replay=True):
+def outlier_draw(seed):
+    """A small draw with 20% outliers: the fit re-seeds them."""
+    return generate_clustered_database(
+        num_sequences=90,
+        num_clusters=3,
+        avg_length=50,
+        alphabet_size=6,
+        outlier_fraction=0.2,
+        seed=seed,
+    ).database
+
+
+def fit(db, params, *, replay=True, hooks=()):
     registry = MetricsRegistry()
     with pytest.MonkeyPatch.context() as patch:
         if not replay:
             patch.setattr(cluseq, "_built_from", lambda built, pst: None)
         with use_registry(registry):
-            result = CLUSEQ(params).fit(db)
+            result = CLUSEQ(params, hooks=hooks).fit(db)
     return result, registry
 
 
@@ -74,10 +89,11 @@ def fit_state(result):
     }
 
 
-def assert_replay_matches_live(db, params):
+def assert_replay_matches_live(db, params, hooks=()):
     """Fit with and without replay; return the replaying run's result
-    and registry once the two agree."""
-    replayed, replay_registry = fit(db, params)
+    and registry once the two agree. *hooks* observe the replaying fit
+    only."""
+    replayed, replay_registry = fit(db, params, hooks=hooks)
     live, live_registry = fit(db, params, replay=False)
     assert fit_state(replayed) == fit_state(live)
     passes = replay_registry.counter("cluseq.replayed_passes").value
@@ -96,24 +112,57 @@ def assert_replay_matches_live(db, params):
 
 
 def spy_replay_checks(monkeypatch):
-    """Record, for every replay decision with a known build input, which
-    of (build input, log t, order) matched the previous pass."""
+    """Record, for every replay decision with a known build input,
+    ``(record under this build input, its log t matches, its order
+    matches)``. Without a record, the last two say whether a record
+    under *another* build input matches both ``log t`` and order."""
     seen = []
-    decide = cluseq._replays
+    decide = cluseq._replayable
 
-    def spy(previous, build_input, log_t, order):
+    def spy(passes, build_input, log_t, order):
+        if build_input is not None:
+            record = passes.get(build_input)
+            if record is not None:
+                seen.append((True, record.log_t == log_t, record.order == order))
+            else:
+                other = any(
+                    r.log_t == log_t and r.order == order for r in passes.values()
+                )
+                seen.append((False, other, other))
+        return decide(passes, build_input, log_t, order)
+
+    monkeypatch.setattr(cluseq, "_replayable", spy)
+    return seen
+
+
+def spy_memo(monkeypatch):
+    """Record ``(build input, lag, oldest)`` for every replay decision
+    with a known build input: *lag* counts the iterations since the
+    replayed record was last recorded or replayed (``None`` when the
+    pass goes live), *oldest* the same for the oldest record held.
+    Returns the list and a per-iteration hook that keeps the iteration
+    count."""
+    seen = []
+    iteration = [0]
+    decide = cluseq._replayable
+
+    def spy(passes, build_input, log_t, order):
+        record = decide(passes, build_input, log_t, order)
         if build_input is not None:
             seen.append(
                 (
-                    previous.build_input == build_input,
-                    previous.log_t == log_t,
-                    previous.order == order,
+                    build_input,
+                    None if record is None else iteration[0] - record.used,
+                    max((iteration[0] - r.used for r in passes.values()), default=0),
                 )
             )
-        return decide(previous, build_input, log_t, order)
+        return record
 
-    monkeypatch.setattr(cluseq, "_replays", spy)
-    return seen
+    def count(snapshot):
+        iteration[0] = snapshot.stats.iteration + 1
+
+    monkeypatch.setattr(cluseq, "_replayable", spy)
+    return seen, count
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -156,12 +205,81 @@ def test_additive_models_never_replay():
     assert registry.counter("cluseq.models_kept").value == 0
 
 
+# -- what the build-input memo replays -------------------------------------------
+
+
+def test_lag_two_revisit_replays_and_matches(monkeypatch):
+    """A cluster whose members flip back to those of two iterations
+    earlier replays the pass it ran then."""
+    seen, count = spy_memo(monkeypatch)
+    assert_replay_matches_live(
+        small_draw(4), CluseqParams(k=2, significance_threshold=3, seed=4), [count]
+    )
+    assert any(lag == 2 and members for (_, members), lag, _ in seen)
+
+
+def test_reseeded_sequence_replays_and_matches(monkeypatch):
+    """A sequence seeded again starts from the tree its earlier seed
+    cluster started from, so the new cluster replays that pass."""
+    seen, count = spy_memo(monkeypatch)
+    assert_replay_matches_live(
+        outlier_draw(3), CluseqParams(k=2, significance_threshold=3, seed=3), [count]
+    )
+    assert any(lag is not None and not members for (_, members), lag, _ in seen)
+
+
+def test_additive_seeds_never_replay(monkeypatch):
+    """Additive models keep every absorb, so a re-seeded sequence's
+    cluster must score live: no seed has a build record."""
+    seeded = []
+    select = cluseq.select_seeds
+
+    def spy(**kwargs):
+        choices = select(**kwargs)
+        seeded.extend(choice.sequence_index for choice in choices)
+        return choices
+
+    monkeypatch.setattr(cluseq, "select_seeds", spy)
+    _, registry = assert_replay_matches_live(
+        outlier_draw(3),
+        CluseqParams(
+            k=2, significance_threshold=3, rebuild_each_iteration=False, seed=3
+        ),
+    )
+    assert len(seeded) > len(set(seeded))
+    assert registry.counter("cluseq.replayed_passes").value == 0
+
+
+def test_window_drops_records_it_did_not_use(monkeypatch):
+    """No record older than ``REPLAY_WINDOW`` iterations is kept or
+    replayed; a narrower window replays fewer passes, with the same
+    result."""
+    seen, count = spy_memo(monkeypatch)
+    _, wide = assert_replay_matches_live(
+        small_draw(4), CluseqParams(k=2, significance_threshold=3, seed=4), [count]
+    )
+    assert all(oldest <= cluseq.REPLAY_WINDOW for _, _, oldest in seen)
+    seen.clear()
+    monkeypatch.setattr(cluseq, "REPLAY_WINDOW", 1)
+    _, narrow = assert_replay_matches_live(
+        small_draw(4), CluseqParams(k=2, significance_threshold=3, seed=4), [count]
+    )
+    assert seen and all(oldest <= 1 for _, _, oldest in seen)
+    assert {lag for _, lag, _ in seen} == {None, 1}
+    assert (
+        0
+        < narrow.counter("cluseq.replayed_passes").value
+        < wide.counter("cluseq.replayed_passes").value
+    )
+
+
 # -- one test per guard --------------------------------------------------------
 
 
 def test_guard_build_input(monkeypatch):
-    """A cluster whose members moved must not replay the old pass, nor
-    keep the old tree."""
+    """A cluster whose build input has no record goes live, even when a
+    record of another build input has the same ``log t`` and order; nor
+    does a cluster whose members moved keep the old tree."""
     seen = spy_replay_checks(monkeypatch)
     assert_replay_matches_live(
         small_draw(1), CluseqParams(k=2, significance_threshold=3, seed=1)

@@ -36,21 +36,25 @@ def small_draw():
 
 
 def test_similarity_counters_count_every_pair():
-    """Per-pair totals of a seeded fit, pinned from the per-pair
-    ``similarity()`` loop the fit ran before it scored one row per
-    sequence."""
+    """Per-pair totals of a seeded fit. ``calls`` and ``dp_cells`` are
+    derived from the totals pinned from the per-pair ``similarity()``
+    loop, which replayed one pass: each further replayed pass skips one
+    DP call per sequence. ``context_walks`` and the segment total were
+    re-pinned when the fit began replaying any recent pass with the same
+    build input (3 passes replayed)."""
+    db = small_draw()
     registry = MetricsRegistry()
     with use_registry(registry):
-        result = CLUSEQ(CluseqParams(k=2, significance_threshold=3, seed=0)).fit(
-            small_draw()
-        )
+        result = CLUSEQ(CluseqParams(k=2, significance_threshold=3, seed=0)).fit(db)
     assert (result.iterations, result.num_clusters) == (5, 3)
-    assert registry.counter("cluseq.replayed_passes").value == 1
-    assert registry.counter("similarity.calls").value == 2652
-    assert registry.counter("similarity.dp_cells").value == 132561
-    assert registry.counter("similarity.context_walks").value == 10891
+    extra = registry.counter("cluseq.replayed_passes").value - 1
+    symbols = sum(len(db.encoded(i)) for i in range(len(db)))
+    calls = 2652 - len(db) * extra
+    assert registry.counter("similarity.calls").value == calls
+    assert registry.counter("similarity.dp_cells").value == 132561 - symbols * extra
+    assert registry.counter("similarity.context_walks").value == 10633
     segments = registry.histogram("similarity.segment_length")
-    assert (segments.count, segments.total) == (2652, 17525)
+    assert (segments.count, segments.total) == (calls, 16745)
     assert (segments.min, segments.max) == (1, 62)
 
 

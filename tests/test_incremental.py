@@ -70,3 +70,42 @@ class TestAssignAndAbsorb:
         predicted = fitted_toy.predict(encoded)
         assigned = fitted_toy.assign_and_absorb(encoded)
         assert assigned == predicted
+
+
+class TestPinnedIndex:
+    """``assign_and_absorb(index=)`` refuses an index the model already
+    records, so one sequence never ends up in two clusters' member
+    lists while the assignment map names only one of them."""
+
+    @staticmethod
+    def state(result):
+        return (
+            {i: sorted(ids) for i, ids in result.assignments.items()},
+            [
+                (cluster.cluster_id, sorted(cluster.members), cluster.pst.to_dict())
+                for cluster in result.clusters
+            ],
+        )
+
+    def test_member_index_rejected_before_scoring(self, toy_db, fitted_toy):
+        member = min(fitted_toy.clusters[0].members)
+        other = fitted_toy.clusters[-1]
+        foreign = toy_db.encoded(min(other.members))
+        before = self.state(fitted_toy)
+        with pytest.raises(ValueError, match=f"sequence index {member} is already"):
+            fitted_toy.assign_and_absorb(foreign, index=member)
+        assert self.state(fitted_toy) == before
+
+    def test_seed_index_missing_from_assignments_rejected(self, toy_db, fitted_toy):
+        seed = fitted_toy.clusters[0].seed_index
+        fitted_toy.assignments.pop(seed, None)
+        for cluster in fitted_toy.clusters:
+            cluster.drop_member(seed)
+        with pytest.raises(ValueError, match=f"sequence index {seed} is already"):
+            fitted_toy.assign_and_absorb(toy_db.encoded(seed), index=seed)
+
+    def test_fresh_pinned_index_is_recorded(self, toy_db, fitted_toy):
+        index = fitted_toy.next_sequence_index() + 5
+        assigned = fitted_toy.assign_and_absorb(toy_db.encoded(0), index=index)
+        expected = set() if assigned is None else {assigned}
+        assert fitted_toy.assignments[index] == expected

@@ -16,6 +16,7 @@ from repro.core.pst import ProbabilisticSuffixTree
 from repro.shard import (
     ClusterExport,
     ShardConfig,
+    ShardedStreamingCluseq,
     apply_plan,
     context_tree_distance,
     fnv1a,
@@ -60,6 +61,11 @@ class TestFnv1a:
 
     def test_multi_octet_symbols_do_not_collide_trivially(self):
         assert fnv1a([256]) != fnv1a([0]) != fnv1a([1, 0])
+
+    def test_negative_id_raises(self):
+        # -1 >> 8 is -1: without the check the octet loop never ends.
+        with pytest.raises(ValueError, match="symbol id -1"):
+            fnv1a([0, -1])
 
 
 class TestHashRouter:
@@ -380,3 +386,64 @@ class TestShardEngine:
                 {"merge": [{"into": keep, "pst": foreign}, bad], "dismiss": [keep]},
             )
         assert self.digest(engine) == expected
+
+
+class TestCoordinatorChecksFirst:
+    """The coordinator checks a whole batch before routing any of it,
+    so a bad symbol id in one shard's share leaves every shard as it
+    was."""
+
+    BAD = [0, 1, 7]
+
+    @staticmethod
+    def make_sharded():
+        return ShardedStreamingCluseq.cold_start(
+            ALPHABET,
+            significance_threshold=1,
+            similarity_threshold=10.0,
+            max_depth=3,
+            config=ShardConfig(
+                shards=2,
+                consolidate_every=0,
+                stream=StreamConfig(batch_size=8, seed=3),
+            ),
+        )
+
+    @staticmethod
+    def digest(sharded):
+        return json.dumps(
+            [
+                result_to_dict(handle.engine.result)
+                for handle in sharded.handles
+            ]
+            + [sharded.stats().to_dict()],
+            sort_keys=True,
+        )
+
+    def test_bad_symbol_in_another_shards_share_applies_nothing(self):
+        sharded = self.make_sharded()
+        first_shard = [
+            seq
+            for seq in regime_sequences([0, 1, 2, 3], count=24, length=9)
+            if route(seq, 2) == 0
+        ][:4]
+        assert len(first_shard) == 4 and route(self.BAD, 2) == 1
+        expected = self.digest(sharded)
+        with pytest.raises(ValueError, match="batch position 4: symbol id 7"):
+            sharded.ingest_batch(first_shard + [self.BAD])
+        assert self.digest(sharded) == expected
+        assert sharded.batches_ingested == 0
+        assert all(handle.batches == 0 for handle in sharded.handles)
+
+    def test_position_counts_dropped_empty_sequences(self):
+        sharded = self.make_sharded()
+        with pytest.raises(ValueError, match="batch position 2: symbol id -1"):
+            sharded.ingest_batch([[0, 1], [], [2, -1]])
+
+    def test_ingest_checks_before_buffering(self):
+        sharded = self.make_sharded()
+        sharded.ingest(REGIME_A[0])
+        with pytest.raises(ValueError, match="symbol id 9"):
+            sharded.ingest([0, 9])
+        sharded.flush()
+        assert sharded.sequences_ingested == 1
