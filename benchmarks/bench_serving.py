@@ -5,7 +5,10 @@ serve subsystem with a fixed request budget and concurrency, fires a
 hot reload mid-run (the epoch swap must be invisible to clients), and
 writes ``BENCH_SERVING.json`` (schema ``repro.bench/v1``) with
 requests/second, p50/p99 latency, 503 counts and the dispatcher's mean
-batch occupancy — the coalescing win the micro-batcher exists for.
+batch occupancy — the coalescing win the micro-batcher exists for. The
+dispatcher holds no timed window: occupancy comes from the requests
+that queue while a flush is scoring, which then leave together in the
+next flush.
 
 Run standalone (self-hosting: builds a fixture model and an in-process
 server)::
@@ -214,7 +217,6 @@ async def self_hosted(
         registry,
         model_name=MODEL_NAME,
         max_batch=64,
-        max_delay=0.002,
         max_queue=512,
     )
     host, port = await app.start()

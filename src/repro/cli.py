@@ -311,14 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="flush the micro-batch once N sequences are waiting",
-    )
-    serve.add_argument(
-        "--batch-delay-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="max milliseconds a request waits for batch-mates",
+        help="a flush takes queued requests until it holds N sequences",
     )
     serve.add_argument(
         "--queue-size",
@@ -447,6 +440,7 @@ def _command_classify(args: argparse.Namespace) -> int:
         print("model file does not embed an alphabet; cannot classify", flush=True)
         return 1
     db = _load_database(args.input, args.format)
+    index = result.next_sequence_index()
     for record in db:
         try:
             encoded = alphabet.encode(record.symbols)
@@ -454,7 +448,8 @@ def _command_classify(args: argparse.Namespace) -> int:
             print(f"seq{record.sid}\t<unknown symbols>")
             continue
         if args.absorb:
-            assignment = result.assign_and_absorb(encoded)
+            assignment = result.assign_and_absorb(encoded, index=index)
+            index += 1
         else:
             assignment = result.predict(encoded)
         label = "outlier" if assignment is None else f"cluster{assignment}"
@@ -652,7 +647,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 registry,
                 model_name=args.name,
                 max_batch=args.max_batch,
-                max_delay=args.batch_delay_ms / 1000.0,
                 max_queue=args.queue_size,
             )
             stop = asyncio.Event()

@@ -46,9 +46,9 @@ _logger = get_logger("serve.app")
 
 _RELOAD_PATH = re.compile(r"^/admin/models/([A-Za-z0-9_.-]+)/reload$")
 
-#: Retry-After seconds suggested to shed clients. One batching window
-#: is usually enough for the queue to drain a slot; a full second is
-#: the conservative, cache-friendly hint.
+#: Retry-After seconds suggested to shed clients. One flush is usually
+#: enough for the queue to drain a slot; a full second is the
+#: conservative, cache-friendly hint.
 RETRY_AFTER_SECONDS = 1
 
 
@@ -88,7 +88,6 @@ class ServeApp:
         registry: ModelRegistry,
         model_name: str = "default",
         max_batch: int = 64,
-        max_delay: float = 0.002,
         max_queue: int = 256,
     ) -> None:
         self.registry = registry
@@ -97,7 +96,6 @@ class ServeApp:
             registry=registry,
             model_name=model_name,
             max_batch=max_batch,
-            max_delay=max_delay,
             max_queue=max_queue,
         )
         self.server = HttpServer(self.handle)
@@ -238,7 +236,7 @@ class ServeApp:
                     assignments.append(None)
                     skipped += 1
                     continue
-                cluster_id = version.result.assign_and_absorb(list(encoded))
+                cluster_id = version.absorb(list(encoded))
                 assignments.append(cluster_id)
                 if cluster_id is not None:
                     absorbed += 1

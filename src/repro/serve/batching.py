@@ -3,10 +3,13 @@
 Concurrent ``/v1/classify`` requests each carry a handful of
 sequences; scoring them one request at a time would pay the batch
 scorer's fixed costs (stack-cache validation, kernel launch overhead,
-padding) per request. The dispatcher instead drains a bounded queue
-under a (max batch size, max delay) window and scores **all** waiting
-sequences in one :meth:`~repro.serve.registry.ModelVersion.classify_batch`
-call against one acquired version: at most one
+padding) per request. The dispatcher instead takes the first queued
+request, drains whatever else is already queued (up to ``max_batch``
+sequences) and scores **all** of it at once in one
+:meth:`~repro.serve.registry.ModelVersion.classify_batch` call against
+one acquired version. There is no timed window: the flush is
+synchronous, so requests that arrive while it scores queue up and
+leave together in the next flush. One flush is at most one
 :class:`~repro.core.backends.dispatch.PstBatchScorer` full-matrix
 invocation over the closed trees no ingest has written, so the
 flat/stack caches and the walk/Kadane kernels are amortized across
@@ -40,7 +43,6 @@ class QueueFullError(RuntimeError):
 class _Item:
     sequences: list[list[str]]
     future: "asyncio.Future[tuple[list[ClassifyOutcome | None], ModelVersion]]"
-    enqueued: float
 
 
 @dataclass
@@ -74,10 +76,8 @@ class MicroBatcher:
 
     registry: ModelRegistry
     model_name: str = "default"
-    #: Flush when this many sequences are waiting...
+    #: A flush takes queued requests until this many sequences.
     max_batch: int = 64
-    #: ...or when the oldest waiting request has aged this long.
-    max_delay: float = 0.002
     #: Queue bound in *requests*; beyond it, submit() sheds load.
     max_queue: int = 256
     stats: BatchStats = field(default_factory=BatchStats)
@@ -87,8 +87,6 @@ class MicroBatcher:
             raise ValueError("max_batch must be at least 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be at least 1")
-        if self.max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
         # Created lazily inside the running loop: on py3.9 an
         # asyncio.Queue binds the *construction-time* loop, and the
         # batcher is typically built before asyncio.run() starts one.
@@ -136,7 +134,7 @@ class MicroBatcher:
         future: asyncio.Future[
             tuple[list[ClassifyOutcome | None], ModelVersion]
         ] = loop.create_future()
-        item = _Item(sequences=sequences, future=future, enqueued=time.monotonic())
+        item = _Item(sequences=sequences, future=future)
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
@@ -153,34 +151,16 @@ class MicroBatcher:
         return await future
 
     async def _dispatch(self) -> None:
+        # The only await is the queue read, where no batch is held, so a
+        # cancel from close() leaves every pending request in the queue.
         assert self._queue is not None
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            size = len(first.sequences)
-            deadline = time.monotonic() + self.max_delay
-            try:
-                while size < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                    batch.append(item)
-                    size += len(item.sequences)
-            except asyncio.CancelledError:
-                # Shutdown landed mid-window: these items left the queue
-                # already, so close() cannot see them — fail them here.
-                for item in batch:
-                    if not item.future.done():
-                        item.future.set_exception(
-                            RuntimeError("server shutting down")
-                        )
-                raise
+            batch = [await self._queue.get()]
+            size = len(batch[0].sequences)
+            while size < self.max_batch and not self._queue.empty():
+                item = self._queue.get_nowait()
+                batch.append(item)
+                size += len(item.sequences)
             self._flush(batch)
 
     def _flush(self, batch: list[_Item]) -> None:

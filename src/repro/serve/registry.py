@@ -167,6 +167,9 @@ class ModelVersion:
         self._built = [
             (cluster.pst, cluster.pst.version) for cluster in result.clusters
         ]
+        # The next ingested sequence's index, allocated once here as
+        # StreamingCluseq does, not rescanned per sequence.
+        self._next_index = result.next_sequence_index()
         self._lock = threading.Lock()
         self._refs = 0
         self._retired = False
@@ -300,6 +303,14 @@ class ModelVersion:
                 best_end=result.best_end,
             )
         return outcomes
+
+    def absorb(self, encoded: list[int]) -> int | None:
+        """Join *encoded* to its best cluster, or record it as an outlier,
+        under the next sequence index (see
+        :meth:`~repro.core.cluseq.ClusteringResult.assign_and_absorb`)."""
+        cluster_id = self.result.assign_and_absorb(encoded, index=self._next_index)
+        self._next_index += 1
+        return cluster_id
 
     def describe(self) -> dict[str, Any]:
         return {

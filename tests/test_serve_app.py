@@ -37,9 +37,7 @@ def make_app(serve_model_path, **kwargs):
 class TestClassify:
     def test_batches_coalesce(self, serve_model_path, query_strings):
         async def scenario():
-            app = make_app(
-                serve_model_path, max_batch=64, max_delay=0.02, max_queue=64
-            )
+            app = make_app(serve_model_path, max_batch=64, max_queue=64)
             host, port = await app.start()
             try:
                 responses = await asyncio.gather(
@@ -90,11 +88,9 @@ class TestClassify:
         self, serve_model_path, query_strings
     ):
         async def scenario():
-            # queue bound 1 and a generous delay window: the flood must
-            # overflow while the dispatcher is still waiting.
-            app = make_app(
-                serve_model_path, max_batch=256, max_delay=0.2, max_queue=1
-            )
+            # queue bound 1: the flood must overflow while a flush is
+            # scoring.
+            app = make_app(serve_model_path, max_batch=256, max_queue=1)
             host, port = await app.start()
             try:
                 responses = await asyncio.gather(
@@ -149,6 +145,51 @@ class TestClassify:
         assert run(scenario()).status == 405
 
 
+class TestDispatcher:
+    def test_requests_queued_during_a_flush_leave_together(
+        self, serve_model_path, query_strings, monkeypatch
+    ):
+        """No timer: what queues while a flush scores is the next flush."""
+        from repro.serve import MicroBatcher
+        from repro.serve.registry import ModelVersion
+
+        registry = ModelRegistry()
+        registry.load("default", serve_model_path)
+        batcher = MicroBatcher(registry=registry)
+        flushes = []
+        followers = []
+        classify_batch = ModelVersion.classify_batch
+
+        def spy(version, sequences):
+            flushes.append(len(sequences))  # one sequence per request
+            if len(flushes) == 1:
+                loop = asyncio.get_running_loop()
+                followers.extend(
+                    loop.create_task(batcher.submit([list(s)]))
+                    for s in query_strings[1:4]
+                )
+            return classify_batch(version, sequences)
+
+        monkeypatch.setattr(ModelVersion, "classify_batch", spy)
+
+        async def scenario():
+            try:
+                first = await batcher.submit([list(query_strings[0])])
+                return [first, *await asyncio.gather(*followers)]
+            finally:
+                await batcher.close()
+
+        replies = run(scenario())
+        assert flushes == [1, 3]
+        assert batcher.stats.flushes == 2
+        assert batcher.stats.mean_occupancy == 2.0
+        monkeypatch.undo()
+        version = registry.get("default")
+        for query, (outcomes, served_by) in zip(query_strings, replies):
+            assert served_by is version
+            assert outcomes == version.classify_batch([list(query)])
+
+
 class TestHotSwap:
     def test_inflight_requests_survive_reload(
         self, serve_model_path, query_strings, tmp_path
@@ -163,9 +204,7 @@ class TestHotSwap:
         """
 
         async def scenario():
-            app = make_app(
-                serve_model_path, max_batch=8, max_delay=0.005, max_queue=512
-            )
+            app = make_app(serve_model_path, max_batch=8, max_queue=512)
             host, port = await app.start()
             try:
                 expected = await http_call(
@@ -273,6 +312,63 @@ class TestOtherEndpoints:
         if served["cluster"] is not None:
             winner = scores[served["cluster"]]
             assert served["segment"] == [winner.best_start, winner.best_end]
+
+    def test_ingest_indices_match_in_process_replay(
+        self, serve_model_path, query_strings
+    ):
+        """Served ingests record what per-sequence ``assign_and_absorb()``
+        records; after a reload, indices restart from the reloaded model."""
+        batches = [
+            query_strings[start : start + 3] + ["§§§"]
+            for start in range(0, len(query_strings), 3)
+        ]
+
+        async def scenario():
+            app = make_app(serve_model_path)
+            host, port = await app.start()
+            try:
+                replies = [
+                    await http_call(
+                        host, port, "POST", "/v1/stream/ingest",
+                        {"sequences": batch},
+                    )
+                    for batch in batches
+                ]
+                served = app.registry.get("default").result
+                reload_ = await http_call(
+                    host, port, "POST", "/admin/models/default/reload"
+                )
+                reloaded = app.registry.get("default").result
+                before = set(reloaded.assignments)
+                after = await http_call(
+                    host, port, "POST", "/v1/stream/ingest",
+                    {"sequence": query_strings[0]},
+                )
+            finally:
+                await app.close()
+            return replies, served, reload_, reloaded, before, after
+
+        replies, served, reload_, reloaded, before, after = run(scenario())
+        assert all(r.status == 200 for r in (*replies, reload_, after))
+        reference, alphabet = load_result_with_alphabet(serve_model_path)
+        expected_next = reference.next_sequence_index()
+        for batch, reply in zip(batches, replies):
+            assert reply.json()["assignments"] == [
+                reference.assign_and_absorb(list(alphabet.encode(list(s))))
+                for s in batch[:-1]
+            ] + [None]
+        assert served.assignments == reference.assignments
+        assert [c.cluster_id for c in served.clusters] == [
+            c.cluster_id for c in reference.clusters
+        ]
+        for mine, theirs in zip(served.clusters, reference.clusters):
+            assert mine.members == theirs.members
+            assert all(
+                mine.membership_of(i) == theirs.membership_of(i)
+                for i in mine.members
+            )
+        assert reloaded is not served
+        assert set(reloaded.assignments) - before == {expected_next}
 
     def test_zero_cluster_model_replies_strict_json(self, tmp_path):
         """A cold-start checkpoint (no clusters) classifies to
@@ -439,8 +535,6 @@ class TestCliParser:
                 "0",
                 "--max-batch",
                 "32",
-                "--batch-delay-ms",
-                "1.5",
                 "--queue-size",
                 "128",
                 "--ready-file",
@@ -452,10 +546,13 @@ class TestCliParser:
         assert args.name == "prod"
         assert args.port == 0
         assert args.max_batch == 32
-        assert args.batch_delay_ms == 1.5
         assert args.queue_size == 128
         assert args.ready_file == "/tmp/ready"
         assert not hasattr(args, "workers")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "model.json", "--batch-delay-ms", "1.5"]
+            )
 
     def test_cli_serve_rejects_bad_model(self, tmp_path, capsys):
         from repro.cli import main
@@ -484,14 +581,12 @@ class TestCliParser:
 class TestShutdown:
     def test_close_fails_pending_requests(self, serve_model_path, query_strings):
         async def scenario():
-            app = make_app(
-                serve_model_path, max_batch=256, max_delay=5.0, max_queue=64
-            )
+            app = make_app(serve_model_path, max_batch=256, max_queue=64)
             await app.start()
             task = asyncio.get_running_loop().create_task(
                 app.batcher.submit([list(query_strings[0])])
             )
-            await asyncio.sleep(0.05)  # parked in the delay window
+            await asyncio.sleep(0)  # parked in the queue, not yet flushed
             await app.close()
             with pytest.raises(RuntimeError, match="shutting down"):
                 await task
