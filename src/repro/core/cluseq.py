@@ -38,6 +38,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -60,7 +61,7 @@ from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
 from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
-from .similarity import SimilarityResult, _safe_exp, similarities
+from .similarity import SimilarityResult, _log_background, score_pass
 from .smoothing import default_p_min
 from .threshold import VALLEY_METHODS, blend_log_threshold, find_valley
 
@@ -397,9 +398,9 @@ class _Built:
 
 
 #: Iterations a recorded pass survives without being recorded again or
-#: replayed. A pass record holds one ``log SIM`` + whole-sequence log
-#: pair and one ``best_start``/``best_end`` pair per examined sequence
-#: (24 bytes), and each iteration records at most one pass per cluster,
+#: replayed. A pass record holds one ``log SIM`` and one
+#: ``best_start``/``best_end`` pair per examined sequence (16 bytes),
+#: and each iteration records at most one pass per cluster,
 #: so the fit holds at most ``REPLAY_WINDOW · k' · N`` entries. On
 #: ``fit-outliers`` 131 of the 135 repeats an unbounded memo finds lie
 #: within 6 iterations (lag histogram in docs/PERFORMANCE.md).
@@ -408,43 +409,15 @@ REPLAY_WINDOW = 6
 
 @dataclass
 class _Pass:
-    """One reclustering pass from a known build input: the ``log t`` and
-    examination order it ran under, its scores in that order as compact
-    columns, and the last iteration that recorded or replayed it."""
+    """One cluster's reclustering pass: the ``log t`` and examination
+    order it ran under, its column (:func:`~repro.core.similarity.score_pass`)
+    and the last iteration that recorded or replayed it."""
 
     log_t: float
     order: list[int]
-    logs: array[float]  # log SIM, whole-sequence log; two per position
+    logs: array[float]  # log SIM; one per position
     bounds: array[int]  # best_start, best_end; two per position
     used: int
-
-    @classmethod
-    def record(
-        cls,
-        log_t: float,
-        order: list[int],
-        scores: list[SimilarityResult],
-        iteration: int,
-    ) -> "_Pass":
-        logs = array("d")
-        bounds = array("i")
-        for result in scores:
-            logs.append(result.log_similarity)
-            logs.append(result.whole_sequence_log)
-            bounds.append(result.best_start)
-            bounds.append(result.best_end)
-        return cls(log_t, order, logs, bounds, iteration)
-
-    def results(self) -> list[SimilarityResult]:
-        """The recorded scores in examination order, equal field for
-        field to the live ones."""
-        logs, bounds = self.logs, self.bounds
-        return [
-            SimilarityResult(_safe_exp(log_sim), log_sim, start, end, whole)
-            for log_sim, whole, start, end in zip(
-                logs[::2], logs[1::2], bounds[::2], bounds[1::2]
-            )
-        ]
 
 
 def _built_from(
@@ -558,6 +531,8 @@ class CLUSEQ:
         rng = np.random.default_rng(params.seed)
         background = db.background_probabilities()
         encoded = [db.encoded(i) for i in range(len(db))]
+        # The scoring input check, once for the whole fit.
+        log_bg = _log_background([], encoded, background)
         pst_factory = params.pst_factory(db.alphabet.size)
 
         clusters: list[Cluster] = []
@@ -652,7 +627,7 @@ class CLUSEQ:
             ):
                 with span("calibrate"):
                     calibrated = self._calibrate_initial_threshold(
-                        db, clusters, encoded, background, pst_factory, rng
+                        db, clusters, encoded, log_bg, pst_factory, rng
                     )
                 if calibrated is not None:
                     log_t = calibrated
@@ -676,7 +651,7 @@ class CLUSEQ:
                         clusters,
                         assignments,
                         unclustered_streak,
-                        background,
+                        log_bg,
                         log_t,
                         all_log_sims,
                         built,
@@ -893,7 +868,7 @@ class CLUSEQ:
         clusters: list[Cluster],
         assignments: dict[int, set[int]],
         unclustered_streak: dict[int, int],
-        background: npt.NDArray[np.float64],
+        log_bg: list[float],
         log_t: float,
         all_log_sims: list[float],
         built: dict[int, _Built],
@@ -902,84 +877,72 @@ class CLUSEQ:
     ) -> tuple[int, int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
-        Each sequence is scored with one ``similarities()`` call against
-        every cluster's live PST, then joins every cluster
-        whose SIM reaches ``t`` (:func:`~repro.core.examine.join_all`).
-        A join absorbs the sequence's best segment before the next
-        sequence is scored, so scores are never computed ahead of time:
-        a precomputed score would go stale at the first join.
-
         Under the overlap rule a cluster's join depends only on its own
         score, and a join absorbs only into that cluster, so a cluster's
         whole pass is a function of its starting tree, ``log t`` and
-        *order*. A rebuilt or freshly seeded tree is a function of its
-        build input (*built*), so *passes* memoizes each pass under the
-        build input it started from. A cluster whose build input has a
-        record with the same ``log t`` and *order* — its own previous
-        pass, an earlier one it returns to, or the pass of an earlier
-        cluster seeded from the same sequence — replays it: the recorded
-        scores go through the same ``join_all``, with no DP scan and no
-        absorb. A record neither recorded nor replayed in the last
-        :data:`REPLAY_WINDOW` iterations is dropped. Returns
-        ``(membership changes, symbols scored, passes replayed)``;
-        replayed symbols count as scored (§4.7 model).
+        *order*: it runs as one column
+        (:func:`~repro.core.similarity.score_pass`, absorbing as it
+        goes). A rebuilt or freshly seeded tree is a function of its build
+        input (*built*), so *passes* memoizes each pass under the build
+        input it started from. A cluster whose build input has a record
+        with the same ``log t`` and *order* — its own previous pass, an
+        earlier one it returns to, or the pass of an earlier cluster
+        seeded from the same sequence — replays it: its column is the
+        recorded one, with no DP scan and no absorb. This iteration's
+        passes are recorded once every cluster has run; a record
+        neither recorded nor replayed in the last :data:`REPLAY_WINDOW`
+        iterations is dropped. One sequence-major merge
+        (:func:`~repro.core.examine.join_all`) then records the
+        memberships. Returns ``(membership changes, symbols scored,
+        passes replayed)``; replayed symbols count as scored (§4.7).
         """
-        membership_changes = 0
-        reclustering_work = 0
-        starts = [
-            _built_from(built.get(cluster.cluster_id), cluster.pst)
-            for cluster in clusters
-        ]
-        records = [_replayable(passes, start, log_t, order) for start in starts]
-        recorded = [
-            None if record is None else record.results() for record in records
-        ]
-        replayed = {
-            cluster.cluster_id
-            for cluster, column in zip(clusters, recorded)
-            if column is not None
-        }
-        live = [
-            cluster.pst
-            for cluster, column in zip(clusters, recorded)
-            if column is None
-        ]
-        columns: list[list[SimilarityResult]] = [[] for _ in clusters]
-        for position, index in enumerate(order):
-            seq = encoded[index]
-            fresh = iter(similarities(live, seq, background))
-            scores = [
-                next(fresh) if column is None else column[position]
-                for column in recorded
-            ]
-            for column, result in zip(columns, scores):
-                column.append(result)
-            reclustering_work += len(seq) * len(clusters)
-            all_log_sims.extend(result.log_similarity for result in scores)
-            joined = join_all(index, seq, clusters, scores, log_t, replayed)
-            if joined != assignments[index]:
-                membership_changes += 1
-            assignments[index] = joined
-            unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
-        for start, record, column in zip(starts, records, columns):
-            if record is not None:
-                record.used = iteration
-            elif start is not None:
-                passes[start] = _Pass.record(log_t, order, column, iteration)
+        seqs = [encoded[index] for index in order]
+        columns: list[_Pass] = []
+        replayed: list[_Pass] = []
+        recorded: list[tuple[BuildInput, _Pass]] = []
+        for cluster in clusters:
+            start = _built_from(built.get(cluster.cluster_id), cluster.pst)
+            column = _replayable(passes, start, log_t, order)
+            if column is not None:
+                replayed.append(column)
+            else:
+                logs, bounds = score_pass(
+                    cluster.pst, seqs, log_bg, log_t, cluster.absorb_segment
+                )
+                column = _Pass(log_t, order, logs, bounds, iteration)
+                if start is not None:
+                    recorded.append((start, column))
+            columns.append(column)
+        for column in replayed:
+            column.used = iteration
+        passes.update(recorded)
         for stale in [
             key
             for key, record in passes.items()
             if record.used <= iteration - REPLAY_WINDOW
         ]:
             del passes[stale]
-        return membership_changes, reclustering_work, len(replayed)
+
+        logs_by_cluster = [column.logs for column in columns]
+        bounds_by_cluster = [column.bounds for column in columns]
+        all_log_sims.extend(chain.from_iterable(zip(*logs_by_cluster)))
+        membership_changes = 0
+        for position, index in enumerate(order):
+            joined = join_all(
+                index, position, clusters, logs_by_cluster, bounds_by_cluster, log_t
+            )
+            if joined != assignments[index]:
+                membership_changes += 1
+            assignments[index] = joined
+            unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
+        return membership_changes, sum(map(len, seqs)) * len(clusters), len(replayed)
 
     def _calibrate_initial_threshold(
         self,
         db: SequenceDatabase,
         clusters: list[Cluster],
         encoded: list[list[int]],
-        background: npt.NDArray[np.float64],
+        log_bg: list[float],
         pst_factory: PSTFactory,
         rng: np.random.Generator,
     ) -> float | None:
@@ -1023,16 +986,9 @@ class CLUSEQ:
                 replace=False,
             )
             reference_psts.extend(pst_factory(encoded[int(i)]) for i in extra)
-        # Each sequence against every reference, then read the columns.
-        rows = [
-            [
-                result.log_similarity
-                for result in similarities(reference_psts, seq, background)
-            ]
-            for seq in encoded
-        ]
         found: list[float] = []
-        for reference_sims in zip(*rows):
+        for pst in reference_psts:
+            reference_sims, _ = score_pass(pst, encoded, log_bg)
             for finder in VALLEY_METHODS.values():
                 estimate = finder(reference_sims)
                 if estimate is not None:

@@ -109,15 +109,12 @@ class Cluster:
         sequence_index: int,
         encoded: Sequence[int],
         result: SimilarityResult,
-        absorb: bool = True,
     ) -> None:
         """Admit a sequence (§4.2) and absorb its best segment (§4.4).
 
         *result* is the sequence's score against this cluster: the
         membership records it, and ``encoded[best_start:best_end]``
-        goes into the PST. ``absorb=False`` records the membership
-        only: the fit replaying a pass whose absorbs the next rebuild
-        would discard (:func:`~repro.core.examine.join_all`).
+        goes into the PST.
         """
         self.set_member(
             Membership(
@@ -127,8 +124,7 @@ class Cluster:
                 best_end=result.best_end,
             )
         )
-        if absorb:
-            self.absorb_segment(list(encoded[result.best_start : result.best_end]))
+        self.absorb_segment(list(encoded[result.best_start : result.best_end]))
 
     def absorb_segment(self, encoded_segment: Sequence[int]) -> None:
         """Insert a joining sequence's best-scoring segment into the PST.

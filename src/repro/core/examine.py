@@ -13,25 +13,20 @@ and the serving classifier. Two join rules exist:
   that score reaches ``t``.
 
 A join records the membership and absorbs the sequence's best-scoring
-segment into the cluster PST (:meth:`Cluster.join`, §4.4).
+segment into the cluster PST (§4.4).
 
-Scores arrive as a list of
-:class:`~repro.core.similarity.SimilarityResult`, one per cluster in
-cluster order. Every examiner that joins scores one sequence at a time
-against the live models (:func:`live_scores`, one
-:func:`~repro.core.similarity.similarities` call per sequence, which
-checks the sequence once and then runs the §4.3 DP per cluster): each
-join mutates a PST that the next sequence is scored against, so scores
-taken up front would go stale within the batch. The one exception is
-the fit replaying a recorded pass: under the overlap rule a cluster's
-pass is a function of its starting model (its build input), ``log t``
-and the examination order alone, so when a recent pass from the same
-build input ran under the same ``log t`` and order — the cluster's
-previous pass, an earlier one it returns to, or the pass of an earlier
-cluster seeded from the same sequence — its recorded scores *are* the
-live ones and :func:`join_all` records the memberships without
-absorbing (see ``CLUSEQ._recluster_vectorized``). Everything in
-``repro.core`` scores with the reference DP. The batch kernel runs only outside it, in serve
+The best rule is sequence-major: its join depends on every cluster's
+score, and it mutates a PST the next sequence is scored against. So
+each sequence is scored against the live models (:func:`live_scores`,
+one :func:`~repro.core.similarity.similarities` call) and then joins.
+The overlap rule is column-major: a join depends only on the
+cluster's own score and absorbs only into its own tree, so the fit
+runs each cluster's pass as one column
+(:func:`~repro.core.similarity.score_pass`, absorbing as it goes), or
+reuses a recorded column (``CLUSEQ._recluster_vectorized``), and
+:func:`join_all` merges the columns into memberships, absorbing
+nothing. Everything in ``repro.core`` scores
+with the reference DP. The batch kernel runs only outside it, in serve
 classify, over the trees no ``/v1/stream/ingest`` has written since
 the model was loaded; the shard consolidation compares the PSTs
 themselves.
@@ -39,12 +34,12 @@ themselves.
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .cluster import Cluster
+from .cluster import Cluster, Membership
 from .similarity import SimilarityResult, similarities
 
 
@@ -79,28 +74,30 @@ def live_scores(
 
 def join_all(
     index: int,
-    seq: Sequence[int],
+    position: int,
     clusters: Sequence[Cluster],
-    scores: Sequence[SimilarityResult],
+    logs: Sequence[Sequence[float]],
+    bounds: Sequence[Sequence[int]],
     log_t: float,
-    replayed: Container[int] = (),
 ) -> set[int]:
     """The fit's §4.2 overlap rule: join every cluster with SIM ≥ t.
 
-    Every other cluster drops the sequence. *Each* join — a re-join on
-    a later iteration included — absorbs the current best segment:
-    re-absorption is what lets a young model mature, its members' best
-    segments extending towards whole sequences. A cluster whose id is
-    in *replayed* is replaying a recorded pass: its joins record the
-    membership but absorb nothing, because the absorbs would only
-    reproduce a model the rebuild then discards. Returns the joined
-    ids.
+    *index* sits at *position* of each cluster's column (``logs`` and
+    ``bounds`` as :func:`~repro.core.similarity.score_pass` returns
+    them, in cluster order). It joins, with that score and segment,
+    every cluster whose ``log SIM ≥ log t`` there; every other cluster
+    drops it. The pass already absorbed *each* join's segment — a
+    re-join included, which is what lets a young model mature — so
+    nothing is absorbed here. Returns the joined ids, added in cluster
+    order.
     """
     joined: set[int] = set()
-    for cluster, result in zip(clusters, scores):
-        if result.log_similarity >= log_t:
-            cluster.join(
-                index, seq, result, absorb=cluster.cluster_id not in replayed
+    end = 2 * position + 1
+    for cluster, column, segments in zip(clusters, logs, bounds):
+        log_sim = column[position]
+        if log_sim >= log_t:
+            cluster.set_member(
+                Membership(index, log_sim, segments[end - 1], segments[end])
             )
             joined.add(cluster.cluster_id)
         else:

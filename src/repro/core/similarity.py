@@ -27,8 +27,9 @@ cluster's PST when a sequence joins (§4.4).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -115,13 +116,13 @@ def check_sequence(encoded: Sequence[int], alphabet_size: int) -> None:
 
 def _log_background(
     psts: Sequence[ProbabilisticSuffixTree],
-    encoded: Sequence[int],
+    seqs: Sequence[Sequence[int]],
     background: npt.NDArray[np.float64],
 ) -> list[float]:
     """The one input check of every scoring entry point.
 
-    Checks *encoded* once and the background against every tree, all
-    before any tree is scanned, and also when there are no trees.
+    Checks each of *seqs* once and the background against every tree,
+    all before any tree is scanned, and also when there are no trees.
     Returns ``log p(s)`` per symbol id.
     """
     background = np.asarray(background, dtype=np.float64)
@@ -135,7 +136,8 @@ def _log_background(
                 f"background must have length {pst.alphabet_size}, "
                 f"got shape {background.shape}"
             )
-    check_sequence(encoded, len(background))
+    for encoded in seqs:
+        check_sequence(encoded, len(background))
     return log_background(background)
 
 
@@ -144,7 +146,7 @@ def _scan(
     encoded: Sequence[int],
     log_bg: list[float],
     ratios: list[float] | None,
-) -> tuple[SimilarityResult, int]:
+) -> tuple[float, int, int, float, int]:
     """The §4.3 scoring loop: one pass of log ratios and the X/Y/Z scan.
 
     The loop carries the prediction node of the current position. On a
@@ -162,7 +164,8 @@ def _scan(
     and a whole-row fill would re-pay ``n`` logs per touched node.
 
     Appends each position's log ratio to *ratios* when it is a list.
-    Returns the result and the number of root walks.
+    Returns ``log SIM``, ``best_start``, ``best_end``, the
+    whole-sequence log and the number of root walks.
     """
     n = pst.alphabet_size
     p_min = pst.p_min
@@ -225,14 +228,21 @@ def _scan(
                 successors[symbol] = successor
         node = successor
 
-    result = SimilarityResult(
-        similarity=_safe_exp(log_z),
-        log_similarity=log_z,
-        best_start=best_start,
-        best_end=best_end,
-        whole_sequence_log=whole,
-    )
-    return result, walks
+    return log_z, best_start, best_end, whole, walks
+
+
+def _count_pairs(pairs: int, cells: int, walks: int, segments: Iterable[int]) -> None:
+    """Record one scoring call's per-pair ``similarity.*`` totals; one
+    registry check per call, never per symbol or per pair, so
+    disabled-mode overhead is a single attribute read."""
+    registry = get_registry()
+    if registry.enabled and pairs:
+        registry.counter("similarity.calls").inc(pairs)
+        registry.counter("similarity.dp_cells").inc(cells)
+        registry.counter("similarity.context_walks").inc(walks)
+        histogram = registry.histogram("similarity.segment_length")
+        for length in segments:
+            histogram.observe(length)
 
 
 def log_symbol_ratios(
@@ -251,7 +261,7 @@ def log_symbol_ratios(
         As :func:`similarity` does.
     """
     ratios: list[float] = []
-    _scan(pst, encoded, _log_background([pst], encoded, background), ratios)
+    _scan(pst, encoded, _log_background([pst], [encoded], background), ratios)
     return ratios
 
 
@@ -282,24 +292,59 @@ def similarities(
     ValueError
         As :func:`similarity` does.
     """
-    log_bg = _log_background(psts, encoded, background)
+    log_bg = _log_background(psts, [encoded], background)
     results: list[SimilarityResult] = []
     walks = 0
     for pst in psts:
-        result, pst_walks = _scan(pst, encoded, log_bg, None)
-        results.append(result)
+        log_sim, start, end, whole, pst_walks = _scan(pst, encoded, log_bg, None)
+        results.append(SimilarityResult(_safe_exp(log_sim), log_sim, start, end, whole))
         walks += pst_walks
-    # One registry check per scoring call — never per symbol or per
-    # tree — so disabled-mode overhead is a single attribute read.
-    registry = get_registry()
-    if registry.enabled and results:
-        registry.counter("similarity.calls").inc(len(results))
-        registry.counter("similarity.dp_cells").inc(len(encoded) * len(results))
-        registry.counter("similarity.context_walks").inc(walks)
-        segments = registry.histogram("similarity.segment_length")
-        for result in results:
-            segments.observe(result.best_end - result.best_start)
+    _count_pairs(
+        len(results),
+        len(encoded) * len(results),
+        walks,
+        (result.best_end - result.best_start for result in results),
+    )
     return results
+
+
+def score_pass(
+    pst: ProbabilisticSuffixTree,
+    seqs: Sequence[Sequence[int]],
+    log_bg: list[float],
+    log_t: float = math.inf,
+    absorb: Callable[[Sequence[int]], None] | None = None,
+) -> tuple[array[float], array[int]]:
+    """One tree's column of the §4.7 matrix: ``log SIM`` per sequence
+    of *seqs*, and ``best_start``, ``best_end`` per sequence, in order.
+
+    Each sequence gets the X/Y/Z scan against the tree as it stands
+    when its turn comes. With *absorb*, a score with ``log SIM ≥
+    log_t`` hands that sequence's best segment to *absorb* before the
+    next scan: one cluster's §4.2 overlap pass. The caller checks the
+    input once for the column (:func:`check_sequence` per sequence,
+    *log_bg* from :func:`log_background`). The registry records the
+    per-pair totals of one :func:`similarities` call per sequence.
+    """
+    logs: array[float] = array("d")
+    bounds: array[int] = array("i")
+    cells = walks = 0
+    for encoded in seqs:
+        log_sim, start, end, _, seq_walks = _scan(pst, encoded, log_bg, None)
+        logs.append(log_sim)
+        bounds.append(start)
+        bounds.append(end)
+        cells += len(encoded)
+        walks += seq_walks
+        if absorb is not None and log_sim >= log_t:
+            absorb(encoded[start:end])
+    _count_pairs(
+        len(logs),
+        cells,
+        walks,
+        (bounds[at + 1] - bounds[at] for at in range(0, len(bounds), 2)),
+    )
+    return logs, bounds
 
 
 def similarity(
