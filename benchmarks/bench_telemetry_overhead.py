@@ -119,13 +119,13 @@ def measure_overhead() -> tuple[float, float, float]:
         "this bench must run with telemetry disabled"
     )
     psts, sequences, background = build_workload()
-    scorer = PstBatchScorer(background)
-    scorer.score_matrix_full(psts, sequences)  # warm flats, stack and caches
+    scorer = PstBatchScorer(background, psts)
+    scorer.score_matrix_full(sequences)  # warm flats, stack and caches
     bare_runner = make_bare_runner(scorer, psts, sequences, scorer.log_bg)
     bare_runner()
 
     def instrumented_runner() -> None:
-        scorer.score_matrix_full(psts, sequences)
+        scorer.score_matrix_full(sequences)
 
     def block(runner) -> float:
         started = time.perf_counter()

@@ -8,24 +8,24 @@ floats, same segment bounds), restructured to score a whole
 (tree × sequence) matrix in one call. No setting chooses between the
 two. The kernel steps the prediction-node automaton that the DP
 steps, so it scores *closed* trees only (``count(w) ≥ count(w·a)``,
-see :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`) and
-raises ``ValueError`` on any other, such as a pruned tree. The kernel
-has one caller, serve classify (see README "Scoring paths"), which
-keeps a tree on the kernel only while it is closed and unchanged since
-the model was loaded (once an ingest writes it, re-flattening it for
-every read costs more than the DP, so it is scored pair by pair from
-then on); CLQ001 keeps every other package off it. The fit, the
-stream, the shard consolidation and ``predict`` score with the DP or
-read the trees directly.
+see :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`);
+:func:`~repro.core.backends.flatten.flatten_pst` raises ``ValueError``
+on any other, such as a pruned tree. The kernel has one caller, serve
+classify (see README "Scoring paths"); CLQ001 keeps every other
+package off it. The fit, the stream, the shard consolidation and
+``predict`` score with the DP or read the trees directly.
 
-:class:`PstBatchScorer` is the kernel's working interface: it owns the
-background log vector, caches the flattened export (automaton +
-log-probability table, see
-:class:`~repro.core.backends.flatten.FlattenedPST`) of each tree in its
-current stack together with the *prepared* stacked table set (see
-:class:`~repro.core.backends.vectorized.PreparedStack`) for repeated
-calls against the same tree group, and emits counters/timers through
-the active metrics registry.
+:class:`PstBatchScorer` is the kernel's working interface and the one
+owner of its state. Built with a model's trees, it decides which of
+them the kernel scores (:meth:`PstBatchScorer.rows`: closed, and
+unchanged since it was built; once an ingest writes a tree,
+re-flattening it for every read costs more than the DP, so the caller
+scores it pair by pair from then on). It owns the background log
+vector, flattens each row's tree once (see
+:class:`~repro.core.backends.flatten.FlattenedPST`), keeps the
+*prepared* stacked table set (see
+:class:`~repro.core.backends.vectorized.PreparedStack`) until the rows
+shrink, and emits counters/timers through the active metrics registry.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy.typing as npt
 from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
 from ..similarity import log_background
-from .flatten import FlattenedPST, flatten_pst, require_closed
+from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
     PreparedStack,
     ScoreMatrixResult,
@@ -78,89 +78,71 @@ def _observe_segment_lengths(matrix: ScoreMatrixResult) -> None:
 
 
 class PstBatchScorer:
-    """Batch scorer over flattened PSTs, result-identical to reference.
+    """Batch scorer over one fixed list of PSTs, result-identical to reference.
 
-    One instance per (background, run): the scorer validates every
-    cached flat against its tree's current mutation version on each
-    call, so interleaving scoring with ``add_sequence`` /
-    ``decay_counts`` is safe — a mutated tree is transparently
-    re-flattened, never scored stale. A restack re-flattens only the
-    trees whose object or version changed; the others keep their flats.
-    A tree that is not closed (after pruning, say) raises ``ValueError``.
+    Built with its trees, it is the one place that decides which of
+    them the kernel scores: :meth:`rows`, the trees that are closed and
+    unwritten since the scorer was built. A tree an ingest writes (a
+    :attr:`~repro.core.pst.ProbabilisticSuffixTree.version` bump), or
+    one that is not closed, is never a row, so the caller scores it
+    with the DP; rows only ever shrink. Each row's tree is flattened at
+    most once, on the first call that scores it, and the prepared
+    stack is rebuilt only when the rows shrink. A background of the
+    wrong length raises ``ValueError`` at construction.
     """
 
-    def __init__(self, background: npt.NDArray[np.float64]) -> None:
+    def __init__(
+        self,
+        background: npt.NDArray[np.float64],
+        psts: Sequence[ProbabilisticSuffixTree],
+    ) -> None:
         self._background = np.asarray(background, dtype=np.float64)
-        self._log_bg = np.asarray(
-            log_background(self._background), dtype=np.float64
-        )
-        # Stack cache: the trees are held by strong reference and
-        # revalidated by identity + version, never by id() alone — an
-        # id can be reused by a new tree once the old one is collected.
-        self._stack_psts: tuple[ProbabilisticSuffixTree, ...] = ()
-        self._stack_flats: tuple[FlattenedPST, ...] = ()
-        self._stack: PreparedStack | None = None
-
-    @property
-    def log_bg(self) -> npt.NDArray[np.float64]:
-        """Background log vector (reference ``math.log`` convention)."""
-        return self._log_bg
-
-    def _check_trees(self, psts: Sequence[ProbabilisticSuffixTree]) -> None:
-        """Reject a call the kernel cannot answer exactly, before any
-        tree is flattened; touches no cache."""
         for pst in psts:
             if self._background.shape != (pst.alphabet_size,):
                 raise ValueError(
                     f"background must have length {pst.alphabet_size}, "
                     f"got shape {self._background.shape}"
                 )
-            require_closed(pst)
+        self._log_bg = np.asarray(
+            log_background(self._background), dtype=np.float64
+        )
+        self._psts = tuple(psts)
+        self._versions = tuple(pst.version for pst in psts)
+        self._closed = tuple(
+            p for p, pst in enumerate(psts) if pst.transitions()[1]
+        )
+        self._flats: dict[int, FlattenedPST] = {}
+        # (rows, stack) in one attribute, so a reader never pairs one
+        # call's rows with another's stack.
+        self._stacked: tuple[tuple[int, ...], PreparedStack | None] = ((), None)
 
-    def _current_stack(
-        self, psts: Sequence[ProbabilisticSuffixTree]
-    ) -> PreparedStack | None:
-        """The cached stack when *psts* are its trees, in order, and
-        none has been written since; else ``None``.
+    @property
+    def log_bg(self) -> npt.NDArray[np.float64]:
+        """Background log vector (reference ``math.log`` convention)."""
+        return self._log_bg
 
-        The trees passed :meth:`_check_trees` when they were stacked,
-        and only a write (a version bump) can change what it checks, so
-        a hit needs no second check.
-        """
-        if (
-            self._stack is not None
-            and len(psts) == len(self._stack_psts)
-            and all(
-                pst is held and pst.version == flat.version
-                for pst, held, flat in zip(psts, self._stack_psts, self._stack_flats)
-            )
-        ):
-            return self._stack
-        return None
+    def rows(self) -> tuple[int, ...]:
+        """Positions of the trees the kernel scores, in order: closed
+        when the scorer was built and unwritten since."""
+        return tuple(
+            p for p in self._closed if self._psts[p].version == self._versions[p]
+        )
 
-    def _stack_for(
-        self, psts: Sequence[ProbabilisticSuffixTree]
-    ) -> PreparedStack:
-        """Restack *psts* after a miss of :meth:`_current_stack`,
-        re-flattening only the trees whose object or version changed."""
-        # The cached trees are alive (held in _stack_psts), so no tree in
-        # *psts* can share an id with a different cached one.
-        cached = {
-            id(pst): flat for pst, flat in zip(self._stack_psts, self._stack_flats)
+    def _stack_for(self, rows: tuple[int, ...]) -> PreparedStack:
+        """The prepared stack of *rows*, restacked only when they changed
+        and flattening only rows never flattened before."""
+        stacked_rows, stack = self._stacked
+        if stack is not None and stacked_rows == rows:
+            return stack
+        self._flats = {
+            p: self._flats.get(p) or flatten_pst(self._psts[p]) for p in rows
         }
-        flats = []
-        for pst in psts:
-            flat = cached.get(id(pst))
-            if flat is None or flat.version != pst.version:
-                flat = flatten_pst(pst)
-            flats.append(flat)
-        self._stack = prepare_stack(flats, self._log_bg)
-        self._stack_psts = tuple(psts)
-        self._stack_flats = tuple(flats)
+        stack = prepare_stack([self._flats[p] for p in rows], self._log_bg)
+        self._stacked = (rows, stack)
         registry = get_registry()
         if registry.enabled:
             registry.counter("backend.stack_rebuilds").inc()
-        return self._stack
+        return stack
 
     def _score_matrix_arrays(
         self,
@@ -195,42 +177,32 @@ class PstBatchScorer:
         return matrix
 
     def score_matrix_full(
-        self,
-        psts: Sequence[ProbabilisticSuffixTree],
-        sequences: Sequence[Sequence[int]],
+        self, sequences: Sequence[Sequence[int]]
     ) -> ScoreMatrixResult:
-        """Full (tree × sequence) matrix in array form, one kernel call.
+        """The (row × sequence) matrix in array form, one kernel call;
+        matrix row ``i`` is the tree at ``rows()[i]``.
 
-        The preferred shape for the §4.2 driving loops: read ``log_z``
-        for the join test, materialize result objects only for joins.
+        The preferred shape for the §4.2 decision: read ``log_z`` for
+        the join test, materialize result objects only for the winner.
 
-        Raises ``ValueError`` as ``similarity()`` does (wrong background
-        length, an empty sequence, an id outside the alphabet), and for
-        a tree that is not closed, before any tree is flattened.
+        Raises ``ValueError`` as ``similarity()`` does (an empty
+        sequence, an id outside the alphabet) before any tree is
+        flattened.
         """
-        if not psts or not sequences:
-            shape = (len(psts), len(sequences))
+        rows = self.rows()
+        if not rows or not sequences:
+            shape = (len(rows), len(sequences))
             return ScoreMatrixResult(
                 log_z=np.zeros(shape, dtype=np.float64),
                 best_start=np.zeros(shape, dtype=np.int64),
                 best_end=np.zeros(shape, dtype=np.int64),
                 whole=np.zeros(shape, dtype=np.float64),
             )
-        prep = self._current_stack(psts)
-        if prep is None:
-            self._check_trees(psts)
         started = time.perf_counter()
-        symbols, lengths = pad_sequences(sequences, psts[0].alphabet_size)
+        symbols, lengths = pad_sequences(sequences, self._background.shape[0])
         padded_s = time.perf_counter() - started
-        if prep is None:
-            prep = self._stack_for(psts)
+        prep = self._stack_for(rows)
         registry = get_registry()
         if registry.enabled:
             registry.timer("backend.pad_seconds").record(padded_s)
         return self._score_matrix_arrays(prep, symbols, lengths)
-
-    def forget(self) -> None:
-        """Drop the stack cache (releases cached trees and their flats)."""
-        self._stack_psts = ()
-        self._stack_flats = ()
-        self._stack = None

@@ -29,9 +29,9 @@ walk computes.
 
 :func:`flatten_pst` always builds, and only for a closed tree. The only
 cache of exports is the one
-:class:`~repro.core.backends.dispatch.PstBatchScorer` keeps for the
-trees of its current stack, keyed by tree identity and mutation
-:attr:`~repro.core.pst.ProbabilisticSuffixTree.version`.
+:class:`~repro.core.backends.dispatch.PstBatchScorer` keeps for its own
+trees: each is flattened at most once, while it is closed and unwritten
+since the scorer was built.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ from ..similarity import _LOG_ZERO
 class FlattenedPST:
     """Array export of one closed PST's walkable nodes; row 0 is the root.
 
-    A mutated tree gets a fresh export (compare :attr:`version` against
-    the tree's current version).
+    A snapshot: a later write to the tree makes it stale.
     """
 
-    #: The tree's mutation version this export was built from.
-    version: int
     #: ``automaton[r, a]``: the row of the prediction node after row
     #: ``r``'s label followed by symbol ``a``.
     automaton: npt.NDArray[np.intp]
@@ -68,21 +65,6 @@ class FlattenedPST:
     @property
     def node_count(self) -> int:
         return int(self.log_probs.shape[0])
-
-
-def require_closed(pst: ProbabilisticSuffixTree) -> None:
-    """Raise ``ValueError`` unless the kernel can score *pst* exactly.
-
-    The automaton of the §4.3 prediction walk holds only on a closed
-    tree (see
-    :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`).
-    """
-    if not pst.transitions()[1]:
-        raise ValueError(
-            "the batch kernel scores closed trees only (see "
-            "ProbabilisticSuffixTree.transitions); score this "
-            "tree with similarity()"
-        )
 
 
 def _automaton(
@@ -126,9 +108,16 @@ def flatten_pst(pst: ProbabilisticSuffixTree) -> FlattenedPST:
     The export captures exactly what the paper's §4.3 scoring walk can
     observe: the prediction node after each symbol and each prediction
     node's (smoothed) next-symbol log distribution. Raises
-    ``ValueError`` for a tree that is not closed.
+    ``ValueError`` for a tree that is not closed: the automaton of the
+    prediction walk holds only on a closed tree (see
+    :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`).
     """
-    require_closed(pst)
+    if not pst.transitions()[1]:
+        raise ValueError(
+            "the batch kernel scores closed trees only (see "
+            "ProbabilisticSuffixTree.transitions); score this "
+            "tree with similarity()"
+        )
     started = time.perf_counter()
     rows: dict[tuple[int, ...], int] = {}
     depths: list[int] = []
@@ -154,7 +143,6 @@ def flatten_pst(pst: ProbabilisticSuffixTree) -> FlattenedPST:
         dtype=np.float64,
     ).reshape(count, pst.alphabet_size)
     flat = FlattenedPST(
-        version=pst.version,
         automaton=_automaton(
             np.asarray(depths, dtype=np.intp), parent_rows, edge_symbols, children
         ),

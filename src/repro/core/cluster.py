@@ -98,10 +98,6 @@ class Cluster:
         """
         return self._members.pop(sequence_index, None) is not None
 
-    def clear_members(self) -> None:
-        """Empty the membership set (used by per-iteration reassignment)."""
-        self._members.clear()
-
     # -- model updates --------------------------------------------------------------
 
     def join(
@@ -152,14 +148,6 @@ class Cluster:
             if not unique:
                 break
         return unique
-
-    def average_log_similarity(self) -> float:
-        """Mean member log-similarity (0.0 for an empty cluster)."""
-        if not self._members:
-            return 0.0
-        return sum(m.log_similarity for m in self._members.values()) / len(
-            self._members
-        )
 
     def __repr__(self) -> str:
         return (

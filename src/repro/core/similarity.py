@@ -73,12 +73,6 @@ class SimilarityResult:
     def best_segment_length(self) -> int:
         return self.best_end - self.best_start
 
-    def exceeds(self, threshold: float) -> bool:
-        """Whether ``SIM ≥ threshold`` (computed safely in log scale)."""
-        if threshold <= 0:
-            return True
-        return self.log_similarity >= math.log(threshold)
-
 
 def _safe_exp(log_value: float) -> float:
     """``exp`` with saturation instead of ``OverflowError``."""

@@ -3,8 +3,8 @@
 The subsystem layers (each importable on its own):
 
 * :mod:`repro.serve.http` — framework-free asyncio HTTP/1.1 wire layer.
-* :mod:`repro.serve.registry` — versioned model registry with the
-  epoch/refcount hot-swap protocol.
+* :mod:`repro.serve.registry` — versioned model registry with
+  build-then-swap hot reload.
 * :mod:`repro.serve.batching` — bounded-queue micro-batching dispatcher
   coalescing classify requests into single kernel invocations.
 * :mod:`repro.serve.app` — endpoint routing and the server lifecycle.

@@ -18,9 +18,9 @@ surface:
 Request handling is single-threaded on the event loop; scoring runs
 inline in the dispatcher flush (numpy releases nothing useful to
 overlap) and model mutation (`ingest`) happens between flushes, so no
-lock guards the model itself — the epoch/refcount protocol in the
-registry is the only cross-request synchronization, and it exists for
-*swaps*, not scoring.
+lock guards the model itself — the registry's build-then-swap is the
+only cross-request synchronization, and it exists for *swaps*, not
+scoring.
 """
 
 from __future__ import annotations
@@ -205,9 +205,10 @@ class ServeApp:
     def _ingest(self, request: HttpRequest) -> HttpResponse:
         """Absorb sequences into the live model (§4.4 streaming join).
 
-        Mutation bumps each touched PST's version counter. From the
-        next classify flush on, the version scores those trees with the
-        reference ``similarity()`` DP instead of re-flattening them
+        Mutation bumps each touched PST's version counter, which takes
+        the tree off its scorer's rows: from the next classify flush on
+        it is scored with the reference ``similarity()`` DP instead of
+        being re-flattened
         (:meth:`~.registry.ModelVersion.classify_batch`); untouched
         trees stay on the batch kernel.
         """
@@ -218,30 +219,27 @@ class ServeApp:
         except ValueError as exc:
             return error_response(400, str(exc))
         try:
-            version = self.registry.acquire(self.model_name)
+            version = self.registry.get(self.model_name)
         except KeyError as exc:
             return error_response(503, f"model not loaded: {exc}")
-        try:
-            assignments: list[int | None] = []
-            absorbed = 0
-            skipped = 0
-            for symbols in sequences:
-                try:
-                    encoded = version.alphabet.encode(symbols)
-                except AlphabetError:
-                    assignments.append(None)
-                    skipped += 1
-                    continue
-                if len(encoded) == 0:
-                    assignments.append(None)
-                    skipped += 1
-                    continue
-                cluster_id = version.absorb(list(encoded))
-                assignments.append(cluster_id)
-                if cluster_id is not None:
-                    absorbed += 1
-        finally:
-            version.release()
+        assignments: list[int | None] = []
+        absorbed = 0
+        skipped = 0
+        for symbols in sequences:
+            try:
+                encoded = version.alphabet.encode(symbols)
+            except AlphabetError:
+                assignments.append(None)
+                skipped += 1
+                continue
+            if len(encoded) == 0:
+                assignments.append(None)
+                skipped += 1
+                continue
+            cluster_id = version.absorb(list(encoded))
+            assignments.append(cluster_id)
+            if cluster_id is not None:
+                absorbed += 1
         registry = get_registry()
         if registry.enabled:
             registry.counter("serve.ingested").inc(len(sequences))
@@ -324,7 +322,9 @@ class ServeApp:
                 payload = request.json()
             except ValueError as exc:
                 return error_response(400, str(exc))
-            if isinstance(payload, dict) and payload.get("path") is not None:
+            if not isinstance(payload, dict):
+                return error_response(400, "body must be a JSON object")
+            if payload.get("path") is not None:
                 if not isinstance(payload["path"], str):
                     return error_response(400, "'path' must be a string")
                 source = payload["path"]

@@ -2,21 +2,23 @@
 
 Concurrent ``/v1/classify`` requests each carry a handful of
 sequences; scoring them one request at a time would pay the batch
-scorer's fixed costs (stack-cache validation, kernel launch overhead,
+scorer's fixed costs (the rows check, kernel launch overhead,
 padding) per request. The dispatcher instead takes the first queued
 request, drains whatever else is already queued (up to ``max_batch``
 sequences) and scores **all** of it at once in one
 :meth:`~repro.serve.registry.ModelVersion.classify_batch` call against
-one acquired version. There is no timed window: the flush is
-synchronous, so requests that arrive while it scores queue up and
-leave together in the next flush. One flush is at most one
+the one version live when the flush starts. There is no timed window:
+the flush is synchronous, so requests that arrive while it scores
+queue up and leave together in the next flush. One flush is at most one
 :class:`~repro.core.backends.dispatch.PstBatchScorer` full-matrix
-invocation over the closed trees no ingest has written, so the
-flat/stack caches and the walk/Kadane kernels are amortized across
-clients. Trees an ingest has written, and trees that are not closed
-(the kernel's automaton walk holds only on closed trees, see
+invocation over the scorer's rows (the closed trees no ingest has
+written), so the flat/stack caches and the walk/Kadane kernels are
+amortized across clients. Trees an ingest has written, and trees that
+are not closed (the kernel's automaton walk holds only on closed
+trees, see
 :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`), are
-scored pair by pair with the reference DP.
+scored pair by pair with the reference DP. A flush that cannot score
+(no model loaded, say) fails its requests' futures with the error.
 
 Backpressure is the queue bound: when it is full, :meth:`submit`
 raises :class:`QueueFullError` and the HTTP layer answers 503 with a
@@ -164,7 +166,7 @@ class MicroBatcher:
             self._flush(batch)
 
     def _flush(self, batch: list[_Item]) -> None:
-        """Score one coalesced batch against one acquired model version.
+        """Score one coalesced batch against the live model version.
 
         Synchronous on purpose: scoring is CPU-bound (numpy kernel for
         unchanged trees, the pure-Python reference DP for trees an
@@ -180,23 +182,20 @@ class MicroBatcher:
         sequences: list[list[str]] = []
         for item in batch:
             sequences.extend(item.sequences)
-        version = self.registry.acquire(self.model_name)
         try:
-            try:
-                outcomes = version.classify_batch(sequences)
-            except Exception as exc:
-                for item in batch:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                return
-            offset = 0
+            version = self.registry.get(self.model_name)
+            outcomes = version.classify_batch(sequences)
+        except Exception as exc:  # a missing model (KeyError) included
             for item in batch:
-                chunk = outcomes[offset : offset + len(item.sequences)]
-                offset += len(item.sequences)
                 if not item.future.done():
-                    item.future.set_result((chunk, version))
-        finally:
-            version.release()
+                    item.future.set_exception(exc)
+            return
+        offset = 0
+        for item in batch:
+            chunk = outcomes[offset : offset + len(item.sequences)]
+            offset += len(item.sequences)
+            if not item.future.done():
+                item.future.set_result((chunk, version))
         self.stats.flushes += 1
         self.stats.requests += len(batch)
         self.stats.sequences += len(sequences)

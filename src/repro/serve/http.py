@@ -25,6 +25,7 @@ The pieces:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
@@ -160,8 +161,10 @@ async def read_request(
     split = urlsplit(target)
     query = dict(parse_qsl(split.query))
     headers: dict[str, str] = {}
-    while True:
-        if len(headers) > MAX_HEADER_COUNT:
+    # Count header lines, not distinct names: a repeated name would
+    # otherwise stream past the cap.
+    for lines in itertools.count():
+        if lines > MAX_HEADER_COUNT:
             raise HttpProtocolError(400, "too many headers")
         try:
             raw_header = await reader.readuntil(b"\r\n")

@@ -1,4 +1,4 @@
-"""Versioned model registry with epoch/refcount hot swap.
+"""Versioned model registry with build-then-swap hot reload.
 
 A *model* is a fitted :class:`~repro.core.cluseq.ClusteringResult`
 plus its alphabet — exactly what ``cluster --save-model`` writes via
@@ -7,23 +7,22 @@ in a ``repro.stream/v1`` checkpoint. The registry loads either format
 (:func:`load_model_payload` sniffs the ``format``/``format_version``
 tag, and accepts a stream state *directory* by resolving its
 ``checkpoint.json``), wraps it in a :class:`ModelVersion` carrying its
-own :class:`~repro.core.backends.dispatch.PstBatchScorer`, and serves
-it to request handlers under an epoch/refcount protocol:
+own :class:`~repro.core.backends.dispatch.PstBatchScorer`, and hands
+it to request handlers:
 
-* ``acquire()`` returns the live version with its refcount bumped;
-  ``release()`` drops it. Every scoring pass runs against exactly one
-  acquired version.
+* ``get()`` returns the live version. Every scoring pass runs against
+  the one version it got.
 * ``reload()`` builds the replacement *completely* — parsed, scored
   against nothing, ready to serve — and then swaps the registry slot
-  in one assignment under the lock. In-flight requests finish on the
-  version they acquired; new acquisitions see only the new epoch.
-  There is never a moment where a half-loaded model is visible.
-* The retired version's refcount drains to zero as in-flight work
-  completes; ``ModelVersion.drained`` flips, its caches are dropped,
-  and the memory goes with the last reference.
+  in one assignment under the lock, with the next epoch number.
+  In-flight requests finish on the version they hold; later ``get()``
+  calls see only the new epoch. There is never a moment where a
+  half-loaded model is visible.
+* A retired version is a plain object: it, its trees and its scorer's
+  tables are freed with the last reference to it.
 
-Thread-safe by a plain mutex: acquire/release/swap are a few pointer
-operations, far off any hot path (scoring happens *outside* the lock).
+Thread-safe by a plain mutex around the name → version map, far off
+any hot path (scoring happens *outside* the lock).
 """
 
 from __future__ import annotations
@@ -132,17 +131,18 @@ class ModelVersion:
     """One loaded model generation.
 
     Classification never mutates the model; ``/v1/stream/ingest``
-    does (absorbing §4.4 segments). Every PST carries a mutation
-    version counter, recorded per tree when the version is built:
-    classify scores a tree with the batch kernel only while it is the
-    same object at the same version, and scores a tree an ingest has
-    written with the reference ``similarity()`` DP from then on,
-    without re-flattening it. The kernel steps the prediction-node
-    automaton, which holds only on a *closed* tree (see
-    :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`), so a
-    tree that is not closed — one pruned by ``max_nodes``, say — is
-    scored by the DP too. Both paths are bit-identical. A reload
-    builds a fresh version whose trees start unchanged.
+    does (absorbing §4.4 segments). The version's :attr:`scorer`, built
+    with its trees, decides which trees the batch kernel scores
+    (:meth:`~repro.core.backends.dispatch.PstBatchScorer.rows`): those
+    that are closed and that no ingest has written since the build.
+    Classify scores every other tree with the reference
+    ``similarity()`` DP, without re-flattening it: a written tree, and a
+    tree that is not closed — one pruned by ``max_nodes``, say — on
+    which the kernel's prediction-node automaton does not hold (see
+    :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`). Both
+    paths are bit-identical. A reload builds a fresh version whose
+    trees start unchanged; a version lives as long as something refers
+    to it.
     """
 
     def __init__(
@@ -161,73 +161,26 @@ class ModelVersion:
         self.source = source
         self.kind = kind
         self.loaded_unix = time.time()
-        self.scorer = PstBatchScorer(result.background)
-        # Each tree with its mutation version at build time; only trees
-        # still matching both are scored with the batch kernel.
-        self._built = [
-            (cluster.pst, cluster.pst.version) for cluster in result.clusters
-        ]
+        self.scorer = PstBatchScorer(
+            result.background, [cluster.pst for cluster in result.clusters]
+        )
         # The next ingested sequence's index, allocated once here as
         # StreamingCluseq does, not rescanned per sequence.
         self._next_index = result.next_sequence_index()
-        self._lock = threading.Lock()
-        self._refs = 0
-        self._retired = False
-        self._drained = threading.Event()
-
-    @property
-    def refs(self) -> int:
-        return self._refs
-
-    @property
-    def retired(self) -> bool:
-        return self._retired
-
-    @property
-    def drained(self) -> bool:
-        """True once retired with no outstanding references."""
-        return self._drained.is_set()
-
-    def _acquire(self) -> None:
-        with self._lock:
-            self._refs += 1
-
-    def release(self) -> None:
-        """Drop one reference; finishes the drain when retired."""
-        with self._lock:
-            if self._refs <= 0:
-                raise RuntimeError(f"release() without acquire on {self!r}")
-            self._refs -= 1
-            drained = self._retired and self._refs == 0
-        if drained:
-            self.scorer.forget()
-            self._drained.set()
-
-    def _retire(self) -> None:
-        with self._lock:
-            self._retired = True
-            drained = self._refs == 0
-        if drained:
-            self.scorer.forget()
-            self._drained.set()
-
-    def wait_drained(self, timeout: float | None = None) -> bool:
-        """Block until every in-flight reference is released."""
-        return self._drained.wait(timeout)
 
     def classify_batch(
         self, sequences: list[list[str]]
     ) -> list[ClassifyOutcome | None]:
         """Classify raw symbol sequences; ``None`` marks an unencodable one.
 
-        Closed trees unchanged since this version was built are scored
-        for all encodable sequences in **one** batch-kernel matrix call
-        (amortizing the flat/stack caches across every request in the
-        micro-batch). A tree an ingest has absorbed into, or one that is
-        not closed, is scored pair by pair with the reference
-        ``similarity()`` DP, as ``predict`` does, and is never flattened
-        again. Both paths are
-        bit-identical; the decision is
+        The scorer's rows (closed trees unchanged since this version
+        was built) are scored for all encodable sequences in **one**
+        batch-kernel matrix call, amortizing the flat/stack caches
+        across every request in the micro-batch. A tree an ingest has
+        absorbed into, or one that is not closed, is scored pair by
+        pair with the reference ``similarity()`` DP, as ``predict``
+        does, and is not flattened again. Both paths are bit-identical;
+        the decision is
         :func:`~repro.core.examine.best_cluster` at the model's final
         threshold, the same one ``ClusteringResult.predict`` makes.
         """
@@ -248,27 +201,17 @@ class ModelVersion:
         if not encoded:
             return outcomes
         clusters = self.result.clusters
-        # Kernel rows: closed trees unchanged since the build. The rest
-        # (written by an ingest, or not closed) are scored by the DP.
-        fixed = [
-            position
-            for position, (cluster, (built, version)) in enumerate(
-                zip(clusters, self._built)
-            )
-            if cluster.pst is built
-            and built.version == version
-            and built.transitions()[1]
-        ]
+        # Kernel rows first; the rest (written by an ingest, or not
+        # closed) are scored by the DP.
+        fixed = self.scorer.rows()
         written = [p for p in range(len(clusters)) if p not in fixed]
         written_clusters = [clusters[p] for p in written]
         # slot[p]: cluster p's row in a merged column, kernel rows first.
         slot = [0] * len(clusters)
-        for row, p in enumerate(fixed + written):
+        for row, p in enumerate([*fixed, *written]):
             slot[p] = row
         # No kernel call (and no flatten) when no tree is on the kernel.
-        matrix = self.scorer.score_matrix_full(
-            [clusters[p].pst for p in fixed], encoded
-        )
+        matrix = self.scorer.score_matrix_full(encoded)
         # One bulk convert to per-sequence columns of Python floats.
         kernel_columns: list[list[float]] = matrix.log_z.T.tolist()
         threshold = self.result.final_log_threshold
@@ -324,10 +267,7 @@ class ModelVersion:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ModelVersion(name={self.name!r}, epoch={self.epoch}, "
-            f"refs={self._refs}, retired={self._retired})"
-        )
+        return f"ModelVersion(name={self.name!r}, epoch={self.epoch})"
 
 
 class ModelRegistry:
@@ -349,9 +289,8 @@ class ModelRegistry:
     def reload(self, name: str, source: str | None = None) -> ModelVersion:
         """Re-read the model's source (or a new one) and hot-swap it.
 
-        The old epoch keeps serving its in-flight requests and drains;
-        callers that acquired before the swap are never torn between
-        generations.
+        The old epoch keeps serving the requests that hold it; a caller
+        that got it before the swap is never torn between generations.
         """
         with self._lock:
             if name not in self._models:
@@ -365,11 +304,12 @@ class ModelRegistry:
         with self._lock:
             previous = self._models.get(name)
             epoch = previous.epoch + 1 if previous is not None else 1
-            version = ModelVersion(name, epoch, result, alphabet, source, kind)
+            try:
+                version = ModelVersion(name, epoch, result, alphabet, source, kind)
+            except ValueError as exc:  # a background its trees disagree with
+                raise ModelLoadError(f"{source}: {exc}") from exc
             self._models[name] = version
             self._sources[name] = source
-        if previous is not None:
-            previous._retire()
         registry = get_registry()
         if registry.enabled:
             registry.counter("serve.reloads").inc()
@@ -380,24 +320,9 @@ class ModelRegistry:
         return version
 
     def get(self, name: str) -> ModelVersion:
-        """The live version of *name* (no refcount taken)."""
+        """The live version of *name*."""
         with self._lock:
             version = self._models.get(name)
         if version is None:
             raise KeyError(f"no model named {name!r}")
-        return version
-
-    def acquire(self, name: str) -> ModelVersion:
-        """The live version with one reference taken; pair with release.
-
-        The bump happens under the registry lock so a concurrent
-        ``reload`` either retires the version *after* this reference is
-        counted (the drain waits for it) or swaps first (and this call
-        returns the new epoch) — the in-between does not exist.
-        """
-        with self._lock:
-            version = self._models.get(name)
-            if version is None:
-                raise KeyError(f"no model named {name!r}")
-            version._acquire()
         return version

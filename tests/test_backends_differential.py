@@ -141,8 +141,8 @@ def _assert_results_equal(got, want, context: str) -> None:
 class TestSimilarityAgreesWithReference:
     def test_scores_bounds_and_whole_log_match(self, scenarios):
         for case, (pst, background, sequences) in enumerate(scenarios):
-            scorer = PstBatchScorer(background)
-            matrix = scorer.score_matrix_full([pst], sequences)
+            scorer = PstBatchScorer(background, [pst])
+            matrix = scorer.score_matrix_full(sequences)
             for column, seq in enumerate(sequences):
                 got = matrix.result(0, column)
                 want = similarity(pst, seq, background)
@@ -160,9 +160,9 @@ class TestSimilarityAgreesWithReference:
         for group in by_alphabet.values():
             psts = [pst for pst, _, _ in group]
             background = group[0][1]
-            scorer = PstBatchScorer(background)
+            scorer = PstBatchScorer(background, psts)
             seq = group[0][2][0]
-            matrix = scorer.score_matrix_full(psts, [seq])
+            matrix = scorer.score_matrix_full([seq])
             for tree, pst in enumerate(psts):
                 got = matrix.result(tree, 0)
                 want = similarity(pst, seq, background)
@@ -174,9 +174,9 @@ class TestSimilarityAgreesWithReference:
 class TestBruteforceAgreement:
     def test_vectorized_matches_bruteforce_segments(self, scenarios):
         for case, (pst, background, sequences) in enumerate(scenarios):
-            scorer = PstBatchScorer(background)
+            scorer = PstBatchScorer(background, [pst])
             seq = min(sequences, key=len)  # O(l²) oracle: keep it short
-            got = scorer.score_matrix_full([pst], [seq]).result(0, 0)
+            got = scorer.score_matrix_full([seq]).result(0, 0)
             brute_log, (brute_start, brute_end) = similarity_bruteforce(
                 pst, seq, background
             )
@@ -219,21 +219,20 @@ class TestEdgeCases:
     def test_background_of_another_alphabet_raises(self):
         pst = ProbabilisticSuffixTree(alphabet_size=4, max_depth=2)
         pst.add_sequence([0, 1, 2, 3])
-        scorer = PstBatchScorer(np.full(3, 1.0 / 3.0))
         with pytest.raises(ValueError, match="background must have length 4"):
-            scorer.score_matrix_full([pst], [[0, 1]])
+            PstBatchScorer(np.full(3, 1.0 / 3.0), [pst])
 
     def test_empty_sequence_raises_like_reference(self):
         pst = ProbabilisticSuffixTree(alphabet_size=4, max_depth=3)
         pst.add_sequence([0, 1, 2, 3])
         background = np.full(4, 0.25)
-        scorer = PstBatchScorer(background)
+        scorer = PstBatchScorer(background, [pst])
         with pytest.raises(ValueError, match="empty sequence"):
             similarity(pst, [], background)
         with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_matrix_full([pst], [[0, 1], []])
+            scorer.score_matrix_full([[0, 1], []])
         with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_matrix_full([pst], [[]])
+            scorer.score_matrix_full([[]])
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_id_raises_like_reference(self, bad):
@@ -244,11 +243,11 @@ class TestEdgeCases:
         message = rf"symbol id {bad} out of range \(alphabet size 3\)"
         with pytest.raises(ValueError, match=message):
             similarity(pst, sequence, background)
-        scorer = PstBatchScorer(background)
+        scorer = PstBatchScorer(background, [pst])
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(ValueError, match=message):
-                scorer.score_matrix_full([pst], [[0, 1], sequence])
+                scorer.score_matrix_full([[0, 1], sequence])
         # Checked before the stack: nothing was flattened or stacked.
         assert registry.counter("backend.flatten_builds").value == 0
         assert registry.counter("backend.stack_rebuilds").value == 0
@@ -295,22 +294,34 @@ class TestEdgeCases:
             # would be wrong.
             with pytest.raises(ValueError, match="closed trees only"):
                 flatten_pst(tree)
-            scorer = PstBatchScorer(background)
+            # The scorer keeps it off the kernel: no row, no flatten.
+            scorer = PstBatchScorer(background, [tree])
+            assert scorer.rows() == ()
             registry = MetricsRegistry()
             with use_registry(registry):
-                with pytest.raises(ValueError, match="closed trees only"):
-                    scorer.score_matrix_full([tree], [[0, 1, 0]])
-                if tree is pruned:
-                    with pytest.raises(ValueError, match="closed trees only"):
-                        scorer.score_matrix_full([closed, tree], [[0, 1, 0]])
+                matrix = scorer.score_matrix_full([[0, 1, 0]])
+            assert matrix.log_z.shape == (0, 1)
             assert registry.counter("backend.flatten_builds").value == 0
+            assert registry.counter("backend.batch_rows").value == 0
+        # Beside a closed tree, only the closed one is a row.
+        scorer = PstBatchScorer(np.full(4, 0.25), [closed, pruned])
+        assert scorer.rows() == (0,)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            matrix = scorer.score_matrix_full([[0, 1, 0]])
+        assert registry.counter("backend.flatten_builds").value == 1
+        _assert_results_equal(
+            matrix.result(0, 0),
+            similarity(closed, [0, 1, 0], np.full(4, 0.25)),
+            "closed beside pruned",
+        )
 
     def test_single_symbol_sequences(self):
         for seed in range(N_CASES):
             pst, background, _ = _random_scenario(5000 + seed)
-            scorer = PstBatchScorer(background)
+            scorer = PstBatchScorer(background, [pst])
             seq = [seed % pst.alphabet_size]
-            got = scorer.score_matrix_full([pst], [seq]).result(0, 0)
+            got = scorer.score_matrix_full([seq]).result(0, 0)
             want = similarity(pst, seq, background)
             _assert_results_equal(got, want, f"seed {seed}")
             assert (got.best_start, got.best_end) == (0, 1)
@@ -340,35 +351,42 @@ class TestEdgeCases:
                     [int(s) for s in rng.integers(0, unseen, size=length)]
                 )
             background = np.full(alphabet_size, 1.0 / alphabet_size)
-            scorer = PstBatchScorer(background)
+            scorer = PstBatchScorer(background, [pst])
             seq = [unseen] * int(rng.integers(1, 12))
-            got = scorer.score_matrix_full([pst], [seq]).result(0, 0)
+            got = scorer.score_matrix_full([seq]).result(0, 0)
             want = similarity(pst, seq, background)
             _assert_results_equal(got, want, f"seed {seed}")
 
     def test_mutation_invalidates_flat_export(self):
+        """A written tree leaves the rows and is never scored stale; a
+        scorer built after the write flattens it afresh, exactly."""
         pst = ProbabilisticSuffixTree(alphabet_size=3, max_depth=3)
         pst.add_sequence([0, 1, 2, 0, 1, 2])
         background = np.full(3, 1.0 / 3.0)
-        scorer = PstBatchScorer(background)
+        scorer = PstBatchScorer(background, [pst])
         seq = [0, 1, 2, 0]
-        before = scorer.score_matrix_full([pst], [seq]).result(0, 0)
-        _assert_results_equal(
-            before, similarity(pst, seq, background), "pre-mutation"
-        )
-        pst.add_sequence([2, 1, 0, 2, 1, 0])
-        after_add = scorer.score_matrix_full([pst], [seq]).result(0, 0)
-        _assert_results_equal(
-            after_add, similarity(pst, seq, background), "post add_sequence"
-        )
-        pst.decay_counts(0.5)
-        after_decay = scorer.score_matrix_full([pst], [seq]).result(0, 0)
-        _assert_results_equal(
-            after_decay, similarity(pst, seq, background), "post decay_counts"
-        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            before = scorer.score_matrix_full([seq]).result(0, 0)
+            _assert_results_equal(
+                before, similarity(pst, seq, background), "pre-mutation"
+            )
+            for write, label in (
+                (lambda: pst.add_sequence([2, 1, 0, 2, 1, 0]), "post add_sequence"),
+                (lambda: pst.decay_counts(0.5), "post decay_counts"),
+            ):
+                write()
+                assert scorer.rows() == ()
+                assert scorer.score_matrix_full([seq]).log_z.shape == (0, 1)
+                fresh = PstBatchScorer(background, [pst])
+                after = fresh.score_matrix_full([seq]).result(0, 0)
+                _assert_results_equal(after, similarity(pst, seq, background), label)
+        # One flatten per scorer, none for the written tree's old rows.
+        assert registry.counter("backend.flatten_builds").value == 3
+        assert registry.counter("backend.stack_rebuilds").value == 3
 
-    def test_restack_reflattens_only_the_mutated_tree(self):
-        """The scorer's flat cache keys on tree identity and version."""
+    def test_written_tree_leaves_rows_restack_reuses_flats(self):
+        """Rows only shrink; a restack reuses the survivors' flats."""
         psts = [
             ProbabilisticSuffixTree.from_sequences(
                 [[s, (s + 1) % 3, (s + 2) % 3] * 3],
@@ -379,21 +397,25 @@ class TestEdgeCases:
             for s in range(3)
         ]
         background = np.full(3, 1.0 / 3.0)
-        scorer = PstBatchScorer(background)
+        scorer = PstBatchScorer(background, psts)
         seq = [0, 1, 2, 0]
         registry = MetricsRegistry()
         with use_registry(registry):
-            scorer.score_matrix_full(psts, [seq])
+            assert scorer.rows() == (0, 1, 2)
+            scorer.score_matrix_full([seq])
             builds = registry.counter("backend.flatten_builds").value
             assert builds == 3
+            scorer.score_matrix_full([seq])
+            assert registry.counter("backend.stack_rebuilds").value == 1
             psts[1].add_sequence([2, 2, 1, 0])
-            matrix = scorer.score_matrix_full(psts, [seq])
-            assert registry.counter("backend.flatten_builds").value == builds + 1
+            assert scorer.rows() == (0, 2)
+            matrix = scorer.score_matrix_full([seq])
+            assert registry.counter("backend.flatten_builds").value == builds
             assert registry.counter("backend.stack_rebuilds").value == 2
-            # A shrunken stack reuses the survivors' flats, too.
-            scorer.score_matrix_full(psts[::2], [seq])
-            assert registry.counter("backend.flatten_builds").value == builds + 1
-        for row, pst in enumerate(psts):
+            scorer.score_matrix_full([seq])
+            assert registry.counter("backend.stack_rebuilds").value == 2
+        assert matrix.log_z.shape == (2, 1)
+        for row, pst in enumerate([psts[0], psts[2]]):
             _assert_results_equal(
                 matrix.result(row, 0), similarity(pst, seq, background), f"tree {row}"
             )
@@ -448,8 +470,8 @@ class TestMatrixKernelAgreement:
             # Ragged on purpose: pool sequences from several scenarios
             # so lengths differ within one padded block.
             sequences = [seq for _, _, seqs in group[:3] for seq in seqs]
-            scorer = PstBatchScorer(background)
-            matrix = scorer.score_matrix_full(psts, sequences)
+            scorer = PstBatchScorer(background, psts)
+            matrix = scorer.score_matrix_full(sequences)
             assert matrix.log_z.shape == (len(psts), len(sequences))
             for t, pst in enumerate(psts):
                 for c, seq in enumerate(sequences):

@@ -1,7 +1,5 @@
 """Tests for repro.core.cluster — cluster objects and memberships."""
 
-import pytest
-
 from repro.core.cluster import Cluster, Membership
 from repro.core.pst import ProbabilisticSuffixTree
 
@@ -34,13 +32,6 @@ class TestMembership:
         cluster.set_member(Membership(1, 1.0, 0, 1))
         assert cluster.contains(1)
         assert not cluster.contains(2)
-
-    def test_clear_members(self):
-        cluster = make_cluster()
-        for i in range(4):
-            cluster.set_member(Membership(i, 1.0, 0, 1))
-        cluster.clear_members()
-        assert cluster.size == 0
 
     def test_members_returns_copy(self):
         cluster = make_cluster()
@@ -85,14 +76,5 @@ class TestUniqueMembers:
 
 
 class TestStats:
-    def test_average_log_similarity(self):
-        cluster = make_cluster()
-        cluster.set_member(Membership(1, 10.0, 0, 1))
-        cluster.set_member(Membership(2, 20.0, 0, 1))
-        assert cluster.average_log_similarity() == pytest.approx(15.0)
-
-    def test_average_empty(self):
-        assert make_cluster().average_log_similarity() == 0.0
-
     def test_repr(self):
         assert "Cluster(id=0" in repr(make_cluster())

@@ -161,7 +161,7 @@ class TestRunTelemetry:
         sequences = [[int(s) for s in rng.integers(0, 4, size=n)] for n in (25, 18)]
         registry = MetricsRegistry()
         with use_registry(registry):
-            PstBatchScorer(np.full(4, 0.25)).score_matrix_full(psts, sequences)
+            PstBatchScorer(np.full(4, 0.25), psts).score_matrix_full(sequences)
         assert registry.counter("backend.batch_calls").value == 1
         assert registry.counter("backend.batch_rows").value == 3 * 2
         assert registry.counter("similarity.calls").value == 0

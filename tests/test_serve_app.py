@@ -133,6 +133,31 @@ class TestClassify:
         for response in run(scenario()):
             assert response.status == 400
 
+    def test_classify_without_a_model_is_503(self, query_strings):
+        """A flush with no model fails its requests instead of killing
+        the dispatcher: each call answers 503 and close() is clean."""
+
+        async def scenario():
+            app = ServeApp(ModelRegistry())
+            host, port = await app.start()
+            try:
+                return [
+                    await asyncio.wait_for(
+                        http_call(
+                            host, port, "POST", "/v1/classify",
+                            {"sequence": query_strings[0]},
+                        ),
+                        timeout=10,
+                    )
+                    for _ in range(2)
+                ]
+            finally:
+                await asyncio.wait_for(app.close(), timeout=10)
+
+        responses = run(scenario())
+        assert [r.status for r in responses] == [503, 503]
+        assert all("model not loaded" in r.json()["error"] for r in responses)
+
     def test_get_classify_is_405(self, serve_model_path):
         async def scenario():
             app = make_app(serve_model_path)
@@ -432,6 +457,26 @@ class TestOtherEndpoints:
         assert ghost.status == 404
         assert bad_source.status == 422
         assert bad_body.status == 400
+
+    @pytest.mark.parametrize("body", [[], "x", 7])
+    def test_reload_body_that_is_not_an_object_is_400(self, serve_model_path, body):
+        """Checked before the swap: the live epoch does not move."""
+
+        async def scenario():
+            app = make_app(serve_model_path)
+            host, port = await app.start()
+            try:
+                response = await http_call(
+                    host, port, "POST", "/admin/models/default/reload", body
+                )
+            finally:
+                await app.close()
+            return response, app.registry.get("default").epoch
+
+        response, epoch = run(scenario())
+        assert response.status == 400
+        assert response.json() == {"error": "body must be a JSON object"}
+        assert epoch == 1
 
     def test_reload_of_undecodable_model_is_422(
         self, serve_model_path, tmp_path, model_fault

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.serve.http import (
+    MAX_HEADER_COUNT,
     HttpProtocolError,
     HttpResponse,
     HttpServer,
@@ -91,6 +92,23 @@ class TestRequestParser:
     def test_malformed_header_line(self):
         with pytest.raises(HttpProtocolError, match="header"):
             parse_bytes(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n")
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_header_cap_counts_lines(self, distinct):
+        """The cap is on header lines: repeating one name cannot pass it."""
+
+        def request(lines):
+            headers = b"".join(
+                (b"X-%d: 1\r\n" % i) if distinct else b"X-A: 1\r\n"
+                for i in range(lines)
+            )
+            return b"GET / HTTP/1.1\r\n" + headers + b"\r\n"
+
+        assert parse_bytes(request(MAX_HEADER_COUNT)) is not None
+        for lines in (MAX_HEADER_COUNT + 1, 5000):
+            with pytest.raises(HttpProtocolError, match="too many headers") as exc:
+                parse_bytes(request(lines))
+            assert exc.value.status == 400
 
     def test_empty_body_json_raises(self):
         request = parse_bytes(b"GET / HTTP/1.1\r\n\r\n")

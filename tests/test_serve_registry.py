@@ -3,12 +3,14 @@
 The load path must accept both persistence snapshots and stream
 checkpoints (and classify bit-identically from either); the swap
 protocol must never show a torn model — every classification maps to
-exactly one epoch's expected output — and retired versions must drain
-their refcounts to zero.
+exactly one epoch's expected output — and a retired version must live
+exactly as long as something holds it.
 """
 
+import gc
 import json
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -278,14 +280,28 @@ class TestSwapProtocol:
     ):
         registry = ModelRegistry()
         first = registry.load("default", serve_model_path)
-        assert first.epoch == 1 and not first.retired
+        assert first.epoch == 1 and registry.get("default") is first
         second = registry.reload("default", source=alt_model_path)
         assert second.epoch == 2
-        assert first.retired and first.drained  # no refs were held
         assert registry.get("default") is second
         # reload without a source re-reads the last one.
         third = registry.reload("default")
         assert third.epoch == 3 and third.source == alt_model_path
+
+    def test_background_its_trees_disagree_with_is_a_load_error(
+        self, serve_model_path, tmp_path
+    ):
+        """The scorer checks the background once, at build; the swap
+        does not happen."""
+        payload = json.loads(Path(serve_model_path).read_text(encoding="utf-8"))
+        payload["background"] = payload["background"][:-1]
+        broken = tmp_path / "short_background.json"
+        broken.write_text(json.dumps(payload))
+        registry = ModelRegistry()
+        live = registry.load("default", serve_model_path)
+        with pytest.raises(ModelLoadError, match="background must have length"):
+            registry.reload("default", source=str(broken))
+        assert registry.get("default") is live
 
     def test_reload_unknown_name_raises(self, serve_model_path):
         registry = ModelRegistry()
@@ -293,22 +309,22 @@ class TestSwapProtocol:
         with pytest.raises(KeyError):
             registry.reload("ghost")
 
-    def test_refcounts_drain_to_zero(self, serve_model_path, alt_model_path):
+    def test_retired_version_lives_while_held(
+        self, serve_model_path, alt_model_path, query_sequences
+    ):
+        """A swap drops only the registry's reference: a holder keeps
+        scoring the retired version, which is freed once let go."""
         registry = ModelRegistry()
-        registry.load("default", serve_model_path)
-        held = registry.acquire("default")
-        assert held.refs == 1
+        held = registry.load("default", serve_model_path)
+        held.classify_batch(query_sequences)  # fill the scorer's tables
+        ref = weakref.ref(held)
         registry.reload("default", source=alt_model_path)
-        assert held.retired and not held.drained
-        held.release()
-        assert held.refs == 0 and held.drained
-        assert held.wait_drained(timeout=0)
-
-    def test_release_without_acquire_raises(self, serve_model_path):
-        registry = ModelRegistry()
-        version = registry.load("default", serve_model_path)
-        with pytest.raises(RuntimeError, match="release"):
-            version.release()
+        gc.collect()
+        assert ref() is held and held.epoch == 1
+        assert all(o is not None for o in held.classify_batch(query_sequences))
+        del held
+        gc.collect()
+        assert ref() is None
 
     def test_concurrent_classify_sees_exactly_one_epoch(
         self, serve_model_path, alt_model_path, query_sequences
@@ -341,7 +357,7 @@ class TestSwapProtocol:
 
         def classify_loop():
             while not stop.is_set():
-                version = registry.acquire("default")
+                version = registry.get("default")
                 try:
                     outcomes = version.classify_batch(query_sequences)
                     observations.append(
@@ -356,15 +372,13 @@ class TestSwapProtocol:
                 except Exception as exc:  # pragma: no cover - fail loudly
                     errors.append(exc)
                     return
-                finally:
-                    version.release()
 
         threads = [threading.Thread(target=classify_loop) for _ in range(4)]
         for thread in threads:
             thread.start()
         retired = []
         for epoch in range(2, 8):
-            retired.append(registry.get("default"))
+            retired.append(weakref.ref(registry.get("default")))
             registry.reload("default", source=sources[epoch % 2])
         stop.set()
         for thread in threads:
@@ -373,7 +387,6 @@ class TestSwapProtocol:
         assert observations
         for epoch, outcomes in observations:
             assert outcomes == by_epoch[epoch], f"torn read at epoch {epoch}"
-        # Every retired generation drains once the threads are done.
-        for version in retired:
-            assert version.wait_drained(timeout=10)
-            assert version.refs == 0
+        # Every retired generation is freed once the threads are done.
+        gc.collect()
+        assert all(ref() is None for ref in retired)

@@ -8,7 +8,6 @@ import pytest
 from repro.core.pruning import prune_to
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
-    SimilarityResult,
     log_symbol_ratios,
     segment_definition_similarity,
     similarities,
@@ -301,19 +300,6 @@ class TestNumericalSafety:
         assert math.isfinite(result.log_similarity)
         # Whole-sequence score collapses due to the unseen symbol.
         assert result.whole_sequence_log < -300
-
-    def test_exceeds_threshold_helper(self):
-        result = SimilarityResult(
-            similarity=math.inf,
-            log_similarity=10.0,
-            best_start=0,
-            best_end=1,
-            whole_sequence_log=10.0,
-        )
-        assert result.exceeds(1.0)
-        assert result.exceeds(math.exp(9.9))
-        assert not result.exceeds(math.exp(10.1))
-        assert result.exceeds(0.0)
 
 
 class TestSegmentDefinition:

@@ -10,8 +10,9 @@ with one of two backends:
   ``similarity()`` DP;
 * ``vectorized`` — a fresh batch-kernel call per sequence
   (:class:`~repro.core.backends.PstBatchScorer`), whose results feed
-  the same ``join_best`` rule. The kernel re-flattens every tree that
-  the previous join mutated, so its scores are never stale.
+  the same ``join_best`` rule. Each sequence gets a scorer built on
+  the live trees, so a tree the previous join wrote is flattened
+  afresh and its scores are never stale.
 """
 
 import pytest
@@ -37,12 +38,14 @@ def reference_replay(result, sequences, first_index):
 
 
 def vectorized_replay(result, sequences, first_index):
-    scorer = PstBatchScorer(result.background)
     replayed = []
     for offset, seq in enumerate(sequences):
         index = first_index + offset
         clusters = result.clusters
-        matrix = scorer.score_matrix_full([c.pst for c in clusters], [seq])
+        # A scorer per sequence: the last join wrote a tree, which takes
+        # it off an older scorer's rows.
+        scorer = PstBatchScorer(result.background, [c.pst for c in clusters])
+        matrix = scorer.score_matrix_full([seq])
         scores = [matrix.result(tree, 0) for tree in range(len(clusters))]
         cluster = join_best(index, seq, clusters, scores, result.final_log_threshold)
         cid = None if cluster is None else cluster.cluster_id
