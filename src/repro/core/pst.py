@@ -791,7 +791,13 @@ class ProbabilisticSuffixTree:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProbabilisticSuffixTree":
-        """Rebuild a tree from :meth:`to_dict` output."""
+        """Rebuild a tree from :meth:`to_dict` output.
+
+        Raises ``ValueError`` on a symbol id outside the alphabet or a
+        count that is not a non-negative integer (see
+        :func:`_decode_nodes`): such a tree would otherwise load, and the
+        batch kernel and the DP would read it differently.
+        """
         pst = cls(
             alphabet_size=data["alphabet_size"],
             max_depth=data["max_depth"],
@@ -800,20 +806,55 @@ class ProbabilisticSuffixTree:
             max_nodes=data.get("max_nodes"),
             prune_strategy=data.get("prune_strategy", "paper"),
         )
-
-        def decode(payload: dict[str, Any]) -> PSTNode:
-            node = PSTNode()
-            node.count = payload["count"]
-            node.next_counts = {int(s): c for s, c in payload["next"].items()}
-            node.next_total = sum(node.next_counts.values())
-            node.children = {
-                int(s): decode(child) for s, child in payload["children"].items()
-            }
-            return node
-
-        pst.root = decode(data["root"])
+        pst.root, pst._node_count = _decode_nodes(data["root"], pst.alphabet_size)
         pst._sequences_added = data.get("sequences_added", 0)
-        pst.recount_nodes()
         pst._closed = pst._counts_closed()
         pst._invalidate()
         return pst
+
+
+def _decode_nodes(
+    root_payload: dict[str, Any], alphabet_size: int
+) -> tuple[PSTNode, int]:
+    """Build the nodes of a ``to_dict`` ``root`` payload in one walk.
+
+    Returns the root and the node count. ``children`` and
+    ``next_counts`` keep the payload's key order. Raises ``ValueError``
+    on a ``next`` or ``children`` key that is not a symbol id in
+    ``[0, alphabet_size)`` written as ``to_dict`` writes it, and on a
+    count that is not a non-negative integer.
+    """
+    ids = {str(s): s for s in range(alphabet_size)}
+
+    def bad_id(key: str) -> ValueError:
+        return ValueError(f"symbol id {key!r} is not in [0, {alphabet_size})")
+
+    def bad_count(value: Any) -> ValueError:
+        return ValueError(f"count {value!r} is not a non-negative integer")
+
+    root = PSTNode()
+    stack = [(root, root_payload)]
+    nodes = 0
+    while stack:
+        node, payload = stack.pop()
+        nodes += 1
+        count = node.count = payload["count"]
+        if type(count) is not int or count < 0:
+            raise bad_count(count)
+        next_payload = payload["next"]
+        try:
+            next_counts = {ids[s]: c for s, c in next_payload.items()}
+        except KeyError as exc:
+            raise bad_id(exc.args[0]) from None
+        for value in next_counts.values():
+            if type(value) is not int or value < 0:
+                raise bad_count(value)
+        node.next_counts = next_counts
+        node.next_total = sum(next_counts.values())
+        for s, child_payload in payload["children"].items():
+            symbol = ids.get(s)
+            if symbol is None:
+                raise bad_id(s)
+            child = node.children[symbol] = PSTNode()
+            stack.append((child, child_payload))
+    return root, nodes

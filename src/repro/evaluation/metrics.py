@@ -15,6 +15,10 @@ Cluster→family mapping supports two strategies: ``majority`` (each
 cluster maps to the family most represented among its members; several
 clusters may map to one family) and ``hungarian`` (a 1:1 assignment
 maximising total overlap via :func:`scipy.optimize.linear_sum_assignment`).
+scipy is imported on the first Hungarian mapping, not with this module:
+``repro.cli`` imports this module, and only that strategy needs scipy,
+whose import would more than double the start-up of every ``cluseq``
+command.
 
 For completeness the module also provides standard external indices
 (purity, adjusted Rand index, normalised mutual information) computed
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from collections.abc import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..sequences.database import OUTLIER_LABEL
 
@@ -162,6 +165,8 @@ def map_clusters_to_families(
         for cluster, counts in table.items():
             mapping[cluster] = counts.most_common(1)[0][0]
         return mapping
+
+    from scipy.optimize import linear_sum_assignment  # see the module docstring
 
     clusters = sorted(table.keys(), key=repr)
     families = sorted({f for counts in table.values() for f in counts})

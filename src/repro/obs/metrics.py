@@ -314,7 +314,8 @@ class MetricsRegistry:
         labels: dict[str, object],
         factory: Callable[[], _M],
     ) -> _M:
-        key = (name, _label_key(labels))
+        # Most lookups carry no labels; they skip the sort.
+        key = (name, _label_key(labels) if labels else ())
         metric = self._metrics.get(key)
         if metric is not None:
             if self._types[key] != kind:

@@ -89,7 +89,19 @@ MODEL_FAULTS = {
         prune_strategy="bogus"
     ),
     "bad-root": lambda payload: payload["clusters"][0]["pst"].update(root=5),
+    "next-id-negative": lambda payload: _set_in_root(payload, "next", "-1", 1),
+    "next-id-out-of-range": lambda payload: _set_in_root(payload, "next", "{n}", 1),
+    "child-id-out-of-range": lambda payload: _set_in_root(
+        payload, "children", "{n}", {"count": 0, "next": {}, "children": {}}
+    ),
 }
+
+
+def _set_in_root(payload, field, key, value):
+    """Set ``root[field][key]`` of the first tree; ``{n}`` in *key* is
+    the tree's alphabet size, one past the largest symbol id."""
+    tree = payload["clusters"][0]["pst"]
+    tree["root"][field][key.format(n=tree["alphabet_size"])] = value
 
 
 @pytest.fixture(params=sorted(MODEL_FAULTS))

@@ -420,6 +420,36 @@ class TestImportLayering:
         )
         assert violations == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from scipy.optimize import linear_sum_assignment\n",
+            "import scipy\n",
+            "try:\n    import scipy.stats\nexcept ImportError:\n    pass\n",
+            "class Mapper:\n    from scipy import optimize\n",
+        ],
+    )
+    def test_module_level_scipy_import_fires(self, tmp_path, source):
+        violations = check_source(
+            tmp_path, "src/repro/evaluation/bad.py", source, "CLQ001"
+        )
+        assert rule_ids(violations) == ["CLQ001"]
+        assert "at module level" in violations[0].message
+
+    def test_function_level_scipy_import_is_fine(self, tmp_path):
+        violations = check_source(
+            tmp_path,
+            "src/repro/evaluation/good.py",
+            "def assign(cost):\n"
+            "    from scipy.optimize import linear_sum_assignment\n"
+            "    return linear_sum_assignment(cost)\n"
+            "class Mapper:\n"
+            "    async def run(self):\n"
+            "        import scipy.stats\n",
+            "CLQ001",
+        )
+        assert violations == []
+
     def test_suppression_comment_silences(self, tmp_path):
         violations = check_source(
             tmp_path,

@@ -46,6 +46,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match="prune strategy"):
             ProbabilisticSuffixTree.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            (lambda root: root["next"].update({"-1": 1}), "symbol id '-1'"),
+            (lambda root: root["next"].update({"2": 1}), "symbol id '2'"),
+            (lambda root: root["next"].update({"01": 1}), "symbol id '01'"),
+            (lambda root: root["children"]["0"]["next"].update({"x": 1}), "symbol id 'x'"),
+            (lambda root: root["children"].update({"2": dict(root)}), "symbol id '2'"),
+            (lambda root: root.update(count=-1), "count -1"),
+            (lambda root: root.update(count=2.5), "count 2.5"),
+            (lambda root: root["children"]["1"].update(count=True), "count True"),
+            (lambda root: root["next"].update({"1": "3"}), "count '3'"),
+        ],
+        ids=[
+            "next-negative", "next-past-alphabet", "next-not-canonical",
+            "next-not-a-number", "child-past-alphabet", "count-negative",
+            "count-float", "count-bool", "next-count-string",
+        ],
+    )
+    def test_from_dict_rejects_bad_ids_and_counts(self, simple_pst, fault, match):
+        data = simple_pst.to_dict()
+        fault(data["root"])
+        with pytest.raises(ValueError, match=match):
+            ProbabilisticSuffixTree.from_dict(data)
+
     def test_empty_tree(self):
         pst = ProbabilisticSuffixTree(alphabet_size=3)
         assert pst.node_count == 1

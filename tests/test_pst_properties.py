@@ -108,10 +108,18 @@ def test_serialization_roundtrip(seqs):
     for seq in seqs:
         pst.add_sequence(seq)
     clone = ProbabilisticSuffixTree.from_dict(pst.to_dict())
-    assert clone.node_count == pst.node_count
-    labels = {label: node.count for label, node in pst.iter_nodes()}
-    clone_labels = {label: node.count for label, node in clone.iter_nodes()}
-    assert labels == clone_labels
+    assert clone.node_count == pst.node_count == clone.recount_nodes()
+
+    def layout(tree):
+        # A list in walk order: equal only if children and next-symbol
+        # dicts keep their order too.
+        return [
+            (label, node.count, list(node.next_counts.items()),
+             node.next_total, list(node.children))
+            for label, node in tree.iter_nodes()
+        ]
+
+    assert layout(clone) == layout(pst)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,12 +23,9 @@ def test_core_exports():
         assert hasattr(core, name), f"repro.core.{name} missing"
 
 
-def test_import_repro_does_not_load_the_batch_kernel():
-    """The kernel is a serve/shard accelerator: the library loads without it."""
-    probe = (
-        "import sys, repro, repro.core, repro.stream\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.core.backends')))\n"
-    )
+def _modules_after(imports: str) -> set[str]:
+    """``sys.modules`` of a clean interpreter after ``import <imports>``."""
+    probe = f"import sys, {imports}\nprint('\\n'.join(sys.modules))\n"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     out = subprocess.run(
@@ -38,7 +35,22 @@ def test_import_repro_does_not_load_the_batch_kernel():
         check=True,
         env=env,
     )
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_import_repro_does_not_load_the_batch_kernel():
+    """The kernel is a serve accelerator: the library loads without it."""
+    loaded = _modules_after("repro, repro.core, repro.stream")
+    assert not {m for m in loaded if m.startswith("repro.core.backends")}
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.cli", "repro.serve", "repro.stream", "repro.evaluation"]
+)
+def test_import_does_not_load_scipy(module):
+    """scipy loads only on a Hungarian mapping, so CLI and serve start-up,
+    the stream engine and the library never pay for it."""
+    assert "scipy" not in _modules_after(module)
 
 
 def test_sequences_exports():

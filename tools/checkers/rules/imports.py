@@ -8,7 +8,10 @@ library so instrumentation can never drag numpy/scipy into a context
 that just wants a logger. The batch kernel (``repro.core.backends``) is
 a serving accelerator: only ``repro.serve`` imports it, and every other
 package scores with the reference DP or reads the trees directly, so
-``import repro`` never loads it.
+``import repro`` never loads it. No ``repro`` module imports scipy at
+module level: it would more than double the start-up of every
+``cluseq`` command and of ``cluseq serve``, and its one caller (the
+Hungarian cluster mapping) imports it where it runs.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ SHARD_ALLOWED_PREFIXES = (
     "repro.typing",
 )
 
+#: Third-party packages no ``repro`` module may import at module level;
+#: an import inside a function body runs only when that function does.
+DEFERRED_PACKAGES = ("scipy",)
+
 if sys.version_info >= (3, 10):
     _STDLIB = frozenset(sys.stdlib_module_names)
 else:  # pragma: no cover - py39 fallback for the CI matrix
@@ -132,6 +139,19 @@ def _absolute_targets(
     return targets
 
 
+def _function_level_imports(tree: ast.AST) -> set[int]:
+    """``id`` of every import statement inside a function body."""
+    inner: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner.update(
+                id(stmt)
+                for stmt in ast.walk(node)
+                if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            )
+    return inner
+
+
 @register
 class ImportLayeringRule(Rule):
     rule_id = "CLQ001"
@@ -141,7 +161,8 @@ class ImportLayeringRule(Rule):
         "only serve imports core.backends; "
         "stream only core/sequences/obs; "
         "serve only core/stream/sequences/obs; "
-        "shard only stream/core/sequences/obs; obs stdlib only"
+        "shard only stream/core/sequences/obs; obs stdlib only; "
+        "scipy only inside a function"
     )
 
     def check(self, context: FileContext) -> Iterator[Violation]:
@@ -153,10 +174,22 @@ class ImportLayeringRule(Rule):
         in_backends = context.in_package(KERNEL_PACKAGE)
         if not context.in_package("repro"):
             return
+        function_level = _function_level_imports(context.tree)
         for node in ast.walk(context.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for target, stmt in _absolute_targets(node, context.package):
+                if (
+                    target.split(".", 1)[0] in DEFERRED_PACKAGES
+                    and id(node) not in function_level
+                ):
+                    yield self.violation(
+                        context,
+                        stmt,
+                        f"{context.module} must not import {target} at module "
+                        "level (import it inside the function that needs it, "
+                        "so the CLI and serve start-up never load it)",
+                    )
                 if in_core:
                     for forbidden in CORE_FORBIDDEN:
                         if target == forbidden or target.startswith(forbidden + "."):
