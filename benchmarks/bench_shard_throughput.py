@@ -88,10 +88,7 @@ def run_shard_workload(
     engine = build_engine(shards, batch_size)
     started = time.perf_counter()
     with engine:
-        for sequence in stream.sequences:
-            engine.ingest(sequence)
-        engine.flush()
-        stats = engine.stats()
+        stats = engine.run(stream.sequences)
     elapsed = time.perf_counter() - started
     return {
         "shards": shards,

@@ -50,9 +50,11 @@ See docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import TYPE_CHECKING
+from collections.abc import Iterable
+from typing import TYPE_CHECKING, ContextManager
 
 from . import __version__
 from .core.cluseq import CLUSEQ, CluseqParams
@@ -64,6 +66,7 @@ from .sequences.generators import generate_clustered_database
 from .sequences.io import read_fasta, read_labelled_text, write_labelled_text
 
 if TYPE_CHECKING:
+    from .core.cluster import Cluster
     from .stream import StreamingCluseq
 
 #: experiment name → (runner, printer) import paths, resolved lazily.
@@ -486,7 +489,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         DecayPolicy,
         StreamConfig,
         StreamingCluseq,
-        batched,
         read_encoded_lines,
     )
 
@@ -534,18 +536,10 @@ def _command_stream(args: argparse.Namespace) -> int:
     if engine.alphabet is None:
         print("no alphabet available; cannot encode the stream", file=sys.stderr)
         return 1
-    # A resumed run keeps the checkpointed batch size, not the flag's.
-    batch_size = engine.config.batch_size
-    with engine:
-        if args.input == "-":
-            encoded = read_encoded_lines(sys.stdin, engine.alphabet)
-            for batch in batched(encoded, batch_size):
-                engine.ingest_batch(batch)
-        else:
-            with open(args.input, encoding="utf-8") as handle:
-                encoded = read_encoded_lines(handle, engine.alphabet)
-                for batch in batched(encoded, batch_size):
-                    engine.ingest_batch(batch)
+    # A resumed run keeps the checkpointed batch size, not the flag's:
+    # run() batches by the engine's own config.
+    with engine, _input_lines(args.input) as lines:
+        engine.run(read_encoded_lines(lines, engine.alphabet))
         if args.state_dir:
             engine.checkpoint()
     stats = engine.stats()
@@ -553,28 +547,43 @@ def _command_stream(args: argparse.Namespace) -> int:
         ["metric", "value"],
         [(key, value) for key, value in stats.to_dict().items()],
     )
-    rows = []
-    for cluster in sorted(engine.result.clusters, key=lambda cl: -cl.size):
-        rows.append(
-            (
-                cluster.cluster_id,
-                cluster.size,
-                cluster.created_at_iteration,
-                cluster.pst.node_count,
-            )
-        )
-    if rows:
-        print_table(["cluster", "size", "born (batch)", "PST nodes"], rows)
+    _print_clusters(
+        ["cluster"],
+        (((cluster.cluster_id,), cluster) for cluster in engine.result.clusters),
+    )
     if args.save_model:
         save_result(engine.result, args.save_model, alphabet=engine.alphabet)
         print(f"model written to {args.save_model}", file=sys.stderr)
     return 0
 
 
+def _input_lines(path: str) -> ContextManager[Iterable[str]]:
+    """The lines of *path*, or of stdin for ``-``, to use in ``with``."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, encoding="utf-8")
+
+
+def _print_clusters(
+    keys: list[str], clusters: Iterable[tuple[tuple[int, ...], Cluster]]
+) -> None:
+    """A table of *clusters*, each named by its key columns *keys*:
+    largest first, ties by key."""
+    rows = sorted(
+        (-cluster.size, key, cluster.created_at_iteration, cluster.pst.node_count)
+        for key, cluster in clusters
+    )
+    if rows:
+        print_table(
+            [*keys, "size", "born (batch)", "PST nodes"],
+            [(*key, -size, born, nodes) for size, key, born, nodes in rows],
+        )
+
+
 def _command_shard(args: argparse.Namespace) -> int:
     from .sequences.alphabet import Alphabet
     from .shard import ShardConfig, ShardedStreamingCluseq
-    from .stream import StreamConfig, batched, read_encoded_lines
+    from .stream import StreamConfig, read_encoded_lines
 
     config = ShardConfig(
         shards=args.shards,
@@ -590,21 +599,8 @@ def _command_shard(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         config=config,
     )
-    with engine:
-        if args.input == "-":
-            encoded = read_encoded_lines(sys.stdin, alphabet)
-            for batch in batched(encoded, args.batch_size):
-                engine.ingest_batch(batch)
-        else:
-            with open(args.input, encoding="utf-8") as handle:
-                encoded = read_encoded_lines(handle, alphabet)
-                for batch in batched(encoded, args.batch_size):
-                    engine.ingest_batch(batch)
-        stats = engine.stats()
-        rows = []
-        for shard, handle in enumerate(engine.handles):
-            for cluster_id, size, born, nodes in handle.cluster_summaries():
-                rows.append((shard, cluster_id, size, born, nodes))
+    with engine, _input_lines(args.input) as lines:
+        stats = engine.run(read_encoded_lines(lines, alphabet))
     print_table(
         ["metric", "value"],
         [
@@ -613,17 +609,19 @@ def _command_shard(args: argparse.Namespace) -> int:
             if key != "per_shard"
         ],
     )
-    rows.sort(key=lambda row: (-row[2], row[0], row[1]))
-    if rows:
-        print_table(
-            ["shard", "cluster", "size", "born (batch)", "PST nodes"], rows
-        )
+    _print_clusters(
+        ["shard", "cluster"],
+        (
+            ((shard, cluster.cluster_id), cluster)
+            for shard, handle in enumerate(engine.handles)
+            for cluster in handle.engine.result.clusters
+        ),
+    )
     return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import contextlib
     import signal
 
     from .obs import get_registry
@@ -772,8 +770,6 @@ def _check_out_dir(parser: argparse.ArgumentParser, flag: str, path: str) -> Non
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    import contextlib
-
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.log_level or args.log_json:

@@ -593,7 +593,7 @@ class CLUSEQ:
                     pst_factory=pst_factory,
                 )
                 for choice in seeds:
-                    seed_pst = pst_factory(encoded[choice.sequence_index])
+                    seed_pst = choice.pst
                     clusters.append(
                         Cluster(
                             cluster_id=next_cluster_id,

@@ -41,6 +41,9 @@ class SeedChoice:
 
     sequence_index: int
     max_similarity_log: float  # highest log-sim to any prior cluster/seed
+    #: The seed's single-sequence tree, built once at selection; the
+    #: new cluster starts from it.
+    pst: ProbabilisticSuffixTree
 
 
 def build_seed_pst(
@@ -129,9 +132,9 @@ def select_seeds(
     remaining = list(sampled)
     while remaining and len(chosen) < count:
         pick = min(remaining, key=lambda i: (best_log[i], i))
-        chosen.append(SeedChoice(sequence_index=pick, max_similarity_log=best_log[pick]))
         remaining.remove(pick)
         new_pst = pst_factory(encoded_lookup(pick))
+        chosen.append(SeedChoice(pick, best_log[pick], new_pst))
         for i in remaining:
             score = similarity(new_pst, encoded_lookup(i), background).log_similarity
             if score > best_log[i]:

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.cluster import Cluster
-from ..core.consolidation import drop_dismissed
 from ..core.pst import ProbabilisticSuffixTree
-from ..core.similarity import check_sequence
 from ..obs import get_logger, get_registry, span
 from ..sequences.alphabet import Alphabet
 from ..stream.engine import StreamConfig, StreamingCluseq, StreamStats, check_batch
+from ..stream.sources import batched
 from .plan import ClusterExport, plan_merges
 from .router import route
 
@@ -146,15 +145,8 @@ def apply_plan(engine: StreamingCluseq, plan: dict[str, Any]) -> tuple[int, int]
         merges.append((cluster, foreign))
     for cluster, foreign in merges:
         cluster.pst.merge_counts(foreign)
-    drop_ids = {int(cid) for cid in plan.get("dismiss", ())}
-    if drop_ids:
-        result = engine.result
-        result.clusters = [
-            cluster for cluster in result.clusters if cluster.cluster_id not in drop_ids
-        ]
-        drop_dismissed(result.assignments, drop_ids)
-        engine._clusters_dismissed += len(drop_ids)
-    return len(merges), len(drop_ids)
+    dropped = engine.dismiss(int(cid) for cid in plan.get("dismiss", ()))
+    return len(merges), dropped
 
 
 class LocalShard:
@@ -195,18 +187,6 @@ class LocalShard:
     def stats(self) -> StreamStats:
         return self.engine.stats()
 
-    def cluster_summaries(self) -> list[tuple[int, int, int, int]]:
-        """Per-cluster ``(cluster_id, size, created_at, nodes)`` rows."""
-        return [
-            (
-                cluster.cluster_id,
-                cluster.size,
-                cluster.created_at_iteration,
-                cluster.pst.node_count,
-            )
-            for cluster in self.engine.result.clusters
-        ]
-
     def close(self) -> None:
         self.engine.close()
 
@@ -215,8 +195,8 @@ class ShardedStreamingCluseq:
     """N independent in-memory streaming shards behind the single-engine API.
 
     Construct with :meth:`cold_start`. Public surface mirrors
-    :class:`StreamingCluseq`: ``ingest`` / ``ingest_batch`` / ``flush``
-    / ``run`` / ``stats`` / ``close``.
+    :class:`StreamingCluseq`: ``ingest_batch`` / ``run`` / ``stats`` /
+    ``close``.
     """
 
     def __init__(
@@ -233,7 +213,6 @@ class ShardedStreamingCluseq:
         self._handles = list(handles)
         self.config = config
         self.alphabet = alphabet
-        self._pending: list[list[int]] = []
         self._batches = 0
         self._sequences = 0
         self._rounds = 0
@@ -277,27 +256,6 @@ class ShardedStreamingCluseq:
 
     # -- ingestion ----------------------------------------------------------------
 
-    def ingest(self, encoded: Sequence[int]) -> None:
-        """Buffer one encoded sequence; dispatches a full micro-batch.
-
-        A symbol id outside the alphabet raises ``ValueError`` here,
-        before the sequence is buffered, as in
-        :meth:`StreamingCluseq.ingest`.
-        """
-        if len(encoded) == 0:
-            return
-        check_sequence(encoded, self._alphabet_size)
-        self._pending.append(list(encoded))
-        if len(self._pending) >= self.config.stream.batch_size:
-            batch, self._pending = self._pending, []
-            self.ingest_batch(batch)
-
-    def flush(self) -> None:
-        """Dispatch any buffered partial batch."""
-        if self._pending:
-            batch, self._pending = self._pending, []
-            self.ingest_batch(batch)
-
     def ingest_batch(
         self, batch: Sequence[Sequence[int]]
     ) -> "list[int | None]":
@@ -330,10 +288,10 @@ class ShardedStreamingCluseq:
         return assigned
 
     def run(self, source: Iterable[Sequence[int]]) -> ShardStats:
-        """Consume *source* to exhaustion (micro-batching internally)."""
-        for encoded in source:
-            self.ingest(encoded)
-        self.flush()
+        """Consume *source* to exhaustion in ``config.stream.batch_size``
+        chunks, each one :meth:`ingest_batch` call."""
+        for batch in batched(source, self.config.stream.batch_size):
+            self.ingest_batch(batch)
         return self.stats()
 
     @property
@@ -418,8 +376,7 @@ class ShardedStreamingCluseq:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Flush buffered sequences and close every shard."""
-        self.flush()
+        """Close every shard."""
         for handle in self._handles:
             handle.close()
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Union
 
 import numpy as np
@@ -74,6 +74,7 @@ from .checkpoint import (
 from .decay import DecayPolicy
 from .journal import JournalError, StreamJournal, journal_batches_after
 from .pool import OutlierPool
+from .sources import batched
 
 _logger = get_logger("stream.engine")
 
@@ -208,6 +209,31 @@ class StreamStats:
         }
 
 
+@dataclass
+class _Counters:
+    """An engine's running counts. A checkpoint stores them under
+    their field names, and recovery reads them back the same way."""
+
+    batches: int = 0
+    sequences: int = 0
+    absorbed: int = 0
+    clusters_spawned: int = 0
+    clusters_dismissed: int = 0
+    decay_events: int = 0
+    decay_pruned_nodes: int = 0
+    checkpoints_written: int = 0
+    #: Database index the next ingested sequence gets.
+    next_index: int = 0
+    next_cluster_id: int = 0
+
+    @property
+    def outliers(self) -> int:
+        """Sequences that joined no cluster: every ingested sequence
+        is either absorbed or pooled, and a re-seed or rescue moves one
+        from the pool into a cluster."""
+        return self.sequences - self.absorbed
+
+
 def check_batch(
     batch: Sequence[Sequence[int]], alphabet_size: int
 ) -> list[list[int]]:
@@ -258,26 +284,18 @@ class StreamingCluseq:
         self.alphabet = alphabet
         self.state_dir = os.fspath(state_dir) if state_dir is not None else None
         self._pool = OutlierPool(self.config.pool_size)
-        self._pending: list[list[int]] = []
         self._recent_scores: list[float] = []
-        self._batches = 0
-        self._sequences = 0
-        self._absorbed = 0
-        self._outliers = 0
-        self._clusters_spawned = 0
-        self._clusters_dismissed = 0
-        self._decay_events = 0
-        self._decay_pruned = 0
-        self._checkpoints = 0
+        self._counts = _Counters(
+            next_index=result.next_sequence_index(),
+            next_cluster_id=(
+                max((c.cluster_id for c in result.clusters), default=-1) + 1
+            ),
+        )
         self._replaying = False
         # One trace per engine lifetime: every micro-batch root span of
         # this run shares it, so exported traces read as one story.
         # Allocated lazily, only while a span exporter is installed.
         self._trace_id: str | None = None
-        self._next_index = result.next_sequence_index()
-        self._next_cluster_id = (
-            max((c.cluster_id for c in result.clusters), default=-1) + 1
-        )
         self._pst_factory = result.params.pst_factory(len(result.background))
         self._journal: StreamJournal | None = None
         if self.state_dir is not None:
@@ -370,24 +388,16 @@ class StreamingCluseq:
                 config.pool_size,
                 evicted=int(counters["pool_evicted"]),
             )
-            engine._batches = int(counters["batches"])
-            engine._sequences = int(counters["sequences"])
-            engine._absorbed = int(counters["absorbed"])
-            engine._outliers = int(counters["outliers"])
-            engine._clusters_spawned = int(counters["clusters_spawned"])
-            engine._clusters_dismissed = int(counters["clusters_dismissed"])
-            engine._decay_events = int(counters["decay_events"])
-            engine._decay_pruned = int(counters["decay_pruned_nodes"])
-            engine._checkpoints = int(counters["checkpoints_written"])
-            engine._next_index = int(counters["next_index"])
-            engine._next_cluster_id = int(counters["next_cluster_id"])
+            engine._counts = _Counters(
+                **{f.name: int(counters[f.name]) for f in fields(_Counters)}
+            )
             engine.result.final_log_threshold = float(state["log_threshold"])
             engine._recent_scores = [float(x) for x in state["recent_scores"]]
         except KeyError as exc:
             raise CheckpointError(f"{target}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{target}: unusable state: {exc}") from exc
-        checkpoint_batches = engine._batches
+        checkpoint_batches = engine._counts.batches
         journal = journal_path(state_dir)
         records = journal_batches_after(journal, after=checkpoint_batches)
         # The replay runs under its own span so crash-recovery cost
@@ -397,10 +407,10 @@ class StreamingCluseq:
         try:
             with span("stream.recover"):
                 for record in records:
-                    if record.ordinal != engine._batches:
+                    if record.ordinal != engine._counts.batches:
                         raise JournalError(
                             f"{journal}: journal gap: expected batch "
-                            f"{engine._batches}, found {record.ordinal}"
+                            f"{engine._counts.batches}, found {record.ordinal}"
                         )
                     engine._apply_batch(record.sequences)
         finally:
@@ -421,27 +431,6 @@ class StreamingCluseq:
 
     # -- ingestion ----------------------------------------------------------------
 
-    def ingest(self, encoded: Sequence[int]) -> None:
-        """Buffer one encoded sequence; processes a full micro-batch.
-
-        A symbol id outside the alphabet raises ``ValueError`` here,
-        before the sequence is buffered, so it cannot sink the
-        sequences buffered beside it.
-        """
-        if len(encoded) == 0:
-            return
-        check_sequence(encoded, len(self.result.background))
-        self._pending.append(list(encoded))
-        if len(self._pending) >= self.config.batch_size:
-            batch, self._pending = self._pending, []
-            self.ingest_batch(batch)
-
-    def flush(self) -> None:
-        """Process any buffered partial batch."""
-        if self._pending:
-            batch, self._pending = self._pending, []
-            self.ingest_batch(batch)
-
     def ingest_batch(
         self, batch: Sequence[Sequence[int]]
     ) -> list[int | None]:
@@ -459,14 +448,14 @@ class StreamingCluseq:
         if not cleaned:
             return []
         if self._journal is not None and not self._replaying:
-            self._journal.append_batch(self._batches, cleaned)
+            self._journal.append_batch(self._counts.batches, cleaned)
         return self._apply_batch(cleaned)
 
     def run(self, source: Iterable[Sequence[int]]) -> StreamStats:
-        """Consume *source* to exhaustion (micro-batching internally)."""
-        for encoded in source:
-            self.ingest(encoded)
-        self.flush()
+        """Consume *source* to exhaustion in ``config.batch_size``
+        chunks, each one :meth:`ingest_batch` call."""
+        for batch in batched(source, self.config.batch_size):
+            self.ingest_batch(batch)
         return self.stats()
 
     # -- batch processing ---------------------------------------------------------
@@ -484,19 +473,19 @@ class StreamingCluseq:
         assigned: list[int | None] = []
         with span("stream.batch", trace_id=self._batch_trace_id()) as batch_span:
             if batch_span.span_id is not None:
-                batch_span.set_attr("batch", self._batches)
+                batch_span.set_attr("batch", self._counts.batches)
                 batch_span.set_attr("size", len(batch))
                 if self._replaying:
                     batch_span.set_attr("replay", True)
             with span("stream.score"):
                 clusters = self.result.clusters
                 for encoded in batch:
-                    index = self._next_index
-                    self._next_index += 1
+                    index = self._counts.next_index
+                    self._counts.next_index += 1
                     scores = live_scores(clusters, encoded, self.result.background)
                     assigned.append(self._assign(index, encoded, scores))
-            self._sequences += len(batch)
-            self._batches += 1
+            self._counts.sequences += len(batch)
+            self._counts.batches += 1
             self._maintain()
         joined = sum(1 for cid in assigned if cid is not None)
         if registry.enabled:
@@ -515,11 +504,11 @@ class StreamingCluseq:
         if _logger.isEnabledFor(10):  # logging.DEBUG
             _logger.debug(
                 "batch %d: %d/%d absorbed",
-                self._batches - 1,
+                self._counts.batches - 1,
                 joined,
                 len(batch),
                 extra={
-                    "batch": self._batches - 1,
+                    "batch": self._counts.batches - 1,
                     "absorbed": joined,
                     "size": len(batch),
                     "pool": len(self._pool),
@@ -541,18 +530,17 @@ class StreamingCluseq:
         )
         if cluster is None:
             self.result.assignments[index] = set()
-            self._outliers += 1
             self._pool.add(index, encoded)
             return None
         self.result.assignments[index] = {cluster.cluster_id}
-        self._absorbed += 1
+        self._counts.absorbed += 1
         return cluster.cluster_id
 
     # -- maintenance --------------------------------------------------------------
 
     def _maintain(self) -> None:
         config = self.config
-        batches = self._batches
+        batches = self._counts.batches
         if config.decay.due(batches):
             with span("stream.decay"):
                 self._decay()
@@ -591,8 +579,8 @@ class StreamingCluseq:
             pruned += cluster.pst.decay_counts(
                 policy.factor, min_count=policy.min_count
             )
-        self._decay_events += 1
-        self._decay_pruned += pruned
+        self._counts.decay_events += 1
+        self._counts.decay_pruned_nodes += pruned
         registry = get_registry()
         if registry.enabled:
             registry.counter("stream.decay_events").inc()
@@ -601,7 +589,7 @@ class StreamingCluseq:
             _logger.info(
                 "decay pruned %d nodes",
                 pruned,
-                extra={"batch": self._batches, "pruned_nodes": pruned},
+                extra={"batch": self._counts.batches, "pruned_nodes": pruned},
             )
 
     def _reseed(self) -> tuple[int, int]:
@@ -613,7 +601,7 @@ class StreamingCluseq:
         for the enclosing span's attributes.
         """
         config = self.config
-        rng = np.random.default_rng([config.seed, self._batches])
+        rng = np.random.default_rng([config.seed, self._counts.batches])
         candidates = self._pool.indices()
         choices = select_seeds(
             candidates=candidates,
@@ -628,15 +616,14 @@ class StreamingCluseq:
         spawned: list[Cluster] = []
         for choice in choices:
             encoded = self._pool.get(choice.sequence_index)
-            pst = self._pst_factory(encoded)
             cluster = Cluster(
-                cluster_id=self._next_cluster_id,
-                pst=pst,
+                cluster_id=self._counts.next_cluster_id,
+                pst=choice.pst,
                 seed_index=choice.sequence_index,
-                created_at_iteration=self._batches,
+                created_at_iteration=self._counts.batches,
             )
-            self._next_cluster_id += 1
-            scored = similarity(pst, encoded, self.result.background)
+            self._counts.next_cluster_id += 1
+            scored = similarity(choice.pst, encoded, self.result.background)
             cluster.set_member(
                 Membership(
                     sequence_index=choice.sequence_index,
@@ -650,9 +637,8 @@ class StreamingCluseq:
                 cluster.cluster_id
             }
             self._pool.remove(choice.sequence_index)
-            self._outliers -= 1
-            self._absorbed += 1
-            self._clusters_spawned += 1
+            self._counts.absorbed += 1
+            self._counts.clusters_spawned += 1
             spawned.append(cluster)
         rescued = 0
         if spawned:
@@ -666,8 +652,7 @@ class StreamingCluseq:
                     continue
                 self.result.assignments[index] = {joined.cluster_id}
                 self._pool.remove(index)
-                self._outliers -= 1
-                self._absorbed += 1
+                self._counts.absorbed += 1
                 rescued += 1
         registry = get_registry()
         if registry.enabled:
@@ -680,7 +665,7 @@ class StreamingCluseq:
                 len(spawned),
                 rescued,
                 extra={
-                    "batch": self._batches,
+                    "batch": self._counts.batches,
                     "spawned": [c.cluster_id for c in spawned],
                     "rescued": rescued,
                 },
@@ -703,19 +688,31 @@ class StreamingCluseq:
             registry.series("stream.threshold_path").append(new_log_t)
 
     def _consolidate(self) -> None:
-        retained, removed = consolidate(
+        _, removed = consolidate(
             list(self.result.clusters), self.config.min_unique_members
         )
-        if not removed:
-            return
-        self.result.clusters = retained
-        drop_dismissed(
-            self.result.assignments, {cluster.cluster_id for cluster in removed}
-        )
-        self._clusters_dismissed += len(removed)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("stream.clusters_dismissed").inc(len(removed))
+        if removed:
+            self.dismiss({cluster.cluster_id for cluster in removed})
+
+    def dismiss(self, cluster_ids: Iterable[int]) -> int:
+        """Drop the clusters *cluster_ids* and their memberships; returns
+        how many were dropped.
+
+        The one dismissal path: §4.5 consolidation and a cross-shard
+        merge that moved a cluster's model to another shard both end
+        here. Ids not on this engine are ignored.
+        """
+        drop = set(cluster_ids)
+        kept = [c for c in self.result.clusters if c.cluster_id not in drop]
+        dropped = len(self.result.clusters) - len(kept)
+        if dropped:
+            self.result.clusters = kept
+            drop_dismissed(self.result.assignments, drop)
+            self._counts.clusters_dismissed += dropped
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("stream.clusters_dismissed").inc(dropped)
+        return dropped
 
     # -- durability ----------------------------------------------------------------
 
@@ -725,27 +722,21 @@ class StreamingCluseq:
             raise RuntimeError("checkpoint() requires a state_dir")
         # Count this checkpoint before serializing so a recovered
         # engine's counter matches the uninterrupted run exactly.
-        self._checkpoints += 1
+        counts = self._counts
+        counts.checkpoints_written += 1
         state: dict[str, Any] = {
-            "journal_batches": self._batches,
+            "journal_batches": counts.batches,
             "config": self.config.to_dict(),
             "result": result_to_dict(self.result, self.alphabet),
             "pool": self._pool.to_list(),
             "recent_scores": list(self._recent_scores),
             "log_threshold": self.log_threshold,
+            # ``outliers`` is derived and ``pool_evicted`` is the pool's;
+            # both stay in the record for readers of older builds.
             "counters": {
-                "batches": self._batches,
-                "sequences": self._sequences,
-                "absorbed": self._absorbed,
-                "outliers": self._outliers,
+                **asdict(counts),
+                "outliers": counts.outliers,
                 "pool_evicted": self._pool.evicted,
-                "clusters_spawned": self._clusters_spawned,
-                "clusters_dismissed": self._clusters_dismissed,
-                "decay_events": self._decay_events,
-                "decay_pruned_nodes": self._decay_pruned,
-                "checkpoints_written": self._checkpoints,
-                "next_index": self._next_index,
-                "next_cluster_id": self._next_cluster_id,
             },
         }
         nbytes = write_checkpoint(checkpoint_path(self.state_dir), state)
@@ -757,13 +748,12 @@ class StreamingCluseq:
             _logger.info(
                 "checkpoint written (%d bytes)",
                 nbytes,
-                extra={"batch": self._batches, "bytes": nbytes},
+                extra={"batch": counts.batches, "bytes": nbytes},
             )
         return nbytes
 
     def close(self) -> None:
-        """Flush buffered sequences and close the journal."""
-        self.flush()
+        """Close the journal."""
         if self._journal is not None:
             self._journal.close()
 
@@ -786,11 +776,11 @@ class StreamingCluseq:
 
     @property
     def batches_ingested(self) -> int:
-        return self._batches
+        return self._counts.batches
 
     @property
     def sequences_ingested(self) -> int:
-        return self._sequences
+        return self._counts.sequences
 
     def clusters_spawned_after(self, batch: int) -> list[Cluster]:
         """Clusters created at or after micro-batch *batch* (drift probe)."""
@@ -801,26 +791,27 @@ class StreamingCluseq:
         ]
 
     def stats(self) -> StreamStats:
+        counts = self._counts
         return StreamStats(
-            batches=self._batches,
-            sequences=self._sequences,
-            absorbed=self._absorbed,
-            outliers=self._outliers,
+            batches=counts.batches,
+            sequences=counts.sequences,
+            absorbed=counts.absorbed,
+            outliers=counts.outliers,
             pool_size=len(self._pool),
             pool_evicted=self._pool.evicted,
             clusters=len(self.result.clusters),
-            clusters_spawned=self._clusters_spawned,
-            clusters_dismissed=self._clusters_dismissed,
-            decay_events=self._decay_events,
-            decay_pruned_nodes=self._decay_pruned,
-            checkpoints_written=self._checkpoints,
+            clusters_spawned=counts.clusters_spawned,
+            clusters_dismissed=counts.clusters_dismissed,
+            decay_events=counts.decay_events,
+            decay_pruned_nodes=counts.decay_pruned_nodes,
+            checkpoints_written=counts.checkpoints_written,
             log_threshold=self.log_threshold,
         )
 
     def __repr__(self) -> str:
         return (
-            f"StreamingCluseq(batches={self._batches}, "
-            f"sequences={self._sequences}, "
+            f"StreamingCluseq(batches={self._counts.batches}, "
+            f"sequences={self._counts.sequences}, "
             f"clusters={len(self.result.clusters)}, "
             f"pool={len(self._pool)})"
         )

@@ -607,10 +607,16 @@ class TestCliParser:
         assert "no model source" in capsys.readouterr().err
 
     def test_cli_serve_rejects_undecodable_model(
-        self, serve_model_path, tmp_path, capsys, model_fault
+        self, serve_model_path, tmp_path, capsys, model_fault, monkeypatch
     ):
         from repro.cli import main
 
+        # A model that slips past the load check would start a server
+        # that runs until killed; make that start fail the test instead.
+        async def refuse_start(self, *args, **kwargs):
+            raise AssertionError("serve started on an undecodable model")
+
+        monkeypatch.setattr(ServeApp, "start", refuse_start)
         payload = json.loads(Path(serve_model_path).read_text(encoding="utf-8"))
         model_fault(payload)
         broken = tmp_path / "broken.json"

@@ -440,10 +440,3 @@ class TestCoordinatorChecksFirst:
         with pytest.raises(ValueError, match="batch position 2: symbol id -1"):
             sharded.ingest_batch([[0, 1], [], [2, -1]])
 
-    def test_ingest_checks_before_buffering(self):
-        sharded = self.make_sharded()
-        sharded.ingest(REGIME_A[0])
-        with pytest.raises(ValueError, match="symbol id 9"):
-            sharded.ingest([0, 9])
-        sharded.flush()
-        assert sharded.sequences_ingested == 1

@@ -397,17 +397,6 @@ class TestStreamingEngine:
         for ids in engine.result.assignments.values():
             assert ids <= live
 
-    def test_flush_processes_partial_batch(self):
-        engine = StreamingCluseq.cold_start(
-            alphabet_size=4, config=quick_config(batch_size=50)
-        )
-        for seq in ([0, 1, 2, 3] for _ in range(7)):
-            engine.ingest(seq)
-        assert engine.sequences_ingested == 0
-        engine.flush()
-        assert engine.sequences_ingested == 7
-        assert engine.batches_ingested == 1
-
     def test_empty_sequences_are_dropped(self):
         engine = StreamingCluseq.cold_start(
             alphabet_size=4, config=quick_config()

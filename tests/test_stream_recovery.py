@@ -25,6 +25,7 @@ from repro.stream import (
     DecayPolicy,
     StreamConfig,
     StreamingCluseq,
+    batched,
     drifting_markov_stream,
     journal_path,
 )
@@ -64,6 +65,14 @@ def make_engine(config, state_dir=None):
     )
 
 
+def feed_whole_batches(engine, sequences):
+    """Ingest the whole batches of *sequences*; the partial tail batch
+    is never handed over, as when a producer dies mid-batch."""
+    for batch in batched(sequences, engine.config.batch_size):
+        if len(batch) == engine.config.batch_size:
+            engine.ingest_batch(batch)
+
+
 def full_state(engine):
     """Everything that must match bit-for-bit, JSON-normalized."""
     return json.dumps(
@@ -94,13 +103,13 @@ class TestCrashRecovery:
             reference.run(stream.sequences)
         expected = full_state(reference)
 
-        # Crashed run: feed `crash_after` sequences, then abandon the
-        # engine without close()/checkpoint() — as a SIGKILL would.
+        # Crashed run: the producer read `crash_after` sequences, then
+        # the engine is abandoned without close()/checkpoint() — as a
+        # SIGKILL would.
         state_dir = tmp_path / "crashed"
         victim = make_engine(config, state_dir=state_dir)
-        for seq in stream.sequences[:crash_after]:
-            victim.ingest(seq)
-        del victim  # crash: buffered partial batch is lost, journal survives
+        feed_whole_batches(victim, stream.sequences[:crash_after])
+        del victim  # crash: the unsent partial batch is lost, journal survives
 
         # Journal only holds the fully-ingested batches.
         recovered = StreamingCluseq.recover(state_dir)
@@ -114,8 +123,7 @@ class TestCrashRecovery:
         config = make_config()
         state_dir = tmp_path / "state"
         victim = make_engine(config, state_dir=state_dir)
-        for seq in stream.sequences[:100]:
-            victim.ingest(seq)
+        feed_whole_batches(victim, stream.sequences[:100])
         # Simulate dying mid-append: garbage half-record at the tail.
         with open(journal_path(state_dir), "a", encoding="utf-8") as handle:
             handle.write('{"type": "batch", "n": 99, "sequences": [[1,')
@@ -128,8 +136,7 @@ class TestCrashRecovery:
         config = make_config()
         state_dir = tmp_path / "state"
         victim = make_engine(config, state_dir=state_dir)
-        for seq in stream.sequences[:140]:
-            victim.ingest(seq)
+        feed_whole_batches(victim, stream.sequences[:140])
         del victim
         first = StreamingCluseq.recover(state_dir)
         second = StreamingCluseq.recover(state_dir)
@@ -139,8 +146,7 @@ class TestCrashRecovery:
         config = make_config()
         state_dir = tmp_path / "state"
         victim = make_engine(config, state_dir=state_dir)
-        for seq in stream.sequences[:60]:
-            victim.ingest(seq)
+        feed_whole_batches(victim, stream.sequences[:60])
         del victim
         recovered = StreamingCluseq.recover(state_dir)
         with recovered:
@@ -174,11 +180,6 @@ class TestCrashAtEveryBoundary:
     #: and §4.5 consolidation at 8.
     CONFIG = make_config(batch_size=10, pool_size=64, checkpoint_every=3)
 
-    def feed(self, engine, sequences):
-        for seq in sequences:
-            engine.ingest(seq)
-        engine.flush()
-
     def recover_and_finish(self, state_dir, sequences):
         """Recover, or cold-start in place when no checkpoint is durable."""
         try:
@@ -188,19 +189,19 @@ class TestCrashAtEveryBoundary:
             engine = make_engine(self.CONFIG, state_dir=state_dir)
             cold = True
         with engine:
-            self.feed(engine, sequences[engine.sequences_ingested :])
+            engine.run(sequences[engine.sequences_ingested :])
         return full_state(engine), cold
 
     @pytest.mark.parametrize("kind", ["fsync", "replace"])
     def test_every_boundary(self, short_stream, tmp_path, kind):
         sequences = short_stream.sequences
         reference = make_engine(self.CONFIG)
-        self.feed(reference, sequences)
+        reference.run(sequences)
         expected = full_state(reference)
 
         def workload():
             with make_engine(self.CONFIG, state_dir=tmp_path / "dry") as engine:
-                self.feed(engine, sequences)
+                engine.run(sequences)
 
         total = count_fault_points(workload, kind=kind)
         assert total > 0, f"the run performed no {kind} calls"
@@ -211,9 +212,9 @@ class TestCrashAtEveryBoundary:
             with FaultInjector(crash_at=crash_at, kind=kind).armed():
                 with pytest.raises(CrashPoint):
                     engine = make_engine(self.CONFIG, state_dir=state_dir)
-                    self.feed(engine, sequences)
+                    engine.run(sequences)
             if engine is not None:
-                engine.close()  # the crash left no buffered batch behind
+                engine.close()
             state, cold = self.recover_and_finish(state_dir, sequences)
             cold_starts += cold
             assert state == expected, (
@@ -233,8 +234,7 @@ class TestRejectedBatch:
 
     def warm_engine(self, stream, state_dir):
         engine = make_engine(make_config(), state_dir=state_dir)
-        for seq in stream.sequences[:100]:
-            engine.ingest(seq)
+        engine.run(stream.sequences[:100])
         assert engine.result.clusters
         return engine
 
@@ -253,11 +253,10 @@ class TestRejectedBatch:
         engine = make_engine(make_config(), state_dir=tmp_path / "state")
         with pytest.raises(ValueError, match="batch position 2: symbol id -1"):
             engine.ingest_batch([[0, 1], [], [2, -1]])
-        with pytest.raises(ValueError, match="symbol id 8"):
-            engine.ingest(self.BAD)
+        with pytest.raises(ValueError, match="batch position 0: symbol id 8"):
+            engine.ingest_batch([self.BAD])
         assert len(engine.pool) == 0
         assert engine.batches_ingested == 0
-        engine.flush()
         assert engine.sequences_ingested == 0
 
     @pytest.mark.parametrize("warm", [True, False], ids=["clusters", "no-clusters"])
@@ -272,3 +271,57 @@ class TestRejectedBatch:
         engine.ingest_batch(stream.sequences[101:121])
         recovered = StreamingCluseq.recover(state_dir)
         assert full_state(recovered) == full_state(engine)
+
+
+class TestPinnedStateDir:
+    """A state dir written by an earlier build (``tests/golden/``)
+    recovers and finishes the stream as an uninterrupted run does."""
+
+    #: The ``counters`` keys of a checkpoint, as the build that wrote
+    #: the fixture writes and reads them.
+    COUNTER_KEYS = {
+        "batches",
+        "sequences",
+        "absorbed",
+        "outliers",
+        "pool_evicted",
+        "clusters_spawned",
+        "clusters_dismissed",
+        "decay_events",
+        "decay_pruned_nodes",
+        "checkpoints_written",
+        "next_index",
+        "next_cluster_id",
+    }
+
+    @pytest.fixture
+    def pinned(self, tmp_path):
+        """The committed state dir, copied so recovery can append."""
+        import shutil
+
+        from golden import make_stream_state
+
+        state_dir = tmp_path / "state"
+        shutil.copytree(make_stream_state.STATE_DIR, state_dir)
+        return make_stream_state, state_dir
+
+    def test_recovers_like_an_uninterrupted_run(self, pinned):
+        fixture, state_dir = pinned
+        sequences = fixture.stream()
+        reference = fixture.make_engine()
+        reference.run(sequences)
+        recovered = StreamingCluseq.recover(state_dir)
+        written = fixture.WRITTEN_BATCHES * fixture.BATCH_SIZE
+        assert recovered.sequences_ingested == written
+        with recovered:
+            recovered.run(sequences[written:])
+        assert full_state(recovered) == full_state(reference)
+
+    def test_counter_keys_are_the_pinned_set(self, pinned):
+        _, state_dir = pinned
+        with open(state_dir / "checkpoint.json", encoding="utf-8") as handle:
+            assert set(json.load(handle)["counters"]) == self.COUNTER_KEYS
+        engine = StreamingCluseq.recover(state_dir)
+        engine.checkpoint()
+        with open(state_dir / "checkpoint.json", encoding="utf-8") as handle:
+            assert set(json.load(handle)["counters"]) == self.COUNTER_KEYS
