@@ -213,12 +213,7 @@ async def self_hosted(
 
     registry = ModelRegistry()
     registry.load(MODEL_NAME, model_path)
-    app = ServeApp(
-        registry,
-        model_name=MODEL_NAME,
-        max_batch=64,
-        max_queue=512,
-    )
+    app = ServeApp(registry, max_batch=64, max_queue=512)
     host, port = await app.start()
     try:
         return await bench_against(host, port, spec, query_pool(model_path))

@@ -443,7 +443,6 @@ def _command_classify(args: argparse.Namespace) -> int:
         print("model file does not embed an alphabet; cannot classify", flush=True)
         return 1
     db = _load_database(args.input, args.format)
-    index = result.next_sequence_index()
     for record in db:
         try:
             encoded = alphabet.encode(record.symbols)
@@ -451,8 +450,7 @@ def _command_classify(args: argparse.Namespace) -> int:
             print(f"seq{record.sid}\t<unknown symbols>")
             continue
         if args.absorb:
-            assignment = result.assign_and_absorb(encoded, index=index)
-            index += 1
+            assignment = result.assign_and_absorb(encoded)
         else:
             assignment = result.predict(encoded)
         label = "outlier" if assignment is None else f"cluster{assignment}"
@@ -642,10 +640,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
         async def _run() -> int:
             app = ServeApp(
-                registry,
-                model_name=args.name,
-                max_batch=args.max_batch,
-                max_queue=args.queue_size,
+                registry, max_batch=args.max_batch, max_queue=args.queue_size
             )
             stop = asyncio.Event()
             loop = asyncio.get_running_loop()

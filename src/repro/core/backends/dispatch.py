@@ -16,16 +16,17 @@ package off it. The fit, the stream, the shard consolidation and
 ``predict`` score with the DP or read the trees directly.
 
 :class:`PstBatchScorer` is the kernel's working interface and the one
-owner of its state. Built with a model's trees, it decides which of
-them the kernel scores (:meth:`PstBatchScorer.rows`: closed, and
-unchanged since it was built; once an ingest writes a tree,
-re-flattening it for every read costs more than the DP, so the caller
-scores it pair by pair from then on). It owns the background log
-vector, flattens each row's tree once (see
-:class:`~repro.core.backends.flatten.FlattenedPST`), keeps the
-*prepared* stacked table set (see
-:class:`~repro.core.backends.vectorized.PreparedStack`) until the rows
-shrink, and emits counters/timers through the active metrics registry.
+owner of its state. Built with a model's trees, it scores all of them
+(:meth:`PstBatchScorer.score_matrix_full`) and decides alone which
+ones the kernel takes: the trees that are closed and unchanged since
+it was built. Once an ingest writes a tree, re-flattening it for every
+read costs more than the DP, so from then on the scorer runs the DP
+on it. It owns the background log vector, flattens each kernel tree
+once (see :class:`~repro.core.backends.flatten.FlattenedPST`), keeps
+the *prepared* stacked table set (see
+:class:`~repro.core.backends.vectorized.PreparedStack`) until the
+kernel trees shrink, and emits counters/timers through the active
+metrics registry.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy.typing as npt
 
 from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
-from ..similarity import log_background
+from ..similarity import log_background, similarities
 from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
     PreparedStack,
@@ -80,15 +81,16 @@ def _observe_segment_lengths(matrix: ScoreMatrixResult) -> None:
 class PstBatchScorer:
     """Batch scorer over one fixed list of PSTs, result-identical to reference.
 
-    Built with its trees, it is the one place that decides which of
-    them the kernel scores: :meth:`rows`, the trees that are closed and
-    unwritten since the scorer was built. A tree an ingest writes (a
+    Built with its trees, it scores every one of them and is the one
+    place that decides which the kernel takes (:meth:`_rows`): the
+    trees that are closed and unwritten since the scorer was built. A
+    tree an ingest writes (a
     :attr:`~repro.core.pst.ProbabilisticSuffixTree.version` bump), or
-    one that is not closed, is never a row, so the caller scores it
-    with the DP; rows only ever shrink. Each row's tree is flattened at
-    most once, on the first call that scores it, and the prepared
-    stack is rebuilt only when the rows shrink. A background of the
-    wrong length raises ``ValueError`` at construction.
+    one that is not closed, is scored with the reference DP instead;
+    the kernel's trees only ever shrink. Each kernel tree is flattened
+    at most once, on the first call that scores it, and the prepared
+    stack is rebuilt only when the kernel trees shrink. A background of
+    the wrong length raises ``ValueError`` at construction.
     """
 
     def __init__(
@@ -113,7 +115,7 @@ class PstBatchScorer:
         )
         self._flats: dict[int, FlattenedPST] = {}
         # (rows, stack) in one attribute, so a reader never pairs one
-        # call's rows with another's stack.
+        # call's kernel trees with another's stack.
         self._stacked: tuple[tuple[int, ...], PreparedStack | None] = ((), None)
 
     @property
@@ -121,7 +123,7 @@ class PstBatchScorer:
         """Background log vector (reference ``math.log`` convention)."""
         return self._log_bg
 
-    def rows(self) -> tuple[int, ...]:
+    def _rows(self) -> tuple[int, ...]:
         """Positions of the trees the kernel scores, in order: closed
         when the scorer was built and unwritten since."""
         return tuple(
@@ -179,30 +181,58 @@ class PstBatchScorer:
     def score_matrix_full(
         self, sequences: Sequence[Sequence[int]]
     ) -> ScoreMatrixResult:
-        """The (row × sequence) matrix in array form, one kernel call;
-        matrix row ``i`` is the tree at ``rows()[i]``.
+        """The (tree × sequence) matrix over every tree, in tree order.
 
-        The preferred shape for the §4.2 decision: read ``log_z`` for
-        the join test, materialize result objects only for the winner.
+        The kernel trees (:meth:`_rows`) are scored in one kernel call;
+        every other tree gets the reference DP, one
+        :func:`~repro.core.similarity.similarities` call per sequence,
+        without being flattened. Both are bit-identical to
+        ``similarity()``. The preferred shape for the §4.2 decision:
+        read ``log_z`` for the join test, materialize result objects
+        only for the winner.
 
         Raises ``ValueError`` as ``similarity()`` does (an empty
         sequence, an id outside the alphabet) before any tree is
         flattened.
         """
-        rows = self.rows()
-        if not rows or not sequences:
-            shape = (len(rows), len(sequences))
-            return ScoreMatrixResult(
-                log_z=np.zeros(shape, dtype=np.float64),
-                best_start=np.zeros(shape, dtype=np.int64),
-                best_end=np.zeros(shape, dtype=np.int64),
-                whole=np.zeros(shape, dtype=np.float64),
-            )
-        started = time.perf_counter()
-        symbols, lengths = pad_sequences(sequences, self._background.shape[0])
-        padded_s = time.perf_counter() - started
-        prep = self._stack_for(rows)
-        registry = get_registry()
-        if registry.enabled:
-            registry.timer("backend.pad_seconds").record(padded_s)
-        return self._score_matrix_arrays(prep, symbols, lengths)
+        rows = self._rows()
+        kernel: ScoreMatrixResult | None = None
+        if rows and sequences:
+            started = time.perf_counter()
+            symbols, lengths = pad_sequences(sequences, self._background.shape[0])
+            padded_s = time.perf_counter() - started
+            prep = self._stack_for(rows)
+            registry = get_registry()
+            if registry.enabled:
+                registry.timer("backend.pad_seconds").record(padded_s)
+            kernel = self._score_matrix_arrays(prep, symbols, lengths)
+            if len(rows) == len(self._psts):
+                return kernel
+        shape = (len(self._psts), len(sequences))
+        matrix = ScoreMatrixResult(
+            log_z=np.zeros(shape, dtype=np.float64),
+            best_start=np.zeros(shape, dtype=np.int64),
+            best_end=np.zeros(shape, dtype=np.int64),
+            whole=np.zeros(shape, dtype=np.float64),
+        )
+        if kernel is not None:
+            kernel_rows = list(rows)
+            matrix.log_z[kernel_rows] = kernel.log_z
+            matrix.best_start[kernel_rows] = kernel.best_start
+            matrix.best_end[kernel_rows] = kernel.best_end
+            matrix.whole[kernel_rows] = kernel.whole
+        others = [p for p in range(len(self._psts)) if p not in rows]
+        if not others or not sequences:
+            return matrix
+        # One DP call per sequence, then each tree's row in one write.
+        other_psts = [self._psts[p] for p in others]
+        columns = [
+            similarities(other_psts, seq, self._background) for seq in sequences
+        ]
+        for i, p in enumerate(others):
+            scored = [column[i] for column in columns]
+            matrix.log_z[p] = [result.log_similarity for result in scored]
+            matrix.best_start[p] = [result.best_start for result in scored]
+            matrix.best_end[p] = [result.best_end for result in scored]
+            matrix.whole[p] = [result.whole_sequence_log for result in scored]
+        return matrix

@@ -217,6 +217,11 @@ class ClusteringResult:
     #: ``False`` when it was cut off at ``max_iterations``. Either way
     #: the final iteration's stats are the last ``history`` entry.
     converged: bool = False
+    #: The index the next :meth:`assign_and_absorb` takes; ``None``
+    #: until its first call scans for it.
+    _next_index: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def final_threshold(self) -> float:
@@ -308,12 +313,7 @@ class ClusteringResult:
             top = max(top, cluster.seed_index, max(cluster.members, default=-1))
         return top + 1
 
-    def assign_and_absorb(
-        self,
-        encoded: Sequence[int],
-        *,
-        index: int | None = None,
-    ) -> int | None:
+    def assign_and_absorb(self, encoded: Sequence[int]) -> int | None:
         """Incrementally add one new sequence to the fitted clustering.
 
         The streaming counterpart of ``fit``: the sequence is scored
@@ -323,13 +323,13 @@ class ClusteringResult:
         entry. Returns the cluster id, or ``None`` when the sequence is
         an outlier (which is also recorded).
 
-        *index* pins the sequence index explicitly (the streaming
-        engine allocates its own); when omitted a safe non-colliding
-        index is chosen via :meth:`next_sequence_index`, which stays
-        correct after a persistence round-trip. A pinned index that is
-        already recorded (in the assignment map, or as any cluster's
-        member or seed) raises ``ValueError`` before anything is
-        scored.
+        The result allocates the index itself: the first call scans
+        with :meth:`next_sequence_index` (correct after a persistence
+        round-trip), and later calls count up from there. A call scans
+        again only when another writer — a ``StreamingCluseq`` over
+        this result, say — has already recorded the counted index, in
+        the assignment map or as any cluster's member or seed. A
+        sequence the scoring rejects takes no index.
 
         This performs no re-iteration — existing memberships are left
         untouched — so it suits append-only deployment; rerun ``fit``
@@ -337,23 +337,21 @@ class ClusteringResult:
         """
         if len(encoded) == 0:
             raise ValueError("cannot assign an empty sequence")
-        if index is None:
-            new_index = self.next_sequence_index()
-        elif index in self.assignments or any(
+        scores = live_scores(self.clusters, encoded, self.background)
+        index = self._next_index
+        if index is None or index in self.assignments or any(
             index == cluster.seed_index or cluster.contains(index)
             for cluster in self.clusters
         ):
-            raise ValueError(f"sequence index {index} is already recorded")
-        else:
-            new_index = index
-        scores = live_scores(self.clusters, encoded, self.background)
+            index = self.next_sequence_index()
+        self._next_index = index + 1
         cluster = join_best(
-            new_index, encoded, self.clusters, scores, self.final_log_threshold
+            index, encoded, self.clusters, scores, self.final_log_threshold
         )
         if cluster is None:
-            self.assignments[new_index] = set()
+            self.assignments[index] = set()
             return None
-        self.assignments[new_index] = {cluster.cluster_id}
+        self.assignments[index] = {cluster.cluster_id}
         return cluster.cluster_id
 
     def summary(self) -> str:

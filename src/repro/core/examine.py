@@ -27,9 +27,13 @@ reuses a recorded column (``CLUSEQ._recluster_vectorized``), and
 :func:`join_all` merges the columns into memberships, absorbing
 nothing. Everything in ``repro.core`` scores
 with the reference DP. The batch kernel runs only outside it, in serve
-classify, over the trees no ``/v1/stream/ingest`` has written since
-the model was loaded; the shard consolidation compares the PSTs
-themselves.
+classify: one
+:meth:`~repro.core.backends.dispatch.PstBatchScorer.score_matrix_full`
+call per flush scores every tree, the ones no ``/v1/stream/ingest``
+has written since the model was loaded on the kernel, the rest with
+:func:`~repro.core.similarity.similarities`; the decision is
+:func:`best_cluster` on each column. The shard consolidation compares
+the PSTs themselves.
 """
 
 from __future__ import annotations

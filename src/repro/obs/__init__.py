@@ -61,9 +61,7 @@ from .metrics import (
 )
 from .tracing import (
     Span,
-    current_span,
     get_span_exporter,
-    iter_tree,
     new_trace_id,
     set_span_exporter,
     span,
@@ -90,11 +88,9 @@ __all__ = [
     "peak_rss_bytes",
     "Span",
     "span",
-    "current_span",
     "new_trace_id",
     "set_span_exporter",
     "get_span_exporter",
-    "iter_tree",
     "TELEMETRY_SCHEMA_V2",
     "TRACE_SCHEMA",
     "JsonlSpanExporter",

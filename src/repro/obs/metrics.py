@@ -156,7 +156,9 @@ class Histogram:
     __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max")
 
     def __init__(self, buckets: Sequence[float] | None = None) -> None:
-        bounds = tuple(float(b) for b in (buckets or DEFAULT_BUCKETS))
+        bounds = tuple(
+            float(b) for b in (DEFAULT_BUCKETS if buckets is None else buckets)
+        )
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram buckets must be strictly increasing")
         if not bounds:

@@ -1,11 +1,11 @@
 """Lightweight tracing spans.
 
 A *span* measures one named region of work — wall-clock and CPU time —
-and nests: spans opened inside another span become its children, and
-their metric names extend the parent's dotted path. Opening the same
-path repeatedly (a per-iteration phase, say) aggregates into one
-:class:`~repro.obs.metrics.Timer`, so a whole run's phase breakdown is
-five timers, not five thousand span records.
+and nests: a span opened inside another extends the parent's dotted
+path and depth. Opening the same path repeatedly (a per-iteration
+phase, say) aggregates into one :class:`~repro.obs.metrics.Timer`, so
+a whole run's phase breakdown is five timers, not five thousand span
+records.
 
 Usage::
 
@@ -19,8 +19,7 @@ Usage::
 When a metrics registry is active each finished span records its wall
 and CPU time into ``span.<path>``; when none is (the default), the
 cost of a span is two clock reads and a list append — nothing is
-retained. Finished child spans stay reachable through
-``parent.children`` for callers that want the tree itself.
+retained.
 
 **Exported traces (Telemetry v2).** Installing a span exporter with
 :func:`set_span_exporter` (or :class:`repro.obs.export.use_span_exporter`)
@@ -41,7 +40,6 @@ import itertools
 import os
 import threading
 import time
-from collections.abc import Iterator
 from typing import Protocol
 
 from .logging import get_logger
@@ -50,7 +48,6 @@ from .metrics import MetricsRegistry, get_registry
 __all__ = [
     "Span",
     "span",
-    "current_span",
     "new_trace_id",
     "set_span_exporter",
     "get_span_exporter",
@@ -117,7 +114,6 @@ class Span:
         "name",
         "path",
         "depth",
-        "children",
         "wall_seconds",
         "cpu_seconds",
         "trace_id",
@@ -136,7 +132,6 @@ class Span:
         self.name = name
         self.path = path
         self.depth = depth
-        self.children: list["Span"] = []
         self.wall_seconds: float | None = None
         self.cpu_seconds: float | None = None
         self.trace_id: str | None = None
@@ -162,7 +157,7 @@ class Span:
         timing = (
             f"{self.wall_seconds:.6f}s" if self.finished else "running"
         )
-        return f"Span({self.path!r}, {timing}, children={len(self.children)})"
+        return f"Span({self.path!r}, {timing})"
 
 
 class span:
@@ -240,8 +235,6 @@ class span:
                 break
         current.wall_seconds = wall_end - current._wall_start
         current.cpu_seconds = cpu_end - current._cpu_start
-        if stack:
-            stack[-1].children.append(current)
         registry = current._registry
         if registry.enabled:
             registry.timer(f"span.{current.path}").record(
@@ -261,16 +254,3 @@ class span:
                     "depth": current.depth,
                 },
             )
-
-
-def current_span() -> Span | None:
-    """The innermost open span on this thread, or ``None``."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-def iter_tree(root: Span) -> Iterator[Span]:
-    """Depth-first iteration over a finished span tree."""
-    yield root
-    for child in root.children:
-        yield from iter_tree(child)

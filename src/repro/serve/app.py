@@ -12,7 +12,7 @@ surface:
 ``GET  /v1/stats``                    dispatcher / registry counters
 ``GET  /healthz``                     liveness and the active model epoch
 ``GET  /metrics``                     Prometheus text exposition
-``POST /admin/models/{name}/reload``  hot-swap a model from its source
+``POST /admin/models/{name}/reload``  hot-swap the served model
 ====================================  =========================================
 
 Request handling is single-threaded on the event loop; scoring runs
@@ -86,17 +86,12 @@ class ServeApp:
     def __init__(
         self,
         registry: ModelRegistry,
-        model_name: str = "default",
         max_batch: int = 64,
         max_queue: int = 256,
     ) -> None:
         self.registry = registry
-        self.model_name = model_name
         self.batcher = MicroBatcher(
-            registry=registry,
-            model_name=model_name,
-            max_batch=max_batch,
-            max_queue=max_queue,
+            registry=registry, max_batch=max_batch, max_queue=max_queue
         )
         self.server = HttpServer(self.handle)
         self.started_unix = time.time()
@@ -107,10 +102,7 @@ class ServeApp:
         """Start the dispatcher and listen; returns the bound address."""
         self.batcher.start()
         bound = await self.server.start(host, port)
-        _logger.info(
-            "serving", extra={"host": bound[0], "port": bound[1],
-                              "model": self.model_name}
-        )
+        _logger.info("serving", extra={"host": bound[0], "port": bound[1]})
         return bound
 
     async def close(self) -> None:
@@ -205,38 +197,32 @@ class ServeApp:
     def _ingest(self, request: HttpRequest) -> HttpResponse:
         """Absorb sequences into the live model (§4.4 streaming join).
 
-        Mutation bumps each touched PST's version counter, which takes
-        the tree off its scorer's rows: from the next classify flush on
-        it is scored with the reference ``similarity()`` DP instead of
-        being re-flattened
-        (:meth:`~.registry.ModelVersion.classify_batch`); untouched
+        Each sequence joins through
+        :meth:`~repro.core.cluseq.ClusteringResult.assign_and_absorb`,
+        which allocates its index. Mutation bumps each touched PST's
+        version counter, which takes the tree off the kernel: from the
+        next classify flush on the scorer runs the reference
+        ``similarity()`` DP on it instead of re-flattening it; untouched
         trees stay on the batch kernel.
         """
-        from ..sequences.alphabet import AlphabetError
-
         try:
             sequences = _sequences_from_payload(request.json())
         except ValueError as exc:
             return error_response(400, str(exc))
         try:
-            version = self.registry.get(self.model_name)
+            version = self.registry.get()
         except KeyError as exc:
             return error_response(503, f"model not loaded: {exc}")
         assignments: list[int | None] = []
         absorbed = 0
         skipped = 0
         for symbols in sequences:
-            try:
-                encoded = version.alphabet.encode(symbols)
-            except AlphabetError:
+            encoded = version.encode(symbols)
+            if encoded is None:
                 assignments.append(None)
                 skipped += 1
                 continue
-            if len(encoded) == 0:
-                assignments.append(None)
-                skipped += 1
-                continue
-            cluster_id = version.absorb(list(encoded))
+            cluster_id = version.result.assign_and_absorb(encoded)
             assignments.append(cluster_id)
             if cluster_id is not None:
                 absorbed += 1
@@ -256,7 +242,7 @@ class ServeApp:
 
     def _clusters(self, request: HttpRequest) -> HttpResponse:
         try:
-            version = self.registry.get(self.model_name)
+            version = self.registry.get()
         except KeyError as exc:
             return error_response(503, f"model not loaded: {exc}")
         clusters = [
@@ -274,10 +260,11 @@ class ServeApp:
         return json_response(payload)
 
     def _stats(self, request: HttpRequest) -> HttpResponse:
-        models = {
-            name: self.registry.get(name).describe()
-            for name in self.registry.names()
-        }
+        try:
+            version = self.registry.get()
+            models = {version.name: version.describe()}
+        except KeyError:
+            models = {}
         return json_response(
             {
                 "uptime_seconds": time.time() - self.started_unix,
@@ -290,7 +277,7 @@ class ServeApp:
     def _healthz(self) -> HttpResponse:
         body: dict[str, Any] = {"status": "ok"}
         try:
-            version = self.registry.get(self.model_name)
+            version = self.registry.get()
             body["model"] = version.name
             body["epoch"] = version.epoch
         except KeyError:

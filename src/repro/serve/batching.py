@@ -2,23 +2,20 @@
 
 Concurrent ``/v1/classify`` requests each carry a handful of
 sequences; scoring them one request at a time would pay the batch
-scorer's fixed costs (the rows check, kernel launch overhead,
-padding) per request. The dispatcher instead takes the first queued
-request, drains whatever else is already queued (up to ``max_batch``
-sequences) and scores **all** of it at once in one
+scorer's fixed costs (kernel launch overhead, padding) per request.
+The dispatcher instead takes the first queued request, drains whatever
+else is already queued (up to ``max_batch`` sequences) and scores
+**all** of it at once in one
 :meth:`~repro.serve.registry.ModelVersion.classify_batch` call against
-the one version live when the flush starts. There is no timed window:
-the flush is synchronous, so requests that arrive while it scores
-queue up and leave together in the next flush. One flush is at most one
-:class:`~repro.core.backends.dispatch.PstBatchScorer` full-matrix
-invocation over the scorer's rows (the closed trees no ingest has
-written), so the flat/stack caches and the walk/Kadane kernels are
-amortized across clients. Trees an ingest has written, and trees that
-are not closed (the kernel's automaton walk holds only on closed
-trees, see
-:meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`), are
-scored pair by pair with the reference DP. A flush that cannot score
-(no model loaded, say) fails its requests' futures with the error.
+the served version live when the flush starts. There is no timed
+window: the flush is synchronous, so requests that arrive while it
+scores queue up and leave together in the next flush. One flush is one
+:meth:`~repro.core.backends.dispatch.PstBatchScorer.score_matrix_full`
+call over every tree: at most one kernel invocation over the closed
+trees no ingest has written, so the flat/stack caches and the
+walk/Kadane kernels are amortized across clients, and the reference DP
+for the rest. A flush that cannot score (no model loaded, say) fails
+its requests' futures with the error.
 
 Backpressure is the queue bound: when it is full, :meth:`submit`
 raises :class:`QueueFullError` and the HTTP layer answers 503 with a
@@ -74,10 +71,9 @@ class BatchStats:
 
 @dataclass
 class MicroBatcher:
-    """Bounded-queue request coalescer over one registry model."""
+    """Bounded-queue request coalescer over the registry's model."""
 
     registry: ModelRegistry
-    model_name: str = "default"
     #: A flush takes queued requests until this many sequences.
     max_batch: int = 64
     #: Queue bound in *requests*; beyond it, submit() sheds load.
@@ -169,8 +165,8 @@ class MicroBatcher:
         """Score one coalesced batch against the live model version.
 
         Synchronous on purpose: scoring is CPU-bound (numpy kernel for
-        unchanged trees, the pure-Python reference DP for trees an
-        ingest has written) and releases no useful concurrency to the
+        unchanged trees, the pure-Python reference DP for the rest)
+        and releases no useful concurrency to the
         loop; running it inline keeps request/score/respond on one
         thread with no cross-thread mutation hazards against
         ``/v1/stream/ingest``.
@@ -183,7 +179,7 @@ class MicroBatcher:
         for item in batch:
             sequences.extend(item.sequences)
         try:
-            version = self.registry.get(self.model_name)
+            version = self.registry.get()
             outcomes = version.classify_batch(sequences)
         except Exception as exc:  # a missing model (KeyError) included
             for item in batch:

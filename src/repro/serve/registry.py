@@ -1,4 +1,4 @@
-"""Versioned model registry with build-then-swap hot reload.
+"""The served model's slot, with build-then-swap hot reload.
 
 A *model* is a fitted :class:`~repro.core.cluseq.ClusteringResult`
 plus its alphabet — exactly what ``cluster --save-model`` writes via
@@ -8,21 +8,23 @@ in a ``repro.stream/v1`` checkpoint. The registry loads either format
 tag, and accepts a stream state *directory* by resolving its
 ``checkpoint.json``), wraps it in a :class:`ModelVersion` carrying its
 own :class:`~repro.core.backends.dispatch.PstBatchScorer`, and hands
-it to request handlers:
+it to request handlers. A server serves one model, so the registry is
+one slot:
 
+* ``load(name, source)`` fills the slot with *source* under *name*.
 * ``get()`` returns the live version. Every scoring pass runs against
   the one version it got.
-* ``reload()`` builds the replacement *completely* — parsed, scored
-  against nothing, ready to serve — and then swaps the registry slot
-  in one assignment under the lock, with the next epoch number.
-  In-flight requests finish on the version they hold; later ``get()``
-  calls see only the new epoch. There is never a moment where a
-  half-loaded model is visible.
+* ``reload(name)`` builds the replacement *completely* — parsed, scored
+  against nothing, ready to serve — and then swaps the slot in one
+  assignment under the lock, with the next epoch number. A name other
+  than the served one is a ``KeyError``. In-flight requests finish on
+  the version they hold; later ``get()`` calls see only the new epoch.
+  There is never a moment where a half-loaded model is visible.
 * A retired version is a plain object: it, its trees and its scorer's
   tables are freed with the last reference to it.
 
-Thread-safe by a plain mutex around the name → version map, far off
-any hot path (scoring happens *outside* the lock).
+Thread-safe by a plain mutex around the slot, far off any hot path
+(scoring happens *outside* the lock).
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from typing import Any
 
 from ..core.backends.dispatch import PstBatchScorer
 from ..core.cluseq import ClusteringResult
-from ..core.examine import best_cluster, live_scores
+from ..core.examine import best_cluster
 from ..core.persistence import FORMAT_VERSION, result_from_dict
-from ..core.similarity import SimilarityResult
 from ..obs import get_registry
-from ..sequences.alphabet import Alphabet
+from ..sequences.alphabet import Alphabet, AlphabetError
 from ..stream.checkpoint import CHECKPOINT_FILENAME, read_checkpoint
 from ..stream.journal import STREAM_FORMAT
 
@@ -131,18 +132,14 @@ class ModelVersion:
     """One loaded model generation.
 
     Classification never mutates the model; ``/v1/stream/ingest``
-    does (absorbing §4.4 segments). The version's :attr:`scorer`, built
-    with its trees, decides which trees the batch kernel scores
-    (:meth:`~repro.core.backends.dispatch.PstBatchScorer.rows`): those
-    that are closed and that no ingest has written since the build.
-    Classify scores every other tree with the reference
-    ``similarity()`` DP, without re-flattening it: a written tree, and a
-    tree that is not closed — one pruned by ``max_nodes``, say — on
-    which the kernel's prediction-node automaton does not hold (see
-    :meth:`~repro.core.pst.ProbabilisticSuffixTree.transitions`). Both
-    paths are bit-identical. A reload builds a fresh version whose
-    trees start unchanged; a version lives as long as something refers
-    to it.
+    does (absorbing §4.4 segments through
+    :meth:`~repro.core.cluseq.ClusteringResult.assign_and_absorb`,
+    which also allocates the ingested sequence's index). The version's
+    :attr:`scorer`, built with its trees, scores all of them and
+    decides alone which go through the batch kernel (see
+    :class:`~repro.core.backends.dispatch.PstBatchScorer`). A reload
+    builds a fresh version whose trees start unchanged; a version lives
+    as long as something refers to it.
     """
 
     def __init__(
@@ -164,66 +161,45 @@ class ModelVersion:
         self.scorer = PstBatchScorer(
             result.background, [cluster.pst for cluster in result.clusters]
         )
-        # The next ingested sequence's index, allocated once here as
-        # StreamingCluseq does, not rescanned per sequence.
-        self._next_index = result.next_sequence_index()
+
+    def encode(self, symbols: list[str]) -> list[int] | None:
+        """*symbols* as alphabet ids; ``None`` for a sequence that is
+        empty or holds a symbol outside the alphabet."""
+        try:
+            return self.alphabet.encode(symbols) or None
+        except AlphabetError:
+            return None
 
     def classify_batch(
         self, sequences: list[list[str]]
     ) -> list[ClassifyOutcome | None]:
         """Classify raw symbol sequences; ``None`` marks an unencodable one.
 
-        The scorer's rows (closed trees unchanged since this version
-        was built) are scored for all encodable sequences in **one**
-        batch-kernel matrix call, amortizing the flat/stack caches
-        across every request in the micro-batch. A tree an ingest has
-        absorbed into, or one that is not closed, is scored pair by
-        pair with the reference ``similarity()`` DP, as ``predict``
-        does, and is not flattened again. Both paths are bit-identical;
-        the decision is
-        :func:`~repro.core.examine.best_cluster` at the model's final
-        threshold, the same one ``ClusteringResult.predict`` makes.
+        All encodable sequences are scored against every tree in one
+        :meth:`~repro.core.backends.dispatch.PstBatchScorer.score_matrix_full`
+        call, which amortizes the flat/stack caches across every
+        request in the micro-batch. The decision is
+        :func:`~repro.core.examine.best_cluster` on each sequence's
+        column at the model's final threshold, the same one
+        ``ClusteringResult.predict`` makes.
         """
-        from ..sequences.alphabet import AlphabetError
-
         encoded: list[list[int]] = []
         positions: list[int] = []
         for position, symbols in enumerate(sequences):
-            try:
-                row = self.alphabet.encode(symbols)
-            except AlphabetError:
-                continue
-            if len(row) == 0:
-                continue
-            encoded.append(list(row))
-            positions.append(position)
+            row = self.encode(symbols)
+            if row is not None:
+                encoded.append(row)
+                positions.append(position)
         outcomes: list[ClassifyOutcome | None] = [None] * len(sequences)
         if not encoded:
             return outcomes
-        clusters = self.result.clusters
-        # Kernel rows first; the rest (written by an ingest, or not
-        # closed) are scored by the DP.
-        fixed = self.scorer.rows()
-        written = [p for p in range(len(clusters)) if p not in fixed]
-        written_clusters = [clusters[p] for p in written]
-        # slot[p]: cluster p's row in a merged column, kernel rows first.
-        slot = [0] * len(clusters)
-        for row, p in enumerate([*fixed, *written]):
-            slot[p] = row
-        # No kernel call (and no flatten) when no tree is on the kernel.
         matrix = self.scorer.score_matrix_full(encoded)
         # One bulk convert to per-sequence columns of Python floats.
-        kernel_columns: list[list[float]] = matrix.log_z.T.tolist()
+        columns: list[list[float]] = matrix.log_z.T.tolist()
+        clusters = self.result.clusters
         threshold = self.result.final_log_threshold
         for column, position in enumerate(positions):
-            log_sims = kernel_columns[column]
-            live: list[SimilarityResult] = []
-            if written:  # else the kernel column is already in cluster order
-                live = live_scores(
-                    written_clusters, encoded[column], self.result.background
-                )
-                merged = log_sims + [scored.log_similarity for scored in live]
-                log_sims = [merged[row] for row in slot]
+            log_sims = columns[column]
             best = best_cluster(log_sims, threshold)
             if best is None:
                 outcomes[position] = ClassifyOutcome(
@@ -233,12 +209,7 @@ class ModelVersion:
                     best_end=0,
                 )
                 continue
-            row = slot[best]
-            result = (
-                live[row - len(fixed)]
-                if row >= len(fixed)
-                else matrix.result(row, column)
-            )
+            result = matrix.result(best, column)
             outcomes[position] = ClassifyOutcome(
                 cluster_id=clusters[best].cluster_id,
                 log_similarity=result.log_similarity,
@@ -246,14 +217,6 @@ class ModelVersion:
                 best_end=result.best_end,
             )
         return outcomes
-
-    def absorb(self, encoded: list[int]) -> int | None:
-        """Join *encoded* to its best cluster, or record it as an outlier,
-        under the next sequence index (see
-        :meth:`~repro.core.cluseq.ClusteringResult.assign_and_absorb`)."""
-        cluster_id = self.result.assign_and_absorb(encoded, index=self._next_index)
-        self._next_index += 1
-        return cluster_id
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -271,45 +234,24 @@ class ModelVersion:
 
 
 class ModelRegistry:
-    """Named models, each at some epoch, hot-swappable under load."""
+    """The served model: one slot, hot-swappable under load."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._models: dict[str, ModelVersion] = {}
-        self._sources: dict[str, str] = {}
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._models)
+        self._version: ModelVersion | None = None
 
     def load(self, name: str, source: str) -> ModelVersion:
-        """Load *source* as epoch 1 of *name* (or swap if it exists)."""
-        return self._install(name, source)
-
-    def reload(self, name: str, source: str | None = None) -> ModelVersion:
-        """Re-read the model's source (or a new one) and hot-swap it.
-
-        The old epoch keeps serving the requests that hold it; a caller
-        that got it before the swap is never torn between generations.
-        """
-        with self._lock:
-            if name not in self._models:
-                raise KeyError(f"no model named {name!r}")
-            resolved = source if source is not None else self._sources[name]
-        return self._install(name, resolved)
-
-    def _install(self, name: str, source: str) -> ModelVersion:
+        """Serve *source* under *name*, at the slot's next epoch."""
         started = time.perf_counter()
         result, alphabet, kind = load_model_payload(source)
         with self._lock:
-            previous = self._models.get(name)
+            previous = self._version
             epoch = previous.epoch + 1 if previous is not None else 1
             try:
                 version = ModelVersion(name, epoch, result, alphabet, source, kind)
             except ValueError as exc:  # a background its trees disagree with
                 raise ModelLoadError(f"{source}: {exc}") from exc
-            self._models[name] = version
-            self._sources[name] = source
+            self._version = version
         registry = get_registry()
         if registry.enabled:
             registry.counter("serve.reloads").inc()
@@ -319,10 +261,24 @@ class ModelRegistry:
             registry.gauge("serve.model_epoch").set(epoch)
         return version
 
-    def get(self, name: str) -> ModelVersion:
-        """The live version of *name*."""
+    def reload(self, name: str, source: str | None = None) -> ModelVersion:
+        """Re-read the served model's source (or a new one) and hot-swap it.
+
+        Raises ``KeyError`` when *name* is not the served model. The
+        old epoch keeps serving the requests that hold it; a caller
+        that got it before the swap is never torn between generations.
+        """
         with self._lock:
-            version = self._models.get(name)
+            current = self._version
+            if current is None or current.name != name:
+                raise KeyError(f"no model named {name!r}")
+            resolved = source if source is not None else current.source
+        return self.load(name, resolved)
+
+    def get(self) -> ModelVersion:
+        """The live version; ``KeyError`` when no model is loaded."""
+        with self._lock:
+            version = self._version
         if version is None:
-            raise KeyError(f"no model named {name!r}")
+            raise KeyError("no model loaded")
         return version

@@ -33,6 +33,7 @@ from repro.core.backends import (
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
     log_background,
+    similarities,
     similarity,
     similarity_bruteforce,
 )
@@ -136,6 +137,16 @@ def _assert_results_equal(got, want, context: str) -> None:
     assert got.best_end == want.best_end, context
     assert got.whole_sequence_log == want.whole_sequence_log, context
     assert got.similarity == want.similarity, context
+
+
+def _assert_matrix_equals_similarities(matrix, psts, sequences, background, context):
+    """Every (tree, sequence) cell of *matrix* is that pair's DP result."""
+    assert matrix.log_z.shape == (len(psts), len(sequences)), context
+    for column, seq in enumerate(sequences):
+        for tree, want in enumerate(similarities(psts, seq, background)):
+            _assert_results_equal(
+                matrix.result(tree, column), want, f"{context}: tree {tree}"
+            )
 
 
 class TestSimilarityAgreesWithReference:
@@ -294,26 +305,27 @@ class TestEdgeCases:
             # would be wrong.
             with pytest.raises(ValueError, match="closed trees only"):
                 flatten_pst(tree)
-            # The scorer keeps it off the kernel: no row, no flatten.
+            # The scorer keeps it off the kernel: the DP scores it,
+            # nothing is flattened.
             scorer = PstBatchScorer(background, [tree])
-            assert scorer.rows() == ()
             registry = MetricsRegistry()
             with use_registry(registry):
                 matrix = scorer.score_matrix_full([[0, 1, 0]])
-            assert matrix.log_z.shape == (0, 1)
+            _assert_matrix_equals_similarities(
+                matrix, [tree], [[0, 1, 0]], background, "not closed"
+            )
             assert registry.counter("backend.flatten_builds").value == 0
             assert registry.counter("backend.batch_rows").value == 0
-        # Beside a closed tree, only the closed one is a row.
-        scorer = PstBatchScorer(np.full(4, 0.25), [closed, pruned])
-        assert scorer.rows() == (0,)
+        # Beside a closed tree, only the closed one goes to the kernel.
+        background = np.full(4, 0.25)
+        scorer = PstBatchScorer(background, [closed, pruned])
         registry = MetricsRegistry()
         with use_registry(registry):
             matrix = scorer.score_matrix_full([[0, 1, 0]])
         assert registry.counter("backend.flatten_builds").value == 1
-        _assert_results_equal(
-            matrix.result(0, 0),
-            similarity(closed, [0, 1, 0], np.full(4, 0.25)),
-            "closed beside pruned",
+        assert registry.counter("backend.batch_rows").value == 1
+        _assert_matrix_equals_similarities(
+            matrix, [closed, pruned], [[0, 1, 0]], background, "closed beside pruned"
         )
 
     def test_single_symbol_sequences(self):
@@ -358,7 +370,7 @@ class TestEdgeCases:
             _assert_results_equal(got, want, f"seed {seed}")
 
     def test_mutation_invalidates_flat_export(self):
-        """A written tree leaves the rows and is never scored stale; a
+        """A written tree leaves the kernel and is never scored stale; a
         scorer built after the write flattens it afresh, exactly."""
         pst = ProbabilisticSuffixTree(alphabet_size=3, max_depth=3)
         pst.add_sequence([0, 1, 2, 0, 1, 2])
@@ -367,26 +379,33 @@ class TestEdgeCases:
         seq = [0, 1, 2, 0]
         registry = MetricsRegistry()
         with use_registry(registry):
-            before = scorer.score_matrix_full([seq]).result(0, 0)
-            _assert_results_equal(
-                before, similarity(pst, seq, background), "pre-mutation"
+            before = scorer.score_matrix_full([seq])
+            _assert_matrix_equals_similarities(
+                before, [pst], [seq], background, "pre-mutation"
             )
             for write, label in (
                 (lambda: pst.add_sequence([2, 1, 0, 2, 1, 0]), "post add_sequence"),
                 (lambda: pst.decay_counts(0.5), "post decay_counts"),
             ):
                 write()
-                assert scorer.rows() == ()
-                assert scorer.score_matrix_full([seq]).log_z.shape == (0, 1)
+                kernel_pairs = registry.counter("backend.batch_rows").value
+                written = scorer.score_matrix_full([seq])
+                # The DP scored the written tree: no kernel pair.
+                assert registry.counter("backend.batch_rows").value == kernel_pairs
+                _assert_matrix_equals_similarities(
+                    written, [pst], [seq], background, f"{label}, old scorer"
+                )
                 fresh = PstBatchScorer(background, [pst])
-                after = fresh.score_matrix_full([seq]).result(0, 0)
-                _assert_results_equal(after, similarity(pst, seq, background), label)
+                after = fresh.score_matrix_full([seq])
+                _assert_matrix_equals_similarities(
+                    after, [pst], [seq], background, label
+                )
         # One flatten per scorer, none for the written tree's old rows.
         assert registry.counter("backend.flatten_builds").value == 3
         assert registry.counter("backend.stack_rebuilds").value == 3
 
     def test_written_tree_leaves_rows_restack_reuses_flats(self):
-        """Rows only shrink; a restack reuses the survivors' flats."""
+        """Kernel trees only shrink; a restack reuses the survivors' flats."""
         psts = [
             ProbabilisticSuffixTree.from_sequences(
                 [[s, (s + 1) % 3, (s + 2) % 3] * 3],
@@ -401,24 +420,23 @@ class TestEdgeCases:
         seq = [0, 1, 2, 0]
         registry = MetricsRegistry()
         with use_registry(registry):
-            assert scorer.rows() == (0, 1, 2)
             scorer.score_matrix_full([seq])
+            assert registry.counter("backend.batch_rows").value == 3
             builds = registry.counter("backend.flatten_builds").value
             assert builds == 3
             scorer.score_matrix_full([seq])
             assert registry.counter("backend.stack_rebuilds").value == 1
             psts[1].add_sequence([2, 2, 1, 0])
-            assert scorer.rows() == (0, 2)
             matrix = scorer.score_matrix_full([seq])
+            # Trees 0 and 2 on the kernel, tree 1 on the DP.
+            assert registry.counter("backend.batch_rows").value == 3 + 3 + 2
             assert registry.counter("backend.flatten_builds").value == builds
             assert registry.counter("backend.stack_rebuilds").value == 2
             scorer.score_matrix_full([seq])
             assert registry.counter("backend.stack_rebuilds").value == 2
-        assert matrix.log_z.shape == (2, 1)
-        for row, pst in enumerate([psts[0], psts[2]]):
-            _assert_results_equal(
-                matrix.result(row, 0), similarity(pst, seq, background), f"tree {row}"
-            )
+        _assert_matrix_equals_similarities(
+            matrix, psts, [seq], background, "one tree written"
+        )
 
 
 def _scalar_scan(values: list[float]) -> tuple[float, int, int, float]:

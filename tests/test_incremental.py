@@ -72,40 +72,43 @@ class TestAssignAndAbsorb:
         assert assigned == predicted
 
 
-class TestPinnedIndex:
-    """``assign_and_absorb(index=)`` refuses an index the model already
-    records, so one sequence never ends up in two clusters' member
-    lists while the assignment map names only one of them."""
+class TestIndexAllocation:
+    """``assign_and_absorb`` allocates each ingested sequence's index:
+    it scans once, counts up, and rescans only past another writer."""
 
-    @staticmethod
-    def state(result):
-        return (
-            {i: sorted(ids) for i, ids in result.assignments.items()},
-            [
-                (cluster.cluster_id, sorted(cluster.members), cluster.pst.to_dict())
-                for cluster in result.clusters
-            ],
+    def test_consecutive_indices_leave_fitted_labels_alone(
+        self, toy_db, fitted_toy
+    ):
+        n = fitted_toy.next_sequence_index()
+        labels = fitted_toy.labels()[:n]
+        for i in range(3):
+            fitted_toy.assign_and_absorb(toy_db.encoded(i))
+        assert sorted(fitted_toy.assignments)[-3:] == [n, n + 1, n + 2]
+        assert fitted_toy.next_sequence_index() == n + 3
+        assert fitted_toy.labels()[:n] == labels
+
+    def test_rescans_past_a_stream_over_the_same_result(self, toy_db, fitted_toy):
+        from repro.stream import StreamConfig, StreamingCluseq
+
+        n = fitted_toy.next_sequence_index()
+        fitted_toy.assign_and_absorb(toy_db.encoded(0))
+        engine = StreamingCluseq(
+            fitted_toy,
+            StreamConfig(batch_size=1, reseed_every=0, consolidate_every=0),
         )
-
-    def test_member_index_rejected_before_scoring(self, toy_db, fitted_toy):
-        member = min(fitted_toy.clusters[0].members)
-        other = fitted_toy.clusters[-1]
-        foreign = toy_db.encoded(min(other.members))
-        before = self.state(fitted_toy)
-        with pytest.raises(ValueError, match=f"sequence index {member} is already"):
-            fitted_toy.assign_and_absorb(foreign, index=member)
-        assert self.state(fitted_toy) == before
-
-    def test_seed_index_missing_from_assignments_rejected(self, toy_db, fitted_toy):
-        seed = fitted_toy.clusters[0].seed_index
-        fitted_toy.assignments.pop(seed, None)
-        for cluster in fitted_toy.clusters:
-            cluster.drop_member(seed)
-        with pytest.raises(ValueError, match=f"sequence index {seed} is already"):
-            fitted_toy.assign_and_absorb(toy_db.encoded(seed), index=seed)
-
-    def test_fresh_pinned_index_is_recorded(self, toy_db, fitted_toy):
-        index = fitted_toy.next_sequence_index() + 5
-        assigned = fitted_toy.assign_and_absorb(toy_db.encoded(0), index=index)
-        expected = set() if assigned is None else {assigned}
-        assert fitted_toy.assignments[index] == expected
+        # The stream records n + 1, the index the result counts to next.
+        engine.ingest_batch([toy_db.encoded(1)])
+        streamed = set(fitted_toy.assignments[n + 1])
+        members = {
+            cluster.cluster_id
+            for cluster in fitted_toy.clusters
+            if cluster.contains(n + 1)
+        }
+        fitted_toy.assign_and_absorb(toy_db.encoded(2))
+        assert fitted_toy.assignments[n + 1] == streamed
+        assert {
+            cluster.cluster_id
+            for cluster in fitted_toy.clusters
+            if cluster.contains(n + 1)
+        } == members
+        assert n + 2 in fitted_toy.assignments

@@ -21,10 +21,8 @@ from repro.obs import (
     Series,
     Timer,
     configure_logging,
-    current_span,
     get_logger,
     get_registry,
-    iter_tree,
     reset_logging,
     set_registry,
     span,
@@ -99,6 +97,13 @@ class TestHistogram:
             Histogram(buckets=[3.0, 1.0])
         with pytest.raises(ValueError):
             Histogram(buckets=[1.0, 1.0])
+
+    def test_empty_buckets_rejected_none_keeps_defaults(self):
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="at least one bucket"):
+                Histogram(buckets=empty)
+        assert Histogram(buckets=None).bounds == Histogram().bounds
+        assert len(Histogram().bounds) == 17
 
     def test_merge_binned_equals_observe_loop(self):
         # The batched scorer's fast path: np.searchsorted(side="left")
@@ -294,18 +299,16 @@ class TestSpan:
         registry = MetricsRegistry()
         with use_registry(registry):
             with span("outer") as outer:
-                assert current_span() is outer
+                assert outer.path == "outer" and outer.depth == 0
                 with span("inner") as inner:
                     assert inner.path == "outer.inner"
                     assert inner.depth == 1
-        assert current_span() is None
         assert outer.finished and inner.finished
         assert outer.wall_seconds >= 0.0
         assert inner.cpu_seconds >= 0.0
         # the parent's wall time covers the child's
         assert outer.wall_seconds >= inner.wall_seconds
-        assert outer.children == [inner]
-        assert [s.path for s in iter_tree(outer)] == ["outer", "outer.inner"]
+        assert registry.get("span.outer.inner").count == 1
 
     def test_records_timer_metrics(self):
         registry = MetricsRegistry()
@@ -327,7 +330,9 @@ class TestSpan:
             with span("a"):
                 with span("b"):
                     raise ValueError("boom")
-        assert current_span() is None
+        # Both spans were popped: the next one is a root again.
+        with span("c") as after:
+            assert after.path == "c" and after.depth == 0
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

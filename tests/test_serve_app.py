@@ -30,7 +30,7 @@ def query_strings():
 
 def make_app(serve_model_path, **kwargs):
     registry = ModelRegistry()
-    registry.load(kwargs.pop("model_name", "default"), serve_model_path)
+    registry.load("default", serve_model_path)
     return ServeApp(registry, **kwargs)
 
 
@@ -209,7 +209,7 @@ class TestDispatcher:
         assert batcher.stats.flushes == 2
         assert batcher.stats.mean_occupancy == 2.0
         monkeypatch.undo()
-        version = registry.get("default")
+        version = registry.get()
         for query, (outcomes, served_by) in zip(query_strings, replies):
             assert served_by is version
             assert outcomes == version.classify_batch([list(query)])
@@ -359,11 +359,11 @@ class TestOtherEndpoints:
                     )
                     for batch in batches
                 ]
-                served = app.registry.get("default").result
+                served = app.registry.get().result
                 reload_ = await http_call(
                     host, port, "POST", "/admin/models/default/reload"
                 )
-                reloaded = app.registry.get("default").result
+                reloaded = app.registry.get().result
                 before = set(reloaded.assignments)
                 after = await http_call(
                     host, port, "POST", "/v1/stream/ingest",
@@ -394,6 +394,35 @@ class TestOtherEndpoints:
             )
         assert reloaded is not served
         assert set(reloaded.assignments) - before == {expected_next}
+
+    def test_two_ingests_take_consecutive_indices(
+        self, serve_model_path, query_strings
+    ):
+        async def scenario():
+            app = make_app(serve_model_path)
+            result = app.registry.get().result
+            first = result.next_sequence_index()
+            before = set(result.assignments)
+            host, port = await app.start()
+            try:
+                replies = [
+                    await http_call(
+                        host, port, "POST", "/v1/stream/ingest",
+                        {"sequence": query},
+                    )
+                    for query in query_strings[:2]
+                ]
+            finally:
+                await app.close()
+            return replies, result, first, before
+
+        replies, result, first, before = run(scenario())
+        assert all(reply.status == 200 for reply in replies)
+        assert set(result.assignments) - before == {first, first + 1}
+        for index, reply in zip((first, first + 1), replies):
+            (cluster_id,) = reply.json()["assignments"]
+            expected = set() if cluster_id is None else {cluster_id}
+            assert result.assignments[index] == expected
 
     def test_zero_cluster_model_replies_strict_json(self, tmp_path):
         """A cold-start checkpoint (no clusters) classifies to
@@ -471,7 +500,7 @@ class TestOtherEndpoints:
                 )
             finally:
                 await app.close()
-            return response, app.registry.get("default").epoch
+            return response, app.registry.get().epoch
 
         response, epoch = run(scenario())
         assert response.status == 400
@@ -643,27 +672,6 @@ class TestShutdown:
                 await task
 
         run(scenario())
-
-
-def test_save_and_serve_second_model(tmp_path, query_strings):
-    """Registry holds several named models; routes address them by name."""
-    from repro.core.cluseq import CLUSEQ, CluseqParams
-
-    db = generate_two_cluster_toy(size_per_cluster=10, length=30, seed=3)
-    result = CLUSEQ(
-        CluseqParams(k=2, significance_threshold=3, seed=0)
-    ).fit(db)
-    path = tmp_path / "second.json"
-    save_result(result, str(path), alphabet=db.alphabet)
-
-    registry = ModelRegistry()
-    registry.load("a", str(path))
-    registry.load("b", str(path))
-    assert registry.names() == ["a", "b"]
-    assert registry.get("a").epoch == 1
-    registry.reload("b")
-    assert registry.get("b").epoch == 2
-    assert registry.get("a").epoch == 1
 
 
 def test_query_strings_fixture_sanity(query_strings):

@@ -280,10 +280,10 @@ class TestSwapProtocol:
     ):
         registry = ModelRegistry()
         first = registry.load("default", serve_model_path)
-        assert first.epoch == 1 and registry.get("default") is first
+        assert first.epoch == 1 and registry.get() is first
         second = registry.reload("default", source=alt_model_path)
         assert second.epoch == 2
-        assert registry.get("default") is second
+        assert registry.get() is second
         # reload without a source re-reads the last one.
         third = registry.reload("default")
         assert third.epoch == 3 and third.source == alt_model_path
@@ -301,7 +301,7 @@ class TestSwapProtocol:
         live = registry.load("default", serve_model_path)
         with pytest.raises(ModelLoadError, match="background must have length"):
             registry.reload("default", source=str(broken))
-        assert registry.get("default") is live
+        assert registry.get() is live
 
     def test_reload_unknown_name_raises(self, serve_model_path):
         registry = ModelRegistry()
@@ -357,7 +357,7 @@ class TestSwapProtocol:
 
         def classify_loop():
             while not stop.is_set():
-                version = registry.get("default")
+                version = registry.get()
                 try:
                     outcomes = version.classify_batch(query_sequences)
                     observations.append(
@@ -378,7 +378,7 @@ class TestSwapProtocol:
             thread.start()
         retired = []
         for epoch in range(2, 8):
-            retired.append(weakref.ref(registry.get("default")))
+            retired.append(weakref.ref(registry.get()))
             registry.reload("default", source=sources[epoch % 2])
         stop.set()
         for thread in threads:

@@ -31,10 +31,7 @@ ALPHABET_SIZE = 8
 
 
 def reference_replay(result, sequences, first_index):
-    return [
-        result.assign_and_absorb(seq, index=first_index + offset)
-        for offset, seq in enumerate(sequences)
-    ]
+    return [result.assign_and_absorb(seq) for seq in sequences]
 
 
 def vectorized_replay(result, sequences, first_index):
