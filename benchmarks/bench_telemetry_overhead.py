@@ -1,8 +1,8 @@
 """Telemetry zero-overhead bench — the disabled-path cost bound.
 
 The scoring hot path (``PstBatchScorer._score_matrix_arrays``, the
-stack/flat caches) takes per-kernel clock readings and records them,
-with its counters, behind ``registry.enabled`` guards. This bench
+stack/flat caches) reads the clock around each kernel call and records
+the reading, with its counters, behind ``registry.enabled`` guards. This bench
 verifies the contract that motivated those guards: with telemetry
 fully disabled (the default), the instrumented scorer must run within
 ``OVERHEAD_BOUND`` (2%) of a hand-inlined, guard-free transcription of

@@ -155,16 +155,13 @@ class PstBatchScorer:
         """One full-matrix kernel call: all of *prep*'s trees × the
         padded block (see :func:`pad_sequences`).
 
-        The per-kernel clock reads are unconditional (one code path);
-        they are only recorded when a registry is active.
+        The clock is read unconditionally (one code path); the reading
+        is only recorded when a registry is active.
         """
         started = time.perf_counter()
         states = walk_states_matrix(prep, symbols)
-        walked_at = time.perf_counter()
         ratios = gather_ratios_matrix(prep, symbols, states)
-        gathered_at = time.perf_counter()
         matrix = kadane_columns(ratios, lengths)
-        scanned_at = time.perf_counter()
         registry = get_registry()
         if registry.enabled:
             registry.counter("backend.batch_calls").inc()
@@ -172,9 +169,6 @@ class PstBatchScorer:
             registry.timer("backend.score_seconds").record(
                 time.perf_counter() - started
             )
-            registry.timer("backend.walk_seconds").record(walked_at - started)
-            registry.timer("backend.gather_seconds").record(gathered_at - walked_at)
-            registry.timer("backend.kadane_seconds").record(scanned_at - gathered_at)
             _observe_segment_lengths(matrix)
         return matrix
 
@@ -198,13 +192,8 @@ class PstBatchScorer:
         rows = self._rows()
         kernel: ScoreMatrixResult | None = None
         if rows and sequences:
-            started = time.perf_counter()
             symbols, lengths = pad_sequences(sequences, self._background.shape[0])
-            padded_s = time.perf_counter() - started
             prep = self._stack_for(rows)
-            registry = get_registry()
-            if registry.enabled:
-                registry.timer("backend.pad_seconds").record(padded_s)
             kernel = self._score_matrix_arrays(prep, symbols, lengths)
             if len(rows) == len(self._psts):
                 return kernel

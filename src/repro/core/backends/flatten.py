@@ -151,7 +151,6 @@ def flatten_pst(pst: ProbabilisticSuffixTree) -> FlattenedPST:
     registry = get_registry()
     if registry.enabled:
         registry.counter("backend.flatten_builds").inc()
-        registry.counter("backend.flatten_nodes").inc(count)
         registry.timer("backend.flatten_seconds").record(
             time.perf_counter() - started
         )

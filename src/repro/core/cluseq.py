@@ -217,7 +217,7 @@ class ClusteringResult:
     #: ``False`` when it was cut off at ``max_iterations``. Either way
     #: the final iteration's stats are the last ``history`` entry.
     converged: bool = False
-    #: The index the next :meth:`assign_and_absorb` takes; ``None``
+    #: The index the next :meth:`allocate_index` call takes; ``None``
     #: until its first call scans for it.
     _next_index: int | None = field(
         default=None, init=False, repr=False, compare=False
@@ -313,6 +313,25 @@ class ClusteringResult:
             top = max(top, cluster.seed_index, max(cluster.members, default=-1))
         return top + 1
 
+    def allocate_index(self) -> int:
+        """Take the index the next recorded sequence gets.
+
+        The first call scans with :meth:`next_sequence_index` (correct
+        after a persistence round-trip), and later calls count up from
+        there. A call scans again only when the counted index is
+        already recorded — in the assignment map or as any cluster's
+        member or seed — so an index is never handed out twice, even
+        when sequences were recorded without this allocator.
+        """
+        index = self._next_index
+        if index is None or index in self.assignments or any(
+            index == cluster.seed_index or cluster.contains(index)
+            for cluster in self.clusters
+        ):
+            index = self.next_sequence_index()
+        self._next_index = index + 1
+        return index
+
     def assign_and_absorb(self, encoded: Sequence[int]) -> int | None:
         """Incrementally add one new sequence to the fitted clustering.
 
@@ -323,12 +342,8 @@ class ClusteringResult:
         entry. Returns the cluster id, or ``None`` when the sequence is
         an outlier (which is also recorded).
 
-        The result allocates the index itself: the first call scans
-        with :meth:`next_sequence_index` (correct after a persistence
-        round-trip), and later calls count up from there. A call scans
-        again only when another writer — a ``StreamingCluseq`` over
-        this result, say — has already recorded the counted index, in
-        the assignment map or as any cluster's member or seed. A
+        The index comes from :meth:`allocate_index`, the one allocator
+        this call and a ``StreamingCluseq`` over this result share. A
         sequence the scoring rejects takes no index.
 
         This performs no re-iteration — existing memberships are left
@@ -338,13 +353,7 @@ class ClusteringResult:
         if len(encoded) == 0:
             raise ValueError("cannot assign an empty sequence")
         scores = live_scores(self.clusters, encoded, self.background)
-        index = self._next_index
-        if index is None or index in self.assignments or any(
-            index == cluster.seed_index or cluster.contains(index)
-            for cluster in self.clusters
-        ):
-            index = self.next_sequence_index()
-        self._next_index = index + 1
+        index = self.allocate_index()
         cluster = join_best(
             index, encoded, self.clusters, scores, self.final_log_threshold
         )

@@ -38,7 +38,6 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from ..obs import get_registry
 from .pruning import STRATEGIES, prune_to
 from .smoothing import adjust_probability, validate_p_min
 
@@ -704,10 +703,6 @@ class ProbabilisticSuffixTree:
                     continue
                 child.count = new_count
                 stack.append(child)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("pst.decay_events").inc()
-            registry.counter("pst.decay_pruned_nodes").inc(removed)
         return removed
 
     def _forget_subtree(self, parent: PSTNode, symbol: int) -> int:

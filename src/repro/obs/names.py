@@ -8,11 +8,14 @@ site against it: a typo'd metric name forks a time series that no
 dashboard charts, and this registry is what makes that a CI failure
 instead of a silent data loss.
 
-Renaming or adding telemetry is therefore a two-line diff — the
-emission site and the declaration — and the declaration diff is the
-reviewable event. Dynamic name families (``span.*`` mirror metrics,
-``baseline.*`` spans) are declared as prefixes rather than
-enumerations.
+Renaming or adding telemetry therefore touches three places: the
+emission site, the declaration here and the name's row in the
+catalogue of ``docs/OBSERVABILITY.md``. ``tests/test_telemetry_names.py``
+checks all three: every declared name has a catalogue row and the
+other way round, and every declared name occurs as a literal in the
+package outside this module. Dynamic name families (``span.*``
+mirror metrics, ``baseline.*`` spans) are declared as prefixes rather
+than enumerations.
 
 The module is import-light on purpose (stdlib only, no runtime logic):
 it is also imported by tests to assert registry/emitter agreement.
@@ -35,36 +38,19 @@ METRICS: frozenset[str] = frozenset(
         "baseline.fit_seconds",
         "baseline.clusters",
         # streaming subsystem
-        "stream.recover_passes",
-        "stream.recover_replayed_batches",
         "stream.batches",
         "stream.sequences",
-        "stream.absorbed",
-        "stream.pooled",
-        "stream.pool_size",
         "stream.clusters",
-        "stream.log_threshold",
-        "stream.batch.absorbed",
         "stream.batch.size",
-        "stream.decay_events",
-        "stream.decay_pruned_nodes",
-        "stream.reseed_passes",
-        "stream.clusters_spawned",
         "stream.pool_rescued",
-        "stream.threshold_path",
         "stream.clusters_dismissed",
-        "stream.checkpoints",
-        "stream.checkpoint_bytes",
         "stream.peak_rss_bytes",
         "stream.wal_append_seconds",
         "stream.wal_fsync_seconds",
         "stream.checkpoint_write_seconds",
         "stream.checkpoint_fsync_seconds",
         # sharded streaming coordinator (repro.shard)
-        "shard.batches",
         "shard.sequences",
-        "shard.clusters",
-        "shard.consolidations",
         "shard.pairs_scored",
         "shard.cross_merges",
         # batch clustering driver
@@ -89,8 +75,6 @@ METRICS: frozenset[str] = frozenset(
         # suffix tree
         "pst.final_nodes",
         "pst.final_depth",
-        "pst.decay_events",
-        "pst.decay_pruned_nodes",
         "pst.prune_events",
         "pst.pruned_nodes",
         "pst.pruned_nodes_per_event",
@@ -112,12 +96,7 @@ METRICS: frozenset[str] = frozenset(
         "backend.batch_calls",
         "backend.batch_rows",
         "backend.score_seconds",
-        "backend.pad_seconds",
-        "backend.walk_seconds",
-        "backend.gather_seconds",
-        "backend.kadane_seconds",
         "backend.flatten_builds",
-        "backend.flatten_nodes",
         # reference similarity measure
         "similarity.calls",
         "similarity.dp_cells",
@@ -150,7 +129,6 @@ METRIC_PREFIXES: tuple[str, ...] = ("span.",)
 SPANS: frozenset[str] = frozenset(
     {
         "cluseq",
-        "reclustering",
         "seed",
         "calibrate",
         "recluster",

@@ -12,7 +12,7 @@ Usage::
     from repro.obs import span
 
     with span("cluseq") as run_span:
-        with span("reclustering"):      # path: cluseq.reclustering
+        with span("recluster"):         # path: cluseq.recluster
             ...
     run_span.wall_seconds, run_span.cpu_seconds
 

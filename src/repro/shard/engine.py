@@ -277,7 +277,6 @@ class ShardedStreamingCluseq:
         self._sequences += len(cleaned)
         registry = get_registry()
         if registry.enabled:
-            registry.counter("shard.batches").inc()
             registry.counter("shard.sequences").inc(len(cleaned))
         cfg = self.config
         if (
@@ -360,12 +359,8 @@ class ShardedStreamingCluseq:
         self._rounds += 1
         self._cross_merges += len(ops)
         if registry.enabled:
-            registry.counter("shard.consolidations").inc()
             registry.counter("shard.pairs_scored").inc(pairs)
             registry.counter("shard.cross_merges").inc(len(ops))
-            registry.gauge("shard.clusters").set(
-                sum(handle.stats().clusters for handle in self._handles)
-            )
         if ops:
             _logger.info(
                 "cross-shard consolidation merged %d cluster(s)",

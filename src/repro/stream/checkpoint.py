@@ -66,8 +66,8 @@ def write_json_atomic(path: PathLike, payload: dict[str, Any]) -> int:
 def write_checkpoint(path: PathLike, state: dict[str, Any]) -> int:
     """Atomically write *state* (plus the format tag) to *path*.
 
-    Returns the checkpoint size in bytes (the ``stream.checkpoint_bytes``
-    gauge). *state* must already contain ``journal_batches``.
+    Returns the checkpoint size in bytes. *state* must already contain
+    ``journal_batches``.
     """
     if "journal_batches" not in state:
         raise CheckpointError("checkpoint state must record journal_batches")

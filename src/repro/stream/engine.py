@@ -222,8 +222,6 @@ class _Counters:
     decay_events: int = 0
     decay_pruned_nodes: int = 0
     checkpoints_written: int = 0
-    #: Database index the next ingested sequence gets.
-    next_index: int = 0
     next_cluster_id: int = 0
 
     @property
@@ -286,7 +284,6 @@ class StreamingCluseq:
         self._pool = OutlierPool(self.config.pool_size)
         self._recent_scores: list[float] = []
         self._counts = _Counters(
-            next_index=result.next_sequence_index(),
             next_cluster_id=(
                 max((c.cluster_id for c in result.clusters), default=-1) + 1
             ),
@@ -415,10 +412,6 @@ class StreamingCluseq:
                     engine._apply_batch(record.sequences)
         finally:
             engine._replaying = False
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("stream.recover_passes").inc()
-            registry.counter("stream.recover_replayed_batches").inc(len(records))
         _logger.info(
             "recovered stream engine",
             extra={
@@ -480,28 +473,22 @@ class StreamingCluseq:
             with span("stream.score"):
                 clusters = self.result.clusters
                 for encoded in batch:
-                    index = self._counts.next_index
-                    self._counts.next_index += 1
+                    index = self.result.allocate_index()
                     scores = live_scores(clusters, encoded, self.result.background)
                     assigned.append(self._assign(index, encoded, scores))
             self._counts.sequences += len(batch)
             self._counts.batches += 1
             self._maintain()
-        joined = sum(1 for cid in assigned if cid is not None)
         if registry.enabled:
             registry.counter("stream.batches").inc()
             registry.counter("stream.sequences").inc(len(batch))
-            registry.counter("stream.absorbed").inc(joined)
-            registry.counter("stream.pooled").inc(len(batch) - joined)
-            registry.gauge("stream.pool_size").set(len(self._pool))
             registry.gauge("stream.clusters").set(len(self.result.clusters))
-            registry.gauge("stream.log_threshold").set(self.log_threshold)
             peak_rss = peak_rss_bytes()
             if peak_rss is not None:
                 registry.gauge("stream.peak_rss_bytes").set(peak_rss)
-            registry.series("stream.batch.absorbed").append(joined)
             registry.series("stream.batch.size").append(len(batch))
         if _logger.isEnabledFor(10):  # logging.DEBUG
+            joined = sum(1 for cid in assigned if cid is not None)
             _logger.debug(
                 "batch %d: %d/%d absorbed",
                 self._counts.batches - 1,
@@ -581,10 +568,6 @@ class StreamingCluseq:
             )
         self._counts.decay_events += 1
         self._counts.decay_pruned_nodes += pruned
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("stream.decay_events").inc()
-            registry.counter("stream.decay_pruned_nodes").inc(pruned)
         if pruned and _logger.isEnabledFor(20):  # logging.INFO
             _logger.info(
                 "decay pruned %d nodes",
@@ -656,8 +639,6 @@ class StreamingCluseq:
                 rescued += 1
         registry = get_registry()
         if registry.enabled:
-            registry.counter("stream.reseed_passes").inc()
-            registry.counter("stream.clusters_spawned").inc(len(spawned))
             registry.counter("stream.pool_rescued").inc(rescued)
         if spawned and _logger.isEnabledFor(20):  # logging.INFO
             _logger.info(
@@ -683,9 +664,6 @@ class StreamingCluseq:
         if abs(new_log_t - self.log_threshold) < 1e-12:
             return
         self.result.final_log_threshold = new_log_t
-        registry = get_registry()
-        if registry.enabled:
-            registry.series("stream.threshold_path").append(new_log_t)
 
     def _consolidate(self) -> None:
         _, removed = consolidate(
@@ -731,19 +709,17 @@ class StreamingCluseq:
             "pool": self._pool.to_list(),
             "recent_scores": list(self._recent_scores),
             "log_threshold": self.log_threshold,
-            # ``outliers`` is derived and ``pool_evicted`` is the pool's;
-            # both stay in the record for readers of older builds.
+            # ``outliers`` and ``next_index`` are derived and
+            # ``pool_evicted`` is the pool's; they stay in the record
+            # for readers of older builds.
             "counters": {
                 **asdict(counts),
+                "next_index": self.result.next_sequence_index(),
                 "outliers": counts.outliers,
                 "pool_evicted": self._pool.evicted,
             },
         }
         nbytes = write_checkpoint(checkpoint_path(self.state_dir), state)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("stream.checkpoints").inc()
-            registry.gauge("stream.checkpoint_bytes").set(nbytes)
         if _logger.isEnabledFor(20):  # logging.INFO
             _logger.info(
                 "checkpoint written (%d bytes)",

@@ -73,8 +73,10 @@ class TestAssignAndAbsorb:
 
 
 class TestIndexAllocation:
-    """``assign_and_absorb`` allocates each ingested sequence's index:
-    it scans once, counts up, and rescans only past another writer."""
+    """``ClusteringResult.allocate_index`` gives every added sequence
+    its index, for ``assign_and_absorb`` and a stream over the result
+    alike: it scans once, counts up, and rescans only past an index
+    recorded without it."""
 
     def test_consecutive_indices_leave_fitted_labels_alone(
         self, toy_db, fitted_toy
@@ -112,3 +114,23 @@ class TestIndexAllocation:
             if cluster.contains(n + 1)
         } == members
         assert n + 2 in fitted_toy.assignments
+
+    def test_stream_and_result_share_one_allocator(self, toy_db, fitted_toy):
+        """A stream built before an ``assign_and_absorb`` call takes the
+        index after it, not the one the call already recorded."""
+        from repro.stream import StreamConfig, StreamingCluseq
+
+        n = fitted_toy.next_sequence_index()
+        engine = StreamingCluseq(
+            fitted_toy,
+            StreamConfig(batch_size=1, reseed_every=0, consolidate_every=0),
+        )
+        fitted_toy.assign_and_absorb(toy_db.encoded(0))
+        engine.ingest_batch([toy_db.encoded(1)])
+        assert len(fitted_toy.assignments) == n + 2
+        for index in (n, n + 1):
+            assert fitted_toy.assignments[index] == {
+                cluster.cluster_id
+                for cluster in fitted_toy.clusters
+                if cluster.contains(index)
+            }

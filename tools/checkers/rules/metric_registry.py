@@ -1,9 +1,9 @@
 """CLQ010 — cross-module telemetry-name consistency.
 
-The telemetry surface (docs/PERFORMANCE.md) is consumed by dashboards
-and the bench trajectory ledger, which join on *names*. A typo'd
-metric name (``pst.decay_purged_nodes``) silently creates a second
-series nobody charts; a renamed span breaks every saved query. v2
+The telemetry surface (the catalogue in docs/OBSERVABILITY.md) is
+consumed by dashboards and the bench trajectory ledger, which join on
+*names*. A typo'd metric name (``pst.prune_event``) silently creates a
+second series nobody charts; a renamed span breaks every saved query. v2
 makes the name set a declared, reviewable artifact:
 ``src/repro/obs/names.py`` holds the registry constants (``METRICS``
 and ``SPANS`` plus ``*_PREFIXES`` for dynamic families), parsed in
