@@ -56,12 +56,19 @@ from ..obs import (
 from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
 from .cluster import Cluster
-from .examine import best_cluster, join_all, join_best, live_scores
+from .examine import best_cluster, join_all, join_best
 from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
 from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
-from .similarity import SimilarityResult, _log_background, score_pass
+from .similarity import (
+    SimilarityResult,
+    _log_background,
+    check_sequence,
+    score_pass,
+    score_row,
+    similarities,
+)
 from .smoothing import default_p_min
 from .threshold import VALLEY_METHODS, blend_log_threshold, find_valley
 
@@ -222,6 +229,11 @@ class ClusteringResult:
     _next_index: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: ``log p(s)`` per symbol id; ``None`` until the first
+    #: :meth:`log_background` call builds it.
+    _log_bg: list[float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def final_threshold(self) -> float:
@@ -282,21 +294,40 @@ class ClusteringResult:
 
     def score_sequence(self, encoded: Sequence[int]) -> dict[int, SimilarityResult]:
         """Score a (possibly unseen) encoded sequence against every cluster."""
-        scores = live_scores(self.clusters, encoded, self.background)
+        scores = similarities(
+            [cluster.pst for cluster in self.clusters], encoded, self.background
+        )
         return {
             cluster.cluster_id: result
             for cluster, result in zip(self.clusters, scores)
         }
+
+    def log_background(self) -> list[float]:
+        """``log p(s)`` per symbol id of :attr:`background`, the vector
+        every incremental :func:`~repro.core.similarity.score_row` call
+        takes.
+
+        Built and checked against every cluster tree on the first call,
+        then cached; ``background`` is fixed once the result exists.
+        """
+        if self._log_bg is None:
+            self._log_bg = _log_background(
+                [cluster.pst for cluster in self.clusters], (), self.background
+            )
+        return self._log_bg
 
     def predict(self, encoded: Sequence[int]) -> int | None:
         """Best cluster for an encoded sequence, or ``None`` (outlier).
 
         Uses the run's final similarity threshold.
         """
-        scores = live_scores(self.clusters, encoded, self.background)
-        position = best_cluster(
-            [result.log_similarity for result in scores], self.final_log_threshold
+        check_sequence(encoded, len(self.background))
+        logs, _ = score_row(
+            [cluster.pst for cluster in self.clusters],
+            encoded,
+            self.log_background(),
         )
+        position = best_cluster(logs, self.final_log_threshold)
         return None if position is None else self.clusters[position].cluster_id
 
     def next_sequence_index(self) -> int:
@@ -344,18 +375,21 @@ class ClusteringResult:
 
         The index comes from :meth:`allocate_index`, the one allocator
         this call and a ``StreamingCluseq`` over this result share. A
-        sequence the scoring rejects takes no index.
+        sequence the input check rejects takes no index.
 
         This performs no re-iteration — existing memberships are left
         untouched — so it suits append-only deployment; rerun ``fit``
         periodically if the data distribution drifts.
         """
-        if len(encoded) == 0:
-            raise ValueError("cannot assign an empty sequence")
-        scores = live_scores(self.clusters, encoded, self.background)
+        check_sequence(encoded, len(self.background))
+        logs, bounds = score_row(
+            [cluster.pst for cluster in self.clusters],
+            encoded,
+            self.log_background(),
+        )
         index = self.allocate_index()
         cluster = join_best(
-            index, encoded, self.clusters, scores, self.final_log_threshold
+            index, encoded, self.clusters, logs, bounds, self.final_log_threshold
         )
         if cluster is None:
             self.assignments[index] = set()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from .pst import ProbabilisticSuffixTree
-from .similarity import SimilarityResult
 
 
 @dataclass
@@ -104,23 +103,21 @@ class Cluster:
         self,
         sequence_index: int,
         encoded: Sequence[int],
-        result: SimilarityResult,
+        log_similarity: float,
+        best_start: int,
+        best_end: int,
     ) -> None:
         """Admit a sequence (§4.2) and absorb its best segment (§4.4).
 
-        *result* is the sequence's score against this cluster: the
-        membership records it, and ``encoded[best_start:best_end]``
-        goes into the PST.
+        The sequence's score against this cluster — ``log SIM`` and the
+        ``[best_start, best_end)`` segment achieving it — goes into the
+        membership record, and ``encoded[best_start:best_end]`` into
+        the PST.
         """
         self.set_member(
-            Membership(
-                sequence_index=sequence_index,
-                log_similarity=result.log_similarity,
-                best_start=result.best_start,
-                best_end=result.best_end,
-            )
+            Membership(sequence_index, log_similarity, best_start, best_end)
         )
-        self.absorb_segment(list(encoded[result.best_start : result.best_end]))
+        self.absorb_segment(encoded[best_start:best_end])
 
     def absorb_segment(self, encoded_segment: Sequence[int]) -> None:
         """Insert a joining sequence's best-scoring segment into the PST.

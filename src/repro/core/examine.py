@@ -17,17 +17,19 @@ segment into the cluster PST (§4.4).
 
 The best rule is sequence-major: its join depends on every cluster's
 score, and it mutates a PST the next sequence is scored against. So
-each sequence is scored against the live models (:func:`live_scores`,
-one :func:`~repro.core.similarity.similarities` call) and then joins.
-The overlap rule is column-major: a join depends only on the
-cluster's own score and absorbs only into its own tree, so the fit
-runs each cluster's pass as one column
-(:func:`~repro.core.similarity.score_pass`, absorbing as it goes), or
-reuses a recorded column (``CLUSEQ._recluster_vectorized``), and
-:func:`join_all` merges the columns into memberships, absorbing
-nothing. Everything in ``repro.core`` scores
-with the reference DP. The batch kernel runs only outside it, in serve
-classify: one
+each sequence is scored against the live models as one row
+(:func:`~repro.core.similarity.score_row`, over a log background the
+caller built once) and then joins with :func:`join_best`. The overlap
+rule is column-major: a join depends only on the cluster's own score
+and absorbs only into its own tree, so the fit runs each cluster's
+pass as one column (:func:`~repro.core.similarity.score_pass`,
+absorbing as it goes), or reuses a recorded column
+(``CLUSEQ._recluster_vectorized``), and :func:`join_all` merges the
+columns into memberships, absorbing nothing. Both joins take the
+scores as ``(logs, bounds)``: ``log SIM`` per entry and
+``best_start``, ``best_end`` two per entry. Everything in
+``repro.core`` scores with the reference DP. The batch kernel runs
+only outside it, in serve classify: one
 :meth:`~repro.core.backends.dispatch.PstBatchScorer.score_matrix_full`
 call per flush scores every tree, the ones no ``/v1/stream/ingest``
 has written since the model was loaded on the kernel, the rest with
@@ -40,11 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-import numpy.typing as npt
-
 from .cluster import Cluster, Membership
-from .similarity import SimilarityResult, similarities
 
 
 def best_cluster(log_sims: Sequence[float], log_t: float) -> int | None:
@@ -59,21 +57,6 @@ def best_cluster(log_sims: Sequence[float], log_t: float) -> int | None:
     if best is None or best_log < log_t:
         return None
     return best
-
-
-def live_scores(
-    clusters: Sequence[Cluster],
-    seq: Sequence[int],
-    background: npt.NDArray[np.float64],
-) -> list[SimilarityResult]:
-    """*seq* scored against each cluster's live model, in cluster
-    order, with the reference §4.3 DP
-    (:func:`~repro.core.similarity.similarities`).
-
-    The input check runs also when there are no clusters, so a
-    zero-cluster model rejects what a fitted one rejects.
-    """
-    return similarities([cluster.pst for cluster in clusters], seq, background)
 
 
 def join_all(
@@ -113,15 +96,22 @@ def join_best(
     index: int,
     seq: Sequence[int],
     clusters: Sequence[Cluster],
-    scores: Sequence[SimilarityResult],
+    logs: Sequence[float],
+    bounds: Sequence[int],
     log_t: float,
 ) -> Cluster | None:
     """The incremental §4.2–§4.4 rule: join only the best cluster, if
     SIM ≥ t. Returns the joined cluster, or ``None`` for an outlier.
+
+    *logs* and *bounds* are *seq*'s row against *clusters*, as
+    :func:`~repro.core.similarity.score_row` returns it, in cluster
+    order.
     """
-    position = best_cluster([result.log_similarity for result in scores], log_t)
+    position = best_cluster(logs, log_t)
     if position is None:
         return None
     cluster = clusters[position]
-    cluster.join(index, seq, scores[position])
+    cluster.join(
+        index, seq, logs[position], bounds[2 * position], bounds[2 * position + 1]
+    )
     return cluster

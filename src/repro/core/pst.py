@@ -219,18 +219,21 @@ class ProbabilisticSuffixTree:
             return
         # Validate the whole sequence before touching any count: a
         # mid-insert ValueError must not leave the tree half-mutated
-        # (and the caches stale) for a caller that catches it.
-        for symbol in encoded:
-            if not 0 <= symbol < self.alphabet_size:
-                raise ValueError(
-                    f"symbol id {symbol} out of range "
-                    f"(alphabet size {self.alphabet_size})"
-                )
+        # (and the caches stale) for a caller that catches it. The
+        # ordered loop runs only to name the first bad id.
+        if min(encoded) < 0 or max(encoded) >= self.alphabet_size:
+            for symbol in encoded:
+                if not 0 <= symbol < self.alphabet_size:
+                    raise ValueError(
+                        f"symbol id {symbol} out of range "
+                        f"(alphabet size {self.alphabet_size})"
+                    )
         max_depth = self.max_depth
         threshold = self.significance_threshold
         # (start, end) of each label encoded[start:end] whose count
         # reaches the threshold.
         crossed: list[tuple[int, int]] = []
+        created = 0
         root = self.root
         root.count += length
         root.next_total += length
@@ -241,19 +244,19 @@ class ProbabilisticSuffixTree:
             symbol = encoded[i]
             root_next[symbol] = root_next.get(symbol, 0) + 1
             node = root
-            lowest = i - max_depth
+            lowest = i - max_depth if i > max_depth else 0
             j = i - 1
-            while j >= 0 and j >= lowest:
+            while j >= lowest:
                 context_symbol = encoded[j]
                 child = node.children.get(context_symbol)
                 if child is None:
-                    child = PSTNode()
-                    node.children[context_symbol] = child
-                    self._node_count += 1
-                child.count += 1
-                if child.count == threshold:
+                    child = node.children[context_symbol] = PSTNode()
+                    created += 1
+                count = child.count = child.count + 1
+                if count == threshold:
                     crossed.append((j, i))
-                child.next_counts[symbol] = child.next_counts.get(symbol, 0) + 1
+                next_counts = child.next_counts
+                next_counts[symbol] = next_counts.get(symbol, 0) + 1
                 child.next_total += 1
                 child.log_probs = None
                 node = child
@@ -264,18 +267,19 @@ class ProbabilisticSuffixTree:
         # observations so node counts equal true occurrence counts.
         node = root
         j = length - 1
-        while j >= 0 and j >= length - max_depth:
+        lowest = length - max_depth if length > max_depth else 0
+        while j >= lowest:
             context_symbol = encoded[j]
             child = node.children.get(context_symbol)
             if child is None:
-                child = PSTNode()
-                node.children[context_symbol] = child
-                self._node_count += 1
-            child.count += 1
-            if child.count == threshold:
+                child = node.children[context_symbol] = PSTNode()
+                created += 1
+            count = child.count = child.count + 1
+            if count == threshold:
                 crossed.append((j, length))
             node = child
             j -= 1
+        self._node_count += created
 
         if crossed and self._transitions:
             self._forget_transitions(encoded, crossed)

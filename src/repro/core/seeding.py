@@ -30,7 +30,7 @@ from ..obs import get_logger, get_registry
 from ..typing import EncodedLookup, PSTFactory
 from .cluster import Cluster
 from .pst import ProbabilisticSuffixTree
-from .similarity import similarities, similarity
+from .similarity import _log_background, score_row
 
 _logger = get_logger("core.seeding")
 
@@ -99,8 +99,9 @@ def select_seeds(
         Random generator for the sample draw.
     pst_factory:
         Callable ``encoded -> ProbabilisticSuffixTree`` building a
-        single-sequence PST (bind cluster parameters with
-        ``functools.partial`` around :func:`build_seed_pst`).
+        single-sequence PST over *background*'s alphabet (bind cluster
+        parameters with ``functools.partial`` around
+        :func:`build_seed_pst`).
 
     Returns fewer than *count* choices when there are not enough
     candidates.
@@ -117,16 +118,20 @@ def select_seeds(
         cluster.pst for cluster in existing_clusters
     ]
 
+    # The one input check of the call: every sample, and the
+    # background against the references.
+    log_bg = _log_background(
+        reference_psts, [encoded_lookup(i) for i in sampled], background
+    )
+
     # Each sample's best log-similarity against the current references;
     # incremental: adding a seed only requires scoring remaining samples
     # against that one new reference, so a sample's PST is built only
     # once it is picked.
     best_log: dict[int, float] = {}
     for i in sampled:
-        best = -math.inf
-        for result in similarities(reference_psts, encoded_lookup(i), background):
-            best = max(best, result.log_similarity)
-        best_log[i] = best
+        logs, _ = score_row(reference_psts, encoded_lookup(i), log_bg)
+        best_log[i] = max(logs, default=-math.inf)
 
     chosen: list[SeedChoice] = []
     remaining = list(sampled)
@@ -136,7 +141,7 @@ def select_seeds(
         new_pst = pst_factory(encoded_lookup(pick))
         chosen.append(SeedChoice(pick, best_log[pick], new_pst))
         for i in remaining:
-            score = similarity(new_pst, encoded_lookup(i), background).log_similarity
+            (score,), _ = score_row([new_pst], encoded_lookup(i), log_bg)
             if score > best_log[i]:
                 best_log[i] = score
     registry = get_registry()

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -174,6 +175,7 @@ def _scan(
     whole = 0.0
     log_y = log_z = -math.inf
     y_start = best_start = best_end = 0
+    successors_of = table.get
     for i, symbol in enumerate(encoded):
         row = node.log_probs
         if row is None:
@@ -194,8 +196,9 @@ def _scan(
 
         # Log-domain Kadane-style scan with segment tracking.
         whole += x
-        if log_y + x >= x:
-            log_y += x
+        extended = log_y + x
+        if extended >= x:
+            log_y = extended
         else:
             log_y = x
             y_start = i
@@ -204,7 +207,7 @@ def _scan(
             best_start, best_end = y_start, i + 1
 
         # The prediction node of position i + 1.
-        successors = table.get(node)
+        successors = successors_of(node)
         if successors is None or (successor := successors[symbol]) is None:
             successor = root
             j = i
@@ -225,18 +228,30 @@ def _scan(
     return log_z, best_start, best_end, whole, walks
 
 
-def _count_pairs(pairs: int, cells: int, walks: int, segments: Iterable[int]) -> None:
-    """Record one scoring call's per-pair ``similarity.*`` totals; one
-    registry check per call, never per symbol or per pair, so
-    disabled-mode overhead is a single attribute read."""
+def _count_pairs(cells: int, walks: int, bounds: Sequence[int]) -> None:
+    """Record one scoring call's per-pair ``similarity.*`` totals.
+
+    *bounds* holds each pair's ``best_start``, ``best_end``, two per
+    pair. One registry check per call, never per symbol or per pair, so
+    disabled-mode overhead is a single attribute read; the segment
+    lengths are binned here (the histogram's ``bisect_left`` rule) and
+    folded in with one ``merge_binned``.
+    """
     registry = get_registry()
+    pairs = len(bounds) // 2
     if registry.enabled and pairs:
         registry.counter("similarity.calls").inc(pairs)
         registry.counter("similarity.dp_cells").inc(cells)
         registry.counter("similarity.context_walks").inc(walks)
         histogram = registry.histogram("similarity.segment_length")
-        for length in segments:
-            histogram.observe(length)
+        edges = histogram.bounds
+        binned = [0] * (len(edges) + 1)
+        lengths = [bounds[at + 1] - bounds[at] for at in range(0, len(bounds), 2)]
+        for length in lengths:
+            binned[bisect_left(edges, length)] += 1
+        histogram.merge_binned(
+            binned, pairs, float(sum(lengths)), min(lengths), max(lengths)
+        )
 
 
 def log_symbol_ratios(
@@ -278,8 +293,8 @@ def similarities(
     The registry is read once per call. It records per-pair totals:
     ``similarity.calls`` and ``similarity.dp_cells`` grow by one pair
     and ``len(σ)`` cells per tree, ``similarity.context_walks`` by the
-    summed root walks, and ``similarity.segment_length`` gets one
-    observation per pair.
+    summed root walks, and ``similarity.segment_length`` counts one
+    segment length per pair, binned and merged once per call.
 
     Raises
     ------
@@ -288,18 +303,44 @@ def similarities(
     """
     log_bg = _log_background(psts, [encoded], background)
     results: list[SimilarityResult] = []
+    bounds: list[int] = []
     walks = 0
     for pst in psts:
         log_sim, start, end, whole, pst_walks = _scan(pst, encoded, log_bg, None)
         results.append(SimilarityResult(_safe_exp(log_sim), log_sim, start, end, whole))
+        bounds += (start, end)
         walks += pst_walks
-    _count_pairs(
-        len(results),
-        len(encoded) * len(results),
-        walks,
-        (result.best_end - result.best_start for result in results),
-    )
+    _count_pairs(len(encoded) * len(results), walks, bounds)
     return results
+
+
+def score_row(
+    psts: Sequence[ProbabilisticSuffixTree],
+    encoded: Sequence[int],
+    log_bg: list[float],
+) -> tuple[list[float], list[int]]:
+    """One sequence's row of the §4.7 matrix: ``log SIM`` against each
+    tree of *psts*, and ``best_start``, ``best_end`` per tree, in tree
+    order.
+
+    The row twin of :func:`score_pass`, for the §4.2–§4.4 incremental
+    joins: each tree gets the X/Y/Z scan of :func:`similarities`, so
+    each entry equals that tree's result there. The caller checks the
+    input once, where it first arrives (:func:`check_sequence` on
+    *encoded*, *log_bg* from :func:`log_background` over a background
+    of the trees' alphabet size); nothing is checked here. The registry
+    records the per-pair totals of one :func:`similarities` call.
+    """
+    logs: list[float] = []
+    bounds: list[int] = []
+    walks = 0
+    for pst in psts:
+        log_sim, start, end, _, pst_walks = _scan(pst, encoded, log_bg, None)
+        logs.append(log_sim)
+        bounds += (start, end)
+        walks += pst_walks
+    _count_pairs(len(encoded) * len(logs), walks, bounds)
+    return logs, bounds
 
 
 def score_pass(
@@ -332,12 +373,7 @@ def score_pass(
         walks += seq_walks
         if absorb is not None and log_sim >= log_t:
             absorb(encoded[start:end])
-    _count_pairs(
-        len(logs),
-        cells,
-        walks,
-        (bounds[at + 1] - bounds[at] for at in range(0, len(bounds), 2)),
-    )
+    _count_pairs(cells, walks, bounds)
     return logs, bounds
 
 

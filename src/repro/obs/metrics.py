@@ -194,8 +194,10 @@ class Histogram:
         """Fold in a batch that was already binned by the caller.
 
         The hot batched scorer bins thousands of observations per call
-        with vectorized ops; routing each through :meth:`observe` would
-        dominate the kernel it is measuring. *bucket_counts* must use
+        with vectorized ops, and each reference DP scoring call bins its
+        pairs; routing each through :meth:`observe` would dominate the
+        scan it is measuring. Empty buckets cost one test each.
+        *bucket_counts* must use
         this histogram's bucket rule — index ``bisect_left(bounds,
         value)``, one trailing +inf bucket — and the aggregates must
         describe exactly the binned batch.
@@ -207,8 +209,10 @@ class Histogram:
                 f"expected {len(self.bucket_counts)} bucket counts, "
                 f"got {len(bucket_counts)}"
             )
+        counts = self.bucket_counts
         for index, bucket_count in enumerate(bucket_counts):
-            self.bucket_counts[index] += int(bucket_count)
+            if bucket_count:
+                counts[index] += int(bucket_count)
         self.count += count
         self.total += total
         if minimum < self.min:

@@ -49,11 +49,11 @@ import numpy as np
 
 from ..core.cluseq import CluseqParams, ClusteringResult
 from ..core.cluster import Cluster, Membership
-from ..core.examine import join_best, live_scores
+from ..core.examine import join_best
 from ..core.consolidation import consolidate, drop_dismissed
 from ..core.persistence import result_from_dict, result_to_dict
 from ..core.seeding import select_seeds
-from ..core.similarity import SimilarityResult, check_sequence, similarity
+from ..core.similarity import check_sequence, score_row
 from ..core.threshold import blend_log_threshold, find_valley
 from ..obs import (
     get_logger,
@@ -380,10 +380,12 @@ class StreamingCluseq:
                 state_dir=state_dir,
             )
             counters = state["counters"]
+            pooled = [(int(i), [int(s) for s in seq]) for i, seq in state["pool"]]
+            # Pooled sequences are scored unchecked from here on.
+            for _, seq in pooled:
+                check_sequence(seq, len(engine.result.background))
             engine._pool = OutlierPool.from_list(
-                [(int(i), [int(s) for s in seq]) for i, seq in state["pool"]],
-                config.pool_size,
-                evicted=int(counters["pool_evicted"]),
+                pooled, config.pool_size, evicted=int(counters["pool_evicted"])
             )
             engine._counts = _Counters(
                 **{f.name: int(counters[f.name]) for f in fields(_Counters)}
@@ -409,7 +411,15 @@ class StreamingCluseq:
                             f"{journal}: journal gap: expected batch "
                             f"{engine._counts.batches}, found {record.ordinal}"
                         )
-                    engine._apply_batch(record.sequences)
+                    try:
+                        batch = check_batch(
+                            record.sequences, len(engine.result.background)
+                        )
+                    except ValueError as exc:
+                        raise JournalError(
+                            f"{journal}: batch {record.ordinal}: {exc}"
+                        ) from None
+                    engine._apply_batch(batch)
         finally:
             engine._replaying = False
         _logger.info(
@@ -471,11 +481,14 @@ class StreamingCluseq:
                 if self._replaying:
                     batch_span.set_attr("replay", True)
             with span("stream.score"):
-                clusters = self.result.clusters
+                # check_batch checked every sequence; the trees and the
+                # log background are fixed until maintenance runs.
+                trees = [cluster.pst for cluster in self.result.clusters]
+                log_bg = self.result.log_background()
                 for encoded in batch:
                     index = self.result.allocate_index()
-                    scores = live_scores(clusters, encoded, self.result.background)
-                    assigned.append(self._assign(index, encoded, scores))
+                    logs, bounds = score_row(trees, encoded, log_bg)
+                    assigned.append(self._assign(index, encoded, logs, bounds))
             self._counts.sequences += len(batch)
             self._counts.batches += 1
             self._maintain()
@@ -505,15 +518,16 @@ class StreamingCluseq:
         return assigned
 
     def _assign(
-        self, index: int, encoded: list[int], scores: list[SimilarityResult]
+        self, index: int, encoded: list[int], logs: list[float], bounds: list[int]
     ) -> int | None:
-        """The incremental §4.2–§4.4 join rule for one stream sequence."""
+        """The incremental §4.2–§4.4 join rule for one stream sequence,
+        given its :func:`~repro.core.similarity.score_row` row."""
         if self.config.adjust_every > 0:
-            self._recent_scores.extend(result.log_similarity for result in scores)
+            self._recent_scores.extend(logs)
             if len(self._recent_scores) > self.config.score_window:
                 del self._recent_scores[: -self.config.score_window]
         cluster = join_best(
-            index, encoded, self.result.clusters, scores, self.log_threshold
+            index, encoded, self.result.clusters, logs, bounds, self.log_threshold
         )
         if cluster is None:
             self.result.assignments[index] = set()
@@ -596,6 +610,7 @@ class StreamingCluseq:
             rng=rng,
             pst_factory=self._pst_factory,
         )
+        log_bg = self.result.log_background()
         spawned: list[Cluster] = []
         for choice in choices:
             encoded = self._pool.get(choice.sequence_index)
@@ -606,15 +621,8 @@ class StreamingCluseq:
                 created_at_iteration=self._counts.batches,
             )
             self._counts.next_cluster_id += 1
-            scored = similarity(choice.pst, encoded, self.result.background)
-            cluster.set_member(
-                Membership(
-                    sequence_index=choice.sequence_index,
-                    log_similarity=scored.log_similarity,
-                    best_start=scored.best_start,
-                    best_end=scored.best_end,
-                )
-            )
+            (log_sim,), (start, end) = score_row([choice.pst], encoded, log_bg)
+            cluster.set_member(Membership(choice.sequence_index, log_sim, start, end))
             self.result.clusters.append(cluster)
             self.result.assignments[choice.sequence_index] = {
                 cluster.cluster_id
@@ -628,9 +636,12 @@ class StreamingCluseq:
             # Rescue pass: pool members that clear the threshold against
             # a freshly spawned model join it immediately, so one drift
             # event does not need k separate re-seed rounds to drain.
+            trees = [cluster.pst for cluster in spawned]
             for index, encoded in self._pool:
-                scores = live_scores(spawned, encoded, self.result.background)
-                joined = join_best(index, encoded, spawned, scores, self.log_threshold)
+                logs, bounds = score_row(trees, encoded, log_bg)
+                joined = join_best(
+                    index, encoded, spawned, logs, bounds, self.log_threshold
+                )
                 if joined is None:
                     continue
                 self.result.assignments[index] = {joined.cluster_id}

@@ -60,7 +60,10 @@ def interleaved(background):
             joined = set()
             for cluster, result in zip(clusters, scores):
                 if result.log_similarity >= log_t:
-                    cluster.join(index, seq, result)
+                    cluster.join(
+                        index, seq, result.log_similarity,
+                        result.best_start, result.best_end,
+                    )
                     joined.add(cluster.cluster_id)
                 else:
                     cluster.drop_member(index)

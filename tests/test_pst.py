@@ -145,6 +145,41 @@ class TestCounts:
         assert pst.node_count == before_nodes
         assert pst.root.next_counts == {0: 2, 1: 1}
 
+    @pytest.mark.parametrize(
+        "encoded, named", [([0, 9, -1], 9), ([-1, 9], -1)], ids=["9-first", "-1-first"]
+    )
+    def test_rejection_names_first_bad_id(self, encoded, named):
+        pst = ProbabilisticSuffixTree(alphabet_size=4)
+        with pytest.raises(ValueError) as raised:
+            pst.add_sequence(encoded)
+        assert str(raised.value) == f"symbol id {named} out of range (alphabet size 4)"
+
+    def test_rejected_insert_leaves_counts_and_transitions(self):
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=4, max_depth=3, significance_threshold=2
+        )
+        for _ in range(3):
+            pst.add_sequence([0, 1, 2, 3, 2, 1, 0])
+        similarity(pst, [0, 1, 2, 3, 3, 2, 1], np.full(4, 0.25))
+        table = {node: list(row) for node, row in pst.transitions()[0].items()}
+        assert table
+        before = (pst.node_count, pst.version, pst.root.count)
+        for bad in ([0, 9, -1], [-1, 9], [1, 2, 4]):
+            with pytest.raises(ValueError, match="out of range"):
+                pst.add_sequence(bad)
+        assert (pst.node_count, pst.version, pst.root.count) == before
+        assert {node: list(row) for node, row in pst.transitions()[0].items()} == table
+        assert pst.transitions()[1]
+
+    def test_empty_insert_changes_nothing(self):
+        pst = ProbabilisticSuffixTree(alphabet_size=4)
+        pst.add_sequence([0, 1, 2])
+        before = (pst.node_count, pst.version, pst.root.count, pst.sequences_added)
+        pst.add_sequence([])
+        assert (
+            pst.node_count, pst.version, pst.root.count, pst.sequences_added
+        ) == before
+
     def test_forget_missing_subtree_does_not_invalidate(self):
         # CLQ007 regression: the no-op early return must not mutate and
         # must not churn the version (which would needlessly rebuild

@@ -6,13 +6,14 @@ starting model, absorb the same segments and leave the same models
 behind. The replay scores each sequence on the replay's live models
 with one of two backends:
 
-* ``reference`` — ``ClusteringResult.assign_and_absorb``, the per-pair
-  ``similarity()`` DP;
+* ``reference`` — ``ClusteringResult.assign_and_absorb``, the
+  reference DP's ``score_row`` over every tree;
 * ``vectorized`` — a fresh batch-kernel call per sequence
-  (:class:`~repro.core.backends.PstBatchScorer`), whose results feed
-  the same ``join_best`` rule. Each sequence gets a scorer built on
-  the live trees, so a tree the previous join wrote is flattened
-  afresh and its scores are never stale.
+  (:class:`~repro.core.backends.PstBatchScorer`), whose matrix column
+  feeds the same ``join_best`` rule as ``(logs, bounds)``. Each
+  sequence gets a scorer built on the live trees, so a tree the
+  previous join wrote is flattened afresh and its scores are never
+  stale.
 """
 
 import pytest
@@ -43,8 +44,15 @@ def vectorized_replay(result, sequences, first_index):
         # it off an older scorer's rows.
         scorer = PstBatchScorer(result.background, [c.pst for c in clusters])
         matrix = scorer.score_matrix_full([seq])
-        scores = [matrix.result(tree, 0) for tree in range(len(clusters))]
-        cluster = join_best(index, seq, clusters, scores, result.final_log_threshold)
+        logs = matrix.log_z[:, 0].tolist()
+        bounds = [
+            bound
+            for pair in zip(matrix.best_start[:, 0], matrix.best_end[:, 0])
+            for bound in map(int, pair)
+        ]
+        cluster = join_best(
+            index, seq, clusters, logs, bounds, result.final_log_threshold
+        )
         cid = None if cluster is None else cluster.cluster_id
         result.assignments[index] = set() if cid is None else {cid}
         replayed.append(cid)

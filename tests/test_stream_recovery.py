@@ -23,9 +23,11 @@ from repro.core.persistence import result_to_dict
 from repro.stream import (
     CheckpointError,
     DecayPolicy,
+    JournalError,
     StreamConfig,
     StreamingCluseq,
     batched,
+    checkpoint_path,
     drifting_markov_stream,
     journal_path,
 )
@@ -271,6 +273,37 @@ class TestRejectedBatch:
         engine.ingest_batch(stream.sequences[101:121])
         recovered = StreamingCluseq.recover(state_dir)
         assert full_state(recovered) == full_state(engine)
+
+    def test_recover_rejects_a_journal_record_outside_the_alphabet(
+        self, stream, tmp_path
+    ):
+        """The scoring row runs unchecked, so a journal record is
+        checked as it is read back, as ``ingest_batch`` checks a batch."""
+        state_dir = tmp_path / "state"
+        engine = self.warm_engine(stream, state_dir)
+        engine.close()
+        record = {"type": "batch", "n": engine.batches_ingested,
+                  "sequences": [stream.sequences[100], self.BAD]}
+        with open(journal_path(state_dir), "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(JournalError, match="position 1: symbol id 8"):
+            StreamingCluseq.recover(state_dir)
+
+    def test_recover_rejects_a_pooled_sequence_outside_the_alphabet(
+        self, stream, tmp_path
+    ):
+        state_dir = tmp_path / "state"
+        engine = self.warm_engine(stream, state_dir)
+        engine.checkpoint()
+        engine.close()
+        target = checkpoint_path(state_dir)
+        with open(target, encoding="utf-8") as handle:
+            state = json.load(handle)
+        state["pool"].append([engine.sequences_ingested, [0, 1, -1]])
+        with open(target, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+        with pytest.raises(CheckpointError, match="symbol id -1"):
+            StreamingCluseq.recover(state_dir)
 
 
 class TestPinnedStateDir:
