@@ -31,8 +31,9 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -64,22 +65,23 @@ class PSTNode:
     next_total:
         ``sum(next_counts.values())``, maintained by every writer of
         ``next_counts`` so the scoring walk never re-sums the dict.
-    log_probs:
-        The scorer's lazily filled row of ``log P̂(s | label)`` (see
-        :func:`repro.core.similarity.similarity`): ``None`` until
+    log_ratios:
+        The scorer's lazily filled row of log ratios ``log P̂(s |
+        label) − log p(s)`` under the tree's scoring background (see
+        :meth:`ProbabilisticSuffixTree.key_ratio_rows`): ``None`` until
         the node is first scored, then a list of ``alphabet_size``
         entries, each ``None`` until that symbol is first scored. Every
         writer of ``next_counts`` resets it to ``None``.
     """
 
-    __slots__ = ("children", "count", "next_counts", "next_total", "log_probs")
+    __slots__ = ("children", "count", "next_counts", "next_total", "log_ratios")
 
     def __init__(self) -> None:
         self.children: dict[int, "PSTNode"] = {}
         self.count: int = 0
         self.next_counts: dict[int, int] = {}
         self.next_total: int = 0
-        self.log_probs: list[float | None] | None = None
+        self.log_ratios: list[float | None] | None = None
 
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted here (inclusive)."""
@@ -192,6 +194,9 @@ class ProbabilisticSuffixTree:
         # trie and discarded trees need no cycle collection.
         self._transitions: dict[PSTNode, list[PSTNode | None]] = {}
         self._closed = True
+        # The log background the nodes' log_ratios rows were filled
+        # under (see key_ratio_rows()).
+        self._ratio_background: list[float] | None = None
 
     # -- construction ------------------------------------------------------------
 
@@ -213,6 +218,18 @@ class ProbabilisticSuffixTree:
         walk from the sequence end updates occurrence counts for
         segments that end the sequence, so ``count`` reflects *all*
         occurrences of a label, exactly as in a suffix tree.
+
+        A position ``i ≥ max_depth`` updates the nodes of its window
+        ``encoded[i - max_depth : i + 1]`` and nothing else (the short
+        memory property), so those positions are counted by window and
+        each distinct window is applied once, with its multiplicity, in
+        order of first occurrence. A key of ``children`` or
+        ``next_counts`` is first touched by the earliest position whose
+        window touches it, and that window is the first applied to touch
+        it, so nodes are created and keys inserted in the order of the
+        position-by-position walk. Only a sequence with two or more such
+        windows (``len > max_depth + 1``) can repeat one; shorter ones
+        walk every position.
         """
         length = len(encoded)
         if length == 0:
@@ -230,17 +247,19 @@ class ProbabilisticSuffixTree:
                     )
         max_depth = self.max_depth
         threshold = self.significance_threshold
-        # (start, end) of each label encoded[start:end] whose count
-        # reaches the threshold.
-        crossed: list[tuple[int, int]] = []
+        # Labels whose count reached the threshold.
+        crossed: list[Sequence[int]] = []
         created = 0
         root = self.root
         root.count += length
         root.next_total += length
-        root.log_probs = None
+        root.log_ratios = None
         root_next = root.next_counts
 
-        for i in range(length):
+        # Positions with a short context, or every position when no
+        # full-context window can repeat.
+        head = max_depth if length > max_depth + 1 else length
+        for i in range(head):
             symbol = encoded[i]
             root_next[symbol] = root_next.get(symbol, 0) + 1
             node = root
@@ -254,13 +273,39 @@ class ProbabilisticSuffixTree:
                     created += 1
                 count = child.count = child.count + 1
                 if count == threshold:
-                    crossed.append((j, i))
+                    crossed.append(encoded[j:i])
                 next_counts = child.next_counts
                 next_counts[symbol] = next_counts.get(symbol, 0) + 1
                 child.next_total += 1
-                child.log_probs = None
+                child.log_ratios = None
                 node = child
                 j -= 1
+
+        if head < length:
+            # (s_{i-L}, …, s_i) for every i ≥ L, counted in order of
+            # first occurrence.
+            windows = Counter(
+                zip(*[encoded[k : length - max_depth + k] for k in range(max_depth + 1)])
+            )
+            for window, m in windows.items():
+                symbol = window[max_depth]
+                root_next[symbol] = root_next.get(symbol, 0) + m
+                node = root
+                for j in range(max_depth - 1, -1, -1):
+                    context_symbol = window[j]
+                    child = node.children.get(context_symbol)
+                    if child is None:
+                        child = node.children[context_symbol] = PSTNode()
+                        created += 1
+                    old = child.count
+                    count = child.count = old + m
+                    if old < threshold <= count:
+                        crossed.append(window[j:max_depth])
+                    next_counts = child.next_counts
+                    next_counts[symbol] = next_counts.get(symbol, 0) + m
+                    child.next_total += m
+                    child.log_ratios = None
+                    node = child
 
         # Terminal contexts: segments ending exactly at the sequence end
         # occur but precede no symbol; count them without next-symbol
@@ -276,13 +321,13 @@ class ProbabilisticSuffixTree:
                 created += 1
             count = child.count = child.count + 1
             if count == threshold:
-                crossed.append((j, length))
+                crossed.append(encoded[j:length])
             node = child
             j -= 1
         self._node_count += created
 
         if crossed and self._transitions:
-            self._forget_transitions(encoded, crossed)
+            self._forget_transitions(crossed)
         self._sequences_added += 1
         self._invalidate()
         if self.max_nodes is not None and self._node_count > self.max_nodes:
@@ -324,7 +369,7 @@ class ProbabilisticSuffixTree:
                     mine.next_counts.get(symbol, 0) + theirs.next_counts[symbol]
                 )
             mine.next_total += theirs.next_total
-            mine.log_probs = None
+            mine.log_ratios = None
             if depth >= self.max_depth:
                 continue
             # Reverse-sorted push: LIFO pop then visits symbols in
@@ -474,14 +519,36 @@ class ProbabilisticSuffixTree:
         entries, each ``None`` or the prediction node after ``a``;
         :func:`repro.core.similarity.similarity` fills entries from its
         root walks. Only :meth:`add_sequence`'s threshold crossings can
-        deepen a transition, and they drop the affected entries;
-        :meth:`decay_counts` and :meth:`merge_counts` drop the whole
-        table. Pruning, a merge of a tree that is not closed, and
+        deepen a transition, and they drop the affected entries. A label
+        crosses when one update takes its count from below the
+        significance threshold to at least it; a repeated window adds
+        its multiplicity at once, so the count may pass the threshold
+        rather than land on it. :meth:`decay_counts` and
+        :meth:`merge_counts` drop the whole table. Pruning, a merge of a tree that is not closed, and
         :meth:`from_dict` of counts that fail the check leave the tree
         not closed for good; the scorer then walks every position and
         stores nothing.
         """
         return self._transitions, self._closed
+
+    def key_ratio_rows(self, log_bg: list[float]) -> None:
+        """Key the nodes' ``log_ratios`` rows to the background *log_bg*.
+
+        A row entry is ``log P̂(s | label) − log p(s)``, valid only under
+        the ``log p(s)`` it was computed with. The scorer calls this
+        before it reads any row: when *log_bg* differs by value from the
+        background the rows were filled under, every row is dropped
+        first, so a tree scored under backgrounds A, B and A again reads
+        each as a cold copy would.
+        """
+        if log_bg != self._ratio_background:
+            if self._ratio_background is not None:
+                stack = [self.root]
+                while stack:
+                    node = stack.pop()
+                    node.log_ratios = None
+                    stack.extend(node.children.values())
+            self._ratio_background = list(log_bg)
 
     def _clear_transitions(self, still_closed: bool = True) -> None:
         """Drop the whole transition table; ``still_closed=False`` also
@@ -489,12 +556,10 @@ class ProbabilisticSuffixTree:
         self._transitions.clear()
         self._closed = self._closed and still_closed
 
-    def _forget_transitions(
-        self, encoded: Sequence[int], crossed: list[tuple[int, int]]
-    ) -> None:
+    def _forget_transitions(self, crossed: list[Sequence[int]]) -> None:
         """Drop the entries a newly significant label can deepen.
 
-        For each label ``w = encoded[start:end] = v·a`` that reached the
+        For each label ``w = v·a`` in *crossed* that reached the
         threshold, only the transitions on ``a`` out of nodes whose
         label ends with ``v`` — the subtree of ``v`` — can now reach
         ``w`` or a label extending it. Rows belong to prediction nodes,
@@ -504,12 +569,12 @@ class ProbabilisticSuffixTree:
         """
         table = self._transitions
         threshold = self.significance_threshold
-        for start, end in crossed:
-            symbol = encoded[end - 1]
-            # v occurs in encoded, so this insert counted it: its node exists.
+        for label in crossed:
+            symbol = label[-1]
+            # v occurs in the inserted sequence, so its node exists.
             node = self.root
-            for k in range(end - 2, start - 1, -1):
-                node = node.children[encoded[k]]
+            for k in range(len(label) - 2, -1, -1):
+                node = node.children[label[k]]
             stack = [node]
             while stack:
                 node = stack.pop()
@@ -698,7 +763,7 @@ class ProbabilisticSuffixTree:
                     node.next_counts[symbol] = scaled
                     total += scaled
             node.next_total = total
-            node.log_probs = None
+            node.log_ratios = None
             for symbol in list(node.children):
                 child = node.children[symbol]
                 new_count = scale(child.count)

@@ -95,7 +95,7 @@ def check_sequence(encoded: Sequence[int], alphabet_size: int) -> None:
     """The §4.3 scan's precondition on σ: non-empty, every id a symbol.
 
     Raises ``ValueError`` otherwise. A negative id would index
-    ``PSTNode.log_probs`` and the transition table from the end and
+    ``PSTNode.log_ratios`` and the transition table from the end and
     fill another symbol's entry, so every caller runs this before the
     scan touches any cache.
     """
@@ -152,11 +152,15 @@ def _scan(
     ``s_i, s_{i-1}, …``. On a tree that is not closed every position is
     walked and nothing is stored.
 
-    ``log P̂(s | node)`` depends only on the node, so it is cached on
-    the node (``PSTNode.log_probs``) one entry at a time, on first use;
-    every writer of ``next_counts`` drops the row. Entries are filled
-    singly because each join's absorb drops the rows along its segment,
-    and a whole-row fill would re-pay ``n`` logs per touched node.
+    The log ratio ``log P̂(s | node) − log p(s)`` depends only on the
+    node and the background, so it is cached on the node
+    (``PSTNode.log_ratios``) one entry at a time, on first use, with
+    the same two IEEE operations as an uncached read; the rows are keyed
+    to the tree's scoring background (see
+    :meth:`ProbabilisticSuffixTree.key_ratio_rows`), and every writer
+    of ``next_counts`` drops the row. Entries are filled singly because
+    each join's absorb drops the rows along its segment, and a
+    whole-row fill would re-pay ``n`` logs per touched node.
 
     Appends each position's log ratio to *ratios* when it is a list.
     Returns ``log SIM``, ``best_start``, ``best_end``, the
@@ -169,19 +173,19 @@ def _scan(
     max_depth = pst.max_depth
     root = pst.root
     table, closed = pst.transitions()
+    pst.key_ratio_rows(log_bg)
 
     walks = 0
     node = root
     whole = 0.0
     log_y = log_z = -math.inf
     y_start = best_start = best_end = 0
-    successors_of = table.get
     for i, symbol in enumerate(encoded):
-        row = node.log_probs
+        row = node.log_ratios
         if row is None:
-            row = node.log_probs = [None] * n
-        log_p = row[symbol]
-        if log_p is None:
+            row = node.log_ratios = [None] * n
+        x = row[symbol]
+        if x is None:
             total = node.next_total
             if total == 0:
                 prob = 1.0 / n
@@ -189,8 +193,8 @@ def _scan(
                 prob = node.next_counts.get(symbol, 0) / total
                 if p_min > 0.0:
                     prob = scale * prob + p_min
-            log_p = row[symbol] = math.log(prob) if prob > 0.0 else _LOG_ZERO
-        x = log_p - log_bg[symbol]
+            log_p = math.log(prob) if prob > 0.0 else _LOG_ZERO
+            x = row[symbol] = log_p - log_bg[symbol]
         if ratios is not None:
             ratios.append(x)
 
@@ -207,8 +211,11 @@ def _scan(
             best_start, best_end = y_start, i + 1
 
         # The prediction node of position i + 1.
-        successors = successors_of(node)
-        if successors is None or (successor := successors[symbol]) is None:
+        try:
+            successor = table[node][symbol]
+        except KeyError:
+            successor = None
+        if successor is None:
             successor = root
             j = i
             lowest = i + 1 - max_depth
@@ -220,6 +227,7 @@ def _scan(
                 j -= 1
             walks += 1
             if closed:
+                successors = table.get(node)
                 if successors is None:
                     successors = table[node] = [None] * n
                 successors[symbol] = successor

@@ -20,8 +20,21 @@ def fnv1a(symbols: Sequence[int]) -> int:
     """64-bit FNV-1a over a symbol-id sequence (platform-independent).
 
     Raises ``ValueError`` on a negative id, which has no octet stream.
+    When every id is an integer in ``[0, 256)`` it is its own single
+    octet, mixed with one xor-multiply; ``bytes`` checks that for the
+    whole sequence in one pass (``iter`` keeps a numpy array from
+    lending its raw buffer instead). Otherwise each id is mixed octet
+    by octet.
     """
     digest = _FNV_OFFSET
+    try:
+        octets = bytes(iter(symbols))
+    except (TypeError, ValueError):
+        pass
+    else:
+        for octet in octets:
+            digest = ((digest ^ octet) * _FNV_PRIME) & _MASK
+        return digest
     for symbol in symbols:
         # Mix each id as its own octet stream so ids >= 256 still
         # hash consistently (symbol ids are small non-negative ints).

@@ -8,7 +8,11 @@ import pytest
 
 from repro.core.pruning import prune_to
 from repro.core.pst import ProbabilisticSuffixTree
-from repro.core.similarity import similarity, similarity_bruteforce
+from repro.core.similarity import (
+    log_symbol_ratios,
+    similarity,
+    similarity_bruteforce,
+)
 
 
 def count_occurrences(haystack, needle):
@@ -397,11 +401,13 @@ class TestStats:
 
 
 class TestLogProbCache:
-    """``PSTNode.log_probs`` rows never outlive the counts they came from.
+    """``PSTNode.log_ratios`` rows never outlive the counts or the
+    background they came from.
 
     Each test scores a tree to fill its rows, mutates it through one
-    writer of ``next_counts``, scores again, and compares with a cold
-    ``from_dict(to_dict())`` copy whose rows are all empty.
+    writer of ``next_counts`` (or scores it under another background),
+    scores again, and compares with a cold ``from_dict(to_dict())`` copy
+    whose rows are all empty.
     """
 
     BG = np.array([0.5, 0.5])
@@ -427,7 +433,7 @@ class TestLogProbCache:
         pst.add_sequence([0, 0, 0, 1])
         probes = [[0, 1, 0, 1]]
         self._warm(pst, probes)
-        assert pst.root.log_probs is not None
+        assert pst.root.log_ratios is not None
         pst.add_sequence([1, 1, 1, 1])
         self._assert_matches_cold(pst, probes)
 
@@ -438,7 +444,7 @@ class TestLogProbCache:
         pst.add_sequence([0, 1, 0, 1, 0, 1])
         probes = [[0, 1, 0, 1]]
         self._warm(pst, probes)
-        assert pst.node_for([0]).log_probs is not None
+        assert pst.node_for([0]).log_ratios is not None
         # Only the depth-1 rows change their distribution: the root's
         # next-symbol mix stays 50/50.
         pst.add_sequence([0, 0, 1, 1])
@@ -472,7 +478,7 @@ class TestLogProbCache:
 
     def test_from_dict_starts_cold(self, simple_pst):
         clone = self._cold(simple_pst)
-        assert all(node.log_probs is None for _, node in clone.iter_nodes())
+        assert all(node.log_ratios is None for _, node in clone.iter_nodes())
         assert all(
             node.next_total == sum(node.next_counts.values())
             for _, node in clone.iter_nodes()
@@ -498,6 +504,27 @@ class TestLogProbCache:
         copied.add_sequence([1, 1, 1, 1])
         self._assert_matches_cold(copied, probes)
         assert [similarity(pst, probe, self.BG) for probe in probes] == before
+
+
+    def test_rows_follow_the_scoring_background(self):
+        """A row entry is ``log P̂ − log p``: scoring under backgrounds
+        A, B and A again, then ``log_symbol_ratios`` under B, each reads
+        as a cold copy does."""
+        pst = ProbabilisticSuffixTree(
+            alphabet_size=2, max_depth=2, significance_threshold=1, p_min=0.01
+        )
+        pst.add_sequence([0, 1, 1, 0, 1, 0, 0, 1])
+        probes = [[0, 1, 0, 1], [1, 1, 0, 0, 1]]
+        other = np.array([0.8, 0.2])
+        for background in (self.BG, other, self.BG):
+            cold = self._cold(pst)
+            for probe in probes:
+                assert similarity(pst, probe, background) == similarity(
+                    cold, probe, background
+                )
+        assert log_symbol_ratios(pst, probes[0], other) == log_symbol_ratios(
+            self._cold(pst), probes[0], other
+        )
 
 
 class TestTransitionTable:

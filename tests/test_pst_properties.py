@@ -166,7 +166,7 @@ operations = st.lists(
     st.integers(1, 3),
 )
 def test_node_caches_stay_coherent(ops, probes, max_nodes, p_min, threshold):
-    """``next_total``, the lazily filled ``log_probs`` rows and the
+    """``next_total``, the lazily filled ``log_ratios`` rows and the
     transition table track every mutation — insertion, merging, decay,
     budget pruning and (de)serialization: a warm tree scores exactly
     like a cold copy, and both agree with the root-walk oracle

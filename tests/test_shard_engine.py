@@ -9,6 +9,7 @@ properties (differential equivalence) live in
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.persistence import result_to_dict
@@ -59,6 +60,42 @@ class TestFnv1a:
         assert fnv1a([255]) == 12638352127299873646
         assert fnv1a([256]) == 590682968308805178
 
+    # Pinned from the octet-by-octet hash: one-octet ids take the
+    # one-multiply path, larger ids the octet loop, a mix the loop too.
+    ONE_OCTET = [
+        130, 183, 14, 238, 127, 26, 80, 57, 190, 240, 126, 194, 52, 127, 6,
+        110, 208, 143, 93, 199, 81, 36, 71, 227, 64, 67, 0, 2, 107, 110, 84,
+        85, 148, 160, 101, 104, 93, 100, 196, 152, 11, 184, 212, 84, 74, 135,
+        33, 169, 154, 1, 173, 33, 158, 181, 156, 246, 161, 94, 246, 241,
+    ]
+
+    @pytest.mark.parametrize(
+        "symbols, expected",
+        [
+            (ONE_OCTET, 9602806488275514992),
+            (list(range(256)), 4774620800949106213),
+            ([256, 1000, 65535, 70000, 2**20 + 3, 2**40 + 17], 10741500222966925732),
+            ([3, 300, 0, 255, 256, 70000, 12, 1, 511], 13293726313309662580),
+        ],
+        ids=["below-256", "every-octet", "256-and-above", "mixed"],
+    )
+    def test_pinned_values(self, symbols, expected):
+        assert fnv1a(symbols) == expected
+        assert fnv1a(tuple(symbols)) == expected
+        assert fnv1a(np.array(symbols, dtype=np.int64)) == expected
+
+    @pytest.mark.parametrize(
+        "mixed",
+        [
+            [3, np.int64(7), np.uint8(200), True, 255],
+            [3, np.uint64(7), 300, np.int32(200), 1, 255],
+            [3.0, 7, 200, 1, 255],
+        ],
+        ids=["one-octet", "with-a-large-id", "with-a-float"],
+    )
+    def test_integer_types_hash_as_python_ints(self, mixed):
+        assert fnv1a(mixed) == fnv1a([int(symbol) for symbol in mixed])
+
     def test_multi_octet_symbols_do_not_collide_trivially(self):
         assert fnv1a([256]) != fnv1a([0]) != fnv1a([1, 0])
 
@@ -66,6 +103,10 @@ class TestFnv1a:
         # -1 >> 8 is -1: without the check the octet loop never ends.
         with pytest.raises(ValueError, match="symbol id -1"):
             fnv1a([0, -1])
+
+    def test_first_negative_id_is_named_beside_large_ids(self):
+        with pytest.raises(ValueError, match="symbol id -2 "):
+            fnv1a([7, 300, -2, -5])
 
 
 class TestHashRouter:

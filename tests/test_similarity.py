@@ -54,7 +54,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_symbol_rejected_before_any_cache_fill(self, bad):
-        """A negative id used to index the node's ``log_probs`` row from
+        """A negative id used to index the node's ``log_ratios`` row from
         the end: scoring ``[1, -1]`` filled the entry of symbol 2 with
         the estimate for symbol 2 at the wrong node, and a later
         ``[1, 2, 2]`` scored log 0.0 instead of log 3."""
@@ -62,7 +62,7 @@ class TestValidation:
         pst = self._three_symbol_tree()
         with pytest.raises(ValueError, match="out of range"):
             similarity(pst, [1, bad], bg)
-        assert all(node.log_probs is None for _, node in pst.iter_nodes())
+        assert all(node.log_ratios is None for _, node in pst.iter_nodes())
         assert not pst.transitions()[0]
         expected = similarity(self._three_symbol_tree(), [1, 2, 2], bg)
         assert expected.log_similarity == pytest.approx(math.log(3))
@@ -108,7 +108,7 @@ class TestSimilarities:
             (
                 {node: list(row) for node, row in pst.transitions()[0].items()},
                 [
-                    None if node.log_probs is None else list(node.log_probs)
+                    None if node.log_ratios is None else list(node.log_ratios)
                     for _, node in pst.iter_nodes()
                 ],
             )
