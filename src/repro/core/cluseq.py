@@ -14,7 +14,9 @@ stable:
    and each newly-joined cluster absorbs the sequence's best-scoring
    segment into its PST. A cluster whose starting model, ``t`` and
    examination order repeat a recent pass replays that pass's scores
-   instead of rescoring.
+   instead of rescoring. On a host with a second CPU every second live
+   pass runs in a worker process (:mod:`~repro.core.fit_worker`), with
+   the same result.
 3. **Cluster consolidation** (§4.5) — dismiss clusters covered by
    larger ones.
 4. **Threshold adjustment** (§4.6, optional) — move ``t`` halfway
@@ -57,12 +59,14 @@ from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
 from .cluster import Cluster
 from .examine import best_cluster, join_all, join_best
+from .fit_worker import BuildInput, PassWorker, build_tree
 from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
 from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
 from .similarity import (
     SimilarityResult,
+    _count_pairs,
     _log_background,
     check_sequence,
     score_pass,
@@ -422,12 +426,6 @@ class ClusteringResult:
         )
 
 
-#: What a rebuilt cluster tree is a function of: the seed index and each
-#: member's ``(sequence_index, best_start, best_end)``, in member order
-#: (order matters once ``max_nodes`` pruning fires mid-build).
-BuildInput = tuple[int, tuple[tuple[int, int, int], ...]]
-
-
 @dataclass(frozen=True)
 class _Built:
     """A tree the rebuild made: its build input, and the tree and its
@@ -598,197 +596,202 @@ class CLUSEQ:
         built: dict[int, _Built] = {}
         passes: dict[BuildInput, _Pass] = {}
         run_start = time.perf_counter()
+        # Closed on every exit path: a return, a hook's exception, Ctrl-C.
+        worker = PassWorker(encoded, pst_factory, log_bg)
+        try:
+            for iteration in range(params.max_iterations):
+                iter_start = time.perf_counter()
 
-        for iteration in range(params.max_iterations):
-            iter_start = time.perf_counter()
+                # -- phase 1: new cluster generation ---------------------------------
+                with span("seed"):
+                    unclustered = [i for i, ids in assignments.items() if not ids]
+                    # While the similarity threshold is still being adjusted,
+                    # keep seeds flowing from the unclustered pool: sequences
+                    # ejected by a rising t must be able to found new clusters,
+                    # otherwise an early over-merge is irreversible. The floor
+                    # scales with the pool because greedy min-max selection
+                    # favours outliers (they are maximally dissimilar), so with
+                    # a large pool a single seed per iteration is usually
+                    # wasted on noise.
+                    requested = k_n
+                    if requested == 0 and unclustered and not threshold_converged:
+                        requested = max(1, len(unclustered) // 20)
+                    # Prefer recently-ejected sequences as seed candidates; a
+                    # sequence unclustered for many consecutive iterations is
+                    # most likely a genuine outlier, not an undiscovered
+                    # cluster. Fall back to the full pool when the filter would
+                    # empty it (e.g. the first iterations).
+                    fresh = [i for i in unclustered if unclustered_streak[i] <= 3]
+                    candidates = fresh if fresh else unclustered
+                    seeds = select_seeds(
+                        candidates=candidates,
+                        encoded_lookup=lambda i: encoded[i],
+                        existing_clusters=clusters,
+                        background=background,
+                        count=min(requested, len(unclustered)),
+                        sample_multiplier=params.sample_multiplier,
+                        rng=rng,
+                        pst_factory=pst_factory,
+                    )
+                    for choice in seeds:
+                        seed_pst = choice.pst
+                        clusters.append(
+                            Cluster(
+                                cluster_id=next_cluster_id,
+                                pst=seed_pst,
+                                seed_index=choice.sequence_index,
+                                created_at_iteration=iteration,
+                            )
+                        )
+                        # A seed's tree is the rebuild of a memberless
+                        # cluster. Additive models keep their absorbs, so a
+                        # replayed seed pass would lose them for good.
+                        if params.rebuild_each_iteration:
+                            built[next_cluster_id] = _Built(
+                                (choice.sequence_index, ()), seed_pst, seed_pst.version
+                            )
+                        next_cluster_id += 1
+                    n_new = len(seeds)
 
-            # -- phase 1: new cluster generation ---------------------------------
-            with span("seed"):
-                unclustered = [i for i, ids in assignments.items() if not ids]
-                # While the similarity threshold is still being adjusted,
-                # keep seeds flowing from the unclustered pool: sequences
-                # ejected by a rising t must be able to found new clusters,
-                # otherwise an early over-merge is irreversible. The floor
-                # scales with the pool because greedy min-max selection
-                # favours outliers (they are maximally dissimilar), so with
-                # a large pool a single seed per iteration is usually
-                # wasted on noise.
-                requested = k_n
-                if requested == 0 and unclustered and not threshold_converged:
-                    requested = max(1, len(unclustered) // 20)
-                # Prefer recently-ejected sequences as seed candidates; a
-                # sequence unclustered for many consecutive iterations is
-                # most likely a genuine outlier, not an undiscovered
-                # cluster. Fall back to the full pool when the filter would
-                # empty it (e.g. the first iterations).
-                fresh = [i for i in unclustered if unclustered_streak[i] <= 3]
-                candidates = fresh if fresh else unclustered
-                seeds = select_seeds(
-                    candidates=candidates,
-                    encoded_lookup=lambda i: encoded[i],
-                    existing_clusters=clusters,
-                    background=background,
-                    count=min(requested, len(unclustered)),
-                    sample_multiplier=params.sample_multiplier,
-                    rng=rng,
-                    pst_factory=pst_factory,
-                )
-                for choice in seeds:
-                    seed_pst = choice.pst
-                    clusters.append(
-                        Cluster(
-                            cluster_id=next_cluster_id,
-                            pst=seed_pst,
-                            seed_index=choice.sequence_index,
-                            created_at_iteration=iteration,
+                # -- iteration-0 threshold calibration ---------------------------------
+                # Committing memberships with a grossly under-set initial t
+                # merges everything into one irreversible mixture cluster
+                # before the paper's end-of-iteration adjustment can react.
+                # A dry scoring pass against the fresh seed models lets the
+                # valley heuristic pick the starting t; Table 6 shows the
+                # final t should not depend on the initial one anyway.
+                if (
+                    iteration == 0
+                    and params.adjust_threshold
+                    and params.calibrate_threshold
+                    and clusters
+                ):
+                    with span("calibrate"):
+                        calibrated = self._calibrate_initial_threshold(
+                            db, clusters, encoded, log_bg, pst_factory, rng
+                        )
+                    if calibrated is not None:
+                        log_t = calibrated
+                        # Permanent floor: separation between a cluster and
+                        # foreign sequences only improves as models mature,
+                        # so any later valley estimate *below* the one seen
+                        # against the pristine single-seed models is an
+                        # artefact (half-grown patchwork models compress
+                        # the similarity scale). Following it down is the
+                        # irreversible everything-merges failure mode.
+                        log_t_floor = log_t
+
+                # -- phase 2: sequence reclustering ------------------------------------
+                with span("recluster"):
+                    order = self._examination_order(len(db), clusters, assignments, rng)
+                    all_log_sims: list[float] = []
+                    membership_changes, reclustering_work, replayed = (
+                        self._recluster_vectorized(
+                            order,
+                            encoded,
+                            clusters,
+                            assignments,
+                            unclustered_streak,
+                            log_bg,
+                            log_t,
+                            all_log_sims,
+                            built,
+                            passes,
+                            iteration,
+                            worker,
                         )
                     )
-                    # A seed's tree is the rebuild of a memberless
-                    # cluster. Additive models keep their absorbs, so a
-                    # replayed seed pass would lose them for good.
-                    if params.rebuild_each_iteration:
-                        built[next_cluster_id] = _Built(
-                            (choice.sequence_index, ()), seed_pst, seed_pst.version
-                        )
-                    next_cluster_id += 1
-                n_new = len(seeds)
 
-            # -- iteration-0 threshold calibration ---------------------------------
-            # Committing memberships with a grossly under-set initial t
-            # merges everything into one irreversible mixture cluster
-            # before the paper's end-of-iteration adjustment can react.
-            # A dry scoring pass against the fresh seed models lets the
-            # valley heuristic pick the starting t; Table 6 shows the
-            # final t should not depend on the initial one anyway.
-            if (
-                iteration == 0
-                and params.adjust_threshold
-                and params.calibrate_threshold
-                and clusters
-            ):
-                with span("calibrate"):
-                    calibrated = self._calibrate_initial_threshold(
-                        db, clusters, encoded, log_bg, pst_factory, rng
-                    )
-                if calibrated is not None:
-                    log_t = calibrated
-                    # Permanent floor: separation between a cluster and
-                    # foreign sequences only improves as models mature,
-                    # so any later valley estimate *below* the one seen
-                    # against the pristine single-seed models is an
-                    # artefact (half-grown patchwork models compress
-                    # the similarity scale). Following it down is the
-                    # irreversible everything-merges failure mode.
-                    log_t_floor = log_t
-
-            # -- phase 2: sequence reclustering ------------------------------------
-            with span("recluster"):
-                order = self._examination_order(len(db), clusters, assignments, rng)
-                all_log_sims: list[float] = []
-                membership_changes, reclustering_work, replayed = (
-                    self._recluster_vectorized(
-                        order,
-                        encoded,
+                # -- phase 3: consolidation ----------------------------------------------
+                with span("consolidate"):
+                    before = len(clusters)
+                    clusters, removed = consolidate(
                         clusters,
-                        assignments,
-                        unclustered_streak,
-                        log_bg,
-                        log_t,
-                        all_log_sims,
-                        built,
-                        passes,
-                        iteration,
+                        params.resolved_min_unique(),
+                        dissolve_covered=params.dissolve_covered,
                     )
-                )
+                    drop_dismissed(assignments, {cluster.cluster_id for cluster in removed})
+                    n_removed = len(removed)
 
-            # -- phase 3: consolidation ----------------------------------------------
-            with span("consolidate"):
-                before = len(clusters)
-                clusters, removed = consolidate(
-                    clusters,
-                    params.resolved_min_unique(),
-                    dissolve_covered=params.dissolve_covered,
-                )
-                drop_dismissed(assignments, {cluster.cluster_id for cluster in removed})
-                n_removed = len(removed)
-
-            kept = 0
-            if params.rebuild_each_iteration:
-                with span("rebuild"):
-                    kept = self._rebuild_cluster_models(
-                        clusters, encoded, pst_factory, built
-                    )
-
-            # -- phase 4: threshold adjustment ------------------------------------------
-            valley_linear: float | None = None
-            threshold_moved = False
-            if params.adjust_threshold and not threshold_converged:
-                with span("adjust_threshold"):
-                    valley = find_valley(all_log_sims)
-                if valley is not None:
-                    valley_linear = valley.threshold
-                    if abs(log_t - valley.log_threshold) < 0.01:
-                        threshold_converged = True
-                    else:
-                        # The calibration floor guards against artefact
-                        # valleys from immature models (see the
-                        # calibration comment above).
-                        new_log_t = blend_log_threshold(
-                            log_t, valley.log_threshold, log_t_floor
+                kept = 0
+                if params.rebuild_each_iteration:
+                    with span("rebuild"):
+                        kept = self._rebuild_cluster_models(
+                            clusters, encoded, pst_factory, built
                         )
-                        threshold_moved = abs(new_log_t - log_t) > 1e-12
-                        log_t = new_log_t
 
-            # -- growth factor & termination ---------------------------------------------
-            if n_new > 0:
-                growth = max(n_new - n_removed, 0) / n_new
-            else:
-                growth = 0.0
-            k_n = int(round(len(clusters) * growth))
+                # -- phase 4: threshold adjustment ------------------------------------------
+                valley_linear: float | None = None
+                threshold_moved = False
+                if params.adjust_threshold and not threshold_converged:
+                    with span("adjust_threshold"):
+                        valley = find_valley(all_log_sims)
+                    if valley is not None:
+                        valley_linear = valley.threshold
+                        if abs(log_t - valley.log_threshold) < 0.01:
+                            threshold_converged = True
+                        else:
+                            # The calibration floor guards against artefact
+                            # valleys from immature models (see the
+                            # calibration comment above).
+                            new_log_t = blend_log_threshold(
+                                log_t, valley.log_threshold, log_t_floor
+                            )
+                            threshold_moved = abs(new_log_t - log_t) > 1e-12
+                            log_t = new_log_t
 
-            # The paper terminates when "the clustering produced by the
-            # current iteration remains the same as that of the previous
-            # iteration" — compared *after* consolidation, so a seed
-            # cluster that was immediately dismissed does not count as a
-            # change. While t is still converging the run continues even
-            # if memberships momentarily repeat.
-            snapshot = (
-                tuple(sorted(cluster.cluster_id for cluster in clusters)),
-                tuple(
-                    tuple(sorted(assignments[i])) for i in range(len(db))
-                ),
-            )
-            stable = (
-                prev_snapshot is not None
-                and snapshot == prev_snapshot
-                and not threshold_moved
-            )
-            prev_snapshot = snapshot
+                # -- growth factor & termination ---------------------------------------------
+                if n_new > 0:
+                    growth = max(n_new - n_removed, 0) / n_new
+                else:
+                    growth = 0.0
+                k_n = int(round(len(clusters) * growth))
 
-            # History is appended *after* the termination logic so the
-            # final iteration — on either exit path (stability here,
-            # max_iterations via loop exhaustion) — records its full
-            # elapsed time, its membership-change count and whether it
-            # was the stable one.
-            stats = IterationStats(
-                iteration=iteration,
-                new_clusters=n_new,
-                clusters_before_consolidation=before,
-                clusters_removed=n_removed,
-                clusters_after=len(clusters),
-                unclustered=sum(1 for ids in assignments.values() if not ids),
-                membership_changes=membership_changes,
-                threshold=math.exp(log_t) if log_t < 709 else math.inf,
-                log_threshold=log_t,
-                valley=valley_linear,
-                elapsed_seconds=time.perf_counter() - iter_start,
-                reclustering_work=reclustering_work,
-                stable=stable,
-            )
-            history.append(stats)
-            self._observe_iteration(stats, clusters, log_t, replayed, kept)
-            if stable:
-                break
+                # The paper terminates when "the clustering produced by the
+                # current iteration remains the same as that of the previous
+                # iteration" — compared *after* consolidation, so a seed
+                # cluster that was immediately dismissed does not count as a
+                # change. While t is still converging the run continues even
+                # if memberships momentarily repeat.
+                snapshot = (
+                    tuple(sorted(cluster.cluster_id for cluster in clusters)),
+                    tuple(
+                        tuple(sorted(assignments[i])) for i in range(len(db))
+                    ),
+                )
+                stable = (
+                    prev_snapshot is not None
+                    and snapshot == prev_snapshot
+                    and not threshold_moved
+                )
+                prev_snapshot = snapshot
+
+                # History is appended *after* the termination logic so the
+                # final iteration — on either exit path (stability here,
+                # max_iterations via loop exhaustion) — records its full
+                # elapsed time, its membership-change count and whether it
+                # was the stable one.
+                stats = IterationStats(
+                    iteration=iteration,
+                    new_clusters=n_new,
+                    clusters_before_consolidation=before,
+                    clusters_removed=n_removed,
+                    clusters_after=len(clusters),
+                    unclustered=sum(1 for ids in assignments.values() if not ids),
+                    membership_changes=membership_changes,
+                    threshold=math.exp(log_t) if log_t < 709 else math.inf,
+                    log_threshold=log_t,
+                    valley=valley_linear,
+                    elapsed_seconds=time.perf_counter() - iter_start,
+                    reclustering_work=reclustering_work,
+                    stable=stable,
+                )
+                history.append(stats)
+                self._observe_iteration(stats, clusters, log_t, replayed, kept)
+                if stable:
+                    break
+        finally:
+            worker.close()
 
         converged = bool(history) and history[-1].stable
         registry = get_registry()
@@ -915,6 +918,7 @@ class CLUSEQ:
         built: dict[int, _Built],
         passes: dict[BuildInput, _Pass],
         iteration: int,
+        worker: PassWorker,
     ) -> tuple[int, int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
@@ -936,27 +940,57 @@ class CLUSEQ:
         (:func:`~repro.core.examine.join_all`) then records the
         memberships. Returns ``(membership changes, symbols scored,
         passes replayed)``; replayed symbols count as scored (§4.7).
+
+        With two or more live passes of known build input (so only with
+        ``rebuild_each_iteration``), every second one goes to *worker*,
+        which rebuilds the tree from the build input and runs the same
+        pass in another process (:mod:`~repro.core.fit_worker`). Such a
+        cluster's tree here is left untouched, so the rebuild keeps it
+        when its build input comes out unchanged; its pass's totals and
+        absorbs are recorded here. A pass the worker does not return is
+        scored here, from that untouched tree.
         """
         seqs = [encoded[index] for index in order]
-        columns: list[_Pass] = []
-        replayed: list[_Pass] = []
-        recorded: list[tuple[BuildInput, _Pass]] = []
-        for cluster in clusters:
+        records: list[_Pass | None] = []
+        known: dict[int, BuildInput] = {}  # build input by cluster position
+        for position, cluster in enumerate(clusters):
             start = _built_from(built.get(cluster.cluster_id), cluster.pst)
-            column = _replayable(passes, start, log_t, order)
-            if column is not None:
-                replayed.append(column)
+            records.append(_replayable(passes, start, log_t, order))
+            if start is not None:
+                known[position] = start
+        live = [position for position, record in enumerate(records) if record is None]
+        away = [position for position in live if position in known][1::2]
+        if away and not worker.submit(order, log_t, [known[at] for at in away]):
+            away = []
+
+        def score_here(position: int) -> _Pass:
+            cluster = clusters[position]
+            logs, bounds = score_pass(
+                cluster.pst, seqs, log_bg, log_t, cluster.absorb_segment
+            )
+            return _Pass(log_t, order, logs, bounds, iteration)
+
+        fresh = {
+            position: score_here(position) for position in live if position not in away
+        }
+        for position, result in zip(away, worker.results()):
+            if result is None:
+                fresh[position] = score_here(position)
+                continue
+            logs, bounds, cells, walks = result
+            _count_pairs(cells, walks, bounds)
+            clusters[position].count_absorbed(sum(1 for x in logs if x >= log_t))
+            fresh[position] = _Pass(log_t, order, logs, bounds, iteration)
+        columns: list[_Pass] = []
+        for position, record in enumerate(records):
+            if record is None:
+                record = fresh[position]
             else:
-                logs, bounds = score_pass(
-                    cluster.pst, seqs, log_bg, log_t, cluster.absorb_segment
-                )
-                column = _Pass(log_t, order, logs, bounds, iteration)
-                if start is not None:
-                    recorded.append((start, column))
-            columns.append(column)
-        for column in replayed:
-            column.used = iteration
-        passes.update(recorded)
+                record.used = iteration
+            columns.append(record)
+        for position in live:
+            if position in known:
+                passes[known[position]] = fresh[position]
         for stale in [
             key
             for key, record in passes.items()
@@ -976,7 +1010,11 @@ class CLUSEQ:
                 membership_changes += 1
             assignments[index] = joined
             unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
-        return membership_changes, sum(map(len, seqs)) * len(clusters), len(replayed)
+        return (
+            membership_changes,
+            sum(map(len, seqs)) * len(clusters),
+            len(clusters) - len(live),
+        )
 
     def _calibrate_initial_threshold(
         self,
@@ -1120,11 +1158,7 @@ class CLUSEQ:
                 current[cluster.cluster_id] = record
                 kept += 1
                 continue
-            fresh = pst_factory(encoded[cluster.seed_index])
-            for index, start, end in build_input[1]:
-                segment = encoded[index][start:end]
-                if segment:
-                    fresh.add_sequence(segment)
+            fresh = build_tree(build_input, encoded, pst_factory)
             cluster.pst = fresh
             current[cluster.cluster_id] = _Built(build_input, fresh, fresh.version)
         built.clear()

@@ -129,6 +129,12 @@ class Cluster:
         self.pst.add_sequence(encoded_segment)
         self._segments_absorbed += 1
 
+    def count_absorbed(self, count: int) -> None:
+        """Count *count* segments that a copy of this cluster's tree
+        absorbed in another process (the fit's pass worker), leaving
+        this tree untouched."""
+        self._segments_absorbed += count
+
     # -- bookkeeping ------------------------------------------------------------------
 
     def unique_members(self, others: Iterable["Cluster"]) -> set[int]:

@@ -369,6 +369,21 @@ def score_pass(
     *log_bg* from :func:`log_background`). The registry records the
     per-pair totals of one :func:`similarities` call per sequence.
     """
+    logs, bounds, cells, walks = pass_totals(pst, seqs, log_bg, log_t, absorb)
+    _count_pairs(cells, walks, bounds)
+    return logs, bounds
+
+
+def pass_totals(
+    pst: ProbabilisticSuffixTree,
+    seqs: Sequence[Sequence[int]],
+    log_bg: list[float],
+    log_t: float = math.inf,
+    absorb: Callable[[Sequence[int]], None] | None = None,
+) -> tuple[array[float], array[int], int, int]:
+    """:func:`score_pass` without the registry (§4.2, §4.7): the column
+    ``(logs, bounds)`` and the pass's DP cells and root walks, for a
+    caller that records the totals itself with :func:`_count_pairs`."""
     logs: array[float] = array("d")
     bounds: array[int] = array("i")
     cells = walks = 0
@@ -381,8 +396,7 @@ def score_pass(
         walks += seq_walks
         if absorb is not None and log_sim >= log_t:
             absorb(encoded[start:end])
-    _count_pairs(cells, walks, bounds)
-    return logs, bounds
+    return logs, bounds, cells, walks
 
 
 def similarity(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Hashable, Iterable, Iterator
+from itertools import chain
 
 Symbol = Hashable
 EncodedSequence = list[int]
@@ -69,12 +70,7 @@ class Alphabet:
         Symbols are ordered by first appearance, which keeps encodings
         deterministic for a fixed input order.
         """
-        seen: dict[Symbol, None] = {}
-        for seq in sequences:
-            for sym in seq:
-                if sym not in seen:
-                    seen[sym] = None
-        return cls(seen.keys())
+        return cls(dict.fromkeys(chain.from_iterable(sequences)))
 
     @classmethod
     def protein(cls) -> "Alphabet":
@@ -167,9 +163,8 @@ class Alphabet:
 
     def encode(self, sequence: Iterable[Symbol]) -> EncodedSequence:
         """Encode an iterable of symbols into a list of integer ids."""
-        index = self._index
         try:
-            return [index[sym] for sym in sequence]
+            return list(map(self._index.__getitem__, sequence))
         except KeyError as exc:
             raise AlphabetError(f"symbol {exc.args[0]!r} not in alphabet") from None
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 import numpy.typing as npt
@@ -115,8 +116,11 @@ class SequenceDatabase:
                     f"{len(sequences)} sequences but {len(label_list)} labels"
                 )
         db = cls(alphabet)
-        for i, (seq, label) in enumerate(zip(sequences, label_list)):
-            db.add_record(SequenceRecord(sid=i, symbols=seq, label=label))
+        records = [
+            SequenceRecord(sid=i, symbols=seq, label=label)
+            for i, (seq, label) in enumerate(zip(sequences, label_list))
+        ]
+        db._append(records, [db._encode(record) for record in records])
         return db
 
     @classmethod
@@ -131,12 +135,25 @@ class SequenceDatabase:
 
     def add_record(self, record: SequenceRecord) -> None:
         """Append *record*, encoding it against the database alphabet."""
+        self._append([record], [self._encode(record)])
+
+    def _encode(self, record: SequenceRecord) -> list[int]:
+        """*record*'s symbols as ids; raises for an empty sequence or a
+        symbol outside the alphabet."""
         if len(record) == 0:
             raise ValueError(f"sequence {record.sid} is empty")
-        encoded = self.alphabet.encode(record.symbols)
-        self._records.append(record)
-        self._encoded.append(encoded)
-        np.add.at(self._symbol_counts, encoded, 1)
+        return self.alphabet.encode(record.symbols)
+
+    def _append(
+        self, records: list[SequenceRecord], encodings: list[list[int]]
+    ) -> None:
+        """Append encoded *records* and count their symbols in one pass."""
+        self._records.extend(records)
+        self._encoded.extend(encodings)
+        self._symbol_counts += np.bincount(
+            np.fromiter(chain.from_iterable(encodings), dtype=np.int64),
+            minlength=self.alphabet.size,
+        )
 
     def add_sequence(
         self, symbols: Sequence[Symbol], label: str | None = None

@@ -1,5 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import glob
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -108,3 +112,32 @@ def _set_in_root(payload, field, key, value):
 def model_fault(request):
     """One of :data:`MODEL_FAULTS`, parametrized by its id."""
     return MODEL_FAULTS[request.param]
+
+
+def child_processes():
+    """Pids of this process's live children: the ``multiprocessing``
+    ones, plus every child the kernel lists where ``/proc`` has the
+    per-thread ``children`` files."""
+    pids = {child.pid for child in multiprocessing.active_children()}
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        try:
+            with open(path, encoding="ascii") as handle:
+                pids.update(int(pid) for pid in handle.read().split())
+        except OSError:
+            continue
+    return sorted(pids)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """No child process may outlive the run: a fit's pass worker is
+    joined when the fit returns or raises, and every test that starts a
+    server or subprocess stops it. A leftover child fails the session."""
+    leftover = child_processes()
+    if leftover:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        message = f"child processes outlived the test run: {leftover}"
+        if reporter is not None:
+            reporter.write_line(message, red=True)
+        else:
+            print(message)

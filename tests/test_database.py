@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sequences.alphabet import Alphabet, AlphabetError
-from repro.sequences.database import OUTLIER_LABEL, SequenceDatabase
+from repro.sequences.database import OUTLIER_LABEL, SequenceDatabase, SequenceRecord
 
 
 class TestConstruction:
@@ -123,3 +125,65 @@ class TestSubsets:
         clean = db.without_outliers()
         assert len(clean) == 2
         assert OUTLIER_LABEL not in clean.labels
+
+
+def per_record(sequences, labels, alphabet):
+    """The per-record construction ``from_sequences`` replaced: the
+    alphabet by a per-symbol first-appearance loop, then one
+    ``add_record`` per sequence."""
+    if alphabet is None:
+        seen = {}
+        for seq in sequences:
+            for sym in seq:
+                if sym not in seen:
+                    seen[sym] = None
+        alphabet = Alphabet(seen.keys())
+    db = SequenceDatabase(alphabet)
+    for i, (seq, label) in enumerate(zip(sequences, labels)):
+        db.add_record(SequenceRecord(sid=i, symbols=tuple(seq), label=label))
+    return db
+
+
+def outcome(build):
+    """What a construction gives: its contents, or its error."""
+    try:
+        db = build()
+    except ValueError as error:
+        return type(error), str(error)
+    return (
+        db.alphabet.symbols,
+        db.records,
+        [db.encoded(i) for i in range(len(db))],
+        db.symbol_counts().tolist(),
+        db.symbol_counts().dtype,
+    )
+
+
+class TestBulkConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sequences=st.lists(st.lists(st.sampled_from("abcdxy"), max_size=6), max_size=8),
+        explicit=st.one_of(st.none(), st.sampled_from(["abcd", "dcba", "abcdxy"])),
+        data=st.data(),
+    )
+    def test_equals_the_per_record_path(self, sequences, explicit, data):
+        """Encodings, counts, alphabet order and the first error (an
+        empty sequence, or a symbol outside an explicit alphabet) are
+        those of one ``add_record`` per sequence."""
+        labels = data.draw(
+            st.lists(
+                st.sampled_from(["x", "y", None]),
+                min_size=len(sequences),
+                max_size=len(sequences),
+            )
+        )
+        alphabet = None if explicit is None else Alphabet(explicit)
+        assert outcome(
+            lambda: SequenceDatabase.from_sequences(sequences, labels, alphabet)
+        ) == outcome(lambda: per_record(sequences, labels, alphabet))
+
+    def test_add_record_after_a_bulk_build_counts_on(self):
+        db = SequenceDatabase.from_strings(["abba", "cab"])
+        db.add_sequence("cc")
+        assert db.symbol_counts().tolist() == [3, 3, 3]
+        assert db.encoded(2) == [2, 2]

@@ -31,6 +31,10 @@ from repro.core.similarity import _log_background, score_pass, similarities
 from repro.obs import MetricsRegistry, use_registry
 
 from test_fit_replay import fit_state, outlier_draw, small_draw
+from test_fit_worker import force_worker, needs_fork
+
+#: ``similarity.context_walks`` of ``small_draw(2)`` on the worker path.
+WORKER_WALKS = 9684
 
 
 def interleaved(background):
@@ -50,6 +54,7 @@ def interleaved(background):
         built,
         passes,
         iteration,
+        worker,
     ):
         membership_changes = work = 0
         for index in order:
@@ -76,9 +81,13 @@ def interleaved(background):
     return recluster
 
 
-def fit(db, params, *, oracle=False, replay=True):
+def fit(db, params, *, oracle=False, replay=True, worker=None):
+    """*worker* forces the fit's pass worker on or off; by default the
+    host decides."""
     registry = MetricsRegistry()
     with pytest.MonkeyPatch.context() as patch:
+        if worker is not None:
+            force_worker(patch, worker)
         if oracle or not replay:
             patch.setattr(cluseq, "_built_from", lambda built, pst: None)
         if oracle:
@@ -136,16 +145,44 @@ def test_outlier_draw_matches():
 def test_similarity_totals_equal_the_per_pair_loop():
     """Recorded once per column, the ``similarity.*`` totals equal those
     of one ``similarities()`` call per sequence (replay off on both
-    sides, so both score the same pairs)."""
+    sides, so both score the same pairs). ``context_walks`` counts the
+    walks the in-process trees cache, so the pass worker is off."""
     db = small_draw(2)
     params = CluseqParams(k=2, significance_threshold=3, seed=2)
-    _, columns = fit(db, params, replay=False)
-    _, oracle = fit(db, params, oracle=True)
+    _, columns = fit(db, params, replay=False, worker=False)
+    _, oracle = fit(db, params, oracle=True, worker=False)
     for name in ("calls", "dp_cells", "context_walks"):
         counter = f"similarity.{name}"
         assert columns.counter(counter).value == oracle.counter(counter).value > 0
     mine = columns.histogram("similarity.segment_length")
     theirs = oracle.histogram("similarity.segment_length")
+    assert (mine.count, mine.total, mine.min, mine.max, mine.bucket_counts) == (
+        theirs.count,
+        theirs.total,
+        theirs.min,
+        theirs.max,
+        theirs.bucket_counts,
+    )
+
+
+@needs_fork
+def test_similarity_totals_on_the_worker_path():
+    """With replay on and every second live pass run by the pass worker,
+    the ``similarity.*`` totals the fit records for the worker's passes
+    equal the in-process fit's, all but ``context_walks``: the worker's
+    freshly rebuilt trees have no walks cached, so its count is pinned
+    on its own."""
+    db = small_draw(2)
+    params = CluseqParams(k=2, significance_threshold=3, seed=2)
+    on_result, on = fit(db, params, worker=True)
+    off_result, off = fit(db, params, worker=False)
+    assert fit_state(on_result) == fit_state(off_result)
+    for name in ("calls", "dp_cells"):
+        counter = f"similarity.{name}"
+        assert on.counter(counter).value == off.counter(counter).value > 0
+    assert on.counter("similarity.context_walks").value == WORKER_WALKS
+    mine = on.histogram("similarity.segment_length")
+    theirs = off.histogram("similarity.segment_length")
     assert (mine.count, mine.total, mine.min, mine.max, mine.bucket_counts) == (
         theirs.count,
         theirs.total,

@@ -24,6 +24,11 @@ from repro.sequences.generators import (
     generate_two_cluster_toy,
 )
 
+from test_fit_worker import force_worker, needs_fork
+
+#: ``similarity.context_walks`` of the seeded fit on the worker path.
+WORKER_WALKS = 10935
+
 
 def small_draw():
     return generate_clustered_database(
@@ -35,6 +40,16 @@ def small_draw():
     ).database
 
 
+def fit_counters(db, *, worker):
+    """One seeded fit with the pass worker forced on or off."""
+    registry = MetricsRegistry()
+    with pytest.MonkeyPatch.context() as patch:
+        force_worker(patch, worker)
+        with use_registry(registry):
+            result = CLUSEQ(CluseqParams(k=2, significance_threshold=3, seed=0)).fit(db)
+    return result, registry
+
+
 def test_similarity_counters_count_every_pair():
     """Per-pair totals of a seeded fit. ``calls`` and ``dp_cells`` are
     derived from the totals pinned from the per-pair ``similarity()``
@@ -43,11 +58,11 @@ def test_similarity_counters_count_every_pair():
     re-pinned when the fit began replaying any recent pass with the same
     build input (3 passes replayed). ``context_walks`` fell again when a
     new cluster began from the tree ``select_seeds`` built and scored:
-    the walks that tree already cached are not redone."""
+    the walks that tree already cached are not redone. Those cached
+    walks exist only in-process, so this fit runs with the pass worker
+    off; its twin below runs the worker path."""
     db = small_draw()
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        result = CLUSEQ(CluseqParams(k=2, significance_threshold=3, seed=0)).fit(db)
+    result, registry = fit_counters(db, worker=False)
     assert (result.iterations, result.num_clusters) == (5, 3)
     extra = registry.counter("cluseq.replayed_passes").value - 1
     symbols = sum(len(db.encoded(i)) for i in range(len(db)))
@@ -58,6 +73,32 @@ def test_similarity_counters_count_every_pair():
     segments = registry.histogram("similarity.segment_length")
     assert (segments.count, segments.total) == (calls, 16745)
     assert (segments.min, segments.max) == (1, 62)
+
+
+@needs_fork
+def test_similarity_counters_on_the_worker_path():
+    """The same fit with every second live pass run by the pass worker:
+    the fit records the worker's totals, so every per-pair total but
+    ``context_walks`` equals the in-process fit's. The worker scores a
+    tree it just rebuilt, with no walk cached by ``select_seeds`` or an
+    earlier pass, so its walk count is its own."""
+    db = small_draw()
+    result, registry = fit_counters(db, worker=True)
+    _, in_process = fit_counters(db, worker=False)
+    assert (result.iterations, result.num_clusters) == (5, 3)
+    for name in ("calls", "dp_cells"):
+        counter = f"similarity.{name}"
+        assert registry.counter(counter).value == in_process.counter(counter).value
+    assert registry.counter("similarity.context_walks").value == WORKER_WALKS
+    mine = registry.histogram("similarity.segment_length")
+    theirs = in_process.histogram("similarity.segment_length")
+    assert (mine.count, mine.total, mine.min, mine.max, mine.bucket_counts) == (
+        theirs.count,
+        theirs.total,
+        theirs.min,
+        theirs.max,
+        theirs.bucket_counts,
+    )
 
 
 @pytest.fixture
