@@ -14,11 +14,6 @@ Subcommands
     or stdin through the micro-batch streaming engine, optionally with
     a durable state directory (journal + checkpoints) that ``--resume``
     recovers from after a crash.
-``shard``
-    Sharded online clustering: partition the stream across N
-    independent in-memory streaming shards with periodic cross-shard
-    consolidation. Durable runs use ``stream --state-dir``. See
-    docs/SHARDING.md.
 ``serve``
     Clustering-as-a-service: load a saved model (or stream checkpoint)
     into the versioned registry and serve classify/ingest/clusters
@@ -66,7 +61,6 @@ from .sequences.generators import generate_clustered_database
 from .sequences.io import read_fasta, read_labelled_text, write_labelled_text
 
 if TYPE_CHECKING:
-    from .core.cluster import Cluster
     from .stream import StreamingCluseq
 
 #: experiment name → (runner, printer) import paths, resolved lazily.
@@ -246,53 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final clustering as a `classify`-compatible model",
     )
     _add_telemetry_flags(stream)
-
-    shard = subparsers.add_parser(
-        "shard",
-        help="sharded online clustering across N streaming shards "
-        "(docs/SHARDING.md)",
-    )
-    shard.add_argument(
-        "input",
-        help="newline-delimited sequence file, or '-' to read stdin",
-    )
-    shard.add_argument(
-        "--shards", type=int, default=2, help="number of streaming shards"
-    )
-    shard.add_argument(
-        "--alphabet",
-        metavar="SYMBOLS",
-        required=True,
-        help="symbol alphabet of the stream (e.g. 'acgt')",
-    )
-    shard.add_argument(
-        "--consolidate-every",
-        type=int,
-        default=16,
-        metavar="BATCHES",
-        help="global batches between cross-shard consolidation rounds "
-        "(0 = never)",
-    )
-    shard.add_argument(
-        "--merge-threshold",
-        type=float,
-        default=0.25,
-        metavar="DIST",
-        help="context-tree distance at or below which cross-shard "
-        "clusters merge (range 0..2)",
-    )
-    shard.add_argument("--batch-size", type=int, default=32)
-    shard.add_argument(
-        "-t", "--threshold", type=float, default=1.2,
-        help="initial similarity threshold (cold start only)",
-    )
-    shard.add_argument(
-        "-c", "--significance", type=int, default=5,
-        help="significance threshold c (cold start only)",
-    )
-    shard.add_argument("--max-depth", type=int, default=6)
-    shard.add_argument("--seed", type=int, default=0)
-    _add_telemetry_flags(shard)
 
     serve = subparsers.add_parser(
         "serve", help="serve a saved model over HTTP (docs/SERVING.md)"
@@ -545,10 +492,15 @@ def _command_stream(args: argparse.Namespace) -> int:
         ["metric", "value"],
         [(key, value) for key, value in stats.to_dict().items()],
     )
-    _print_clusters(
-        ["cluster"],
-        (((cluster.cluster_id,), cluster) for cluster in engine.result.clusters),
+    rows = sorted(
+        (-c.size, c.cluster_id, c.created_at_iteration, c.pst.node_count)
+        for c in engine.result.clusters
     )
+    if rows:
+        print_table(
+            ["cluster", "size", "born (batch)", "PST nodes"],
+            [(cid, -size, born, nodes) for size, cid, born, nodes in rows],
+        )
     if args.save_model:
         save_result(engine.result, args.save_model, alphabet=engine.alphabet)
         print(f"model written to {args.save_model}", file=sys.stderr)
@@ -560,62 +512,6 @@ def _input_lines(path: str) -> ContextManager[Iterable[str]]:
     if path == "-":
         return contextlib.nullcontext(sys.stdin)
     return open(path, encoding="utf-8")
-
-
-def _print_clusters(
-    keys: list[str], clusters: Iterable[tuple[tuple[int, ...], Cluster]]
-) -> None:
-    """A table of *clusters*, each named by its key columns *keys*:
-    largest first, ties by key."""
-    rows = sorted(
-        (-cluster.size, key, cluster.created_at_iteration, cluster.pst.node_count)
-        for key, cluster in clusters
-    )
-    if rows:
-        print_table(
-            [*keys, "size", "born (batch)", "PST nodes"],
-            [(*key, -size, born, nodes) for size, key, born, nodes in rows],
-        )
-
-
-def _command_shard(args: argparse.Namespace) -> int:
-    from .sequences.alphabet import Alphabet
-    from .shard import ShardConfig, ShardedStreamingCluseq
-    from .stream import StreamConfig, read_encoded_lines
-
-    config = ShardConfig(
-        shards=args.shards,
-        consolidate_every=args.consolidate_every,
-        merge_threshold=args.merge_threshold,
-        stream=StreamConfig(batch_size=args.batch_size, seed=args.seed),
-    )
-    alphabet = Alphabet(args.alphabet)
-    engine = ShardedStreamingCluseq.cold_start(
-        alphabet=alphabet,
-        similarity_threshold=args.threshold,
-        significance_threshold=args.significance,
-        max_depth=args.max_depth,
-        config=config,
-    )
-    with engine, _input_lines(args.input) as lines:
-        stats = engine.run(read_encoded_lines(lines, alphabet))
-    print_table(
-        ["metric", "value"],
-        [
-            (key, value)
-            for key, value in stats.to_dict().items()
-            if key != "per_shard"
-        ],
-    )
-    _print_clusters(
-        ["shard", "cluster"],
-        (
-            ((shard, cluster.cluster_id), cluster)
-            for shard, handle in enumerate(engine.handles)
-            for cluster in handle.engine.result.clusters
-        ),
-    )
-    return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -742,8 +638,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_classify(args)
     if args.command == "stream":
         return _command_stream(args)
-    if args.command == "shard":
-        return _command_shard(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "telemetry":

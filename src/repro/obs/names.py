@@ -50,7 +50,6 @@ METRICS: frozenset[str] = frozenset(
         "stream.checkpoint_write_seconds",
         "stream.checkpoint_fsync_seconds",
         # sharded streaming coordinator (repro.shard)
-        "shard.sequences",
         "shard.pairs_scored",
         "shard.cross_merges",
         # batch clustering driver

@@ -15,26 +15,17 @@ Layering: ``repro.shard`` may import :mod:`repro.stream`,
 """
 
 from .dissimilarity import context_tree_distance
-from .engine import (
-    RUNNERS,
-    LocalShard,
-    ShardConfig,
-    ShardedStreamingCluseq,
-    ShardStats,
-    apply_plan,
-)
+from .engine import LocalShard, ShardConfig, ShardedStreamingCluseq, ShardStats
 from .plan import ClusterExport, MergeOp, plan_merges
 from .router import fnv1a, route
 
 __all__ = [
-    "RUNNERS",
     "ClusterExport",
     "LocalShard",
     "MergeOp",
     "ShardConfig",
     "ShardStats",
     "ShardedStreamingCluseq",
-    "apply_plan",
     "context_tree_distance",
     "fnv1a",
     "plan_merges",

@@ -26,8 +26,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.cluster import Cluster
-from ..core.pst import ProbabilisticSuffixTree
 from ..obs import get_logger, get_registry, span
 from ..sequences.alphabet import Alphabet
 from ..stream.engine import StreamConfig, StreamingCluseq, StreamStats, check_batch
@@ -37,16 +35,11 @@ from .router import route
 
 _logger = get_logger("shard.engine")
 
-#: Recognized runner names (the ``ShardConfig.runner`` values).
-RUNNERS = ("inprocess",)
-
 __all__ = [
-    "RUNNERS",
     "LocalShard",
     "ShardConfig",
     "ShardStats",
     "ShardedStreamingCluseq",
-    "apply_plan",
 ]
 
 
@@ -60,7 +53,8 @@ class ShardConfig:
     ``merge_threshold`` is the context-tree distance at or below which
     two cross-shard clusters merge (range [0, 2]; see
     :mod:`repro.shard.dissimilarity`). ``router`` names the routing
-    policy; content hashing (``"hash"``) is the only one.
+    policy and ``runner`` where the shards run; content hashing
+    (``"hash"``) and one process (``"inprocess"``) are the only ones.
     """
 
     shards: int = 2
@@ -78,9 +72,9 @@ class ShardConfig:
                 f"unknown router {self.router!r} (only 'hash' routing "
                 "exists; the 'pst' router was removed)"
             )
-        if self.runner not in RUNNERS:
+        if self.runner != "inprocess":
             raise ValueError(
-                f"unknown runner {self.runner!r} (expected one of {RUNNERS})"
+                f"unknown runner {self.runner!r} (only 'inprocess' exists)"
             )
         if self.consolidate_every < 0:
             raise ValueError("consolidate_every must be >= 0")
@@ -120,35 +114,6 @@ class ShardStats:
         }
 
 
-def apply_plan(engine: StreamingCluseq, plan: dict[str, Any]) -> tuple[int, int]:
-    """Apply one shard-local consolidation plan; returns (merged, dropped).
-
-    *plan* holds ``merge`` ops (fold a serialized foreign PST into a
-    local cluster) and ``dismiss`` ops (local cluster ids whose model
-    moved to another shard). Every merge target and foreign PST is
-    checked before any cluster changes, so a bad plan raises
-    ``ValueError`` and leaves *engine* untouched.
-    """
-    by_id = {cluster.cluster_id: cluster for cluster in engine.result.clusters}
-    merges: list[tuple[Cluster, ProbabilisticSuffixTree]] = []
-    for op in plan.get("merge", ()):
-        cluster = by_id.get(int(op["into"]))
-        if cluster is None:
-            raise ValueError(f"merge target cluster {op['into']} not on this shard")
-        foreign = ProbabilisticSuffixTree.from_dict(op["pst"])
-        if foreign.alphabet_size != cluster.pst.alphabet_size:
-            raise ValueError(
-                f"merge source for cluster {op['into']} has alphabet "
-                f"size {foreign.alphabet_size}, expected "
-                f"{cluster.pst.alphabet_size}"
-            )
-        merges.append((cluster, foreign))
-    for cluster, foreign in merges:
-        cluster.pst.merge_counts(foreign)
-    dropped = engine.dismiss(int(cid) for cid in plan.get("dismiss", ()))
-    return len(merges), dropped
-
-
 class LocalShard:
     """Coordinator-side view of one in-process shard engine."""
 
@@ -158,37 +123,6 @@ class LocalShard:
     @property
     def batches(self) -> int:
         return self.engine.batches_ingested
-
-    def ingest_batch(
-        self, batch: Sequence[Sequence[int]]
-    ) -> "list[int | None]":
-        return self.engine.ingest_batch(batch)
-
-    def apply_plan(self, plan: dict[str, Any]) -> tuple[int, int]:
-        return apply_plan(self.engine, plan)
-
-    def export_clusters(self, shard: int) -> list[ClusterExport]:
-        return [
-            ClusterExport(
-                shard=shard,
-                cluster_id=cluster.cluster_id,
-                weight=cluster.pst.total_symbols,
-                pst=cluster.pst,
-            )
-            for cluster in self.engine.result.clusters
-        ]
-
-    def export_pst(self, cluster_id: int) -> dict[str, Any]:
-        for cluster in self.engine.result.clusters:
-            if cluster.cluster_id == cluster_id:
-                return cluster.pst.to_dict()
-        raise ValueError(f"no cluster {cluster_id} on this shard")
-
-    def stats(self) -> StreamStats:
-        return self.engine.stats()
-
-    def close(self) -> None:
-        self.engine.close()
 
 
 class ShardedStreamingCluseq:
@@ -275,9 +209,6 @@ class ShardedStreamingCluseq:
         assigned = self._dispatch_batch(cleaned, routes)
         self._batches += 1
         self._sequences += len(cleaned)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("shard.sequences").inc(len(cleaned))
         cfg = self.config
         if (
             cfg.consolidate_every > 0
@@ -301,7 +232,12 @@ class ShardedStreamingCluseq:
     def _dispatch_batch(
         self, cleaned: list[list[int]], routes: list[int]
     ) -> "list[int | None]":
-        """Send routed sub-batches to their shards, in shard order."""
+        """Send routed sub-batches to their shards, in shard order.
+
+        The shard engines keep no journal, so each applies its checked
+        sub-batch directly: its own ``ingest_batch`` would only check
+        every sequence a second time.
+        """
         subs: list[list[list[int]]] = [[] for _ in self._handles]
         for seq, shard in zip(cleaned, routes):
             subs[shard].append(seq)
@@ -312,7 +248,7 @@ class ShardedStreamingCluseq:
             results: list[list[int | None]] = [[] for _ in self._handles]
             for index, sub in enumerate(subs):
                 if sub:
-                    results[index] = self._handles[index].ingest_batch(sub)
+                    results[index] = self._handles[index].engine._apply_batch(sub)
         cursors = [0] * len(self._handles)
         assigned: list[int | None] = []
         for shard in routes:
@@ -323,39 +259,47 @@ class ShardedStreamingCluseq:
     # -- consolidation ------------------------------------------------------------
 
     def _consolidate(self, round_: int) -> None:
-        """One cross-shard consolidation round.
+        """One cross-shard consolidation round, folded into the live trees.
 
-        The whole plan is built before any shard changes: a dropped
-        cluster's PST is exported when its merge op is planned, so a
-        cluster that keeps one pair and is dropped in a later pair
-        ships its pre-round model, not counts merged this round.
+        Every merge reads its dropped cluster's pre-round tree. A cluster
+        that keeps one pair and is dropped by a later pair of the round
+        is dismissed anyway, so the merges into it are skipped and its
+        own keeper gets the tree it had before the round.
+        (:func:`plan_merges` never pairs a cluster once it is dropped,
+        so a dropped keeper is always dropped later.)
         """
         registry = get_registry()
         with span("shard.consolidate") as round_span:
             if round_span.span_id is not None:
                 round_span.set_attr("round", round_)
             exports = [
-                handle.export_clusters(index)
+                [
+                    ClusterExport(
+                        shard=index,
+                        cluster_id=cluster.cluster_id,
+                        weight=cluster.pst.total_symbols,
+                        pst=cluster.pst,
+                    )
+                    for cluster in handle.engine.result.clusters
+                ]
                 for index, handle in enumerate(self._handles)
             ]
             ops, pairs = plan_merges(exports, self.config.merge_threshold)
-            plans: dict[int, dict[str, Any]] = {}
+            trees = {
+                (export.shard, export.cluster_id): export.pst
+                for shard_exports in exports
+                for export in shard_exports
+            }
+            dropped = {(op.drop_shard, op.drop_cluster) for op in ops}
             for op in ops:
-                keeper = plans.setdefault(op.keep_shard, {"merge": [], "dismiss": []})
-                keeper["merge"].append(
-                    {
-                        "into": op.keep_cluster,
-                        "pst": self._handles[op.drop_shard].export_pst(
-                            op.drop_cluster
-                        ),
-                    }
-                )
-                dropper = plans.setdefault(op.drop_shard, {"merge": [], "dismiss": []})
-                dropper["dismiss"].append(op.drop_cluster)
+                if (op.keep_shard, op.keep_cluster) not in dropped:
+                    trees[op.keep_shard, op.keep_cluster].merge_counts(
+                        trees[op.drop_shard, op.drop_cluster]
+                    )
             for index, handle in enumerate(self._handles):
-                local = plans.get(index)
-                if local:
-                    handle.apply_plan(local)
+                handle.engine.dismiss(
+                    cluster for shard, cluster in dropped if shard == index
+                )
         self._rounds += 1
         self._cross_merges += len(ops)
         if registry.enabled:
@@ -373,7 +317,7 @@ class ShardedStreamingCluseq:
     def close(self) -> None:
         """Close every shard."""
         for handle in self._handles:
-            handle.close()
+            handle.engine.close()
 
     def __enter__(self) -> "ShardedStreamingCluseq":
         return self
@@ -396,7 +340,7 @@ class ShardedStreamingCluseq:
         return self._sequences
 
     def stats(self) -> ShardStats:
-        per = tuple(handle.stats() for handle in self._handles)
+        per = tuple(handle.engine.stats() for handle in self._handles)
         return ShardStats(
             shards=len(per),
             batches=self._batches,

@@ -1,81 +1,20 @@
-"""Shared type vocabulary for the ``repro`` package.
+"""Shared type aliases for the ``repro`` package.
 
-Central home of the aliases and protocols the rest of the package
-annotates with, so "a sequence of symbol ids" or "a probability vector
-over the alphabet" is spelled the same way everywhere. The module is
-import-light by design (stdlib + numpy typing only; package types are
+The callable seams more than one layer annotates with, spelled once.
+The module is import-light by design (stdlib only; package types are
 imported under ``TYPE_CHECKING``), so any layer may depend on it
 without creating cycles.
-
-Nothing here exists at runtime beyond the alias objects themselves —
-the package behaves identically with typing stripped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
-from typing import TYPE_CHECKING, Optional, Protocol, Union, runtime_checkable
-
-import numpy as np
-import numpy.typing as npt
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .baselines.base import BaselineResult
     from .core.pst import ProbabilisticSuffixTree
-    from .sequences.database import SequenceDatabase
 
-__all__ = [
-    "Symbol",
-    "EncodedSequence",
-    "ProbVector",
-    "FloatArray",
-    "IntArray",
-    "LogSimilarity",
-    "SimilarityScore",
-    "RandomSeed",
-    "ClusterLabel",
-    "LabelSequence",
-    "PSTFactory",
-    "EncodedLookup",
-    "SequenceClustererProtocol",
-    "SupportsFitPredict",
-]
-
-#: One raw sequence element before encoding. Anything hashable can be
-#: an alphabet symbol (characters for proteins/text, strings for
-#: system calls, ints for pre-encoded data).
-Symbol = Hashable
-
-#: A sequence after :class:`~repro.sequences.alphabet.Alphabet`
-#: encoding: a list of contiguous symbol ids in ``0 .. n-1``.
-EncodedSequence = list[int]
-
-#: A probability vector over the alphabet (non-negative, sums to 1;
-#: the §5.2 smoothing floor keeps every entry strictly positive).
-ProbVector = npt.NDArray[np.float64]
-
-#: General float/int numpy arrays, for when the probability-vector
-#: contract does not hold (histogram counts, divergence matrices, …).
-FloatArray = npt.NDArray[np.float64]
-IntArray = npt.NDArray[np.int64]
-
-#: A similarity in the log domain (the paper's ``log sim_S(σ)``);
-#: ``-inf`` is a valid value meaning "no support".
-LogSimilarity = float
-
-#: A similarity back in linear space (``sim_S(σ) ≥ 0``).
-SimilarityScore = float
-
-#: Anything accepted to seed a ``numpy`` generator.
-#: (typing.Union, not ``|``: evaluated at runtime on py39.)
-RandomSeed = Union[int, np.random.SeedSequence, np.random.Generator, None]
-
-#: Ground-truth / predicted cluster identity. ``None`` marks an
-#: unassigned (outlier) sequence in prediction output.
-ClusterLabel = Optional[Hashable]
-
-#: A full labelling of a database, index-aligned with its records.
-LabelSequence = Sequence["ClusterLabel"]
+__all__ = ["EncodedLookup", "PSTFactory"]
 
 #: Anything that builds a single-sequence PST from one encoded
 #: sequence (the §4.1 seed models) — the seam the clusterer exposes
@@ -84,39 +23,4 @@ LabelSequence = Sequence["ClusterLabel"]
 PSTFactory = Callable[[Sequence[int]], "ProbabilisticSuffixTree"]
 
 #: Callable mapping a database index to its encoded sequence.
-EncodedLookup = Callable[[int], EncodedSequence]
-
-
-@runtime_checkable
-class SequenceClustererProtocol(Protocol):
-    """Structural interface of the Table 2 baseline clusterers.
-
-    Anything with a ``name`` and a ``fit_predict(db, num_clusters)``
-    returning a :class:`~repro.baselines.base.BaselineResult` can take
-    part in the model-comparison harnesses.
-    """
-
-    name: str
-
-    def fit_predict(
-        self, db: SequenceDatabase, num_clusters: int
-    ) -> BaselineResult:
-        """Cluster *db* into at most *num_clusters* groups."""
-        ...
-
-
-@runtime_checkable
-class SupportsFitPredict(Protocol):
-    """Minimal sklearn-style estimator interface (fit → predict).
-
-    Matches :class:`~repro.core.estimator.CluseqClusterer` and any
-    drop-in replacement used by downstream pipelines.
-    """
-
-    def fit(self, X: SequenceDatabase, y: object = None) -> SupportsFitPredict:
-        """Fit the model to a sequence database."""
-        ...
-
-    def predict(self, X: SequenceDatabase) -> list[ClusterLabel]:
-        """Cluster ids (or ``None`` for outliers) per record of *X*."""
-        ...
+EncodedLookup = Callable[[int], list[int]]

@@ -54,6 +54,12 @@ class TestParser:
             "modes", "pruning", "smoothing",
         }
 
+    def test_shard_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["shard", "-", "--alphabet", "ab"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
+
 
 class TestClusterCommand:
     def test_cluster_text_file(self, toy_text_file, capsys):
@@ -390,58 +396,6 @@ class TestStreamCommand:
         )
         assert code == 0
         assert "sequences" in capsys.readouterr().out
-
-
-class TestShardCommand:
-    @pytest.fixture
-    def stream_file(self, tmp_path):
-        from repro.stream import drifting_markov_stream
-
-        stream = drifting_markov_stream(
-            80, 40, alphabet_size=6, concentration=0.05, seed=7
-        )
-        symbols = "abcdef"
-        path = tmp_path / "stream.txt"
-        path.write_text(
-            "\n".join(
-                "".join(symbols[s] for s in seq) for seq in stream.sequences
-            )
-            + "\n"
-        )
-        return str(path)
-
-    def shard_args(self, stream_file):
-        return [
-            "shard", stream_file,
-            "--alphabet", "abcdef",
-            "--shards", "2",
-            "--batch-size", "10",
-            "--consolidate-every", "4",
-            "--merge-threshold", "0.8",
-            "-t", "10", "-c", "3", "--max-depth", "4",
-        ]
-
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["shard", "-", "--alphabet", "ab"])
-        assert args.shards == 2
-        assert args.consolidate_every == 16
-        for removed in ("router", "runner", "state_dir", "resume",
-                        "checkpoint_every", "no_fsync"):
-            assert not hasattr(args, removed)
-
-    def test_cold_start_requires_alphabet(self, stream_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["shard", stream_file])
-        assert exc.value.code == 2
-        assert "--alphabet" in capsys.readouterr().err
-
-    def test_cold_start_shard_run(self, stream_file, capsys):
-        code = main(self.shard_args(stream_file))
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sequences" in out
-        assert "80" in out
-        assert "shard" in out
 
 
 class TestGenerateCommand:

@@ -9,12 +9,17 @@ with varying seeds and drift points):
    stream — clusters, pool, assignments, counters.
 2. **Repeat-run determinism.** Any configuration run twice over the
    same stream lands on the same state.
+3. **Pinned merge semantics.** 2, 3 and 4 shards over one pinned
+   stream land on recorded full-state digests; each run has rounds
+   where a merge's keeper is dropped by a later merge of the round.
 """
 
+import hashlib
 import json
 
 import pytest
 
+import repro.shard.engine as shard_engine
 from repro.core.persistence import result_to_dict
 from repro.shard import ShardConfig, ShardedStreamingCluseq
 from repro.stream import (
@@ -110,3 +115,83 @@ class TestRepeatRunDeterminism:
     def test_identical_runs_land_on_identical_state(self, shards):
         stream = make_stream(*FUZZ_SEEDS[1])
         assert run_sharded(shards, stream) == run_sharded(shards, stream)
+
+
+#: ``(sequences, drift_at, seed)`` of the pinned stream.
+PINNED_STREAM = (300, 150, 5)
+
+#: Full-state digests (every shard's result, pool and stats, plus the
+#: coordinator's stats) of :func:`run_pinned`, recorded when each
+#: dropped tree still crossed a ``to_dict``/``from_dict`` round trip
+#: before any merge of its round was applied.
+PINNED_DIGESTS = {
+    2: "2e0cffae1be7caf8",
+    3: "9aac60426496118e",
+    4: "663a2b60493c17a7",
+}
+
+
+def chained_merges(rounds):
+    """Merges whose keeper a later merge of the same round drops."""
+    return sum(
+        1
+        for ops in rounds
+        for index, op in enumerate(ops)
+        if any(
+            (later.drop_shard, later.drop_cluster)
+            == (op.keep_shard, op.keep_cluster)
+            for later in ops[index + 1 :]
+        )
+    )
+
+
+def run_pinned(shards, monkeypatch):
+    """``(digest, rounds)``: a digest of the sharded end state and each
+    consolidation round's merge ops."""
+    rounds = []
+    plan = shard_engine.plan_merges
+
+    def recording_plan(exports, threshold):
+        ops, pairs = plan(exports, threshold)
+        rounds.append(ops)
+        return ops, pairs
+
+    monkeypatch.setattr(shard_engine, "plan_merges", recording_plan)
+    config = ShardConfig(
+        shards=shards,
+        consolidate_every=4,
+        merge_threshold=1.5,
+        stream=make_stream_config(),
+    )
+    engine = ShardedStreamingCluseq.cold_start(
+        alphabet_size=ALPHABET_SIZE,
+        similarity_threshold=10.0,
+        significance_threshold=3,
+        max_depth=4,
+        config=config,
+    )
+    sequences, drift_at, seed = PINNED_STREAM
+    engine.run(
+        drifting_markov_stream(
+            sequences,
+            drift_at,
+            alphabet_size=ALPHABET_SIZE,
+            mean_length=30,
+            concentration=0.05,
+            seed=seed,
+        ).sequences
+    )
+    state = json.dumps(
+        [engine_state(handle.engine) for handle in engine.handles]
+        + [engine.stats().to_dict()],
+        sort_keys=True,
+    )
+    return hashlib.sha256(state.encode()).hexdigest()[:16], rounds
+
+
+class TestPinnedMergeState:
+    @pytest.mark.parametrize("shards", sorted(PINNED_DIGESTS))
+    def test_end_state_matches_recorded_digest(self, shards, monkeypatch):
+        digest, rounds = run_pinned(shards, monkeypatch)
+        assert digest == PINNED_DIGESTS[shards]
+        assert chained_merges(rounds) >= 1

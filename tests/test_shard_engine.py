@@ -2,8 +2,8 @@
 
 Hash routing (FNV-1a goldens), the context-tree dissimilarity,
 deterministic merge planning, PST count-merging, the coordinator's
-config and plan application on a shard's engine. The whole-system
-properties (differential equivalence) live in
+config and one hand-built consolidation round. The whole-system
+properties (differential equivalence, pinned end states) live in
 ``test_shard_differential.py``.
 """
 
@@ -12,13 +12,15 @@ import json
 import numpy as np
 import pytest
 
+import repro.shard.engine as shard_engine
+from repro.core.cluster import Cluster
 from repro.core.persistence import result_to_dict
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.shard import (
     ClusterExport,
+    MergeOp,
     ShardConfig,
     ShardedStreamingCluseq,
-    apply_plan,
     context_tree_distance,
     fnv1a,
     plan_merges,
@@ -329,104 +331,47 @@ class TestShardConfig:
 
 
 class TestShardEngine:
-    """A shard's engine is a plain ``StreamingCluseq``; ``apply_plan``
-    folds a consolidation plan into it."""
+    """A consolidation round folds dropped trees into their keepers in
+    place, then dismisses the dropped clusters on their shards."""
 
-    def make_engine(self):
-        return StreamingCluseq.cold_start(
-            alphabet_size=ALPHABET,
-            significance_threshold=1,
-            similarity_threshold=10.0,
-            max_depth=3,
-            config=StreamConfig(
-                batch_size=6,
-                reseed_every=1,
-                reseed_k=2,
-                reseed_min_pool=4,
-                seed=3,
-            ),
+    def test_chained_round_merges_pre_round_tree_and_dismisses(
+        self, monkeypatch
+    ):
+        # Z (shard 0) -> X (shard 1), then X -> Y (shard 2): X is
+        # dropped later in the round, so Y gets X's pre-round counts.
+        sharded = ShardedStreamingCluseq.cold_start(
+            ALPHABET,
+            config=ShardConfig(shards=3, consolidate_every=0),
         )
-
-    @staticmethod
-    def digest(engine):
-        return json.dumps(
-            {
-                "result": result_to_dict(engine.result),
-                "pool": engine.pool.to_list(),
-                "stats": engine.stats().to_dict(),
-            },
-            sort_keys=True,
+        parts = [REGIME_A[:4], REGIME_A[4:8], REGIME_B]
+        for handle, part in zip(sharded.handles, parts):
+            handle.engine.result.clusters = [
+                Cluster(7, build_pst(part), seed_index=0)
+            ]
+            handle.engine.result.assignments = {0: {7}}
+        expected = build_pst(REGIME_B)
+        expected.merge_counts(build_pst(REGIME_A[4:8]))
+        ops = [
+            MergeOp(keep_shard=1, keep_cluster=7, drop_shard=0,
+                    drop_cluster=7, distance=0.1),
+            MergeOp(keep_shard=2, keep_cluster=7, drop_shard=1,
+                    drop_cluster=7, distance=0.2),
+        ]
+        monkeypatch.setattr(
+            shard_engine, "plan_merges", lambda exports, threshold: (ops, 3)
         )
-
-    def test_apply_plan_merges_and_dismisses(self):
-        engine = self.make_engine()
-        engine.ingest_batch(REGIME_A[:6])
-        engine.ingest_batch(REGIME_B[:6])
-        ids = [cluster.cluster_id for cluster in engine.result.clusters]
-        assert len(ids) >= 2
-        keep, drop = ids[0], ids[1]
-        foreign = build_pst(REGIME_A[6:])
-        before_nodes = {
-            cluster.cluster_id: cluster.pst.node_count
-            for cluster in engine.result.clusters
-        }
-        dismissed = engine.stats().clusters_dismissed
-        merged, dropped = apply_plan(
-            engine,
-            {
-                "merge": [{"into": keep, "pst": foreign.to_dict()}],
-                "dismiss": [drop],
-            },
-        )
-        assert (merged, dropped) == (1, 1)
-        assert engine.stats().clusters_dismissed == dismissed + 1
-        remaining = {c.cluster_id for c in engine.result.clusters}
-        assert drop not in remaining
-        kept = next(
-            c for c in engine.result.clusters if c.cluster_id == keep
-        )
-        assert kept.pst.node_count >= before_nodes[keep]
-        assert all(
-            drop not in ids for ids in engine.result.assignments.values()
-        )
-
-    def test_apply_plan_rejects_unknown_target(self):
-        engine = self.make_engine()
-        engine.ingest_batch(REGIME_A[:6])
-        with pytest.raises(ValueError, match="merge target"):
-            apply_plan(
-                engine,
-                {"merge": [{"into": 999, "pst": build_pst([]).to_dict()}]},
-            )
-
-    @pytest.mark.parametrize(
-        ("second", "error"),
-        [
-            ("missing-target", "merge target"),
-            ("alphabet-mismatch", "alphabet"),
-        ],
-        ids=["missing-target", "alphabet-mismatch"],
-    )
-    def test_bad_plan_leaves_shard_untouched(self, second, error):
-        engine = self.make_engine()
-        engine.ingest_batch(REGIME_A[:6])
-        keep = engine.result.clusters[0].cluster_id
-        expected = self.digest(engine)
-        foreign = build_pst(REGIME_A[6:]).to_dict()
-        bad = (
-            {"into": 999, "pst": foreign}
-            if second == "missing-target"
-            else {
-                "into": keep,
-                "pst": build_pst(REGIME_A, alphabet_size=6).to_dict(),
-            }
-        )
-        with pytest.raises(ValueError, match=error):
-            apply_plan(
-                engine,
-                {"merge": [{"into": keep, "pst": foreign}, bad], "dismiss": [keep]},
-            )
-        assert self.digest(engine) == expected
+        sharded._consolidate(1)
+        z, x, y = (handle.engine for handle in sharded.handles)
+        assert z.result.clusters == [] and x.result.clusters == []
+        assert [engine.result.assignments for engine in (z, x, y)] == [
+            {0: set()}, {0: set()}, {0: {7}},
+        ]
+        (keeper,) = y.result.clusters
+        assert keeper.pst.to_dict() == expected.to_dict()
+        assert [engine.stats().clusters_dismissed for engine in (z, x, y)] == [
+            1, 1, 0,
+        ]
+        assert sharded.stats().cross_merges == 2
 
 
 class TestCoordinatorChecksFirst:
