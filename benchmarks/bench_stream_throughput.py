@@ -11,12 +11,23 @@ Reported: sequences/sec, absorb rate, cluster census before/after the
 drift. Runnable standalone (CI smoke job):
 
     python benchmarks/bench_stream_throughput.py --smoke
+
+``--age N`` instead replays the stream N times through one engine and
+reports, per replay (segment), the mean §4.5 consolidation time, the
+p95 batch time and the peak-RSS growth per streamed sequence, so a
+cost that grows with the engine's history shows as a trend down the
+table. Without ``--smoke`` the stream is the end-to-end benchmark's
+pinned 8,000-sequence stream (``benchmarks/e2e/make_fixture.py``):
+
+    python benchmarks/bench_stream_throughput.py --age 5
 """
 
 import argparse
+import statistics
 import sys
 import time
 
+from repro.obs import MetricsRegistry, peak_rss_bytes, use_registry
 from repro.stream import (
     DecayPolicy,
     StreamConfig,
@@ -29,6 +40,8 @@ ALPHABET_SIZE = 8
 #: (num_sequences, drift_at, batch_size)
 FULL_SCALE = (2000, 1000, 32)
 SMOKE_SCALE = (400, 200, 20)
+#: The ``stream-drift`` input of the end-to-end benchmark.
+AGE_SCALE = (8000, 4000, 32)
 
 
 def build_engine(batch_size, seed=3):
@@ -51,9 +64,8 @@ def build_engine(batch_size, seed=3):
     )
 
 
-def run_stream_workload(num_sequences, drift_at, batch_size):
-    """Stream the drifting workload through a cold-started engine."""
-    stream = drifting_markov_stream(
+def drifting_stream(num_sequences, drift_at):
+    return drifting_markov_stream(
         num_sequences,
         drift_at,
         alphabet_size=ALPHABET_SIZE,
@@ -61,6 +73,11 @@ def run_stream_workload(num_sequences, drift_at, batch_size):
         concentration=0.05,
         seed=11,
     )
+
+
+def run_stream_workload(num_sequences, drift_at, batch_size):
+    """Stream the drifting workload through a cold-started engine."""
+    stream = drifting_stream(num_sequences, drift_at)
     engine = build_engine(batch_size)
     started = time.perf_counter()
     stats = engine.run(stream.sequences)
@@ -113,6 +130,55 @@ def check_report(report):
     assert report["clusters"] >= 2
 
 
+def run_age_workload(segments, num_sequences, drift_at, batch_size):
+    """Replay the drifting stream *segments* times through one engine;
+    one report row per replay."""
+    sequences = drifting_stream(num_sequences, drift_at).sequences
+    engine = build_engine(batch_size)
+    rows = []
+    for segment in range(segments):
+        registry = MetricsRegistry()
+        batch_ms = []
+        rss_before = peak_rss_bytes() or 0.0
+        with use_registry(registry):
+            for start in range(0, num_sequences, batch_size):
+                begun = time.perf_counter()
+                engine.ingest_batch(sequences[start : start + batch_size])
+                batch_ms.append((time.perf_counter() - begun) * 1000.0)
+        rss_after = peak_rss_bytes() or 0.0
+        consolidate = registry.get("span.stream.batch.stream.consolidate")
+        stats = engine.stats()
+        rows.append(
+            {
+                "segment": segment + 1,
+                "sequences": stats.sequences,
+                "clusters": stats.clusters,
+                "consolidate_ms": consolidate.mean_seconds * 1000.0 if consolidate else 0.0,
+                "p95_batch_ms": statistics.quantiles(batch_ms, n=20)[-1],
+                "rss_bytes_per_sequence": (rss_after - rss_before) / num_sequences,
+            }
+        )
+    return rows
+
+
+def print_age_report(rows):
+    print(
+        f"{'segment':>7} {'sequences':>9} {'clusters':>8} "
+        f"{'consolidate ms':>14} {'p95 batch ms':>12} {'RSS B/seq':>9}"
+    )
+    for row in rows:
+        print(
+            f"{row['segment']:>7} {row['sequences']:>9} {row['clusters']:>8} "
+            f"{row['consolidate_ms']:>14.2f} {row['p95_batch_ms']:>12.2f} "
+            f"{row['rss_bytes_per_sequence']:>9.0f}"
+        )
+    if len(rows) > 1:
+        # The first replay also pays for the engine's warm-up.
+        later = rows[1:]
+        grown = sum(row["rss_bytes_per_sequence"] for row in later) / len(later)
+        print(f"RSS growth after the first replay: {grown:.0f} B/seq")
+
+
 def test_stream_throughput_drifting(benchmark):
     from conftest import run_once
 
@@ -130,7 +196,22 @@ def main(argv=None):
         action="store_true",
         help="reduced scale for CI smoke runs",
     )
+    parser.add_argument(
+        "--age",
+        type=int,
+        default=0,
+        metavar="N",
+        help="replay the stream N times through one engine and report "
+        "per-replay consolidation ms, p95 batch ms and RSS growth per "
+        "sequence (a report: no gate)",
+    )
     args = parser.parse_args(argv)
+    if args.age < 0:
+        parser.error("--age must be non-negative")
+    if args.age:
+        rows = run_age_workload(args.age, *(SMOKE_SCALE if args.smoke else AGE_SCALE))
+        print_age_report(rows)
+        return 0
     scale = SMOKE_SCALE if args.smoke else FULL_SCALE
     report = run_stream_workload(*scale)
     print_report(report)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from collections.abc import Callable, Sequence
+from collections.abc import Set as AbstractSet
 from typing import Any
 
 import numpy as np
@@ -204,6 +205,9 @@ class IterationSnapshot:
         return sum(self.pst_node_counts.values())
 
 
+#: The assignment of a sequence that joined no cluster, shared by all.
+_UNASSIGNED: frozenset[int] = frozenset()
+
 #: Signature of a per-iteration observer hook.
 IterationHook = Callable[[IterationSnapshot], None]
 
@@ -218,7 +222,7 @@ class ClusteringResult:
     """
 
     clusters: list[Cluster]
-    assignments: dict[int, set[int]]
+    assignments: dict[int, AbstractSet[int]]
     params: CluseqParams
     background: npt.NDArray[np.float64]
     final_log_threshold: float
@@ -237,6 +241,11 @@ class ClusteringResult:
     #: :meth:`log_background` call builds it.
     _log_bg: list[float] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: The shared assignment value per cluster id that
+    #: :meth:`record_join` hands out.
+    _sole: dict[int, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -367,6 +376,25 @@ class ClusteringResult:
         self._next_index = index + 1
         return index
 
+    def record_join(self, index: int, cluster_id: int | None) -> None:
+        """Record that sequence *index* joined cluster *cluster_id*
+        alone (``None``: no cluster) — the assignment every incremental
+        join makes.
+
+        Every sequence that joined one cluster gets the same
+        ``frozenset``, and every unclustered one the same empty set, so
+        a join allocates no set. Nothing changes an assignment value in
+        place: :func:`~repro.core.consolidation.drop_dismissed` builds
+        new ones.
+        """
+        if cluster_id is None:
+            self.assignments[index] = _UNASSIGNED
+            return
+        ids = self._sole.get(cluster_id)
+        if ids is None:
+            ids = self._sole[cluster_id] = frozenset((cluster_id,))
+        self.assignments[index] = ids
+
     def assign_and_absorb(self, encoded: Sequence[int]) -> int | None:
         """Incrementally add one new sequence to the fitted clustering.
 
@@ -395,11 +423,9 @@ class ClusteringResult:
         cluster = join_best(
             index, encoded, self.clusters, logs, bounds, self.final_log_threshold
         )
-        if cluster is None:
-            self.assignments[index] = set()
-            return None
-        self.assignments[index] = {cluster.cluster_id}
-        return cluster.cluster_id
+        cluster_id = None if cluster is None else cluster.cluster_id
+        self.record_join(index, cluster_id)
+        return cluster_id
 
     def summary(self) -> str:
         """A short human-readable report of the run.
@@ -575,7 +601,7 @@ class CLUSEQ:
         pst_factory = params.pst_factory(db.alphabet.size)
 
         clusters: list[Cluster] = []
-        assignments: dict[int, set[int]] = {i: set() for i in range(len(db))}
+        assignments: dict[int, AbstractSet[int]] = {i: set() for i in range(len(db))}
         # Consecutive iterations each sequence has spent unclustered.
         # Sequences with long streaks behave like outliers: greedy
         # min-max selection would keep choosing them as seeds (they are
@@ -910,7 +936,7 @@ class CLUSEQ:
         order: list[int],
         encoded: list[list[int]],
         clusters: list[Cluster],
-        assignments: dict[int, set[int]],
+        assignments: dict[int, AbstractSet[int]],
         unclustered_streak: dict[int, int],
         log_bg: list[float],
         log_t: float,
@@ -1095,7 +1121,7 @@ class CLUSEQ:
         self,
         n_sequences: int,
         clusters: list[Cluster],
-        assignments: dict[int, set[int]],
+        assignments: dict[int, AbstractSet[int]],
         rng: np.random.Generator,
     ) -> list[int]:
         """Sequence order for the reclustering phase (§6.3 policies).

@@ -20,6 +20,11 @@ from .pst import ProbabilisticSuffixTree
 class Membership:
     """One sequence's current relationship to one cluster."""
 
+    # Spelled out rather than ``dataclass(slots=True)``, which needs
+    # Python 3.10: a record without ``__dict__`` is ~40 B smaller, and
+    # the fit, the stream and serve ingest keep one per member.
+    __slots__ = ("sequence_index", "log_similarity", "best_start", "best_end")
+
     sequence_index: int
     log_similarity: float
     best_start: int
@@ -137,11 +142,34 @@ class Cluster:
 
     # -- bookkeeping ------------------------------------------------------------------
 
+    def has_unique(self, others: Iterable["Cluster"], needed: int) -> bool:
+        """Whether at least *needed* members of this cluster belong to
+        none of *others* (``len(unique_members(others)) >= needed``).
+
+        §4.5 consolidation asks only this. The walk over the members
+        stops at the *needed*-th unique one, so a cluster that shares
+        little with *others* costs about ``needed · len(others)``
+        lookups however many members it has.
+        """
+        if needed <= 0:
+            return True
+        tables = [other._members for other in others if other is not self]
+        found = 0
+        for index in self._members:
+            for table in tables:
+                if index in table:
+                    break
+            else:
+                found += 1
+                if found >= needed:
+                    return True
+        return False
+
     def unique_members(self, others: Iterable["Cluster"]) -> set[int]:
         """Members of this cluster that belong to none of *others*.
 
-        Used by cluster consolidation to decide whether this cluster is
-        "covered" by larger clusters.
+        Builds the whole set; :meth:`has_unique` answers the question
+        consolidation asks without it.
         """
         unique = self.members
         for other in others:

@@ -3,15 +3,28 @@
 Successive seed generation can create clusters that heavily overlap —
 e.g. when two sequences from the same true cluster are both drawn as
 seeds. Consolidation dismisses clusters that are "covered" by others:
-clusters are examined in ascending size order, and any cluster whose
-*unique* members (sequences belonging to no larger cluster) number
-fewer than a threshold is removed. Surviving clusters therefore differ
-substantially from each other.
+a cluster whose *unique* members (sequences belonging to no other
+retained cluster it is checked against) number fewer than a threshold
+is removed. Surviving clusters therefore differ substantially from
+each other.
+
+Two passes exist. The default (``dissolve_covered=True``) examines
+clusters **largest first** and checks each against every other
+retained cluster, which also dissolves an over-merged "mixture"
+cluster once purer clusters cover it. The paper's own pass
+(``dissolve_covered=False``) examines clusters in ascending size and
+checks each against the retained *larger* ones only.
+
+Either pass asks :meth:`~repro.core.cluster.Cluster.has_unique`, which
+stops at the threshold-th unique member: a pass over ``k`` disjoint
+clusters costs at most ``k² · min_unique_members`` membership lookups,
+whatever the clusters' sizes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from collections.abc import Set as AbstractSet
 
 from ..obs import get_logger, get_registry
 from .cluster import Cluster
@@ -83,8 +96,7 @@ def consolidate(
             ]
             if not others:
                 break  # never dissolve the last remaining cluster
-            unique = cluster.unique_members(others)
-            if len(unique) < min_unique_members:
+            if not cluster.has_unique(others, min_unique_members):
                 removed.append(cluster)
                 removed_ids.add(cluster.cluster_id)
     else:
@@ -97,8 +109,7 @@ def consolidate(
                 for other in order[position + 1 :]
                 if other.cluster_id not in removed_ids
             ]
-            unique = cluster.unique_members(larger)
-            if len(unique) < min_unique_members:
+            if not cluster.has_unique(larger, min_unique_members):
                 removed.append(cluster)
                 removed_ids.add(cluster.cluster_id)
 
@@ -118,10 +129,13 @@ def consolidate(
     return retained, removed
 
 
-def drop_dismissed(assignments: dict[int, set[int]], dismissed_ids: set[int]) -> None:
+def drop_dismissed(
+    assignments: dict[int, AbstractSet[int]], dismissed_ids: set[int]
+) -> None:
     """Strip §4.5-dismissed cluster ids from every sequence's
     assignment, in place; a sequence left with no cluster becomes
-    unclustered."""
+    unclustered. A changed assignment gets a new set: the old one may
+    be shared (:meth:`~repro.core.cluseq.ClusteringResult.record_join`)."""
     for index, ids in assignments.items():
         if ids & dismissed_ids:
             assignments[index] = ids - dismissed_ids

@@ -530,10 +530,10 @@ class StreamingCluseq:
             index, encoded, self.result.clusters, logs, bounds, self.log_threshold
         )
         if cluster is None:
-            self.result.assignments[index] = set()
+            self.result.record_join(index, None)
             self._pool.add(index, encoded)
             return None
-        self.result.assignments[index] = {cluster.cluster_id}
+        self.result.record_join(index, cluster.cluster_id)
         self._counts.absorbed += 1
         return cluster.cluster_id
 
@@ -624,9 +624,7 @@ class StreamingCluseq:
             (log_sim,), (start, end) = score_row([choice.pst], encoded, log_bg)
             cluster.set_member(Membership(choice.sequence_index, log_sim, start, end))
             self.result.clusters.append(cluster)
-            self.result.assignments[choice.sequence_index] = {
-                cluster.cluster_id
-            }
+            self.result.record_join(choice.sequence_index, cluster.cluster_id)
             self._pool.remove(choice.sequence_index)
             self._counts.absorbed += 1
             self._counts.clusters_spawned += 1
@@ -644,7 +642,7 @@ class StreamingCluseq:
                 )
                 if joined is None:
                     continue
-                self.result.assignments[index] = {joined.cluster_id}
+                self.result.record_join(index, joined.cluster_id)
                 self._pool.remove(index)
                 self._counts.absorbed += 1
                 rescued += 1

@@ -126,3 +126,28 @@ class TestOverlapFraction:
 
     def test_both_empty(self):
         assert overlap_fraction(cluster_with(0, []), cluster_with(1, [])) == 0.0
+
+
+class TestLookupBound:
+    @pytest.mark.parametrize("dissolve", [True, False])
+    def test_disjoint_clusters_cost_at_most_k_squared_needed_lookups(self, dissolve):
+        """A pass over k disjoint clusters stops at each cluster's
+        needed-th unique member: its membership lookups do not grow with
+        the clusters' sizes."""
+        k, size, needed = 5, 10_000, 4
+        lookups = [0]
+
+        class CountingMembers(dict):
+            def __contains__(self, key):
+                lookups[0] += 1
+                return dict.__contains__(self, key)
+
+        clusters = []
+        for cid in range(k):
+            cluster = cluster_with(cid, list(range(cid * size, (cid + 1) * size)))
+            cluster._members = CountingMembers(cluster._members)
+            clusters.append(cluster)
+        retained, removed = consolidate(clusters, needed, dissolve)
+        assert removed == []
+        assert len(retained) == k
+        assert 0 < lookups[0] <= k * k * needed

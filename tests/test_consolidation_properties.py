@@ -114,3 +114,62 @@ def test_deterministic(layout, min_unique):
     assert [c.cluster_id for c in retained_a] == [
         c.cluster_id for c in retained_b
     ]
+
+
+def oracle_removed(clusters, min_unique, dissolve):
+    """Ids that the §4.5 passes dismiss, in dismissal order, decided on
+    each cluster's whole unique-member set (:meth:`Cluster.unique_members`)."""
+    removed = [cl.cluster_id for cl in clusters if cl.size == 0]
+    live = [cl for cl in clusters if cl.cluster_id not in removed]
+    if dissolve:
+        order = sorted(live, key=lambda cl: (-cl.size, cl.cluster_id))
+        for cluster in order:
+            others = [
+                other
+                for other in order
+                if other is not cluster and other.cluster_id not in removed
+            ]
+            if not others:
+                break
+            if len(cluster.unique_members(others)) < min_unique:
+                removed.append(cluster.cluster_id)
+    else:
+        order = sorted(live, key=lambda cl: (cl.size, cl.cluster_id))
+        for position, cluster in enumerate(order):
+            larger = [
+                other
+                for other in order[position + 1 :]
+                if other.cluster_id not in removed
+            ]
+            if len(cluster.unique_members(larger)) < min_unique:
+                removed.append(cluster.cluster_id)
+    return removed
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts, st.integers(0, 5), st.booleans())
+def test_decisions_match_unique_members_oracle(layout, min_unique, dissolve):
+    """The early-exit uniqueness test dismisses exactly what the
+    whole-set oracle dismisses, in the same order, in both passes."""
+    clusters = build(layout)
+    retained, removed = consolidate(clusters, min_unique, dissolve)
+    expected = oracle_removed(build(layout), min_unique, dissolve)
+    assert [cl.cluster_id for cl in removed] == expected
+    assert [cl.cluster_id for cl in retained] == [
+        cl.cluster_id for cl in clusters if cl.cluster_id not in expected
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts, st.integers(-1, 6))
+def test_has_unique_matches_unique_members(layout, needed):
+    clusters = build(layout)
+    for cluster in clusters:
+        others = [other for other in clusters if other is not cluster]
+        assert cluster.has_unique(others, needed) == (
+            len(cluster.unique_members(others)) >= needed
+        )
+        # *others* may contain the cluster itself; it never counts.
+        assert cluster.has_unique(clusters, needed) == cluster.has_unique(
+            others, needed
+        )

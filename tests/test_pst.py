@@ -1,18 +1,23 @@
 """Tests for repro.core.pst — the probabilistic suffix tree."""
 
 import copy
+import gc
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.cluseq import CluseqParams
 from repro.core.pruning import prune_to
-from repro.core.pst import ProbabilisticSuffixTree
+from repro.core.pst import APPROX_BYTES_PER_NODE, ProbabilisticSuffixTree
 from repro.core.similarity import (
     log_symbol_ratios,
+    similarities,
     similarity,
     similarity_bruteforce,
 )
+from repro.sequences.generators import generate_clustered_database
 
 
 def count_occurrences(haystack, needle):
@@ -293,6 +298,32 @@ class TestTraversal:
 
     def test_approx_memory(self, simple_pst):
         assert simple_pst.approx_memory_bytes() > 0
+
+    def test_approx_bytes_per_node_matches_a_measured_scored_tree(self):
+        """A fit-shaped tree, scored once against its database, takes
+        within 25% of ``APPROX_BYTES_PER_NODE`` per node (tracemalloc)."""
+        db = generate_clustered_database(
+            num_sequences=40, num_clusters=2, avg_length=120, alphabet_size=12, seed=3
+        ).database
+        encoded = [db.encoded(i) for i in range(len(db))]
+        background = db.background_probabilities()
+        factory = CluseqParams(k=2, significance_threshold=4).pst_factory(12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = factory(encoded[0])
+            for sequence in encoded[1:]:
+                tree.add_sequence(sequence)
+            for sequence in encoded:
+                similarities([tree], sequence, background)
+            gc.collect()
+            per_node = (tracemalloc.get_traced_memory()[0] - before) / tree.node_count
+        finally:
+            tracemalloc.stop()
+        assert tree.node_count > 5_000
+        assert 0.75 * APPROX_BYTES_PER_NODE <= per_node <= 1.25 * APPROX_BYTES_PER_NODE
+        assert tree.approx_memory_bytes() == tree.node_count * APPROX_BYTES_PER_NODE
 
     def test_repr(self, simple_pst):
         assert "ProbabilisticSuffixTree" in repr(simple_pst)

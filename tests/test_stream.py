@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.persistence import result_to_dict
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream import (
     STREAM_FORMAT,
@@ -487,13 +488,14 @@ def maintained_config(batch_size):
     )
 
 
-def maintained_engine(batch_size):
+def maintained_engine(batch_size, state_dir=None):
     return StreamingCluseq.cold_start(
         alphabet_size=ALPHABET_SIZE,
         similarity_threshold=10.0,
         significance_threshold=3,
         max_depth=4,
         config=maintained_config(batch_size),
+        state_dir=state_dir,
     )
 
 
@@ -532,3 +534,42 @@ def test_maintained_stream_assignments_are_pinned(stream, batch_size):
     assert any(cid is not None for cid in assigned)
     assert any(cid is None for cid in assigned)
     assert len(engine.result.clusters) >= 2
+
+
+#: sha256 prefix of ``result_to_dict`` after the maintained run over the
+#: ``stream`` fixture in batches of 32, recorded while every join still
+#: stored a fresh ``set``.
+RESULT_DIGEST = "24956e6abc896555"
+
+
+def result_digest(result):
+    payload = json.dumps(result_to_dict(result), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_assignments_share_one_frozenset_per_cluster(stream, tmp_path):
+    batch_size = 32
+    state_dir = tmp_path / "state"
+    with maintained_engine(batch_size, state_dir=state_dir) as engine:
+        run_engine(engine, stream, batch_size)
+        engine.checkpoint()
+    shared = {}
+    for ids in engine.result.assignments.values():
+        assert isinstance(ids, frozenset)
+        assert shared.setdefault(ids, ids) is ids
+    assert len(shared) >= 2
+    assert result_digest(engine.result) == RESULT_DIGEST
+
+    recovered = StreamingCluseq.recover(state_dir)
+    recovered.close()
+    assert result_to_dict(recovered.result) == result_to_dict(engine.result)
+
+    # A dismissal gives the dismissed cluster's members new empty sets
+    # and leaves every other shared set as it was.
+    dropped = engine.result.clusters[0].cluster_id
+    assert engine.dismiss({dropped}) == recovered.dismiss({dropped}) == 1
+    for ids in engine.result.assignments.values():
+        assert dropped not in ids
+        if ids:
+            assert shared[ids] is ids
+    assert result_to_dict(recovered.result) == result_to_dict(engine.result)
