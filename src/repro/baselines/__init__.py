@@ -10,13 +10,12 @@ from .block_edit import (
 )
 from .edit_distance import (
     EditDistanceClusterer,
-    banded_edit_distance,
     edit_distance,
     normalized_edit_distance,
     pairwise_distance_matrix,
 )
 from .hmm import DiscreteHMM, HMMClusterer
-from .kmedoids import kmedoids, total_within_cost, validate_distance_matrix
+from .kmedoids import kmedoids, validate_distance_matrix
 from .qgram import (
     QGramClusterer,
     cosine_similarity,
@@ -33,14 +32,12 @@ __all__ = [
     "normalized_block_edit_distance",
     "pairwise_block_distance_matrix",
     "EditDistanceClusterer",
-    "banded_edit_distance",
     "edit_distance",
     "normalized_edit_distance",
     "pairwise_distance_matrix",
     "DiscreteHMM",
     "HMMClusterer",
     "kmedoids",
-    "total_within_cost",
     "validate_distance_matrix",
     "QGramClusterer",
     "cosine_similarity",

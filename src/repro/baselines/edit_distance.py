@@ -52,50 +52,6 @@ def edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return int(prev[-1])
 
 
-def banded_edit_distance(
-    a: Sequence[int], b: Sequence[int], band: int
-) -> int:
-    """Edit distance restricted to a diagonal band of half-width *band*.
-
-    An upper bound on the true distance that equals it whenever the
-    optimal alignment stays within the band — the standard speedup when
-    only near matches matter (e.g. verifying candidate pairs). Cost is
-    ``O(max(n, m) · band)`` instead of ``O(n · m)``.
-    """
-    if band < 0:
-        raise ValueError("band must be non-negative")
-    n, m = len(a), len(b)
-    if abs(n - m) > band:
-        # The end point is outside the band; the in-band bound is the
-        # trivial delete/insert path.
-        return max(n, m)
-    if n == 0 or m == 0:
-        return max(n, m)
-    infinity = n + m + 1
-    previous = {j: j for j in range(0, min(m, band) + 1)}
-    for i in range(1, n + 1):
-        current = {}
-        low = max(0, i - band)
-        high = min(m, i + band)
-        for j in range(low, high + 1):
-            if j == 0:
-                current[j] = i
-                continue
-            best = infinity
-            substitution = previous.get(j - 1)
-            if substitution is not None:
-                best = min(best, substitution + (a[i - 1] != b[j - 1]))
-            deletion = previous.get(j)
-            if deletion is not None:
-                best = min(best, deletion + 1)
-            insertion = current.get(j - 1)
-            if insertion is not None:
-                best = min(best, insertion + 1)
-            current[j] = best
-        previous = current
-    return int(previous.get(m, infinity))
-
-
 def normalized_edit_distance(a: Sequence[int], b: Sequence[int]) -> float:
     """Edit distance divided by the longer length (range [0, 1]).
 

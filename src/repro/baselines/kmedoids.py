@@ -9,8 +9,6 @@ the k-means++-style D² weighting for robustness.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 import numpy.typing as npt
 
@@ -100,13 +98,3 @@ def kmedoids(
         labels = new_labels
 
     return [int(label) for label in labels], medoids
-
-
-def total_within_cost(
-    distances: npt.NDArray[np.float64], labels: Sequence[int], medoids: Sequence[int]
-) -> float:
-    """Sum of point-to-medoid distances — the k-medoids objective."""
-    matrix = np.asarray(distances, dtype=np.float64)
-    return float(
-        sum(matrix[i, medoids[label]] for i, label in enumerate(labels))
-    )

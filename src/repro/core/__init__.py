@@ -11,7 +11,7 @@ from .cluseq import (
     IterationStats,
     cluster_sequences,
 )
-from .consolidation import consolidate, overlap_fraction
+from .consolidation import consolidate
 from .estimator import CluseqClusterer, NotFittedError
 from .persistence import load_result, result_from_dict, result_to_dict, save_result
 from .segmentation import BACKGROUND, Domain, domain_summary, segment_sequence
@@ -22,15 +22,11 @@ from .seeding import SeedChoice, build_seed_pst, select_seeds
 from .similarity import (
     SimilarityResult,
     log_symbol_ratios,
-    segment_definition_similarity,
     similarities,
     similarity,
-    similarity_bruteforce,
-    whole_sequence_similarity,
 )
 from .smoothing import (
     adjust_probability,
-    adjust_vector,
     default_p_min,
     validate_p_min,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "domain_summary",
     "segment_sequence",
     "consolidate",
-    "overlap_fraction",
     "PRUNE_STRATEGIES",
     "prune_to",
     "APPROX_BYTES_PER_NODE",
@@ -74,13 +69,9 @@ __all__ = [
     "select_seeds",
     "SimilarityResult",
     "log_symbol_ratios",
-    "segment_definition_similarity",
     "similarities",
     "similarity",
-    "similarity_bruteforce",
-    "whole_sequence_similarity",
     "adjust_probability",
-    "adjust_vector",
     "default_p_min",
     "validate_p_min",
     "ValleyResult",

@@ -200,10 +200,6 @@ class IterationSnapshot:
     pst_node_counts: dict[int, int]
     log_threshold: float
 
-    @property
-    def total_pst_nodes(self) -> int:
-        return sum(self.pst_node_counts.values())
-
 
 #: The assignment of a sequence that joined no cluster, shared by all.
 _UNASSIGNED: frozenset[int] = frozenset()

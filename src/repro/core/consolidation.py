@@ -139,16 +139,3 @@ def drop_dismissed(
     for index, ids in assignments.items():
         if ids & dismissed_ids:
             assignments[index] = ids - dismissed_ids
-
-
-def overlap_fraction(a: Cluster, b: Cluster) -> float:
-    """Jaccard overlap between two clusters' member sets.
-
-    A diagnostic aid for inspecting how much consolidation is needed;
-    not part of the algorithm itself.
-    """
-    members_a, members_b = a.members, b.members
-    union = members_a | members_b
-    if not union:
-        return 0.0
-    return len(members_a & members_b) / len(union)

@@ -129,11 +129,9 @@ def result_from_dict(data: dict[str, Any]) -> ClusteringResult:
             )
         clusters.append(cluster)
     history = [IterationStats(**stats) for stats in data.get("history", [])]
-    return ClusteringResult(
+    result = ClusteringResult(
         clusters=clusters,
-        assignments={
-            int(index): set(ids) for index, ids in data["assignments"].items()
-        },
+        assignments={},
         params=CluseqParams(
             **{
                 key: value
@@ -147,6 +145,18 @@ def result_from_dict(data: dict[str, Any]) -> ClusteringResult:
         elapsed_seconds=data.get("elapsed_seconds", 0.0),
         converged=data.get("converged", False),
     )
+    # One shared frozenset per distinct id set, as a live run keeps
+    # them: sole-cluster and empty assignments come from record_join,
+    # so joins after the load reuse the loaded sets.
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    for key, ids in data["assignments"].items():
+        index = int(key)
+        if len(ids) <= 1:
+            result.record_join(index, ids[0] if ids else None)
+        else:
+            joined = frozenset(ids)
+            result.assignments[index] = shared.setdefault(joined, joined)
+    return result
 
 
 def save_result(

@@ -70,10 +70,6 @@ class SimilarityResult:
     best_end: int
     whole_sequence_log: float
 
-    @property
-    def best_segment_length(self) -> int:
-        return self.best_end - self.best_start
-
 
 def _safe_exp(log_value: float) -> float:
     """``exp`` with saturation instead of ``OverflowError``."""
@@ -425,73 +421,3 @@ def similarity(
         ``[0, alphabet_size)``, or *background* has the wrong length.
     """
     return similarities([pst], encoded, background)[0]
-
-
-def whole_sequence_similarity(
-    pst: ProbabilisticSuffixTree,
-    encoded: Sequence[int],
-    background: npt.NDArray[np.float64],
-) -> float:
-    """``sim_S(σ)`` over the entire sequence (§2's whole-sequence
-    ratio, without the §4.3 segment maximisation)."""
-    return _safe_exp(similarity(pst, encoded, background).whole_sequence_log)
-
-
-def similarity_bruteforce(
-    pst: ProbabilisticSuffixTree,
-    encoded: Sequence[int],
-    background: npt.NDArray[np.float64],
-) -> tuple[float, tuple[int, int]]:
-    """Reference ``O(l²)`` maximisation over all segments, for testing.
-
-    Shares the paper's DP semantics: the per-position ratio ``X_i``
-    conditions on the *full-sequence* prefix (``P_S(s_i|s_1…s_{i-1})``),
-    and every contiguous segment's score is the sum of its positions'
-    log ratios. Returns the best log score and its ``[start, end)``
-    range — this must agree exactly with :func:`similarity`.
-    """
-    if len(encoded) == 0:
-        raise ValueError("cannot score an empty sequence")
-    background = np.asarray(background, dtype=np.float64)
-    ratios = []
-    for i, symbol in enumerate(encoded):
-        prob = pst.probability(symbol, encoded[:i])
-        log_p = math.log(prob) if prob > 0 else _LOG_ZERO
-        bg = background[symbol]
-        log_bg = math.log(bg) if bg > 0 else _LOG_ZERO
-        ratios.append(log_p - log_bg)
-    best = -math.inf
-    best_range = (0, 1)
-    length = len(encoded)
-    for start in range(length):
-        running = 0.0
-        for end in range(start + 1, length + 1):
-            running += ratios[end - 1]
-            if running > best:
-                best = running
-                best_range = (start, end)
-    return best, best_range
-
-
-def segment_definition_similarity(
-    pst: ProbabilisticSuffixTree,
-    encoded: Sequence[int],
-    background: npt.NDArray[np.float64],
-) -> float:
-    """Equation 1 evaluated literally: each segment scored standalone.
-
-    Differs from the paper's DP only in the first ``max_depth`` symbols
-    of each candidate segment, where the standalone segment has a
-    shorter context than the full sequence provides. Exposed for
-    analysis; CLUSEQ itself uses the DP, as the paper does.
-    """
-    if len(encoded) == 0:
-        raise ValueError("cannot score an empty sequence")
-    best = -math.inf
-    length = len(encoded)
-    for start in range(length):
-        for end in range(start + 1, length + 1):
-            result = similarity(pst, encoded[start:end], background)
-            if result.whole_sequence_log > best:
-                best = result.whole_sequence_log
-    return best

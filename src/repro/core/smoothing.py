@@ -14,11 +14,6 @@ similarity estimation, exactly as the paper prescribes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-import numpy as np
-import numpy.typing as npt
-
 
 def validate_p_min(alphabet_size: int, p_min: float) -> None:
     """Validate that *p_min* is a usable §5.2 smoothing floor.
@@ -55,16 +50,3 @@ def adjust_probability(p: float, alphabet_size: int, p_min: float) -> float:
     if p_min <= 0.0:
         return p
     return (1.0 - alphabet_size * p_min) * p + p_min
-
-
-def adjust_vector(probs: Sequence[float], p_min: float) -> npt.NDArray[np.float64]:
-    """Apply the §5.2 adjustment to a full probability vector.
-
-    The vector length is taken as the alphabet size ``n``.
-    """
-    vec = np.asarray(probs, dtype=np.float64)
-    if p_min <= 0.0:
-        return vec.copy()
-    n = vec.shape[0]
-    validate_p_min(n, p_min)
-    return (1.0 - n * p_min) * vec + p_min

@@ -6,26 +6,20 @@ from .languages import (
     make_language_database,
     make_sentence,
 )
-from .traces import ARCHETYPES, SYSCALLS, make_trace_database
 from .protein import (
     PAPER_FAMILY_SIZES,
     ProteinFamilySpec,
-    family_names,
     make_family_specs,
     make_protein_database,
 )
 
 __all__ = [
-    "ARCHETYPES",
-    "SYSCALLS",
-    "make_trace_database",
     "LANGUAGE_INVENTORIES",
     "NOISE_INVENTORIES",
     "make_language_database",
     "make_sentence",
     "PAPER_FAMILY_SIZES",
     "ProteinFamilySpec",
-    "family_names",
     "make_family_specs",
     "make_protein_database",
 ]

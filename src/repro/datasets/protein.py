@@ -170,15 +170,3 @@ def make_protein_database(
         for encoded in noise.sample_many(num_outliers, mean_length, rng=rng):
             db.add_sequence(alphabet.decode(encoded), OUTLIER_LABEL)
     return db
-
-
-def family_names(db: SequenceDatabase) -> list[str]:
-    """Distinct family labels of a protein database, largest first."""
-    from collections import Counter
-
-    counts = Counter(
-        record.label
-        for record in db
-        if record.label is not None and record.label != OUTLIER_LABEL
-    )
-    return [name for name, _ in counts.most_common()]

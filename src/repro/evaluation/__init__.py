@@ -25,7 +25,6 @@ from .reporting import (
     print_table,
     render_table,
 )
-from .stability import MetricSummary, StabilityReport, stability_analysis
 
 __all__ = [
     "SimilarityDistribution",
@@ -47,7 +46,4 @@ __all__ = [
     "percent",
     "print_table",
     "render_table",
-    "MetricSummary",
-    "StabilityReport",
-    "stability_analysis",
 ]

@@ -33,16 +33,6 @@ class SimilarityDistribution:
     def non_member_values(self) -> np.ndarray:
         return self.log_similarities[~self.member_mask]
 
-    def separation_margin(self) -> float | None:
-        """``min(member) − max(non-member)`` log-sims, or ``None``.
-
-        Positive values mean the two populations are linearly separable
-        by a single threshold.
-        """
-        if self.member_values.size == 0 or self.non_member_values.size == 0:
-            return None
-        return float(self.member_values.min() - self.non_member_values.max())
-
 
 def similarity_distribution(
     result: ClusteringResult, db: SequenceDatabase

@@ -102,12 +102,6 @@ class EvaluationReport:
             return 0.0
         return sum(s.recall for s in self.family_scores) / len(self.family_scores)
 
-    def score_for(self, family: str) -> FamilyScore:
-        for score in self.family_scores:
-            if score.family == family:
-                return score
-        raise KeyError(f"no family {family!r} in report")
-
 
 def _validate_inputs(
     true_labels: Sequence[str | None],

@@ -391,12 +391,6 @@ class MetricsRegistry:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(_sanitize(self.snapshot()), indent=indent)
 
-    def reset(self) -> None:
-        """Drop every instrument (a fresh start, e.g. between benches)."""
-        with self._lock:
-            self._metrics.clear()
-            self._types.clear()
-
 
 def _sanitize(value: object) -> object:
     """Make *value* strict-JSON safe: non-finite floats become ``None``

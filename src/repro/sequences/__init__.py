@@ -7,7 +7,6 @@ from .generators import (
     SyntheticSpec,
     generate_clustered_database,
     generate_two_cluster_toy,
-    inject_outliers,
 )
 from .io import (
     SequenceFormatError,
@@ -17,7 +16,6 @@ from .io import (
     write_labelled_text,
 )
 from .markov import MarkovSource, random_markov_source, uniform_source
-from .mutations import block_shuffle, corrupt_database, indels, point_mutations
 
 __all__ = [
     "AMINO_ACIDS",
@@ -31,7 +29,6 @@ __all__ = [
     "SyntheticSpec",
     "generate_clustered_database",
     "generate_two_cluster_toy",
-    "inject_outliers",
     "SequenceFormatError",
     "read_fasta",
     "read_labelled_text",
@@ -40,8 +37,4 @@ __all__ = [
     "MarkovSource",
     "random_markov_source",
     "uniform_source",
-    "block_shuffle",
-    "corrupt_database",
-    "indels",
-    "point_mutations",
 ]

@@ -175,7 +175,3 @@ class Alphabet:
     def decode_to_string(self, ids: Iterable[int]) -> str:
         """Decode integer ids into a string (symbols must be strings)."""
         return "".join(str(self.symbol_of(i)) for i in ids)
-
-    def is_valid(self, sequence: Iterable[Symbol]) -> bool:
-        """Whether every symbol of *sequence* belongs to this alphabet."""
-        return all(sym in self._index for sym in sequence)

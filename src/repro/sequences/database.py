@@ -187,10 +187,6 @@ class SequenceDatabase:
         """The integer-encoded form of the sequence at *index*."""
         return self._encoded[index]
 
-    def iter_encoded(self) -> Iterator[tuple[int, list[int]]]:
-        """Iterate over ``(index, encoded_sequence)`` pairs."""
-        return iter(enumerate(self._encoded))
-
     @property
     def records(self) -> tuple[SequenceRecord, ...]:
         return tuple(self._records)

@@ -62,11 +62,6 @@ class SyntheticDataset:
     spec: SyntheticSpec
     sources: list[MarkovSource] = field(default_factory=list)
 
-    @property
-    def cluster_labels(self) -> list[str]:
-        """Labels of the embedded clusters (excludes the outlier label)."""
-        return [f"cluster{i}" for i in range(self.spec.num_clusters)]
-
 
 def generate_clustered_database(
     spec: SyntheticSpec | None = None, **overrides: Any
@@ -167,32 +162,3 @@ def generate_two_cluster_toy(
     for encoded in cd.sample_many(size_per_cluster, length, rng=rng):
         db.add_sequence(alphabet.decode(encoded), label="cd")
     return db
-
-
-def inject_outliers(
-    db: SequenceDatabase,
-    fraction: float,
-    seed: int = 0,
-    avg_length: int | None = None,
-) -> SequenceDatabase:
-    """Return a copy of *db* with uniform-random outliers appended.
-
-    *fraction* is relative to the resulting database size — e.g. 0.10
-    makes outliers 10 % of the returned database, matching how the
-    paper states outlier percentages. Outlier lengths default to the
-    average length of *db*.
-    """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
-    rng = np.random.default_rng(seed)
-    # n_out / (n + n_out) = fraction  =>  n_out = n * fraction / (1 - fraction)
-    num_outliers = int(round(len(db) * fraction / (1.0 - fraction)))
-    mean_length = avg_length or max(2, int(round(db.average_length)))
-    noise = uniform_source(db.alphabet.size)
-
-    out = SequenceDatabase(db.alphabet)
-    for record in db:
-        out.add_record(record)
-    for encoded in noise.sample_many(num_outliers, mean_length, rng=rng):
-        out.add_sequence(db.alphabet.decode(encoded), label=OUTLIER_LABEL)
-    return out

@@ -15,7 +15,6 @@ low-count contexts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -59,12 +58,6 @@ class DecayPolicy:
             and batches_ingested > 0
             and batches_ingested % self.every_batches == 0
         )
-
-    def half_life_batches(self) -> float:
-        """Batches until a count's weight halves (``inf`` when disabled)."""
-        if not self.enabled:
-            return math.inf
-        return self.every_batches * math.log(0.5) / math.log(self.factor)
 
     def to_dict(self) -> dict[str, object]:
         return {

@@ -85,12 +85,6 @@ class TestEncoding:
         assert "a" in ab
         assert "z" not in ab
 
-    def test_is_valid(self):
-        ab = Alphabet("ab")
-        assert ab.is_valid("abba")
-        assert not ab.is_valid("abc")
-
-
 class TestEquality:
     def test_equal_alphabets(self):
         assert Alphabet("ab") == Alphabet("ab")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import similarity_bruteforce
 from repro.core.backends import (
     PstBatchScorer,
     flatten_pst,
@@ -35,7 +36,6 @@ from repro.core.similarity import (
     log_background,
     similarities,
     similarity,
-    similarity_bruteforce,
 )
 from repro.core.smoothing import default_p_min
 from repro.obs import MetricsRegistry, use_registry

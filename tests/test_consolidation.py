@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cluster import Cluster, Membership
-from repro.core.consolidation import consolidate, overlap_fraction
+from repro.core.consolidation import consolidate
 from repro.core.pst import ProbabilisticSuffixTree
 
 
@@ -106,26 +106,6 @@ class TestDissolvePass:
         b = cluster_with(1, [3, 4, 5, 6, 7])
         retained, removed = consolidate([a, b], min_unique_members=3)
         assert len(retained) == 2
-
-
-class TestOverlapFraction:
-    def test_disjoint(self):
-        a = cluster_with(0, [0, 1])
-        b = cluster_with(1, [2, 3])
-        assert overlap_fraction(a, b) == 0.0
-
-    def test_identical(self):
-        a = cluster_with(0, [0, 1])
-        b = cluster_with(1, [0, 1])
-        assert overlap_fraction(a, b) == 1.0
-
-    def test_partial(self):
-        a = cluster_with(0, [0, 1, 2])
-        b = cluster_with(1, [2, 3])
-        assert overlap_fraction(a, b) == pytest.approx(0.25)
-
-    def test_both_empty(self):
-        assert overlap_fraction(cluster_with(0, []), cluster_with(1, [])) == 0.0
 
 
 class TestLookupBound:

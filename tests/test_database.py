@@ -45,10 +45,6 @@ class TestViews:
     def test_encoded_matches_alphabet(self, tiny_db):
         assert tiny_db.encoded(0) == tiny_db.alphabet.encode(tiny_db[0].symbols)
 
-    def test_iter_encoded(self, tiny_db):
-        pairs = list(tiny_db.iter_encoded())
-        assert [i for i, _ in pairs] == [0, 1, 2, 3]
-
     def test_record_protocol(self, tiny_db):
         record = tiny_db[0]
         assert len(record) == 6

@@ -12,7 +12,6 @@ from repro.datasets.languages import (
 )
 from repro.datasets.protein import (
     PAPER_FAMILY_SIZES,
-    family_names,
     make_family_specs,
     make_protein_database,
 )
@@ -93,14 +92,6 @@ class TestProteinDatabase:
         a = make_protein_database(num_families=3, scale=0.03, seed=5)
         b = make_protein_database(num_families=3, scale=0.03, seed=5)
         assert [r.symbols for r in a] == [r.symbols for r in b]
-
-    def test_family_names_largest_first(self):
-        db = make_protein_database(num_families=4, scale=0.05, seed=0)
-        names = family_names(db)
-        counts = Counter(r.label for r in db)
-        sizes = [counts[n] for n in names]
-        assert sizes == sorted(sizes, reverse=True)
-
 
 class TestSentences:
     def test_lowercase_only(self, rng):

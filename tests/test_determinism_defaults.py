@@ -14,25 +14,6 @@ import numpy as np
 from repro.core.cluseq import ClusteringResult, CluseqParams
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.sequences.markov import random_markov_source
-from repro.sequences.mutations import block_shuffle, indels, point_mutations
-
-
-def test_point_mutations_rngless_is_deterministic():
-    encoded = list(range(8)) * 10
-    a = point_mutations(encoded, rate=0.5, alphabet_size=8)
-    b = point_mutations(encoded, rate=0.5, alphabet_size=8)
-    assert a == b
-    assert a != encoded  # rate 0.5 on 80 symbols: certain to differ
-
-
-def test_indels_rngless_is_deterministic():
-    encoded = list(range(6)) * 10
-    assert indels(encoded, 0.4, 6) == indels(encoded, 0.4, 6)
-
-
-def test_block_shuffle_rngless_is_deterministic():
-    encoded = list(range(40))
-    assert block_shuffle(encoded, 5) == block_shuffle(encoded, 5)
 
 
 def test_markov_sample_rngless_is_deterministic():

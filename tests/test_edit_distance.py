@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.baselines.edit_distance import (
     EditDistanceClusterer,
-    banded_edit_distance,
     edit_distance,
     normalized_edit_distance,
     pairwise_distance_matrix,
@@ -108,40 +107,6 @@ class TestClusterer:
             EditDistanceClusterer().fit_predict(db, 0)
         with pytest.raises(ValueError):
             EditDistanceClusterer().fit_predict(db, 3)
-
-
-class TestBanded:
-    def test_wide_band_equals_exact(self):
-        a = [0, 1, 2, 1, 0, 2]
-        b = [1, 1, 2, 0, 0]
-        assert banded_edit_distance(a, b, band=10) == edit_distance(a, b)
-
-    def test_band_zero_diagonal_only(self):
-        # Equal lengths: band 0 counts positionwise mismatches.
-        assert banded_edit_distance([0, 1, 2], [0, 2, 2], band=0) == 1
-
-    def test_length_difference_beyond_band(self):
-        assert banded_edit_distance([0] * 10, [0], band=2) == 10
-
-    def test_empty_inputs(self):
-        assert banded_edit_distance([], [], band=3) == 0
-        assert banded_edit_distance([0, 1], [], band=3) == 2
-
-    def test_negative_band_rejected(self):
-        with pytest.raises(ValueError):
-            banded_edit_distance([0], [1], band=-1)
-
-    def test_upper_bound_property(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            a = list(rng.integers(0, 3, size=int(rng.integers(0, 20))))
-            b = list(rng.integers(0, 3, size=int(rng.integers(0, 20))))
-            exact = edit_distance(a, b)
-            for band in (0, 1, 3, 40):
-                assert banded_edit_distance(a, b, band) >= exact
-            assert banded_edit_distance(a, b, 40) == exact
 
 
 sequences_strategy = st.lists(st.integers(0, 3), min_size=0, max_size=25)

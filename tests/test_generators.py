@@ -8,7 +8,6 @@ from repro.sequences.database import OUTLIER_LABEL
 from repro.sequences.generators import (
     SyntheticSpec,
     generate_clustered_database,
-    inject_outliers,
 )
 
 
@@ -52,7 +51,7 @@ class TestGenerateClusteredDatabase:
         ds = generate_clustered_database(num_sequences=20, num_clusters=2,
                                          avg_length=20, alphabet_size=4, seed=1)
         assert len(ds.sources) == 2
-        assert ds.cluster_labels == ["cluster0", "cluster1"]
+        assert set(ds.database.labels) - {OUTLIER_LABEL} == {"cluster0", "cluster1"}
 
     def test_reproducible(self):
         a = generate_clustered_database(num_sequences=20, num_clusters=2,
@@ -93,24 +92,3 @@ class TestToy:
                 assert ab_mass > len(record) / 2
             else:
                 assert ab_mass < len(record) / 2
-
-
-class TestInjectOutliers:
-    def test_fraction_of_result(self, toy_db):
-        out = inject_outliers(toy_db, 0.2, seed=3)
-        counts = Counter(out.labels)
-        assert counts[OUTLIER_LABEL] == 15  # 15 / 75 = 20%
-        assert len(out) == 75
-
-    def test_zero_fraction_copies(self, toy_db):
-        out = inject_outliers(toy_db, 0.0)
-        assert len(out) == len(toy_db)
-
-    def test_invalid_fraction(self, toy_db):
-        with pytest.raises(ValueError):
-            inject_outliers(toy_db, 1.0)
-
-    def test_original_untouched(self, toy_db):
-        before = len(toy_db)
-        inject_outliers(toy_db, 0.1)
-        assert len(toy_db) == before

@@ -41,13 +41,6 @@ class TestSimilarityDistribution:
         if dist.member_values.size and dist.non_member_values.size:
             assert dist.member_values.mean() > dist.non_member_values.mean()
 
-    def test_separation_margin(self, toy_db):
-        result = fitted(toy_db)
-        dist = similarity_distribution(result, toy_db)
-        margin = dist.separation_margin()
-        assert margin is None or np.isfinite(margin)
-
-
 class TestHistogramSeries:
     def test_series_shape(self, rng):
         values = rng.normal(0, 1, size=200).tolist()

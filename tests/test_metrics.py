@@ -180,9 +180,8 @@ class TestEvaluateClustering:
         assert report.num_predicted_outliers == 0
         assert report.macro_precision == 1.0
         assert report.macro_recall == 1.0
-        assert report.score_for("a").size == 3
-        with pytest.raises(KeyError):
-            report.score_for("zzz")
+        sizes = {s.family: s.size for s in report.family_scores}
+        assert sizes == {"a": 3, "b": 3}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -215,13 +215,6 @@ class TestMetricsRegistry:
         # non-finite floats serialize as null rather than crashing
         assert doc["inf{kind=weird}"]["value"] is None
 
-    def test_reset_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("x").inc()
-        registry.reset()
-        assert len(registry) == 0
-        assert registry.get("x") is None
-
     def test_contains(self):
         registry = MetricsRegistry()
         registry.counter("hit", side="l")

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import similarity_bruteforce
 from repro.core.cluseq import CluseqParams
 from repro.core.pruning import prune_to
 from repro.core.pst import APPROX_BYTES_PER_NODE, ProbabilisticSuffixTree
@@ -15,7 +16,6 @@ from repro.core.similarity import (
     log_symbol_ratios,
     similarities,
     similarity,
-    similarity_bruteforce,
 )
 from repro.sequences.generators import generate_clustered_database
 
@@ -565,7 +565,7 @@ class TestTransitionTable:
     Each test warms the table so that one entry points at a prediction
     node, changes the tree through one invalidation site so that the
     entry must move, and compares scores with the root-walk oracle
-    ``similarity_bruteforce``. Deleting the site's invalidation makes
+    ``similarity_bruteforce`` (``tests/oracles.py``). Deleting the site's invalidation makes
     the stale entry visible.
     """
 

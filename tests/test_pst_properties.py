@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import similarity_bruteforce
 from repro.core.pst import ProbabilisticSuffixTree
-from repro.core.similarity import similarity, similarity_bruteforce
+from repro.core.similarity import similarity
 
 sequences = st.lists(
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
@@ -170,7 +171,8 @@ def test_node_caches_stay_coherent(ops, probes, max_nodes, p_min, threshold):
     transition table track every mutation — insertion, merging, decay,
     budget pruning and (de)serialization: a warm tree scores exactly
     like a cold copy, and both agree with the root-walk oracle
-    ``similarity_bruteforce`` (a cold copy runs the table too)."""
+    ``similarity_bruteforce`` from ``tests/oracles.py`` (a cold copy
+    runs the table too)."""
     params = dict(
         alphabet_size=4, max_depth=3, significance_threshold=threshold,
         p_min=p_min, max_nodes=max_nodes,
@@ -208,7 +210,8 @@ def test_interleaved_absorb_and_score_match_bruteforce(
     """Seeded fit-like interleaving: absorbs (segments shorter and
     longer than ``max_depth``) between scorings, with decays, merges of
     closed and of pruned trees, and a reload of a tree that is not
-    closed. Every score agrees with ``similarity_bruteforce``."""
+    closed. Every score agrees with ``similarity_bruteforce``
+    (``tests/oracles.py``)."""
     params = dict(
         alphabet_size=4, max_depth=max_depth, significance_threshold=threshold,
         p_min=p_min, max_nodes=max_nodes,

@@ -1,7 +1,9 @@
 """Public API surface tests: everything README documents must import."""
 
+import glob
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -119,3 +121,53 @@ def test_docstrings_present():
 
     for cls in (CLUSEQ, Cluster, CluseqParams, ProbabilisticSuffixTree):
         assert cls.__doc__, f"{cls.__name__} missing docstring"
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", os.path.join("docs", "*.md")]
+
+
+def _documented_references() -> set[str]:
+    """Every backticked ``repro.<dotted>`` name in the docs, minus
+    schema names such as ``repro.bench/v1``."""
+    refs = set()
+    for pattern in DOCS:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as handle:
+                spans = re.findall(r"`([^`\n]+)`", handle.read())
+            for span in spans:
+                for match in re.finditer(r"(?<![\w.])(repro(?:\.\w+)+)(/v)?", span):
+                    if not match.group(2):
+                        refs.add(match.group(1))
+    return refs
+
+
+def _resolve(dotted: str) -> object:
+    """Import the longest module prefix of *dotted*, then ``getattr``
+    the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name != module:
+                raise
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def test_documented_references_resolve():
+    """A renamed or deleted name fails here, not in a reader's session."""
+    refs = _documented_references()
+    assert refs, "no repro.* references found in the docs"
+    missing = []
+    for ref in sorted(refs):
+        try:
+            _resolve(ref)
+        except (ImportError, AttributeError):
+            missing.append(ref)
+    assert not missing, f"docs name what does not exist: {missing}"

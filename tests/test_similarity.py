@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import similarity_bruteforce
 from repro.core.pruning import prune_to
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
     log_symbol_ratios,
-    segment_definition_similarity,
     similarities,
     similarity,
-    similarity_bruteforce,
-    whole_sequence_similarity,
 )
 from repro.obs import MetricsRegistry, use_registry
 
@@ -213,15 +211,6 @@ class TestPaperTable1:
         result = similarity(alternating_pst, seq, uniform_bg)
         assert result.log_similarity >= result.whole_sequence_log
 
-    def test_whole_sequence_similarity_function(
-        self, alternating_pst, uniform_bg
-    ):
-        seq = [0, 1, 0, 1]
-        expected = similarity(alternating_pst, seq, uniform_bg).whole_sequence_log
-        assert whole_sequence_similarity(
-            alternating_pst, seq, uniform_bg
-        ) == pytest.approx(math.exp(expected))
-
 
 class TestBestSegment:
     def test_best_segment_is_matching_region(self, alternating_pst, uniform_bg):
@@ -235,7 +224,7 @@ class TestBestSegment:
             1 for i in range(len(island) - 1) if island[i] != island[i + 1]
         )
         assert alternations >= len(island) - 2
-        assert result.best_segment_length >= 6
+        assert result.best_end - result.best_start >= 6
 
     def test_segment_bounds_valid(self, alternating_pst, uniform_bg):
         seq = [1, 0, 0, 1, 1, 0]
@@ -300,23 +289,6 @@ class TestNumericalSafety:
         assert math.isfinite(result.log_similarity)
         # Whole-sequence score collapses due to the unseen symbol.
         assert result.whole_sequence_log < -300
-
-
-class TestSegmentDefinition:
-    def test_at_least_best_single_position(self, alternating_pst, uniform_bg):
-        seq = [0, 1, 0, 1, 1]
-        value = segment_definition_similarity(alternating_pst, seq, uniform_bg)
-        # Literal Eq. 1 scores segment [i,i+1) with the *root* context,
-        # so compare against the root-context single-symbol scores.
-        singles = [
-            similarity(alternating_pst, [s], uniform_bg).whole_sequence_log
-            for s in seq
-        ]
-        assert value >= max(singles) - 1e-9
-
-    def test_empty_rejected(self, alternating_pst, uniform_bg):
-        with pytest.raises(ValueError):
-            segment_definition_similarity(alternating_pst, [], uniform_bg)
 
 
 class TestContextWalks:

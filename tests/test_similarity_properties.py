@@ -6,11 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import similarity_bruteforce
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
     log_symbol_ratios,
     similarity,
-    similarity_bruteforce,
 )
 
 training = st.lists(

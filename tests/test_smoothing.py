@@ -1,13 +1,11 @@
 """Tests for repro.core.smoothing — adjusted probability estimation."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.smoothing import (
     adjust_probability,
-    adjust_vector,
     default_p_min,
     validate_p_min,
 )
@@ -67,25 +65,6 @@ class TestAdjustProbability:
         )
 
 
-class TestAdjustVector:
-    def test_sums_preserved(self):
-        vec = np.array([0.7, 0.3, 0.0])
-        adjusted = adjust_vector(vec, 0.05)
-        assert np.isclose(adjusted.sum(), 1.0)
-        assert (adjusted >= 0.05 - 1e-12).all()
-
-    def test_zero_p_min_copy(self):
-        vec = np.array([0.5, 0.5])
-        adjusted = adjust_vector(vec, 0.0)
-        assert np.array_equal(adjusted, vec)
-        adjusted[0] = 0.0
-        assert vec[0] == 0.5  # original untouched
-
-    def test_invalid_p_min_for_vector(self):
-        with pytest.raises(ValueError):
-            adjust_vector(np.ones(4) / 4, 0.3)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=1.0),
@@ -101,18 +80,3 @@ def test_adjustment_properties(p, n, p_min):
     # Monotone: higher raw probability -> higher adjusted probability.
     higher = adjust_probability(min(1.0, p + 0.1), n, p_min)
     assert higher >= adjusted - 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=20),
-    st.floats(min_value=1e-6, max_value=0.009),
-)
-def test_vector_adjustment_preserves_total_mass(raw, p_min):
-    vec = np.asarray(raw)
-    total = vec.sum()
-    if total == 0:
-        return
-    vec = vec / total  # normalise
-    adjusted = adjust_vector(vec, p_min)
-    assert np.isclose(adjusted.sum(), 1.0, atol=1e-9)

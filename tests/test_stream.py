@@ -79,7 +79,6 @@ class TestDecayPolicy:
         policy = DecayPolicy()
         assert not policy.enabled
         assert not policy.due(10)
-        assert policy.half_life_batches() == float("inf")
 
     def test_due_fires_on_multiples_only(self):
         policy = DecayPolicy(factor=0.9, every_batches=4)
@@ -92,10 +91,6 @@ class TestDecayPolicy:
             DecayPolicy(factor=1.1, every_batches=1)
         with pytest.raises(ValueError):
             DecayPolicy(factor=0.5, every_batches=1, min_count=0)
-
-    def test_half_life(self):
-        policy = DecayPolicy(factor=0.5, every_batches=3)
-        assert policy.half_life_batches() == pytest.approx(3.0)
 
     def test_dict_roundtrip(self):
         policy = DecayPolicy(factor=0.8, every_batches=5, min_count=2)
@@ -563,6 +558,9 @@ def test_assignments_share_one_frozenset_per_cluster(stream, tmp_path):
     recovered = StreamingCluseq.recover(state_dir)
     recovered.close()
     assert result_to_dict(recovered.result) == result_to_dict(engine.result)
+    # The load interns: one object per distinct id set, as live.
+    loaded = recovered.result.assignments.values()
+    assert len({id(ids) for ids in loaded}) == len(set(loaded)) == len(shared)
 
     # A dismissal gives the dismissed cluster's members new empty sets
     # and leaves every other shared set as it was.
