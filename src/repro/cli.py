@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="PST count decay multiplier per decay event (1.0 = off)",
     )
     stream.add_argument("--decay-every", type=int, default=0, metavar="BATCHES")
-    stream.add_argument("--adjust-every", type=int, default=0, metavar="BATCHES")
     stream.add_argument("--consolidate-every", type=int, default=16, metavar="BATCHES")
     stream.add_argument(
         "-t", "--threshold", type=float, default=1.2,
@@ -443,7 +442,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         reseed_every=args.reseed_every,
         reseed_k=args.reseed_k,
         consolidate_every=args.consolidate_every,
-        adjust_every=args.adjust_every,
         decay=DecayPolicy(
             factor=args.decay_factor, every_batches=args.decay_every
         ),
@@ -458,20 +456,26 @@ def _command_stream(args: argparse.Namespace) -> int:
         engine = _recover_or_report(args.state_dir)
         if engine is None:
             return 2
-    elif args.model:
-        result, alphabet = load_result_with_alphabet(args.model)
-        engine = StreamingCluseq(
-            result, config=config, alphabet=alphabet, state_dir=args.state_dir
-        )
-    elif args.alphabet:
-        engine = StreamingCluseq.cold_start(
-            alphabet=Alphabet(args.alphabet),
-            similarity_threshold=args.threshold,
-            significance_threshold=args.significance,
-            max_depth=args.max_depth,
-            config=config,
-            state_dir=args.state_dir,
-        )
+    elif args.model or args.alphabet:
+        try:
+            if args.model:
+                result, alphabet = load_result_with_alphabet(args.model)
+                engine = StreamingCluseq(
+                    result, config=config, alphabet=alphabet,
+                    state_dir=args.state_dir,
+                )
+            else:
+                engine = StreamingCluseq.cold_start(
+                    alphabet=Alphabet(args.alphabet),
+                    similarity_threshold=args.threshold,
+                    significance_threshold=args.significance,
+                    max_depth=args.max_depth,
+                    config=config,
+                    state_dir=args.state_dir,
+                )
+        except FileExistsError as exc:
+            print(f"error: {exc}; pass --resume to continue it", file=sys.stderr)
+            return 2
     else:
         print(
             "pass --model, --alphabet, or --resume with --state-dir",

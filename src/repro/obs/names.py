@@ -139,7 +139,6 @@ SPANS: frozenset[str] = frozenset(
         "stream.score",
         "stream.decay",
         "stream.reseed",
-        "stream.adjust_threshold",
         "stream.consolidate",
         "stream.checkpoint",
         # Sharded streaming coordinator (repro.shard).

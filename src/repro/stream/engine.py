@@ -20,10 +20,11 @@ Periodic maintenance (all on deterministic batch-counter schedules):
 * **re-seed** — spawn up to ``reseed_k`` clusters from the outlier
   pool (§4.1 min-max selection), then rescue remaining pool members
   that now clear the threshold against the new models;
-* **threshold adjustment** — §4.6's valley rule over a rolling window
-  of recent log-similarities;
 * **consolidation** — §4.5 dismissal of covered clusters;
 * **checkpoint** — durable snapshot (see below).
+
+The join threshold is the wrapped model's: the cold-start ``t`` or a
+fitted result's ``final_log_threshold``. No stream phase moves it.
 
 Durability: with a ``state_dir`` every ingested batch is first
 appended to a write-ahead :mod:`journal <repro.stream.journal>` and
@@ -54,7 +55,6 @@ from ..core.consolidation import consolidate, drop_dismissed
 from ..core.persistence import result_from_dict, result_to_dict
 from ..core.seeding import select_seeds
 from ..core.similarity import check_sequence, score_row
-from ..core.threshold import blend_log_threshold, find_valley
 from ..obs import (
     get_logger,
     get_registry,
@@ -80,12 +80,11 @@ _logger = get_logger("stream.engine")
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: Histogram resolution for the rolling-window valley estimate.
-_ADJUST_BUCKETS = 100
-
 #: Config keys older checkpoints still carry; they are dropped on
 #: load. Any other unknown key still fails.
-RETIRED_KEYS = frozenset({"backend", "valley_method"})
+RETIRED_KEYS = frozenset(
+    {"backend", "valley_method", "adjust_every", "score_window", "sample_multiplier"}
+)
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,8 @@ class StreamConfig:
     reseed_every: int = 4
     reseed_k: int = 2
     reseed_min_pool: int = 8
-    sample_multiplier: int = 5
     consolidate_every: int = 16
     min_unique_members: int = 1
-    adjust_every: int = 0
-    score_window: int = 2048
     decay: DecayPolicy = field(default_factory=DecayPolicy)
     checkpoint_every: int = 0
     journal_fsync: bool = True
@@ -122,34 +118,14 @@ class StreamConfig:
             raise ValueError("reseed_k must be at least 1")
         if self.reseed_min_pool < 1:
             raise ValueError("reseed_min_pool must be at least 1")
-        if self.sample_multiplier < 1:
-            raise ValueError("sample_multiplier must be at least 1")
         if self.min_unique_members < 0:
             raise ValueError("min_unique_members must be non-negative")
-        if self.score_window < 2:
-            raise ValueError("score_window must be at least 2")
-        for name in ("reseed_every", "consolidate_every", "adjust_every",
-                     "checkpoint_every"):
+        for name in ("reseed_every", "consolidate_every", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "batch_size": self.batch_size,
-            "pool_size": self.pool_size,
-            "reseed_every": self.reseed_every,
-            "reseed_k": self.reseed_k,
-            "reseed_min_pool": self.reseed_min_pool,
-            "sample_multiplier": self.sample_multiplier,
-            "consolidate_every": self.consolidate_every,
-            "min_unique_members": self.min_unique_members,
-            "adjust_every": self.adjust_every,
-            "score_window": self.score_window,
-            "decay": self.decay.to_dict(),
-            "checkpoint_every": self.checkpoint_every,
-            "journal_fsync": self.journal_fsync,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "StreamConfig":
@@ -267,7 +243,10 @@ class StreamingCluseq:
         Directory for the write-ahead journal and checkpoints. ``None``
         runs fully in-memory (no durability). A fresh directory gets an
         initial batch-0 checkpoint immediately, so :meth:`recover`
-        always has a baseline to replay from.
+        always has a baseline to replay from. A directory that already
+        holds a checkpoint or a journal belongs to another run: it
+        raises ``FileExistsError`` before anything is written, and only
+        :meth:`recover` attaches to it.
     """
 
     def __init__(
@@ -280,9 +259,7 @@ class StreamingCluseq:
         self.result = result
         self.config = config if config is not None else StreamConfig()
         self.alphabet = alphabet
-        self.state_dir = os.fspath(state_dir) if state_dir is not None else None
         self._pool = OutlierPool(self.config.pool_size)
-        self._recent_scores: list[float] = []
         self._counts = _Counters(
             next_cluster_id=(
                 max((c.cluster_id for c in result.clusters), default=-1) + 1
@@ -294,14 +271,27 @@ class StreamingCluseq:
         # Allocated lazily, only while a span exporter is installed.
         self._trace_id: str | None = None
         self._pst_factory = result.params.pst_factory(len(result.background))
+        self.state_dir: str | None = None
         self._journal: StreamJournal | None = None
-        if self.state_dir is not None:
-            os.makedirs(self.state_dir, exist_ok=True)
-            self._journal = StreamJournal(
-                journal_path(self.state_dir), fsync=self.config.journal_fsync
-            )
-            if not os.path.exists(checkpoint_path(self.state_dir)):
-                self.checkpoint()
+        if state_dir is not None:
+            for path in (checkpoint_path(state_dir), journal_path(state_dir)):
+                if os.path.exists(path):
+                    raise FileExistsError(
+                        f"state directory {os.fspath(state_dir)} already "
+                        f"holds stream state ({os.path.basename(path)})"
+                    )
+            self._attach(state_dir)
+
+    def _attach(self, state_dir: PathLike) -> None:
+        """Journal to *state_dir*, checkpointing first when it holds
+        no checkpoint yet."""
+        self.state_dir = os.fspath(state_dir)
+        os.makedirs(self.state_dir, exist_ok=True)
+        self._journal = StreamJournal(
+            journal_path(self.state_dir), fsync=self.config.journal_fsync
+        )
+        if not os.path.exists(checkpoint_path(self.state_dir)):
+            self.checkpoint()
 
     # -- construction ------------------------------------------------------------
 
@@ -377,7 +367,6 @@ class StreamingCluseq:
                 result_from_dict(state["result"]),
                 config=config,
                 alphabet=Alphabet(symbols) if symbols else None,
-                state_dir=state_dir,
             )
             counters = state["counters"]
             pooled = [(int(i), [int(s) for s in seq]) for i, seq in state["pool"]]
@@ -390,12 +379,11 @@ class StreamingCluseq:
             engine._counts = _Counters(
                 **{f.name: int(counters[f.name]) for f in fields(_Counters)}
             )
-            engine.result.final_log_threshold = float(state["log_threshold"])
-            engine._recent_scores = [float(x) for x in state["recent_scores"]]
         except KeyError as exc:
             raise CheckpointError(f"{target}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{target}: unusable state: {exc}") from exc
+        engine._attach(state_dir)
         checkpoint_batches = engine._counts.batches
         journal = journal_path(state_dir)
         records = journal_batches_after(journal, after=checkpoint_batches)
@@ -522,10 +510,6 @@ class StreamingCluseq:
     ) -> int | None:
         """The incremental §4.2–§4.4 join rule for one stream sequence,
         given its :func:`~repro.core.similarity.score_row` row."""
-        if self.config.adjust_every > 0:
-            self._recent_scores.extend(logs)
-            if len(self._recent_scores) > self.config.score_window:
-                del self._recent_scores[: -self.config.score_window]
         cluster = join_best(
             index, encoded, self.result.clusters, logs, bounds, self.log_threshold
         )
@@ -555,9 +539,6 @@ class StreamingCluseq:
                 if reseed_span.span_id is not None:
                     reseed_span.set_attr("spawned", spawned)
                     reseed_span.set_attr("rescued", rescued)
-        if config.adjust_every > 0 and batches % config.adjust_every == 0:
-            with span("stream.adjust_threshold"):
-                self._adjust_threshold()
         if (
             config.consolidate_every > 0
             and batches % config.consolidate_every == 0
@@ -606,7 +587,7 @@ class StreamingCluseq:
             existing_clusters=self.result.clusters,
             background=self.result.background,
             count=min(config.reseed_k, len(candidates)),
-            sample_multiplier=config.sample_multiplier,
+            sample_multiplier=self.result.params.sample_multiplier,
             rng=rng,
             pst_factory=self._pst_factory,
         )
@@ -662,18 +643,6 @@ class StreamingCluseq:
             )
         return len(spawned), rescued
 
-    def _adjust_threshold(self) -> None:
-        """§4.6 valley blend over the rolling score window."""
-        if len(self._recent_scores) < _ADJUST_BUCKETS:
-            return
-        valley = find_valley(self._recent_scores, buckets=_ADJUST_BUCKETS)
-        if valley is None:
-            return
-        new_log_t = blend_log_threshold(self.log_threshold, valley.log_threshold)
-        if abs(new_log_t - self.log_threshold) < 1e-12:
-            return
-        self.result.final_log_threshold = new_log_t
-
     def _consolidate(self) -> None:
         _, removed = consolidate(
             list(self.result.clusters), self.config.min_unique_members
@@ -716,8 +685,6 @@ class StreamingCluseq:
             "config": self.config.to_dict(),
             "result": result_to_dict(self.result, self.alphabet),
             "pool": self._pool.to_list(),
-            "recent_scores": list(self._recent_scores),
-            "log_threshold": self.log_threshold,
             # ``outliers`` and ``next_index`` are derived and
             # ``pool_evicted`` is the pool's; they stay in the record
             # for readers of older builds.

@@ -5,7 +5,11 @@ The committed directory was written by the build at commit ``5548a20``.
 ``tests/test_stream_recovery.py::TestPinnedStateDir`` recovers it with
 the current build, finishes the stream and compares the result with an
 uninterrupted run, so a change to what a checkpoint holds or how
-recovery reads it fails there. Rewrite the fixture only on purpose,
+recovery reads it fails there. It was written with the stream's
+rolling threshold adjuster on, so its config carries keys now in
+``RETIRED_KEYS`` and its checkpoint a score window; recovery ignores
+them. The threshold had not moved by then, so the fixture also pins a
+run without the adjuster. Rewrite the fixture only on purpose,
 when the on-disk format changes; from the repository root::
 
     PYTHONPATH=src python tests/golden/make_stream_state.py
@@ -42,7 +46,6 @@ CONFIG = StreamConfig(
     reseed_min_pool=6,
     consolidate_every=4,
     min_unique_members=2,
-    adjust_every=5,
     decay=DecayPolicy(factor=0.9, every_batches=3),
     checkpoint_every=3,
     journal_fsync=False,

@@ -295,6 +295,30 @@ class TestStreamCommand:
         # 120 sequences per pass is 8 batches each.
         assert re.search(r"^batches\s+16\s*$", out, re.MULTILINE)
 
+    def test_fresh_run_on_a_used_state_dir_fails_cleanly(
+        self, stream_file, tmp_path, capsys
+    ):
+        """A run without --resume does not append to another run's
+        journal: it exits 2 with one line and writes nothing."""
+        state_dir = tmp_path / "state"
+        args = [
+            "stream", stream_file,
+            "--alphabet", "abcdef",
+            "--state-dir", str(state_dir),
+            "-t", "10", "-c", "3", "--max-depth", "4",
+        ]
+        assert main(args) == 0
+        before = {path.name: path.read_bytes() for path in state_dir.iterdir()}
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "--resume" in err
+        assert {
+            path.name: path.read_bytes() for path in state_dir.iterdir()
+        } == before
+
     def test_resume_missing_state_dir_fails_cleanly(
         self, stream_file, tmp_path, capsys
     ):

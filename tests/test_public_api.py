@@ -171,3 +171,41 @@ def test_documented_references_resolve():
         except (ImportError, AttributeError):
             missing.append(ref)
     assert not missing, f"docs name what does not exist: {missing}"
+
+
+#: Backticked file names the docs use as examples of a run's output,
+#: not as files of the repository.
+EXAMPLE_OUTPUT_FILES = {"checkpoint.json", "journal.jsonl", "model.json"}
+
+#: Where a documented path may be rooted: the repository, the source
+#: tree (``repro/...``), the package (``core/...``) and the benchmarks.
+PATH_BASES = ["", "src", os.path.join("src", "repro"), "benchmarks"]
+
+_FILE_PATH = re.compile(
+    r"([\w.-]+(?:/[\w.-]+)*\.(?:py|md|json|jsonl|toml|ya?ml|txt|cfg|sh))"
+    r"(?:::[\w:\[\]-]*|:\d[\d–-]*)?"
+)
+
+
+def test_documented_file_paths_exist():
+    """Every backticked file path in the docs (a pytest id's or line
+    reference's file included) names a file that exists, relative to
+    one of ``PATH_BASES`` or to the document itself."""
+    checked = 0
+    missing = []
+    for pattern in DOCS:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as handle:
+                spans = re.findall(r"`([^`\n]+)`", handle.read())
+            bases = [os.path.join(ROOT, base) for base in PATH_BASES]
+            bases.append(os.path.dirname(path))
+            for span in spans:
+                match = _FILE_PATH.fullmatch(span)
+                if match is None or match.group(1) in EXAMPLE_OUTPUT_FILES:
+                    continue
+                checked += 1
+                name = match.group(1)
+                if not any(os.path.exists(os.path.join(b, name)) for b in bases):
+                    missing.append(f"{os.path.relpath(path, ROOT)}: {name}")
+    assert checked, "no file paths found in the docs"
+    assert not missing, f"docs name files that do not exist: {missing}"

@@ -323,13 +323,17 @@ class TestStreamConfig:
             StreamConfig(reseed_every=-1)
 
     def test_dict_roundtrip(self):
-        config = quick_config(
-            decay=DecayPolicy(factor=0.9, every_batches=4), adjust_every=6
-        )
+        config = quick_config(decay=DecayPolicy(factor=0.9, every_batches=4))
         assert StreamConfig.from_dict(config.to_dict()) == config
-        # Older checkpoints carry retired ``backend`` and
-        # ``valley_method`` keys; they are dropped on load.
-        legacy = {**config.to_dict(), "backend": "reference", "valley_method": "otsu"}
+        # Older checkpoints carry retired keys; they are dropped on load.
+        legacy = {
+            **config.to_dict(),
+            "backend": "reference",
+            "valley_method": "otsu",
+            "adjust_every": 5,
+            "score_window": 2048,
+            "sample_multiplier": 5,
+        }
         assert StreamConfig.from_dict(legacy) == config
         with pytest.raises(TypeError, match="nonsense"):
             StreamConfig.from_dict({**config.to_dict(), "nonsense": 1})
@@ -458,8 +462,10 @@ ALPHABET_SIZE = 8
 
 #: sha256 prefix of the per-batch assignments of a maintained run over
 #: the ``stream`` fixture, by batch size. These pin the stream's §4.2
-#: decisions (join, absorb, pool, re-seed, decay, adjust, consolidate).
-ASSIGNMENT_DIGESTS = {1: "e775731454c06c9d", 32: "c27b8ac6053bd41c"}
+#: decisions (join, absorb, pool, re-seed, decay, consolidate). Batch
+#: size 1 was recorded on the last build with a stream threshold
+#: adjuster, switched off.
+ASSIGNMENT_DIGESTS = {1: "230daeca81926b12", 32: "c27b8ac6053bd41c"}
 
 
 @pytest.fixture(scope="module")
@@ -477,7 +483,6 @@ def maintained_config(batch_size):
         reseed_k=2,
         reseed_min_pool=5,
         consolidate_every=8,
-        adjust_every=5,
         decay=DecayPolicy(factor=0.9, every_batches=6),
         seed=3,
     )
@@ -532,9 +537,9 @@ def test_maintained_stream_assignments_are_pinned(stream, batch_size):
 
 
 #: sha256 prefix of ``result_to_dict`` after the maintained run over the
-#: ``stream`` fixture in batches of 32, recorded while every join still
-#: stored a fresh ``set``.
-RESULT_DIGEST = "24956e6abc896555"
+#: ``stream`` fixture in batches of 32, recorded on the last build with
+#: a stream threshold adjuster, switched off.
+RESULT_DIGEST = "1dbf0f3ce8d404ba"
 
 
 def result_digest(result):

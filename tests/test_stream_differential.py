@@ -118,7 +118,6 @@ def warm_model(stream):
             reseed_k=2,
             reseed_min_pool=5,
             consolidate_every=8,
-            adjust_every=5,
             decay=DecayPolicy(factor=0.9, every_batches=6),
             seed=3,
         ),

@@ -49,7 +49,6 @@ def make_config(**kwargs):
     kwargs.setdefault("reseed_k", 2)
     kwargs.setdefault("reseed_min_pool", 6)
     kwargs.setdefault("consolidate_every", 8)
-    kwargs.setdefault("adjust_every", 5)
     kwargs.setdefault("decay", DecayPolicy(factor=0.9, every_batches=6))
     kwargs.setdefault("checkpoint_every", 4)
     kwargs.setdefault("seed", 3)
@@ -178,8 +177,7 @@ class TestCrashAtEveryBoundary:
         )
 
     #: Eight batches of 10 cross every cadence: checkpoints at batches
-    #: 3 and 6, reseeds every 2, threshold adjustment at 5, decay at 6
-    #: and §4.5 consolidation at 8.
+    #: 3 and 6, reseeds every 2, decay at 6 and §4.5 consolidation at 8.
     CONFIG = make_config(batch_size=10, pool_size=64, checkpoint_every=3)
 
     def recover_and_finish(self, state_dir, sequences):
@@ -304,6 +302,73 @@ class TestRejectedBatch:
             json.dump(state, handle)
         with pytest.raises(CheckpointError, match="symbol id -1"):
             StreamingCluseq.recover(state_dir)
+
+
+class TestStateDirBelongsToOneRun:
+    """A new engine refuses a state dir that holds another run's state,
+    before it writes anything; only ``recover`` attaches to it."""
+
+    @pytest.mark.parametrize("second_batches", [2, 4])
+    def test_fresh_engine_refuses_a_used_state_dir(
+        self, stream, tmp_path, second_batches
+    ):
+        config = make_config(batch_size=10, checkpoint_every=3)
+        state_dir = tmp_path / "state"
+        with make_engine(config, state_dir=state_dir) as first:
+            feed_whole_batches(first, stream.sequences[:70])
+        expected = full_state(first)
+        before = {path.name: path.read_bytes() for path in state_dir.iterdir()}
+
+        second_run = stream.sequences[200 : 200 + 10 * second_batches]
+        with pytest.raises(FileExistsError, match="already holds stream state"):
+            with make_engine(config, state_dir=state_dir) as second:
+                feed_whole_batches(second, second_run)
+        assert {
+            path.name: path.read_bytes() for path in state_dir.iterdir()
+        } == before
+        recovered = StreamingCluseq.recover(state_dir)
+        recovered.close()
+        assert full_state(recovered) == expected
+
+    def test_journal_alone_is_refused(self, tmp_path):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        (state_dir / "journal.jsonl").write_text("")
+        with pytest.raises(FileExistsError, match=r"journal\.jsonl"):
+            make_engine(make_config(), state_dir=state_dir)
+        assert [path.name for path in state_dir.iterdir()] == ["journal.jsonl"]
+
+
+class TestRetiredCheckpointKeys:
+    def test_threshold_survives_replay_and_later_batches(self, stream, tmp_path):
+        """A checkpoint of a build with the rolling threshold adjuster
+        recovers, and its ``t`` is the one the stream keeps scoring
+        with."""
+        config = make_config(batch_size=10, checkpoint_every=3)
+        state_dir = tmp_path / "state"
+        with make_engine(config, state_dir=state_dir) as engine:
+            feed_whole_batches(engine, stream.sequences[:40])
+        target = checkpoint_path(state_dir)
+        with open(target, encoding="utf-8") as handle:
+            state = json.load(handle)
+        assert state["journal_batches"] == 3
+        state["config"].update(
+            adjust_every=5, score_window=2048, sample_multiplier=5
+        )
+        state["recent_scores"] = [0.5, 1.5, 2.5]
+        state["log_threshold"] = 3.0
+        state["result"]["final_log_threshold"] = 3.0
+        with open(target, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+
+        recovered = StreamingCluseq.recover(state_dir)
+        assert recovered.batches_ingested == 4
+        assert recovered.log_threshold == 3.0
+        with recovered:
+            feed_whole_batches(recovered, stream.sequences[40:70])
+        assert recovered.batches_ingested == 7
+        assert recovered.log_threshold == 3.0
+        assert recovered.stats().log_threshold == 3.0
 
 
 class TestPinnedStateDir:
