@@ -18,8 +18,9 @@ Periodic maintenance (all on deterministic batch-counter schedules):
   :class:`~repro.stream.decay.DecayPolicy`, so models track concept
   drift instead of fossilizing;
 * **re-seed** — spawn up to ``reseed_k`` clusters from the outlier
-  pool (§4.1 min-max selection), then rescue remaining pool members
-  that now clear the threshold against the new models;
+  pool one at a time (§4.1 min-max selection), rescuing the pool
+  members that clear the threshold against each new model before the
+  next seed is drawn;
 * **consolidation** — §4.5 dismissal of covered clusters;
 * **checkpoint** — durable snapshot (see below).
 
@@ -188,7 +189,9 @@ class StreamStats:
 @dataclass
 class _Counters:
     """An engine's running counts. A checkpoint stores them under
-    their field names, and recovery reads them back the same way."""
+    their field names, and recovery reads them back the same way; it
+    ignores other keys, such as the derived ``outliers`` and
+    ``next_index`` that older builds wrote."""
 
     batches: int = 0
     sequences: int = 0
@@ -571,62 +574,32 @@ class StreamingCluseq:
             )
 
     def _reseed(self) -> tuple[int, int]:
-        """Spawn new clusters from the outlier pool (§4.1 seeding).
+        """Spawn up to ``reseed_k`` clusters from the outlier pool, one
+        at a time (§4.1 seeding, §4.2 re-examination).
 
-        The RNG is derived from ``(config.seed, batch counter)`` so a
-        replayed run draws the identical sample regardless of where
-        the last checkpoint fell. Returns ``(spawned, rescued)`` counts
-        for the enclosing span's attributes.
+        Each step draws one seed from the current pool, spawns its
+        cluster, and moves every pool member that clears the threshold
+        against it into it (the rescue) before the next draw, so a
+        later seed does not come from a source that an earlier cluster
+        of the round already models. That matters because the stream
+        joins best-only: two clusters of one source would share no
+        member, and §4.5 could never merge them. The round stops early
+        when the pool empties.
+
+        The RNG is derived from ``(config.seed, batch counter)`` and
+        shared by the round's draws, so a replayed run draws the
+        identical samples regardless of where the last checkpoint fell.
+        Returns ``(spawned, rescued)`` counts for the enclosing span's
+        attributes.
         """
-        config = self.config
-        rng = np.random.default_rng([config.seed, self._counts.batches])
-        candidates = self._pool.indices()
-        choices = select_seeds(
-            candidates=candidates,
-            encoded_lookup=self._pool.get,
-            existing_clusters=self.result.clusters,
-            background=self.result.background,
-            count=min(config.reseed_k, len(candidates)),
-            sample_multiplier=self.result.params.sample_multiplier,
-            rng=rng,
-            pst_factory=self._pst_factory,
-        )
+        rng = np.random.default_rng([self.config.seed, self._counts.batches])
         log_bg = self.result.log_background()
         spawned: list[Cluster] = []
-        for choice in choices:
-            encoded = self._pool.get(choice.sequence_index)
-            cluster = Cluster(
-                cluster_id=self._counts.next_cluster_id,
-                pst=choice.pst,
-                seed_index=choice.sequence_index,
-                created_at_iteration=self._counts.batches,
-            )
-            self._counts.next_cluster_id += 1
-            (log_sim,), (start, end) = score_row([choice.pst], encoded, log_bg)
-            cluster.set_member(Membership(choice.sequence_index, log_sim, start, end))
-            self.result.clusters.append(cluster)
-            self.result.record_join(choice.sequence_index, cluster.cluster_id)
-            self._pool.remove(choice.sequence_index)
-            self._counts.absorbed += 1
-            self._counts.clusters_spawned += 1
-            spawned.append(cluster)
         rescued = 0
-        if spawned:
-            # Rescue pass: pool members that clear the threshold against
-            # a freshly spawned model join it immediately, so one drift
-            # event does not need k separate re-seed rounds to drain.
-            trees = [cluster.pst for cluster in spawned]
-            for index, encoded in self._pool:
-                logs, bounds = score_row(trees, encoded, log_bg)
-                joined = join_best(
-                    index, encoded, spawned, logs, bounds, self.log_threshold
-                )
-                if joined is None:
-                    continue
-                self.result.record_join(index, joined.cluster_id)
-                self._pool.remove(index)
-                self._counts.absorbed += 1
-                rescued += 1
+        while len(spawned) < self.config.reseed_k and len(self._pool):
+            cluster = self._spawn(rng, log_bg)
+            spawned.append(cluster)
+            rescued += self._rescue(cluster, log_bg)
         registry = get_registry()
         if registry.enabled:
             registry.counter("stream.pool_rescued").inc(rescued)
@@ -642,6 +615,52 @@ class StreamingCluseq:
                 },
             )
         return len(spawned), rescued
+
+    def _spawn(self, rng: np.random.Generator, log_bg: list[float]) -> Cluster:
+        """Draw one §4.1 seed from the (non-empty) pool and make it a
+        cluster of its own."""
+        (choice,) = select_seeds(
+            candidates=self._pool.indices(),
+            encoded_lookup=self._pool.get,
+            existing_clusters=self.result.clusters,
+            background=self.result.background,
+            count=1,
+            sample_multiplier=self.result.params.sample_multiplier,
+            rng=rng,
+            pst_factory=self._pst_factory,
+        )
+        index = choice.sequence_index
+        cluster = Cluster(
+            cluster_id=self._counts.next_cluster_id,
+            pst=choice.pst,
+            seed_index=index,
+            created_at_iteration=self._counts.batches,
+        )
+        self._counts.next_cluster_id += 1
+        (log_sim,), (start, end) = score_row([choice.pst], self._pool.get(index), log_bg)
+        cluster.set_member(Membership(index, log_sim, start, end))
+        self.result.clusters.append(cluster)
+        self.result.record_join(index, cluster.cluster_id)
+        self._pool.remove(index)
+        self._counts.absorbed += 1
+        self._counts.clusters_spawned += 1
+        return cluster
+
+    def _rescue(self, cluster: Cluster, log_bg: list[float]) -> int:
+        """Move every pool member that clears the threshold against the
+        freshly spawned *cluster* into it; returns how many moved."""
+        rescued = 0
+        for index, encoded in self._pool:
+            logs, bounds = score_row([cluster.pst], encoded, log_bg)
+            joined = join_best(
+                index, encoded, [cluster], logs, bounds, self.log_threshold
+            )
+            if joined is not None:
+                self.result.record_join(index, cluster.cluster_id)
+                self._pool.remove(index)
+                self._counts.absorbed += 1
+                rescued += 1
+        return rescued
 
     def _consolidate(self) -> None:
         _, removed = consolidate(
@@ -685,15 +704,7 @@ class StreamingCluseq:
             "config": self.config.to_dict(),
             "result": result_to_dict(self.result, self.alphabet),
             "pool": self._pool.to_list(),
-            # ``outliers`` and ``next_index`` are derived and
-            # ``pool_evicted`` is the pool's; they stay in the record
-            # for readers of older builds.
-            "counters": {
-                **asdict(counts),
-                "next_index": self.result.next_sequence_index(),
-                "outliers": counts.outliers,
-                "pool_evicted": self._pool.evicted,
-            },
+            "counters": {**asdict(counts), "pool_evicted": self._pool.evicted},
         }
         nbytes = write_checkpoint(checkpoint_path(self.state_dir), state)
         if _logger.isEnabledFor(20):  # logging.INFO

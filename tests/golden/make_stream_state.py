@@ -3,14 +3,17 @@ the checkpoint and journal format across builds.
 
 The committed directory was written by the build at commit ``5548a20``.
 ``tests/test_stream_recovery.py::TestPinnedStateDir`` recovers it with
-the current build, finishes the stream and compares the result with an
-uninterrupted run, so a change to what a checkpoint holds or how
-recovery reads it fails there. It was written with the stream's
-rolling threshold adjuster on, so its config carries keys now in
-``RETIRED_KEYS`` and its checkpoint a score window; recovery ignores
-them. The threshold had not moved by then, so the fixture also pins a
-run without the adjuster. Rewrite the fixture only on purpose,
-when the on-disk format changes; from the repository root::
+the current build and checks that replaying its journal from the
+checkpoint ends where ingesting the same batches live from that
+checkpoint ends, so a change to what a checkpoint holds or how recovery
+reads it fails there. It was written with the stream's rolling
+threshold adjuster on, so its config carries keys now in
+``RETIRED_KEYS``, its checkpoint a score window and the derived
+``outliers`` and ``next_index`` counters; recovery ignores them. That
+build drew all of a re-seed round's seeds before any rescue, so a run
+from batch 0 with the current build no longer reproduces the
+checkpointed state. Rewrite the fixture only on purpose, when the
+on-disk format changes; from the repository root::
 
     PYTHONPATH=src python tests/golden/make_stream_state.py
 

@@ -116,16 +116,18 @@ class TestRepeatRunDeterminism:
         assert run_sharded(shards, stream) == run_sharded(shards, stream)
 
 
-#: ``(sequences, drift_at, seed)`` of the pinned stream.
-PINNED_STREAM = (300, 150, 5)
+#: ``(sequences, drift_at, seed)`` of the pinned stream: the first seed
+#: from 5 up on which every shard count plans a chained merge under the
+#: one-seed-at-a-time re-seed rule (1, 4 and 4 of them).
+PINNED_STREAM = (300, 150, 11)
 
 #: Full-state digests (every shard's result, pool and stats, plus the
-#: coordinator's stats) of :func:`run_pinned`, recorded on the last
-#: build with a stream threshold adjuster, switched off.
+#: coordinator's stats) of :func:`run_pinned`, recorded with the
+#: one-seed-at-a-time re-seed rule.
 PINNED_DIGESTS = {
-    2: "3d63dbe61f4bec11",
-    3: "3bd9fb70f7f60c8e",
-    4: "2904b698c752c7ff",
+    2: "382637235d10e1e2",
+    3: "571de39d62d540a4",
+    4: "398e448edbe44c30",
 }
 
 

@@ -1,11 +1,13 @@
 """Unit tests for the streaming subsystem (``repro.stream``)."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.core.persistence import result_to_dict
+from repro.core.similarity import score_row
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream import (
     STREAM_FORMAT,
@@ -462,10 +464,9 @@ ALPHABET_SIZE = 8
 
 #: sha256 prefix of the per-batch assignments of a maintained run over
 #: the ``stream`` fixture, by batch size. These pin the stream's §4.2
-#: decisions (join, absorb, pool, re-seed, decay, consolidate). Batch
-#: size 1 was recorded on the last build with a stream threshold
-#: adjuster, switched off.
-ASSIGNMENT_DIGESTS = {1: "230daeca81926b12", 32: "c27b8ac6053bd41c"}
+#: decisions (join, absorb, pool, re-seed, decay, consolidate),
+#: recorded with the one-seed-at-a-time re-seed rule.
+ASSIGNMENT_DIGESTS = {1: "aac27499030653bb", 32: "41bbe0d7b33b5b63"}
 
 
 @pytest.fixture(scope="module")
@@ -537,9 +538,9 @@ def test_maintained_stream_assignments_are_pinned(stream, batch_size):
 
 
 #: sha256 prefix of ``result_to_dict`` after the maintained run over the
-#: ``stream`` fixture in batches of 32, recorded on the last build with
-#: a stream threshold adjuster, switched off.
-RESULT_DIGEST = "1dbf0f3ce8d404ba"
+#: ``stream`` fixture in batches of 32, recorded with the
+#: one-seed-at-a-time re-seed rule.
+RESULT_DIGEST = "d89673706ae8028f"
 
 
 def result_digest(result):
@@ -575,4 +576,97 @@ def test_assignments_share_one_frozenset_per_cluster(stream, tmp_path):
         assert dropped not in ids
         if ids:
             assert shared[ids] is ids
+    assert result_to_dict(recovered.result) == result_to_dict(engine.result)
+
+
+# -- the re-seed rule ---------------------------------------------------------
+#
+# A re-seed round draws one §4.1 seed at a time and rescues the pool
+# members that clear ``t`` against the new cluster before the next
+# draw, so no later seed of a round comes from a source that an earlier
+# cluster of the round already models.
+
+
+def two_source_stream():
+    """Two regimes interleaved from the first sequence on, so a round's
+    pool holds both and a round spawns more than one cluster."""
+    first, second = (
+        drifting_markov_stream(
+            120, 120, alphabet_size=ALPHABET_SIZE, concentration=0.05, seed=seed
+        ).sequences
+        for seed in (13, 14)
+    )
+    return [seq for pair in zip(first, second) for seq in pair]
+
+
+def record_reseed_rounds(monkeypatch, sequences):
+    """Wrap ``StreamingCluseq._reseed``. Returns ``(rounds, margins)``:
+    each round's spawned clusters as ``(batch, [(cluster_id,
+    seed_index), ...])``, and for every later seed of a round its score
+    minus ``log t`` against each cluster spawned earlier in the round.
+    The margins are taken when the round is over; a rescue adds only to
+    its own cluster, so each earlier model is then as its rescue left
+    it."""
+    rounds, margins = [], []
+    reseed = StreamingCluseq._reseed
+
+    def recording(engine):
+        before = len(engine.result.clusters)
+        outcome = reseed(engine)
+        spawned = engine.result.clusters[before:]
+        rounds.append(
+            (
+                engine.batches_ingested,
+                [(cluster.cluster_id, cluster.seed_index) for cluster in spawned],
+            )
+        )
+        log_bg = engine.result.log_background()
+        for position, cluster in enumerate(spawned):
+            for earlier in spawned[:position]:
+                (score,), _ = score_row(
+                    [earlier.pst], sequences[cluster.seed_index], log_bg
+                )
+                margins.append(score - engine.log_threshold)
+        return outcome
+
+    monkeypatch.setattr(StreamingCluseq, "_reseed", recording)
+    return rounds, margins
+
+
+@pytest.mark.parametrize("reseed_k", [2, 3])
+@pytest.mark.parametrize("source", ["drift", "two_sources"])
+def test_reseed_draws_one_seed_at_a_time(
+    stream, monkeypatch, tmp_path, source, reseed_k
+):
+    sequences = stream if source == "drift" else two_source_stream()
+    batch_size = 10
+    config = dataclasses.replace(
+        maintained_config(batch_size), reseed_k=reseed_k, journal_fsync=False
+    )
+    rounds, margins = record_reseed_rounds(monkeypatch, sequences)
+    state_dir = tmp_path / "state"
+    # Only the batch-0 checkpoint: recovery replays every batch.
+    with StreamingCluseq.cold_start(
+        alphabet_size=ALPHABET_SIZE,
+        similarity_threshold=10.0,
+        significance_threshold=3,
+        max_depth=4,
+        config=config,
+        state_dir=state_dir,
+    ) as engine:
+        run_engine(engine, sequences, batch_size)
+    live = list(rounds)
+
+    spawned = [len(clusters) for _, clusters in live]
+    assert sum(spawned) == engine.stats().clusters_spawned > 0
+    assert max(spawned) <= reseed_k
+    assert all(margin < 0 for margin in margins), margins
+    if source == "two_sources":
+        # The rule was exercised: some round drew a second seed.
+        assert max(spawned) >= 2 and margins
+
+    rounds.clear()
+    recovered = StreamingCluseq.recover(state_dir)
+    recovered.close()
+    assert rounds == live
     assert result_to_dict(recovered.result) == result_to_dict(engine.result)

@@ -15,6 +15,7 @@ step of the atomic checkpoint write is a crash point.
 """
 
 import json
+import os
 
 import pytest
 
@@ -373,11 +374,11 @@ class TestRetiredCheckpointKeys:
 
 class TestPinnedStateDir:
     """A state dir written by an earlier build (``tests/golden/``)
-    recovers and finishes the stream as an uninterrupted run does."""
+    still loads, and this build replays its journal as it ingests."""
 
-    #: The ``counters`` keys of a checkpoint, as the build that wrote
-    #: the fixture writes and reads them.
-    COUNTER_KEYS = {
+    #: The ``counters`` keys of the fixture's checkpoint, as the build
+    #: that wrote it wrote them; this build still reads such a file.
+    FIXTURE_COUNTER_KEYS = {
         "batches",
         "sequences",
         "absorbed",
@@ -391,6 +392,9 @@ class TestPinnedStateDir:
         "next_index",
         "next_cluster_id",
     }
+    #: The ``counters`` keys this build writes: the derived ``outliers``
+    #: and ``next_index`` are gone.
+    COUNTER_KEYS = FIXTURE_COUNTER_KEYS - {"outliers", "next_index"}
 
     @pytest.fixture
     def pinned(self, tmp_path):
@@ -403,23 +407,44 @@ class TestPinnedStateDir:
         shutil.copytree(make_stream_state.STATE_DIR, state_dir)
         return make_stream_state, state_dir
 
-    def test_recovers_like_an_uninterrupted_run(self, pinned):
+    def test_replay_from_its_checkpoint_equals_live_ingestion(
+        self, pinned, tmp_path
+    ):
+        """Recovery replays the journal suffix after the checkpoint and
+        finishes the stream; a copy without the journal loads the same
+        checkpoint and ingests those batches live. Both must end equal.
+        (A run from batch 0 follows this build's re-seed rule, so it
+        cannot reproduce the state the writing build checkpointed.)"""
+        import shutil
+
         fixture, state_dir = pinned
         sequences = fixture.stream()
-        reference = fixture.make_engine()
-        reference.run(sequences)
-        recovered = StreamingCluseq.recover(state_dir)
+        with open(checkpoint_path(state_dir), encoding="utf-8") as handle:
+            checkpointed = json.load(handle)["journal_batches"] * fixture.BATCH_SIZE
         written = fixture.WRITTEN_BATCHES * fixture.BATCH_SIZE
+        assert checkpointed < written
+
+        live_dir = tmp_path / "live"
+        shutil.copytree(state_dir, live_dir)
+        os.remove(journal_path(live_dir))
+        live = StreamingCluseq.recover(live_dir)
+        assert live.sequences_ingested == checkpointed
+        with live:
+            live.run(sequences[checkpointed:])
+
+        recovered = StreamingCluseq.recover(state_dir)
         assert recovered.sequences_ingested == written
         with recovered:
             recovered.run(sequences[written:])
-        assert full_state(recovered) == full_state(reference)
+        assert recovered.sequences_ingested == len(sequences)
+        assert full_state(recovered) == full_state(live)
 
     def test_counter_keys_are_the_pinned_set(self, pinned):
         _, state_dir = pinned
         with open(state_dir / "checkpoint.json", encoding="utf-8") as handle:
-            assert set(json.load(handle)["counters"]) == self.COUNTER_KEYS
+            assert set(json.load(handle)["counters"]) == self.FIXTURE_COUNTER_KEYS
         engine = StreamingCluseq.recover(state_dir)
         engine.checkpoint()
+        engine.close()
         with open(state_dir / "checkpoint.json", encoding="utf-8") as handle:
             assert set(json.load(handle)["counters"]) == self.COUNTER_KEYS
