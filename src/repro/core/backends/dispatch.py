@@ -21,7 +21,11 @@ owner of its state. Built with a model's trees, it scores all of them
 ones the kernel takes: the trees that are closed and unchanged since
 it was built. Once an ingest writes a tree, re-flattening it for every
 read costs more than the DP, so from then on the scorer runs the DP
-on it. It owns the background log vector, flattens each kernel tree
+on it: every sequence is checked once, then each gets one
+:func:`~repro.core.similarity.score_row` over the scorer's
+``log p(s)``. Both paths give ``log SIM``, ``best_start`` and
+``best_end`` per pair, nothing else. It owns the background log
+vector (as the kernel's array and the DP's list), flattens each kernel tree
 once (see :class:`~repro.core.backends.flatten.FlattenedPST`), keeps
 the *prepared* stacked table set (see
 :class:`~repro.core.backends.vectorized.PreparedStack`) until the
@@ -39,7 +43,7 @@ import numpy.typing as npt
 
 from ...obs import get_registry
 from ..pst import ProbabilisticSuffixTree
-from ..similarity import log_background, similarities
+from ..similarity import check_sequence, log_background, score_row
 from .flatten import FlattenedPST, flatten_pst
 from .vectorized import (
     PreparedStack,
@@ -98,16 +102,17 @@ class PstBatchScorer:
         background: npt.NDArray[np.float64],
         psts: Sequence[ProbabilisticSuffixTree],
     ) -> None:
-        self._background = np.asarray(background, dtype=np.float64)
+        background = np.asarray(background, dtype=np.float64)
         for pst in psts:
-            if self._background.shape != (pst.alphabet_size,):
+            if background.shape != (pst.alphabet_size,):
                 raise ValueError(
                     f"background must have length {pst.alphabet_size}, "
-                    f"got shape {self._background.shape}"
+                    f"got shape {background.shape}"
                 )
-        self._log_bg = np.asarray(
-            log_background(self._background), dtype=np.float64
-        )
+        # ``log p(s)`` as the DP reads it, and as the kernel's stack
+        # reads it: the same floats.
+        self._log_bg_row = log_background(background)
+        self._log_bg = np.asarray(self._log_bg_row, dtype=np.float64)
         self._psts = tuple(psts)
         self._versions = tuple(pst.version for pst in psts)
         self._closed = tuple(
@@ -179,7 +184,7 @@ class PstBatchScorer:
 
         The kernel trees (:meth:`_rows`) are scored in one kernel call;
         every other tree gets the reference DP, one
-        :func:`~repro.core.similarity.similarities` call per sequence,
+        :func:`~repro.core.similarity.score_row` call per sequence,
         without being flattened. Both are bit-identical to
         ``similarity()``. The preferred shape for the §4.2 decision:
         read ``log_z`` for the join test, materialize result objects
@@ -187,41 +192,42 @@ class PstBatchScorer:
 
         Raises ``ValueError`` as ``similarity()`` does (an empty
         sequence, an id outside the alphabet) before any tree is
-        flattened.
+        scored or flattened.
         """
         rows = self._rows()
+        others = [p for p in range(len(self._psts)) if p not in rows]
+        if others:
+            # ``score_row`` checks nothing: every sequence is checked
+            # here, before the kernel call or the first DP row.
+            for seq in sequences:
+                check_sequence(seq, len(self._log_bg_row))
         kernel: ScoreMatrixResult | None = None
         if rows and sequences:
-            symbols, lengths = pad_sequences(sequences, self._background.shape[0])
+            symbols, lengths = pad_sequences(sequences, len(self._log_bg_row))
             prep = self._stack_for(rows)
             kernel = self._score_matrix_arrays(prep, symbols, lengths)
-            if len(rows) == len(self._psts):
+            if not others:
                 return kernel
         shape = (len(self._psts), len(sequences))
         matrix = ScoreMatrixResult(
             log_z=np.zeros(shape, dtype=np.float64),
             best_start=np.zeros(shape, dtype=np.int64),
             best_end=np.zeros(shape, dtype=np.int64),
-            whole=np.zeros(shape, dtype=np.float64),
         )
         if kernel is not None:
             kernel_rows = list(rows)
             matrix.log_z[kernel_rows] = kernel.log_z
             matrix.best_start[kernel_rows] = kernel.best_start
             matrix.best_end[kernel_rows] = kernel.best_end
-            matrix.whole[kernel_rows] = kernel.whole
-        others = [p for p in range(len(self._psts)) if p not in rows]
         if not others or not sequences:
             return matrix
-        # One DP call per sequence, then each tree's row in one write.
+        # One DP row per sequence, then the DP trees' rows in one write.
         other_psts = [self._psts[p] for p in others]
-        columns = [
-            similarities(other_psts, seq, self._background) for seq in sequences
-        ]
-        for i, p in enumerate(others):
-            scored = [column[i] for column in columns]
-            matrix.log_z[p] = [result.log_similarity for result in scored]
-            matrix.best_start[p] = [result.best_start for result in scored]
-            matrix.best_end[p] = [result.best_end for result in scored]
-            matrix.whole[p] = [result.whole_sequence_log for result in scored]
+        logs, bounds = zip(
+            *(score_row(other_psts, seq, self._log_bg_row) for seq in sequences)
+        )
+        matrix.log_z[others] = np.array(logs).T
+        spans = np.array(bounds).reshape(len(sequences), len(others), 2)
+        matrix.best_start[others] = spans[:, :, 0].T
+        matrix.best_end[others] = spans[:, :, 1].T
         return matrix

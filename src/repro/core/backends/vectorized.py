@@ -35,7 +35,7 @@ from collections.abc import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ..similarity import SimilarityResult, _safe_exp
+from ..similarity import SimilarityResult
 from .flatten import FlattenedPST
 
 
@@ -176,17 +176,13 @@ class ScoreMatrixResult:
     log_z: npt.NDArray[np.float64]
     best_start: npt.NDArray[np.int64]
     best_end: npt.NDArray[np.int64]
-    whole: npt.NDArray[np.float64]
 
     def result(self, tree: int, column: int) -> SimilarityResult:
         """Materialize one pair's :class:`SimilarityResult`."""
-        log_z = float(self.log_z[tree, column])
         return SimilarityResult(
-            similarity=_safe_exp(log_z),
-            log_similarity=log_z,
+            log_similarity=float(self.log_z[tree, column]),
             best_start=int(self.best_start[tree, column]),
             best_end=int(self.best_end[tree, column]),
-            whole_sequence_log=float(self.whole[tree, column]),
         )
 
 
@@ -210,25 +206,17 @@ def kadane_columns(
     columns = columns.reshape(width, -1)
     lengths = np.broadcast_to(lengths, shape).reshape(-1)
     batch = columns.shape[1]
-    if int(lengths.min()) == width:
-        # Equal-lengths fast path: no padded entries exist, so the pad
-        # mask is all-False — the whole-sequence view is the columns
-        # themselves and no −inf fill is needed. Same float values,
-        # same op order, minus three full-size array passes.
-        masked_whole = columns
-    else:
+    if int(lengths.min()) < width:
+        # Padding becomes −inf: a −inf running segment extends to −inf
+        # forever (ties extend) and can never strictly improve the
+        # finite best, so rows past their length keep exactly the state
+        # they ended with — no per-step active mask needed. Real ratios
+        # are finite (the log-zero convention is a large negative
+        # constant, not −inf). A fresh merge, not an in-place fill:
+        # *columns* may be a view of the caller's ratio cube. A block
+        # with no padding skips both passes.
         pad = np.arange(width, dtype=np.int64)[:, None] >= lengths[None, :]
-        # Padding becomes 0 for the whole-sequence sum and −inf for the
-        # Y/Z updates: a −inf running segment extends to −inf forever
-        # (ties extend) and can never strictly improve the finite best,
-        # so rows past their length keep exactly the state they ended
-        # with — no per-step active mask needed. Real ratios are finite
-        # (the log-zero convention is a large negative constant, not
-        # −inf). Fresh merges, not in-place fills: *columns* may be a
-        # view of the caller's ratio cube.
-        masked_whole = np.where(pad, 0.0, columns)
         columns = np.where(pad, -np.inf, columns)
-    whole = masked_whole[0].copy()
     # Record the Y trajectory instead of tracking Z (or the segment
     # starts) inside the loop, and recover both afterwards:
     #
@@ -254,7 +242,6 @@ def kadane_columns(
         cur = log_y_history[i]
         np.add(log_y_history[i - 1], x, out=cur)
         np.maximum(cur, x, out=cur)
-        whole += masked_whole[i]
     best_i = np.argmax(log_y_history, axis=0)
     rows = np.arange(batch)
     log_z = log_y_history[best_i, rows]
@@ -279,5 +266,4 @@ def kadane_columns(
         log_z=log_z.reshape(shape),
         best_start=best_start.reshape(shape),
         best_end=best_end.reshape(shape),
-        whole=whole.reshape(shape),
     )

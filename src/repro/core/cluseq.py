@@ -75,7 +75,12 @@ from .similarity import (
     similarities,
 )
 from .smoothing import default_p_min
-from .threshold import VALLEY_METHODS, blend_log_threshold, find_valley
+from .threshold import (
+    VALLEY_METHODS,
+    blend_log_threshold,
+    find_valley,
+    linear_threshold,
+)
 
 #: Valid sequence-examination orders for the reclustering phase (§6.3).
 ORDERINGS = ("fixed", "random", "cluster")
@@ -247,9 +252,7 @@ class ClusteringResult:
     @property
     def final_threshold(self) -> float:
         """Final ``t`` in linear scale (``inf`` if beyond float range)."""
-        if self.final_log_threshold > 709:
-            return math.inf
-        return math.exp(self.final_log_threshold)
+        return linear_threshold(self.final_log_threshold)
 
     @property
     def num_clusters(self) -> int:
@@ -801,7 +804,7 @@ class CLUSEQ:
                     clusters_after=len(clusters),
                     unclustered=sum(1 for ids in assignments.values() if not ids),
                     membership_changes=membership_changes,
-                    threshold=math.exp(log_t) if log_t < 709 else math.inf,
+                    threshold=linear_threshold(log_t),
                     log_threshold=log_t,
                     valley=valley_linear,
                     elapsed_seconds=time.perf_counter() - iter_start,

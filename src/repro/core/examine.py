@@ -33,8 +33,8 @@ only outside it, in serve classify: one
 :meth:`~repro.core.backends.dispatch.PstBatchScorer.score_matrix_full`
 call per flush scores every tree, the ones no ``/v1/stream/ingest``
 has written since the model was loaded on the kernel, the rest with
-:func:`~repro.core.similarity.similarities`; the decision is
-:func:`best_cluster` on each column. The shard consolidation compares
+one :func:`~repro.core.similarity.score_row` per sequence; the
+decision is :func:`best_cluster` on each column. The shard consolidation compares
 the PSTs themselves.
 """
 

@@ -16,8 +16,8 @@ program:
     Z_i = max(Z_{i-1}, Y_i)            # best segment ending ≤ i
 
 Everything here runs in **log domain** — the products over/underflow
-``float64`` within a few hundred symbols — and only converts back at
-the end (with saturation to ``inf`` where ``exp`` would overflow).
+``float64`` within a few hundred symbols — and every result is
+``log SIM``; nothing converts back to linear scale.
 
 The DP also tracks *which* segment achieved the maximum, because the
 CLUSEQ algorithm inserts exactly that best-scoring segment into the
@@ -50,32 +50,17 @@ class SimilarityResult:
 
     Attributes
     ----------
-    similarity:
-        ``SIM_S(σ)`` in linear scale (``math.inf`` when the log value
-        exceeds the float64 exponent range).
     log_similarity:
         ``log SIM_S(σ)`` — always finite and the value to compare or
         histogram.
     best_start, best_end:
         Half-open index range ``[best_start, best_end)`` of the segment
         of σ achieving the maximum.
-    whole_sequence_log:
-        ``log sim_S(σ)`` of the *entire* sequence (the non-segment
-        variant of the measure), useful for diagnostics.
     """
 
-    similarity: float
     log_similarity: float
     best_start: int
     best_end: int
-    whole_sequence_log: float
-
-
-def _safe_exp(log_value: float) -> float:
-    """``exp`` with saturation instead of ``OverflowError``."""
-    if log_value > 709.0:
-        return math.inf
-    return math.exp(log_value)
 
 
 def log_background(background: npt.NDArray[np.float64]) -> list[float]:
@@ -137,7 +122,7 @@ def _scan(
     encoded: Sequence[int],
     log_bg: list[float],
     ratios: list[float] | None,
-) -> tuple[float, int, int, float, int]:
+) -> tuple[float, int, int, int]:
     """The §4.3 scoring loop: one pass of log ratios and the X/Y/Z scan.
 
     The loop carries the prediction node of the current position. On a
@@ -159,8 +144,8 @@ def _scan(
     whole-row fill would re-pay ``n`` logs per touched node.
 
     Appends each position's log ratio to *ratios* when it is a list.
-    Returns ``log SIM``, ``best_start``, ``best_end``, the
-    whole-sequence log and the number of root walks.
+    Returns ``log SIM``, ``best_start``, ``best_end`` and the number of
+    root walks.
     """
     n = pst.alphabet_size
     p_min = pst.p_min
@@ -173,7 +158,6 @@ def _scan(
 
     walks = 0
     node = root
-    whole = 0.0
     log_y = log_z = -math.inf
     y_start = best_start = best_end = 0
     for i, symbol in enumerate(encoded):
@@ -195,7 +179,6 @@ def _scan(
             ratios.append(x)
 
         # Log-domain Kadane-style scan with segment tracking.
-        whole += x
         extended = log_y + x
         if extended >= x:
             log_y = extended
@@ -229,7 +212,7 @@ def _scan(
                 successors[symbol] = successor
         node = successor
 
-    return log_z, best_start, best_end, whole, walks
+    return log_z, best_start, best_end, walks
 
 
 def _count_pairs(cells: int, walks: int, bounds: Sequence[int]) -> None:
@@ -290,32 +273,21 @@ def similarities(
     checked once for the row, and all of it before any tree is
     scanned: σ must be non-empty with every id in range, and the
     background must match every tree's alphabet. The check runs also
-    when *psts* is empty. ``log p(s)`` is built once; each tree then
-    gets the X/Y/Z scan of :func:`similarity`, so each result equals
-    that tree's ``similarity()``.
-
-    The registry is read once per call. It records per-pair totals:
-    ``similarity.calls`` and ``similarity.dp_cells`` grow by one pair
-    and ``len(σ)`` cells per tree, ``similarity.context_walks`` by the
-    summed root walks, and ``similarity.segment_length`` counts one
-    segment length per pair, binned and merged once per call.
+    when *psts* is empty. ``log p(s)`` is built once, and the row is
+    :func:`score_row`'s, one result per tree.
 
     Raises
     ------
     ValueError
         As :func:`similarity` does.
     """
-    log_bg = _log_background(psts, [encoded], background)
-    results: list[SimilarityResult] = []
-    bounds: list[int] = []
-    walks = 0
-    for pst in psts:
-        log_sim, start, end, whole, pst_walks = _scan(pst, encoded, log_bg, None)
-        results.append(SimilarityResult(_safe_exp(log_sim), log_sim, start, end, whole))
-        bounds += (start, end)
-        walks += pst_walks
-    _count_pairs(len(encoded) * len(results), walks, bounds)
-    return results
+    logs, bounds = score_row(
+        psts, encoded, _log_background(psts, [encoded], background)
+    )
+    return [
+        SimilarityResult(log_sim, bounds[2 * p], bounds[2 * p + 1])
+        for p, log_sim in enumerate(logs)
+    ]
 
 
 def score_row(
@@ -328,18 +300,23 @@ def score_row(
     order.
 
     The row twin of :func:`score_pass`, for the §4.2–§4.4 incremental
-    joins: each tree gets the X/Y/Z scan of :func:`similarities`, so
-    each entry equals that tree's result there. The caller checks the
-    input once, where it first arrives (:func:`check_sequence` on
-    *encoded*, *log_bg* from :func:`log_background` over a background
-    of the trees' alphabet size); nothing is checked here. The registry
-    records the per-pair totals of one :func:`similarities` call.
+    joins and the row of :func:`similarities`: each tree gets the X/Y/Z
+    scan. The caller checks the input once, where it first arrives
+    (:func:`check_sequence` on *encoded*, *log_bg* from
+    :func:`log_background` over a background of the trees' alphabet
+    size); nothing is checked here.
+
+    The registry is read once per call. It records per-pair totals:
+    ``similarity.calls`` and ``similarity.dp_cells`` grow by one pair
+    and ``len(σ)`` cells per tree, ``similarity.context_walks`` by the
+    summed root walks, and ``similarity.segment_length`` counts one
+    segment length per pair, binned and merged once per call.
     """
     logs: list[float] = []
     bounds: list[int] = []
     walks = 0
     for pst in psts:
-        log_sim, start, end, _, pst_walks = _scan(pst, encoded, log_bg, None)
+        log_sim, start, end, pst_walks = _scan(pst, encoded, log_bg, None)
         logs.append(log_sim)
         bounds += (start, end)
         walks += pst_walks
@@ -384,7 +361,7 @@ def pass_totals(
     bounds: array[int] = array("i")
     cells = walks = 0
     for encoded in seqs:
-        log_sim, start, end, _, seq_walks = _scan(pst, encoded, log_bg, None)
+        log_sim, start, end, seq_walks = _scan(pst, encoded, log_bg, None)
         logs.append(log_sim)
         bounds.append(start)
         bounds.append(end)

@@ -60,6 +60,19 @@ def _record_valley_search(method: str, result: "ValleyResult" | None) -> None:
             )
 
 
+def linear_threshold(log_t: float) -> float:
+    """The §4.6 ``t`` from ``log t``: ``exp`` saturating to ``inf``
+    above 709.
+
+    The one ``log t → t`` conversion of every reported linear threshold
+    (:class:`ValleyResult`, the fit's per-iteration stats and final
+    ``t``). Decisions read ``log t``; this only reports it.
+    """
+    if log_t > 709.0:
+        return math.inf
+    return math.exp(log_t)
+
+
 @dataclass(frozen=True)
 class ValleyResult:
     """Outcome of a valley search on a similarity histogram."""
@@ -193,7 +206,7 @@ def _find_valley_regression(
         return None
     log_t = float(centers[best_index])
     return ValleyResult(
-        threshold=math.exp(log_t) if log_t < 700 else math.inf,
+        threshold=linear_threshold(log_t),
         log_threshold=log_t,
         bucket_index=best_index,
         slope_difference=best_diff,
@@ -258,7 +271,7 @@ def _find_valley_otsu(
         return None
     log_t = float(centers[best_index])
     return ValleyResult(
-        threshold=math.exp(log_t) if log_t < 700 else math.inf,
+        threshold=linear_threshold(log_t),
         log_threshold=log_t,
         bucket_index=best_index,
         slope_difference=float(between[best_index]),

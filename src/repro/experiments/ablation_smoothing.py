@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.pst import ProbabilisticSuffixTree
-from ..core.similarity import similarity
+from ..core.similarity import log_symbol_ratios
 from ..evaluation.reporting import percent, print_table
 from ..sequences.database import SequenceDatabase
 from ..sequences.generators import generate_clustered_database
@@ -125,12 +125,20 @@ def measure_zero_probability_effect(
     unsmoothed = build(0.0)
     smoothed = build(1e-3 / alphabet_size)
 
+    def whole_log(pst: ProbabilisticSuffixTree, seq: Sequence[int]) -> float:
+        # log sim_S(σ) of the whole sequence, summed in position order
+        # (``sum()`` would compensate and round differently).
+        total = 0.0
+        for ratio in log_symbol_ratios(pst, seq, background):
+            total += ratio
+        return total
+
     zeroed_u = zeroed_s = 0
     logs_u: list[float] = []
     logs_s: list[float] = []
     for seq in held_out:
-        whole_u = similarity(unsmoothed, seq, background).whole_sequence_log
-        whole_s = similarity(smoothed, seq, background).whole_sequence_log
+        whole_u = whole_log(unsmoothed, seq)
+        whole_s = whole_log(smoothed, seq)
         # A zeroed conditional contributes ~-700 per occurrence, and
         # affected sequences typically hit many; smoothed scores bottom
         # out around (length · log(p_min/background)) ≈ -10³. -2000

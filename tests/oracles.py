@@ -3,13 +3,16 @@
 ``similarity_bruteforce`` is the O(l²) oracle for the paper's §4.3
 X/Y/Z dynamic program (``repro.core.similarity.similarity``): the
 differential and property suites check that the DP's best score and
-segment agree with it exactly.
+segment agree with it exactly. ``whole_sequence_log`` is ``log
+sim_S(σ)`` of the whole sequence, the one segment every ``SIM`` is at
+least.
 
 Usage::
 
-    from oracles import similarity_bruteforce
+    from oracles import similarity_bruteforce, whole_sequence_log
 
     log_sim, (start, end) = similarity_bruteforce(pst, encoded, background)
+    whole = whole_sequence_log(pst, encoded, background)
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.core.pst import ProbabilisticSuffixTree
-from repro.core.similarity import _LOG_ZERO
+from repro.core.similarity import _LOG_ZERO, log_symbol_ratios
 
 
 def similarity_bruteforce(
@@ -59,3 +62,17 @@ def similarity_bruteforce(
                 best = running
                 best_range = (start, end)
     return best, best_range
+
+
+def whole_sequence_log(
+    pst: ProbabilisticSuffixTree,
+    encoded: Sequence[int],
+    background: npt.NDArray[np.float64],
+) -> float:
+    """``log sim_S(σ)`` of the whole sequence: the DP's per-position
+    log ratios summed in position order (``sum()`` would compensate
+    and round differently)."""
+    total = 0.0
+    for ratio in log_symbol_ratios(pst, encoded, background):
+        total += ratio
+    return total

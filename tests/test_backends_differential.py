@@ -135,8 +135,6 @@ def _assert_results_equal(got, want, context: str) -> None:
     assert abs(got.log_similarity - want.log_similarity) <= 1e-9, context
     assert got.best_start == want.best_start, context
     assert got.best_end == want.best_end, context
-    assert got.whole_sequence_log == want.whole_sequence_log, context
-    assert got.similarity == want.similarity, context
 
 
 def _assert_matrix_equals_similarities(matrix, psts, sequences, background, context):
@@ -233,20 +231,36 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="background must have length 4"):
             PstBatchScorer(np.full(3, 1.0 / 3.0), [pst])
 
-    def test_empty_sequence_raises_like_reference(self):
+    @staticmethod
+    def _scorer(background, pst, path):
+        """A scorer over *pst* that takes it with the kernel, or with
+        the DP once an ingest has written it after the build."""
+        scorer = PstBatchScorer(background, [pst])
+        if path == "dp":
+            pst.add_sequence([0, 1])
+        return scorer
+
+    @pytest.mark.parametrize("path", ["kernel", "dp"])
+    def test_empty_sequence_raises_like_reference(self, path):
         pst = ProbabilisticSuffixTree(alphabet_size=4, max_depth=3)
         pst.add_sequence([0, 1, 2, 3])
         background = np.full(4, 0.25)
-        scorer = PstBatchScorer(background, [pst])
+        scorer = self._scorer(background, pst, path)
         with pytest.raises(ValueError, match="empty sequence"):
             similarity(pst, [], background)
-        with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_matrix_full([[0, 1], []])
-        with pytest.raises(ValueError, match="empty sequence"):
-            scorer.score_matrix_full([[]])
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.raises(ValueError, match="empty sequence"):
+                scorer.score_matrix_full([[0, 1], []])
+            with pytest.raises(ValueError, match="empty sequence"):
+                scorer.score_matrix_full([[]])
+        # Checked before any row: nothing was scored.
+        assert registry.counter("similarity.calls").value == 0
+        assert registry.counter("backend.batch_calls").value == 0
 
+    @pytest.mark.parametrize("path", ["kernel", "dp"])
     @pytest.mark.parametrize("bad", [-1, 3])
-    def test_out_of_range_id_raises_like_reference(self, bad):
+    def test_out_of_range_id_raises_like_reference(self, bad, path):
         pst = ProbabilisticSuffixTree(alphabet_size=3, max_depth=3)
         pst.add_sequence([0, 1, 2, 0, 1, 2])
         background = np.full(3, 1.0 / 3.0)
@@ -254,14 +268,16 @@ class TestEdgeCases:
         message = rf"symbol id {bad} out of range \(alphabet size 3\)"
         with pytest.raises(ValueError, match=message):
             similarity(pst, sequence, background)
-        scorer = PstBatchScorer(background, [pst])
+        scorer = self._scorer(background, pst, path)
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(ValueError, match=message):
                 scorer.score_matrix_full([[0, 1], sequence])
-        # Checked before the stack: nothing was flattened or stacked.
+        # Checked before the stack: nothing was flattened, stacked or
+        # scored.
         assert registry.counter("backend.flatten_builds").value == 0
         assert registry.counter("backend.stack_rebuilds").value == 0
+        assert registry.counter("similarity.calls").value == 0
 
     def test_tree_that_is_not_closed_raises_and_flattens_nothing(self):
         from repro.core.pruning import prune_to
@@ -439,15 +455,14 @@ class TestEdgeCases:
         )
 
 
-def _scalar_scan(values: list[float]) -> tuple[float, int, int, float]:
+def _scalar_scan(values: list[float]) -> tuple[float, int, int]:
     """The reference's X/Y/Z loop over one row of log ratios: the oracle
-    of the column scan. Returns ``(log_z, best_start, best_end, whole)``."""
-    log_y = log_z = whole = values[0]
+    of the column scan. Returns ``(log_z, best_start, best_end)``."""
+    log_y = log_z = values[0]
     y_start = best_start = 0
     best_end = 1
     for i in range(1, len(values)):
         x = values[i]
-        whole += x
         if log_y + x >= x:
             log_y += x
         else:
@@ -456,7 +471,7 @@ def _scalar_scan(values: list[float]) -> tuple[float, int, int, float]:
         if log_y > log_z:
             log_z = log_y
             best_start, best_end = y_start, i + 1
-    return log_z, best_start, best_end, whole
+    return log_z, best_start, best_end
 
 
 class TestMatrixKernelAgreement:
@@ -517,7 +532,6 @@ class TestMatrixKernelAgreement:
                     float(got.log_z[row]),
                     int(got.best_start[row]),
                     int(got.best_end[row]),
-                    float(got.whole[row]),
                 ) == want, f"row {row}"
 
     def test_width_one_columns(self):
@@ -528,4 +542,3 @@ class TestMatrixKernelAgreement:
         assert np.array_equal(batch.log_z, columns[0])
         assert np.array_equal(batch.best_start, np.zeros(3, dtype=np.int64))
         assert np.array_equal(batch.best_end, np.ones(3, dtype=np.int64))
-        assert np.array_equal(batch.whole, columns[0])

@@ -247,3 +247,12 @@ class TestAblations:
         assert stats.mean_log_sim_smoothed >= stats.mean_log_sim_unsmoothed
         print_ablation_smoothing(rows, stats)
         assert "smoothing" in capsys.readouterr().out
+
+    def test_zero_probability_effect_pinned(self):
+        """The whole-sequence logs are the in-order sums of the DP's
+        ratios, so the default measurement is exact to the last bit."""
+        stats = measure_zero_probability_effect()
+        assert stats.fraction_zeroed_unsmoothed == 1.0
+        assert stats.fraction_zeroed_smoothed == 0.0
+        assert stats.mean_log_sim_unsmoothed == -29763.23051207352
+        assert stats.mean_log_sim_smoothed == -227.12895157336607

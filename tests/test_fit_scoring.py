@@ -1,7 +1,7 @@
 """What the fit pays for around the §4.3 DP.
 
-The fit scores each sequence with one ``similarities()`` call per
-examination, so the input check runs once per sequence while the
+The fit checks every sequence once, when it builds ``log p(s)``, and
+scores each cluster pass as one ``score_pass`` column, while the
 telemetry still counts every (sequence, cluster) pair; and it runs with
 the cyclic garbage collector paused, because its discarded trees are
 acyclic and reference counting frees them.

@@ -3,7 +3,8 @@
 These pin down the low-level numerics that the higher-level behaviour
 rests on: the O(n) prefix/suffix regression slopes behind the valley
 heuristic, the log-log slope fit behind the Figure 6 assertions, and
-the log-domain guards in the similarity measure.
+the log-domain guards in the similarity measure and the threshold's
+saturating ``log t → t`` conversion.
 """
 
 import math
@@ -11,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.similarity import _LOG_ZERO, _safe_exp
-from repro.core.threshold import _regression_slopes
+from repro.core.similarity import _LOG_ZERO
+from repro.core.threshold import _regression_slopes, linear_threshold
 from repro.experiments.fig6_scalability import ScalabilityRow, loglog_slope
 
 
@@ -131,15 +132,15 @@ class TestLinearFit:
 
 class TestLogDomainGuards:
     def test_safe_exp_normal(self):
-        assert _safe_exp(0.0) == 1.0
-        assert _safe_exp(1.0) == pytest.approx(math.e)
+        assert linear_threshold(0.0) == 1.0
+        assert linear_threshold(1.0) == pytest.approx(math.e)
 
     def test_safe_exp_saturates(self):
-        assert _safe_exp(710.0) == math.inf
-        assert _safe_exp(10_000.0) == math.inf
+        assert linear_threshold(710.0) == math.inf
+        assert linear_threshold(10_000.0) == math.inf
 
     def test_safe_exp_large_but_finite(self):
-        assert math.isfinite(_safe_exp(700.0))
+        assert math.isfinite(linear_threshold(700.0))
 
     def test_log_zero_marker_finite(self):
         """The zero-probability marker must stay finite so the DP can

@@ -1,8 +1,11 @@
 """Public API surface tests: everything README documents must import."""
 
+import dataclasses
 import glob
 import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -160,6 +163,47 @@ def _resolve(dotted: str) -> object:
     raise ModuleNotFoundError(dotted)
 
 
+def _exported_classes() -> dict[str, type]:
+    """Every class in the ``__all__`` of a ``repro`` package, by name."""
+    import repro
+
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    return {
+        name: obj
+        for package in packages
+        for name in getattr(package, "__all__", ())
+        if inspect.isclass(obj := getattr(package, name))
+    }
+
+
+def _documented_class_attributes(classes: dict[str, type]) -> set[tuple[str, str]]:
+    """Every backticked ``Class.attr`` or ``Class.attr()`` in the docs
+    whose ``Class`` is one of *classes*."""
+    refs = set()
+    for pattern in DOCS:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as handle:
+                spans = re.findall(r"`([^`\n]+)`", handle.read())
+            for span in spans:
+                match = re.fullmatch(r"(\w+)\.(\w+)(?:\(\))?", span)
+                if match and match.group(1) in classes:
+                    refs.add((match.group(1), match.group(2)))
+    return refs
+
+
+def _has_attribute(cls: type, attr: str) -> bool:
+    """A class attribute, method or property, or a dataclass field."""
+    if hasattr(cls, attr):
+        return True
+    return dataclasses.is_dataclass(cls) and attr in {
+        field.name for field in dataclasses.fields(cls)
+    }
+
+
 def test_documented_references_resolve():
     """A renamed or deleted name fails here, not in a reader's session."""
     refs = _documented_references()
@@ -171,6 +215,15 @@ def test_documented_references_resolve():
         except (ImportError, AttributeError):
             missing.append(ref)
     assert not missing, f"docs name what does not exist: {missing}"
+    classes = _exported_classes()
+    members = _documented_class_attributes(classes)
+    assert members, "no Class.attr references found in the docs"
+    missing_members = [
+        f"{name}.{attr}"
+        for name, attr in sorted(members)
+        if not _has_attribute(classes[name], attr)
+    ]
+    assert not missing_members, f"docs name what does not exist: {missing_members}"
 
 
 #: Backticked file names the docs use as examples of a run's output,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.cluseq import cluster_sequences
 from repro.core.threshold import (
     VALLEY_METHODS,
     ValleyResult,
@@ -12,6 +13,7 @@ from repro.core.threshold import (
     build_histogram,
     find_valley,
     find_valley_otsu,
+    linear_threshold,
 )
 
 
@@ -123,3 +125,36 @@ class TestStability:
         for finder in VALLEY_METHODS.values():
             result = finder(values)
             assert result is None or math.isfinite(result.log_threshold)
+
+
+class TestLinearThreshold:
+    """Every reported linear ``t`` is :func:`linear_threshold` of its log."""
+
+    @pytest.mark.parametrize("log_t", [705.0, 709.0])
+    def test_every_site_converts_alike(self, toy_db, log_t):
+        # Both logs are inside the float64 exponent range.
+        assert linear_threshold(log_t) == math.exp(log_t)
+        # ValleyResult, from both estimators: the sample shifted so
+        # that its valley sits at log_t.
+        sample = bimodal_sample(np.random.default_rng(3))
+        for method in (find_valley, find_valley_otsu):
+            base = method(sample)
+            valley = method([v + log_t - base.log_threshold for v in sample])
+            assert abs(valley.log_threshold - log_t) < 1e-6
+            assert valley.threshold == linear_threshold(valley.log_threshold)
+        # IterationStats and ClusteringResult: a fit held at log_t.
+        result = cluster_sequences(
+            toy_db,
+            k=2,
+            significance_threshold=2,
+            similarity_threshold=math.exp(log_t),
+            calibrate_threshold=False,
+            adjust_threshold=False,
+            max_iterations=1,
+            seed=1,
+        )
+        assert result.final_log_threshold == log_t
+        assert result.final_threshold == linear_threshold(log_t)
+        assert [stats.threshold for stats in result.history] == [
+            linear_threshold(log_t)
+        ]
