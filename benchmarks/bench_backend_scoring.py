@@ -4,7 +4,9 @@ Measures the frozen-model (cluster × sequence) scoring matrix of the
 fig6 scalability workload — the §4.2 re-examination shape — under each
 backend, and writes ``BENCH_PR8.json`` (schema
 ``repro.bench/v1``) with sequences/second, pairs/second and the
-speedup over the reference per configuration.
+speedup over the reference per configuration. Both backends are timed
+in alternating rounds in one process; the speedup is the median of the
+per-round ratios.
 
 Run standalone::
 
@@ -28,8 +30,10 @@ where the shape assertion is the same not-slower gate.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,25 +52,27 @@ from tools.benchtrack.schema import write_bench_document
 SCHEMA = "repro.bench/v1"
 
 #: Benchmark shapes. ``full`` is the historical fig6-representative
-#: point (kept so the benchtrack ledger can pair new runs against the
-#: PR 5 baseline); ``fig6`` is the larger scalability point the
+#: point (kept so the benchtrack ledger can pair new runs against its
+#: first baseline); ``fig6`` is the larger scalability point the
 #: single-process speedup claim is measured on; ``smoke`` is the CI
 #: gate workload.
-#: ``repeats`` paces the reference (its runs are long and stable);
-#: ``vec_repeats`` paces the vectorized configurations, whose runs are
-#: two orders of magnitude shorter and therefore need more samples for
-#: a stable best-of (a 30 ms timing window is far more exposed to a
-#: shared-host neighbour than a 500 ms one).
+#: ``rounds`` is the number of alternating rounds. Each round times one
+#: reference pass over every pair and, back to back with it, the best
+#: of ``KERNEL_CALLS`` kernel calls, a window of about the same length;
+#: the reported speedup is the median of the per-round ratios. The two
+#: timings of a round share the host's state, so a shared machine's
+#: speed swings cancel in the ratio.
 SHAPES = {
     "fig6": {"alphabet": 12, "depth": 6, "significance": 4, "clusters": 12,
-             "sequences": 400, "length": 120, "repeats": 3,
-             "vec_repeats": 15},
+             "sequences": 400, "length": 120, "rounds": 9},
     "full": {"alphabet": 12, "depth": 6, "significance": 4, "clusters": 10,
-             "sequences": 150, "length": 100, "repeats": 3,
-             "vec_repeats": 10},
+             "sequences": 150, "length": 100, "rounds": 9},
     "smoke": {"alphabet": 12, "depth": 6, "significance": 4, "clusters": 4,
-              "sequences": 40, "length": 60, "repeats": 2, "vec_repeats": 6},
+              "sequences": 40, "length": 60, "rounds": 15},
 }
+
+#: Kernel calls per round; a round's kernel time is the fastest of them.
+KERNEL_CALLS = 6
 
 
 def build_workload(spec: dict) -> tuple[list, list, np.ndarray]:
@@ -95,49 +101,74 @@ def build_workload(spec: dict) -> tuple[list, list, np.ndarray]:
     return psts, sequences, background
 
 
-def time_reference(psts, sequences, background, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
+def time_alternating(psts, sequences, background,
+                     rounds: int) -> tuple[float, float, float]:
+    """Median reference seconds, median kernel seconds and the median
+    per-round ratio of the two, over *rounds* alternating rounds."""
+    scorer = PstBatchScorer(background, psts)
+
+    def reference() -> float:
         started = time.perf_counter()
         for pst in psts:
             for seq in sequences:
                 similarity(pst, seq, background)
-        best = min(best, time.perf_counter() - started)
-    return best
+        return time.perf_counter() - started
 
+    def vectorized() -> float:
+        best = float("inf")
+        for _ in range(KERNEL_CALLS):
+            started = time.perf_counter()
+            scorer.score_matrix_full(sequences)
+            best = min(best, time.perf_counter() - started)
+        return best
 
-def time_vectorized(psts, sequences, background, repeats: int) -> float:
-    scorer = PstBatchScorer(background, psts)
-    # Warm outside the timed region: the flattened exports and the
-    # prepared stack are cached across calls, so steady-state scoring
-    # is what a repeated caller actually pays.
-    scorer.score_matrix_full(sequences[:1])
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        scorer.score_matrix_full(sequences)
-        best = min(best, time.perf_counter() - started)
-    return best
+    # Warm both sides outside the timed rounds: the DP fills its
+    # per-node caches on the first pass, and the scorer flattens and
+    # stacks its trees on the first call, so steady-state scoring is
+    # what a repeated caller actually pays.
+    reference()
+    vectorized()
+    ref_times, vec_times = [], []
+    # As timeit does, keep the cyclic collector out of the timed rounds.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for index in range(rounds):
+            if index % 2 == 0:
+                ref_times.append(reference())
+                vec_times.append(vectorized())
+            else:
+                vec_times.append(vectorized())
+                ref_times.append(reference())
+    finally:
+        if collecting:
+            gc.enable()
+    ratios = [ref / vec for ref, vec in zip(ref_times, vec_times)]
+    return (
+        statistics.median(ref_times),
+        statistics.median(vec_times),
+        statistics.median(ratios),
+    )
 
 
 def run_bench(spec: dict) -> dict:
     psts, sequences, background = build_workload(spec)
     pairs = len(psts) * len(sequences)
-    reference_seconds = time_reference(psts, sequences, background,
-                                       spec["repeats"])
-    vectorized_seconds = time_vectorized(
-        psts, sequences, background, spec.get("vec_repeats", spec["repeats"])
+    reference_seconds, vectorized_seconds, speedup = time_alternating(
+        psts, sequences, background, spec["rounds"]
     )
     results = []
-    for backend, seconds in (("reference", reference_seconds),
-                             ("vectorized", vectorized_seconds)):
+    for backend, seconds, ratio in (
+        ("reference", reference_seconds, 1.0),
+        ("vectorized", vectorized_seconds, speedup),
+    ):
         results.append({
             "backend": backend,
             "workers": 0,
             "seconds": seconds,
             "pairs_per_second": pairs / seconds,
             "seqs_per_second": len(sequences) / seconds,
-            "speedup": reference_seconds / seconds,
+            "speedup": ratio,
         })
     return {
         "schema": SCHEMA,

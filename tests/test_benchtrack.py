@@ -118,6 +118,20 @@ class TestLedger:
         assert "backend=vectorized workers=0" in report
         assert "5.00x" in report
 
+    def test_report_marks_worker_pool_rows_historical(self):
+        doc = bench_doc()
+        doc["results"].append(
+            {"backend": "vectorized", "workers": 2, "seconds": 0.03,
+             "speedup": 3.3}
+        )
+        ledger = new_ledger()
+        ingest(ledger, doc)
+        rows = [
+            line for line in render_report(ledger).splitlines()
+            if line.startswith("| ") and "backend=" in line
+        ]
+        assert ["*(historical)*" in row for row in rows] == [False, False, True]
+
 
 class TestCheck:
     def test_no_baseline_passes(self):

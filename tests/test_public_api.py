@@ -4,6 +4,7 @@ import dataclasses
 import glob
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -204,6 +205,83 @@ def _has_attribute(cls: type, attr: str) -> bool:
     }
 
 
+#: A dotted lowercase name: ``similarity.calls``, ``span.cluseq.seed``.
+_DOTTED_NAME = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+")
+
+
+def _harness_metrics() -> set[str]:
+    """The metric names ``BENCHMARK.json`` declares, and the harness
+    layer behind each ``share.<layer>`` metric."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    names = {metric["name"] for metric in spec["end_to_end"] + spec["per_layer"]}
+    return names | {name.removeprefix("share.") for name in names}
+
+
+def _is_span_path(name: str) -> bool:
+    """A declared span, or a chain of them, each nested in the one
+    before it (``cluseq.recluster``, ``stream.batch.stream.score``)."""
+    from repro.obs.names import SPAN_PREFIXES, SPANS
+
+    if name in SPANS or name.startswith(SPAN_PREFIXES):
+        return True
+    parts = name.split(".")
+    return any(
+        ".".join(parts[:cut]) in SPANS and _is_span_path(".".join(parts[cut:]))
+        for cut in range(1, len(parts))
+    )
+
+
+def _is_module_attribute(name: str) -> bool:
+    """An attribute of ``repro.core.<first>`` or ``repro.<first>``
+    (``similarity.score_row``)."""
+    for package in ("repro.core", "repro"):
+        try:
+            _resolve(f"{package}.{name}")
+        except (ImportError, AttributeError):
+            continue
+        return True
+    return False
+
+
+def _telemetry_name_resolves(name: str, harness: set[str]) -> bool:
+    from repro.obs.names import METRIC_PREFIXES, METRICS
+
+    return (
+        name in METRICS
+        or _is_span_path(name)
+        or any(
+            name.startswith(prefix) and _is_span_path(name[len(prefix):])
+            for prefix in METRIC_PREFIXES
+        )
+        or name in harness
+        or _is_module_attribute(name)
+    )
+
+
+def _documented_telemetry_names(harness: set[str]) -> dict[str, set[str]]:
+    """Every backticked dotted lowercase name in the docs whose first
+    part is the first part of a declared name (a ``repro.obs.names``
+    metric or span, or a ``BENCHMARK.json`` metric), with the documents
+    that use it. File names such as ``cluseq.py`` are left out."""
+    from repro.obs.names import METRICS, SPANS
+
+    roots = {name.split(".", 1)[0] for name in METRICS | SPANS | harness}
+    names: dict[str, set[str]] = {}
+    for pattern in DOCS:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as handle:
+                spans = re.findall(r"`([^`\n]+)`", handle.read())
+            for span in spans:
+                if (
+                    _DOTTED_NAME.fullmatch(span)
+                    and span.split(".", 1)[0] in roots
+                    and not _FILE_PATH.fullmatch(span)
+                ):
+                    names.setdefault(span, set()).add(os.path.relpath(path, ROOT))
+    return names
+
+
 def test_documented_references_resolve():
     """A renamed or deleted name fails here, not in a reader's session."""
     refs = _documented_references()
@@ -224,6 +302,15 @@ def test_documented_references_resolve():
         if not _has_attribute(classes[name], attr)
     ]
     assert not missing_members, f"docs name what does not exist: {missing_members}"
+    harness = _harness_metrics()
+    names = _documented_telemetry_names(harness)
+    assert names, "no telemetry names found in the docs"
+    unknown = sorted(
+        f"{name} ({', '.join(sorted(paths))})"
+        for name, paths in names.items()
+        if not _telemetry_name_resolves(name, harness)
+    )
+    assert not unknown, f"docs name telemetry that is not declared: {unknown}"
 
 
 #: Backticked file names the docs use as examples of a run's output,

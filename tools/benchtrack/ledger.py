@@ -304,6 +304,12 @@ def _format_unix(stamp: Any) -> str:
     ).strftime("%Y-%m-%d")
 
 
+def _historical(row: dict[str, Any]) -> bool:
+    """A row of the worker-pool scoring configuration (``workers`` other
+    than 0), which no longer exists: no new document can produce it."""
+    return row.get("workers", 0) != 0
+
+
 def render_report(ledger: dict[str, Any]) -> str:
     """Markdown trajectory report, one table per (bench, workload)."""
     lines = [
@@ -311,6 +317,10 @@ def render_report(ledger: dict[str, Any]) -> str:
         "",
         "Regenerated by `python -m tools.benchtrack` — do not edit.",
         "Schema: `" + LEDGER_SCHEMA + "`.",
+        "",
+        "Rows marked *(historical)* ran with `workers` other than 0: the",
+        "worker-pool scoring they measured was removed, so no new",
+        "document produces them and no check pairs with them.",
     ]
     groups: dict[str, list[dict[str, Any]]] = {}
     for entry in ledger.get("entries", []):
@@ -344,8 +354,11 @@ def render_report(ledger: dict[str, Any]) -> str:
                     if isinstance(speedup, (int, float))
                     else "-"
                 )
+                config = _config_key(row)
+                if _historical(row):
+                    config += " *(historical)*"
                 lines.append(
-                    f"| {date} | {str(sha)[:10]} | {_config_key(row)} "
+                    f"| {date} | {str(sha)[:10]} | {config} "
                     f"| {seconds_cell} | {speedup_cell} |"
                 )
     lines.append("")
