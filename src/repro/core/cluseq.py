@@ -659,11 +659,10 @@ class CLUSEQ:
                         pst_factory=pst_factory,
                     )
                     for choice in seeds:
-                        seed_pst = choice.pst
                         clusters.append(
                             Cluster(
                                 cluster_id=next_cluster_id,
-                                pst=seed_pst,
+                                pst=choice.pst,
                                 seed_index=choice.sequence_index,
                                 created_at_iteration=iteration,
                             )
@@ -673,10 +672,15 @@ class CLUSEQ:
                         # replayed seed pass would lose them for good.
                         if params.rebuild_each_iteration:
                             built[next_cluster_id] = _Built(
-                                (choice.sequence_index, ()), seed_pst, seed_pst.version
+                                (choice.sequence_index, ()), choice.pst, choice.pst.version
                             )
                         next_cluster_id += 1
                     n_new = len(seeds)
+                    # The seed trees now belong to their clusters alone: a
+                    # dismissal or the rebuild's replacement frees each one.
+                    if seeds:
+                        del choice
+                    del seeds
 
                 # -- iteration-0 threshold calibration ---------------------------------
                 # Committing memberships with a grossly under-set initial t
@@ -735,8 +739,14 @@ class CLUSEQ:
                         params.resolved_min_unique(),
                         dissolve_covered=params.dissolve_covered,
                     )
-                    drop_dismissed(assignments, {cluster.cluster_id for cluster in removed})
+                    dismissed = {cluster.cluster_id for cluster in removed}
                     n_removed = len(removed)
+                    # Nothing reads a dismissed cluster again: its tree
+                    # dies here, before the rebuild makes the next ones.
+                    del removed
+                    drop_dismissed(assignments, dismissed)
+                    for cluster_id in dismissed:
+                        built.pop(cluster_id, None)
 
                 kept = 0
                 if params.rebuild_each_iteration:
@@ -1162,14 +1172,14 @@ class CLUSEQ:
         cluster's build input, so a cluster whose build input equals
         the one its current tree was built from, and whose tree no
         absorb has touched since (same object, same ``version``), keeps
-        that tree. *built* is updated to record each cluster's tree;
-        without it every tree is rebuilt. Returns how many clusters
-        kept their tree.
+        that tree. *built* is updated to record each cluster's tree
+        (records of clusters not in *clusters* are the caller's to
+        drop); without it every tree is rebuilt. Returns how many
+        clusters kept their tree.
         """
         if built is None:
             built = {}
         kept = 0
-        current: dict[int, _Built] = {}
         for cluster in clusters:
             build_input: BuildInput = (
                 cluster.seed_index,
@@ -1178,16 +1188,17 @@ class CLUSEQ:
                     for m in cluster._members.values()
                 ),
             )
-            record = built.get(cluster.cluster_id)
+            # Popped, so that the superseded tree's last reference is
+            # ``cluster.pst``: it dies when the new tree replaces it.
+            record = built.pop(cluster.cluster_id, None)
             if record is not None and _built_from(record, cluster.pst) == build_input:
-                current[cluster.cluster_id] = record
+                built[cluster.cluster_id] = record
                 kept += 1
                 continue
+            record = None
             fresh = build_tree(build_input, encoded, pst_factory)
             cluster.pst = fresh
-            current[cluster.cluster_id] = _Built(build_input, fresh, fresh.version)
-        built.clear()
-        built.update(current)
+            built[cluster.cluster_id] = _Built(build_input, fresh, fresh.version)
         return kept
 
 
