@@ -16,25 +16,25 @@ Four pieces:
   :func:`configure_logging` and a JSON-lines formatter. The root
   logger is never touched.
 * :mod:`repro.obs.tracing` — nested :func:`span` context managers
-  measuring wall/CPU time per pipeline phase, with optional trace
-  export (span/trace ids) via :func:`set_span_exporter`.
-* :mod:`repro.obs.export` — Prometheus text exposition,
-  ``repro.telemetry/v2`` JSON snapshots and the ``repro.trace/v1``
-  JSONL span exporter.
+  measuring wall/CPU time per pipeline phase into ``span.<path>``
+  timers, plus one DEBUG log record per finished span.
+* :mod:`repro.obs.export` — Prometheus text exposition and
+  ``repro.telemetry/v2`` JSON snapshots.
+
+Telemetry leaves a process three ways: aggregates as a
+``repro.telemetry/v2`` snapshot (:func:`write_telemetry_json`, the
+CLI's ``--metrics-out``), per-event records as JSON log lines
+(:func:`configure_logging` at DEBUG, the CLI's ``--log-json``), and a
+live server's ``/metrics`` (:func:`to_prometheus_text`).
 
 See ``docs/OBSERVABILITY.md`` for the metric catalogue and usage.
 """
 
 from .export import (
     TELEMETRY_SCHEMA_V2,
-    TRACE_SCHEMA,
-    JsonlSpanExporter,
     prometheus_from_snapshot,
-    read_trace,
     telemetry_document,
     to_prometheus_text,
-    use_span_exporter,
-    write_prometheus_text,
     write_telemetry_json,
 )
 from .logging import (
@@ -59,13 +59,7 @@ from .metrics import (
     set_registry,
     use_registry,
 )
-from .tracing import (
-    Span,
-    get_span_exporter,
-    new_trace_id,
-    set_span_exporter,
-    span,
-)
+from .tracing import Span, span
 
 __all__ = [
     "LOGGER_NAME",
@@ -88,17 +82,9 @@ __all__ = [
     "peak_rss_bytes",
     "Span",
     "span",
-    "new_trace_id",
-    "set_span_exporter",
-    "get_span_exporter",
     "TELEMETRY_SCHEMA_V2",
-    "TRACE_SCHEMA",
-    "JsonlSpanExporter",
-    "use_span_exporter",
     "telemetry_document",
     "write_telemetry_json",
     "to_prometheus_text",
     "prometheus_from_snapshot",
-    "write_prometheus_text",
-    "read_trace",
 ]

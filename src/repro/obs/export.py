@@ -1,8 +1,7 @@
-"""Metrics and trace exporters (Telemetry v2).
+"""Metrics exporters (Telemetry v2).
 
-Three output formats, all derived from the same
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot or live span
-stream:
+Two output formats, both derived from the same
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot:
 
 * **Prometheus text exposition** — :func:`to_prometheus_text` renders
   every instrument into the ``text/plain; version=0.0.4`` format so a
@@ -10,10 +9,6 @@ stream:
 * **Versioned JSON snapshots** — :func:`telemetry_document` builds a
   ``repro.telemetry/v2`` document: the raw metric snapshot plus the
   creation timestamp and run context.
-* **JSONL trace spans** — :class:`JsonlSpanExporter` writes finished
-  spans as ``repro.trace/v1`` JSON lines (one header record, then one
-  record per span with trace/span/parent ids), the wire format
-  streaming micro-batches stitch into.
 
 Stdlib-only, like the rest of ``repro.obs``.
 """
@@ -23,35 +18,25 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 import time
 from collections.abc import Mapping
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import Union
 
-from .metrics import MetricsRegistry, _sanitize
-from .tracing import Span, SpanExporter, set_span_exporter
+from .metrics import MetricsRegistry
 
 __all__ = [
     "TELEMETRY_SCHEMA_V2",
-    "TRACE_SCHEMA",
     "telemetry_document",
     "write_telemetry_json",
     "to_prometheus_text",
     "prometheus_from_snapshot",
-    "write_prometheus_text",
-    "JsonlSpanExporter",
-    "use_span_exporter",
-    "read_trace",
 ]
 
 #: Version tag stamped on every exported telemetry snapshot. v2 adds
 #: the creation timestamp and run context on top of v1's bare
 #: ``{"schema", "metrics"}`` shape.
 TELEMETRY_SCHEMA_V2 = "repro.telemetry/v2"
-
-#: Version tag on the JSONL trace stream's header record.
-TRACE_SCHEMA = "repro.trace/v1"
 
 #: One instrument's serialized state, as produced by ``snapshot()``.
 SnapshotEntry = Mapping[str, object]
@@ -61,6 +46,19 @@ _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 # -- telemetry/v2 JSON snapshots ------------------------------------------------
+
+
+def _sanitize(value: object) -> object:
+    """Make *value* strict-JSON safe: non-finite floats become ``None``
+    (``json.dumps`` would otherwise emit the invalid ``Infinity``/``NaN``
+    literals, which non-Python consumers reject)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_sanitize(v) for v in value]
+    return value
 
 
 def telemetry_document(
@@ -210,132 +208,3 @@ def prometheus_from_snapshot(snapshot: Snapshot, namespace: str = "repro") -> st
 def to_prometheus_text(registry: MetricsRegistry, namespace: str = "repro") -> str:
     """Prometheus text exposition of *registry*'s current state."""
     return prometheus_from_snapshot(registry.snapshot(), namespace=namespace)
-
-
-def write_prometheus_text(
-    path: Union[str, Path], registry: MetricsRegistry, namespace: str = "repro"
-) -> Path:
-    """Write a ``.prom`` exposition file; returns the path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(to_prometheus_text(registry, namespace), encoding="utf-8")
-    return target
-
-
-# -- repro.trace/v1 JSONL spans -------------------------------------------------
-
-
-class JsonlSpanExporter:
-    """Writes finished spans as ``repro.trace/v1`` JSON lines.
-
-    The first line is a header record carrying the schema tag; every
-    subsequent line is one span::
-
-        {"type": "header", "schema": "repro.trace/v1", ...}
-        {"type": "span", "trace": "t-…", "span": "s-…", "parent": null, ...}
-
-    Thread-safe: spans from worker threads interleave whole lines.
-    Install for a block of code with :class:`use_span_exporter`.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._file: Optional[IO[str]] = self.path.open("w", encoding="utf-8")
-        self.exported = 0
-        self._write(
-            {
-                "type": "header",
-                "schema": TRACE_SCHEMA,
-                "created_unix": time.time(),
-            }
-        )
-
-    def _write(self, record: Mapping[str, object]) -> None:
-        with self._lock:
-            if self._file is None:
-                return
-            self._file.write(json.dumps(_sanitize(record)) + "\n")
-            self._file.flush()
-
-    def export(self, span: Span) -> None:
-        record: dict[str, object] = {
-            "type": "span",
-            "trace": span.trace_id,
-            "span": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "path": span.path,
-            "depth": span.depth,
-            "start_unix": span.start_unix,
-            "wall_seconds": span.wall_seconds,
-            "cpu_seconds": span.cpu_seconds,
-        }
-        if span.attrs:
-            record["attrs"] = dict(span.attrs)
-        self._write(record)
-        self.exported += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-    def __enter__(self) -> "JsonlSpanExporter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class use_span_exporter:
-    """Context manager: install a span exporter for a block, restore after.
-
-    Does not close the exporter — pair with the exporter's own context
-    manager when writing to a file::
-
-        with JsonlSpanExporter(path) as exporter, use_span_exporter(exporter):
-            run()
-    """
-
-    def __init__(self, exporter: SpanExporter | None) -> None:
-        self.exporter = exporter
-        self._previous: SpanExporter | None = None
-
-    def __enter__(self) -> SpanExporter | None:
-        self._previous = set_span_exporter(self.exporter)
-        return self.exporter
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_span_exporter(self._previous)
-
-
-def read_trace(path: Union[str, Path]) -> tuple[dict[str, object], list[dict[str, object]]]:
-    """Parse a ``repro.trace/v1`` file into ``(header, span_records)``.
-
-    Raises ``ValueError`` on a missing/foreign header; blank lines are
-    skipped so a partially flushed tail doesn't break readers.
-    """
-    header: dict[str, object] | None = None
-    spans: list[dict[str, object]] = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"malformed trace record in {path}")
-            if header is None:
-                if record.get("type") != "header" or record.get("schema") != TRACE_SCHEMA:
-                    raise ValueError(
-                        f"{path} is not a {TRACE_SCHEMA} trace (bad header)"
-                    )
-                header = record
-            elif record.get("type") == "span":
-                spans.append(record)
-    if header is None:
-        raise ValueError(f"{path} is empty (no trace header)")
-    return header, spans

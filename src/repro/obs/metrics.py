@@ -40,7 +40,6 @@ dependency concerns.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import threading
@@ -387,22 +386,6 @@ class MetricsRegistry:
                 entry["labels"] = dict(labels)
             out[_render_name(name, labels)] = entry
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(_sanitize(self.snapshot()), indent=indent)
-
-
-def _sanitize(value: object) -> object:
-    """Make *value* strict-JSON safe: non-finite floats become ``None``
-    (``json.dumps`` would otherwise emit the invalid ``Infinity``/``NaN``
-    literals, which non-Python consumers reject)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return value
 
 
 # -- the no-op implementation ---------------------------------------------------

@@ -241,10 +241,7 @@ class ShardedStreamingCluseq:
         subs: list[list[list[int]]] = [[] for _ in self._handles]
         for seq, shard in zip(cleaned, routes):
             subs[shard].append(seq)
-        with span("shard.batch") as batch_span:
-            if batch_span.span_id is not None:
-                batch_span.set_attr("batch", self._batches)
-                batch_span.set_attr("size", len(cleaned))
+        with span("shard.batch"):
             results: list[list[int | None]] = [[] for _ in self._handles]
             for index, sub in enumerate(subs):
                 if sub:
@@ -269,9 +266,7 @@ class ShardedStreamingCluseq:
         so a dropped keeper is always dropped later.)
         """
         registry = get_registry()
-        with span("shard.consolidate") as round_span:
-            if round_span.span_id is not None:
-                round_span.set_attr("round", round_)
+        with span("shard.consolidate"):
             exports = [
                 [
                     ClusterExport(

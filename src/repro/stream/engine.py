@@ -59,8 +59,6 @@ from ..core.similarity import check_sequence, score_row
 from ..obs import (
     get_logger,
     get_registry,
-    get_span_exporter,
-    new_trace_id,
     peak_rss_bytes,
     span,
 )
@@ -269,10 +267,6 @@ class StreamingCluseq:
             ),
         )
         self._replaying = False
-        # One trace per engine lifetime: every micro-batch root span of
-        # this run shares it, so exported traces read as one story.
-        # Allocated lazily, only while a span exporter is installed.
-        self._trace_id: str | None = None
         self._pst_factory = result.params.pst_factory(len(result.background))
         self.state_dir: str | None = None
         self._journal: StreamJournal | None = None
@@ -391,8 +385,8 @@ class StreamingCluseq:
         journal = journal_path(state_dir)
         records = journal_batches_after(journal, after=checkpoint_batches)
         # The replay runs under its own span so crash-recovery cost
-        # shows up in traces and the ``span.stream.recover`` timer
-        # (replayed batches also carry a ``replay`` span attr).
+        # shows up in the ``span.stream.recover`` timer, and a replayed
+        # batch's span path is ``stream.recover.stream.batch``.
         engine._replaying = True
         try:
             with span("stream.recover"):
@@ -454,23 +448,10 @@ class StreamingCluseq:
 
     # -- batch processing ---------------------------------------------------------
 
-    def _batch_trace_id(self) -> str | None:
-        """The engine-lifetime trace id (when spans are being exported)."""
-        if get_span_exporter() is None:
-            return None
-        if self._trace_id is None:
-            self._trace_id = new_trace_id()
-        return self._trace_id
-
     def _apply_batch(self, batch: list[list[int]]) -> list[int | None]:
         registry = get_registry()
         assigned: list[int | None] = []
-        with span("stream.batch", trace_id=self._batch_trace_id()) as batch_span:
-            if batch_span.span_id is not None:
-                batch_span.set_attr("batch", self._counts.batches)
-                batch_span.set_attr("size", len(batch))
-                if self._replaying:
-                    batch_span.set_attr("replay", True)
+        with span("stream.batch"):
             with span("stream.score"):
                 # check_batch checked every sequence; the trees and the
                 # log background are fixed until maintenance runs.
@@ -537,11 +518,8 @@ class StreamingCluseq:
             and batches % config.reseed_every == 0
             and len(self._pool) >= config.reseed_min_pool
         ):
-            with span("stream.reseed") as reseed_span:
-                spawned, rescued = self._reseed()
-                if reseed_span.span_id is not None:
-                    reseed_span.set_attr("spawned", spawned)
-                    reseed_span.set_attr("rescued", rescued)
+            with span("stream.reseed"):
+                self._reseed()
         if (
             config.consolidate_every > 0
             and batches % config.consolidate_every == 0
@@ -573,7 +551,7 @@ class StreamingCluseq:
                 extra={"batch": self._counts.batches, "pruned_nodes": pruned},
             )
 
-    def _reseed(self) -> tuple[int, int]:
+    def _reseed(self) -> None:
         """Spawn up to ``reseed_k`` clusters from the outlier pool, one
         at a time (§4.1 seeding, §4.2 re-examination).
 
@@ -589,8 +567,6 @@ class StreamingCluseq:
         The RNG is derived from ``(config.seed, batch counter)`` and
         shared by the round's draws, so a replayed run draws the
         identical samples regardless of where the last checkpoint fell.
-        Returns ``(spawned, rescued)`` counts for the enclosing span's
-        attributes.
         """
         rng = np.random.default_rng([self.config.seed, self._counts.batches])
         log_bg = self.result.log_background()
@@ -614,7 +590,6 @@ class StreamingCluseq:
                     "rescued": rescued,
                 },
             )
-        return len(spawned), rescued
 
     def _spawn(self, rng: np.random.Generator, log_bg: list[float]) -> Cluster:
         """Draw one §4.1 seed from the (non-empty) pool and make it a

@@ -16,6 +16,7 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.benchtrack import (  # noqa: E402
+    check_fit_quality,
     check_regressions,
     check_serving,
     ingest,
@@ -379,6 +380,79 @@ class TestCheckServing:
             )
 
 
+def fit_quality_doc(ari=0.7, **outcomes):
+    row = {"draw": "0.05/3", "outlier_fraction": 0.05, "seed": 3, "ari": ari,
+           "iterations": 25, "converged": False, "clusters": 10,
+           "digest": "a5c06af12dcbba8a", "seconds": 1.0}
+    row.update(outcomes)
+    return bench_doc(
+        bench="fit_quality",
+        workload={"num_sequences": 400, "k": 2},
+        results=[row],
+    )
+
+
+def load_fit_quality_bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench_fit_quality", REPO_ROOT / "benchmarks" / "bench_fit_quality.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+class TestCheckFitQuality:
+    @pytest.fixture(scope="class")
+    def smoke_doc(self):
+        # The smoke CI runs: two draws, each fitted in a fresh process.
+        bench = load_fit_quality_bench()
+        return bench.bench_document(
+            [bench.run_draw(fraction, seed) for fraction, seed in bench.SMOKE_DRAWS]
+        )
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        return load_ledger(REPO_ROOT / "BENCH_TRAJECTORY.json")
+
+    def test_shipped_smoke_passes(self, smoke_doc, shipped):
+        assert check_fit_quality(shipped, smoke_doc) == []
+
+    def test_ari_drop_beyond_tolerance_fails(self, smoke_doc, shipped):
+        dropped = copy.deepcopy(smoke_doc)
+        dropped["results"][1]["ari"] -= 0.03
+        messages = check_fit_quality(shipped, dropped)
+        assert len(messages) == 1
+        assert "draw=0.05/3" in messages[0]
+        assert "ari regressed" in messages[0]
+
+    def test_no_shared_draw_fails(self, smoke_doc, shipped):
+        foreign = copy.deepcopy(smoke_doc)
+        for row in foreign["results"]:
+            row["draw"] = "0.5/" + row["draw"]
+        messages = check_fit_quality(shipped, foreign)
+        assert len(messages) == 1
+        assert "no result row could be compared" in messages[0]
+
+    def test_no_baseline_passes(self):
+        assert check_fit_quality(new_ledger(), fit_quality_doc()) == []
+
+    def test_outcomes_do_not_fork_config_keys(self):
+        ledger = new_ledger()
+        ingest(ledger, fit_quality_doc())
+        moved = fit_quality_doc(
+            ari=0.71, iterations=12, converged=True, clusters=9, seeds=20,
+            dismissed=10, recovered=10, outliers_left=14, outliers=20,
+            t_moves=2, digest="0000000000000000",
+        )
+        assert check_fit_quality(ledger, moved) == []
+        assert check_fit_quality(ledger, fit_quality_doc(ari=0.5)) != []
+
+    def test_within_tolerance_passes(self):
+        ledger = new_ledger()
+        ingest(ledger, fit_quality_doc(ari=0.7))
+        assert check_fit_quality(ledger, fit_quality_doc(ari=0.69)) == []
+
+
 class TestCli:
     def run(self, *argv, cwd=REPO_ROOT):
         return subprocess.run(
@@ -477,6 +551,30 @@ class TestCli:
         )
         assert failed.returncode == 1
         assert "SERVING REGRESSION" in failed.stderr
+
+    def test_check_fit_quality_cli_pass_and_fail(self, tmp_path):
+        ledger_path = tmp_path / "ledger.json"
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps(fit_quality_doc()))
+        ingested = self.run(
+            "ingest", str(baseline_path),
+            "--ledger", str(ledger_path), "--report", "",
+        )
+        assert ingested.returncode == 0, ingested.stderr
+
+        ok = self.run(
+            "check-fit-quality", str(baseline_path), "--ledger", str(ledger_path)
+        )
+        assert ok.returncode == 0, ok.stderr
+        assert "passed" in ok.stdout
+
+        dropped_path = tmp_path / "dropped.json"
+        dropped_path.write_text(json.dumps(fit_quality_doc(ari=0.67)))
+        failed = self.run(
+            "check-fit-quality", str(dropped_path), "--ledger", str(ledger_path)
+        )
+        assert failed.returncode == 1
+        assert "FIT QUALITY REGRESSION" in failed.stderr
 
     def test_no_subcommand_prints_help(self):
         result = self.run()

@@ -1,7 +1,6 @@
 """Tests for the Telemetry v2 exporters (``repro.obs.export``).
 
-Covers the Prometheus text renderer, the versioned JSON snapshot, and
-the JSONL trace exporter with trace-context propagation.
+Covers the Prometheus text renderer and the versioned JSON snapshot.
 """
 
 from __future__ import annotations
@@ -12,19 +11,10 @@ import pytest
 
 from repro.obs import (
     TELEMETRY_SCHEMA_V2,
-    TRACE_SCHEMA,
-    JsonlSpanExporter,
     MetricsRegistry,
-    get_span_exporter,
-    new_trace_id,
     prometheus_from_snapshot,
-    read_trace,
-    set_span_exporter,
-    span,
     telemetry_document,
     to_prometheus_text,
-    use_span_exporter,
-    write_prometheus_text,
     write_telemetry_json,
 )
 
@@ -81,11 +71,6 @@ class TestPrometheusExposition:
     def test_empty_snapshot_renders_empty(self):
         assert prometheus_from_snapshot({}) == ""
 
-    def test_write_prometheus_text(self, registry, tmp_path):
-        registry.counter("a.b").inc()
-        target = write_prometheus_text(tmp_path / "out" / "m.prom", registry)
-        assert target.read_text().startswith("# TYPE repro_a_b_total counter")
-
 
 class TestTelemetryDocument:
     def test_v2_shape(self, registry):
@@ -105,63 +90,3 @@ class TestTelemetryDocument:
         doc = json.loads(target.read_text())
         assert doc["schema"] == TELEMETRY_SCHEMA_V2
         assert doc["metrics"]["stream.clusters"]["value"] == 2.0
-
-
-class TestJsonlSpanExporter:
-    def test_header_then_spans(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSpanExporter(path) as exporter, use_span_exporter(exporter):
-            with span("phase"):
-                with span("inner"):
-                    pass
-        header, spans = read_trace(path)
-        assert header["schema"] == TRACE_SCHEMA
-        assert [s["name"] for s in spans] == ["inner", "phase"]  # finish order
-        inner, phase = spans
-        assert phase["parent"] is None
-        assert inner["parent"] == phase["span"]
-        assert inner["trace"] == phase["trace"]
-        assert inner["wall_seconds"] >= 0.0
-        assert exporter.exported == 2
-
-    def test_no_ids_without_exporter(self, tmp_path):
-        assert get_span_exporter() is None
-        with span("quiet") as live:
-            assert live.span_id is None
-            assert live.trace_id is None
-
-    def test_explicit_trace_id_adopted_by_root_span(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with JsonlSpanExporter(path) as exporter, use_span_exporter(exporter):
-            trace_id = new_trace_id()
-            with span("batch", trace_id=trace_id):
-                pass
-            with span("batch", trace_id=trace_id):
-                pass
-        _, spans = read_trace(path)
-        assert [s["trace"] for s in spans] == [trace_id, trace_id]
-        assert spans[0]["span"] != spans[1]["span"]
-
-    def test_set_span_exporter_returns_previous(self, tmp_path):
-        with JsonlSpanExporter(tmp_path / "t.jsonl") as exporter:
-            assert set_span_exporter(exporter) is None
-            assert set_span_exporter(None) is exporter
-        assert get_span_exporter() is None
-
-    def test_read_trace_rejects_foreign_file(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"type": "header", "schema": "other/v9"}\n')
-        with pytest.raises(ValueError, match="bad header"):
-            read_trace(bad)
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            read_trace(empty)
-
-    def test_export_after_close_is_silent(self, tmp_path):
-        exporter = JsonlSpanExporter(tmp_path / "t.jsonl")
-        exporter.close()
-        with use_span_exporter(exporter):
-            with span("late"):
-                pass  # export hits the closed file and is dropped
-

@@ -26,6 +26,7 @@ from repro.obs import (
     reset_logging,
     set_registry,
     span,
+    telemetry_document,
     use_registry,
 )
 
@@ -208,7 +209,7 @@ class TestMetricsRegistry:
         registry.timer("d").record(0.1, 0.05)
         registry.series("e").append(2.0)
         registry.gauge("inf", kind="weird").set(float("inf"))
-        doc = json.loads(registry.to_json())
+        doc = json.loads(json.dumps(telemetry_document(registry)))["metrics"]
         assert doc["a"] == {"type": "counter", "value": 1}
         assert doc["e"]["values"] == [2.0]
         assert doc["inf{kind=weird}"]["labels"] == {"kind": "weird"}

@@ -8,6 +8,7 @@ the zero-overhead default — and that turning all of it on never
 changes what the clustering computes.
 """
 
+import io
 import json
 
 import numpy as np
@@ -19,11 +20,11 @@ from repro.core.pst import ProbabilisticSuffixTree
 from repro.obs import (
     LATENCY_BUCKETS,
     NULL_REGISTRY,
-    JsonlSpanExporter,
     MetricsRegistry,
+    configure_logging,
     get_registry,
+    reset_logging,
     use_registry,
-    use_span_exporter,
 )
 from repro.sequences.generators import generate_clustered_database
 from repro.stream import (
@@ -227,18 +228,27 @@ class TestTelemetryDoesNotChangeResults:
             "converged": result.converged,
         }
 
-    def test_golden_run_identical_with_telemetry_on(self, toy_db, tmp_path):
+    def test_golden_run_identical_with_telemetry_on(self, toy_db):
         params = CluseqParams(
             k=3, significance_threshold=2, max_iterations=4
         )
         plain = CLUSEQ(params).fit(toy_db)
 
         registry = MetricsRegistry()
-        with JsonlSpanExporter(tmp_path / "trace.jsonl") as exporter:
-            with use_registry(registry), use_span_exporter(exporter):
+        events = io.StringIO()
+        configure_logging(level="DEBUG", json_lines=True, stream=events)
+        try:
+            with use_registry(registry):
                 telemetered = CLUSEQ(params).fit(toy_db)
+        finally:
+            reset_logging()
 
         assert self._fingerprint(plain) == self._fingerprint(telemetered)
+        # every span logged its event record
+        spans = [
+            json.loads(line).get("span") for line in events.getvalue().splitlines()
+        ]
+        assert "cluseq.recluster" in spans
         # and the telemetry run actually timed and counted the scoring
         assert registry.get("span.cluseq.recluster").count > 0
         assert registry.get("similarity.dp_cells").value > 0

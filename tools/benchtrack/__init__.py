@@ -29,6 +29,12 @@ it enforces a ``req_per_second`` floor and a ``p99_ms`` ceiling
 
     python -m tools.benchtrack check-serving BENCH_SERVING.json
 
+``check-fit-quality`` gates the fit-quality bench
+(``benchmarks/bench_fit_quality.py``): each draw's ARI may fall at most
+0.02 below the same draw in the baseline::
+
+    python -m tools.benchtrack check-fit-quality fit-quality.smoke.json
+
 Stdlib only — no numpy, no third-party deps — so it runs anywhere the
 CI does, including before the project venv is built.
 """
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 from .ledger import (
     LEDGER_SCHEMA,
+    check_fit_quality,
     check_regressions,
     check_serving,
     ingest,
@@ -50,6 +57,7 @@ from .schema import BENCH_SCHEMA, load_bench_document, stamp_bench_document, val
 __all__ = [
     "BENCH_SCHEMA",
     "LEDGER_SCHEMA",
+    "check_fit_quality",
     "check_regressions",
     "check_serving",
     "ingest",
