@@ -26,7 +26,13 @@ JSON row:
   ``fit_wall_raw_s`` uncorrected;
 - ``vmhwm_before_mb`` and ``vmhwm_after_mb``: the process's peak
   resident set (Linux ``VmHWM``) after generating the draw and after
-  the fit.
+  the fit;
+- ``host_parallelism``, measured once per run before the first draw:
+  how much faster two pure-Python burn processes finish side by side
+  than one after the other, the median of three rounds. It reads about
+  2.0 on two idle CPUs and about 1.0 where the two timeshare one CPU,
+  where the fit's pass worker cannot overlap anything, so it tells
+  which walls from different hosts can be compared. No gate reads it.
 
 Quality and digests are exact; the wall is indicative. ``--out`` writes
 the rows as a ``repro.bench/v1`` document (bench ``fit_quality``; each
@@ -43,10 +49,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Any
 
 HERE = Path(__file__).resolve().parent
 for path in (HERE / "e2e", HERE.parent / "src", HERE.parent):
@@ -59,6 +68,49 @@ FIT_PARAMS = {"k": 2, "significance_threshold": 4}
 #: ``(outlier_fraction, seed)`` of every draw, and of the smoke's two.
 DRAWS = [(fraction, seed) for fraction in (0.05, 0.2) for seed in range(5)]
 SMOKE_DRAWS = [(0.05, 1), (0.05, 3)]
+#: Additions in one burn loop: about 0.1 s of one 2-vCPU container CPU.
+BURN_LOOPS = 2_000_000
+
+
+def burn(barrier: Any = None) -> tuple[float, float]:
+    """One pure-Python loop; returns its start and end on the
+    system-wide monotonic clock. *barrier* (a ``multiprocessing``
+    barrier) lines up the start with another burn."""
+    if barrier is not None:
+        barrier.wait()
+    started = time.monotonic()
+    total = 0
+    for i in range(BURN_LOOPS):
+        total += i
+    return started, time.monotonic()
+
+
+def _burn_into(barrier: Any, queue: Any) -> None:
+    queue.put(burn(barrier))
+
+
+def host_parallelism(rounds: int = 3) -> float:
+    """How much faster two burns finish side by side, each in its own
+    process, than one after the other here: the median over *rounds*
+    of the two back-to-back walls over the span of the pair."""
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    ratios = []
+    for _ in range(rounds):
+        back_to_back = sum(end - start for start, end in (burn(), burn()))
+        barrier, queue = context.Barrier(2), context.Queue()
+        pair = [
+            context.Process(target=_burn_into, args=(barrier, queue)) for _ in range(2)
+        ]
+        for process in pair:
+            process.start()
+        spans = [queue.get() for _ in pair]
+        for process in pair:
+            process.join()
+        side_by_side = max(end for _, end in spans) - min(start for start, _ in spans)
+        ratios.append(back_to_back / side_by_side)
+    return round(statistics.median(ratios), 2)
 
 
 def recovered_clusters(truth: list[str], labels: list[int | None]) -> int:
@@ -205,10 +257,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.draw:
         print(json.dumps(fit_draw(float(args.draw[0]), int(args.draw[1]))))
         return 0
+    parallelism = host_parallelism()
+    print(f"host parallelism {parallelism:.2f} (2.0: two idle CPUs; 1.0: one)")
     print(" ".join(f"{title:>{width}}" for _, title, width, _ in COLUMNS))
     rows = []
     for fraction, seed in SMOKE_DRAWS if args.smoke else DRAWS:
-        rows.append(run_draw(fraction, seed))
+        rows.append({**run_draw(fraction, seed), "host_parallelism": parallelism})
         print_row(rows[-1])
     if args.out is not None:
         from tools.benchtrack.schema import write_bench_document

@@ -15,8 +15,8 @@ stable:
    segment into its PST. A cluster whose starting model, ``t`` and
    examination order repeat a recent pass replays that pass's scores
    instead of rescoring. On a host with a second CPU every second live
-   pass runs in a worker process (:mod:`~repro.core.fit_worker`), with
-   the same result.
+   pass runs in a worker process (:mod:`~repro.core.fit_worker`), on a
+   tree the worker built, with the same result.
 3. **Cluster consolidation** (§4.5) — dismiss clusters covered by
    larger ones.
 4. **Threshold adjustment** (§4.6, optional) — move ``t`` halfway
@@ -60,7 +60,15 @@ from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
 from .cluster import Cluster
 from .examine import best_cluster, join_all, join_best
-from .fit_worker import BuildInput, PassWorker, build_tree
+from .fit_worker import Built as _Built
+from .fit_worker import (
+    BuildInput,
+    FitTrees,
+    PassWorker,
+    WorkerReferences,
+    build_input_of,
+    build_tree,
+)
 from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
 from .pst import ProbabilisticSuffixTree
@@ -451,16 +459,6 @@ class ClusteringResult:
         )
 
 
-@dataclass(frozen=True)
-class _Built:
-    """A tree the rebuild made: its build input, and the tree and its
-    version right after the build."""
-
-    build_input: BuildInput
-    pst: ProbabilisticSuffixTree
-    version: int
-
-
 #: Iterations a recorded pass survives without being recorded again or
 #: replayed. A pass record holds one ``log SIM`` and one
 #: ``best_start``/``best_end`` pair per examined sequence (16 bytes),
@@ -482,6 +480,11 @@ class _Pass:
     logs: array[float]  # log SIM; one per position
     bounds: array[int]  # best_start, best_end; two per position
     used: int
+
+    def repeats(self, log_t: float, order: list[int]) -> bool:
+        """Whether a pass under ``log t`` and *order* from the same
+        starting model would repeat this one exactly."""
+        return self.log_t == log_t and self.order == order
 
 
 def _built_from(
@@ -507,7 +510,7 @@ def _replayable(
     if build_input is None:
         return None
     previous = passes.get(build_input)
-    if previous is None or previous.log_t != log_t or previous.order != order:
+    if previous is None or not previous.repeats(log_t, order):
         return None
     return previous
 
@@ -615,14 +618,16 @@ class CLUSEQ:
         prev_snapshot: (
             tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None
         ) = None
-        # Replay state (``rebuild_each_iteration`` only): what each
-        # cluster's tree was built from, by cluster id, and the recent
+        # Replay state (``rebuild_each_iteration`` only): the recent
         # passes, by the build input they started from.
-        built: dict[int, _Built] = {}
         passes: dict[BuildInput, _Pass] = {}
         run_start = time.perf_counter()
         # Closed on every exit path: a return, a hook's exception, Ctrl-C.
         worker = PassWorker(encoded, pst_factory, log_bg)
+        if not params.rebuild_each_iteration:
+            # An additive tree has no build input to hand over.
+            worker.close()
+        trees = FitTrees(worker, encoded, pst_factory, log_bg)
         try:
             for iteration in range(params.max_iterations):
                 iter_start = time.perf_counter()
@@ -651,12 +656,17 @@ class CLUSEQ:
                     seeds = select_seeds(
                         candidates=candidates,
                         encoded_lookup=lambda i: encoded[i],
-                        existing_clusters=clusters,
+                        existing_clusters=[
+                            c for c in clusters if c.cluster_id not in trees.away
+                        ],
                         background=background,
                         count=min(requested, len(unclustered)),
                         sample_multiplier=params.sample_multiplier,
                         rng=rng,
                         pst_factory=pst_factory,
+                        elsewhere=(
+                            WorkerReferences(trees, clusters) if trees.away else None
+                        ),
                     )
                     for choice in seeds:
                         clusters.append(
@@ -671,7 +681,7 @@ class CLUSEQ:
                         # cluster. Additive models keep their absorbs, so a
                         # replayed seed pass would lose them for good.
                         if params.rebuild_each_iteration:
-                            built[next_cluster_id] = _Built(
+                            trees.built[next_cluster_id] = _Built(
                                 (choice.sequence_index, ()), choice.pst, choice.pst.version
                             )
                         next_cluster_id += 1
@@ -697,7 +707,7 @@ class CLUSEQ:
                 ):
                     with span("calibrate"):
                         calibrated = self._calibrate_initial_threshold(
-                            db, clusters, encoded, log_bg, pst_factory, rng
+                            db, clusters, encoded, log_bg, pst_factory, rng, worker
                         )
                     if calibrated is not None:
                         log_t = calibrated
@@ -724,10 +734,9 @@ class CLUSEQ:
                             log_bg,
                             log_t,
                             all_log_sims,
-                            built,
+                            trees,
                             passes,
                             iteration,
-                            worker,
                         )
                     )
 
@@ -745,17 +754,12 @@ class CLUSEQ:
                     # dies here, before the rebuild makes the next ones.
                     del removed
                     drop_dismissed(assignments, dismissed)
-                    for cluster_id in dismissed:
-                        built.pop(cluster_id, None)
-
-                kept = 0
-                if params.rebuild_each_iteration:
-                    with span("rebuild"):
-                        kept = self._rebuild_cluster_models(
-                            clusters, encoded, pst_factory, built
-                        )
+                    trees.forget(dismissed)
 
                 # -- phase 4: threshold adjustment ------------------------------------------
+                # It reads only the reclustering's scores, so the next
+                # ``log t`` is settled before the rebuild, which places
+                # each cluster's next pass.
                 valley_linear: float | None = None
                 threshold_moved = False
                 if params.adjust_threshold and not threshold_converged:
@@ -801,6 +805,33 @@ class CLUSEQ:
                 )
                 prev_snapshot = snapshot
 
+                kept = 0
+                away_nodes: dict[int, int] = {}
+                if params.rebuild_each_iteration:
+                    with span("rebuild"):
+                        share = (
+                            []
+                            if stable or iteration == params.max_iterations - 1
+                            else trees.share(
+                                clusters,
+                                passes,
+                                log_t,
+                                # The ``random`` order is not drawn yet.
+                                None
+                                if params.ordering == "random"
+                                else self._examination_order(
+                                    len(db), clusters, assignments, rng
+                                ),
+                            )
+                        )
+                        kept, away_nodes = trees.rebuild(
+                            clusters,
+                            share,
+                            lambda group: self._rebuild_cluster_models(
+                                group, encoded, pst_factory, trees.built
+                            ),
+                        )
+
                 # History is appended *after* the termination logic so the
                 # final iteration — on either exit path (stability here,
                 # max_iterations via loop exhaustion) — records its full
@@ -822,7 +853,9 @@ class CLUSEQ:
                     stable=stable,
                 )
                 history.append(stats)
-                self._observe_iteration(stats, clusters, log_t, replayed, kept)
+                self._observe_iteration(
+                    stats, clusters, log_t, replayed, kept, away_nodes
+                )
                 if stable:
                     break
         finally:
@@ -875,6 +908,7 @@ class CLUSEQ:
         log_t: float,
         replayed_passes: int,
         models_kept: int,
+        away_nodes: dict[int, int],
     ) -> None:
         """Per-iteration telemetry: metrics series, one log line, hooks.
 
@@ -882,13 +916,19 @@ class CLUSEQ:
         iteration, so their lengths always equal ``len(history)`` —
         the trajectory the threshold/cluster-count plots need.
         *replayed_passes* and *models_kept* are the iteration's
-        replayed cluster passes and rebuilds that kept their tree.
+        replayed cluster passes and rebuilds that kept their tree, and
+        *away_nodes* the node count of each tree the pass worker holds.
         """
         registry = get_registry()
         want_snapshot = bool(self.hooks)
         if registry.enabled or want_snapshot:
             pst_nodes = {
-                cluster.cluster_id: cluster.pst.node_count for cluster in clusters
+                cluster.cluster_id: (
+                    away_nodes[cluster.cluster_id]
+                    if cluster.cluster_id in away_nodes
+                    else cluster.pst.node_count
+                )
+                for cluster in clusters
             }
         if registry.enabled:
             registry.series("cluseq.iteration.clusters").append(stats.clusters_after)
@@ -950,10 +990,9 @@ class CLUSEQ:
         log_bg: list[float],
         log_t: float,
         all_log_sims: list[float],
-        built: dict[int, _Built],
+        trees: FitTrees,
         passes: dict[BuildInput, _Pass],
         iteration: int,
-        worker: PassWorker,
     ) -> tuple[int, int, int]:
         """Phase 2: examine every sequence in *order* (§4.2–§4.4).
 
@@ -963,7 +1002,7 @@ class CLUSEQ:
         *order*: it runs as one column
         (:func:`~repro.core.similarity.score_pass`, absorbing as it
         goes). A rebuilt or freshly seeded tree is a function of its build
-        input (*built*), so *passes* memoizes each pass under the build
+        input (*trees*), so *passes* memoizes each pass under the build
         input it started from. A cluster whose build input has a record
         with the same ``log t`` and *order* — its own previous pass, an
         earlier one it returns to, or the pass of an earlier cluster
@@ -976,30 +1015,48 @@ class CLUSEQ:
         memberships. Returns ``(membership changes, symbols scored,
         passes replayed)``; replayed symbols count as scored (§4.7).
 
-        With two or more live passes of known build input (so only with
-        ``rebuild_each_iteration``), every second one goes to *worker*,
-        which rebuilds the tree from the build input and runs the same
-        pass in another process (:mod:`~repro.core.fit_worker`). Such a
-        cluster's tree here is left untouched, so the rebuild keeps it
-        when its build input comes out unchanged; its pass's totals and
-        absorbs are recorded here. A pass the worker does not return is
-        scored here, from that untouched tree.
+        Every second live pass of known build input (so only with
+        ``rebuild_each_iteration``) runs in the pass worker
+        (:mod:`~repro.core.fit_worker`): the passes of the clusters whose
+        trees it holds (the previous rebuild made the same split,
+        :meth:`FitTrees.share`), and the new seeds that continue the
+        alternation, whose trees it builds. A worker-run seed's tree here
+        is left untouched, so the rebuild keeps it when its build input
+        comes out unchanged. Each worker pass's totals and absorb count
+        are recorded here. A pass the worker does not return is scored
+        here, on a tree built from its build input when the parent holds
+        none.
         """
         seqs = [encoded[index] for index in order]
         records: list[_Pass | None] = []
         known: dict[int, BuildInput] = {}  # build input by cluster position
         for position, cluster in enumerate(clusters):
-            start = _built_from(built.get(cluster.cluster_id), cluster.pst)
+            start = trees.away.get(cluster.cluster_id) or _built_from(
+                trees.built.get(cluster.cluster_id), cluster.pst
+            )
             records.append(_replayable(passes, start, log_t, order))
             if start is not None:
                 known[position] = start
         live = [position for position, record in enumerate(records) if record is None]
-        away = [position for position in live if position in known][1::2]
-        if away and not worker.submit(order, log_t, [known[at] for at in away]):
+        alternate = set([position for position in live if position in known][1::2])
+        away = [
+            position
+            for position in live
+            if clusters[position].cluster_id in trees.away
+            or (
+                position in alternate
+                and clusters[position].created_at_iteration == iteration
+            )
+        ]
+        if away and not trees.worker.passes(
+            order, log_t, [(clusters[at].cluster_id, known[at]) for at in away]
+        ):
             away = []
 
         def score_here(position: int) -> _Pass:
             cluster = clusters[position]
+            if cluster.cluster_id in trees.away:
+                trees.adopt(cluster)
             logs, bounds = score_pass(
                 cluster.pst, seqs, log_bg, log_t, cluster.absorb_segment
             )
@@ -1008,7 +1065,7 @@ class CLUSEQ:
         fresh = {
             position: score_here(position) for position in live if position not in away
         }
-        for position, result in zip(away, worker.results()):
+        for position, result in zip(away, trees.worker.pass_results()):
             if result is None:
                 fresh[position] = score_here(position)
                 continue
@@ -1059,6 +1116,7 @@ class CLUSEQ:
         log_bg: list[float],
         pst_factory: PSTFactory,
         rng: np.random.Generator,
+        worker: PassWorker,
     ) -> float | None:
         """Iteration-0 dry scoring pass picking the starting ``log t``.
 
@@ -1083,26 +1141,60 @@ class CLUSEQ:
         merely grows clusters more slowly, while an under-set one
         triggers the irreversible full merge.
 
+        Every second reference's column is scored by *worker*, which
+        builds the single-sequence tree from its index (and keeps a seed
+        cluster's for that cluster's first pass); the estimators run
+        here, over every column in reference order.
+
         Returns the calibrated ``log t`` or ``None`` when no reference
         produced a valley estimate.
         """
-        reference_psts = [cluster.pst for cluster in clusters]
+        # Each reference: its cluster (``None`` for an extra) and index.
+        references: list[tuple[Cluster | None, int]] = [
+            (cluster, cluster.seed_index) for cluster in clusters
+        ]
         min_references = 8
-        if len(reference_psts) < min_references and len(db) > len(reference_psts):
+        if len(references) < min_references and len(db) > len(references):
             seeded = {cluster.seed_index for cluster in clusters}
             candidates = [i for i in range(len(db)) if i not in seeded]
             extra = rng.choice(
                 np.asarray(candidates),
                 size=min(
-                    min_references - len(reference_psts),
+                    min_references - len(references),
                     len(candidates),
                 ),
                 replace=False,
             )
-            reference_psts.extend(pst_factory(encoded[int(i)]) for i in extra)
+            references.extend((None, int(i)) for i in extra)
+        away = references[1::2]
+        sent = bool(away) and worker.passes(
+            list(range(len(encoded))),
+            math.inf,
+            [
+                (None if cluster is None else cluster.cluster_id, (index, ()))
+                for cluster, index in away
+            ],
+        )
+
+        def score_here(at: int) -> array[float]:
+            cluster, index = references[at]
+            pst = pst_factory(encoded[index]) if cluster is None else cluster.pst
+            return score_pass(pst, encoded, log_bg)[0]
+
+        columns: dict[int, array[float]] = {
+            at: score_here(at) for at in range(0, len(references), 2 if sent else 1)
+        }
+        if sent:
+            for at, result in zip(range(1, len(references), 2), worker.pass_results()):
+                if result is None:
+                    columns[at] = score_here(at)
+                    continue
+                logs, bounds, cells, walks = result
+                _count_pairs(cells, walks, bounds)
+                columns[at] = logs
         found: list[float] = []
-        for pst in reference_psts:
-            reference_sims, _ = score_pass(pst, encoded, log_bg)
+        for at in range(len(references)):
+            reference_sims = columns[at]
             for finder in VALLEY_METHODS.values():
                 estimate = finder(reference_sims)
                 if estimate is not None:
@@ -1114,13 +1206,13 @@ class CLUSEQ:
         if registry.enabled:
             registry.gauge("cluseq.calibrated_log_threshold").set(calibrated)
             registry.counter("cluseq.calibration_references").inc(
-                len(reference_psts)
+                len(references)
             )
         _logger.info(
             "calibrated initial threshold",
             extra={
                 "log_threshold": calibrated,
-                "references": len(reference_psts),
+                "references": len(references),
                 "estimates": len(found),
             },
         )
@@ -1181,13 +1273,7 @@ class CLUSEQ:
             built = {}
         kept = 0
         for cluster in clusters:
-            build_input: BuildInput = (
-                cluster.seed_index,
-                tuple(
-                    (m.sequence_index, m.best_start, m.best_end)
-                    for m in cluster._members.values()
-                ),
-            )
+            build_input = build_input_of(cluster)
             # Popped, so that the superseded tree's last reference is
             # ``cluster.pst``: it dies when the new tree replaces it.
             record = built.pop(cluster.cluster_id, None)

@@ -13,6 +13,11 @@ procedure:
    lowest. Only a picked sample gets a single-sequence PST, since
    only a chosen seed is ever scored against.
 
+The fit's pass worker holds part of the cluster trees; the fit then
+hands :func:`select_seeds` those references as a
+:class:`ScoredElsewhere`, which scores the sample against them while
+the caller's process scores its own.
+
 The sampling keeps the cost at ``O(m · (m + k') · l²)`` instead of the
 quadratic-in-N pairwise alternative.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import Protocol
 
 import numpy as np
 import numpy.typing as npt
@@ -44,6 +50,20 @@ class SeedChoice:
     #: The seed's single-sequence tree, built once at selection; the
     #: new cluster starts from it.
     pst: ProbabilisticSuffixTree
+
+
+class ScoredElsewhere(Protocol):
+    """Reference trees another process holds (the fit's pass worker)."""
+
+    #: How many references each sample is scored against there.
+    references: int
+
+    def start(self, sampled: list[int]) -> None:
+        """Start scoring the sample (database indices, in order)."""
+
+    def best(self) -> list[float]:
+        """Each sample's best ``log SIM`` over those references, in
+        sample order."""
 
 
 def build_seed_pst(
@@ -78,6 +98,7 @@ def select_seeds(
     sample_multiplier: int,
     rng: np.random.Generator,
     pst_factory: PSTFactory,
+    elsewhere: ScoredElsewhere | None = None,
 ) -> list[SeedChoice]:
     """Choose up to *count* seed sequences from *candidates*.
 
@@ -102,6 +123,10 @@ def select_seeds(
         single-sequence PST over *background*'s alphabet (bind cluster
         parameters with ``functools.partial`` around
         :func:`build_seed_pst`).
+    elsewhere:
+        Existing clusters whose trees another process holds; each
+        sample's best score is the larger of theirs and the one against
+        *existing_clusters*.
 
     Returns fewer than *count* choices when there are not enough
     candidates.
@@ -128,10 +153,18 @@ def select_seeds(
     # incremental: adding a seed only requires scoring remaining samples
     # against that one new reference, so a sample's PST is built only
     # once it is picked.
+    if elsewhere is not None:
+        elsewhere.start(sampled)
     best_log: dict[int, float] = {}
     for i in sampled:
         logs, _ = score_row(reference_psts, encoded_lookup(i), log_bg)
         best_log[i] = max(logs, default=-math.inf)
+    references = len(reference_psts)
+    if elsewhere is not None:
+        references += elsewhere.references
+        for i, score in zip(sampled, elsewhere.best()):
+            if score > best_log[i]:
+                best_log[i] = score
 
     chosen: list[SeedChoice] = []
     remaining = list(sampled)
@@ -152,7 +185,7 @@ def select_seeds(
         # Cost model of one selection round: every sample is scored
         # against k' references plus each previously chosen seed.
         registry.counter("seeding.reference_scorings").inc(
-            sample_size * len(reference_psts)
+            sample_size * references
             + sum(len(sampled) - i - 1 for i in range(len(chosen)))
         )
     if chosen and _logger.isEnabledFor(10):  # logging.DEBUG
@@ -161,7 +194,7 @@ def select_seeds(
             extra={
                 "seeds": [choice.sequence_index for choice in chosen],
                 "sample_size": sample_size,
-                "references": len(reference_psts),
+                "references": references,
             },
         )
     return chosen

@@ -401,6 +401,23 @@ def load_fit_quality_bench():
     return bench
 
 
+def test_report_shows_fit_quality_outcomes():
+    """A fit-quality table shows each draw's ARI, recovered clusters,
+    outliers left and host parallelism next to its wall; other tables
+    keep their columns."""
+    ledger = new_ledger()
+    ingest(ledger, bench_doc())
+    ingest(ledger, fit_quality_doc(recovered=9, outliers_left=17,
+                                   host_parallelism=1.04))
+    report = render_report(ledger)
+    assert (
+        "| date | sha | config | seconds | ARI | recovered | outliers left "
+        "| host parallelism | speedup |"
+    ) in report
+    assert "| 1 | 0.700 | 9 | 17 | 1.04 | - |" in report
+    assert "| date | sha | config | seconds | speedup |" in report
+
+
 class TestCheckFitQuality:
     @pytest.fixture(scope="class")
     def smoke_doc(self):

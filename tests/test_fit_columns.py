@@ -9,9 +9,10 @@ then merges the columns sequence by sequence into memberships.
 The oracle is the loop the columns replaced, kept here as a stand-in
 for ``CLUSEQ._recluster_vectorized``: one ``similarities()`` call per
 sequence over every live tree, then a join that absorbs at once
-(``Cluster.join``), before the next sequence is scored. It runs with
-replay and tree keeping off (``_built_from`` reports every tree's build
-input as unknown), so it shares no memo with the fit under test.
+(``Cluster.join``), before the next sequence is scored. It runs
+in-process with replay and tree keeping off (``_built_from`` reports
+every tree's build input as unknown), so it shares no memo with the fit
+under test and reads every tree in this process.
 Every scenario compares labels, history (all but ``elapsed_seconds``),
 the final ``log t``, assignments, each cluster's ordered membership
 records and each cluster's ``pst.to_dict()``.
@@ -34,7 +35,7 @@ from test_fit_replay import fit_state, outlier_draw, small_draw
 from test_fit_worker import force_worker, needs_fork
 
 #: ``similarity.context_walks`` of ``small_draw(2)`` on the worker path.
-WORKER_WALKS = 9684
+WORKER_WALKS = 9154
 
 
 def interleaved(background):
@@ -51,10 +52,9 @@ def interleaved(background):
         log_bg,
         log_t,
         all_log_sims,
-        built,
+        trees,
         passes,
         iteration,
-        worker,
     ):
         membership_changes = work = 0
         for index in order:
@@ -83,9 +83,11 @@ def interleaved(background):
 
 def fit(db, params, *, oracle=False, replay=True, worker=None):
     """*worker* forces the fit's pass worker on or off; by default the
-    host decides."""
+    host decides, except for the oracle, which runs in-process."""
     registry = MetricsRegistry()
     with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            worker = False
         if worker is not None:
             force_worker(patch, worker)
         if oracle or not replay:
@@ -169,9 +171,9 @@ def test_similarity_totals_equal_the_per_pair_loop():
 def test_similarity_totals_on_the_worker_path():
     """With replay on and every second live pass run by the pass worker,
     the ``similarity.*`` totals the fit records for the worker's passes
-    equal the in-process fit's, all but ``context_walks``: the worker's
-    freshly rebuilt trees have no walks cached, so its count is pinned
-    on its own."""
+    equal the in-process fit's, all but ``context_walks``: each side
+    caches walks only on the trees it holds, so the count is pinned on
+    its own."""
     db = small_draw(2)
     params = CluseqParams(k=2, significance_threshold=3, seed=2)
     on_result, on = fit(db, params, worker=True)
@@ -195,7 +197,9 @@ def test_similarity_totals_on_the_worker_path():
 def test_a_pass_touches_only_its_own_tree(monkeypatch):
     """Each column absorbs into its own tree and leaves every other
     cluster's ``pst.version`` unchanged; a calibration column, which
-    joins nothing, leaves its own tree unchanged too."""
+    joins nothing, leaves its own tree unchanged too. In-process, so
+    every tree is here to watch."""
+    force_worker(monkeypatch, False)
     live = []
     recluster = cluseq.CLUSEQ._recluster_vectorized
     score_pass = cluseq.score_pass

@@ -11,9 +11,11 @@ one it returns to, or the pass of an earlier cluster seeded from the
 same sequence. A rebuild keeps a tree whose build input repeats and
 that no absorb has touched.
 
-The oracle is the live path: the same fit with replay and tree keeping
-disabled, by making ``repro.core.cluseq._built_from`` report every
-tree's build input as unknown. Every scenario compares labels, history
+The oracle is the live path: the same fit in-process with replay and
+tree keeping disabled, by making ``repro.core.cluseq._built_from``
+report every tree's build input as unknown. (A tree the pass worker
+built has a build input the parent sent, so the oracle runs without the
+worker.) Every scenario compares labels, history
 (all but ``elapsed_seconds``), the final ``log t``, assignments, each
 cluster's ordered membership records and each cluster's
 ``pst.to_dict()``. One test per guard runs a scenario where deleting
@@ -27,6 +29,7 @@ from dataclasses import asdict
 import pytest
 
 import repro.core.cluseq as cluseq
+import repro.core.fit_worker as fit_worker
 from repro.core.cluseq import CLUSEQ, CluseqParams
 from repro.core.cluster import Cluster, Membership
 from repro.core.pst import ProbabilisticSuffixTree
@@ -60,6 +63,7 @@ def fit(db, params, *, replay=True, hooks=()):
     registry = MetricsRegistry()
     with pytest.MonkeyPatch.context() as patch:
         if not replay:
+            patch.setattr(fit_worker, "second_cpu", lambda: False)
             patch.setattr(cluseq, "_built_from", lambda built, pst: None)
         with use_registry(registry):
             result = CLUSEQ(params, hooks=hooks).fit(db)

@@ -27,7 +27,7 @@ from repro.sequences.generators import (
 from test_fit_worker import force_worker, needs_fork
 
 #: ``similarity.context_walks`` of the seeded fit on the worker path.
-WORKER_WALKS = 10935
+WORKER_WALKS = 10368
 
 
 def small_draw():
@@ -79,9 +79,10 @@ def test_similarity_counters_count_every_pair():
 def test_similarity_counters_on_the_worker_path():
     """The same fit with every second live pass run by the pass worker:
     the fit records the worker's totals, so every per-pair total but
-    ``context_walks`` equals the in-process fit's. The worker scores a
-    tree it just rebuilt, with no walk cached by ``select_seeds`` or an
-    earlier pass, so its walk count is its own."""
+    ``context_walks`` equals the in-process fit's. Each side caches
+    walks only on the trees it holds (a worker-run seed's tree is built
+    again there, with none of the walks ``select_seeds`` cached), so the
+    walk count is its own."""
     db = small_draw()
     result, registry = fit_counters(db, worker=True)
     _, in_process = fit_counters(db, worker=False)

@@ -1,14 +1,19 @@
-"""The fit's pass worker: the same fit whichever process ran a pass.
+"""The fit's pass worker: the same fit whichever process held a tree.
 
-With two or more live cluster passes of known build input, the fit
-hands every second one to a forked worker (``repro.core.fit_worker``),
-which rebuilds the tree from its build input and runs the same pass.
-Every scenario fits with the worker forced on and forced off (by
-patching ``fit_worker.second_cpu``) and compares labels, history (all
-but ``elapsed_seconds``), the final ``log t``, assignments, each
-cluster's ordered membership records, ``pst.to_dict()`` and
-``node_count``, and ``cluseq.replayed_passes``. The worker-on side must
-really have offloaded passes.
+A forked worker (``repro.core.fit_worker``) scores every second
+calibration reference, builds the trees of every second live cluster
+pass at the end of the iteration before, scores the seed sample against
+the trees it holds, and runs those passes. Every scenario fits with the
+worker forced on and forced off (by patching ``fit_worker.second_cpu``)
+and compares labels, history (all but ``elapsed_seconds``), the final
+``log t``, assignments, each cluster's ordered membership records,
+``pst.to_dict()`` and ``node_count``, ``cluseq.replayed_passes`` and
+``similarity.calls``/``dp_cells``. The worker-on side must really have
+offloaded passes.
+
+``loopback_worker`` runs the worker's side in this process instead of a
+fork, answering each request when the fit reads its replies, so that
+tests can watch the worker's trees.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ import pickle
 import signal
 import threading
 import types
+from collections import deque
 
 import pytest
 
+import repro.core.cluseq as cluseq
 import repro.core.fit_worker as fit_worker
 from repro.core.cluseq import CLUSEQ, CluseqParams
-from repro.core.fit_worker import PassWorker, build_tree
+from repro.core.fit_worker import PassWorker, WorkerTrees, build_tree
 from repro.core.similarity import _log_background, pass_totals
 from repro.obs import MetricsRegistry, use_registry
 from repro.sequences.generators import generate_clustered_database
@@ -64,27 +71,84 @@ def force_worker(patch, on):
     patch.setattr(fit_worker, "second_cpu", lambda: on)
 
 
-def spy_submissions(patch):
-    """Record the number of passes each accepted ``submit`` handed over."""
-    sent = []
-    submit = PassWorker.submit
+class Loopback:
+    """The worker's end of the pipe, in this process: a request is
+    answered when the fit reads its replies, as a forked worker answers
+    while the fit does its own share."""
 
-    def spy(self, order, log_t, build_inputs):
-        accepted = submit(self, order, log_t, build_inputs)
+    def __init__(self, trees):
+        self.trees = trees
+        self.requests = deque()
+        self.replies = deque()
+
+    def send(self, request):
+        self.requests.append(request)
+
+    def recv(self):
+        while not self.replies:
+            self.replies.extend(self.trees.handle(self.requests.popleft()))
+        return self.replies.popleft()
+
+    def close(self):
+        self.requests.clear()
+
+
+class NoProcess:
+    def kill(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+    def close(self):
+        pass
+
+
+def loopback_worker(patch):
+    """Make every fit under *patch* run its pass worker in this process.
+    Returns the list of the workers' ``WorkerTrees``, one per fit."""
+    made = []
+
+    def start(self):
+        trees = WorkerTrees(*self._inputs)
+        made.append(trees)
+        self._process, self._conn = NoProcess(), Loopback(trees)
+        return True
+
+    force_worker(patch, True)
+    patch.setattr(PassWorker, "_start", start)
+    return made
+
+
+def spy_submissions(patch):
+    """Record the number of passes each accepted ``passes`` request
+    handed over (calibration references included)."""
+    sent = []
+    passes = PassWorker.passes
+
+    def spy(self, order, log_t, specs):
+        accepted = passes(self, order, log_t, specs)
         if accepted:
-            sent.append(len(build_inputs))
+            sent.append(len(specs))
         return accepted
 
-    patch.setattr(PassWorker, "submit", spy)
+    patch.setattr(PassWorker, "passes", spy)
     return sent
 
 
 def fit(db, params, *, worker, hooks=(), patch_child=None):
-    """One fit with the worker forced on or off. Returns the result,
-    its registry and the passes handed to the worker."""
+    """One fit with the worker forced on (``"loopback"``: in this
+    process) or off. Returns the result, its registry and the passes
+    handed to the worker."""
     registry = MetricsRegistry()
     with pytest.MonkeyPatch.context() as patch:
-        force_worker(patch, worker)
+        if worker == "loopback":
+            loopback_worker(patch)
+        else:
+            force_worker(patch, worker)
         sent = spy_submissions(patch)
         if patch_child is not None:
             patch_child(patch)
@@ -98,11 +162,13 @@ def state(result, registry):
         **fit_state(result),
         "nodes": [cluster.pst.node_count for cluster in result.clusters],
         "replayed": registry.counter("cluseq.replayed_passes").value,
+        "calls": registry.counter("similarity.calls").value,
+        "cells": registry.counter("similarity.dp_cells").value,
     }
 
 
-def assert_worker_matches_in_process(db, params, patch_child=None):
-    on, on_registry, offloaded = fit(db, params, worker=True, patch_child=patch_child)
+def assert_worker_matches_in_process(db, params, patch_child=None, worker=True):
+    on, on_registry, offloaded = fit(db, params, worker=worker, patch_child=patch_child)
     off, off_registry, none = fit(db, params, worker=False)
     assert offloaded > 0 and none == 0
     assert state(on, on_registry) == state(off, off_registry)
@@ -138,6 +204,100 @@ def test_outlier_draw_matches():
     assert_worker_matches_in_process(
         outlier_draw(3), CluseqParams(k=2, significance_threshold=3, seed=3)
     )
+
+
+def test_loopback_worker_matches():
+    """The in-process stand-in the tree-lifetime tests watch runs the
+    same protocol as the fork."""
+    assert_worker_matches_in_process(
+        outlier_draw(3),
+        CluseqParams(k=2, significance_threshold=3, seed=3),
+        worker="loopback",
+    )
+
+
+def test_node_counts_match():
+    """The node counts the worker reports for the trees it holds give
+    the same ``IterationSnapshot.pst_node_counts`` and
+    ``cluseq.iteration.pst_nodes`` series as the in-process fit."""
+    seen = {True: [], False: []}
+    series = {}
+    for worker in (True, False):
+        _, registry, _ = fit(
+            outlier_draw(3),
+            CluseqParams(k=2, significance_threshold=3, seed=3),
+            worker=worker,
+            hooks=[lambda snapshot, worker=worker: seen[worker].append(
+                snapshot.pst_node_counts
+            )],
+        )
+        series[worker] = registry.series("cluseq.iteration.pst_nodes").values
+    assert len(seen[True]) > 2
+    assert seen[True] == seen[False]
+    assert series[True] == series[False]
+
+
+def test_the_worker_owes_no_reply_at_any_hook(monkeypatch):
+    """Every request's replies are read before the iteration ends, so
+    the worker is idle while hooks (and anything timed between
+    iterations) run."""
+    workers = []
+    init = PassWorker.__init__
+
+    def spy_init(self, *args):
+        init(self, *args)
+        workers.append(self)
+
+    monkeypatch.setattr(PassWorker, "__init__", spy_init)
+    owed = []
+    _, _, offloaded = fit(
+        outlier_draw(3),
+        CluseqParams(k=2, significance_threshold=3, seed=3),
+        worker=True,
+        hooks=[lambda snapshot: owed.append(workers[-1]._pending)],
+    )
+    assert offloaded > 0 and len(owed) > 2
+    assert owed == [0] * len(owed)
+
+
+def test_no_build_input_is_built_on_both_sides(monkeypatch):
+    """Within an iteration, no build input the parent builds is one the
+    worker was asked to build, and the parent builds fewer trees than
+    the in-process fit. Seed-only build inputs are exempt: a seed the
+    worker runs is built there again from its index."""
+    iteration = [0]
+    parent = []
+    asked = []
+    real = cluseq.build_tree
+
+    def spy_build(build_input, *args):
+        parent.append((iteration[0], build_input))
+        return real(build_input, *args)
+
+    hold = PassWorker.hold
+
+    def spy_hold(self, specs):
+        sent = hold(self, specs)
+        if sent:
+            asked.extend((iteration[0], build_input) for _, build_input in specs)
+        return sent
+
+    def count(snapshot):
+        iteration[0] += 1
+
+    monkeypatch.setattr(cluseq, "build_tree", spy_build)
+    monkeypatch.setattr(PassWorker, "hold", spy_hold)
+    db = outlier_draw(3)
+    params = CluseqParams(k=2, significance_threshold=3, seed=3)
+    fit(db, params, worker=True, hooks=[count])
+    on = list(parent)
+    parent.clear()
+    fit(db, params, worker=False)
+    assert asked and on
+    assert not {
+        (at, build_input) for at, build_input in on if build_input[1]
+    } & set(asked)
+    assert len(on) < len(parent)
 
 
 def test_additive_models_never_fork():
@@ -201,6 +361,44 @@ def test_raising_worker_gives_the_same_result(caplog):
         patch_child=lambda patch: patch.setattr(fit_worker, "build_tree", failing),
     )
     assert "boom in the worker" in caplog.text
+
+
+def in_worker(name, act):
+    """Patch ``WorkerTrees.<name>`` to run *act* in the worker on its
+    first call there."""
+    parent = os.getpid()
+    real = getattr(WorkerTrees, name)
+
+    def patched(self, *args):
+        if os.getpid() != parent:
+            act()
+        return real(self, *args)
+
+    return lambda patch: patch.setattr(WorkerTrees, name, patched)
+
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def boom():
+    raise RuntimeError("boom in the worker")
+
+
+@pytest.mark.parametrize("act", [die, boom], ids=["killed", "raising"])
+@pytest.mark.parametrize(
+    "step", ["_hold", "_sample"], ids=["during-prebuild", "during-seed-scoring"]
+)
+def test_failed_worker_mid_step_gives_the_same_result(step, act, caplog):
+    """A worker lost while it builds the next passes' trees, or while
+    it scores the seed sample, leaves the parent to build those trees
+    from the build inputs it kept and to finish in-process."""
+    assert_worker_matches_in_process(
+        outlier_draw(3),
+        CluseqParams(k=2, significance_threshold=3, seed=3),
+        patch_child=in_worker(step, act),
+    )
+    assert "pass worker failed" in caplog.text
 
 
 class HookError(Exception):

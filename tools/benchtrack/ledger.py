@@ -126,6 +126,7 @@ _METRIC_FIELDS = frozenset(
         "outliers",
         "t_moves",
         "digest",
+        "host_parallelism",
     }
 )
 
@@ -361,6 +362,24 @@ def _historical(row: dict[str, Any]) -> bool:
     return row.get("workers", 0) != 0
 
 
+#: ``(field, title, format)`` of the columns a table shows after
+#: ``seconds`` when one of its rows has the field: the fit-quality
+#: outcomes the ARI gate guards, and the host's parallelism, which puts
+#: walls from different hosts side by side.
+_REPORT_EXTRAS = (
+    ("ari", "ARI", ".3f"),
+    ("recovered", "recovered", ""),
+    ("outliers_left", "outliers left", ""),
+    ("host_parallelism", "host parallelism", ".2f"),
+)
+
+
+def _cell(value: Any, spec: str) -> str:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "-"
+    return format(value, spec)
+
+
 def render_report(ledger: dict[str, Any]) -> str:
     """Markdown trajectory report, one table per (bench, workload)."""
     lines = [
@@ -380,14 +399,25 @@ def render_report(ledger: dict[str, Any]) -> str:
     for group_key in sorted(groups):
         entries = groups[group_key]
         bench = entries[0].get("bench", "?")
+        rows = [
+            row
+            for entry in entries
+            for row in entry.get("results", [])
+            if isinstance(row, dict)
+        ]
+        extras = [
+            column for column in _REPORT_EXTRAS if any(column[0] in row for row in rows)
+        ]
+        titles = ["date", "sha", "config", "seconds"]
+        titles += [title for _, title, _ in extras] + ["speedup"]
         lines += [
             "",
             f"## {bench}",
             "",
             f"Workload: `{json.dumps(entries[0].get('workload', {}), sort_keys=True)}`",
             "",
-            "| date | sha | config | seconds | speedup |",
-            "|---|---|---|---|---|",
+            "| " + " | ".join(titles) + " |",
+            "|" + "---|" * len(titles),
         ]
         for entry in entries:
             sha = entry.get("git_sha") or "-"
@@ -408,9 +438,12 @@ def render_report(ledger: dict[str, Any]) -> str:
                 config = _config_key(row)
                 if _historical(row):
                     config += " *(historical)*"
+                extra_cells = "".join(
+                    f" | {_cell(row.get(field), spec)}" for field, _, spec in extras
+                )
                 lines.append(
                     f"| {date} | {str(sha)[:10]} | {config} "
-                    f"| {seconds_cell} | {speedup_cell} |"
+                    f"| {seconds_cell}{extra_cells} | {speedup_cell} |"
                 )
     lines.append("")
     return "\n".join(lines)
