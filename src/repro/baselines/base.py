@@ -58,8 +58,8 @@ class SequenceClusterer:
             )
         start = time.perf_counter()
         # Uniform instrumentation across every comparison model: one
-        # span (and timer) per fit, labelled counters per model name —
-        # so CLUSEQ-vs-baseline cost comparisons read off one registry.
+        # span (and its ``span.baseline.<name>`` timer) per fit, so
+        # CLUSEQ-vs-baseline cost comparisons read off one registry.
         with span(f"baseline.{self.name}"):
             labels = self._cluster(db, num_clusters)
         elapsed = time.perf_counter() - start
@@ -69,8 +69,6 @@ class SequenceClusterer:
             )
         registry = get_registry()
         if registry.enabled:
-            registry.counter("baseline.runs", model=self.name).inc()
-            registry.timer("baseline.fit_seconds", model=self.name).record(elapsed)
             registry.gauge("baseline.clusters", model=self.name).set(
                 len({label for label in labels if label is not None})
             )

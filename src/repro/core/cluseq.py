@@ -866,7 +866,6 @@ class CLUSEQ:
         if registry.enabled:
             registry.gauge("cluseq.iterations").set(len(history))
             registry.gauge("cluseq.final_clusters").set(len(clusters))
-            registry.gauge("cluseq.final_log_threshold").set(log_t)
             registry.gauge("cluseq.converged").set(1.0 if converged else 0.0)
             total_nodes = 0
             for cluster in clusters:
@@ -910,18 +909,20 @@ class CLUSEQ:
         models_kept: int,
         away_nodes: dict[int, int],
     ) -> None:
-        """Per-iteration telemetry: metrics series, one log line, hooks.
+        """Per-iteration telemetry: counters, one log line, hooks.
 
-        The ``cluseq.iteration.*`` series grow by exactly one entry per
-        iteration, so their lengths always equal ``len(history)`` —
-        the trajectory the threshold/cluster-count plots need.
-        *replayed_passes* and *models_kept* are the iteration's
-        replayed cluster passes and rebuilds that kept their tree, and
-        *away_nodes* the node count of each tree the pass worker holds.
+        The ``iteration`` INFO event carries the §4 trajectory (cluster
+        and unclustered counts, membership changes, ``log t``) and §6's
+        time and space (the PST node total and the peak RSS), one event
+        per ``history`` entry. *replayed_passes* and *models_kept* are
+        the iteration's replayed cluster passes and rebuilds that kept
+        their tree, and *away_nodes* the node count of each tree the
+        pass worker holds.
         """
         registry = get_registry()
         want_snapshot = bool(self.hooks)
-        if registry.enabled or want_snapshot:
+        want_log = _logger.isEnabledFor(20)  # logging.INFO
+        if want_log or want_snapshot:
             pst_nodes = {
                 cluster.cluster_id: (
                     away_nodes[cluster.cluster_id]
@@ -931,29 +932,12 @@ class CLUSEQ:
                 for cluster in clusters
             }
         if registry.enabled:
-            registry.series("cluseq.iteration.clusters").append(stats.clusters_after)
-            registry.series("cluseq.iteration.unclustered").append(stats.unclustered)
-            registry.series("cluseq.iteration.log_threshold").append(
-                stats.log_threshold
-            )
-            registry.series("cluseq.iteration.membership_changes").append(
-                stats.membership_changes
-            )
-            registry.series("cluseq.iteration.pst_nodes").append(
-                sum(pst_nodes.values())
-            )
-            # §6's scalability story needs both axes: time *and* space.
-            peak_rss = peak_rss_bytes()
-            if peak_rss is not None:
-                registry.series("cluseq.iteration.peak_rss_bytes").append(peak_rss)
-            registry.counter("cluseq.clusters_seeded").inc(stats.new_clusters)
-            registry.counter("cluseq.clusters_dismissed").inc(stats.clusters_removed)
             registry.counter("cluseq.reclustering_work").inc(
                 stats.reclustering_work
             )
             registry.counter("cluseq.replayed_passes").inc(replayed_passes)
             registry.counter("cluseq.models_kept").inc(models_kept)
-        if _logger.isEnabledFor(20):  # logging.INFO
+        if want_log:
             _logger.info(
                 "iteration %d: %d clusters, %d unclustered",
                 stats.iteration,
@@ -965,6 +949,8 @@ class CLUSEQ:
                     "unclustered": stats.unclustered,
                     "membership_changes": stats.membership_changes,
                     "log_threshold": stats.log_threshold,
+                    "pst_nodes": sum(pst_nodes.values()),
+                    "peak_rss_bytes": peak_rss_bytes(),
                     "elapsed_seconds": round(stats.elapsed_seconds, 6),
                 },
             )
@@ -1204,7 +1190,6 @@ class CLUSEQ:
         calibrated = max(float(np.quantile(found, 0.75)), 0.0)
         registry = get_registry()
         if registry.enabled:
-            registry.gauge("cluseq.calibrated_log_threshold").set(calibrated)
             registry.counter("cluseq.calibration_references").inc(
                 len(references)
             )

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs import get_logger, get_registry
+from ..obs import get_logger
 
 _logger = get_logger("core.pruning")
 
@@ -155,11 +155,6 @@ def prune_to(
         # A pruned context w can leave its extensions w·a behind, so
         # the tree is no longer closed (see ``transitions()``).
         pst._clear_transitions(still_closed=False)
-    registry = get_registry()
-    if registry.enabled and removed:
-        registry.counter("pst.prune_events").inc()
-        registry.counter("pst.pruned_nodes").inc(removed)
-        registry.histogram("pst.pruned_nodes_per_event").observe(removed)
     if removed and _logger.isEnabledFor(10):  # logging.DEBUG
         _logger.debug(
             "pruned PST",

@@ -181,13 +181,6 @@ def select_seeds(
     if registry.enabled:
         registry.counter("seeding.selections").inc()
         registry.counter("seeding.seeds_selected").inc(len(chosen))
-        registry.counter("seeding.candidates_sampled").inc(sample_size)
-        # Cost model of one selection round: every sample is scored
-        # against k' references plus each previously chosen seed.
-        registry.counter("seeding.reference_scorings").inc(
-            sample_size * references
-            + sum(len(sampled) - i - 1 for i in range(len(chosen)))
-        )
     if chosen and _logger.isEnabledFor(10):  # logging.DEBUG
         _logger.debug(
             "selected seeds",

@@ -41,10 +41,6 @@ def _record_valley_search(method: str, result: "ValleyResult" | None) -> None:
         registry.counter("threshold.valley_searches", method=method).inc()
         if result is None:
             registry.counter("threshold.valley_misses", method=method).inc()
-        else:
-            registry.series("threshold.valley_log", method=method).append(
-                result.log_threshold
-            )
     if _logger.isEnabledFor(10):  # logging.DEBUG
         if result is None:
             _logger.debug("valley search failed", extra={"method": method})

@@ -9,7 +9,6 @@ from .histogram import (
 from .metrics import (
     EvaluationReport,
     FamilyScore,
-    MAPPING_STRATEGIES,
     accuracy_score,
     adjusted_rand_index,
     contingency_table,
@@ -33,7 +32,6 @@ __all__ = [
     "valley_comparison",
     "EvaluationReport",
     "FamilyScore",
-    "MAPPING_STRATEGIES",
     "accuracy_score",
     "adjusted_rand_index",
     "contingency_table",

@@ -11,14 +11,9 @@ The paper scores clusterings three ways:
   precision is ``|F ∩ F'| / |F'|`` and recall ``|F ∩ F'| / |F|``.
 * Response time, reported alongside.
 
-Cluster→family mapping supports two strategies: ``majority`` (each
-cluster maps to the family most represented among its members; several
-clusters may map to one family) and ``hungarian`` (a 1:1 assignment
-maximising total overlap via :func:`scipy.optimize.linear_sum_assignment`).
-scipy is imported on the first Hungarian mapping, not with this module:
-``repro.cli`` imports this module, and only that strategy needs scipy,
-whose import would more than double the start-up of every ``cluseq``
-command.
+Clusters map to families by majority, the Table 2 rule: each cluster
+maps to the family most represented among its members, and several
+clusters may map to one family.
 
 For completeness the module also provides standard external indices
 (purity, adjusted Rand index, normalised mutual information) computed
@@ -32,15 +27,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from collections.abc import Hashable, Mapping, Sequence
 
-import numpy as np
-
 from ..sequences.database import OUTLIER_LABEL
 
 ClusterId = Hashable
 FamilyLabel = str
-
-#: Mapping strategies accepted by :func:`map_clusters_to_families`.
-MAPPING_STRATEGIES = ("majority", "hungarian")
 
 
 @dataclass(frozen=True)
@@ -136,42 +126,19 @@ def contingency_table(
 def map_clusters_to_families(
     true_labels: Sequence[str | None],
     predicted_clusters: Sequence[ClusterId | None],
-    strategy: str = "majority",
 ) -> dict[ClusterId, str | None]:
     """Map each predicted cluster to a ground-truth family.
 
-    ``majority``: each cluster independently maps to its most common
-    member family (many clusters may share a family). ``hungarian``:
-    a 1:1 assignment maximising the summed overlap; surplus clusters
-    map to ``None``.
+    Each cluster independently maps to its most common member family
+    (many clusters may share a family); a cluster with no labelled
+    member maps to ``None``.
     """
-    if strategy not in MAPPING_STRATEGIES:
-        raise ValueError(f"strategy must be one of {MAPPING_STRATEGIES}")
     _validate_inputs(true_labels, predicted_clusters)
-    table = contingency_table(true_labels, predicted_clusters)
-    all_clusters = {c for c in predicted_clusters if c is not None}
-
-    mapping: dict[ClusterId, str | None] = {c: None for c in all_clusters}
-    if not table:
-        return mapping
-
-    if strategy == "majority":
-        for cluster, counts in table.items():
-            mapping[cluster] = counts.most_common(1)[0][0]
-        return mapping
-
-    from scipy.optimize import linear_sum_assignment  # see the module docstring
-
-    clusters = sorted(table.keys(), key=repr)
-    families = sorted({f for counts in table.values() for f in counts})
-    overlap = np.zeros((len(clusters), len(families)), dtype=np.float64)
-    for i, cluster in enumerate(clusters):
-        for j, family in enumerate(families):
-            overlap[i, j] = table[cluster].get(family, 0)
-    row_ind, col_ind = linear_sum_assignment(-overlap)
-    for i, j in zip(row_ind, col_ind):
-        if overlap[i, j] > 0:
-            mapping[clusters[i]] = families[j]
+    mapping: dict[ClusterId, str | None] = {
+        c: None for c in predicted_clusters if c is not None
+    }
+    for cluster, counts in contingency_table(true_labels, predicted_clusters).items():
+        mapping[cluster] = counts.most_common(1)[0][0]
     return mapping
 
 
@@ -179,7 +146,6 @@ def accuracy_score(
     true_labels: Sequence[str | None],
     predicted_clusters: Sequence[ClusterId | None],
     mapping: Mapping[ClusterId, str | None] | None = None,
-    strategy: str = "majority",
 ) -> float:
     """Fraction of correctly labeled sequences (the paper's Table 2).
 
@@ -189,7 +155,7 @@ def accuracy_score(
     """
     _validate_inputs(true_labels, predicted_clusters)
     if mapping is None:
-        mapping = map_clusters_to_families(true_labels, predicted_clusters, strategy)
+        mapping = map_clusters_to_families(true_labels, predicted_clusters)
     correct = 0
     scored = 0
     for truth, cluster in zip(true_labels, predicted_clusters):
@@ -210,7 +176,6 @@ def family_scores(
     true_labels: Sequence[str | None],
     predicted_clusters: Sequence[ClusterId | None],
     mapping: Mapping[ClusterId, str | None] | None = None,
-    strategy: str = "majority",
 ) -> list[FamilyScore]:
     """Per-family precision/recall (the paper's Tables 3 and 4).
 
@@ -219,7 +184,7 @@ def family_scores(
     """
     _validate_inputs(true_labels, predicted_clusters)
     if mapping is None:
-        mapping = map_clusters_to_families(true_labels, predicted_clusters, strategy)
+        mapping = map_clusters_to_families(true_labels, predicted_clusters)
 
     families = sorted(
         {t for t in true_labels if t is not None and t != OUTLIER_LABEL}
@@ -338,11 +303,10 @@ def normalized_mutual_information(
 def evaluate_clustering(
     true_labels: Sequence[str | None],
     predicted_clusters: Sequence[ClusterId | None],
-    strategy: str = "majority",
 ) -> EvaluationReport:
     """One-call evaluation producing every metric the experiments need."""
     _validate_inputs(true_labels, predicted_clusters)
-    mapping = map_clusters_to_families(true_labels, predicted_clusters, strategy)
+    mapping = map_clusters_to_families(true_labels, predicted_clusters)
     return EvaluationReport(
         accuracy=accuracy_score(true_labels, predicted_clusters, mapping),
         family_scores=family_scores(true_labels, predicted_clusters, mapping),

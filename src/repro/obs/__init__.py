@@ -7,8 +7,8 @@ level-gated away under a ``NullHandler``.
 
 Four pieces:
 
-* :mod:`repro.obs.metrics` — counters, gauges, histograms, timers and
-  series in a :class:`MetricsRegistry`; activate one with
+* :mod:`repro.obs.metrics` — counters, gauges, histograms and timers
+  in a :class:`MetricsRegistry`; activate one with
   :func:`use_registry`/:func:`set_registry`. The active registry is the
   one telemetry switch: hot-path kernel timers, I/O latency histograms
   and peak-RSS readings record through it like every other metric.
@@ -52,7 +52,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    Series,
     Timer,
     get_registry,
     peak_rss_bytes,
@@ -71,7 +70,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timer",
-    "Series",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",

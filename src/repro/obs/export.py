@@ -129,9 +129,7 @@ def prometheus_from_snapshot(snapshot: Snapshot, namespace: str = "repro") -> st
 
     Counters gain the conventional ``_total`` suffix, timers become
     summary-style ``_seconds_sum``/``_seconds_count`` pairs, histograms
-    get cumulative ``_bucket{le=...}`` lines, and a series is exposed
-    as its last value plus a point count (Prometheus has no trajectory
-    type; the full series lives in the JSON snapshot).
+    get cumulative ``_bucket{le=...}`` lines.
     """
     families: dict[str, list[str]] = {}
     types: dict[str, str] = {}
@@ -186,17 +184,6 @@ def prometheus_from_snapshot(snapshot: Snapshot, namespace: str = "repro") -> st
                 family,
                 "summary",
                 f"{family}_count{labels} {_prom_number(entry.get('count'))}",
-            )
-        elif kind == "series":
-            family = _prom_name(base, namespace)
-            values = entry.get("values")
-            last = values[-1] if isinstance(values, list) and values else math.nan
-            points = len(values) if isinstance(values, list) else 0
-            emit(family, "gauge", f"{family}{labels} {_prom_number(last)}")
-            emit(
-                f"{family}_points",
-                "gauge",
-                f"{family}_points{labels} {points}",
             )
     lines: list[str] = []
     for family in sorted(families):

@@ -1,18 +1,20 @@
 """A dependency-free metrics registry.
 
-Five metric primitives cover everything the CLUSEQ pipeline needs to
-report about itself:
+Four aggregate primitives cover everything the CLUSEQ pipeline needs
+to report about itself:
 
 * :class:`Counter` — a monotonically increasing count (events, DP
-  cells, pruned nodes).
+  cells, dismissed clusters).
 * :class:`Gauge` — a last-value-wins instantaneous reading (final
-  cluster count, final threshold).
+  cluster count, peak RSS).
 * :class:`Histogram` — a fixed-bucket distribution (segment lengths,
   PST depths).
 * :class:`Timer` — aggregated durations with wall and CPU components
   (phase spans, baseline fits).
-* :class:`Series` — an append-only trajectory, one value per
-  observation in order (per-iteration cluster counts, threshold path).
+
+Each holds a fixed amount of state however many times it records, so
+a snapshot does not grow with the run. Per-iteration and per-batch
+values are log events (:mod:`repro.obs.logging`), not metrics.
 
 Metrics live in a :class:`MetricsRegistry`, keyed by name plus an
 optional label set; ``registry.counter("x", model="hmm")`` and
@@ -52,7 +54,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timer",
-    "Series",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -89,9 +90,9 @@ def peak_rss_bytes() -> float | None:
 LabelItems = tuple[tuple[str, str], ...]
 
 #: Any concrete instrument (typing.Union: evaluated at runtime on py39).
-Metric = Union["Counter", "Gauge", "Histogram", "Timer", "Series"]
+Metric = Union["Counter", "Gauge", "Histogram", "Timer"]
 
-_M = TypeVar("_M", "Counter", "Gauge", "Histogram", "Timer", "Series")
+_M = TypeVar("_M", "Counter", "Gauge", "Histogram", "Timer")
 
 
 def _label_key(labels: dict[str, object]) -> LabelItems:
@@ -272,24 +273,6 @@ class Timer:
         }
 
 
-class Series:
-    """An append-only trajectory of values, in observation order."""
-
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: list[float] = []
-
-    def append(self, value: float) -> None:
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_dict(self) -> dict[str, object]:
-        return {"type": "series", "values": list(self.values)}
-
-
 class MetricsRegistry:
     """A named collection of metric instruments.
 
@@ -358,9 +341,6 @@ class MetricsRegistry:
     def timer(self, name: str, **labels: object) -> Timer:
         return self._get_or_create("timer", name, labels, Timer)
 
-    def series(self, name: str, **labels: object) -> Series:
-        return self._get_or_create("series", name, labels, Series)
-
     # -- introspection -------------------------------------------------------
 
     def names(self) -> list[str]:
@@ -425,18 +405,10 @@ class _NullTimer(Timer):
         pass
 
 
-class _NullSeries(Series):
-    __slots__ = ()
-
-    def append(self, value: float) -> None:
-        pass
-
-
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 _NULL_TIMER = _NullTimer()
-_NULL_SERIES = _NullSeries()
 
 
 class NullRegistry(MetricsRegistry):
@@ -465,10 +437,6 @@ class NullRegistry(MetricsRegistry):
 
     def timer(self, name: str, **labels: object) -> Timer:
         return _NULL_TIMER
-
-    def series(self, name: str, **labels: object) -> Series:
-        return _NULL_SERIES
-
 
 #: The process-wide disabled registry (also the default active one).
 NULL_REGISTRY = NullRegistry()

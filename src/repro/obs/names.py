@@ -1,7 +1,9 @@
 """The declared telemetry-name registry.
 
 Every metric and span name the codebase is allowed to emit is
-declared here, once, as a reviewable constant. The static analyzer's
+declared here, once, as a reviewable constant. A metric is declared
+only while a test, bench, tool or report reads it; per-iteration and
+per-batch values are log events, not metrics. The static analyzer's
 CLQ010 rule parses this module (by AST, in pass 1 of
 ``tools.checkers``) and resolves every literal name at every emission
 site against it: a typo'd metric name forks a time series that no
@@ -30,18 +32,14 @@ __all__ = [
     "SPAN_PREFIXES",
 ]
 
-#: Exact counter/gauge/histogram/timer/series names.
+#: Exact counter/gauge/histogram/timer names.
 METRICS: frozenset[str] = frozenset(
     {
         # baselines
-        "baseline.runs",
-        "baseline.fit_seconds",
         "baseline.clusters",
         # streaming subsystem
         "stream.batches",
-        "stream.sequences",
         "stream.clusters",
-        "stream.batch.size",
         "stream.pool_rescued",
         "stream.clusters_dismissed",
         "stream.peak_rss_bytes",
@@ -55,37 +53,21 @@ METRICS: frozenset[str] = frozenset(
         # batch clustering driver
         "cluseq.iterations",
         "cluseq.final_clusters",
-        "cluseq.final_log_threshold",
         "cluseq.converged",
         "cluseq.final_pst_nodes",
-        "cluseq.iteration.clusters",
-        "cluseq.iteration.unclustered",
-        "cluseq.iteration.log_threshold",
-        "cluseq.iteration.membership_changes",
-        "cluseq.iteration.pst_nodes",
-        "cluseq.iteration.peak_rss_bytes",
-        "cluseq.clusters_seeded",
-        "cluseq.clusters_dismissed",
         "cluseq.reclustering_work",
         "cluseq.replayed_passes",
         "cluseq.models_kept",
-        "cluseq.calibrated_log_threshold",
         "cluseq.calibration_references",
         # suffix tree
         "pst.final_nodes",
         "pst.final_depth",
-        "pst.prune_events",
-        "pst.pruned_nodes",
-        "pst.pruned_nodes_per_event",
         # threshold search
         "threshold.valley_searches",
         "threshold.valley_misses",
-        "threshold.valley_log",
         # seeding
         "seeding.selections",
         "seeding.seeds_selected",
-        "seeding.candidates_sampled",
-        "seeding.reference_scorings",
         # consolidation
         "consolidation.passes",
         "consolidation.dismissed",

@@ -466,12 +466,10 @@ class StreamingCluseq:
             self._maintain()
         if registry.enabled:
             registry.counter("stream.batches").inc()
-            registry.counter("stream.sequences").inc(len(batch))
             registry.gauge("stream.clusters").set(len(self.result.clusters))
             peak_rss = peak_rss_bytes()
             if peak_rss is not None:
                 registry.gauge("stream.peak_rss_bytes").set(peak_rss)
-            registry.series("stream.batch.size").append(len(batch))
         if _logger.isEnabledFor(10):  # logging.DEBUG
             joined = sum(1 for cid in assigned if cid is not None)
             _logger.debug(

@@ -54,14 +54,6 @@ class TestPrometheusExposition:
         assert 'repro_stream_demo_seconds_bucket{le="+Inf"} 3' in text
         assert "repro_stream_demo_seconds_count 3" in text
 
-    def test_series_exposes_last_value_and_point_count(self, registry):
-        series = registry.series("stream.batch.size")
-        series.append(5)
-        series.append(8)
-        text = to_prometheus_text(registry)
-        assert "repro_stream_batch_size 8" in text
-        assert "repro_stream_batch_size_points 2" in text
-
     def test_name_sanitization(self):
         text = prometheus_from_snapshot(
             {"weird-name.x": {"type": "counter", "value": 1}}

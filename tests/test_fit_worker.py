@@ -38,6 +38,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.sequences.generators import generate_clustered_database
 
 from test_fit_replay import fit_state, outlier_draw, small_draw
+from test_observability_integration import logged_iterations
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -218,12 +219,11 @@ def test_loopback_worker_matches():
 
 def test_node_counts_match():
     """The node counts the worker reports for the trees it holds give
-    the same ``IterationSnapshot.pst_node_counts`` and
-    ``cluseq.iteration.pst_nodes`` series as the in-process fit."""
+    the same ``IterationSnapshot.pst_node_counts`` as the in-process
+    fit."""
     seen = {True: [], False: []}
-    series = {}
     for worker in (True, False):
-        _, registry, _ = fit(
+        fit(
             outlier_draw(3),
             CluseqParams(k=2, significance_threshold=3, seed=3),
             worker=worker,
@@ -231,10 +231,35 @@ def test_node_counts_match():
                 snapshot.pst_node_counts
             )],
         )
-        series[worker] = registry.series("cluseq.iteration.pst_nodes").values
     assert len(seen[True]) > 2
     assert seen[True] == seen[False]
-    assert series[True] == series[False]
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-process"])
+def test_iteration_events_carry_the_history(worker):
+    """The per-iteration trajectory lives in the ``iteration`` INFO log
+    events: one per ``history`` entry, carrying its ``IterationStats``
+    fields and the PST node total a hook sees, whichever process holds
+    the trees."""
+    totals = []
+    (result, _, _), events = logged_iterations(
+        lambda: fit(
+            outlier_draw(3),
+            CluseqParams(k=2, significance_threshold=3, seed=3),
+            worker=worker,
+            hooks=[lambda snapshot: totals.append(
+                sum(snapshot.pst_node_counts.values())
+            )],
+        )
+    )
+    assert len(events) == len(result.history) == len(totals) > 2
+    for event, stats, total in zip(events, result.history, totals):
+        assert event["iteration"] == stats.iteration
+        assert event["clusters"] == stats.clusters_after
+        assert event["unclustered"] == stats.unclustered
+        assert event["membership_changes"] == stats.membership_changes
+        assert event["log_threshold"] == stats.log_threshold
+        assert event["pst_nodes"] == total
 
 
 def test_the_worker_owes_no_reply_at_any_hook(monkeypatch):

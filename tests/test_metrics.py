@@ -38,49 +38,19 @@ class TestMapping:
     def test_majority(self):
         truth = ["a", "a", "b", "b", "b"]
         pred = [0, 0, 0, 1, 1]
-        mapping = map_clusters_to_families(truth, pred, "majority")
+        mapping = map_clusters_to_families(truth, pred)
         assert mapping == {0: "a", 1: "b"}
 
     def test_majority_many_to_one(self):
         truth = ["a", "a", "a", "a"]
         pred = [0, 0, 1, 1]
-        mapping = map_clusters_to_families(truth, pred, "majority")
+        mapping = map_clusters_to_families(truth, pred)
         assert mapping == {0: "a", 1: "a"}
 
-    def test_hungarian_one_to_one(self):
-        truth = ["a", "a", "a", "a"]
-        pred = [0, 0, 1, 1]
-        mapping = map_clusters_to_families(truth, pred, "hungarian")
-        assert sorted(v for v in mapping.values() if v) == ["a"]
-
-    def test_hungarian_optimal_assignment(self):
-        truth = ["a", "a", "b", "b", "a"]
-        pred = [0, 0, 1, 1, 1]
-        mapping = map_clusters_to_families(truth, pred, "hungarian")
-        assert mapping == {0: "a", 1: "b"}
-
-    @pytest.mark.parametrize(
-        "truth, pred, expected",
-        [
-            # Every 1:1 assignment has the same overlap.
-            (["a", "b", "a", "b"], ["x", "x", "y", "y"], {"x": "a", "y": "b"}),
-            ([*"aabbcc"], [2, 1, 1, 0, 0, 2], {0: "b", 1: "a", 2: "c"}),
-            # Clusters 2 and 3 tie for c; the other is left over.
-            (
-                [*"ababaccb"],
-                [0, 0, 1, 1, 2, 2, 3, None],
-                {0: "a", 1: "b", 2: "c", 3: None},
-            ),
-        ],
-    )
-    def test_hungarian_breaks_ties_as_pinned(self, truth, pred, expected):
-        # Pinned outputs: where overlaps tie, the mapping is the one
-        # scipy's linear_sum_assignment picks.
-        assert map_clusters_to_families(truth, pred, "hungarian") == expected
-
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            map_clusters_to_families(["a"], [0], "bogus")
+        # Majority is the one mapping rule (Table 2): no strategy is accepted.
+        with pytest.raises(TypeError):
+            map_clusters_to_families(["a"], [0], "hungarian")
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

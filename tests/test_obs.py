@@ -18,7 +18,6 @@ from repro.obs import (
     JsonLinesFormatter,
     MetricsRegistry,
     NullRegistry,
-    Series,
     Timer,
     configure_logging,
     get_logger,
@@ -164,15 +163,6 @@ class TestTimer:
             Timer().record(-0.1)
 
 
-class TestSeries:
-    def test_keeps_observation_order(self):
-        s = Series()
-        for v in (3.0, 1.0, 2.0):
-            s.append(v)
-        assert s.values == [3.0, 1.0, 2.0]
-        assert len(s) == 3
-
-
 class TestMetricsRegistry:
     def test_same_name_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -207,11 +197,9 @@ class TestMetricsRegistry:
         registry.gauge("b").set(1.5)
         registry.histogram("c", buckets=[1.0]).observe(0.5)
         registry.timer("d").record(0.1, 0.05)
-        registry.series("e").append(2.0)
         registry.gauge("inf", kind="weird").set(float("inf"))
         doc = json.loads(json.dumps(telemetry_document(registry)))["metrics"]
         assert doc["a"] == {"type": "counter", "value": 1}
-        assert doc["e"]["values"] == [2.0]
         assert doc["inf{kind=weird}"]["labels"] == {"kind": "weird"}
         # non-finite floats serialize as null rather than crashing
         assert doc["inf{kind=weird}"]["value"] is None
@@ -248,7 +236,6 @@ class TestNullRegistry:
         null.gauge("g").set(3)
         null.histogram("h").observe(1)
         null.timer("t").record(1.0)
-        null.series("s").append(1.0)
         assert len(null) == 0
         assert null.snapshot() == {}
 

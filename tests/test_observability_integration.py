@@ -2,9 +2,9 @@
 
 These drive real ``CLUSEQ`` and streaming runs (and the CLI) with a
 live metrics registry and assert that the pipeline emits the
-documented telemetry: per-phase timers, per-iteration series, PST size
-metrics, kernel timers, I/O latency histograms, iteration hooks, and
-the zero-overhead default — and that turning all of it on never
+documented telemetry: per-phase timers, per-iteration log events, PST
+size metrics, kernel timers, I/O latency histograms, iteration hooks,
+and the zero-overhead default — and that turning all of it on never
 changes what the clustering computes.
 """
 
@@ -43,6 +43,32 @@ PARAMS = dict(
 )
 
 
+#: The instrument kinds a registry snapshot holds: aggregates only.
+AGGREGATE_KINDS = {"counter", "gauge", "histogram", "timer"}
+
+
+def iteration_events(lines):
+    """The fit's ``iteration`` records among JSON log *lines*."""
+    records = [json.loads(line) for line in lines]
+    return [
+        r
+        for r in records
+        if r["logger"] == "repro.core.cluseq" and r["message"].startswith("iteration ")
+    ]
+
+
+def logged_iterations(run):
+    """``run()`` with INFO JSON lines captured: its return value and the
+    ``iteration`` events it logged."""
+    lines = io.StringIO()
+    configure_logging(level="INFO", json_lines=True, stream=lines)
+    try:
+        value = run()
+    finally:
+        reset_logging()
+    return value, iteration_events(lines.getvalue().splitlines())
+
+
 @pytest.fixture(autouse=True)
 def _registry_isolation():
     yield
@@ -54,8 +80,12 @@ class TestRunTelemetry:
     def test_expected_metric_families_emitted(self, toy_db):
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = CLUSEQ(CluseqParams(**PARAMS)).fit(toy_db)
+            result, events = logged_iterations(
+                lambda: CLUSEQ(CluseqParams(**PARAMS)).fit(toy_db)
+            )
         assert result.num_clusters >= 1
+        snapshot = registry.snapshot()
+        assert {entry["type"] for entry in snapshot.values()} <= AGGREGATE_KINDS
 
         # per-phase span timers, aggregated across iterations
         for phase in ("seed", "recluster", "consolidate"):
@@ -70,23 +100,18 @@ class TestRunTelemetry:
             for p in ("seed", "recluster", "consolidate")
         )
 
-        # per-iteration trajectories: one point per history entry
+        # per-iteration trajectory: one log event per history entry
         iterations = len(result.history)
-        for series_name in (
-            "cluseq.iteration.clusters",
-            "cluseq.iteration.unclustered",
-            "cluseq.iteration.log_threshold",
-            "cluseq.iteration.membership_changes",
-            "cluseq.iteration.pst_nodes",
-            "cluseq.iteration.peak_rss_bytes",
-        ):
-            series = registry.get(series_name)
-            assert series is not None, f"missing {series_name}"
-            assert len(series) == iterations
+        assert len(events) == iterations
+        for event in events:
+            for field in ("unclustered", "log_threshold", "membership_changes"):
+                assert field in event, f"missing {field}"
+            assert event["pst_nodes"] > 0
+            assert event["peak_rss_bytes"] > 0
 
-        # the recorded trajectory matches the run history
-        assert registry.get("cluseq.iteration.clusters").values == [
-            float(s.clusters_after) for s in result.history
+        # the logged trajectory matches the run history
+        assert [event["clusters"] for event in events] == [
+            s.clusters_after for s in result.history
         ]
 
         # end-of-run gauges
@@ -291,6 +316,41 @@ class TestStreamTelemetry:
         assert not any(name.startswith("profile.") for name in registry.snapshot())
 
 
+class TestStreamSnapshotSize:
+    @staticmethod
+    def _snapshot(batches):
+        """A cold-start stream of *batches* two-sequence batches, run
+        under a registry: its snapshot."""
+        stream = drifting_markov_stream(
+            2 * batches, 12, alphabet_size=4, concentration=0.05, seed=5
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = StreamingCluseq.cold_start(
+                alphabet_size=4,
+                similarity_threshold=10.0,
+                significance_threshold=3,
+                max_depth=3,
+                config=StreamConfig(batch_size=2, seed=3),
+            )
+            with engine:
+                engine.run(stream.sequences)
+        assert registry.get("stream.batches").value == batches
+        return registry.snapshot()
+
+    @staticmethod
+    def _list_lengths(entry):
+        return {key: len(value) for key, value in entry.items() if isinstance(value, list)}
+
+    def test_snapshot_does_not_grow_with_the_stream(self):
+        short, long = self._snapshot(100), self._snapshot(1000)
+        for snapshot in (short, long):
+            assert {entry["type"] for entry in snapshot.values()} <= AGGREGATE_KINDS
+        assert short.keys() == long.keys()
+        for name in short:
+            assert self._list_lengths(short[name]) == self._list_lengths(long[name]), name
+
+
 class TestIterationHooks:
     def test_one_snapshot_per_iteration(self, toy_db):
         snapshots = []
@@ -392,6 +452,9 @@ class TestCliTelemetry:
             [
                 "--metrics-out",
                 str(out),
+                "--log-json",
+                "--log-level",
+                "INFO",
                 "cluster",
                 str(data),
                 "-k",
@@ -410,10 +473,13 @@ class TestCliTelemetry:
         # per-phase timers
         assert metrics["span.cluseq"]["type"] == "timer"
         assert metrics["span.cluseq.recluster"]["count"] >= 1
-        # per-iteration gauntlet: cluster/threshold trajectories
-        assert metrics["cluseq.iteration.clusters"]["type"] == "series"
-        assert len(metrics["cluseq.iteration.log_threshold"]["values"]) >= 1
+        # aggregates only: the cluster/threshold trajectory is logged
+        assert {entry["type"] for entry in metrics.values()} <= AGGREGATE_KINDS
+        lines = capsys.readouterr().err.splitlines()
+        assert any(json.loads(line)["message"] == "telemetry written" for line in lines)
+        events = iteration_events(lines)
+        assert len(events) == metrics["cluseq.iterations"]["value"] >= 1
+        assert all(event["pst_nodes"] > 0 for event in events)
         # PST size metrics
         assert metrics["cluseq.final_pst_nodes"]["value"] > 0
         assert metrics["pst.final_depth"]["type"] == "histogram"
-        assert "telemetry written to" in capsys.readouterr().err

@@ -29,9 +29,10 @@ def test_core_exports():
         assert hasattr(core, name), f"repro.core.{name} missing"
 
 
-def _modules_after(imports: str) -> set[str]:
-    """``sys.modules`` of a clean interpreter after ``import <imports>``."""
-    probe = f"import sys, {imports}\nprint('\\n'.join(sys.modules))\n"
+def _modules_after(imports: str, then: str = "") -> set[str]:
+    """``sys.modules`` of a clean interpreter after ``import <imports>``
+    and the statements *then*."""
+    probe = f"import sys, {imports}\n{then}\nprint('\\n'.join(sys.modules))\n"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     out = subprocess.run(
@@ -50,13 +51,26 @@ def test_import_repro_does_not_load_the_batch_kernel():
     assert not {m for m in loaded if m.startswith("repro.core.backends")}
 
 
+_FIT_AND_EVALUATE = """
+from repro import CLUSEQ, CluseqParams, generate_clustered_database
+from repro.evaluation import evaluate_clustering
+db = generate_clustered_database(
+    num_sequences=40, num_clusters=2, avg_length=30, alphabet_size=4, seed=7
+).database
+result = CLUSEQ(CluseqParams(k=2, significance_threshold=3, seed=0)).fit(db)
+report = evaluate_clustering(db.labels, result.labels())
+assert report.num_sequences == 40
+"""
+
+
 @pytest.mark.parametrize(
     "module", ["repro", "repro.cli", "repro.serve", "repro.stream", "repro.evaluation"]
 )
 def test_import_does_not_load_scipy(module):
-    """scipy loads only on a Hungarian mapping, so CLI and serve start-up,
-    the stream engine and the library never pay for it."""
-    assert "scipy" not in _modules_after(module)
+    """numpy is the one runtime dependency: no import, fit or evaluation
+    loads scipy."""
+    loaded = _modules_after(module, _FIT_AND_EVALUATE)
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_sequences_exports():
@@ -205,6 +219,19 @@ def _has_attribute(cls: type, attr: str) -> bool:
     }
 
 
+#: The document whose "Removed metrics" table may name undeclared metrics.
+OBSERVABILITY_DOC = os.path.join("docs", "OBSERVABILITY.md")
+
+
+def _removed_metrics() -> set[str]:
+    """The first-cell names of the "Removed metrics" table: metrics the
+    registry no longer holds, each with the home of its fact."""
+    with open(os.path.join(ROOT, OBSERVABILITY_DOC), encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("\n## Removed metrics\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE))
+
+
 #: A dotted lowercase name: ``similarity.calls``, ``span.cluseq.seed``.
 _DOTTED_NAME = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+")
 
@@ -305,12 +332,18 @@ def test_documented_references_resolve():
     harness = _harness_metrics()
     names = _documented_telemetry_names(harness)
     assert names, "no telemetry names found in the docs"
+    removed = _removed_metrics()
     unknown = sorted(
         f"{name} ({', '.join(sorted(paths))})"
         for name, paths in names.items()
         if not _telemetry_name_resolves(name, harness)
+        and not (name in removed and paths == {OBSERVABILITY_DOC})
     )
     assert not unknown, f"docs name telemetry that is not declared: {unknown}"
+    from repro.obs.names import METRICS
+
+    assert removed, "no removed metrics found in the docs"
+    assert not sorted(removed & METRICS), "a removed metric is still declared"
 
 
 #: Backticked file names the docs use as examples of a run's output,
