@@ -60,25 +60,20 @@ from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
 from .cluster import Cluster
 from .examine import best_cluster, join_all, join_best
-from .fit_worker import Built as _Built
 from .fit_worker import (
     BuildInput,
     FitTrees,
     PassWorker,
-    WorkerReferences,
+    TreeSpec,
     build_input_of,
-    build_tree,
 )
 from .consolidation import consolidate, drop_dismissed
 from .pruning import STRATEGIES
-from .pst import ProbabilisticSuffixTree
 from .seeding import build_seed_pst, select_seeds
 from .similarity import (
     SimilarityResult,
-    _count_pairs,
     _log_background,
     check_sequence,
-    score_pass,
     score_row,
     similarities,
 )
@@ -487,16 +482,6 @@ class _Pass:
         return self.log_t == log_t and self.order == order
 
 
-def _built_from(
-    built: _Built | None, pst: ProbabilisticSuffixTree
-) -> BuildInput | None:
-    """The build input of *pst*, when it is the tree *built* records and
-    no absorb has changed it since; ``None`` when unknown."""
-    if built is None or built.pst is not pst or pst.version != built.version:
-        return None
-    return built.build_input
-
-
 def _replayable(
     passes: dict[BuildInput, _Pass],
     build_input: BuildInput | None,
@@ -653,26 +638,24 @@ class CLUSEQ:
                     # empty it (e.g. the first iterations).
                     fresh = [i for i in unclustered if unclustered_streak[i] <= 3]
                     candidates = fresh if fresh else unclustered
+                    # Every cluster tree is in *trees*, which scores the
+                    # sample against both processes' trees.
                     seeds = select_seeds(
                         candidates=candidates,
                         encoded_lookup=lambda i: encoded[i],
-                        existing_clusters=[
-                            c for c in clusters if c.cluster_id not in trees.away
-                        ],
+                        existing_clusters=[],
                         background=background,
                         count=min(requested, len(unclustered)),
                         sample_multiplier=params.sample_multiplier,
                         rng=rng,
                         pst_factory=pst_factory,
-                        elsewhere=(
-                            WorkerReferences(trees, clusters) if trees.away else None
-                        ),
+                        elsewhere=trees,
                     )
                     for choice in seeds:
                         clusters.append(
                             Cluster(
                                 cluster_id=next_cluster_id,
-                                pst=choice.pst,
+                                pst=None,
                                 seed_index=choice.sequence_index,
                                 created_at_iteration=iteration,
                             )
@@ -680,13 +663,16 @@ class CLUSEQ:
                         # A seed's tree is the rebuild of a memberless
                         # cluster. Additive models keep their absorbs, so a
                         # replayed seed pass would lose them for good.
-                        if params.rebuild_each_iteration:
-                            trees.built[next_cluster_id] = _Built(
-                                (choice.sequence_index, ()), choice.pst, choice.pst.version
-                            )
+                        trees.here.put(
+                            next_cluster_id,
+                            choice.pst,
+                            (choice.sequence_index, ())
+                            if params.rebuild_each_iteration
+                            else None,
+                        )
                         next_cluster_id += 1
                     n_new = len(seeds)
-                    # The seed trees now belong to their clusters alone: a
+                    # The seed trees now belong to the holder alone: a
                     # dismissal or the rebuild's replacement frees each one.
                     if seeds:
                         del choice
@@ -707,7 +693,7 @@ class CLUSEQ:
                 ):
                     with span("calibrate"):
                         calibrated = self._calibrate_initial_threshold(
-                            db, clusters, encoded, log_bg, pst_factory, rng, worker
+                            db, clusters, rng, trees
                         )
                     if calibrated is not None:
                         log_t = calibrated
@@ -731,7 +717,6 @@ class CLUSEQ:
                             clusters,
                             assignments,
                             unclustered_streak,
-                            log_bg,
                             log_t,
                             all_log_sims,
                             trees,
@@ -806,7 +791,6 @@ class CLUSEQ:
                 prev_snapshot = snapshot
 
                 kept = 0
-                away_nodes: dict[int, int] = {}
                 if params.rebuild_each_iteration:
                     with span("rebuild"):
                         share = (
@@ -824,13 +808,7 @@ class CLUSEQ:
                                 ),
                             )
                         )
-                        kept, away_nodes = trees.rebuild(
-                            clusters,
-                            share,
-                            lambda group: self._rebuild_cluster_models(
-                                group, encoded, pst_factory, trees.built
-                            ),
-                        )
+                        kept = self._rebuild_cluster_models(clusters, share, trees)
 
                 # History is appended *after* the termination logic so the
                 # final iteration — on either exit path (stability here,
@@ -853,13 +831,14 @@ class CLUSEQ:
                     stable=stable,
                 )
                 history.append(stats)
-                self._observe_iteration(
-                    stats, clusters, log_t, replayed, kept, away_nodes
-                )
+                self._observe_iteration(stats, clusters, log_t, replayed, kept, trees)
                 if stable:
                     break
         finally:
             worker.close()
+        # The last iteration hands the worker no share: every tree is here.
+        for cluster in clusters:
+            cluster.pst = trees.here.tree(cluster.cluster_id, None)
 
         converged = bool(history) and history[-1].stable
         registry = get_registry()
@@ -907,7 +886,7 @@ class CLUSEQ:
         log_t: float,
         replayed_passes: int,
         models_kept: int,
-        away_nodes: dict[int, int],
+        trees: FitTrees,
     ) -> None:
         """Per-iteration telemetry: counters, one log line, hooks.
 
@@ -916,19 +895,14 @@ class CLUSEQ:
         time and space (the PST node total and the peak RSS), one event
         per ``history`` entry. *replayed_passes* and *models_kept* are
         the iteration's replayed cluster passes and rebuilds that kept
-        their tree, and *away_nodes* the node count of each tree the
-        pass worker holds.
+        their tree; *trees* knows each tree's node count, on either side.
         """
         registry = get_registry()
         want_snapshot = bool(self.hooks)
         want_log = _logger.isEnabledFor(20)  # logging.INFO
         if want_log or want_snapshot:
             pst_nodes = {
-                cluster.cluster_id: (
-                    away_nodes[cluster.cluster_id]
-                    if cluster.cluster_id in away_nodes
-                    else cluster.pst.node_count
-                )
+                cluster.cluster_id: trees.node_count(cluster.cluster_id)
                 for cluster in clusters
             }
         if registry.enabled:
@@ -973,7 +947,6 @@ class CLUSEQ:
         clusters: list[Cluster],
         assignments: dict[int, AbstractSet[int]],
         unclustered_streak: dict[int, int],
-        log_bg: list[float],
         log_t: float,
         all_log_sims: list[float],
         trees: FitTrees,
@@ -986,7 +959,7 @@ class CLUSEQ:
         score, and a join absorbs only into that cluster, so a cluster's
         whole pass is a function of its starting tree, ``log t`` and
         *order*: it runs as one column
-        (:func:`~repro.core.similarity.score_pass`, absorbing as it
+        (:func:`~repro.core.similarity.pass_totals`, absorbing as it
         goes). A rebuilt or freshly seeded tree is a function of its build
         input (*trees*), so *passes* memoizes each pass under the build
         input it started from. A cluster whose build input has a record
@@ -1008,55 +981,36 @@ class CLUSEQ:
         :meth:`FitTrees.share`), and the new seeds that continue the
         alternation, whose trees it builds. A worker-run seed's tree here
         is left untouched, so the rebuild keeps it when its build input
-        comes out unchanged. Each worker pass's totals and absorb count
-        are recorded here. A pass the worker does not return is scored
-        here, on a tree built from its build input when the parent holds
-        none.
+        comes out unchanged. Each pass's totals and absorb count are
+        recorded here, whichever process ran it.
         """
-        seqs = [encoded[index] for index in order]
         records: list[_Pass | None] = []
         known: dict[int, BuildInput] = {}  # build input by cluster position
         for position, cluster in enumerate(clusters):
-            start = trees.away.get(cluster.cluster_id) or _built_from(
-                trees.built.get(cluster.cluster_id), cluster.pst
-            )
+            start = trees.built_from(cluster.cluster_id)
             records.append(_replayable(passes, start, log_t, order))
             if start is not None:
                 known[position] = start
         live = [position for position, record in enumerate(records) if record is None]
         alternate = set([position for position in live if position in known][1::2])
-        away = [
-            position
-            for position in live
-            if clusters[position].cluster_id in trees.away
-            or (
-                position in alternate
-                and clusters[position].created_at_iteration == iteration
-            )
-        ]
-        if away and not trees.worker.passes(
-            order, log_t, [(clusters[at].cluster_id, known[at]) for at in away]
-        ):
-            away = []
-
-        def score_here(position: int) -> _Pass:
+        here: list[int] = []
+        away: list[int] = []
+        for position in live:
             cluster = clusters[position]
-            if cluster.cluster_id in trees.away:
-                trees.adopt(cluster)
-            logs, bounds = score_pass(
-                cluster.pst, seqs, log_bg, log_t, cluster.absorb_segment
+            worker_runs = cluster.cluster_id in trees.away or (
+                position in alternate and cluster.created_at_iteration == iteration
             )
-            return _Pass(log_t, order, logs, bounds, iteration)
-
-        fresh = {
-            position: score_here(position) for position in live if position not in away
-        }
-        for position, result in zip(away, trees.worker.pass_results()):
-            if result is None:
-                fresh[position] = score_here(position)
-                continue
-            logs, bounds, cells, walks = result
-            _count_pairs(cells, walks, bounds)
+            (away if worker_runs else here).append(position)
+        fresh: dict[int, _Pass] = {}
+        for position, (logs, bounds, _, _) in zip(
+            here + away,
+            trees.passes(
+                order,
+                log_t,
+                [(clusters[at].cluster_id, None) for at in here],
+                [(clusters[at].cluster_id, known[at]) for at in away],
+            ),
+        ):
             clusters[position].count_absorbed(sum(1 for x in logs if x >= log_t))
             fresh[position] = _Pass(log_t, order, logs, bounds, iteration)
         columns: list[_Pass] = []
@@ -1090,7 +1044,7 @@ class CLUSEQ:
             unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
         return (
             membership_changes,
-            sum(map(len, seqs)) * len(clusters),
+            sum(len(encoded[index]) for index in order) * len(clusters),
             len(clusters) - len(live),
         )
 
@@ -1098,11 +1052,8 @@ class CLUSEQ:
         self,
         db: SequenceDatabase,
         clusters: list[Cluster],
-        encoded: list[list[int]],
-        log_bg: list[float],
-        pst_factory: PSTFactory,
         rng: np.random.Generator,
-        worker: PassWorker,
+        trees: FitTrees,
     ) -> float | None:
         """Iteration-0 dry scoring pass picking the starting ``log t``.
 
@@ -1127,17 +1078,19 @@ class CLUSEQ:
         merely grows clusters more slowly, while an under-set one
         triggers the irreversible full merge.
 
-        Every second reference's column is scored by *worker*, which
-        builds the single-sequence tree from its index (and keeps a seed
-        cluster's for that cluster's first pass); the estimators run
-        here, over every column in reference order.
+        Every second reference's column is scored by the pass worker,
+        which builds the single-sequence tree from its index (and keeps a
+        seed cluster's for that cluster's first pass); the estimators run
+        here, over every column.
 
         Returns the calibrated ``log t`` or ``None`` when no reference
         produced a valley estimate.
         """
-        # Each reference: its cluster (``None`` for an extra) and index.
-        references: list[tuple[Cluster | None, int]] = [
-            (cluster, cluster.seed_index) for cluster in clusters
+        # Each reference: the tree held for its cluster, or an extra
+        # built from its index and dropped after its pass.
+        references: list[TreeSpec] = [
+            (cluster.cluster_id, trees.built_from(cluster.cluster_id))
+            for cluster in clusters
         ]
         min_references = 8
         if len(references) < min_references and len(db) > len(references):
@@ -1151,36 +1104,11 @@ class CLUSEQ:
                 ),
                 replace=False,
             )
-            references.extend((None, int(i)) for i in extra)
-        away = references[1::2]
-        sent = bool(away) and worker.passes(
-            list(range(len(encoded))),
-            math.inf,
-            [
-                (None if cluster is None else cluster.cluster_id, (index, ()))
-                for cluster, index in away
-            ],
-        )
-
-        def score_here(at: int) -> array[float]:
-            cluster, index = references[at]
-            pst = pst_factory(encoded[index]) if cluster is None else cluster.pst
-            return score_pass(pst, encoded, log_bg)[0]
-
-        columns: dict[int, array[float]] = {
-            at: score_here(at) for at in range(0, len(references), 2 if sent else 1)
-        }
-        if sent:
-            for at, result in zip(range(1, len(references), 2), worker.pass_results()):
-                if result is None:
-                    columns[at] = score_here(at)
-                    continue
-                logs, bounds, cells, walks = result
-                _count_pairs(cells, walks, bounds)
-                columns[at] = logs
+            references.extend((None, (int(i), ())) for i in extra)
         found: list[float] = []
-        for at in range(len(references)):
-            reference_sims = columns[at]
+        for reference_sims, _, _, _ in trees.passes(
+            list(range(len(db))), math.inf, references[0::2], references[1::2]
+        ):
             for finder in VALLEY_METHODS.values():
                 estimate = finder(reference_sims)
                 if estimate is not None:
@@ -1236,41 +1164,30 @@ class CLUSEQ:
 
     @staticmethod
     def _rebuild_cluster_models(
-        clusters: list[Cluster],
-        encoded: list[list[int]],
-        pst_factory: PSTFactory,
-        built: dict[int, _Built] | None = None,
+        clusters: list[Cluster], share: list[Cluster], trees: FitTrees
     ) -> int:
         """Rebuild every cluster's PST from current members' best segments.
 
         The non-paper default (``rebuild_each_iteration``, DESIGN.md
         §6.1 #5): discards the additive history so departed sequences
-        stop influencing the model. The rebuilt tree is a function of the
-        cluster's build input, so a cluster whose build input equals
-        the one its current tree was built from, and whose tree no
-        absorb has touched since (same object, same ``version``), keeps
-        that tree. *built* is updated to record each cluster's tree
-        (records of clusters not in *clusters* are the caller's to
-        drop); without it every tree is rebuilt. Returns how many
-        clusters kept their tree.
+        stop influencing the model. The pass worker holds the trees of
+        *share*, whose next passes it runs, and the parent every other
+        one (:meth:`FitTrees.rebuild`); a tree still built from its
+        cluster's build input is kept. Returns how many clusters kept
+        their tree.
         """
-        if built is None:
-            built = {}
-        kept = 0
-        for cluster in clusters:
-            build_input = build_input_of(cluster)
-            # Popped, so that the superseded tree's last reference is
-            # ``cluster.pst``: it dies when the new tree replaces it.
-            record = built.pop(cluster.cluster_id, None)
-            if record is not None and _built_from(record, cluster.pst) == build_input:
-                built[cluster.cluster_id] = record
-                kept += 1
-                continue
-            record = None
-            fresh = build_tree(build_input, encoded, pst_factory)
-            cluster.pst = fresh
-            built[cluster.cluster_id] = _Built(build_input, fresh, fresh.version)
-        return kept
+        if not clusters:
+            # No tree to hold. The worker keeps the dismissed clusters'
+            # trees until its next hold.
+            return 0
+        away = {cluster.cluster_id for cluster in share}
+        specs: list[TreeSpec] = [
+            (cluster.cluster_id, build_input_of(cluster)) for cluster in clusters
+        ]
+        return trees.rebuild(
+            [spec for spec in specs if spec[0] not in away],
+            [spec for spec in specs if spec[0] in away],
+        )
 
 
 def cluster_sequences(

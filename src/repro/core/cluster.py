@@ -40,22 +40,27 @@ class Cluster:
         Stable identifier, unique within one clustering run.
     pst:
         The cluster's model. For a newly-generated cluster this is the
-        PST of its single seed sequence.
+        PST of its single seed sequence; ``None`` for a cluster whose
+        tree a fit's holder keeps until the fit returns
+        (:class:`~repro.core.fit_worker.HeldTrees`).
     seed_index:
         Database index of the seed sequence that initiated the cluster.
     created_at_iteration:
         The CLUSEQ iteration that generated this cluster (0-based).
     """
 
+    pst: ProbabilisticSuffixTree
+
     def __init__(
         self,
         cluster_id: int,
-        pst: ProbabilisticSuffixTree,
+        pst: ProbabilisticSuffixTree | None,
         seed_index: int,
         created_at_iteration: int = 0,
     ) -> None:
         self.cluster_id = cluster_id
-        self.pst = pst
+        if pst is not None:
+            self.pst = pst
         self.seed_index = seed_index
         self.created_at_iteration = created_at_iteration
         self._members: dict[int, Membership] = {}
@@ -135,9 +140,9 @@ class Cluster:
         self._segments_absorbed += 1
 
     def count_absorbed(self, count: int) -> None:
-        """Count *count* segments that a copy of this cluster's tree
-        absorbed in another process (the fit's pass worker), leaving
-        this tree untouched."""
+        """Count *count* segments that this cluster's tree absorbed
+        while a fit's holder kept it, in the fit's process or its pass
+        worker (:class:`~repro.core.fit_worker.HeldTrees`)."""
         self._segments_absorbed += count
 
     # -- bookkeeping ------------------------------------------------------------------
@@ -181,7 +186,8 @@ class Cluster:
         return unique
 
     def __repr__(self) -> str:
+        nodes = f", pst_nodes={self.pst.node_count}" if "pst" in vars(self) else ""
         return (
             f"Cluster(id={self.cluster_id}, size={self.size}, "
-            f"seed={self.seed_index}, pst_nodes={self.pst.node_count})"
+            f"seed={self.seed_index}{nodes})"
         )

@@ -10,26 +10,34 @@ database can build the same tree and run the same pass. Its column is
 bit-identical to the one the fit would score in-process: the DP reads
 only the tree's counts, and its caches change no score.
 
-:class:`PassWorker` is that process. It is forked on the fit's first
-request and inherits the encoded database, the PST factory and
-``log p(s)``. It keeps the trees it is handed by cluster id, each with
-the build input it was built from, and answers three requests:
+During a fit every cluster tree lives in a :class:`HeldTrees`, the
+parent's or the worker's, keyed by cluster id; ``Cluster.pst`` is set
+only when the fit returns. :class:`PassWorker` is the worker: it is
+forked on the fit's first request and inherits the encoded database,
+the PST factory and ``log p(s)``. Both processes answer the same three
+requests with :meth:`HeldTrees.handle`:
 
 - **passes** — ``(order, log t, [(cluster id, build input)])``: run
-  each pass with absorbs, on the tree it holds for that build input or
-  on one it builds, and reply ``(logs, bounds, cells, walks)`` per
-  pass. The iteration-0 calibration sends its reference passes this
-  way with ``log t = inf``, which joins nothing; a reference that is
-  no cluster's comes with the id ``None`` and is not kept.
-- **sample** — a seed sample's database indices: reply each sample's
-  best ``log SIM`` over the trees held, with the pairs' DP totals.
+  each pass with absorbs, on the tree held for that cluster or on one
+  built from the build input, and reply ``(logs, bounds, cells,
+  walks)`` per pass. The iteration-0 calibration sends its reference
+  passes this way with ``log t = inf``, which joins nothing; a
+  reference that is no cluster's comes with the id ``None`` and is not
+  kept.
+- **sample** — a seed sample's database indices and the cluster ids of
+  the trees to score it against: reply each sample's best ``log SIM``
+  over those trees, with the pairs' DP totals.
 - **hold** — ``[(cluster id, build input)]``, the clusters whose next
-  passes the worker runs: keep each tree that is still the one built
+  passes this process runs: keep each tree that is still the one built
   from that input, drop every other tree, build the rest, and reply
   their node counts and how many were kept.
 
-It records no telemetry: the fit records each reply's totals as its
-own.
+:class:`FitTrees` sends the worker its share of each request and has
+the parent's holder answer the rest meanwhile. When the worker declines
+a request or fails, the parent takes back the worker's trees (builds
+each one from its build input) and answers whatever the worker left
+unanswered. The worker records no telemetry: the fit records each
+reply's totals as its own.
 
 Protocol: the parent sends one request at a time, only while the
 worker owes it nothing, and reads every reply before it sends again.
@@ -41,7 +49,7 @@ The fit forks only where :func:`second_cpu` holds: Linux with the
 a single-threaded caller (forking a threaded process can copy a lock
 another thread holds) that is not itself a daemonic ``multiprocessing``
 worker (which may not have children). Everywhere else, and after the
-worker fails, the fit runs every step in-process.
+worker fails, the parent's holder answers every request.
 """
 
 from __future__ import annotations
@@ -53,16 +61,15 @@ import sys
 import threading
 import traceback
 from array import array
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, cast
 
 from ..obs import get_logger, set_registry
 from ..typing import PSTFactory
 from .cluster import Cluster
 from .pst import ProbabilisticSuffixTree
-from .similarity import _count_pairs, pass_totals, score_row
+from .similarity import _count_pairs, pass_totals
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -73,23 +80,26 @@ if TYPE_CHECKING:
 #: (order matters once ``max_nodes`` pruning fires mid-build).
 BuildInput = tuple[int, tuple[tuple[int, int, int], ...]]
 
-#: A tree the worker is asked for: its cluster id (``None``: a
-#: calibration reference, dropped after its pass) and its build input.
-TreeSpec = tuple["int | None", BuildInput]
+#: A tree a request names: its cluster id (``None``: a calibration
+#: reference, dropped after its pass) and its build input (``None``: the
+#: tree held for that cluster, as it stands).
+TreeSpec = tuple["int | None", "BuildInput | None"]
 
 #: One pass's reply: its column ``(logs, bounds)`` as
 #: :func:`~repro.core.similarity.score_pass` returns it, then its DP
 #: cells and root walks.
 PassResult = tuple["array[float]", "array[int]", int, int]
 
-#: A seed sample's reply: each sample's best ``log SIM`` over the
-#: worker's trees, then the DP cells, root walks and bounds of every
-#: pair scored.
+#: A seed sample's reply: each sample's best ``log SIM`` over the trees
+#: named, then the DP cells, root walks and bounds of every pair scored.
 SampleResult = tuple[list[float], int, int, "array[int]"]
 
-#: A prebuild's reply: each tree's node count, in request order, and
-#: how many trees were kept rather than built.
+#: A hold's reply: each tree's node count, in request order, and how
+#: many trees were kept rather than built.
 HoldResult = tuple[list[int], int]
+
+#: A request: its kind, its arguments, and last the trees it names.
+Request = tuple[object, ...]
 
 #: Seconds :meth:`PassWorker.close` waits for an idle worker to exit
 #: before it kills it.
@@ -106,8 +116,8 @@ def build_tree(
     """The cluster tree of *build_input* (§4.1, §4.4): the seed's tree,
     then each member's best segment absorbed in member order.
 
-    The one tree-from-build-input builder: the fit's rebuild and the
-    pass worker both call it, so both make the same tree.
+    Both processes' holders build their trees with it, so both make the
+    same tree from the same build input.
     """
     seed_index, members = build_input
     tree = pst_factory(encoded[seed_index])
@@ -130,20 +140,15 @@ def build_input_of(cluster: Cluster) -> BuildInput:
     )
 
 
+def _replies_owed(request: Request) -> int:
+    """How many replies *request* gets: one per pass, else one."""
+    return len(cast("list[TreeSpec]", request[-1])) if request[0] == "passes" else 1
+
+
 class Replayable(Protocol):
     """A recorded pass (``repro.core.cluseq._Pass``)."""
 
     def repeats(self, log_t: float, order: list[int]) -> bool: ...
-
-
-@dataclass(frozen=True)
-class Built:
-    """A tree the fit built: its build input, and the tree and its
-    version right after the build."""
-
-    build_input: BuildInput
-    pst: ProbabilisticSuffixTree
-    version: int
 
 
 def second_cpu() -> bool:
@@ -166,10 +171,9 @@ def second_cpu() -> bool:
 class PassWorker:
     """One fit's pass worker, forked on first need.
 
-    Each request method returns ``False`` when the fit must do that
-    step itself: after a failure, or where :func:`second_cpu` does not
-    hold. Otherwise the matching result method reads the replies, with
-    ``None`` for each one the worker did not send. :meth:`close`, which
+    :meth:`send` returns ``False`` when the fit must answer the request
+    itself: after a failure, or where :func:`second_cpu` does not hold.
+    Otherwise :meth:`replies` reads the replies. :meth:`close`, which
     the fit calls on every exit path, stops the worker.
     """
 
@@ -182,39 +186,44 @@ class PassWorker:
         self._inputs = (encoded, pst_factory, log_bg)
         self._process: BaseProcess | None = None
         self._conn: Connection | None = None
-        #: Replies owed to requests sent.
+        #: Replies owed to the request sent.
         self._pending = 0
         #: Set once the fit works in-process for good.
         self._off = False
 
-    def passes(self, order: list[int], log_t: float, specs: list[TreeSpec]) -> bool:
-        """Send passes over the examination *order* under ``log t``, one
-        per tree of *specs*; read them with :meth:`pass_results`."""
-        return self._send(("passes", order, log_t, specs), len(specs))
-
-    def pass_results(self) -> list[PassResult | None]:
-        """The passes' results, in request order."""
-        return cast("list[PassResult | None]", self._replies())
-
-    def sample(self, indices: list[int]) -> bool:
-        """Send a seed sample to score against every tree held; read it
-        with :meth:`sample_result`."""
-        return self._send(("sample", indices), 1)
-
-    def sample_result(self) -> SampleResult | None:
-        (reply,) = self._replies()
-        return cast("SampleResult | None", reply)
-
-    def hold(self, specs: list[TreeSpec]) -> bool:
-        """Send the trees to hold from now on; read their node counts
-        with :meth:`hold_result`. An empty request starts no worker."""
-        if not specs and self._conn is None:
+    def send(self, request: Request) -> bool:
+        """Send *request* (see the module notes). A request that names
+        no tree starts no worker."""
+        if self._off or (self._conn is None and not request[-1]):
             return False
-        return self._send(("hold", specs), 1)
+        if self._conn is None and not (second_cpu() and self._start()):
+            self._off = True
+            return False
+        assert self._conn is not None
+        try:
+            self._conn.send(request)
+        except OSError as error:
+            self._fail(f"send failed: {error!r}")
+            return False
+        self._pending = _replies_owed(request)
+        return True
 
-    def hold_result(self) -> HoldResult | None:
-        (reply,) = self._replies()
-        return cast("HoldResult | None", reply)
+    def replies(self) -> list[object]:
+        """The replies to the request sent, in order; fewer than it
+        owes when the worker failed."""
+        out: list[object] = []
+        while self._pending:
+            assert self._conn is not None
+            try:
+                reply = self._conn.recv()
+            except (EOFError, OSError) as error:
+                reply = f"worker lost: {error!r}"
+            if isinstance(reply, str):
+                self._fail(reply)
+                break
+            out.append(reply)
+            self._pending -= 1
+        return out
 
     def close(self) -> None:
         """Stop the worker and reap it. An idle worker exits on end of
@@ -234,37 +243,6 @@ class PassWorker:
             process.kill()
             process.join()
         process.close()
-
-    def _send(self, request: tuple[object, ...], replies: int) -> bool:
-        if self._off:
-            return False
-        if self._conn is None and not (second_cpu() and self._start()):
-            self._off = True
-            return False
-        assert self._conn is not None
-        try:
-            self._conn.send(request)
-        except OSError as error:
-            self._fail(f"send failed: {error!r}")
-            return False
-        self._pending = replies
-        return True
-
-    def _replies(self) -> list[object | None]:
-        out: list[object | None] = []
-        while self._pending:
-            assert self._conn is not None
-            try:
-                reply = self._conn.recv()
-            except (EOFError, OSError) as error:
-                reply = f"worker lost: {error!r}"
-            if isinstance(reply, str):
-                out.extend([None] * self._pending)
-                self._fail(reply)
-                break
-            out.append(reply)
-            self._pending -= 1
-        return out
 
     def _start(self) -> bool:
         """Fork the worker; ``False`` when the fork fails."""
@@ -298,10 +276,11 @@ class PassWorker:
         self.close()
 
 
-class WorkerTrees:
-    """The worker's side of the protocol: the trees it holds, by cluster
-    id, each with its build input and its version right after the
-    build.
+class HeldTrees:
+    """One process's cluster trees, by cluster id, each with its build
+    input and its version right after the build. An additive tree
+    (without ``rebuild_each_iteration``) has build input ``None`` and is
+    never rebuilt.
 
     A tree is reused only while it is the one built from the build input
     asked for and no absorb has touched it; any other tree of that
@@ -318,56 +297,73 @@ class WorkerTrees:
         self.encoded = encoded
         self.pst_factory = pst_factory
         self.log_bg = log_bg
-        self.held: dict[int, tuple[BuildInput, ProbabilisticSuffixTree, int]] = {}
+        self.held: dict[
+            int, tuple[BuildInput | None, ProbabilisticSuffixTree, int]
+        ] = {}
 
-    def handle(self, request: tuple[object, ...]) -> Iterator[object]:
+    def put(
+        self, key: int, tree: ProbabilisticSuffixTree, build_input: BuildInput | None
+    ) -> None:
+        """Hold *tree*, built from *build_input*, for cluster *key*."""
+        self.held[key] = (build_input, tree, tree.version)
+
+    def built_from(self, key: int) -> BuildInput | None:
+        """The build input of the tree held for *key*, while no absorb
+        has touched it; ``None`` when unknown."""
+        entry = self.held.get(key)
+        if entry is None or entry[1].version != entry[2]:
+            return None
+        return entry[0]
+
+    def tree(
+        self, key: int | None, build_input: BuildInput | None
+    ) -> ProbabilisticSuffixTree:
+        """The tree of *key* built from *build_input* (``None``: the one
+        held, as it stands), built now unless it is held."""
+        if key is not None:
+            if key in self.held and (
+                build_input is None or self.built_from(key) == build_input
+            ):
+                return self.held[key][1]
+            self.held.pop(key, None)
+        assert build_input is not None, f"no tree held for cluster {key}"
+        tree = build_tree(build_input, self.encoded, self.pst_factory)
+        if key is not None:
+            self.put(key, tree, build_input)
+        return tree
+
+    def handle(self, request: Request) -> Iterator[object]:
         """The replies to one request, in order."""
         kind, *args = request
         if kind == "passes":
             order, log_t, specs = args
             seqs = [self.encoded[index] for index in cast("list[int]", order)]
             for spec in cast("list[TreeSpec]", specs):
-                tree = self._tree(*spec)
-                yield pass_totals(
-                    tree, seqs, self.log_bg, cast(float, log_t), tree.add_sequence
-                )
+                yield self._pass(spec, seqs, cast(float, log_t))
         elif kind == "sample":
-            yield self._sample(cast("list[int]", args[0]))
+            indices, keys = args
+            yield self._sample(cast("list[int]", indices), cast("list[int]", keys))
         elif kind == "hold":
             yield self._hold(cast("list[TreeSpec]", args[0]))
         else:
             raise ValueError(f"unknown request {kind!r}")
 
-    def _kept(self, key: int, build_input: BuildInput) -> bool:
-        """Whether the tree held for *key* is still the one built from
-        *build_input*."""
-        entry = self.held.get(key)
-        return (
-            entry is not None
-            and entry[0] == build_input
-            and entry[1].version == entry[2]
-        )
+    def _pass(
+        self, spec: TreeSpec, seqs: list[Sequence[int]], log_t: float
+    ) -> PassResult:
+        # A call of its own, so that no frame of ``handle`` keeps this
+        # pass's tree alive while the next one is built.
+        tree = self.tree(*spec)
+        return pass_totals(tree, seqs, self.log_bg, log_t, tree.add_sequence)
 
-    def _tree(
-        self, key: int | None, build_input: BuildInput
-    ) -> ProbabilisticSuffixTree:
-        if key is not None:
-            if self._kept(key, build_input):
-                return self.held[key][1]
-            self.held.pop(key, None)
-        tree = build_tree(build_input, self.encoded, self.pst_factory)
-        if key is not None:
-            self.held[key] = (build_input, tree, tree.version)
-        return tree
-
-    def _sample(self, indices: list[int]) -> SampleResult:
+    def _sample(self, indices: list[int], keys: list[int]) -> SampleResult:
         seqs = [self.encoded[index] for index in indices]
         best = [-math.inf] * len(seqs)
         bounds: array[int] = array("i")
         cells = walks = 0
-        for _, tree, _ in self.held.values():
+        for key in keys:
             logs, tree_bounds, tree_cells, tree_walks = pass_totals(
-                tree, seqs, self.log_bg
+                self.held[key][1], seqs, self.log_bg
             )
             best = [max(pair) for pair in zip(best, logs)]
             bounds += tree_bounds
@@ -379,24 +375,22 @@ class WorkerTrees:
         kept = {
             key: self.held[key]
             for key, build_input in specs
-            if key is not None and self._kept(key, build_input)
+            if key is not None
+            and build_input is not None
+            and self.built_from(key) == build_input
         }
         reused = len(kept)
         # Every other tree dies here, before the first build.
         self.held = kept
-        return [self._tree(*spec).node_count for spec in specs], reused
+        return [self.tree(*spec).node_count for spec in specs], reused
 
 
 class FitTrees:
-    """The fit's side of the split: which process holds each cluster's
-    tree, and what it was built from (``rebuild_each_iteration`` only).
-
-    The parent holds a tree in ``Cluster.pst`` and records it in
-    *built*. The worker holds the trees of the clusters in *away*, each
-    built from the build input recorded there for this iteration's
-    passes; the parent holds none of those (their ``Cluster.pst`` is
-    deleted) until it adopts one: when the worker fails, or when a
-    rebuild places the cluster back in the parent.
+    """The fit's trees on both sides: the parent's holder *here*, and
+    the build input of each tree the pass worker holds, in *away*, with
+    its node count in *nodes*. Also the seed sample's
+    :class:`~repro.core.seeding.ScoredElsewhere`: it scores the sample
+    against the trees on both sides.
     """
 
     def __init__(
@@ -407,35 +401,31 @@ class FitTrees:
         log_bg: list[float],
     ) -> None:
         self.worker = worker
-        self.encoded = encoded
-        self.pst_factory = pst_factory
-        self.log_bg = log_bg
-        self.built: dict[int, Built] = {}
+        self.here = HeldTrees(encoded, pst_factory, log_bg)
         self.away: dict[int, BuildInput] = {}
+        self.nodes: dict[int, int] = {}
 
-    def adopt(self, cluster: Cluster) -> ProbabilisticSuffixTree:
-        """Build in the parent the tree the worker holds for *cluster*."""
-        build_input = self.away.pop(cluster.cluster_id)
-        tree = cluster.pst = build_tree(build_input, self.encoded, self.pst_factory)
-        self.built[cluster.cluster_id] = Built(build_input, tree, tree.version)
-        return tree
+    @property
+    def references(self) -> int:
+        """How many trees a seed sample is scored against."""
+        return len(self.here.held) + len(self.away)
+
+    def built_from(self, key: int) -> BuildInput | None:
+        """The build input of cluster *key*'s tree, on either side, while
+        no absorb has touched it; ``None`` when unknown."""
+        return self.away.get(key) or self.here.built_from(key)
+
+    def node_count(self, key: int) -> int:
+        """The node count of cluster *key*'s tree, on either side."""
+        if key in self.nodes:
+            return self.nodes[key]
+        return self.here.held[key][1].node_count
 
     def forget(self, cluster_ids: AbstractSet[int]) -> None:
-        """Drop the records of dismissed clusters."""
+        """Drop the trees of dismissed clusters."""
         for cluster_id in cluster_ids:
-            self.built.pop(cluster_id, None)
+            self.here.held.pop(cluster_id, None)
             self.away.pop(cluster_id, None)
-
-    def hand_over(self, share: list[Cluster], specs: list[TreeSpec]) -> None:
-        """Record that the worker now holds the trees of *share*, built
-        from *specs*, and drop the parent's own tree of each."""
-        for cluster in share:
-            self.built.pop(cluster.cluster_id, None)
-            if cluster.cluster_id not in self.away:
-                del cluster.pst
-        self.away = {
-            cast(int, cluster_id): build_input for cluster_id, build_input in specs
-        }
 
     def share(
         self,
@@ -456,66 +446,82 @@ class FitTrees:
                 live.append(cluster)
         return live[1::2]
 
-    def rebuild(
+    def passes(
         self,
-        clusters: list[Cluster],
-        share: list[Cluster],
-        rebuild_here: Callable[[list[Cluster]], int],
-    ) -> tuple[int, dict[int, int]]:
-        """The rebuild on both CPUs: the worker builds (or keeps) the
-        trees of *share*, which it holds for their next passes, while
-        the parent drops its own tree of each and rebuilds every other
-        cluster's with *rebuild_here*. No tree is built on both sides;
-        when the worker fails, the parent builds the shared trees too.
-        Returns how many clusters kept their tree, and the node count of
-        each tree the worker holds."""
-        specs: list[TreeSpec] = [
-            (cluster.cluster_id, build_input_of(cluster)) for cluster in share
-        ]
-        sent = self.worker.hold(specs)
-        if not sent:
-            share, specs = [], []
-        self.hand_over(share, specs)
-        kept = rebuild_here([c for c in clusters if c.cluster_id not in self.away])
-        reply = self.worker.hold_result() if sent else None
-        if reply is None:
-            self.away = {}
-            return kept + rebuild_here(share), {}
-        counts, worker_kept = reply
-        return kept + worker_kept, {
-            cast(int, cluster_id): count for (cluster_id, _), count in zip(specs, counts)
-        }
-
-
-class WorkerReferences:
-    """The seed sample's references on the worker (a
-    :class:`~repro.core.seeding.ScoredElsewhere`): the trees of the
-    clusters in ``trees.away``. When the worker fails, the parent builds
-    those trees and scores the sample against them itself."""
-
-    def __init__(self, trees: FitTrees, clusters: list[Cluster]) -> None:
-        self._trees = trees
-        self._away = [c for c in clusters if c.cluster_id in trees.away]
-        self.references = len(self._away)
-        self._sampled: list[int] = []
-        self._sent = False
-
-    def start(self, sampled: list[int]) -> None:
-        self._sampled = sampled
-        self._sent = self._trees.worker.sample(sampled)
-
-    def best(self) -> list[float]:
-        reply = self._trees.worker.sample_result() if self._sent else None
-        if reply is not None:
-            best, cells, walks, bounds = reply
+        order: list[int],
+        log_t: float,
+        here: list[TreeSpec],
+        away: list[TreeSpec],
+    ) -> list[PassResult]:
+        """One pass over the examination *order* under ``log t`` per tree
+        of *here*, then of *away*, whose passes the worker runs; their
+        results in that order. Records each pass's DP totals."""
+        results = cast(
+            "list[PassResult]",
+            self._ask(("passes", order, log_t, here), ("passes", order, log_t, away)),
+        )
+        for _, bounds, cells, walks in results:
             _count_pairs(cells, walks, bounds)
-            return best
-        trees = self._trees
-        psts = [trees.adopt(cluster) for cluster in self._away]
-        return [
-            max(score_row(psts, trees.encoded[i], trees.log_bg)[0], default=-math.inf)
-            for i in self._sampled
-        ]
+        return results
+
+    def best(self, sampled: list[int]) -> list[float]:
+        """Each of *sampled*'s best ``log SIM`` over every cluster tree,
+        in sample order."""
+        best = [-math.inf] * len(sampled)
+        for logs, cells, walks, bounds in cast(
+            "list[SampleResult]",
+            self._ask(
+                ("sample", sampled, list(self.here.held)),
+                ("sample", sampled, list(self.away)),
+            ),
+        ):
+            _count_pairs(cells, walks, bounds)
+            best = [max(pair) for pair in zip(best, logs)]
+        return best
+
+    def rebuild(self, here: list[TreeSpec], away: list[TreeSpec]) -> int:
+        """The §4.4 rebuild on both CPUs: from now on the parent holds
+        the trees of *here* and the worker those of *away*, each kept
+        while it is still the one built from its build input and built
+        otherwise. Returns how many trees were kept."""
+        replies = cast(
+            "list[HoldResult]", self._ask(("hold", here), ("hold", away))
+        )
+        # The worker's reply comes last; a worker that declined or failed
+        # holds nothing, its trees taken back.
+        self.nodes = dict(zip(self.away, replies[-1][0])) if self.away else {}
+        return sum(kept for _, kept in replies)
+
+    def _ask(self, here: Request, away: Request) -> list[object]:
+        """The replies to *here*, which the parent's holder answers, then
+        to *away*, which the worker answers meanwhile. When the worker
+        declines or fails, the parent takes its trees back and answers
+        what the worker left unanswered: a declined request together
+        with *here*, the passes after the last one answered, a sample
+        in full. A hold needs no more: taking its trees back holds
+        them."""
+        if not self.worker.send(away):
+            self._take_back()
+            both = [*cast("list[object]", here[-1]), *cast("list[object]", away[-1])]
+            return list(self.here.handle((*here[:-1], both)))
+        if away[0] == "hold":
+            self.away = dict(cast("list[tuple[int, BuildInput]]", away[-1]))
+        replies = list(self.here.handle(here))
+        answered = self.worker.replies()
+        if len(answered) < _replies_owed(away):
+            self._take_back()
+            if away[0] != "hold":
+                answered += self.here.handle(
+                    (*away[:-1], cast("list[object]", away[-1])[len(answered):])
+                )
+        return replies + answered
+
+    def _take_back(self) -> None:
+        """Build in the parent every tree the worker holds."""
+        for key, build_input in self.away.items():
+            self.here.tree(key, build_input)
+        self.away = {}
+        self.nodes = {}
 
 
 def _serve(
@@ -533,7 +539,7 @@ def _serve(
     # and stops the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     set_registry(None)
-    trees = WorkerTrees(encoded, pst_factory, log_bg)
+    trees = HeldTrees(encoded, pst_factory, log_bg)
     try:
         while True:
             for reply in trees.handle(conn.recv()):

@@ -13,10 +13,10 @@ procedure:
    lowest. Only a picked sample gets a single-sequence PST, since
    only a chosen seed is ever scored against.
 
-The fit's pass worker holds part of the cluster trees; the fit then
-hands :func:`select_seeds` those references as a
-:class:`ScoredElsewhere`, which scores the sample against them while
-the caller's process scores its own.
+The fit keeps its cluster trees in holders, part of them in its pass
+worker; it hands :func:`select_seeds` no existing clusters and every
+tree as a :class:`ScoredElsewhere`, which scores the sample against the
+trees in both processes at once.
 
 The sampling keeps the cost at ``O(m · (m + k') · l²)`` instead of the
 quadratic-in-N pairwise alternative.
@@ -53,17 +53,16 @@ class SeedChoice:
 
 
 class ScoredElsewhere(Protocol):
-    """Reference trees another process holds (the fit's pass worker)."""
+    """Reference trees held outside *existing_clusters* (the fit's
+    :class:`~repro.core.fit_worker.FitTrees`)."""
 
-    #: How many references each sample is scored against there.
-    references: int
+    @property
+    def references(self) -> int:
+        """How many references each sample is scored against there."""
 
-    def start(self, sampled: list[int]) -> None:
-        """Start scoring the sample (database indices, in order)."""
-
-    def best(self) -> list[float]:
+    def best(self, sampled: list[int]) -> list[float]:
         """Each sample's best ``log SIM`` over those references, in
-        sample order."""
+        sample order (*sampled*: database indices)."""
 
 
 def build_seed_pst(
@@ -124,9 +123,8 @@ def select_seeds(
         parameters with ``functools.partial`` around
         :func:`build_seed_pst`).
     elsewhere:
-        Existing clusters whose trees another process holds; each
-        sample's best score is the larger of theirs and the one against
-        *existing_clusters*.
+        Reference trees held elsewhere; each sample's best score is the
+        larger of theirs and the one against *existing_clusters*.
 
     Returns fewer than *count* choices when there are not enough
     candidates.
@@ -153,8 +151,6 @@ def select_seeds(
     # incremental: adding a seed only requires scoring remaining samples
     # against that one new reference, so a sample's PST is built only
     # once it is picked.
-    if elsewhere is not None:
-        elsewhere.start(sampled)
     best_log: dict[int, float] = {}
     for i in sampled:
         logs, _ = score_row(reference_psts, encoded_lookup(i), log_bg)
@@ -162,7 +158,7 @@ def select_seeds(
     references = len(reference_psts)
     if elsewhere is not None:
         references += elsewhere.references
-        for i, score in zip(sampled, elsewhere.best()):
+        for i, score in zip(sampled, elsewhere.best(sampled)):
             if score > best_log[i]:
                 best_log[i] = score
 

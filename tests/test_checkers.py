@@ -726,7 +726,7 @@ class TestObservabilityNaming:
             "src/repro/stream/good.py",
             "def f(registry):\n"
             '    registry.counter("stream.batches").inc()\n'
-            '    registry.series("stream.batch.size").append(3)\n',
+            '    registry.gauge("stream.clusters").set(3)\n',
             "CLQ006",
         )
         assert violations == []

@@ -78,3 +78,11 @@ class TestUniqueMembers:
 class TestStats:
     def test_repr(self):
         assert "Cluster(id=0" in repr(make_cluster())
+
+    def test_repr_of_a_cluster_without_a_tree(self):
+        """A fit keeps its clusters' trees in its holders until it
+        returns; such a cluster still has a repr, without a node count."""
+        cluster = Cluster(cluster_id=3, pst=None, seed_index=7)
+        cluster.set_member(Membership(7, 0.0, 0, 2))
+        assert repr(cluster) == "Cluster(id=3, size=1, seed=7)"
+        assert "pst_nodes=" in repr(make_cluster())

@@ -9,10 +9,11 @@ then merges the columns sequence by sequence into memberships.
 The oracle is the loop the columns replaced, kept here as a stand-in
 for ``CLUSEQ._recluster_vectorized``: one ``similarities()`` call per
 sequence over every live tree, then a join that absorbs at once
-(``Cluster.join``), before the next sequence is scored. It runs
-in-process with replay and tree keeping off (``_built_from`` reports
-every tree's build input as unknown), so it shares no memo with the fit
-under test and reads every tree in this process.
+(``Cluster.join``, on the tree the parent's holder keeps), before the
+next sequence is scored. It runs in-process with replay and tree
+keeping off (``HeldTrees.built_from`` reports every tree's build input
+as unknown), so it shares no memo with the fit under test and reads
+every tree in this process.
 Every scenario compares labels, history (all but ``elapsed_seconds``),
 the final ``log t``, assignments, each cluster's ordered membership
 records and each cluster's ``pst.to_dict()``.
@@ -25,6 +26,7 @@ import math
 import pytest
 
 import repro.core.cluseq as cluseq
+import repro.core.fit_worker as fit_worker
 from repro.core.cluseq import CLUSEQ, CluseqParams
 from repro.core.cluster import Cluster
 from repro.core.examine import join_all
@@ -49,7 +51,6 @@ def interleaved(background):
         clusters,
         assignments,
         unclustered_streak,
-        log_bg,
         log_t,
         all_log_sims,
         trees,
@@ -57,6 +58,8 @@ def interleaved(background):
         iteration,
     ):
         membership_changes = work = 0
+        for cluster in clusters:
+            cluster.pst = trees.here.tree(cluster.cluster_id, None)
         for index in order:
             seq = encoded[index]
             scores = similarities([c.pst for c in clusters], seq, background)
@@ -76,6 +79,8 @@ def interleaved(background):
                 membership_changes += 1
             assignments[index] = joined
             unclustered_streak[index] = 0 if joined else unclustered_streak[index] + 1
+        for cluster in clusters:
+            del cluster.pst
         return membership_changes, work, 0
 
     return recluster
@@ -91,7 +96,7 @@ def fit(db, params, *, oracle=False, replay=True, worker=None):
         if worker is not None:
             force_worker(patch, worker)
         if oracle or not replay:
-            patch.setattr(cluseq, "_built_from", lambda built, pst: None)
+            patch.setattr(fit_worker.HeldTrees, "built_from", lambda self, key: None)
         if oracle:
             patch.setattr(
                 cluseq.CLUSEQ,
@@ -195,39 +200,40 @@ def test_similarity_totals_on_the_worker_path():
 
 
 def test_a_pass_touches_only_its_own_tree(monkeypatch):
-    """Each column absorbs into its own tree and leaves every other
-    cluster's ``pst.version`` unchanged; a calibration column, which
-    joins nothing, leaves its own tree unchanged too. In-process, so
-    every tree is here to watch."""
+    """Each column absorbs into its own tree and leaves every other tree
+    the parent's holder keeps at its ``version``; a calibration column,
+    which joins nothing, leaves its own tree unchanged too. In-process,
+    so every tree is here to watch."""
     force_worker(monkeypatch, False)
-    live = []
-    recluster = cluseq.CLUSEQ._recluster_vectorized
-    score_pass = cluseq.score_pass
+    holders = []
+    init = fit_worker.HeldTrees.__init__
+    pass_totals = fit_worker.pass_totals
     seen = []
 
-    def spy_recluster(self, order, encoded, clusters, *args):
-        live.append(clusters)
-        try:
-            return recluster(self, order, encoded, clusters, *args)
-        finally:
-            live.pop()
+    def spy_init(self, *args):
+        init(self, *args)
+        holders.append(self)
+
+    def versions(pst):
+        return {
+            key: tree.version
+            for key, (_, tree, _) in holders[-1].held.items()
+            if tree is not pst
+        }
 
     def spy_pass(pst, seqs, log_bg, log_t=math.inf, absorb=None):
-        clusters = live[-1] if live else []
-        others = {c.cluster_id: c.pst.version for c in clusters if c.pst is not pst}
+        others = versions(pst)
         before = pst.version
-        column = score_pass(pst, seqs, log_bg, log_t, absorb)
-        assert {
-            c.cluster_id: c.pst.version for c in clusters if c.pst is not pst
-        } == others
-        if absorb is None:
+        column = pass_totals(pst, seqs, log_bg, log_t, absorb)
+        assert versions(pst) == others
+        if log_t == math.inf:
             assert pst.version == before
         else:
             seen.append(pst.version != before)
         return column
 
-    monkeypatch.setattr(cluseq.CLUSEQ, "_recluster_vectorized", spy_recluster)
-    monkeypatch.setattr(cluseq, "score_pass", spy_pass)
+    monkeypatch.setattr(fit_worker.HeldTrees, "__init__", spy_init)
+    monkeypatch.setattr(fit_worker, "pass_totals", spy_pass)
     CLUSEQ(CluseqParams(k=3, significance_threshold=3, seed=0)).fit(small_draw(0))
     assert any(seen)
 

@@ -12,10 +12,10 @@ same sequence. A rebuild keeps a tree whose build input repeats and
 that no absorb has touched.
 
 The oracle is the live path: the same fit in-process with replay and
-tree keeping disabled, by making ``repro.core.cluseq._built_from``
-report every tree's build input as unknown. (A tree the pass worker
-built has a build input the parent sent, so the oracle runs without the
-worker.) Every scenario compares labels, history
+tree keeping disabled, by making ``HeldTrees.built_from``
+(``repro.core.fit_worker``) report every tree's build input as unknown.
+(A tree the pass worker built has a build input the parent sent, so the
+oracle runs without the worker.) Every scenario compares labels, history
 (all but ``elapsed_seconds``), the final ``log t``, assignments, each
 cluster's ordered membership records and each cluster's
 ``pst.to_dict()``. One test per guard runs a scenario where deleting
@@ -64,7 +64,7 @@ def fit(db, params, *, replay=True, hooks=()):
     with pytest.MonkeyPatch.context() as patch:
         if not replay:
             patch.setattr(fit_worker, "second_cpu", lambda: False)
-            patch.setattr(cluseq, "_built_from", lambda built, pst: None)
+            patch.setattr(fit_worker.HeldTrees, "built_from", lambda self, key: None)
         with use_registry(registry):
             result = CLUSEQ(params, hooks=hooks).fit(db)
     return result, registry
@@ -331,16 +331,18 @@ def test_guard_tree_version():
 
 
 def test_tree_known_only_while_untouched():
-    """The identity/version check itself: another tree at the same
-    version, or the same tree after an absorb, has no known input."""
+    """The version check itself: the holder knows a tree's build input
+    until an absorb touches it, and an additive tree's never."""
     factory = CluseqParams().pst_factory(4)
-    tree, twin = factory([0, 1, 2, 3]), factory([0, 1, 2, 3])
-    assert twin.version == tree.version
-    record = cluseq._Built((0, ()), tree, tree.version)
-    assert cluseq._built_from(record, tree) == (0, ())
-    assert cluseq._built_from(record, twin) is None
+    holder = fit_worker.HeldTrees([[0, 1, 2, 3]], factory, [])
+    tree, additive = factory([0, 1, 2, 3]), factory([0, 1, 2, 3])
+    holder.put(0, tree, (0, ()))
+    holder.put(1, additive, None)
+    assert holder.built_from(0) == (0, ())
+    assert holder.built_from(1) is None
+    assert holder.built_from(2) is None
     tree.add_sequence([3, 2, 1])
-    assert cluseq._built_from(record, tree) is None
+    assert holder.built_from(0) is None
 
 
 def test_rebuild_keeps_tree_only_for_the_same_members():
@@ -348,17 +350,19 @@ def test_rebuild_keeps_tree_only_for_the_same_members():
     its members repeat and rebuilt once a member's segment moves."""
     encoded = [[0, 1, 2, 3, 0, 1], [1, 2, 3, 0, 1, 2], [2, 3, 0, 1, 2, 3]]
     factory = CluseqParams(significance_threshold=1).pst_factory(4)
-    cluster = Cluster(0, factory(encoded[0]), seed_index=0)
+    worker = fit_worker.PassWorker(encoded, factory, [])
+    worker.close()
+    trees = fit_worker.FitTrees(worker, encoded, factory, [])
+    cluster = Cluster(0, None, seed_index=0)
     cluster.set_member(Membership(1, 0.0, 0, 6))
-    built = {}
     rebuild = cluseq.CLUSEQ._rebuild_cluster_models
-    assert rebuild([cluster], encoded, factory, built) == 0
-    tree = cluster.pst
-    assert rebuild([cluster], encoded, factory, built) == 1
-    assert cluster.pst is tree
+    assert rebuild([cluster], [], trees) == 0
+    tree = trees.here.tree(0, None)
+    assert rebuild([cluster], [], trees) == 1
+    assert trees.here.tree(0, None) is tree
     cluster.set_member(Membership(1, 0.0, 0, 3))
-    assert rebuild([cluster], encoded, factory, built) == 0
-    assert cluster.pst is not tree
+    assert rebuild([cluster], [], trees) == 0
+    assert trees.here.tree(0, None) is not tree
     expected = factory(encoded[0])
     expected.add_sequence(encoded[1][0:3])
-    assert cluster.pst.to_dict() == expected.to_dict()
+    assert trees.here.tree(0, None).to_dict() == expected.to_dict()

@@ -3,16 +3,18 @@
 A forked worker (``repro.core.fit_worker``) scores every second
 calibration reference, builds the trees of every second live cluster
 pass at the end of the iteration before, scores the seed sample against
-the trees it holds, and runs those passes. Every scenario fits with the
-worker forced on and forced off (by patching ``fit_worker.second_cpu``)
-and compares labels, history (all but ``elapsed_seconds``), the final
-``log t``, assignments, each cluster's ordered membership records,
-``pst.to_dict()`` and ``node_count``, ``cluseq.replayed_passes`` and
+the trees it holds, and runs those passes; the parent's holder answers
+the rest of each request, and whatever a failed worker left unanswered.
+Every scenario fits with the worker forced on and forced off (by
+patching ``fit_worker.second_cpu``) and compares labels, history (all
+but ``elapsed_seconds``), the final ``log t``, assignments, each
+cluster's ordered membership records, ``pst.to_dict()`` and
+``node_count``, ``cluseq.replayed_passes`` and
 ``similarity.calls``/``dp_cells``. The worker-on side must really have
 offloaded passes.
 
-``loopback_worker`` runs the worker's side in this process instead of a
-fork, answering each request when the fit reads its replies, so that
+``loopback_worker`` runs the worker's holder in this process instead of
+a fork, answering each request when the fit reads its replies, so that
 tests can watch the worker's trees.
 """
 
@@ -25,14 +27,14 @@ import pickle
 import signal
 import threading
 import types
+from array import array
 from collections import deque
 
 import pytest
 
-import repro.core.cluseq as cluseq
 import repro.core.fit_worker as fit_worker
 from repro.core.cluseq import CLUSEQ, CluseqParams
-from repro.core.fit_worker import PassWorker, WorkerTrees, build_tree
+from repro.core.fit_worker import HeldTrees, PassWorker, build_tree
 from repro.core.similarity import _log_background, pass_totals
 from repro.obs import MetricsRegistry, use_registry
 from repro.sequences.generators import generate_clustered_database
@@ -110,11 +112,11 @@ class NoProcess:
 
 def loopback_worker(patch):
     """Make every fit under *patch* run its pass worker in this process.
-    Returns the list of the workers' ``WorkerTrees``, one per fit."""
+    Returns the list of the workers' ``HeldTrees``, one per fit."""
     made = []
 
     def start(self):
-        trees = WorkerTrees(*self._inputs)
+        trees = HeldTrees(*self._inputs)
         made.append(trees)
         self._process, self._conn = NoProcess(), Loopback(trees)
         return True
@@ -128,15 +130,15 @@ def spy_submissions(patch):
     """Record the number of passes each accepted ``passes`` request
     handed over (calibration references included)."""
     sent = []
-    passes = PassWorker.passes
+    send = PassWorker.send
 
-    def spy(self, order, log_t, specs):
-        accepted = passes(self, order, log_t, specs)
-        if accepted:
-            sent.append(len(specs))
+    def spy(self, request):
+        accepted = send(self, request)
+        if accepted and request[0] == "passes":
+            sent.append(len(request[-1]))
         return accepted
 
-    patch.setattr(PassWorker, "passes", spy)
+    patch.setattr(PassWorker, "send", spy)
     return sent
 
 
@@ -289,29 +291,30 @@ def test_no_build_input_is_built_on_both_sides(monkeypatch):
     """Within an iteration, no build input the parent builds is one the
     worker was asked to build, and the parent builds fewer trees than
     the in-process fit. Seed-only build inputs are exempt: a seed the
-    worker runs is built there again from its index."""
+    worker runs is built there again from its index. (The forked worker
+    appends to its own copy of the parent's list.)"""
     iteration = [0]
     parent = []
     asked = []
-    real = cluseq.build_tree
+    real = fit_worker.build_tree
 
     def spy_build(build_input, *args):
         parent.append((iteration[0], build_input))
         return real(build_input, *args)
 
-    hold = PassWorker.hold
+    send = PassWorker.send
 
-    def spy_hold(self, specs):
-        sent = hold(self, specs)
-        if sent:
-            asked.extend((iteration[0], build_input) for _, build_input in specs)
+    def spy_hold(self, request):
+        sent = send(self, request)
+        if sent and request[0] == "hold":
+            asked.extend((iteration[0], build_input) for _, build_input in request[-1])
         return sent
 
     def count(snapshot):
         iteration[0] += 1
 
-    monkeypatch.setattr(cluseq, "build_tree", spy_build)
-    monkeypatch.setattr(PassWorker, "hold", spy_hold)
+    monkeypatch.setattr(fit_worker, "build_tree", spy_build)
+    monkeypatch.setattr(PassWorker, "send", spy_hold)
     db = outlier_draw(3)
     params = CluseqParams(k=2, significance_threshold=3, seed=3)
     fit(db, params, worker=True, hooks=[count])
@@ -388,18 +391,21 @@ def test_raising_worker_gives_the_same_result(caplog):
     assert "boom in the worker" in caplog.text
 
 
-def in_worker(name, act):
-    """Patch ``WorkerTrees.<name>`` to run *act* in the worker on its
-    first call there."""
+def in_worker(name, act, call=1):
+    """Patch ``HeldTrees.<name>`` to run *act* in the worker on its
+    *call*-th call there."""
     parent = os.getpid()
-    real = getattr(WorkerTrees, name)
+    real = getattr(HeldTrees, name)
+    calls = [0]
 
     def patched(self, *args):
         if os.getpid() != parent:
-            act()
+            calls[0] += 1
+            if calls[0] == call:
+                act()
         return real(self, *args)
 
-    return lambda patch: patch.setattr(WorkerTrees, name, patched)
+    return lambda patch: patch.setattr(HeldTrees, name, patched)
 
 
 def die():
@@ -412,18 +418,61 @@ def boom():
 
 @pytest.mark.parametrize("act", [die, boom], ids=["killed", "raising"])
 @pytest.mark.parametrize(
-    "step", ["_hold", "_sample"], ids=["during-prebuild", "during-seed-scoring"]
+    "step, call",
+    [("_hold", 1), ("_sample", 1), ("_pass", 2)],
+    ids=["during-prebuild", "during-seed-scoring", "after-one-pass"],
 )
-def test_failed_worker_mid_step_gives_the_same_result(step, act, caplog):
-    """A worker lost while it builds the next passes' trees, or while
-    it scores the seed sample, leaves the parent to build those trees
-    from the build inputs it kept and to finish in-process."""
+def test_failed_worker_mid_step_gives_the_same_result(step, call, act, caplog):
+    """A worker lost while it builds the next passes' trees, while it
+    scores the seed sample, or after it answered the first pass of a
+    request, leaves the parent to build the worker's trees from the
+    build inputs it kept, answer what the worker left unanswered and
+    finish in-process. Every pass runs once, in one process or the
+    other: the parent runs only the passes the worker left unanswered."""
+    ran = []
+
+    def patch_child(patch):
+        in_worker(step, act, call)(patch)
+        ran.append(count_passes(patch))
+
     assert_worker_matches_in_process(
         outlier_draw(3),
         CluseqParams(k=2, significance_threshold=3, seed=3),
-        patch_child=in_worker(step, act),
+        patch_child=patch_child,
     )
     assert "pass worker failed" in caplog.text
+    with pytest.MonkeyPatch.context() as patch:
+        off = count_passes(patch)
+        fit(outlier_draw(3), CluseqParams(k=2, significance_threshold=3, seed=3), worker=False)
+    (on,) = ran
+    assert on["worker"] > 0
+    assert on["parent"] + on["worker"] == off["parent"]
+
+
+def count_passes(patch):
+    """Count the passes the parent runs and the pass replies it reads
+    from the worker."""
+    parent = os.getpid()
+    ran = {"parent": 0, "worker": 0}
+    run = HeldTrees._pass
+
+    def spy_pass(self, *args):
+        if os.getpid() == parent:
+            ran["parent"] += 1
+        return run(self, *args)
+
+    replies = PassWorker.replies
+
+    def spy_replies(self):
+        answered = replies(self)
+        ran["worker"] += sum(
+            1 for reply in answered if isinstance(reply[0], array)
+        )
+        return answered
+
+    patch.setattr(HeldTrees, "_pass", spy_pass)
+    patch.setattr(PassWorker, "replies", spy_replies)
+    return ran
 
 
 class HookError(Exception):

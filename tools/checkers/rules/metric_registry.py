@@ -10,8 +10,8 @@ and ``SPANS`` plus ``*_PREFIXES`` for dynamic families), parsed in
 pass 1 by :class:`~tools.checkers.symbols.ProgramIndex`.
 
 This rule then resolves every literal name at every emission site —
-``metrics.counter(...)``/``gauge``/``histogram``/``timer``/``series``
-and ``obs.span(...)`` — against the registry. F-strings are checked by their literal head: the head must
+``metrics.counter(...)``/``gauge``/``histogram``/``timer`` and
+``obs.span(...)`` — against the registry. F-strings are checked by their literal head: the head must
 extend a declared prefix, or some declared name must still be able to
 complete it. Sites whose first argument is not a string literal at all
 (plumbing that forwards a caller-supplied name) are out of scope.
@@ -30,7 +30,7 @@ from ..engine import FileContext, Rule, Violation, register
 from ..symbols import NameRegistry
 
 #: Emitter method name → the registry namespace it draws from.
-_METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "timer", "series"})
+_METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "timer"})
 _SPAN_METHODS = frozenset({"span"})
 
 _ALL_METHODS = _METRIC_METHODS | _SPAN_METHODS

@@ -4,7 +4,7 @@ Two related conventions keep the telemetry surface machine-consumable
 (docs/OBSERVABILITY.md):
 
 1. Metric names handed to the registry factories (``counter``,
-   ``gauge``, ``histogram``, ``timer``, ``series``) must be dotted
+   ``gauge``, ``histogram``, ``timer``) must be dotted
    lowercase paths — ``layer.metric`` or deeper, matching
    ``^[a-z][a-z0-9_]*(\\.[a-z0-9_]+)+$`` — so the Prometheus exporter
    can group them by namespace. A bare ``counter("hits")`` collides
@@ -38,7 +38,7 @@ _SPAN_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 _NAME_PREFIX = re.compile(r"^[a-z][a-z0-9_.]*$")
 
 _METRIC_FACTORIES = frozenset(
-    {"counter", "gauge", "histogram", "timer", "series"}
+    {"counter", "gauge", "histogram", "timer"}
 )
 
 
