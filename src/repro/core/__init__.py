@@ -17,7 +17,7 @@ from .persistence import load_result, result_from_dict, result_to_dict, save_res
 from .segmentation import BACKGROUND, Domain, domain_summary, segment_sequence
 from .pruning import STRATEGIES as PRUNE_STRATEGIES
 from .pruning import prune_to
-from .pst import APPROX_BYTES_PER_NODE, PSTNode, PSTStats, ProbabilisticSuffixTree
+from .pst import APPROX_BYTES_PER_NODE, PSTNode, ProbabilisticSuffixTree
 from .seeding import SeedChoice, build_seed_pst, select_seeds
 from .similarity import (
     SimilarityResult,
@@ -62,7 +62,6 @@ __all__ = [
     "prune_to",
     "APPROX_BYTES_PER_NODE",
     "PSTNode",
-    "PSTStats",
     "ProbabilisticSuffixTree",
     "SeedChoice",
     "build_seed_pst",

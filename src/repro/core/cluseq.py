@@ -77,7 +77,7 @@ from .similarity import (
     score_row,
     similarities,
 )
-from .smoothing import default_p_min
+from .smoothing import default_p_min, validate_p_min
 from .threshold import (
     VALLEY_METHODS,
     blend_log_threshold,
@@ -137,6 +137,10 @@ class CluseqParams:
             raise ValueError(f"prune_strategy must be one of {STRATEGIES}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
+        if self.p_min is not None and self.p_min < 0:
+            raise ValueError("p_min must be non-negative")
+        if self.min_unique_members is not None and self.min_unique_members < 0:
+            raise ValueError("min_unique_members must be non-negative")
 
     def resolved_min_unique(self) -> int:
         """The consolidation threshold (defaults to ``c``, per the paper)."""
@@ -147,17 +151,17 @@ class CluseqParams:
     def pst_factory(self, alphabet_size: int) -> PSTFactory:
         """The §4.1 seed-model factory: one sequence in, a fresh PST
         with this run's tree parameters out. ``p_min`` falls back to
-        :func:`~repro.core.smoothing.default_p_min`."""
+        :func:`~repro.core.smoothing.default_p_min`; one unusable for
+        *alphabet_size* raises ``ValueError`` here, before any tree is
+        built (:func:`~repro.core.smoothing.validate_p_min`)."""
+        p_min = self.p_min if self.p_min is not None else default_p_min(alphabet_size)
+        validate_p_min(alphabet_size, p_min)
         return partial(
             build_seed_pst,
             alphabet_size=alphabet_size,
             max_depth=self.max_depth,
             significance_threshold=self.significance_threshold,
-            p_min=(
-                self.p_min
-                if self.p_min is not None
-                else default_p_min(alphabet_size)
-            ),
+            p_min=p_min,
             max_nodes=self.max_nodes,
             prune_strategy=self.prune_strategy,
         )
@@ -467,7 +471,7 @@ REPLAY_WINDOW = 6
 @dataclass
 class _Pass:
     """One cluster's reclustering pass: the ``log t`` and examination
-    order it ran under, its column (:func:`~repro.core.similarity.score_pass`)
+    order it ran under, its column (:func:`~repro.core.similarity.pass_totals`)
     and the last iteration that recorded or replayed it."""
 
     log_t: float
@@ -848,14 +852,11 @@ class CLUSEQ:
             registry.gauge("cluseq.converged").set(1.0 if converged else 0.0)
             total_nodes = 0
             for cluster in clusters:
-                tree_stats = cluster.pst.stats()
-                total_nodes += tree_stats.node_count
+                total_nodes += cluster.pst.node_count
                 registry.histogram(
                     "pst.final_depth", buckets=tuple(range(1, 17))
-                ).observe(tree_stats.max_depth)
-                registry.histogram("pst.final_nodes").observe(
-                    tree_stats.node_count
-                )
+                ).observe(cluster.pst.depth())
+                registry.histogram("pst.final_nodes").observe(cluster.pst.node_count)
             registry.gauge("cluseq.final_pst_nodes").set(total_nodes)
         _logger.info(
             "run finished",
@@ -1011,7 +1012,6 @@ class CLUSEQ:
                 [(clusters[at].cluster_id, known[at]) for at in away],
             ),
         ):
-            clusters[position].count_absorbed(sum(1 for x in logs if x >= log_t))
             fresh[position] = _Pass(log_t, order, logs, bounds, iteration)
         columns: list[_Pass] = []
         for position, record in enumerate(records):

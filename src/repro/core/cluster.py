@@ -64,7 +64,6 @@ class Cluster:
         self.seed_index = seed_index
         self.created_at_iteration = created_at_iteration
         self._members: dict[int, Membership] = {}
-        self._segments_absorbed = 0
 
     # -- membership --------------------------------------------------------------
 
@@ -77,11 +76,6 @@ class Cluster:
     def size(self) -> int:
         """Current number of member sequences."""
         return len(self._members)
-
-    @property
-    def segments_absorbed(self) -> int:
-        """How many best-scoring segments have been fed into the PST."""
-        return self._segments_absorbed
 
     def membership_of(self, sequence_index: int) -> Membership | None:
         """The membership record for *sequence_index*, or ``None``."""
@@ -137,13 +131,6 @@ class Cluster:
         probability vectors along the way.
         """
         self.pst.add_sequence(encoded_segment)
-        self._segments_absorbed += 1
-
-    def count_absorbed(self, count: int) -> None:
-        """Count *count* segments that this cluster's tree absorbed
-        while a fit's holder kept it, in the fit's process or its pass
-        worker (:class:`~repro.core.fit_worker.HeldTrees`)."""
-        self._segments_absorbed += count
 
     # -- bookkeeping ------------------------------------------------------------------
 

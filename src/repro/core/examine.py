@@ -22,7 +22,7 @@ each sequence is scored against the live models as one row
 caller built once) and then joins with :func:`join_best`. The overlap
 rule is column-major: a join depends only on the cluster's own score
 and absorbs only into its own tree, so the fit runs each cluster's
-pass as one column (:func:`~repro.core.similarity.score_pass`,
+pass as one column (:func:`~repro.core.similarity.pass_totals`,
 absorbing as it goes), or reuses a recorded column
 (``CLUSEQ._recluster_vectorized``), and :func:`join_all` merges the
 columns into memberships, absorbing nothing. Both joins take the
@@ -70,7 +70,7 @@ def join_all(
     """The fit's §4.2 overlap rule: join every cluster with SIM ≥ t.
 
     *index* sits at *position* of each cluster's column (``logs`` and
-    ``bounds`` as :func:`~repro.core.similarity.score_pass` returns
+    ``bounds`` as :func:`~repro.core.similarity.pass_totals` returns
     them, in cluster order). It joins, with that score and segment,
     every cluster whose ``log SIM ≥ log t`` there; every other cluster
     drops it. The pass already absorbed *each* join's segment — a

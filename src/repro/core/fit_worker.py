@@ -85,9 +85,9 @@ BuildInput = tuple[int, tuple[tuple[int, int, int], ...]]
 #: tree held for that cluster, as it stands).
 TreeSpec = tuple["int | None", "BuildInput | None"]
 
-#: One pass's reply: its column ``(logs, bounds)`` as
-#: :func:`~repro.core.similarity.score_pass` returns it, then its DP
-#: cells and root walks.
+#: One pass's reply: its column ``(logs, bounds)``, then its DP cells
+#: and root walks, as :func:`~repro.core.similarity.pass_totals`
+#: returns them.
 PassResult = tuple["array[float]", "array[int]", int, int]
 
 #: A seed sample's reply: each sample's best ``log SIM`` over the trees

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -95,41 +94,6 @@ class PSTNode:
             total += 1
             stack.extend(node.children.values())
         return total
-
-
-@dataclass(frozen=True)
-class PSTStats:
-    """A one-walk structural summary of a PST.
-
-    Produced by :meth:`ProbabilisticSuffixTree.stats`; the observability
-    gauges and the PST-size experiments read tree state through this
-    instead of walking node internals.
-    """
-
-    node_count: int
-    significant_nodes: int
-    max_depth: int
-    #: Nodes per label length, index 0 = the root.
-    depth_histogram: tuple[int, ...]
-    #: Sum of node counts over the whole tree — the total occurrence
-    #: mass the model has accumulated (grows with every insertion,
-    #: shrinks when pruning discards subtrees).
-    total_occurrence_mass: int
-    sequences_added: int
-    total_symbols: int
-    approx_memory_bytes: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_count": self.node_count,
-            "significant_nodes": self.significant_nodes,
-            "max_depth": self.max_depth,
-            "depth_histogram": list(self.depth_histogram),
-            "total_occurrence_mass": self.total_occurrence_mass,
-            "sequences_added": self.sequences_added,
-            "total_symbols": self.total_symbols,
-            "approx_memory_bytes": self.approx_memory_bytes,
-        }
 
 
 class ProbabilisticSuffixTree:
@@ -666,44 +630,6 @@ class ProbabilisticSuffixTree:
             if len(label) > best:
                 best = len(label)
         return best
-
-    def approx_memory_bytes(self) -> int:
-        """Rough memory footprint, for the PST-size experiments."""
-        return self._node_count * APPROX_BYTES_PER_NODE
-
-    def stats(self) -> PSTStats:
-        """Structural summary (node count, depths, occurrence mass).
-
-        One depth-first walk, so ``O(nodes)``; suitable for
-        per-iteration telemetry but not per-symbol hot loops.
-        """
-        threshold = self.significance_threshold
-        node_count = 0
-        significant = 0
-        mass = 0
-        depth_counts: list[int] = []
-        stack: list[tuple[PSTNode, int]] = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            node_count += 1
-            mass += node.count
-            if node.count >= threshold:
-                significant += 1
-            while len(depth_counts) <= depth:
-                depth_counts.append(0)
-            depth_counts[depth] += 1
-            for child in node.children.values():
-                stack.append((child, depth + 1))
-        return PSTStats(
-            node_count=node_count,
-            significant_nodes=significant,
-            max_depth=len(depth_counts) - 1,
-            depth_histogram=tuple(depth_counts),
-            total_occurrence_mass=mass,
-            sequences_added=self._sequences_added,
-            total_symbols=self.root.count,
-            approx_memory_bytes=node_count * APPROX_BYTES_PER_NODE,
-        )
 
     def __repr__(self) -> str:
         return (

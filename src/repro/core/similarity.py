@@ -299,7 +299,7 @@ def score_row(
     tree of *psts*, and ``best_start``, ``best_end`` per tree, in tree
     order.
 
-    The row twin of :func:`score_pass`, for the §4.2–§4.4 incremental
+    The row twin of :func:`pass_totals`, for the §4.2–§4.4 incremental
     joins and the row of :func:`similarities`: each tree gets the X/Y/Z
     scan. The caller checks the input once, where it first arrives
     (:func:`check_sequence` on *encoded*, *log_bg* from
@@ -324,29 +324,6 @@ def score_row(
     return logs, bounds
 
 
-def score_pass(
-    pst: ProbabilisticSuffixTree,
-    seqs: Sequence[Sequence[int]],
-    log_bg: list[float],
-    log_t: float = math.inf,
-    absorb: Callable[[Sequence[int]], None] | None = None,
-) -> tuple[array[float], array[int]]:
-    """One tree's column of the §4.7 matrix: ``log SIM`` per sequence
-    of *seqs*, and ``best_start``, ``best_end`` per sequence, in order.
-
-    Each sequence gets the X/Y/Z scan against the tree as it stands
-    when its turn comes. With *absorb*, a score with ``log SIM ≥
-    log_t`` hands that sequence's best segment to *absorb* before the
-    next scan: one cluster's §4.2 overlap pass. The caller checks the
-    input once for the column (:func:`check_sequence` per sequence,
-    *log_bg* from :func:`log_background`). The registry records the
-    per-pair totals of one :func:`similarities` call per sequence.
-    """
-    logs, bounds, cells, walks = pass_totals(pst, seqs, log_bg, log_t, absorb)
-    _count_pairs(cells, walks, bounds)
-    return logs, bounds
-
-
 def pass_totals(
     pst: ProbabilisticSuffixTree,
     seqs: Sequence[Sequence[int]],
@@ -354,9 +331,18 @@ def pass_totals(
     log_t: float = math.inf,
     absorb: Callable[[Sequence[int]], None] | None = None,
 ) -> tuple[array[float], array[int], int, int]:
-    """:func:`score_pass` without the registry (§4.2, §4.7): the column
-    ``(logs, bounds)`` and the pass's DP cells and root walks, for a
-    caller that records the totals itself with :func:`_count_pairs`."""
+    """One tree's column of the §4.7 matrix: ``log SIM`` per sequence
+    of *seqs*, and ``best_start``, ``best_end`` per sequence, in order,
+    then the pass's DP cells and root walks.
+
+    Each sequence gets the X/Y/Z scan against the tree as it stands
+    when its turn comes. With *absorb*, a score with ``log SIM ≥
+    log_t`` hands that sequence's best segment to *absorb* before the
+    next scan: one cluster's §4.2 overlap pass. The caller checks the
+    input once for the column (:func:`check_sequence` per sequence,
+    *log_bg* from :func:`log_background`). Nothing is recorded here:
+    the caller records the totals itself with :func:`_count_pairs`,
+    as :meth:`~repro.core.fit_worker.FitTrees.passes` does."""
     logs: array[float] = array("d")
     bounds: array[int] = array("i")
     cells = walks = 0

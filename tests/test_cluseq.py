@@ -25,6 +25,8 @@ class TestParams:
             ("ordering", "bogus"),
             ("prune_strategy", "bogus"),
             ("max_nodes", 0),
+            ("p_min", -0.5),
+            ("min_unique_members", -1),
         ],
     )
     def test_invalid_params(self, field, value):

@@ -46,10 +46,11 @@ class TestModelUpdates:
         cluster = make_cluster()
         nodes_before = cluster.pst.node_count
         symbols_before = cluster.pst.total_symbols
+        added_before = cluster.pst.sequences_added
         cluster.absorb_segment([1, 1, 1, 0])
         assert cluster.pst.total_symbols == symbols_before + 4
         assert cluster.pst.node_count >= nodes_before
-        assert cluster.segments_absorbed == 1
+        assert cluster.pst.sequences_added == added_before + 1
 
 
 class TestUniqueMembers:

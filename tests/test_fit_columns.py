@@ -2,7 +2,7 @@
 
 Under the §4.2 overlap rule a cluster's join depends only on its own
 score and an absorb touches only its own tree, so the fit runs each
-cluster's pass as one column (``score_pass``: score the examination
+cluster's pass as one column (``pass_totals``: score the examination
 order against the live tree, absorbing every join's best segment) and
 then merges the columns sequence by sequence into memberships.
 
@@ -30,7 +30,7 @@ import repro.core.fit_worker as fit_worker
 from repro.core.cluseq import CLUSEQ, CluseqParams
 from repro.core.cluster import Cluster
 from repro.core.examine import join_all
-from repro.core.similarity import _log_background, score_pass, similarities
+from repro.core.similarity import _log_background, pass_totals, similarities
 from repro.obs import MetricsRegistry, use_registry
 
 from test_fit_replay import fit_state, outlier_draw, small_draw
@@ -251,10 +251,10 @@ def test_a_score_at_t_is_absorbed_and_joined():
     background = [0.25] * 4
     log_bg = _log_background([], seqs, background)
     tree = factory(seqs[0])
-    (log_t, _), _ = score_pass(factory(seqs[0]), seqs, log_bg)
+    (log_t, _), _ = pass_totals(factory(seqs[0]), seqs, log_bg)[:2]
     cluster = Cluster(5, tree, seed_index=0)
     absorbed = []
-    logs, bounds = score_pass(tree, seqs, log_bg, log_t, absorbed.append)
+    logs, bounds = pass_totals(tree, seqs, log_bg, log_t, absorbed.append)[:2]
     assert logs[0] == log_t and absorbed[0] == seqs[0][bounds[0] : bounds[1]]
     assert join_all(7, 0, [cluster], [logs], [bounds], log_t) == {5}
     assert cluster.membership_of(7).log_similarity == log_t

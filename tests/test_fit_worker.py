@@ -209,6 +209,33 @@ def test_outlier_draw_matches():
     )
 
 
+def test_iterations_that_dismiss_every_cluster_match():
+    """With ``t`` out of reach no sequence joins, so iterations 0–3 each
+    dismiss every cluster: the §4.4 rebuild returns before any hold,
+    and the worker keeps the dismissed trees until its next one."""
+    db = generate_clustered_database(
+        num_sequences=120,
+        num_clusters=4,
+        avg_length=60,
+        alphabet_size=8,
+        outlier_fraction=0.1,
+        seed=1,
+    ).database
+    params = CluseqParams(
+        k=2,
+        significance_threshold=3,
+        similarity_threshold=1e300,
+        calibrate_threshold=False,
+        max_iterations=8,
+        seed=1,
+    )
+    on, on_registry, offloaded = fit(db, params, worker=True)
+    off, off_registry, _ = fit(db, params, worker=False)
+    assert offloaded > 0
+    assert any(stats.clusters_after == 0 for stats in on.history)
+    assert state(on, on_registry) == state(off, off_registry)
+
+
 def test_loopback_worker_matches():
     """The in-process stand-in the tree-lifetime tests watch runs the
     same protocol as the fork."""
@@ -326,6 +353,27 @@ def test_no_build_input_is_built_on_both_sides(monkeypatch):
         (at, build_input) for at, build_input in on if build_input[1]
     } & set(asked)
     assert len(on) < len(parent)
+
+
+@pytest.mark.parametrize("ordering", ["fixed", "cluster", "random"])
+def test_each_request_splits_its_passes_evenly(monkeypatch, ordering):
+    """Every ``passes`` request gives the parent as many passes as the
+    worker, or one more: the worker's wall-time gain rests on it."""
+    splits = []
+    passes = fit_worker.FitTrees.passes
+
+    def spy(self, order, log_t, here, away):
+        splits.append((len(here), len(away)))
+        return passes(self, order, log_t, here, away)
+
+    monkeypatch.setattr(fit_worker.FitTrees, "passes", spy)
+    fit(
+        outlier_draw(3),
+        CluseqParams(k=2, significance_threshold=3, ordering=ordering, seed=3),
+        worker=True,
+    )
+    assert any(away for _, away in splits)
+    assert [(here, away) for here, away in splits if here - away not in (0, 1)] == []
 
 
 def test_additive_models_never_fork():

@@ -296,9 +296,6 @@ class TestTraversal:
     def test_recount_nodes_consistent(self, simple_pst):
         assert simple_pst.recount_nodes() == simple_pst.node_count
 
-    def test_approx_memory(self, simple_pst):
-        assert simple_pst.approx_memory_bytes() > 0
-
     def test_approx_bytes_per_node_matches_a_measured_scored_tree(self):
         """A fit-shaped tree, scored once against its database, takes
         within 25% of ``APPROX_BYTES_PER_NODE`` per node (tracemalloc)."""
@@ -323,7 +320,6 @@ class TestTraversal:
             tracemalloc.stop()
         assert tree.node_count > 5_000
         assert 0.75 * APPROX_BYTES_PER_NODE <= per_node <= 1.25 * APPROX_BYTES_PER_NODE
-        assert tree.approx_memory_bytes() == tree.node_count * APPROX_BYTES_PER_NODE
 
     def test_repr(self, simple_pst):
         assert "ProbabilisticSuffixTree" in repr(simple_pst)
@@ -392,36 +388,30 @@ class TestSerialization:
 
 class TestStats:
     def test_stats_matches_tree_structure(self, simple_pst):
-        stats = simple_pst.stats()
-        assert stats.node_count == simple_pst.node_count
-        assert stats.total_symbols == simple_pst.total_symbols
-        assert stats.sequences_added == 1
-        assert stats.max_depth <= simple_pst.max_depth
-        # depth histogram: index 0 is the root, sums to the node count
-        assert stats.depth_histogram[0] == 1
-        assert sum(stats.depth_histogram) == stats.node_count
-        assert len(stats.depth_histogram) == stats.max_depth + 1
-        assert stats.significant_nodes <= stats.node_count
-        assert stats.approx_memory_bytes == simple_pst.approx_memory_bytes()
-        # occurrence mass counts every node's count once
-        assert stats.total_occurrence_mass == sum(
-            node.count for _, node in simple_pst.iter_nodes()
+        """Node count, depth and significant nodes agree with a
+        depth-first walk of the tree's nodes."""
+        walked: list[tuple[int, int]] = []  # (depth, count) per node
+        stack = [(simple_pst.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            walked.append((depth, node.count))
+            stack.extend((child, depth + 1) for child in node.children.values())
+        assert simple_pst.node_count == len(walked)
+        assert simple_pst.depth() == max(depth for depth, _ in walked)
+        assert simple_pst.depth() <= simple_pst.max_depth
+        assert simple_pst.significant_node_count() == sum(
+            1 for _, count in walked if count >= simple_pst.significance_threshold
         )
+        assert simple_pst.total_symbols == simple_pst.root.count
+        assert simple_pst.sequences_added == 1
 
     def test_stats_empty_tree(self):
-        stats = ProbabilisticSuffixTree(alphabet_size=2).stats()
-        assert stats.node_count == 1  # the root
-        assert stats.max_depth == 0
-        assert stats.depth_histogram == (1,)
-        assert stats.total_occurrence_mass == 0
-        assert stats.sequences_added == 0
-
-    def test_stats_to_dict_round_trips_json(self, simple_pst):
-        import json
-
-        doc = json.loads(json.dumps(simple_pst.stats().to_dict()))
-        assert doc["node_count"] == simple_pst.node_count
-        assert isinstance(doc["depth_histogram"], list)
+        pst = ProbabilisticSuffixTree(alphabet_size=2)
+        assert pst.node_count == 1  # the root
+        assert [label for label, _ in pst.iter_nodes()] == [()]
+        assert pst.depth() == 0
+        assert pst.total_symbols == 0
+        assert pst.sequences_added == 0
 
     def test_repr_mentions_structure(self, simple_pst):
         text = repr(simple_pst)

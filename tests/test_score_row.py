@@ -3,7 +3,7 @@
 ``score_row(psts, encoded, log_bg)`` is one sequence against many
 trees, unchecked, over a log background built once. It must equal
 ``similarities()`` entry for entry (``log SIM``, ``best_start``,
-``best_end``) and each tree's ``score_pass`` entry, on closed trees, on
+``best_end``) and each tree's ``pass_totals`` entry, on closed trees, on
 a pruned tree (not closed, walked at every position) and with ``p_min``
 both 0 and positive, and it must record the same ``similarity.*``
 telemetry as ``similarities()``.
@@ -17,8 +17,9 @@ import pytest
 from repro.core.pruning import prune_to
 from repro.core.pst import ProbabilisticSuffixTree
 from repro.core.similarity import (
+    _count_pairs,
     log_background,
-    score_pass,
+    pass_totals,
     score_row,
     similarities,
 )
@@ -75,7 +76,7 @@ def test_row_equals_similarities_and_columns(seed, p_min):
     row_trees = random_trees(seed, p_min)
     public_trees = random_trees(seed, p_min)
     column_trees = random_trees(seed, p_min)
-    columns = [score_pass(pst, seqs, log_bg) for pst in column_trees]
+    columns = [pass_totals(pst, seqs, log_bg)[:2] for pst in column_trees]
     for position, seq in enumerate(seqs):
         logs, bounds = score_row(row_trees, seq, log_bg)
         results = similarities(public_trees, seq, BACKGROUND)
@@ -132,7 +133,8 @@ def test_binned_histogram_equals_per_pair_observe():
             _, bounds = score_row(trees, seq, log_bg)
             lengths += [bounds[at + 1] - bounds[at] for at in range(0, len(bounds), 2)]
         for pst in random_trees(7, 0.0):
-            _, bounds = score_pass(pst, seqs, log_bg)
+            _, bounds, cells, walks = pass_totals(pst, seqs, log_bg)
+            _count_pairs(cells, walks, bounds)
             lengths += [bounds[at + 1] - bounds[at] for at in range(0, len(bounds), 2)]
     merged = registry.histogram("similarity.segment_length")
     reference = Histogram()

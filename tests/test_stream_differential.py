@@ -88,11 +88,12 @@ def run_engine(engine, sequences, batch_size):
 
 
 def cluster_state(clusters):
-    """Id, absorb count, model size and every membership record."""
+    """Id, inserts into the model (the seed plus one per join), model
+    size and every membership record."""
     return [
         (
             cluster.cluster_id,
-            cluster.segments_absorbed,
+            cluster.pst.sequences_added,
             cluster.pst.node_count,
             [
                 (m.sequence_index, m.log_similarity, m.best_start, m.best_end)

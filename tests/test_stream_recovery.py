@@ -339,6 +339,17 @@ class TestStateDirBelongsToOneRun:
             make_engine(make_config(), state_dir=state_dir)
         assert [path.name for path in state_dir.iterdir()] == ["journal.jsonl"]
 
+    def test_unusable_p_min_is_refused_before_any_state_is_written(self, tmp_path):
+        """``alphabet_size · p_min ≥ 1`` would first fail at a re-seed,
+        after its batch was journaled, and then again on every replay,
+        so the directory could never be recovered."""
+        state_dir = tmp_path / "state"
+        with pytest.raises(ValueError, match="p_min"):
+            StreamingCluseq.cold_start(
+                alphabet_size=4, p_min=0.5, state_dir=state_dir
+            )
+        assert not state_dir.exists()
+
 
 class TestRetiredCheckpointKeys:
     def test_threshold_survives_replay_and_later_batches(self, stream, tmp_path):
